@@ -26,8 +26,8 @@
 //! (recovery starts from an empty database). Readers verify every frame's
 //! CRC-32 before parsing it, so a flipped bit in a slice is a typed error —
 //! and recovery then falls back to the previous complete checkpoint — rather
-//! than silently corrupt state. Slices without the magic (written by older
-//! builds, manifest version `v1`) are read as a bare record stream.
+//! than silently corrupt state. A slice that does not open with the magic is
+//! rejected the same way.
 //!
 //! # Protocol
 //!
@@ -56,9 +56,11 @@ use crate::{lock, SiloLogger};
 
 /// Name of the per-checkpoint completeness marker / metadata file.
 const MANIFEST: &str = "MANIFEST";
+/// First line of every manifest: the one checkpoint format.
+const MANIFEST_HEADER: &str = "silo-checkpoint v2";
 /// Subdirectory of the durability root holding checkpoints.
 const CHECKPOINT_DIR: &str = "checkpoints";
-/// Leading magic of a CRC-framed (v2) checkpoint slice.
+/// Leading magic of a checkpoint slice.
 const SLICE_MAGIC: &[u8; 8] = b"SILOSLC2";
 /// Target payload size of one CRC frame (flushed at record boundaries).
 const SLICE_FRAME: usize = 64 * 1024;
@@ -453,8 +455,7 @@ fn run_once(shared: &CheckpointerShared) -> std::io::Result<Option<u64>> {
 
     // Manifest written via temp file + rename: its presence is the atomic
     // "checkpoint complete" bit.
-    let mut manifest = String::new();
-    manifest.push_str("silo-checkpoint v2\n");
+    let mut manifest = format!("{MANIFEST_HEADER}\n");
     manifest.push_str(&format!("epoch {ce}\n"));
     manifest.push_str(&format!("slices {}\n", slices.len()));
     for (i, (bytes, records)) in slices.iter().enumerate() {
@@ -558,9 +559,7 @@ impl CheckpointInfo {
 fn read_manifest(dir: &Path) -> Option<CheckpointInfo> {
     let text = std::fs::read_to_string(dir.join(MANIFEST)).ok()?;
     let mut lines = text.lines();
-    // v1 slices are bare record streams, v2 slices are CRC-framed; the
-    // reader distinguishes them by the slice magic, so both load.
-    if !matches!(lines.next()?, "silo-checkpoint v1" | "silo-checkpoint v2") {
+    if lines.next()? != MANIFEST_HEADER {
         return None;
     }
     let epoch: u64 = lines.next()?.strip_prefix("epoch ")?.parse().ok()?;
@@ -622,10 +621,10 @@ pub fn latest_checkpoint(root: &Path) -> Option<CheckpointInfo> {
 }
 
 /// Reads every slice of `info` end to end without applying anything: each
-/// CRC frame of a v2 slice must checksum correctly and every record must
-/// parse. A corrupt slice surfaces as the underlying typed error, letting
-/// recovery report it and fall back to an older checkpoint instead of
-/// loading silently-corrupted state.
+/// slice must open with the magic, each CRC frame must checksum correctly and
+/// every record must parse. A corrupt slice surfaces as the underlying typed
+/// error, letting recovery report it and fall back to an older checkpoint
+/// instead of loading silently-corrupted state.
 pub fn verify_checkpoint(info: &CheckpointInfo) -> std::io::Result<()> {
     for (path, _, _) in &info.slices {
         let file = std::fs::File::open(path)?;
@@ -652,49 +651,36 @@ fn write_frame(out: &mut impl Write, payload: &[u8]) -> std::io::Result<u64> {
     Ok(8 + payload.len() as u64)
 }
 
-/// Streams the records of one checkpoint slice — CRC-framed (v2, `SILOSLC2`
-/// magic) or a bare record stream (v1). Unlike log streams, slices were
-/// fsynced before the manifest was written, so any malformation — truncation,
-/// a failed frame checksum, a record spanning frames — is a hard error rather
-/// than a tolerated torn tail.
+/// Streams the records of one checkpoint slice. Unlike log streams, slices
+/// were fsynced before the manifest was written, so any malformation — a
+/// missing magic, truncation, a failed frame checksum, a record spanning
+/// frames — is a hard error rather than a tolerated torn tail.
 pub(crate) struct SliceReader<R> {
     reader: R,
-    /// Whether the slice opened with the v2 magic.
-    framed: bool,
-    /// v2: the current checksum-verified frame; v1: the probed lead bytes.
+    /// The current checksum-verified frame.
     buf: Vec<u8>,
     pos: usize,
 }
 
 impl<R: Read> SliceReader<R> {
-    /// Probes the slice's leading magic to pick the v1 or v2 format.
+    /// Checks the slice's leading magic.
     pub(crate) fn new(mut reader: R) -> std::io::Result<Self> {
         let mut lead = [0u8; 8];
-        let mut filled = 0;
-        while filled < lead.len() {
-            match reader.read(&mut lead[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
+        if !read_exact_or_eof(&mut reader, &mut lead)? || &lead != SLICE_MAGIC {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "checkpoint slice does not start with the SILOSLC2 magic",
+            ));
         }
-        let framed = filled == lead.len() && &lead == SLICE_MAGIC;
-        let buf = if framed {
-            Vec::new()
-        } else {
-            lead[..filled].to_vec()
-        };
         Ok(SliceReader {
             reader,
-            framed,
-            buf,
+            buf: Vec::new(),
             pos: 0,
         })
     }
 
-    /// Loads and checksum-verifies the next v2 frame. `Ok(false)` at clean
-    /// end of slice.
+    /// Loads and checksum-verifies the next frame. `Ok(false)` at clean end
+    /// of slice.
     fn next_frame(&mut self) -> std::io::Result<bool> {
         let mut head = [0u8; 8];
         if !read_exact_or_eof(&mut self.reader, &mut head)? {
@@ -720,50 +706,26 @@ impl<R: Read> SliceReader<R> {
         if out.is_empty() {
             return Ok(true);
         }
-        if self.framed {
-            while self.pos == self.buf.len() {
-                if !self.next_frame()? {
-                    if at_boundary {
-                        return Ok(false);
-                    }
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "checkpoint slice truncated mid-record",
-                    ));
+        while self.pos == self.buf.len() {
+            if !self.next_frame()? {
+                if at_boundary {
+                    return Ok(false);
                 }
-            }
-            let end = self.pos + out.len();
-            let Some(chunk) = self.buf.get(self.pos..end) else {
                 return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "checkpoint slice record spans CRC frames",
+                    std::io::ErrorKind::UnexpectedEof,
+                    "checkpoint slice truncated mid-record",
                 ));
-            };
-            out.copy_from_slice(chunk);
-            self.pos = end;
-            return Ok(true);
-        }
-        // v1: drain the probed lead bytes, then read straight from the file.
-        let mut filled = 0;
-        while filled < out.len() && self.pos < self.buf.len() {
-            out[filled] = self.buf[self.pos];
-            filled += 1;
-            self.pos += 1;
-        }
-        while filled < out.len() {
-            match self.reader.read(&mut out[filled..]) {
-                Ok(0) if filled == 0 && at_boundary => return Ok(false),
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "checkpoint slice truncated mid-record",
-                    ))
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
             }
         }
+        let end = self.pos + out.len();
+        let Some(chunk) = self.buf.get(self.pos..end) else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "checkpoint slice record spans CRC frames",
+            ));
+        };
+        out.copy_from_slice(chunk);
+        self.pos = end;
         Ok(true)
     }
 
@@ -840,12 +802,7 @@ pub(crate) fn load_checkpoint(
                         let file = std::fs::File::open(path)?;
                         let mut reader = SliceReader::new(BufReader::new(file))?;
                         while let Some(record) = reader.next_record()? {
-                            let table = db.try_table(record.table).ok_or_else(|| {
-                                crate::RecoveryError::Apply(format!(
-                                "table id {} does not exist; recreate the schema before recovery",
-                                record.table
-                            ))
-                            })?;
+                            let table = crate::recovery::recovery_table(db, record.table)?;
                             // SAFETY: recovery-mode exclusivity — no transactions
                             // run during recovery, and checkpoint slices never
                             // repeat a key (each key is scanned exactly once), so
@@ -897,7 +854,7 @@ mod tests {
         );
         std::fs::write(
             dir.join(MANIFEST),
-            "silo-checkpoint v1\nepoch 42\nslices 1\nslice 0 10 3\nend\n",
+            "silo-checkpoint v2\nepoch 42\nslices 1\nslice 0 10 3\nend\n",
         )
         .unwrap();
         let info = latest_checkpoint(&root).expect("complete checkpoint");
@@ -907,6 +864,15 @@ mod tests {
 
         // A slice shorter than the manifest claims invalidates the checkpoint.
         std::fs::write(slice_path(&dir, 0), b"0123").unwrap();
+        assert!(latest_checkpoint(&root).is_none());
+
+        // So does a manifest of any other format version.
+        std::fs::write(slice_path(&dir, 0), b"0123456789").unwrap();
+        std::fs::write(
+            dir.join(MANIFEST),
+            "silo-checkpoint v3\nepoch 42\nslices 1\nslice 0 10 3\nend\n",
+        )
+        .unwrap();
         assert!(latest_checkpoint(&root).is_none());
         std::fs::remove_dir_all(&root).unwrap();
     }
@@ -920,7 +886,7 @@ mod tests {
             std::fs::create_dir_all(&dir).unwrap();
             std::fs::write(
                 dir.join(MANIFEST),
-                format!("silo-checkpoint v1\nepoch {epoch}\nslices 0\nend\n"),
+                format!("silo-checkpoint v2\nepoch {epoch}\nslices 0\nend\n"),
             )
             .unwrap();
         }
@@ -984,14 +950,20 @@ mod tests {
     }
 
     #[test]
-    fn unframed_v1_slice_still_reads() {
-        // A slice written by an older build: bare records, no magic.
-        let mut slice = Vec::new();
-        slice.extend_from_slice(&slice_record(3, b"k", 9, b"v"));
-        let mut reader = SliceReader::new(std::io::Cursor::new(slice)).unwrap();
-        let rec = reader.next_record().unwrap().expect("v1 record");
-        assert_eq!((rec.table, rec.tid.raw()), (3, 9));
-        assert!(reader.next_record().unwrap().is_none());
+    fn slice_without_the_magic_is_a_typed_error() {
+        let mut slice = SLICE_MAGIC.to_vec();
+        write_frame(&mut slice, &slice_record(3, b"k", 9, b"v")).unwrap();
+        // One damaged magic byte, a bare record stream, and an empty file
+        // are all "not a slice" — none is parsed as records.
+        let mut damaged = slice.clone();
+        damaged[7] ^= 0x01;
+        for bytes in [damaged, slice_record(3, b"k", 9, b"v"), Vec::new()] {
+            let err = match SliceReader::new(std::io::Cursor::new(bytes)) {
+                Ok(_) => panic!("a slice without the magic must be rejected"),
+                Err(e) => e,
+            };
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Deterministic fault injection for the durability pipeline.
 //!
 //! A [`FaultPlan`] is a seeded failpoint registry: it schedules faults (by
-//! kind) at specific operation counts of specific [`FaultSite`]s. Sinks are
+//! kind) at specific operation counts of specific [`FaultSite`]s, on the
+//! generic [`Schedule`] core that `silo-net`'s wire faults share. Sinks are
 //! wrapped in a [`FaultSink`] only when a plan is configured through
 //! [`crate::LogConfig::fault`], so production configurations pay nothing —
 //! the hot path never even branches on a disabled plan.
@@ -17,6 +18,113 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 use crate::sink::{LogSink, SinkError, TruncateOutcome};
+
+/// xorshift64* — deterministic, dependency-free PRNG for seeded schedules.
+pub fn xorshift(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
+
+/// The PRNG state named profiles start from, decorrelated from the state
+/// [`Schedule::from_seed`] uses for the same seed.
+pub fn profile_state(seed: u64) -> u64 {
+    seed ^ 0x9E37_79B9_7F4A_7C15 | 1
+}
+
+#[derive(Debug)]
+struct State<S, K> {
+    /// Operations counted so far, per site seen.
+    ops: Vec<(S, u64)>,
+    /// Faults not fired yet: `(site, at, kind)` fires on the `at`-th
+    /// operation at `site` (1-based).
+    pending: Vec<(S, u64, K)>,
+}
+
+/// A deterministic schedule of faults of kind `K` at operation counts of
+/// sites `S` — the failpoint core shared by [`FaultPlan`] and `silo-net`'s
+/// wire-fault plan. Every user of one schedule counts into the same per-site
+/// operation counters.
+#[derive(Debug)]
+pub struct Schedule<S, K> {
+    seed: u64,
+    state: Mutex<State<S, K>>,
+    injected: AtomicU64,
+}
+
+impl<S: Copy + PartialEq, K> Schedule<S, K> {
+    /// An empty schedule remembering the `seed` it will be filled from (0
+    /// for explicitly built plans).
+    pub fn new(seed: u64) -> Self {
+        Schedule {
+            seed,
+            state: Mutex::new(State {
+                ops: Vec::new(),
+                pending: Vec::new(),
+            }),
+            injected: AtomicU64::new(0),
+        }
+    }
+
+    /// Schedules `kind` to fire on the `nth` operation (1-based) at `site`.
+    pub fn fail_at(self, site: S, nth: u64, kind: K) -> Self {
+        self.state.lock().pending.push((site, nth.max(1), kind));
+        self
+    }
+
+    /// A random mixed schedule derived from `seed`: one to four faults, each
+    /// `(site, nth, kind)` drawn by `draw` from the PRNG state.
+    pub fn from_seed(seed: u64, mut draw: impl FnMut(&mut u64) -> (S, u64, K)) -> Self {
+        let mut state = seed | 1;
+        let mut schedule = Schedule::new(seed);
+        for _ in 0..1 + (xorshift(&mut state) % 4) {
+            let (site, nth, kind) = draw(&mut state);
+            schedule = schedule.fail_at(site, nth, kind);
+        }
+        schedule
+    }
+
+    /// The seed the schedule was derived from (0 for explicitly built ones).
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// Counts one operation at `site` and returns the fault scheduled for it,
+    /// if any. Each scheduled fault fires at most once.
+    pub fn next_fault(&self, site: S) -> Option<K> {
+        let mut state = self.state.lock();
+        let count = match state.ops.iter_mut().find(|(s, _)| *s == site) {
+            Some((_, count)) => {
+                *count += 1;
+                *count
+            }
+            None => {
+                state.ops.push((site, 1));
+                1
+            }
+        };
+        let hit = state
+            .pending
+            .iter()
+            .position(|(s, at, _)| *s == site && *at == count)?;
+        self.injected.fetch_add(1, Ordering::Relaxed);
+        Some(state.pending.swap_remove(hit).2)
+    }
+
+    /// Total faults injected so far.
+    pub fn injected(&self) -> u64 {
+        self.injected.load(Ordering::Relaxed)
+    }
+
+    /// Whether every scheduled fault has fired (chaos harnesses drive load
+    /// until the schedule is exhausted so no fault goes untested).
+    pub fn exhausted(&self) -> bool {
+        self.state.lock().pending.is_empty()
+    }
+}
 
 /// Where in the durability pipeline a fault can fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,23 +146,6 @@ pub enum FaultSite {
     /// The checkpointer, after the manifest directory sync but before the log
     /// is truncated against the new checkpoint.
     CkptBeforeTruncate,
-}
-
-/// Number of distinct [`FaultSite`]s (sizing the per-site counters).
-const N_SITES: usize = 7;
-
-impl FaultSite {
-    fn index(self) -> usize {
-        match self {
-            FaultSite::Append => 0,
-            FaultSite::Sync => 1,
-            FaultSite::Rotate => 2,
-            FaultSite::CkptSlice => 3,
-            FaultSite::CkptBeforeManifest => 4,
-            FaultSite::CkptAfterManifest => 5,
-            FaultSite::CkptBeforeTruncate => 6,
-        }
-    }
 }
 
 /// What kind of failure to inject.
@@ -89,73 +180,63 @@ pub enum FaultKind {
     Crash,
 }
 
+/// A deterministic schedule of durability faults, shared by every sink and
+/// the checkpointer of one logging subsystem. Dereferences to its
+/// [`Schedule`] for [`Schedule::next_fault`], [`Schedule::injected`] and
+/// [`Schedule::seed`].
 #[derive(Debug)]
-struct Scheduled {
-    site: FaultSite,
-    /// Fire on the `at`-th operation at `site` (1-based).
-    at: u64,
-    kind: FaultKind,
-}
-
-/// A deterministic schedule of faults, shared by every sink and the
-/// checkpointer of one logging subsystem.
-#[derive(Debug, Default)]
 pub struct FaultPlan {
-    seed: u64,
-    scheduled: Mutex<Vec<Scheduled>>,
-    ops: [AtomicU64; N_SITES],
-    injected: AtomicU64,
+    schedule: Schedule<FaultSite, FaultKind>,
     crashes: AtomicU64,
 }
 
-/// xorshift64* — deterministic, dependency-free PRNG for seeded schedules.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+impl std::ops::Deref for FaultPlan {
+    type Target = Schedule<FaultSite, FaultKind>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.schedule
+    }
+}
+
+impl Default for FaultPlan {
+    fn default() -> Self {
+        FaultPlan::new()
+    }
 }
 
 impl FaultPlan {
+    fn on(schedule: Schedule<FaultSite, FaultKind>) -> FaultPlan {
+        FaultPlan {
+            schedule,
+            crashes: AtomicU64::new(0),
+        }
+    }
+
     /// An empty plan (schedule faults with [`FaultPlan::fail_at`]).
     pub fn new() -> FaultPlan {
-        FaultPlan::default()
+        Self::on(Schedule::new(0))
     }
 
     /// Schedules `kind` to fire on the `nth` operation (1-based) at `site`.
-    pub fn fail_at(self, site: FaultSite, nth: u64, kind: FaultKind) -> FaultPlan {
-        self.scheduled.lock().push(Scheduled {
-            site,
-            at: nth.max(1),
-            kind,
-        });
+    pub fn fail_at(mut self, site: FaultSite, nth: u64, kind: FaultKind) -> FaultPlan {
+        self.schedule = self.schedule.fail_at(site, nth, kind);
         self
     }
 
     /// A random mixed schedule derived from `seed`: a handful of faults of
     /// random kinds at random early operation counts.
     pub fn from_seed(seed: u64) -> FaultPlan {
-        let mut state = seed | 1;
-        let mut plan = FaultPlan {
-            seed,
-            ..FaultPlan::default()
-        };
-        let faults = 1 + (xorshift(&mut state) % 4);
-        for _ in 0..faults {
-            let site = match xorshift(&mut state) % 5 {
+        Self::on(Schedule::from_seed(seed, |state| {
+            let site = match xorshift(state) % 5 {
                 0 => FaultSite::Append,
                 1 => FaultSite::Sync,
                 2 => FaultSite::Rotate,
                 3 => FaultSite::CkptSlice,
                 _ => FaultSite::CkptBeforeManifest,
             };
-            let at = 1 + (xorshift(&mut state) % 24);
-            let kind = Self::random_kind(&mut state, site);
-            plan = plan.fail_at(site, at, kind);
-        }
-        plan
+            let at = 1 + (xorshift(state) % 24);
+            (site, at, Self::random_kind(state, site))
+        }))
     }
 
     /// A schedule of one fault *family* (so tests can assert family-specific
@@ -171,11 +252,8 @@ impl FaultPlan {
     /// | `stall` | sync stalls |
     /// | `crash` | one checkpointer crash point |
     pub fn profile(profile: &str, seed: u64) -> FaultPlan {
-        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15 | 1;
-        let mut plan = FaultPlan {
-            seed,
-            ..FaultPlan::default()
-        };
+        let mut state = profile_state(seed);
+        let mut plan = Self::on(Schedule::new(seed));
         let pick = |state: &mut u64, range: u64| 1 + (xorshift(state) % range);
         match profile {
             "transient" => {
@@ -268,36 +346,14 @@ impl FaultPlan {
         }
     }
 
-    /// The seed the plan was derived from (0 for explicitly built plans).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Counts one operation at `site` and returns the fault scheduled for it,
-    /// if any. Each scheduled fault fires at most once.
-    pub fn next_fault(&self, site: FaultSite) -> Option<FaultKind> {
-        let count = self.ops[site.index()].fetch_add(1, Ordering::Relaxed) + 1;
-        let mut scheduled = self.scheduled.lock();
-        let hit = scheduled
-            .iter()
-            .position(|s| s.site == site && s.at == count)?;
-        let fault = scheduled.swap_remove(hit);
-        self.injected.fetch_add(1, Ordering::Relaxed);
-        if fault.kind == FaultKind::Crash {
-            self.crashes.fetch_add(1, Ordering::Relaxed);
-        }
-        Some(fault.kind)
-    }
-
     /// Counts one operation at a crash-point `site` and reports whether an
     /// injected crash is scheduled there.
     pub fn crash_at(&self, site: FaultSite) -> bool {
-        matches!(self.next_fault(site), Some(FaultKind::Crash))
-    }
-
-    /// Total faults injected so far (including crash points).
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
+        let crash = matches!(self.next_fault(site), Some(FaultKind::Crash));
+        if crash {
+            self.crashes.fetch_add(1, Ordering::Relaxed);
+        }
+        crash
     }
 
     /// Injected crash points fired so far.
@@ -462,8 +518,11 @@ mod tests {
         for seed in [1u64, 7, 0xDEAD_BEEF] {
             let a = FaultPlan::from_seed(seed);
             let b = FaultPlan::from_seed(seed);
-            let fmt = |p: &FaultPlan| format!("{:?}", p.scheduled.lock());
-            assert_eq!(fmt(&a), fmt(&b), "seed {seed} must reproduce its schedule");
+            assert_eq!(
+                format!("{a:?}"),
+                format!("{b:?}"),
+                "seed {seed} must reproduce its schedule"
+            );
         }
         for profile in [
             "transient",
@@ -477,14 +536,11 @@ mod tests {
             let a = FaultPlan::profile(profile, 42);
             let b = FaultPlan::profile(profile, 42);
             assert_eq!(
-                format!("{:?}", a.scheduled.lock()),
-                format!("{:?}", b.scheduled.lock()),
+                format!("{a:?}"),
+                format!("{b:?}"),
                 "profile {profile} must be deterministic"
             );
-            assert!(
-                !a.scheduled.lock().is_empty(),
-                "profile {profile} schedules something"
-            );
+            assert!(!a.exhausted(), "profile {profile} schedules something");
         }
     }
 

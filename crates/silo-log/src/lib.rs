@@ -21,11 +21,17 @@
 //!   epoch-granularity group commit. Advancement is signalled through a
 //!   condvar, so [`SiloLogger::wait_for_durable`] parks instead of polling.
 //!
-//! Recovery ([`recover_into`]) reads the log files, finds `D`, and replays
-//! exactly the transactions with `epoch(tid) ≤ D`, applying log records for
-//! the same key in TID order. Nothing newer is replayed: the serial order
-//! within an epoch is not recoverable, so replaying a partial epoch could
-//! produce an inconsistent state.
+//! Recovery ([`recover_directory`]) restores the latest complete checkpoint,
+//! reads the surviving log segments, finds `D`, and replays exactly the
+//! transactions the checkpoint does not cover with `epoch(tid) ≤ D`, applying
+//! log records for the same key in TID order. Nothing newer is replayed: the
+//! serial order within an epoch is not recoverable, so replaying a partial
+//! epoch could produce an inconsistent state. [`recover_into`] runs the same
+//! replay over in-memory streams.
+//!
+//! There is one on-disk layout: log segments `silo-log-<logger>-seg<seq>.bin`
+//! holding CRC-sealed group-commit rounds ([`record`]), and checkpoints
+//! `checkpoints/ckpt-<epoch>/{slice-<i>.bin, MANIFEST}` ([`checkpoint`]).
 //!
 //! The crate also implements the persistence-side knobs of the paper's factor
 //! analysis (Figure 11): `SmallRecs` (8-byte log records), `FullRecs`
@@ -51,8 +57,7 @@ pub use checkpoint::{
 };
 pub use fault::{FaultKind, FaultPlan, FaultSite};
 pub use recovery::{
-    apply_recovered, recover_directory, recover_into, scan_directory, scan_streams, RecoveredState,
-    RecoveryError, RecoveryOptions, RecoveryReport,
+    recover_directory, recover_into, RecoveryError, RecoveryOptions, RecoveryReport,
 };
 pub use sink::{FileSink, LogSink, MemorySink, SinkError, SinkErrorKind, TruncateOutcome};
 
@@ -90,7 +95,8 @@ pub enum LogMode {
 /// Where log bytes go.
 #[derive(Debug, Clone)]
 pub enum LogDestination {
-    /// One file per logger under this directory (`silo-log-<i>.bin`).
+    /// One stream of segment files per logger under this directory
+    /// (`silo-log-<logger>-seg<seq>.bin`), next to the checkpoints.
     Directory(PathBuf),
     /// Keep log bytes in memory — the stand-in for the paper's `Silo+tmpfs`
     /// configuration, isolating logging-subsystem overhead from device
@@ -602,7 +608,7 @@ impl SiloLogger {
         let mut sinks: Vec<Box<dyn LogSink + Send>> = Vec::new();
         for i in 0..num_loggers {
             let sink: Box<dyn LogSink + Send> = match &config.destination {
-                LogDestination::Directory(dir) => Box::new(FileSink::segmented(
+                LogDestination::Directory(dir) => Box::new(FileSink::open(
                     dir,
                     i,
                     num_loggers,
@@ -708,29 +714,13 @@ impl SiloLogger {
     /// Blocks until the durable epoch reaches `epoch` (with a timeout).
     ///
     /// Waiters park on a condvar that the logger threads signal whenever the
-    /// global durable epoch advances, so this costs no CPU while parked. If a
-    /// logger fails permanently while callers wait, they are woken and get
-    /// [`DurableWait::Failed`] instead of blocking until the timeout: the
-    /// frozen local durable epoch means the wait could never succeed.
+    /// global durable epoch advances, so this costs no CPU while parked. If
+    /// the epoch can never become durable — a logger failed permanently (its
+    /// local durable epoch is frozen), or [`SiloLogger::shutdown`] detached
+    /// the logger threads — waiters are woken and get [`DurableWait::Failed`]
+    /// instead of blocking until the timeout.
     pub fn wait_for_durable(&self, epoch: u64, timeout: Duration) -> DurableWait {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut durable = lock(&self.shared.durable);
-        while *durable < epoch {
-            if self.shared.counters.logger_failures.load(Ordering::Acquire) > 0 {
-                return DurableWait::Failed;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return DurableWait::Timeout;
-            }
-            durable = self
-                .shared
-                .durable_cv
-                .wait_timeout(durable, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-        DurableWait::Durable
+        self.wait_until_durable(epoch, Some(std::time::Instant::now() + timeout))
     }
 
     /// Blocks until the durable epoch reaches `epoch`, with no timeout — the
@@ -747,6 +737,12 @@ impl SiloLogger {
     /// [`SiloLogger::wait_for_durable`] instead when the caller needs to
     /// observe slow progress (timeouts) rather than only terminal states.
     pub fn wait_for_durable_epoch(&self, epoch: u64) -> DurableWait {
+        self.wait_until_durable(epoch, None)
+    }
+
+    /// The one durable wait: parks until `D ≥ epoch`, durability can no
+    /// longer advance, or `deadline` (if any) passes.
+    fn wait_until_durable(&self, epoch: u64, deadline: Option<std::time::Instant>) -> DurableWait {
         // Fast path: the published durable epoch already covers the request;
         // skip the mutex entirely (this is the common case for every
         // transaction in a group after the first waiter was released).
@@ -760,11 +756,24 @@ impl SiloLogger {
             {
                 return DurableWait::Failed;
             }
-            durable = self
-                .shared
-                .durable_cv
-                .wait(durable)
-                .unwrap_or_else(PoisonError::into_inner);
+            durable = match deadline {
+                None => self
+                    .shared
+                    .durable_cv
+                    .wait(durable)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let now = std::time::Instant::now();
+                    if now >= deadline {
+                        return DurableWait::Timeout;
+                    }
+                    self.shared
+                        .durable_cv
+                        .wait_timeout(durable, deadline - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
         }
         DurableWait::Durable
     }
@@ -873,8 +882,10 @@ impl SiloLogger {
         // From here on nothing drains the mailboxes: later publishes drop
         // their records instead of queueing them.
         self.shared.detached.store(true, Ordering::Release);
-        // Unblock any waiter watching for an epoch that became durable during
-        // the final rounds.
+        // Unblock every waiter — its epoch became durable during the final
+        // rounds, or never will. Under the cache mutex, so none can park
+        // between reading the flag and blocking.
+        let _cached = lock(&self.shared.durable);
         self.shared.durable_cv.notify_all();
     }
 

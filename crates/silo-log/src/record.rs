@@ -24,13 +24,14 @@
 //! looking inside, so a flipped bit anywhere in a round is detected
 //! ([`DecodeError::BadChecksum`]) instead of silently replayed; an envelope
 //! torn by a crash (the stream ends before `len` bytes arrive) is
-//! end-of-stream, exactly like any other torn final block (§4.10). Streams
-//! of bare (un-enveloped) blocks from older builds still decode.
+//! end-of-stream (§4.10). Envelopes are the only top-level block: a bare
+//! `0x01`–`0x03` block outside one is malformed, and compressed blocks do not
+//! nest.
 //!
 //! The `SmallRecs` mode of the Figure 11 persistence analysis logs only the
 //! 8-byte TID (count = 0), giving an upper bound for any logging scheme.
 
-use silo_core::{CommitWrites, TableId};
+use silo_core::{CommitWrite, CommitWrites, TableId};
 use silo_tid::Tid;
 
 /// Block tag for a transaction record.
@@ -140,25 +141,30 @@ fn encode_write(out: &mut Vec<u8>, table: TableId, key: &[u8], value: Option<&[u
     }
 }
 
-/// Appends a transaction block to `out`.
-///
-/// When `small_records` is set, only the TID is logged (write count 0).
+/// The slice form of a write-set, for callers without a live transaction.
+struct SliceWrites<'a>(&'a [(TableId, &'a [u8], Option<&'a [u8]>)]);
+
+impl CommitWrites for SliceWrites<'_> {
+    fn count(&self) -> usize {
+        self.0.len()
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(CommitWrite<'_>)) {
+        for &(table, key, value) in self.0 {
+            f(CommitWrite { table, key, value });
+        }
+    }
+}
+
+/// Appends a transaction block to `out` from a slice of writes; see
+/// [`encode_txn_writes`].
 pub fn encode_txn(
     out: &mut Vec<u8>,
     tid: Tid,
     writes: &[(TableId, &[u8], Option<&[u8]>)],
     small_records: bool,
 ) {
-    out.push(BLOCK_TXN);
-    out.extend_from_slice(&tid.raw().to_le_bytes());
-    if small_records {
-        out.extend_from_slice(&0u32.to_le_bytes());
-        return;
-    }
-    out.extend_from_slice(&(writes.len() as u32).to_le_bytes());
-    for (table, key, value) in writes {
-        encode_write(out, *table, key, *value);
-    }
+    encode_txn_writes(out, tid, &SliceWrites(writes), small_records);
 }
 
 /// Appends a transaction block to `out`, drawing the writes directly from a
@@ -166,7 +172,7 @@ pub fn encode_txn(
 /// each key and value is serialized straight from the committing worker's
 /// write-set into the log buffer, with no intermediate collection.
 ///
-/// Produces byte-for-byte the same encoding as [`encode_txn`].
+/// When `small_records` is set, only the TID is logged (write count 0).
 pub fn encode_txn_writes(
     out: &mut Vec<u8>,
     tid: Tid,
@@ -191,9 +197,7 @@ pub fn encode_epoch_marker(out: &mut Vec<u8>, epoch: u64) {
 
 /// Appends a compressed block wrapping `raw` (already-encoded inner blocks).
 pub fn encode_compressed(out: &mut Vec<u8>, raw: &[u8]) {
-    let mut scratch = Vec::new();
-    let mut heads = Vec::new();
-    encode_compressed_into(out, raw, &mut scratch, &mut heads);
+    encode_compressed_into(out, raw, &mut Vec::new(), &mut Vec::new());
 }
 
 /// Appends a compressed block wrapping `raw`, reusing the caller's
@@ -225,17 +229,18 @@ pub enum Block {
 /// Errors produced while decoding a log stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
-    /// The stream ended in the middle of a block. Recovery treats this as the
-    /// end of the usable log (a torn final write).
+    /// The stream ended in the middle of an envelope. Recovery treats this as
+    /// the end of the usable log (a torn final write).
     Truncated,
-    /// An unknown block tag was encountered.
+    /// An unknown block tag was encountered — or a known one where it may not
+    /// appear (a bare block outside an envelope, a nested compressed block).
     BadTag(u8),
     /// A compressed block failed to decompress.
     BadCompression,
     /// A checksummed envelope's CRC did not match its contents (bit
     /// corruption), or a complete envelope held malformed inner blocks.
     BadChecksum,
-    /// Reading from the underlying source failed (streaming decode only).
+    /// Reading from the underlying source failed.
     Io(std::io::ErrorKind),
 }
 
@@ -315,82 +320,44 @@ fn decode_txn(cur: &mut Cursor<'_>, materialize: bool) -> Result<LoggedTxn, Deco
     Ok(LoggedTxn { tid, writes })
 }
 
-/// Decodes a complete log stream into blocks.
-///
-/// A truncated *final* block is tolerated (the bytes after the last complete
-/// block are ignored), mirroring how a crash can tear the last file write;
-/// any other malformation is an error.
-pub fn decode_stream(data: &[u8]) -> Result<Vec<Block>, DecodeError> {
-    let mut blocks = Vec::new();
+/// Parses a run of inner blocks — TXN and MARKER, plus one level of
+/// COMPRESSED when `allow_compressed` — appending them to `out`.
+fn decode_inner(
+    data: &[u8],
+    materialize: bool,
+    allow_compressed: bool,
+    out: &mut std::collections::VecDeque<Block>,
+) -> Result<(), DecodeError> {
     let mut cur = Cursor { data, pos: 0 };
     while cur.remaining() > 0 {
-        let start = cur.pos;
-        let tag = cur.u8()?;
-        let result: Result<(), DecodeError> = (|| {
-            match tag {
-                BLOCK_TXN => {
-                    let txn = decode_txn(&mut cur, true)?;
-                    blocks.push(Block::Txn(txn));
+        match cur.u8()? {
+            BLOCK_TXN => out.push_back(Block::Txn(decode_txn(&mut cur, materialize)?)),
+            BLOCK_EPOCH_MARKER => out.push_back(Block::EpochMarker(cur.u64()?)),
+            BLOCK_COMPRESSED if allow_compressed => {
+                let raw_len = cur.u32()? as usize;
+                let comp_len = cur.u32()? as usize;
+                let raw = crate::compress::decompress(cur.take(comp_len)?)
+                    .map_err(|_| DecodeError::BadCompression)?;
+                if raw.len() != raw_len {
+                    return Err(DecodeError::BadCompression);
                 }
-                BLOCK_EPOCH_MARKER => {
-                    let epoch = cur.u64()?;
-                    blocks.push(Block::EpochMarker(epoch));
-                }
-                BLOCK_COMPRESSED => {
-                    let raw_len = cur.u32()? as usize;
-                    let comp_len = cur.u32()? as usize;
-                    let payload = cur.take(comp_len)?;
-                    let raw = crate::compress::decompress(payload)
-                        .map_err(|_| DecodeError::BadCompression)?;
-                    if raw.len() != raw_len {
-                        return Err(DecodeError::BadCompression);
-                    }
-                    let inner = decode_stream(&raw)?;
-                    blocks.extend(inner);
-                }
-                BLOCK_CHECKSUMMED => {
-                    let len = cur.u32()? as usize;
-                    let crc = cur.u32()?;
-                    let payload = cur.take(len)?;
-                    if crc32(payload) != crc {
-                        return Err(DecodeError::BadChecksum);
-                    }
-                    // The CRC matched, so the payload is exactly what the
-                    // logger sealed: any malformation inside is a writer bug
-                    // or checksum collision, not a torn write.
-                    let inner = decode_stream(payload).map_err(|e| match e {
-                        DecodeError::Io(k) => DecodeError::Io(k),
-                        _ => DecodeError::BadChecksum,
-                    })?;
-                    blocks.extend(inner);
-                }
-                other => return Err(DecodeError::BadTag(other)),
+                decode_inner(&raw, materialize, false, out)?;
             }
-            Ok(())
-        })();
-        match result {
-            Ok(()) => {}
-            Err(DecodeError::Truncated) => {
-                // Tolerate a torn tail: pretend the stream ended cleanly at
-                // the previous block boundary (bytes from `start` on are
-                // ignored).
-                let _ = start;
-                break;
-            }
-            Err(e) => return Err(e),
+            other => return Err(DecodeError::BadTag(other)),
         }
     }
-    Ok(blocks)
+    Ok(())
 }
 
 /// An incremental log-block decoder over any [`std::io::Read`] source.
 ///
-/// Unlike [`decode_stream`], which needs the whole stream in memory, the
-/// stream decoder holds at most one block (plus a refill chunk) at a time —
-/// recovery uses it to replay arbitrarily large log files with bounded
-/// memory. A torn *final* block (the stream ends mid-block) terminates the
-/// stream cleanly, mirroring [`decode_stream`]'s crash tolerance; any other
-/// malformation is an error.
+/// It accepts exactly what the logger threads write: a sequence of
+/// CRC-sealed envelopes, each holding transaction, marker and (one level of)
+/// compressed blocks. The decoder holds at most one envelope (plus a refill
+/// chunk) at a time — recovery uses it to replay arbitrarily large log files
+/// with bounded memory. A torn *final* envelope (the stream ends before its
+/// announced length) terminates the stream cleanly, as a crash can tear the
+/// last file write; any other malformation is an error.
 ///
 /// With `skip_payload` set, transaction blocks are parsed and skipped without
 /// materializing their writes (`Block::Txn` is returned with the TID and an
@@ -401,7 +368,7 @@ pub struct StreamDecoder<R> {
     buf: Vec<u8>,
     pos: usize,
     eof: bool,
-    /// Inner blocks produced by a compressed block, drained first.
+    /// Blocks of the current envelope, drained before the next is read.
     pending: std::collections::VecDeque<Block>,
     skip_payload: bool,
     consumed: u64,
@@ -432,7 +399,7 @@ impl<R: std::io::Read> StreamDecoder<R> {
         d
     }
 
-    /// Total bytes of complete blocks consumed so far.
+    /// Total bytes of complete envelopes consumed so far.
     pub fn bytes_consumed(&self) -> u64 {
         self.consumed
     }
@@ -462,12 +429,12 @@ impl<R: std::io::Read> StreamDecoder<R> {
     }
 
     /// Decodes the next block, or `Ok(None)` at the end of the stream
-    /// (including after a torn final block).
+    /// (including after a torn final envelope).
     pub fn next_block(&mut self) -> Result<Option<Block>, DecodeError> {
-        if let Some(block) = self.pending.pop_front() {
-            return Ok(Some(block));
-        }
         loop {
+            if let Some(block) = self.pending.pop_front() {
+                return Ok(Some(block));
+            }
             let mut cur = Cursor {
                 data: &self.buf[self.pos..],
                 pos: 0,
@@ -475,129 +442,40 @@ impl<R: std::io::Read> StreamDecoder<R> {
             if cur.remaining() == 0 && self.eof {
                 return Ok(None);
             }
-            let attempt: Result<Option<Block>, DecodeError> = (|| {
-                match cur.u8()? {
-                    BLOCK_TXN => Ok(Some(Block::Txn(decode_txn(&mut cur, !self.skip_payload)?))),
-                    BLOCK_EPOCH_MARKER => Ok(Some(Block::EpochMarker(cur.u64()?))),
-                    BLOCK_COMPRESSED => {
-                        let raw_len = cur.u32()? as usize;
-                        let comp_len = cur.u32()? as usize;
-                        let payload = cur.take(comp_len)?;
-                        let raw = crate::compress::decompress(payload)
-                            .map_err(|_| DecodeError::BadCompression)?;
-                        if raw.len() != raw_len {
-                            return Err(DecodeError::BadCompression);
-                        }
-                        // Decode the inner blocks eagerly: the payload is one
-                        // group-commit round's worth of data, so this is the
-                        // same bound as the uncompressed case. A truncated
-                        // inner block cannot be a torn write (the compressed
-                        // envelope was complete), so it is corruption.
-                        let mut inner_cur = Cursor { data: &raw, pos: 0 };
-                        let mut inner_blocks = Vec::new();
-                        let fixup = |e| match e {
-                            DecodeError::Truncated => DecodeError::BadCompression,
-                            other => other,
-                        };
-                        while inner_cur.remaining() > 0 {
-                            match inner_cur.u8().map_err(fixup)? {
-                                BLOCK_TXN => inner_blocks.push(Block::Txn(
-                                    decode_txn(&mut inner_cur, !self.skip_payload)
-                                        .map_err(fixup)?,
-                                )),
-                                BLOCK_EPOCH_MARKER => inner_blocks
-                                    .push(Block::EpochMarker(inner_cur.u64().map_err(fixup)?)),
-                                // Compressed blocks do not nest.
-                                other => return Err(DecodeError::BadTag(other)),
-                            }
-                        }
-                        self.pending.extend(inner_blocks);
-                        Ok(None)
-                    }
-                    BLOCK_CHECKSUMMED => {
-                        let len = cur.u32()? as usize;
-                        let crc = cur.u32()?;
-                        let payload = cur.take(len)?;
-                        if crc32(payload) != crc {
-                            return Err(DecodeError::BadChecksum);
-                        }
-                        // The CRC matched, so the payload is complete: any
-                        // malformation inside is corruption (a checksum
-                        // collision or writer bug), never a torn write.
-                        let fixup = |e| match e {
-                            DecodeError::Io(k) => DecodeError::Io(k),
-                            DecodeError::BadTag(t) => DecodeError::BadTag(t),
-                            _ => DecodeError::BadChecksum,
-                        };
-                        let mut blocks = Vec::new();
-                        let mut env_cur = Cursor {
-                            data: payload,
-                            pos: 0,
-                        };
-                        while env_cur.remaining() > 0 {
-                            match env_cur.u8().map_err(fixup)? {
-                                BLOCK_TXN => blocks.push(Block::Txn(
-                                    decode_txn(&mut env_cur, !self.skip_payload).map_err(fixup)?,
-                                )),
-                                BLOCK_EPOCH_MARKER => {
-                                    blocks.push(Block::EpochMarker(env_cur.u64().map_err(fixup)?))
-                                }
-                                BLOCK_COMPRESSED => {
-                                    let raw_len = env_cur.u32().map_err(fixup)? as usize;
-                                    let comp_len = env_cur.u32().map_err(fixup)? as usize;
-                                    let comp = env_cur.take(comp_len).map_err(fixup)?;
-                                    let raw = crate::compress::decompress(comp)
-                                        .map_err(|_| DecodeError::BadChecksum)?;
-                                    if raw.len() != raw_len {
-                                        return Err(DecodeError::BadChecksum);
-                                    }
-                                    let mut raw_cur = Cursor { data: &raw, pos: 0 };
-                                    while raw_cur.remaining() > 0 {
-                                        match raw_cur.u8().map_err(fixup)? {
-                                            BLOCK_TXN => blocks.push(Block::Txn(
-                                                decode_txn(&mut raw_cur, !self.skip_payload)
-                                                    .map_err(fixup)?,
-                                            )),
-                                            BLOCK_EPOCH_MARKER => blocks.push(Block::EpochMarker(
-                                                raw_cur.u64().map_err(fixup)?,
-                                            )),
-                                            // Compressed blocks do not nest.
-                                            other => return Err(DecodeError::BadTag(other)),
-                                        }
-                                    }
-                                }
-                                other => return Err(DecodeError::BadTag(other)),
-                            }
-                        }
-                        self.pending.extend(blocks);
-                        Ok(None)
-                    }
-                    other => Err(DecodeError::BadTag(other)),
+            let envelope = (|| {
+                let tag = cur.u8()?;
+                if tag != BLOCK_CHECKSUMMED {
+                    return Err(DecodeError::BadTag(tag));
                 }
+                let len = cur.u32()? as usize;
+                let crc = cur.u32()?;
+                let payload = cur.take(len)?;
+                if crc32(payload) != crc {
+                    return Err(DecodeError::BadChecksum);
+                }
+                Ok(payload)
             })();
-            match attempt {
-                Ok(block) => {
+            match envelope {
+                Ok(payload) => {
+                    // The CRC matched, so the payload is complete: a block
+                    // truncated inside it is corruption (a checksum collision
+                    // or writer bug), never a torn write — and nothing of a
+                    // malformed envelope may be replayed.
+                    if let Err(e) =
+                        decode_inner(payload, !self.skip_payload, true, &mut self.pending)
+                    {
+                        self.pending.clear();
+                        return Err(match e {
+                            DecodeError::Truncated => DecodeError::BadChecksum,
+                            other => other,
+                        });
+                    }
                     self.consumed += cur.pos as u64;
                     self.pos += cur.pos;
-                    match block {
-                        Some(block) => return Ok(Some(block)),
-                        // A compressed block was unpacked into `pending`.
-                        None => {
-                            if let Some(block) = self.pending.pop_front() {
-                                return Ok(Some(block));
-                            }
-                            // Empty compressed block: keep decoding.
-                        }
-                    }
                 }
-                Err(DecodeError::Truncated) if !self.eof => {
-                    self.refill()?;
-                }
-                Err(DecodeError::Truncated) => {
-                    // Torn final block: the stream ends at the previous
-                    // block boundary.
-                    return Ok(None);
-                }
+                Err(DecodeError::Truncated) if !self.eof => self.refill()?,
+                // Torn final envelope: the stream ends at the previous one.
+                Err(DecodeError::Truncated) => return Ok(None),
                 Err(e) => return Err(e),
             }
         }
@@ -607,6 +485,24 @@ impl<R: std::io::Read> StreamDecoder<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::sealed;
+
+    /// Every block of `stream`, through the one decoder.
+    fn decode_all(stream: &[u8]) -> Result<Vec<Block>, DecodeError> {
+        let mut decoder = StreamDecoder::new(stream);
+        let mut blocks = Vec::new();
+        while let Some(block) = decoder.next_block()? {
+            blocks.push(block);
+        }
+        Ok(blocks)
+    }
+
+    /// A bare transaction block writing `k = v` to table 0.
+    fn txn(tid: Tid) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_txn(&mut buf, tid, &[(0, b"k", Some(b"v"))], false);
+        buf
+    }
 
     #[test]
     fn txn_roundtrip_full_records() {
@@ -618,7 +514,8 @@ mod tests {
         ];
         encode_txn(&mut buf, Tid::new(5, 42), &writes, false);
         encode_epoch_marker(&mut buf, 4);
-        let blocks = decode_stream(&buf).unwrap();
+        let stream = sealed(&buf);
+        let blocks = decode_all(&stream).unwrap();
         assert_eq!(blocks.len(), 2);
         match &blocks[0] {
             Block::Txn(t) => {
@@ -632,6 +529,15 @@ mod tests {
             other => panic!("unexpected block {other:?}"),
         }
         assert_eq!(blocks[1], Block::EpochMarker(4));
+
+        // The skipping decoder sees the same blocks minus the writes.
+        let mut skipping = StreamDecoder::new_skipping(stream.as_slice());
+        let skipped = LoggedTxn {
+            tid: Tid::new(5, 42),
+            writes: Vec::new(),
+        };
+        assert_eq!(skipping.next_block(), Ok(Some(Block::Txn(skipped))));
+        assert_eq!(skipping.next_block(), Ok(Some(Block::EpochMarker(4))));
     }
 
     #[test]
@@ -641,52 +547,79 @@ mod tests {
             vec![(0, b"key", Some(b"a-large-value".as_ref()))];
         encode_txn(&mut buf, Tid::new(1, 1), &writes, true);
         assert_eq!(buf.len(), 1 + 8 + 4);
-        let blocks = decode_stream(&buf).unwrap();
-        match &blocks[0] {
+        match &decode_all(&sealed(&buf)).unwrap()[0] {
             Block::Txn(t) => assert!(t.writes.is_empty()),
             other => panic!("unexpected block {other:?}"),
         }
     }
 
     #[test]
-    fn compressed_block_roundtrip() {
-        let mut inner = Vec::new();
-        for i in 0..50u64 {
-            let key = format!("key{:04}", i);
-            let value = vec![b'x'; 100];
-            let writes: Vec<(TableId, &[u8], Option<&[u8]>)> =
-                vec![(1, key.as_bytes(), Some(&value))];
-            encode_txn(&mut inner, Tid::new(2, i), &writes, false);
+    fn torn_final_envelope_is_end_of_stream() {
+        let whole = sealed(&txn(Tid::new(1, 1)));
+        let second = sealed(&txn(Tid::new(1, 2)));
+        // Chop the second envelope in half, then inside its header.
+        for cut in [second.len() / 2, 4] {
+            let stream = [&whole[..], &second[..cut]].concat();
+            let mut dec = StreamDecoder::new(stream.as_slice());
+            assert!(dec.next_block().unwrap().is_some());
+            assert_eq!(dec.next_block().unwrap(), None);
+            assert_eq!(dec.bytes_consumed(), whole.len() as u64);
         }
-        let mut outer = Vec::new();
-        encode_compressed(&mut outer, &inner);
-        assert!(outer.len() < inner.len(), "repetitive data should compress");
-        let blocks = decode_stream(&outer).unwrap();
-        assert_eq!(blocks.len(), 50);
-    }
-
-    #[test]
-    fn torn_tail_is_tolerated() {
-        let mut buf = Vec::new();
-        let writes: Vec<(TableId, &[u8], Option<&[u8]>)> = vec![(0, b"k", Some(b"v".as_ref()))];
-        encode_txn(&mut buf, Tid::new(1, 1), &writes, false);
-        let good_len = buf.len();
-        encode_txn(&mut buf, Tid::new(1, 2), &writes, false);
-        // Chop the second record in half.
-        buf.truncate(good_len + 7);
-        let blocks = decode_stream(&buf).unwrap();
-        assert_eq!(blocks.len(), 1);
     }
 
     #[test]
     fn bad_tag_is_an_error() {
         let buf = vec![0x7f, 0, 0, 0];
-        assert_eq!(decode_stream(&buf), Err(DecodeError::BadTag(0x7f)));
+        assert_eq!(decode_all(&buf), Err(DecodeError::BadTag(0x7f)));
+        assert_eq!(
+            decode_all(&sealed(&buf)),
+            Err(DecodeError::BadTag(0x7f)),
+            "an unknown tag inside a verified envelope is corruption too"
+        );
+    }
+
+    #[test]
+    fn bare_top_level_blocks_are_rejected() {
+        // Only envelopes are top-level blocks; a bare TXN, MARKER or
+        // COMPRESSED block is whatever a damaged tag byte left behind.
+        let txn = txn(Tid::new(1, 1));
+        let mut marker = Vec::new();
+        encode_epoch_marker(&mut marker, 3);
+        let mut compressed = Vec::new();
+        encode_compressed(&mut compressed, &txn);
+        for bare in [txn, marker, compressed] {
+            assert_eq!(decode_all(&bare), Err(DecodeError::BadTag(bare[0])));
+        }
+    }
+
+    #[test]
+    fn compressed_blocks_do_not_nest() {
+        let mut once = Vec::new();
+        encode_compressed(&mut once, &txn(Tid::new(1, 1)));
+        assert_eq!(decode_all(&sealed(&once)).unwrap().len(), 1);
+        let mut twice = Vec::new();
+        encode_compressed(&mut twice, &once);
+        assert_eq!(
+            decode_all(&sealed(&twice)),
+            Err(DecodeError::BadTag(BLOCK_COMPRESSED))
+        );
+    }
+
+    #[test]
+    fn truncated_block_inside_a_verified_envelope_is_corruption() {
+        // The envelope is complete and its CRC matches, so a short inner
+        // block is not a torn write — and the good block before it must not
+        // be replayed either.
+        let mut inner = Vec::new();
+        encode_epoch_marker(&mut inner, 2);
+        inner.extend(txn(Tid::new(1, 1)));
+        inner.truncate(inner.len() - 3);
+        assert_eq!(decode_all(&sealed(&inner)), Err(DecodeError::BadChecksum));
     }
 
     #[test]
     fn empty_stream_decodes_to_nothing() {
-        assert_eq!(decode_stream(&[]).unwrap(), Vec::new());
+        assert_eq!(decode_all(&[]).unwrap(), Vec::new());
     }
 
     #[test]
@@ -700,20 +633,16 @@ mod tests {
     fn sealed_envelope_roundtrip() {
         let mut buf = Vec::new();
         let header = begin_sealed(&mut buf);
-        let writes: Vec<(TableId, &[u8], Option<&[u8]>)> = vec![(0, b"k", Some(b"v".as_ref()))];
-        encode_txn(&mut buf, Tid::new(3, 1), &writes, false);
+        buf.extend(txn(Tid::new(3, 1)));
         encode_epoch_marker(&mut buf, 2);
         assert!(seal(&mut buf, header));
         assert_eq!(buf[0], BLOCK_CHECKSUMMED);
-
-        let blocks = decode_stream(&buf).unwrap();
-        assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[1], Block::EpochMarker(2));
 
         let mut dec = StreamDecoder::new(std::io::Cursor::new(buf.clone()));
         assert!(matches!(dec.next_block().unwrap(), Some(Block::Txn(_))));
         assert_eq!(dec.next_block().unwrap(), Some(Block::EpochMarker(2)));
         assert_eq!(dec.next_block().unwrap(), None);
+        assert_eq!(dec.bytes_consumed(), buf.len() as u64);
     }
 
     #[test]
@@ -726,39 +655,11 @@ mod tests {
 
     #[test]
     fn flipped_bit_in_sealed_payload_is_detected() {
-        let mut buf = Vec::new();
-        let header = begin_sealed(&mut buf);
-        let writes: Vec<(TableId, &[u8], Option<&[u8]>)> = vec![(0, b"key", Some(b"val".as_ref()))];
-        encode_txn(&mut buf, Tid::new(3, 1), &writes, false);
-        assert!(seal(&mut buf, header));
+        let mut buf = sealed(&txn(Tid::new(3, 1)));
         // Flip one bit in the payload (past the 9-byte header).
         let last = buf.len() - 1;
         buf[last] ^= 0x10;
-        assert_eq!(decode_stream(&buf), Err(DecodeError::BadChecksum));
-        let mut dec = StreamDecoder::new(std::io::Cursor::new(buf));
-        assert_eq!(dec.next_block(), Err(DecodeError::BadChecksum));
-    }
-
-    #[test]
-    fn torn_sealed_envelope_is_end_of_stream() {
-        let mut buf = Vec::new();
-        let header = begin_sealed(&mut buf);
-        let writes: Vec<(TableId, &[u8], Option<&[u8]>)> = vec![(0, b"k", Some(b"v".as_ref()))];
-        encode_txn(&mut buf, Tid::new(1, 1), &writes, false);
-        assert!(seal(&mut buf, header));
-        let whole = buf.clone();
-        let mut second = Vec::new();
-        let header = begin_sealed(&mut second);
-        encode_txn(&mut second, Tid::new(1, 2), &writes, false);
-        assert!(seal(&mut second, header));
-        buf.extend_from_slice(&second[..second.len() / 2]);
-
-        let blocks = decode_stream(&buf).unwrap();
-        assert_eq!(blocks.len(), 1, "the torn second envelope ends the stream");
-        let mut dec = StreamDecoder::new(std::io::Cursor::new(buf));
-        assert!(dec.next_block().unwrap().is_some());
-        assert_eq!(dec.next_block().unwrap(), None);
-        assert_eq!(dec.bytes_consumed(), whole.len() as u64);
+        assert_eq!(decode_all(&buf), Err(DecodeError::BadChecksum));
     }
 
     #[test]
@@ -771,19 +672,11 @@ mod tests {
                 vec![(1, key.as_bytes(), Some(&value))];
             encode_txn(&mut inner, Tid::new(2, i), &writes, false);
         }
-        let mut buf = Vec::new();
-        let header = begin_sealed(&mut buf);
-        encode_compressed(&mut buf, &inner);
-        encode_epoch_marker(&mut buf, 1);
-        assert!(seal(&mut buf, header));
-
-        assert_eq!(decode_stream(&buf).unwrap().len(), 21);
-        let mut dec = StreamDecoder::new(std::io::Cursor::new(buf));
-        let mut n = 0;
-        while dec.next_block().unwrap().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 21);
+        let mut round = Vec::new();
+        encode_compressed(&mut round, &inner);
+        assert!(round.len() < inner.len(), "repetitive data should compress");
+        encode_epoch_marker(&mut round, 1);
+        assert_eq!(decode_all(&sealed(&round)).unwrap().len(), 21);
     }
 }
 
@@ -817,22 +710,22 @@ mod proptests {
                 .collect();
             let mut inner = Vec::new();
             encode_txn(&mut inner, tid, &borrowed, false);
-            let stream = if compress {
+            let stream = crate::tests::sealed(&if compress {
                 let mut outer = Vec::new();
                 encode_compressed(&mut outer, &inner);
                 outer
             } else {
                 inner
-            };
-            let blocks = decode_stream(&stream).unwrap();
-            prop_assert_eq!(blocks.len(), 1);
-            match &blocks[0] {
-                Block::Txn(t) => {
+            });
+            let mut decoder = StreamDecoder::new(stream.as_slice());
+            match decoder.next_block() {
+                Ok(Some(Block::Txn(t))) => {
                     prop_assert_eq!(t.tid, tid);
                     prop_assert_eq!(&t.writes, &writes);
                 }
                 other => return Err(TestCaseError::fail(format!("unexpected block {other:?}"))),
             }
+            prop_assert_eq!(decoder.next_block(), Ok(None));
         }
     }
 }

@@ -12,8 +12,12 @@
 //! hash, to appliers that resolve conflicts by TID ([`silo_core::bulk_apply`]),
 //! so records of the same key are always applied in TID order no matter which
 //! stream they came from. Nothing is ever loaded whole-file into memory.
+//!
+//! There is one pipeline. [`recover_directory`] runs it over the segment
+//! files of a durability root (after restoring the checkpoint there);
+//! [`recover_into`] runs it over in-memory streams (`ce = 0`).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,28 +26,8 @@ use std::time::Instant;
 
 use silo_core::{Database, TableId, Tid};
 
-use crate::record::{Block, DecodeError, StreamDecoder};
-use crate::sink::{parse_legacy_name, parse_segment_name};
-
-/// The state reconstructed from a set of log streams before it is applied.
-#[derive(Debug, Default)]
-pub struct RecoveredState {
-    /// The recovery horizon: transactions with epochs `≤ durable_epoch` were
-    /// replayed.
-    pub durable_epoch: u64,
-    /// Number of logged transactions that fell inside the horizon.
-    pub replayed_txns: u64,
-    /// Number of logged transactions ignored because their epoch was after
-    /// the horizon.
-    pub skipped_txns: u64,
-    /// The latest surviving write per (table, key): value (or `None` for a
-    /// delete) together with the TID that produced it.
-    pub latest: HashMap<(TableId, Vec<u8>), (Tid, Option<Vec<u8>>)>,
-    /// Streams that ended at a malformed block (failed checksum, bad tag)
-    /// rather than a clean or torn-tail end. The malformed suffix is treated
-    /// as the torn tail of §4.10 — ignored, never replayed.
-    pub corrupt_tails: u64,
-}
+use crate::record::{Block, DecodeError, LoggedWrite, StreamDecoder};
+use crate::sink::parse_segment_name;
 
 /// Errors produced during recovery.
 #[derive(Debug)]
@@ -115,96 +99,27 @@ fn stream_durable(
     Ok((durable, corrupt))
 }
 
-/// Folds one stream's transactions (with `epoch ≤ durable_epoch`) into the
-/// recovered state, resolving same-key conflicts by TID.
-fn fold_stream(
-    mut decoder: StreamDecoder<impl std::io::Read>,
-    durable_epoch: u64,
-    state: &mut RecoveredState,
-) -> Result<(), RecoveryError> {
-    // Corruption was already counted by the horizon pre-scan over the same
-    // stream; here it just ends the fold.
-    let mut corrupt = false;
-    while let Some(block) = next_block_lenient(&mut decoder, &mut corrupt)? {
-        let Block::Txn(txn) = block else { continue };
-        if txn.tid.epoch() > durable_epoch {
-            state.skipped_txns += 1;
-            continue;
-        }
-        state.replayed_txns += 1;
-        for write in txn.writes {
-            let entry = state
-                .latest
-                .entry((write.table, write.key))
-                .or_insert((Tid::ZERO, None));
-            // Log records for the same record must be applied in TID
-            // order; scanning applies only the one with the largest TID.
-            if txn.tid >= entry.0 {
-                *entry = (txn.tid, write.value);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Scans the log streams and builds the recovered state without applying it.
-///
-/// `streams` holds the raw contents of each logger's stream. The durable
-/// epoch is the minimum over the streams of each stream's most recent
-/// durable-epoch marker; transactions from later epochs are ignored, and log
-/// records for the same key are resolved in TID order.
-pub fn scan_streams(streams: &[Vec<u8>]) -> Result<RecoveredState, RecoveryError> {
-    let mut corrupt_tails = 0u64;
-    let mut min_marker: Option<u64> = None;
-    for stream in streams {
-        let (durable, corrupt) = stream_durable(StreamDecoder::new_skipping(stream.as_slice()))?;
-        corrupt_tails += corrupt as u64;
-        min_marker = Some(min_marker.map_or(durable, |m: u64| m.min(durable)));
-    }
-    let durable_epoch = min_marker.unwrap_or(0);
-    let mut state = RecoveredState {
-        durable_epoch,
-        corrupt_tails,
-        ..Default::default()
-    };
-    for stream in streams {
-        fold_stream(
-            StreamDecoder::new(stream.as_slice()),
-            durable_epoch,
-            &mut state,
-        )?;
-    }
-    Ok(state)
-}
-
-/// The log files under `dir`, grouped into one logical stream per logger:
-/// segments in sequence order, preceded by the legacy single file when one
-/// exists. Returned as `(logger_index, paths)` sorted by logger.
-fn log_streams(dir: &Path) -> Result<Vec<(usize, Vec<PathBuf>)>, std::io::Error> {
-    let mut by_logger: HashMap<usize, Vec<(u64, PathBuf)>> = HashMap::new();
+/// The log segments under `dir`, grouped into one logical stream per logger
+/// (sorted by logger index), each in sequence order.
+fn log_streams(dir: &Path) -> Result<Vec<Vec<PathBuf>>, std::io::Error> {
+    let mut by_logger: BTreeMap<usize, Vec<(u64, PathBuf)>> = BTreeMap::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some((logger, seq)) = parse_segment_name(name) {
-            // Sequence numbers start at 0; the legacy file sorts before them.
+        if let Some((logger, seq)) = name.to_str().and_then(parse_segment_name) {
             by_logger
                 .entry(logger)
                 .or_default()
-                .push((seq + 1, entry.path()));
-        } else if let Some(logger) = parse_legacy_name(name) {
-            by_logger.entry(logger).or_default().push((0, entry.path()));
+                .push((seq, entry.path()));
         }
     }
-    let mut streams: Vec<(usize, Vec<PathBuf>)> = by_logger
-        .into_iter()
-        .map(|(logger, mut files)| {
+    Ok(by_logger
+        .into_values()
+        .map(|mut files| {
             files.sort();
-            (logger, files.into_iter().map(|(_, p)| p).collect())
+            files.into_iter().map(|(_, path)| path).collect()
         })
-        .collect();
-    streams.sort();
-    Ok(streams)
+        .collect())
 }
 
 /// A reader chaining a logger's segment files into one logical stream.
@@ -241,85 +156,6 @@ impl std::io::Read for ChainedFiles {
     }
 }
 
-/// Reads the log files under `dir` (as written by
-/// [`crate::LogDestination::Directory`]) and builds the recovered state,
-/// streaming each file instead of loading it whole. Segmented and legacy
-/// single-file layouts are both understood; a logger's segments form one
-/// logical stream.
-pub fn scan_directory(dir: &Path) -> Result<RecoveredState, RecoveryError> {
-    let streams = log_streams(dir)?;
-    let mut corrupt_tails = 0u64;
-    let mut min_marker: Option<u64> = None;
-    for (_, paths) in &streams {
-        let (durable, corrupt) = stream_durable(StreamDecoder::new_skipping(ChainedFiles::new(
-            paths.clone(),
-        )))?;
-        corrupt_tails += corrupt as u64;
-        min_marker = Some(min_marker.map_or(durable, |m: u64| m.min(durable)));
-    }
-    let durable_epoch = min_marker.unwrap_or(0);
-    let mut state = RecoveredState {
-        durable_epoch,
-        corrupt_tails,
-        ..Default::default()
-    };
-    for (_, paths) in streams {
-        fold_stream(
-            StreamDecoder::new(ChainedFiles::new(paths)),
-            durable_epoch,
-            &mut state,
-        )?;
-    }
-    Ok(state)
-}
-
-/// Applies a recovered state to a freshly opened database whose tables have
-/// already been recreated (with the same [`TableId`]s as before the crash).
-///
-/// Returns the number of keys installed. Deletes in the recovered state are
-/// simply not installed (the database starts empty).
-pub fn apply_recovered(db: &Arc<Database>, state: &RecoveredState) -> Result<u64, RecoveryError> {
-    let mut worker = db.register_worker();
-    let mut installed = 0u64;
-    let mut batch = 0usize;
-    let mut txn = worker.begin();
-    for ((table, key), (_tid, value)) in &state.latest {
-        let Some(value) = value else { continue };
-        if db.try_table(*table).is_none() {
-            return Err(RecoveryError::Apply(format!(
-                "table id {table} does not exist; recreate the schema before recovery"
-            )));
-        }
-        txn.write(*table, key, value)
-            .map_err(|e| RecoveryError::Apply(e.to_string()))?;
-        installed += 1;
-        batch += 1;
-        if batch >= 512 {
-            txn.commit()
-                .map_err(|e| RecoveryError::Apply(e.to_string()))?;
-            txn = worker.begin();
-            batch = 0;
-        }
-    }
-    txn.commit()
-        .map_err(|e| RecoveryError::Apply(e.to_string()))?;
-    Ok(installed)
-}
-
-/// One-call recovery: scan `streams` and apply the surviving writes to `db`.
-pub fn recover_into(
-    db: &Arc<Database>,
-    streams: &[Vec<u8>],
-) -> Result<RecoveredState, RecoveryError> {
-    let state = scan_streams(streams)?;
-    apply_recovered(db, &state)?;
-    Ok(state)
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint-aware parallel recovery
-// ---------------------------------------------------------------------------
-
 /// Knobs for [`recover_directory`].
 #[derive(Debug, Clone)]
 pub struct RecoveryOptions {
@@ -342,9 +178,9 @@ impl Default for RecoveryOptions {
     }
 }
 
-/// What [`recover_directory`] did, with enough detail to reason about restart
-/// time: how much came from the checkpoint, how much log tail was replayed,
-/// and how long each phase took.
+/// What recovery did, with enough detail to reason about restart time: how
+/// much came from the checkpoint, how much log tail was replayed, and how
+/// long each phase took.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
     /// Epoch of the checkpoint restored (0 = no checkpoint found).
@@ -369,7 +205,7 @@ pub struct RecoveryReport {
     pub covered_txns: u64,
     /// Log bytes scanned during replay (the surviving segments — the tail).
     pub log_bytes_scanned: u64,
-    /// Number of surviving log files scanned.
+    /// Number of surviving log files scanned (0 for in-memory streams).
     pub log_files: u64,
     /// Wall-clock microseconds replaying the log tail (includes the horizon
     /// pre-scan).
@@ -385,13 +221,16 @@ pub struct RecoveryReport {
     pub checkpoints_skipped: u64,
 }
 
-/// One write routed from a log decoder to a shard applier.
-struct ReplayOp {
-    table: TableId,
-    key: Vec<u8>,
-    tid: Tid,
-    /// `None` for a delete.
-    value: Option<Vec<u8>>,
+/// The table a recovered write applies to.
+pub(crate) fn recovery_table(
+    db: &Database,
+    id: TableId,
+) -> Result<Arc<silo_core::Table>, RecoveryError> {
+    db.try_table(id).ok_or_else(|| {
+        RecoveryError::Apply(format!(
+            "table id {id} does not exist; recreate the schema before recovery"
+        ))
+    })
 }
 
 fn shard_of(table: TableId, key: &[u8], shards: usize) -> usize {
@@ -428,10 +267,10 @@ pub fn recover_directory(
     let threads = options.replay_threads.max(1);
     let mut report = RecoveryReport::default();
 
-    // Phase 1: the checkpoint. Checkpoints are tried newest first; one whose
-    // slices fail checksum verification is skipped in favor of the next
-    // complete one (the checkpointer keeps the previous complete checkpoint
-    // around as exactly this fallback) rather than loaded as garbage.
+    // The checkpoint. Checkpoints are tried newest first; one whose slices
+    // fail checksum verification is skipped in favor of the next complete one
+    // (the checkpointer keeps the previous complete checkpoint around as
+    // exactly this fallback) rather than loaded as garbage.
     let ckpt_start = Instant::now();
     for info in crate::checkpoint::complete_checkpoints(dir) {
         if let Err(e) = crate::checkpoint::verify_checkpoint(&info) {
@@ -450,23 +289,55 @@ pub fn recover_directory(
         report.checkpoint_micros = ckpt_start.elapsed().as_micros() as u64;
         break;
     }
-    let ce = report.checkpoint_epoch;
 
-    // Phase 2: the log tail.
-    let replay_start = Instant::now();
     let streams = log_streams(dir)?;
-    report.log_files = streams.iter().map(|(_, paths)| paths.len() as u64).sum();
+    report.log_files = streams.iter().map(|paths| paths.len() as u64).sum();
+    replay_tail(db, options, report, streams.len(), |i| {
+        ChainedFiles::new(streams[i].clone())
+    })
+}
+
+/// Recovery from in-memory log streams (one per logger, as returned by
+/// [`crate::SiloLogger::memory_logs`] — the `Silo+tmpfs` configuration):
+/// the same replay as [`recover_directory`] with no checkpoint and the
+/// default [`RecoveryOptions`]. Recovered records keep their original TIDs
+/// and the epochs are fast-forwarded past the recovered horizon.
+pub fn recover_into(
+    db: &Arc<Database>,
+    streams: &[Vec<u8>],
+) -> Result<RecoveryReport, RecoveryError> {
+    replay_tail(
+        db,
+        &RecoveryOptions::default(),
+        RecoveryReport::default(),
+        streams.len(),
+        |i| streams[i].as_slice(),
+    )
+}
+
+/// The one replay pipeline, over `streams` logger streams that `open`
+/// (re)opens from the start — each is read twice: the horizon pre-scan, then
+/// the replay proper. `report` carries the checkpoint phase's results;
+/// transactions with epochs `≤ report.checkpoint_epoch` are already covered.
+///
+/// Horizon scan → sharded [`silo_core::bulk_apply`] replay → tombstone sweep
+/// → epoch fast-forward.
+fn replay_tail<R: std::io::Read>(
+    db: &Arc<Database>,
+    options: &RecoveryOptions,
+    mut report: RecoveryReport,
+    streams: usize,
+    open: impl Fn(usize) -> R + Sync,
+) -> Result<RecoveryReport, RecoveryError> {
+    let threads = options.replay_threads.max(1);
+    let ce = report.checkpoint_epoch;
+    let replay_start = Instant::now();
+    let open = &open;
 
     // Horizon pre-scan (parallel, skipping payloads): per-stream max marker.
     let per_stream: Vec<Result<(u64, bool), RecoveryError>> = std::thread::scope(|scope| {
-        streams
-            .iter()
-            .map(|(_, paths)| {
-                let paths = paths.clone();
-                scope.spawn(move || {
-                    stream_durable(StreamDecoder::new_skipping(ChainedFiles::new(paths)))
-                })
-            })
+        (0..streams)
+            .map(|i| scope.spawn(move || stream_durable(StreamDecoder::new_skipping(open(i)))))
             .collect::<Vec<_>>()
             .into_iter()
             .map(|h| h.join().expect("horizon scanner panicked"))
@@ -491,24 +362,19 @@ pub fn recover_directory(
         let mut senders = Vec::with_capacity(threads);
         let mut applier_handles = Vec::with_capacity(threads);
         for _ in 0..threads {
-            let (tx, rx) = std::sync::mpsc::channel::<Vec<ReplayOp>>();
+            let (tx, rx) = std::sync::mpsc::channel::<Vec<(Tid, LoggedWrite)>>();
             senders.push(tx);
             let db = Arc::clone(db);
             applier_handles.push(scope.spawn(move || -> Result<u64, RecoveryError> {
                 let mut applied = 0u64;
                 while let Ok(batch) = rx.recv() {
-                    for op in batch {
-                        let table = db.try_table(op.table).ok_or_else(|| {
-                            RecoveryError::Apply(format!(
-                                "table id {} does not exist; recreate the schema before recovery",
-                                op.table
-                            ))
-                        })?;
+                    for (tid, write) in batch {
+                        let table = recovery_table(&db, write.table)?;
                         // SAFETY: recovery-mode exclusivity — no transactions
                         // run during recovery, and sharding by key hash means
                         // no other applier ever touches this key.
                         unsafe {
-                            silo_core::bulk_apply(&table, &op.key, op.tid, op.value.as_deref());
+                            silo_core::bulk_apply(&table, &write.key, tid, write.value.as_deref());
                         }
                         applied += 1;
                     }
@@ -517,17 +383,16 @@ pub fn recover_directory(
             }));
         }
 
-        let mut decoder_handles = Vec::with_capacity(streams.len());
-        for (_, paths) in &streams {
-            let paths = paths.clone();
+        let mut decoder_handles = Vec::with_capacity(streams);
+        for i in 0..streams {
             let senders = senders.clone();
             let replayed = &replayed;
             let skipped = &skipped;
             let covered = &covered;
             let bytes_scanned = &bytes_scanned;
             decoder_handles.push(scope.spawn(move || -> Result<(), RecoveryError> {
-                let mut decoder = StreamDecoder::new(ChainedFiles::new(paths));
-                let mut batches: Vec<Vec<ReplayOp>> = (0..senders.len())
+                let mut decoder = StreamDecoder::new(open(i));
+                let mut batches: Vec<Vec<(Tid, LoggedWrite)>> = (0..senders.len())
                     .map(|_| Vec::with_capacity(BATCH))
                     .collect();
                 // Corruption was counted by the pre-scan; here it ends replay
@@ -547,12 +412,7 @@ pub fn recover_directory(
                     replayed.fetch_add(1, Ordering::Relaxed);
                     for write in txn.writes {
                         let shard = shard_of(write.table, &write.key, senders.len());
-                        batches[shard].push(ReplayOp {
-                            table: write.table,
-                            key: write.key,
-                            tid: txn.tid,
-                            value: write.value,
-                        });
+                        batches[shard].push((txn.tid, write));
                         if batches[shard].len() >= BATCH {
                             let batch =
                                 std::mem::replace(&mut batches[shard], Vec::with_capacity(BATCH));
@@ -593,10 +453,10 @@ pub fn recover_directory(
     report.log_bytes_scanned = bytes_scanned.load(Ordering::Relaxed);
     report.replay_micros = replay_start.elapsed().as_micros() as u64;
 
-    // Phase 2.5: reclaim tombstones. Replay installs absent records (delete
-    // tombstones for unseen keys; final deletes of checkpointed keys) that
-    // would otherwise stay hooked in the index until a future write happens
-    // to touch them. Recovery still holds exclusive access, so they can be
+    // Reclaim tombstones. Replay installs absent records (delete tombstones
+    // for unseen keys; final deletes of checkpointed keys) that would
+    // otherwise stay hooked in the index until a future write happens to
+    // touch them. Recovery still holds exclusive access, so they can be
     // unhooked and freed directly, one table per thread.
     if options.sweep_tombstones {
         let table_ids = db.table_ids();
@@ -625,8 +485,8 @@ pub fn recover_directory(
         report.tombstones_reclaimed = reclaimed.load(Ordering::Relaxed);
     }
 
-    // Phase 3: fast-forward the epochs past everything recovered, far enough
-    // that the next snapshot epoch covers the whole recovered state (§4.9:
+    // Fast-forward the epochs past everything recovered, far enough that the
+    // next snapshot epoch covers the whole recovered state (§4.9:
     // `SE = snap(E − k)`); post-recovery commits, markers and snapshots all
     // sort after the recovered horizon.
     let k = db.epochs().config().snapshot_interval_epochs;
@@ -639,6 +499,7 @@ pub fn recover_directory(
 mod tests {
     use super::*;
     use crate::record::{encode_epoch_marker, encode_txn};
+    use crate::tests::{scratch_dir, sealed};
     use silo_core::SiloConfig;
 
     fn txn_block(tid: Tid, table: TableId, key: &[u8], value: Option<&[u8]>) -> Vec<u8> {
@@ -647,76 +508,126 @@ mod tests {
         buf
     }
 
+    fn marker(epoch: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_epoch_marker(&mut buf, epoch);
+        buf
+    }
+
+    /// One sealed group-commit round holding `blocks`.
+    fn round(blocks: &[Vec<u8>]) -> Vec<u8> {
+        sealed(&blocks.concat())
+    }
+
+    /// Recovers `streams` into a fresh database with one table (id 0).
+    fn recover(streams: &[Vec<u8>]) -> (Arc<Database>, RecoveryReport) {
+        crate::tests::recovered("t", streams)
+    }
+
+    fn read(db: &Arc<Database>, key: &[u8]) -> Option<Vec<u8>> {
+        let mut w = db.register_worker();
+        let mut txn = w.begin();
+        let value = txn.read(0, key).unwrap();
+        txn.commit().unwrap();
+        value
+    }
+
+    /// Every live version of table 0 with its TID, via a snapshot walk.
+    fn versions(db: &Arc<Database>) -> Vec<(Vec<u8>, Tid, Vec<u8>)> {
+        let mut w = db.register_worker();
+        let mut snap = w.begin_snapshot();
+        let mut out = Vec::new();
+        snap.scan_versions_into(0, 64, |key, tid, value| {
+            out.push((key.to_vec(), tid, value.to_vec()));
+        });
+        snap.finish();
+        out
+    }
+
     #[test]
     fn durable_epoch_is_min_across_streams() {
-        let mut s1 = Vec::new();
-        encode_epoch_marker(&mut s1, 5);
-        encode_epoch_marker(&mut s1, 9);
-        let mut s2 = Vec::new();
-        encode_epoch_marker(&mut s2, 7);
-        let state = scan_streams(&[s1, s2]).unwrap();
-        assert_eq!(state.durable_epoch, 7);
+        let s1 = [round(&[marker(5)]), round(&[marker(9)])].concat();
+        let s2 = round(&[marker(7)]);
+        assert_eq!(recover(&[s1, s2]).1.durable_epoch, 7);
     }
 
     #[test]
     fn transactions_after_horizon_are_skipped() {
-        let mut s = Vec::new();
-        s.extend(txn_block(Tid::new(3, 1), 0, b"a", Some(b"old")));
-        s.extend(txn_block(Tid::new(9, 1), 0, b"a", Some(b"too-new")));
-        encode_epoch_marker(&mut s, 5);
-        let state = scan_streams(&[s]).unwrap();
-        assert_eq!(state.durable_epoch, 5);
-        assert_eq!(state.replayed_txns, 1);
-        assert_eq!(state.skipped_txns, 1);
+        // One logger is behind: the recovered prefix respects the *minimum*
+        // durable epoch, whatever the faster stream already recorded.
+        let fast = round(&[
+            txn_block(Tid::new(2, 1), 0, b"a", Some(b"1")),
+            txn_block(Tid::new(6, 1), 0, b"b", Some(b"too-new")),
+            marker(6),
+        ]);
+        let slow = round(&[txn_block(Tid::new(3, 1), 0, b"c", Some(b"3")), marker(3)]);
+        let (db, report) = recover(&[fast, slow]);
+        assert_eq!(report.durable_epoch, 3);
+        assert_eq!(report.replayed_txns, 2);
+        assert_eq!(report.skipped_txns, 1);
+        assert_eq!(read(&db, b"a"), Some(b"1".to_vec()));
+        assert_eq!(read(&db, b"c"), Some(b"3".to_vec()));
         assert_eq!(
-            state.latest.get(&(0, b"a".to_vec())).unwrap().1.as_deref(),
-            Some(b"old".as_ref())
+            read(&db, b"b"),
+            None,
+            "epoch-6 transaction is beyond the durable horizon and must not be recovered"
         );
     }
 
     #[test]
-    fn same_key_resolves_to_largest_tid() {
-        let mut s = Vec::new();
-        s.extend(txn_block(Tid::new(2, 7), 1, b"k", Some(b"v2")));
-        s.extend(txn_block(Tid::new(2, 3), 1, b"k", Some(b"v1")));
-        s.extend(txn_block(Tid::new(3, 1), 1, b"k", None));
-        encode_epoch_marker(&mut s, 10);
-        let state = scan_streams(&[s]).unwrap();
-        let (tid, value) = state.latest.get(&(1, b"k".to_vec())).unwrap();
-        assert_eq!(*tid, Tid::new(3, 1));
-        assert_eq!(*value, None, "the delete is the newest action");
+    fn same_key_resolves_to_largest_tid_across_streams() {
+        // The newest action on `k` is a delete, and it sits in a different
+        // stream than the writes it supersedes.
+        let s1 = round(&[
+            txn_block(Tid::new(2, 7), 0, b"k", Some(b"v2")),
+            txn_block(Tid::new(2, 3), 0, b"k", Some(b"v1")),
+            txn_block(Tid::new(2, 9), 0, b"j", Some(b"j-new")),
+            marker(10),
+        ]);
+        let s2 = round(&[
+            txn_block(Tid::new(3, 1), 0, b"k", None),
+            txn_block(Tid::new(2, 5), 0, b"j", Some(b"j-old")),
+            marker(10),
+        ]);
+        let (db, report) = recover(&[s1, s2]);
+        assert_eq!(report.replayed_txns, 5);
+        assert_eq!(read(&db, b"k"), None, "the delete is the newest action");
+        assert_eq!(read(&db, b"j"), Some(b"j-new".to_vec()));
+        assert_eq!(report.tombstones_reclaimed, 1);
+        assert_eq!(db.table(0).approximate_len(), 1);
     }
 
     #[test]
-    fn empty_streams_recover_nothing() {
-        let state = scan_streams(&[]).unwrap();
-        assert_eq!(state.durable_epoch, 0);
-        assert!(state.latest.is_empty());
-        let state = scan_streams(&[Vec::new()]).unwrap();
-        assert_eq!(state.durable_epoch, 0);
-    }
-
-    #[test]
-    fn apply_restores_keys_into_database() {
-        let mut s = Vec::new();
-        s.extend(txn_block(Tid::new(1, 1), 0, b"alpha", Some(b"1")));
-        s.extend(txn_block(Tid::new(1, 2), 0, b"beta", Some(b"2")));
-        s.extend(txn_block(Tid::new(2, 1), 0, b"alpha", Some(b"updated")));
-        s.extend(txn_block(Tid::new(2, 2), 0, b"gone", Some(b"x")));
-        s.extend(txn_block(Tid::new(2, 3), 0, b"gone", None));
-        encode_epoch_marker(&mut s, 4);
-
-        let db = Database::open(SiloConfig::for_testing());
-        db.create_table("t").unwrap();
-        let state = recover_into(&db, &[s]).unwrap();
-        assert_eq!(state.durable_epoch, 4);
-
+    fn recover_into_keeps_original_tids_and_fast_forwards_the_epoch() {
+        let s = round(&[
+            txn_block(Tid::new(1, 1), 0, b"alpha", Some(b"1")),
+            txn_block(Tid::new(1, 2), 0, b"beta", Some(b"2")),
+            txn_block(Tid::new(2, 1), 0, b"alpha", Some(b"updated")),
+            txn_block(Tid::new(2, 2), 0, b"gone", Some(b"x")),
+            txn_block(Tid::new(2, 3), 0, b"gone", None),
+            marker(4),
+        ]);
+        let (db, report) = recover(&[s]);
+        assert_eq!(report.durable_epoch, 4);
+        assert_eq!(report.replayed_writes, 5);
+        assert!(
+            db.epochs().global_epoch() > report.durable_epoch,
+            "the epoch must be fast-forwarded past the recovered horizon"
+        );
+        // Recovered records are installed at the TIDs their transactions
+        // committed with, not at fresh ones.
+        assert_eq!(
+            versions(&db),
+            vec![
+                (b"alpha".to_vec(), Tid::new(2, 1), b"updated".to_vec()),
+                (b"beta".to_vec(), Tid::new(1, 2), b"2".to_vec()),
+            ]
+        );
+        // And new commits sort after everything recovered.
         let mut w = db.register_worker();
         let mut txn = w.begin();
-        assert_eq!(txn.read(0, b"alpha").unwrap(), Some(b"updated".to_vec()));
-        assert_eq!(txn.read(0, b"beta").unwrap(), Some(b"2".to_vec()));
-        assert_eq!(txn.read(0, b"gone").unwrap(), None);
-        txn.commit().unwrap();
+        txn.write(0, b"post", b"recovery").unwrap();
+        assert!(txn.commit().unwrap().epoch() > report.durable_epoch);
     }
 
     #[test]
@@ -725,68 +636,62 @@ mod tests {
         // worker's epoch-2 buffer can land *after* a fast worker's epoch-3
         // buffer in the same stream. Replay must still resolve each key to
         // its largest TID, not to stream order.
-        let mut s = Vec::new();
-        s.extend(txn_block(Tid::new(3, 5), 0, b"a", Some(b"epoch3"))); // newest first in stream
-        s.extend(txn_block(Tid::new(2, 9), 0, b"a", Some(b"epoch2")));
-        s.extend(txn_block(Tid::new(2, 1), 0, b"b", Some(b"b-old")));
-        encode_epoch_marker(&mut s, 2);
-        s.extend(txn_block(Tid::new(3, 2), 0, b"b", Some(b"b-new")));
-        s.extend(txn_block(Tid::new(2, 4), 0, b"c", None)); // late delete from an earlier epoch
-        encode_epoch_marker(&mut s, 4);
+        let s = [
+            round(&[
+                txn_block(Tid::new(3, 5), 0, b"a", Some(b"epoch3")), // newest first in stream
+                txn_block(Tid::new(2, 9), 0, b"a", Some(b"epoch2")),
+                txn_block(Tid::new(2, 1), 0, b"b", Some(b"b-old")),
+                marker(2),
+            ]),
+            round(&[
+                txn_block(Tid::new(3, 2), 0, b"b", Some(b"b-new")),
+                txn_block(Tid::new(2, 4), 0, b"c", None), // late delete from an earlier epoch
+                marker(4),
+            ]),
+        ]
+        .concat();
 
-        let state = scan_streams(&[s]).unwrap();
-        assert_eq!(state.durable_epoch, 4);
-        assert_eq!(state.replayed_txns, 5);
-        let get = |k: &[u8]| state.latest.get(&(0, k.to_vec())).unwrap().clone();
-        assert_eq!(get(b"a"), (Tid::new(3, 5), Some(b"epoch3".to_vec())));
-        assert_eq!(get(b"b"), (Tid::new(3, 2), Some(b"b-new".to_vec())));
-        assert_eq!(get(b"c"), (Tid::new(2, 4), None));
+        let (db, report) = recover(&[s]);
+        assert_eq!(report.durable_epoch, 4);
+        assert_eq!(report.replayed_txns, 5);
+        assert_eq!(
+            versions(&db),
+            vec![
+                (b"a".to_vec(), Tid::new(3, 5), b"epoch3".to_vec()),
+                (b"b".to_vec(), Tid::new(3, 2), b"b-new".to_vec()),
+            ]
+        );
     }
 
     #[test]
-    fn torn_final_record_is_dropped_without_losing_the_prefix() {
-        // A crash mid-append tears the last block; everything before it —
+    fn torn_final_round_is_dropped_without_losing_the_prefix() {
+        // A crash mid-append tears the last round; everything before it —
         // including buffers that arrived out of epoch order — must survive.
-        let mut s = Vec::new();
-        s.extend(txn_block(Tid::new(3, 1), 0, b"x", Some(b"keep-3")));
-        s.extend(txn_block(Tid::new(2, 8), 0, b"y", Some(b"keep-2")));
-        encode_epoch_marker(&mut s, 3);
+        let mut s = round(&[
+            txn_block(Tid::new(3, 1), 0, b"x", Some(b"keep-3")),
+            txn_block(Tid::new(2, 8), 0, b"y", Some(b"keep-2")),
+            marker(3),
+        ]);
         let good_len = s.len();
-        s.extend(txn_block(Tid::new(4, 1), 0, b"z", Some(b"torn")));
-        s.truncate(good_len + 6); // crash tears the final record mid-header
+        s.extend(round(&[
+            txn_block(Tid::new(3, 2), 0, b"z", Some(b"torn")),
+            marker(4),
+        ]));
+        s.truncate(good_len + 6); // crash tears the final round mid-header
 
-        let state = scan_streams(&[s]).unwrap();
-        assert_eq!(state.durable_epoch, 3);
-        assert_eq!(state.replayed_txns, 2);
-        assert!(state.latest.contains_key(&(0, b"x".to_vec())));
-        assert!(state.latest.contains_key(&(0, b"y".to_vec())));
-        assert!(
-            !state.latest.contains_key(&(0, b"z".to_vec())),
-            "the torn record must not be replayed"
-        );
-
-        // The recovered prefix applies cleanly.
-        let db = Database::open(SiloConfig::for_testing());
-        db.create_table("t").unwrap();
-        let installed = apply_recovered(
-            &db,
-            &scan_streams(&[{
-                let mut s = Vec::new();
-                s.extend(txn_block(Tid::new(3, 1), 0, b"x", Some(b"keep-3")));
-                encode_epoch_marker(&mut s, 3);
-                s
-            }])
-            .unwrap(),
-        )
-        .unwrap();
-        assert_eq!(installed, 1);
+        let (db, report) = recover(&[s]);
+        assert_eq!(report.durable_epoch, 3);
+        assert_eq!(report.replayed_txns, 2);
+        assert_eq!(report.corrupt_log_tails, 0, "a torn tail is not corruption");
+        assert_eq!(report.log_bytes_scanned, good_len as u64);
+        assert_eq!(read(&db, b"x"), Some(b"keep-3".to_vec()));
+        assert_eq!(read(&db, b"y"), Some(b"keep-2".to_vec()));
+        assert_eq!(read(&db, b"z"), None, "the torn round must not be replayed");
     }
 
     #[test]
     fn apply_fails_without_schema() {
-        let mut s = Vec::new();
-        s.extend(txn_block(Tid::new(1, 1), 5, b"k", Some(b"v")));
-        encode_epoch_marker(&mut s, 2);
+        let s = round(&[txn_block(Tid::new(1, 1), 5, b"k", Some(b"v")), marker(2)]);
         let db = Database::open(SiloConfig::for_testing());
         assert!(matches!(
             recover_into(&db, &[s]),
@@ -797,21 +702,16 @@ mod tests {
     #[test]
     fn zero_length_and_truncated_header_files_recover_cleanly() {
         // Regression: a crash can leave zero-length segments (killed right
-        // after rotation) and files torn inside the very first block header.
-        // Every recovery entry point must treat those as empty streams — not
+        // after rotation) and files torn inside the very first envelope
+        // header. Both entry points must treat those as empty streams — not
         // panic, not error, not load anything whole-file.
-        let dir = std::env::temp_dir().join(format!("silo-empty-log-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("empty-log");
         std::fs::write(dir.join("silo-log-0-seg000000.bin"), b"").unwrap();
-        std::fs::write(dir.join("silo-log-1.bin"), b"").unwrap(); // legacy name
-        let torn = &txn_block(Tid::new(3, 1), 0, b"key", Some(b"value"))[..4];
+        std::fs::write(dir.join("silo-log-1-seg000000.bin"), b"").unwrap();
+        let torn = &sealed(&txn_block(Tid::new(3, 1), 0, b"key", Some(b"value")))[..4];
         std::fs::write(dir.join("silo-log-2-seg000000.bin"), torn).unwrap();
-
-        let state = scan_directory(&dir).unwrap();
-        assert_eq!(state.durable_epoch, 0);
-        assert_eq!(state.replayed_txns, 0);
-        assert!(state.latest.is_empty());
+        // Files that are not segments are not log streams.
+        std::fs::write(dir.join("silo-log-3.bin"), round(&[marker(9)])).unwrap();
 
         let db = Database::open(SiloConfig::for_testing());
         db.create_table("t").unwrap();
@@ -820,82 +720,100 @@ mod tests {
         assert_eq!(report.replayed_txns, 0);
         assert_eq!(report.log_files, 3);
 
-        // The in-memory entry point tolerates the same shapes.
-        let state = scan_streams(&[Vec::new(), torn.to_vec()]).unwrap();
-        assert_eq!(state.durable_epoch, 0);
-        assert!(state.latest.is_empty());
+        // So do the in-memory streams, and no streams at all.
+        for streams in [vec![Vec::new(), torn.to_vec()], Vec::new()] {
+            let (db, report) = recover(&streams);
+            assert_eq!(report.durable_epoch, 0);
+            assert_eq!(db.table(0).approximate_len(), 0);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn mixed_complete_and_truncated_streams_keep_the_good_data() {
-        // One healthy stream plus one that tore mid-header: the healthy
-        // stream's durable marker must not be dragged down incorrectly, and
-        // its transactions must survive.
-        let dir = std::env::temp_dir().join(format!("silo-mixed-log-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut good = Vec::new();
-        good.extend(txn_block(Tid::new(2, 1), 0, b"keep", Some(b"v")));
-        encode_epoch_marker(&mut good, 3);
+        // One healthy stream plus one whose only round tore: the torn stream
+        // never durably recorded epoch 3, so the horizon — the min over
+        // streams — is 0 and both transactions fall beyond it.
+        let dir = scratch_dir("mixed-log");
+        let good = round(&[txn_block(Tid::new(2, 1), 0, b"keep", Some(b"v")), marker(3)]);
         std::fs::write(dir.join("silo-log-0-seg000000.bin"), &good).unwrap();
-        let mut torn = txn_block(Tid::new(2, 2), 0, b"also", Some(b"w"));
-        encode_epoch_marker(&mut torn, 3);
+        let torn = round(&[txn_block(Tid::new(2, 2), 0, b"also", Some(b"w")), marker(3)]);
         let tear_at = torn.len() - 4; // tear inside the trailing marker
         std::fs::write(dir.join("silo-log-1-seg000000.bin"), &torn[..tear_at]).unwrap();
 
-        let state = scan_directory(&dir).unwrap();
-        // The torn stream never durably recorded epoch 3, so the horizon is
-        // the min over streams: 0 for the torn one.
-        assert_eq!(state.durable_epoch, 0);
-        assert_eq!(state.skipped_txns, 2);
+        let db = Database::open(SiloConfig::for_testing());
+        db.create_table("t").unwrap();
+        let report = recover_directory(&db, &dir, &RecoveryOptions::default()).unwrap();
+        assert_eq!(report.durable_epoch, 0);
+        assert_eq!(report.skipped_txns, 1, "the torn round is never decoded");
+        assert_eq!(report.replayed_txns, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn corrupt_block_ends_the_stream_instead_of_failing_recovery() {
-        // A malformed block mid-stream (here: an unknown tag, as a flipped
-        // bit in a tag byte would produce) is the corrupt tail of §4.10:
-        // everything before it is replayed, everything after it is not, and
-        // recovery reports rather than errors.
-        let mut s = Vec::new();
-        s.extend(txn_block(Tid::new(2, 1), 0, b"good", Some(b"v")));
-        encode_epoch_marker(&mut s, 2);
-        s.push(0x7F);
-        s.extend(txn_block(Tid::new(2, 2), 0, b"lost", Some(b"w")));
+    fn corrupt_round_ends_the_stream_instead_of_failing_recovery() {
+        // A malformed block mid-stream (an unknown tag, as a flipped bit in
+        // a tag byte would produce; a round whose checksum fails) is the
+        // corrupt tail of §4.10: everything before it is replayed,
+        // everything after it is not, and recovery reports rather than
+        // errors.
+        let good = round(&[txn_block(Tid::new(2, 1), 0, b"good", Some(b"v")), marker(2)]);
+        let lost = round(&[txn_block(Tid::new(2, 2), 0, b"lost", Some(b"w")), marker(2)]);
+        let bad_tag = [good.clone(), vec![0x7F], lost.clone()].concat();
+        let mut bad_crc = [good.clone(), lost.clone(), lost].concat();
+        bad_crc[good.len() + 12] ^= 0x40;
 
-        let state = scan_streams(&[s]).unwrap();
-        assert_eq!(state.durable_epoch, 2);
-        assert_eq!(state.replayed_txns, 1);
-        assert_eq!(state.corrupt_tails, 1);
-        assert!(state.latest.contains_key(&(0, b"good".to_vec())));
-        assert!(
-            !state.latest.contains_key(&(0, b"lost".to_vec())),
-            "nothing past the corrupt block may be resurrected"
-        );
+        for stream in [bad_tag, bad_crc] {
+            let (db, report) = recover(&[stream]);
+            assert_eq!(report.durable_epoch, 2);
+            assert_eq!(report.replayed_txns, 1);
+            assert_eq!(report.corrupt_log_tails, 1);
+            assert_eq!(report.log_bytes_scanned, good.len() as u64);
+            assert_eq!(read(&db, b"good"), Some(b"v".to_vec()));
+            assert_eq!(
+                read(&db, b"lost"),
+                None,
+                "nothing past the corrupt block may be resurrected"
+            );
+        }
     }
 
     #[test]
-    fn recovery_falls_back_past_a_corrupt_checkpoint() {
-        let dir = std::env::temp_dir().join(format!("silo-ckpt-fallback-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(dir.join("checkpoints")).unwrap();
+    fn bare_block_outside_an_envelope_is_a_corrupt_tail() {
+        // Only the logger's sealed rounds are replayed. A well-formed TXN
+        // block sitting bare at the top level carries no checksum, so it is
+        // treated like any other damage: the stream ends there.
+        let good = round(&[txn_block(Tid::new(2, 1), 0, b"good", Some(b"v")), marker(2)]);
+        let bare = [
+            good,
+            txn_block(Tid::new(2, 2), 0, b"bare", Some(b"w")),
+            marker(2),
+        ]
+        .concat();
+        let (db, report) = recover(&[bare]);
+        assert_eq!(report.corrupt_log_tails, 1);
+        assert_eq!(report.replayed_txns, 1);
+        assert_eq!(read(&db, b"good"), Some(b"v".to_vec()));
+        assert_eq!(read(&db, b"bare"), None);
+    }
 
-        let slice_record = |tid: Tid, key: &[u8], value: &[u8]| {
+    /// A durability root holding a good checkpoint at epoch 3 (`k = good`)
+    /// and a newer one at epoch 5 (`k = evil`) whose slice `damage` mangled
+    /// in place (length intact, so the manifest alone cannot tell).
+    fn damaged_newer_checkpoint(name: &str, damage: impl Fn(&mut Vec<u8>)) -> PathBuf {
+        let dir = scratch_dir(name);
+        let slice = |tid: Tid, value: &[u8]| {
             let mut rec = Vec::new();
             rec.extend_from_slice(&0u32.to_le_bytes());
-            rec.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            rec.extend_from_slice(key);
+            rec.extend_from_slice(&1u32.to_le_bytes());
+            rec.extend_from_slice(b"k");
             rec.extend_from_slice(&tid.raw().to_le_bytes());
             rec.extend_from_slice(&(value.len() as u32).to_le_bytes());
             rec.extend_from_slice(value);
-            rec
-        };
-        let framed_slice = |payload: &[u8]| {
             let mut slice = b"SILOSLC2".to_vec();
-            slice.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            slice.extend_from_slice(&crate::record::crc32(payload).to_le_bytes());
-            slice.extend_from_slice(payload);
+            slice.extend_from_slice(&(rec.len() as u32).to_le_bytes());
+            slice.extend_from_slice(&crate::record::crc32(&rec).to_le_bytes());
+            slice.extend_from_slice(&rec);
             slice
         };
         let write_ckpt = |epoch: u64, slice: &[u8]| {
@@ -911,28 +829,39 @@ mod tests {
             )
             .unwrap();
         };
+        write_ckpt(3, &slice(Tid::new(3, 1), b"good"));
+        let mut newer = slice(Tid::new(5, 1), b"evil");
+        damage(&mut newer);
+        write_ckpt(5, &newer);
+        dir
+    }
 
-        write_ckpt(
-            3,
-            &framed_slice(&slice_record(Tid::new(3, 1), b"k", b"good")),
-        );
-        // The newer checkpoint has one payload bit flipped (length intact, so
-        // the manifest alone cannot tell).
-        let mut corrupt = framed_slice(&slice_record(Tid::new(5, 1), b"k", b"evil"));
-        let last = corrupt.len() - 1;
-        corrupt[last] ^= 0x01;
-        write_ckpt(5, &corrupt);
-
+    fn assert_falls_back_to_epoch_3(dir: &Path) {
         let db = Database::open(SiloConfig::for_testing());
         db.create_table("t").unwrap();
-        let report = recover_directory(&db, &dir, &RecoveryOptions::default()).unwrap();
+        let report = recover_directory(&db, dir, &RecoveryOptions::default()).unwrap();
         assert_eq!(report.checkpoints_skipped, 1);
         assert_eq!(report.checkpoint_epoch, 3);
+        assert_eq!(read(&db, b"k"), Some(b"good".to_vec()));
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 
-        let mut w = db.register_worker();
-        let mut txn = w.begin();
-        assert_eq!(txn.read(0, b"k").unwrap(), Some(b"good".to_vec()));
-        txn.commit().unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
+    #[test]
+    fn recovery_falls_back_past_a_corrupt_checkpoint() {
+        let dir = damaged_newer_checkpoint("ckpt-fallback", |slice| {
+            let last = slice.len() - 1;
+            slice[last] ^= 0x01;
+        });
+        assert_falls_back_to_epoch_3(&dir);
+    }
+
+    #[test]
+    fn slice_with_a_damaged_magic_is_rejected_and_recovery_falls_back() {
+        let dir = damaged_newer_checkpoint("ckpt-magic", |slice| slice[3] ^= 0x20);
+        let newest = crate::checkpoint::latest_checkpoint(&dir).expect("complete by manifest");
+        assert_eq!(newest.epoch, 5);
+        let err = crate::checkpoint::verify_checkpoint(&newest).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_falls_back_to_epoch_3(&dir);
     }
 }

@@ -172,8 +172,8 @@ pub struct TruncateOutcome {
 
 /// Destination for log bytes. Each logger thread owns one sink.
 ///
-/// The segmentation hooks have no-op defaults so in-memory and single-file
-/// sinks keep working unchanged.
+/// The segmentation hooks have no-op defaults for sinks without segments
+/// (in-memory).
 pub trait LogSink {
     /// Appends `data` to the log (one call per group-commit round).
     ///
@@ -251,18 +251,11 @@ pub struct FileSink {
     /// [`LogSink::reopen`] truncates back to this offset — anything beyond
     /// it may or may not have reached the device and must be rewritten.
     synced_len: u64,
-    /// Segmentation state; `None` for the legacy single-file mode used by
-    /// tests ([`FileSink::create`]).
-    segmented: Option<Segmented>,
-}
-
-struct Segmented {
     dir: PathBuf,
     logger_index: usize,
     /// Rotation threshold in bytes.
     segment_bytes: u64,
     next_seq: u64,
-    current_bytes: u64,
     current_max_epoch: u64,
     closed: Vec<ClosedSegment>,
 }
@@ -279,40 +272,9 @@ pub(crate) fn parse_segment_name(name: &str) -> Option<(usize, u64)> {
     Some((idx.parse().ok()?, seq.parse().ok()?))
 }
 
-/// Parses the legacy single-file name `silo-log-<i>.bin`.
-pub(crate) fn parse_legacy_name(name: &str) -> Option<usize> {
-    let rest = name.strip_prefix("silo-log-")?.strip_suffix(".bin")?;
-    rest.parse().ok()
-}
-
 impl FileSink {
-    /// Creates (truncates) a single log file at `path` — the legacy,
-    /// non-segmented mode (no rotation, no truncation).
-    pub fn create(path: PathBuf, fsync: bool) -> Result<Self, SinkError> {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(|e| {
-                SinkError::setup(
-                    "create",
-                    format!("cannot create log file {}: {e}", path.display()),
-                )
-            })?;
-        Ok(FileSink {
-            file,
-            path,
-            fsync,
-            written: 0,
-            file_len: 0,
-            synced_len: 0,
-            segmented: None,
-        })
-    }
-
-    /// Opens a segmented sink for `logger_index` (one of `num_loggers`
-    /// loggers) under `dir`.
+    /// Opens the sink for `logger_index` (one of `num_loggers` loggers) under
+    /// `dir`, starting a fresh segment.
     ///
     /// Existing segments (from a previous, possibly crashed, process) are
     /// never overwritten: the sink resumes after the largest existing
@@ -323,7 +285,7 @@ impl FileSink {
     /// eventually reclaims them too; until then they keep capping the
     /// recovery horizon at their final durable marker (see
     /// [`crate::recover_directory`]).
-    pub fn segmented(
+    pub fn open(
         dir: &Path,
         logger_index: usize,
         num_loggers: usize,
@@ -332,7 +294,7 @@ impl FileSink {
     ) -> Result<Self, SinkError> {
         std::fs::create_dir_all(dir).map_err(|e| {
             SinkError::setup(
-                "segmented",
+                "open",
                 format!("cannot create log directory {}: {e}", dir.display()),
             )
         })?;
@@ -356,11 +318,6 @@ impl FileSink {
                             max_epoch: None,
                         });
                     }
-                } else if parse_legacy_name(name).is_some_and(owns) {
-                    closed.push(ClosedSegment {
-                        path: entry.path(),
-                        max_epoch: None,
-                    });
                 }
             }
         }
@@ -371,7 +328,7 @@ impl FileSink {
             .open(&path)
             .map_err(|e| {
                 SinkError::setup(
-                    "segmented",
+                    "open",
                     format!("cannot create log segment {}: {e}", path.display()),
                 )
             })?;
@@ -382,22 +339,13 @@ impl FileSink {
             written: 0,
             file_len: 0,
             synced_len: 0,
-            segmented: Some(Segmented {
-                dir: dir.to_path_buf(),
-                logger_index,
-                segment_bytes: segment_bytes.max(1),
-                next_seq: next_seq + 1,
-                current_bytes: 0,
-                current_max_epoch: 0,
-                closed,
-            }),
+            dir: dir.to_path_buf(),
+            logger_index,
+            segment_bytes: segment_bytes.max(1),
+            next_seq: next_seq + 1,
+            current_max_epoch: 0,
+            closed,
         })
-    }
-
-    /// The path of the current log file / segment.
-    #[allow(dead_code)]
-    pub fn path(&self) -> &PathBuf {
-        &self.path
     }
 
     /// Rolls the current file back to the last stable length after a failed
@@ -442,9 +390,6 @@ impl LogSink for FileSink {
         }
         self.file_len += data.len() as u64;
         self.written += data.len() as u64;
-        if let Some(seg) = &mut self.segmented {
-            seg.current_bytes += data.len() as u64;
-        }
         Ok(())
     }
 
@@ -464,22 +409,15 @@ impl LogSink for FileSink {
     }
 
     fn observe_epoch(&mut self, epoch: u64) {
-        if let Some(seg) = &mut self.segmented {
-            seg.current_max_epoch = seg.current_max_epoch.max(epoch);
-        }
+        self.current_max_epoch = self.current_max_epoch.max(epoch);
     }
 
     fn should_rotate(&self) -> bool {
-        self.segmented
-            .as_ref()
-            .is_some_and(|seg| seg.current_bytes >= seg.segment_bytes)
+        self.file_len >= self.segment_bytes
     }
 
     fn rotate(&mut self) -> Result<bool, SinkError> {
-        let Some(seg) = &mut self.segmented else {
-            return Ok(false);
-        };
-        if seg.current_bytes == 0 {
+        if self.file_len == 0 {
             // Nothing in the current segment; rotation would only litter.
             return Ok(false);
         }
@@ -488,21 +426,21 @@ impl LogSink for FileSink {
         let _ = self.file.sync_data();
         // Open the successor before swapping anything, so a failure here
         // leaves the current segment fully writable for a later retry.
-        let path = seg.dir.join(segment_name(seg.logger_index, seg.next_seq));
+        let path = self
+            .dir
+            .join(segment_name(self.logger_index, self.next_seq));
         let file = OpenOptions::new()
             .create_new(true)
             .write(true)
             .open(&path)
             .map_err(|e| SinkError::io("rotate", &e))?;
-        seg.closed.push(ClosedSegment {
-            path: self.path.clone(),
-            max_epoch: Some(seg.current_max_epoch),
+        self.closed.push(ClosedSegment {
+            path: std::mem::replace(&mut self.path, path),
+            max_epoch: Some(self.current_max_epoch),
         });
-        seg.next_seq += 1;
-        seg.current_bytes = 0;
-        seg.current_max_epoch = 0;
+        self.next_seq += 1;
+        self.current_max_epoch = 0;
         self.file = file;
-        self.path = path;
         self.file_len = 0;
         self.synced_len = 0;
         Ok(true)
@@ -522,20 +460,14 @@ impl LogSink for FileSink {
             .map_err(|e| SinkError::io("reopen", &e))?;
         let lost = self.file_len.saturating_sub(self.synced_len);
         self.written = self.written.saturating_sub(lost);
-        if let Some(seg) = &mut self.segmented {
-            seg.current_bytes = seg.current_bytes.saturating_sub(lost);
-        }
         self.file_len = self.synced_len;
         self.file = file;
         Ok(true)
     }
 
     fn truncate_obsolete(&mut self, ckpt_epoch: u64) -> TruncateOutcome {
-        let Some(seg) = &mut self.segmented else {
-            return TruncateOutcome::default();
-        };
         let mut outcome = TruncateOutcome::default();
-        seg.closed.retain_mut(|closed| {
+        self.closed.retain_mut(|closed| {
             let max_epoch = *closed
                 .max_epoch
                 .get_or_insert_with(|| scan_file_max_epoch(&closed.path));
@@ -599,6 +531,7 @@ impl LogSink for MemorySink {
 mod tests {
     use super::*;
     use crate::record::{encode_epoch_marker, encode_txn};
+    use crate::tests::{scratch_dir, sealed};
     use silo_core::TableId;
     use silo_tid::Tid;
 
@@ -614,36 +547,27 @@ mod tests {
     }
 
     #[test]
-    fn file_sink_writes_and_truncates() {
-        let dir = std::env::temp_dir().join(format!("silo-log-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sink-test.bin");
+    fn file_sink_writes_its_first_segment() {
+        let dir = scratch_dir("log-test");
         {
-            let mut sink = FileSink::create(path.clone(), false).unwrap();
+            let mut sink = FileSink::open(&dir, 0, 1, true, 1 << 20).unwrap();
             sink.append(b"0123456789").unwrap();
             sink.sync().unwrap();
             assert_eq!(sink.bytes_written(), 10);
-            // Legacy mode: no segmentation behaviour.
             assert!(!sink.should_rotate());
-            assert!(!sink.rotate().unwrap());
-            assert_eq!(sink.truncate_obsolete(u64::MAX), TruncateOutcome::default());
         }
-        assert_eq!(std::fs::read(&path).unwrap(), b"0123456789");
-        {
-            let mut sink = FileSink::create(path.clone(), true).unwrap();
-            sink.append(b"xy").unwrap();
-            sink.sync().unwrap();
-        }
-        assert_eq!(std::fs::read(&path).unwrap(), b"xy");
+        assert_eq!(
+            std::fs::read(dir.join(segment_name(0, 0))).unwrap(),
+            b"0123456789"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn reopen_discards_the_unsynced_tail_and_resumes_at_the_synced_offset() {
-        let dir = std::env::temp_dir().join(format!("silo-reopen-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("reopen.bin");
-        let mut sink = FileSink::create(path.clone(), false).unwrap();
+        let dir = scratch_dir("reopen-test");
+        let path = dir.join(segment_name(0, 0));
+        let mut sink = FileSink::open(&dir, 0, 1, false, 1 << 20).unwrap();
         sink.append(b"AAAA").unwrap();
         sink.sync().unwrap();
         // A round lands in the page cache but its sync fails: reopen must
@@ -665,16 +589,17 @@ mod tests {
     }
 
     #[test]
-    fn create_in_missing_directory_is_a_typed_setup_error() {
-        let path = std::env::temp_dir()
-            .join(format!("silo-no-such-dir-{}", std::process::id()))
-            .join("log.bin");
-        let err = match FileSink::create(path, false) {
-            Ok(_) => panic!("creating a sink in a missing directory must fail"),
+    fn open_under_a_regular_file_is_a_typed_setup_error() {
+        let dir = scratch_dir("no-such-dir");
+        let blocker = dir.join("not-a-directory");
+        std::fs::write(&blocker, b"").unwrap();
+        let err = match FileSink::open(&blocker.join("logs"), 0, 1, false, 1 << 20) {
+            Ok(_) => panic!("opening a sink under a regular file must fail"),
             Err(e) => e,
         };
         assert_eq!(err.kind(), SinkErrorKind::Setup);
         assert!(!err.is_transient());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -682,24 +607,32 @@ mod tests {
         assert_eq!(parse_segment_name(&segment_name(3, 17)), Some((3, 17)));
         assert_eq!(parse_segment_name("silo-log-0-seg000000.bin"), Some((0, 0)));
         assert_eq!(parse_segment_name("silo-log-0.bin"), None);
-        assert_eq!(parse_legacy_name("silo-log-2.bin"), Some(2));
-        assert_eq!(parse_legacy_name("silo-log-2-seg000001.bin"), None);
-        assert_eq!(parse_legacy_name("unrelated.bin"), None);
+        assert_eq!(parse_segment_name("unrelated.bin"), None);
     }
 
+    /// One sealed round holding a transaction at `epoch`.
     fn txn_bytes(epoch: u64, key: &[u8]) -> Vec<u8> {
         let mut buf = Vec::new();
         let writes: Vec<(TableId, &[u8], Option<&[u8]>)> = vec![(0, key, Some(b"v".as_ref()))];
         encode_txn(&mut buf, Tid::new(epoch, 1), &writes, false);
-        buf
+        sealed(&buf)
+    }
+
+    /// A previous process's segment: a transaction and a marker at `epoch`.
+    fn old_segment(epoch: u64) -> Vec<u8> {
+        let mut old = Vec::new();
+        let writes: Vec<(TableId, &[u8], Option<&[u8]>)> = vec![(0, b"old", Some(b"v".as_ref()))];
+        encode_txn(&mut old, Tid::new(epoch, 1), &writes, false);
+        encode_epoch_marker(&mut old, epoch);
+        sealed(&old)
     }
 
     #[test]
     fn segmented_sink_rotates_and_truncates_by_epoch() {
-        let dir = std::env::temp_dir().join(format!("silo-seg-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("seg-test");
         {
-            let mut sink = FileSink::segmented(&dir, 0, 1, false, 64).unwrap();
+            let mut sink = FileSink::open(&dir, 0, 1, false, 64).unwrap();
+            assert!(!sink.rotate().unwrap(), "an empty segment is not rotated");
             // Segment 0: epochs up to 3.
             sink.observe_epoch(3);
             sink.append(&txn_bytes(3, b"aaaa")).unwrap();
@@ -736,9 +669,8 @@ mod tests {
 
     #[test]
     fn truncate_stops_tracking_segments_already_deleted_externally() {
-        let dir = std::env::temp_dir().join(format!("silo-seg-gone-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut sink = FileSink::segmented(&dir, 0, 1, false, 8).unwrap();
+        let dir = scratch_dir("seg-gone");
+        let mut sink = FileSink::open(&dir, 0, 1, false, 8).unwrap();
         sink.observe_epoch(1);
         sink.append(&txn_bytes(1, b"aaaaaaaa")).unwrap();
         assert!(sink.rotate().unwrap());
@@ -755,47 +687,42 @@ mod tests {
         // A previous run used 4 loggers; this one uses 2. The orphan streams
         // (indices 2 and 3) must be adopted — index modulo the new count —
         // so checkpoint truncation can reclaim them.
-        let dir = std::env::temp_dir().join(format!("silo-seg-orphan-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut old = txn_bytes(3, b"old");
-        encode_epoch_marker(&mut old, 3);
-        std::fs::write(dir.join(segment_name(2, 0)), &old).unwrap();
-        std::fs::write(dir.join(segment_name(3, 0)), &old).unwrap();
-        std::fs::write(dir.join("silo-log-5.bin"), &old).unwrap(); // orphan legacy name
+        let dir = scratch_dir("seg-orphan");
+        std::fs::write(dir.join(segment_name(2, 0)), old_segment(3)).unwrap();
+        std::fs::write(dir.join(segment_name(3, 0)), old_segment(3)).unwrap();
+        std::fs::write(dir.join(segment_name(5, 0)), old_segment(3)).unwrap();
 
-        let mut sink0 = FileSink::segmented(&dir, 0, 2, false, 1 << 20).unwrap();
-        let mut sink1 = FileSink::segmented(&dir, 1, 2, false, 1 << 20).unwrap();
-        // Logger 0 adopts stream 2; logger 1 adopts streams 3 and legacy 5.
+        let mut sink0 = FileSink::open(&dir, 0, 2, false, 1 << 20).unwrap();
+        let mut sink1 = FileSink::open(&dir, 1, 2, false, 1 << 20).unwrap();
+        // Logger 0 adopts stream 2; logger 1 adopts streams 3 and 5.
         assert_eq!(sink0.truncate_obsolete(3).segments_deleted, 1);
         assert_eq!(sink1.truncate_obsolete(3).segments_deleted, 2);
         assert!(!dir.join(segment_name(2, 0)).exists());
         assert!(!dir.join(segment_name(3, 0)).exists());
-        assert!(!dir.join("silo-log-5.bin").exists());
+        assert!(!dir.join(segment_name(5, 0)).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn segmented_sink_resumes_after_existing_segments_and_scans_them() {
-        let dir = std::env::temp_dir().join(format!("silo-seg-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("seg-resume");
         // A "previous process" left a segment with epochs up to 4 plus a
         // durable marker at 4.
-        let mut old = txn_bytes(4, b"old");
-        encode_epoch_marker(&mut old, 4);
-        std::fs::write(dir.join(segment_name(0, 0)), &old).unwrap();
+        std::fs::write(dir.join(segment_name(0, 0)), old_segment(4)).unwrap();
         // And an empty segment (crash right after rotation).
         std::fs::write(dir.join(segment_name(0, 1)), b"").unwrap();
 
-        let mut sink = FileSink::segmented(&dir, 0, 1, false, 1 << 20).unwrap();
-        assert!(
-            sink.path().ends_with(segment_name(0, 2)),
-            "resumes after existing seq"
-        );
+        let mut sink = FileSink::open(&dir, 0, 1, false, 1 << 20).unwrap();
         sink.observe_epoch(10);
         sink.append(&txn_bytes(10, b"new")).unwrap();
         sink.sync().unwrap();
+        assert!(
+            std::fs::metadata(dir.join(segment_name(0, 2)))
+                .unwrap()
+                .len()
+                > 0,
+            "resumes after existing seq"
+        );
 
         // Truncating at epoch 3 keeps the old segment (its max epoch is 4);
         // truncating at 4 deletes it together with the empty one.
@@ -807,6 +734,21 @@ mod tests {
         assert_eq!(sink.truncate_obsolete(4).segments_deleted, 1);
         assert!(dir.join(segment_name(0, 2)).exists());
         assert!(!dir.join(segment_name(0, 0)).exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_corrupt_inherited_segment_is_never_deleted() {
+        // A segment the decoder cannot vouch for might hold anything; its
+        // max epoch reads as unbounded so no checkpoint makes it redundant.
+        let dir = scratch_dir("seg-corrupt");
+        let mut damaged = old_segment(2);
+        let last = damaged.len() - 1;
+        damaged[last] ^= 0x01;
+        std::fs::write(dir.join(segment_name(0, 0)), damaged).unwrap();
+        let mut sink = FileSink::open(&dir, 0, 1, false, 1 << 20).unwrap();
+        assert_eq!(sink.truncate_obsolete(u64::MAX - 1).segments_deleted, 0);
+        assert!(dir.join(segment_name(0, 0)).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

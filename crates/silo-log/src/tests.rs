@@ -4,6 +4,32 @@ use super::*;
 use silo_core::SiloConfig;
 use std::sync::Arc;
 
+/// Wraps already-encoded inner blocks in one CRC-sealed envelope, as a logger
+/// thread does with a group-commit round.
+pub(crate) fn sealed(inner: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let header = record::begin_sealed(&mut out);
+    out.extend_from_slice(inner);
+    record::seal(&mut out, header);
+    out
+}
+
+/// A fresh, empty scratch directory unique to this test process.
+pub(crate) fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("silo-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Recovers in-memory `logs` into a fresh database with one table `name`.
+pub(crate) fn recovered(name: &str, logs: &[Vec<u8>]) -> (Arc<Database>, RecoveryReport) {
+    let db = Database::open(SiloConfig::for_testing());
+    db.create_table(name).unwrap();
+    let report = recover_into(&db, logs).unwrap();
+    (db, report)
+}
+
 fn logged_db(log_config: LogConfig) -> (Arc<Database>, Arc<SiloLogger>) {
     let db = Database::open(
         SiloConfig::for_testing()
@@ -68,6 +94,38 @@ fn durable_epoch_lags_commits_until_logged() {
 }
 
 #[test]
+fn timed_durable_wait_fails_fast_across_shutdown() {
+    // Once shutdown has detached the logger threads nothing can advance the
+    // durable epoch, so a timed wait must report `Failed` like the untimed
+    // one does — not burn its whole timeout.
+    let (db, logger) = logged_db(LogConfig::in_memory(1));
+    let (started_tx, started_rx) = std::sync::mpsc::channel();
+    let waiter = {
+        let logger = Arc::clone(&logger);
+        std::thread::spawn(move || {
+            started_tx.send(()).unwrap();
+            let start = std::time::Instant::now();
+            let outcome = logger.wait_for_durable(u64::MAX, Duration::from_secs(20));
+            (outcome, start.elapsed())
+        })
+    };
+    started_rx.recv().unwrap();
+    logger.shutdown();
+    let (outcome, waited) = waiter.join().unwrap();
+    assert_eq!(outcome, DurableWait::Failed);
+    assert!(
+        waited < Duration::from_secs(10),
+        "the wait outlived shutdown by {waited:?}"
+    );
+    // A wait that starts after shutdown fails immediately too.
+    assert_eq!(
+        logger.wait_for_durable(u64::MAX, Duration::from_secs(20)),
+        DurableWait::Failed
+    );
+    db.stop_epoch_advancer();
+}
+
+#[test]
 fn recovery_restores_exactly_the_durable_prefix() {
     let (db, logger) = logged_db(LogConfig::in_memory(2));
     let t = db.create_table("accounts").unwrap();
@@ -91,12 +149,9 @@ fn recovery_restores_exactly_the_durable_prefix() {
     db.stop_epoch_advancer();
 
     // "Crash": open a fresh database, recreate the schema, replay the logs.
-    let db2 = Database::open(SiloConfig::for_testing());
-    let t2 = db2.create_table("accounts").unwrap();
-    assert_eq!(t2, t, "schema must be recreated with the same table ids");
-    let state = recover_into(&db2, &logs).unwrap();
-    assert!(state.durable_epoch >= delete_tid.epoch());
-    assert!(state.replayed_txns >= 100);
+    let (db2, report) = recovered("accounts", &logs);
+    assert!(report.durable_epoch >= delete_tid.epoch());
+    assert_eq!(report.replayed_txns, 101);
 
     let mut w2 = db2.register_worker();
     let mut txn = w2.begin();
@@ -107,92 +162,9 @@ fn recovery_restores_exactly_the_durable_prefix() {
         } else {
             Some(i.to_be_bytes().to_vec())
         };
-        assert_eq!(
-            txn.read(t2, key.as_bytes()).unwrap(),
-            expected,
-            "acct{i:03}"
-        );
+        assert_eq!(txn.read(t, key.as_bytes()).unwrap(), expected, "acct{i:03}");
     }
     txn.commit().unwrap();
-}
-
-#[test]
-fn recovery_ignores_epochs_after_the_durable_horizon() {
-    // Hand-build two logger streams where one logger is behind: the recovered
-    // prefix must respect the *minimum* durable epoch.
-    use record::{encode_epoch_marker, encode_txn};
-    let mut fast = Vec::new();
-    encode_txn(
-        &mut fast,
-        silo_core::Tid::new(2, 1),
-        &[(0, b"a".as_ref(), Some(b"1".as_ref()))],
-        false,
-    );
-    encode_txn(
-        &mut fast,
-        silo_core::Tid::new(6, 1),
-        &[(0, b"b".as_ref(), Some(b"2".as_ref()))],
-        false,
-    );
-    encode_epoch_marker(&mut fast, 6);
-    let mut slow = Vec::new();
-    encode_txn(
-        &mut slow,
-        silo_core::Tid::new(3, 1),
-        &[(0, b"c".as_ref(), Some(b"3".as_ref()))],
-        false,
-    );
-    encode_epoch_marker(&mut slow, 3);
-
-    let db = Database::open(SiloConfig::for_testing());
-    db.create_table("t").unwrap();
-    let state = recover_into(&db, &[fast, slow]).unwrap();
-    assert_eq!(state.durable_epoch, 3);
-
-    let mut w = db.register_worker();
-    let mut txn = w.begin();
-    assert_eq!(txn.read(0, b"a").unwrap(), Some(b"1".to_vec()));
-    assert_eq!(txn.read(0, b"c").unwrap(), Some(b"3".to_vec()));
-    assert_eq!(
-        txn.read(0, b"b").unwrap(),
-        None,
-        "epoch-6 transaction is beyond the durable horizon and must not be recovered"
-    );
-    txn.commit().unwrap();
-}
-
-#[test]
-fn file_destination_roundtrip() {
-    let dir = std::env::temp_dir().join(format!("silo-log-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    {
-        let (db, logger) = logged_db(LogConfig::to_directory(&dir, 2));
-        let t = db.create_table("t").unwrap();
-        let mut w = db.register_worker();
-        let mut last = silo_core::Tid::ZERO;
-        for i in 0..40u32 {
-            let mut txn = w.begin();
-            txn.write(t, format!("k{i}").as_bytes(), format!("v{i}").as_bytes())
-                .unwrap();
-            last = txn.commit().unwrap();
-        }
-        drop(w);
-        assert!(logger
-            .wait_for_durable(last.epoch(), Duration::from_secs(5))
-            .is_durable());
-        logger.shutdown();
-        db.stop_epoch_advancer();
-    }
-    let state = recovery::scan_directory(&dir).unwrap();
-    assert_eq!(state.latest.len(), 40);
-    let db2 = Database::open(SiloConfig::for_testing());
-    let t2 = db2.create_table("t").unwrap();
-    recovery::apply_recovered(&db2, &state).unwrap();
-    let mut w = db2.register_worker();
-    let mut txn = w.begin();
-    assert_eq!(txn.read(t2, b"k39").unwrap(), Some(b"v39".to_vec()));
-    txn.commit().unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -248,9 +220,11 @@ fn small_records_mode_logs_less_but_recovers_nothing_useful() {
         small_bytes * 4 < full_bytes,
         "SmallRecords ({small_bytes} B) should be much smaller than FullRecords ({full_bytes} B)"
     );
-    // And the small-records log carries no key/value data.
-    let state = recovery::scan_streams(&logger.memory_logs()).unwrap();
-    assert!(state.latest.is_empty());
+    // And the small-records log carries no key/value data: every
+    // transaction is seen, none restores anything.
+    let (db2, report) = recovered("t", &logger.memory_logs());
+    assert_eq!((report.replayed_txns, report.replayed_writes), (50, 0));
+    assert!(full_scan(&db2, t).is_empty());
 }
 
 #[test]
@@ -293,17 +267,10 @@ fn compressed_logs_shrink_and_recover_identically() {
         "compressed log ({comp_bytes}) should be smaller than plain ({plain_bytes})"
     );
 
-    let restore = |logs: &[Vec<u8>]| {
-        let db = Database::open(SiloConfig::for_testing());
-        let t = db.create_table("t").unwrap();
-        recover_into(&db, logs).unwrap();
-        let mut w = db.register_worker();
-        let mut txn = w.begin();
-        let rows = txn.scan(t, b"", None, None).unwrap();
-        txn.commit().unwrap();
-        rows
-    };
-    assert_eq!(restore(&plain_logs), restore(&comp_logs));
+    let restore = |logs: &[Vec<u8>]| full_scan(&recovered("t", logs).0, 0);
+    let rows = restore(&plain_logs);
+    assert_eq!(rows.len(), 80);
+    assert_eq!(rows, restore(&comp_logs));
 }
 
 #[test]
@@ -335,8 +302,11 @@ fn idle_worker_partial_buffer_is_stolen_and_becomes_durable() {
         logger.stats().steal_publishes >= 1,
         "the only publish path for an idle worker is the steal"
     );
-    let state = recovery::scan_streams(&logger.memory_logs()).unwrap();
-    assert!(state.latest.contains_key(&(t, b"lonely".to_vec())));
+    let (db2, _) = recovered("t", &logger.memory_logs());
+    assert_eq!(
+        full_scan(&db2, t),
+        vec![(b"lonely".to_vec(), b"value".to_vec())]
+    );
     db.stop_epoch_advancer();
 }
 
@@ -401,13 +371,13 @@ fn pool_survives_finish_steal_and_shutdown_races() {
                 for i in 0..80u64 {
                     let key = format!("t{thread}g{generation}k{}", i % 17);
                     let value = vec![b'v'; 64];
-                    // OCC aborts (e.g. node-set validation when a concurrent
-                    // insert splits a shared leaf) are legitimate under this
-                    // storm; the one-shot model simply re-executes.
+                    // OCC aborts (e.g. node-set validation or fixup when a
+                    // concurrent insert splits a shared leaf) are legitimate
+                    // under this storm, in the write as well as the commit;
+                    // the one-shot model simply re-executes.
                     loop {
                         let mut txn = w.begin();
-                        txn.write(t, key.as_bytes(), &value).unwrap();
-                        if txn.commit().is_ok() {
+                        if txn.write(t, key.as_bytes(), &value).is_ok() && txn.commit().is_ok() {
                             break;
                         }
                     }
@@ -440,11 +410,8 @@ fn pool_survives_finish_steal_and_shutdown_races() {
 
     // The sinks hold a valid log prefix: decodable, and replayable into a
     // fresh database.
-    let state = recovery::scan_streams(&logger.memory_logs()).unwrap();
-    let db2 = Database::open(SiloConfig::for_testing());
-    let t2 = db2.create_table("t").unwrap();
-    assert_eq!(t2, t);
-    recovery::apply_recovered(&db2, &state).unwrap();
+    let (_, report) = recovered("t", &logger.memory_logs());
+    assert_eq!(report.corrupt_log_tails, 0);
     db.stop_epoch_advancer();
 }
 
@@ -466,8 +433,11 @@ fn worker_finish_flushes_partial_buffers() {
         .wait_for_durable(tid.epoch(), Duration::from_secs(5))
         .is_durable());
     logger.shutdown();
-    let state = recovery::scan_streams(&logger.memory_logs()).unwrap();
-    assert!(state.latest.contains_key(&(t, b"solo".to_vec())));
+    let (db2, _) = recovered("t", &logger.memory_logs());
+    assert_eq!(
+        full_scan(&db2, t),
+        vec![(b"solo".to_vec(), b"value".to_vec())]
+    );
     db.stop_epoch_advancer();
 }
 
@@ -726,6 +696,7 @@ fn recovery_without_any_checkpoint_still_replays_the_whole_log() {
     assert_eq!(report.checkpoint_epoch, 0);
     assert_eq!(report.checkpoint_records, 0);
     assert_eq!(report.replayed_txns, 64);
+    assert_eq!(report.log_files, 2, "one first segment per logger");
     assert_eq!(full_scan(&db2, t2), expected);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -770,11 +741,9 @@ fn transient_faults_are_retried_and_commits_stay_durable() {
     logger.shutdown();
 
     // Every committed transaction survives the retried faults.
-    let db2 = Database::open(SiloConfig::for_testing());
-    db2.create_table("t").unwrap();
-    let state = recover_into(&db2, &logger.memory_logs()).unwrap();
-    assert!(state.durable_epoch >= last.epoch());
-    assert_eq!(state.replayed_txns, 200);
+    let (_, report) = recovered("t", &logger.memory_logs());
+    assert!(report.durable_epoch >= last.epoch());
+    assert_eq!(report.replayed_txns, 200);
     db.stop_epoch_advancer();
 }
 
@@ -991,7 +960,11 @@ mod checkpoint_equivalence {
         for (i, stream) in streams.iter().enumerate() {
             let mut bytes = stream.clone();
             encode_epoch_marker(&mut bytes, durable);
-            std::fs::write(dir.join(format!("silo-log-{i}-seg000000.bin")), bytes).unwrap();
+            std::fs::write(
+                dir.join(format!("silo-log-{i}-seg000000.bin")),
+                sealed(&bytes),
+            )
+            .unwrap();
         }
     }
 
@@ -1000,24 +973,31 @@ mod checkpoint_equivalence {
     fn write_checkpoint(dir: &std::path::Path, ce: u64, state: &HashMap<u8, (Tid, Vec<u8>)>) {
         let ckpt = dir.join("checkpoints").join(format!("ckpt-{ce:016x}"));
         std::fs::create_dir_all(&ckpt).unwrap();
-        let mut slice = Vec::new();
+        let mut records = Vec::new();
         let mut keys: Vec<&u8> = state.keys().collect();
         keys.sort();
         for k in &keys {
             let (tid, value) = &state[k];
             let key = key_bytes(**k);
-            slice.extend_from_slice(&0u32.to_le_bytes());
-            slice.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            slice.extend_from_slice(&key);
-            slice.extend_from_slice(&tid.raw().to_le_bytes());
-            slice.extend_from_slice(&(value.len() as u32).to_le_bytes());
-            slice.extend_from_slice(value);
+            records.extend_from_slice(&0u32.to_le_bytes());
+            records.extend_from_slice(&(key.len() as u32).to_le_bytes());
+            records.extend_from_slice(&key);
+            records.extend_from_slice(&tid.raw().to_le_bytes());
+            records.extend_from_slice(&(value.len() as u32).to_le_bytes());
+            records.extend_from_slice(value);
+        }
+        // One CRC frame holds every record (an empty checkpoint has none).
+        let mut slice = b"SILOSLC2".to_vec();
+        if !records.is_empty() {
+            slice.extend_from_slice(&(records.len() as u32).to_le_bytes());
+            slice.extend_from_slice(&record::crc32(&records).to_le_bytes());
+            slice.extend_from_slice(&records);
         }
         std::fs::write(ckpt.join("slice-0.bin"), &slice).unwrap();
         std::fs::write(
             ckpt.join("MANIFEST"),
             format!(
-                "silo-checkpoint v1\nepoch {ce}\nslices 1\nslice 0 {} {}\nend\n",
+                "silo-checkpoint v2\nepoch {ce}\nslices 1\nslice 0 {} {}\nend\n",
                 slice.len(),
                 keys.len()
             ),

@@ -1,8 +1,8 @@
 //! Deterministic wire-level fault injection.
 //!
-//! The network twin of `silo_log::fault`: a [`NetFaultPlan`] is a seeded
-//! failpoint registry scheduling faults (by kind) at specific operation
-//! counts of the two I/O sites ([`NetFaultSite::Read`] and
+//! The network twin of `silo_log::fault`, built on the same seeded
+//! [`Schedule`] core: a [`NetFaultPlan`] schedules faults (by kind) at
+//! specific operation counts of the two I/O sites ([`NetFaultSite::Read`] and
 //! [`NetFaultSite::Write`]), and a [`FaultStream`] wraps one half of a
 //! connection, injecting the scheduled faults into the byte stream.
 //!
@@ -40,11 +40,11 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use silo_log::fault::{profile_state, xorshift, Schedule};
 
 /// Which half of a connection a fault fires on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,18 +53,6 @@ pub enum NetFaultSite {
     Read,
     /// A `write` call on the connection.
     Write,
-}
-
-/// Number of distinct [`NetFaultSite`]s (sizing the per-site counters).
-const N_SITES: usize = 2;
-
-impl NetFaultSite {
-    fn index(self) -> usize {
-        match self {
-            NetFaultSite::Read => 0,
-            NetFaultSite::Write => 1,
-        }
-    }
 }
 
 /// What kind of wire failure to inject.
@@ -95,72 +83,52 @@ pub enum NetFaultKind {
     },
 }
 
-#[derive(Debug)]
-struct Scheduled {
-    site: NetFaultSite,
-    /// Fire on the `at`-th operation at `site` (1-based).
-    at: u64,
-    kind: NetFaultKind,
-}
-
 /// A deterministic schedule of wire faults, shared by every [`FaultStream`]
 /// of one endpoint (all its connections count into the same per-site
 /// counters, exactly like `FaultPlan` is shared by every sink of one logging
-/// subsystem).
-#[derive(Debug, Default)]
-pub struct NetFaultPlan {
-    seed: u64,
-    scheduled: Mutex<Vec<Scheduled>>,
-    ops: [AtomicU64; N_SITES],
-    injected: AtomicU64,
+/// subsystem). Dereferences to its [`Schedule`] for
+/// [`Schedule::next_fault`], [`Schedule::injected`], [`Schedule::exhausted`]
+/// and [`Schedule::seed`].
+#[derive(Debug)]
+pub struct NetFaultPlan(Schedule<NetFaultSite, NetFaultKind>);
+
+impl std::ops::Deref for NetFaultPlan {
+    type Target = Schedule<NetFaultSite, NetFaultKind>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
 }
 
-/// xorshift64* — deterministic, dependency-free PRNG for seeded schedules.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+impl Default for NetFaultPlan {
+    fn default() -> Self {
+        NetFaultPlan::new()
+    }
 }
 
 impl NetFaultPlan {
     /// An empty plan (schedule faults with [`NetFaultPlan::fail_at`]).
     pub fn new() -> NetFaultPlan {
-        NetFaultPlan::default()
+        NetFaultPlan(Schedule::new(0))
     }
 
     /// Schedules `kind` to fire on the `nth` operation (1-based) at `site`.
     pub fn fail_at(self, site: NetFaultSite, nth: u64, kind: NetFaultKind) -> NetFaultPlan {
-        self.scheduled.lock().push(Scheduled {
-            site,
-            at: nth.max(1),
-            kind,
-        });
-        self
+        NetFaultPlan(self.0.fail_at(site, nth, kind))
     }
 
     /// A random mixed schedule derived from `seed`: a handful of faults of
     /// random kinds at random early operation counts.
     pub fn from_seed(seed: u64) -> NetFaultPlan {
-        let mut state = seed | 1;
-        let mut plan = NetFaultPlan {
-            seed,
-            ..NetFaultPlan::default()
-        };
-        let faults = 1 + (xorshift(&mut state) % 4);
-        for _ in 0..faults {
-            let site = if xorshift(&mut state) % 2 == 0 {
+        NetFaultPlan(Schedule::from_seed(seed, |state| {
+            let site = if xorshift(state) % 2 == 0 {
                 NetFaultSite::Read
             } else {
                 NetFaultSite::Write
             };
-            let at = 1 + (xorshift(&mut state) % 48);
-            let kind = Self::random_kind(&mut state);
-            plan = plan.fail_at(site, at, kind);
-        }
-        plan
+            let at = 1 + (xorshift(state) % 48);
+            (site, at, Self::random_kind(state))
+        }))
     }
 
     /// A schedule of one fault *family* with seed-determined positions:
@@ -173,11 +141,8 @@ impl NetFaultPlan {
     /// | `loris` | a run of one-byte dribbles on the write site |
     /// | `corrupt` | one detectable frame-header corruption |
     pub fn profile(profile: &str, seed: u64) -> NetFaultPlan {
-        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15 | 1;
-        let mut plan = NetFaultPlan {
-            seed,
-            ..NetFaultPlan::default()
-        };
+        let mut state = profile_state(seed);
+        let mut plan = NetFaultPlan(Schedule::new(seed));
         let mut pick = |range: u64| 1 + (xorshift(&mut state) % range);
         let site = if pick(2) == 1 {
             NetFaultSite::Read
@@ -228,35 +193,6 @@ impl NetFaultPlan {
                 bit: xorshift(state),
             },
         }
-    }
-
-    /// The seed the plan was derived from (0 for explicitly built plans).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Counts one operation at `site` and returns the fault scheduled for
-    /// it, if any. Each scheduled fault fires at most once.
-    pub fn next_fault(&self, site: NetFaultSite) -> Option<NetFaultKind> {
-        let count = self.ops[site.index()].fetch_add(1, Ordering::Relaxed) + 1;
-        let mut scheduled = self.scheduled.lock();
-        let hit = scheduled
-            .iter()
-            .position(|s| s.site == site && s.at == count)?;
-        let fault = scheduled.swap_remove(hit);
-        self.injected.fetch_add(1, Ordering::Relaxed);
-        Some(fault.kind)
-    }
-
-    /// Total faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-
-    /// Whether every scheduled fault has fired (chaos harnesses drive load
-    /// until the schedule is exhausted so no fault goes untested).
-    pub fn exhausted(&self) -> bool {
-        self.scheduled.lock().is_empty()
     }
 }
 
@@ -463,21 +399,17 @@ mod tests {
         for seed in [1u64, 7, 0xDEAD_BEEF] {
             let a = NetFaultPlan::from_seed(seed);
             let b = NetFaultPlan::from_seed(seed);
-            let fmt = |p: &NetFaultPlan| format!("{:?}", p.scheduled.lock());
-            assert_eq!(fmt(&a), fmt(&b), "seed {seed} must reproduce its schedule");
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "seed {seed} must reproduce its schedule");
         }
         for profile in ["reset", "torn", "stall", "loris", "corrupt"] {
             let a = NetFaultPlan::profile(profile, 42);
             let b = NetFaultPlan::profile(profile, 42);
             assert_eq!(
-                format!("{:?}", a.scheduled.lock()),
-                format!("{:?}", b.scheduled.lock()),
+                format!("{a:?}"),
+                format!("{b:?}"),
                 "profile {profile} must be deterministic"
             );
-            assert!(
-                !a.scheduled.lock().is_empty(),
-                "profile {profile} schedules something"
-            );
+            assert!(!a.exhausted(), "profile {profile} schedules something");
         }
     }
 

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //!  acceptor ──► per-connection reader ──► worker inbox (pinned by conn id)
-//!                                              │  drain ≤ batch_max per
+//!                                              │  drain ≤ BATCH_MAX per
 //!                                              │  iteration, execute as
 //!                                              ▼  transactions
 //!                                         per-connection outbox
@@ -35,10 +35,10 @@
 //!
 //! # Load shedding
 //!
-//! * **Backlog** — when a worker's inbox is over
-//!   [`ServerConfig::with_inbox_limit`], incoming *writes* are answered with
-//!   [`ErrorCode::ServerBusy`] without being executed (the rejection rides
-//!   the normal inbox path so response order is preserved).
+//! * **Backlog** — while a worker's inbox holds `INBOX_LIMIT` (4096) jobs,
+//!   incoming *writes* are answered with [`ErrorCode::ServerBusy`] without
+//!   being executed (the rejection rides the normal inbox path so response
+//!   order is preserved).
 //! * **Durability degradation** — each batch checks
 //!   [`Database::durability_health`] once; while `Degraded`/`Failed`, writes
 //!   are answered with [`ErrorCode::DurabilityDegraded`] instead of being
@@ -60,6 +60,19 @@ use crate::protocol::{
     PROTOCOL_VERSION, SUPPORTED_FEATURES,
 };
 
+/// Maximum requests a worker drains and executes per iteration.
+const BATCH_MAX: usize = 64;
+/// Soft inbox backlog bound per worker; writes arriving beyond it are shed
+/// with `ServerBusy`.
+const INBOX_LIMIT: usize = 4096;
+/// Socket write timeout for response frames, bounding the shutdown drain even
+/// against a half-open peer that never reads.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+/// How many tokenized write outcomes the server remembers per connection
+/// lineage for exactly-once replay (see
+/// [`crate::protocol::FEATURE_REQUEST_TOKENS`]).
+const TOKEN_WINDOW: usize = 128;
+
 /// Configuration for [`Server::start`].
 ///
 /// Non-exhaustive with builder-style `with_*` methods, so new server knobs
@@ -70,7 +83,7 @@ use crate::protocol::{
 ///
 /// let config = ServerConfig::default()
 ///     .with_workers(4)
-///     .with_batch_max(128);
+///     .with_max_connections(256);
 /// assert_eq!(config.workers, 4);
 /// ```
 #[derive(Debug, Clone)]
@@ -88,14 +101,6 @@ pub struct ServerConfig {
     /// answered with a `BadRequest` error and the connection is closed
     /// (the stream can no longer be trusted to be frame-aligned).
     pub max_frame_bytes: usize,
-    /// Maximum requests a worker drains and executes per iteration.
-    pub batch_max: usize,
-    /// Soft inbox backlog bound per worker; writes arriving beyond it are
-    /// shed with `ServerBusy`.
-    pub inbox_limit: usize,
-    /// Whether to shed writes with `DurabilityDegraded` while
-    /// [`Database::durability_health`] is not `Healthy`.
-    pub shed_on_degraded: bool,
     /// Per-frame read deadline: once a frame's first byte arrives, the rest
     /// must follow within this budget or the connection is dropped
     /// (slow-loris defense). `Duration::ZERO` disables it.
@@ -103,14 +108,6 @@ pub struct ServerConfig {
     /// Idle timeout: a connection with no frame activity for this long is
     /// closed. `Duration::ZERO` disables it.
     pub idle_timeout: Duration,
-    /// Socket write timeout for response frames, bounding the shutdown
-    /// drain even against a half-open peer that never reads.
-    /// `Duration::ZERO` disables it.
-    pub write_timeout: Duration,
-    /// How many tokenized write outcomes the server remembers per
-    /// connection lineage for exactly-once replay (see
-    /// [`crate::protocol::FEATURE_REQUEST_TOKENS`]).
-    pub token_window: usize,
     /// Wire fault-injection plan installed on every accepted connection
     /// (`None` in production: the I/O path then costs one branch per call).
     pub fault: Option<Arc<NetFaultPlan>>,
@@ -123,13 +120,8 @@ impl Default for ServerConfig {
             workers: 2,
             max_connections: 1024,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            batch_max: 64,
-            inbox_limit: 4096,
-            shed_on_degraded: true,
             read_timeout: Duration::from_secs(30),
             idle_timeout: Duration::from_secs(300),
-            write_timeout: Duration::from_secs(30),
-            token_window: 128,
             fault: None,
         }
     }
@@ -160,24 +152,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the per-iteration batch bound.
-    pub fn with_batch_max(mut self, batch_max: usize) -> Self {
-        self.batch_max = batch_max.max(1);
-        self
-    }
-
-    /// Sets the per-worker inbox backlog bound for `ServerBusy` shedding.
-    pub fn with_inbox_limit(mut self, limit: usize) -> Self {
-        self.inbox_limit = limit.max(1);
-        self
-    }
-
-    /// Enables or disables `DurabilityDegraded` write shedding.
-    pub fn with_shed_on_degraded(mut self, shed: bool) -> Self {
-        self.shed_on_degraded = shed;
-        self
-    }
-
     /// Sets the per-frame read deadline (`Duration::ZERO` disables).
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = timeout;
@@ -187,18 +161,6 @@ impl ServerConfig {
     /// Sets the idle-connection timeout (`Duration::ZERO` disables).
     pub fn with_idle_timeout(mut self, timeout: Duration) -> Self {
         self.idle_timeout = timeout;
-        self
-    }
-
-    /// Sets the socket write timeout (`Duration::ZERO` disables).
-    pub fn with_write_timeout(mut self, timeout: Duration) -> Self {
-        self.write_timeout = timeout;
-        self
-    }
-
-    /// Sets the per-lineage token-replay window size.
-    pub fn with_token_window(mut self, window: usize) -> Self {
-        self.token_window = window.max(1);
         self
     }
 
@@ -339,17 +301,13 @@ struct StoredAck {
 /// A bounded FIFO of tokenized-write outcomes for one connection lineage.
 /// Replaying a remembered token returns the stored outcome instead of
 /// re-applying the write — the exactly-once half of reconnect safety.
+#[derive(Default)]
 struct TokenWindow {
-    cap: usize,
     order: VecDeque<u64>,
     acks: HashMap<u64, StoredAck>,
 }
 
 impl TokenWindow {
-    fn new(cap: usize) -> TokenWindow {
-        TokenWindow { cap, order: VecDeque::new(), acks: HashMap::new() }
-    }
-
     fn lookup(&self, token: u64) -> Option<Outgoing> {
         self.acks.get(&token).map(|a| Outgoing {
             durable_epoch: a.durable_epoch,
@@ -361,7 +319,7 @@ impl TokenWindow {
         if self.acks.contains_key(&token) {
             return;
         }
-        if self.order.len() >= self.cap {
+        if self.order.len() >= TOKEN_WINDOW {
             if let Some(evicted) = self.order.pop_front() {
                 self.acks.remove(&evicted);
             }
@@ -383,7 +341,7 @@ struct LineageTable {
 }
 
 impl LineageTable {
-    fn acquire(&mut self, lineage: u64, cap: usize) -> Arc<Mutex<TokenWindow>> {
+    fn acquire(&mut self, lineage: u64) -> Arc<Mutex<TokenWindow>> {
         if let Some(w) = self.map.get(&lineage) {
             return Arc::clone(w);
         }
@@ -392,7 +350,7 @@ impl LineageTable {
                 self.map.remove(&evicted);
             }
         }
-        let w = Arc::new(Mutex::new(TokenWindow::new(cap)));
+        let w = Arc::new(Mutex::new(TokenWindow::default()));
         self.map.insert(lineage, Arc::clone(&w));
         self.order.push_back(lineage);
         w
@@ -630,9 +588,7 @@ fn spawn_connection(shared: &Arc<Shared>, stream: TcpStream, id: u64) -> std::io
     stream.set_nonblocking(false)?;
     let read_half = stream.try_clone()?;
     let write_half = stream.try_clone()?;
-    if !shared.config.write_timeout.is_zero() {
-        write_half.set_write_timeout(Some(shared.config.write_timeout)).ok();
-    }
+    write_half.set_write_timeout(Some(WRITE_TIMEOUT)).ok();
     let conn = Arc::new(Conn {
         id,
         stream,
@@ -755,7 +711,7 @@ fn reader_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, stream: TcpStream) {
                 // worker's inbox is over the watermark. The rejection rides
                 // the inbox so the response order still matches the request
                 // order.
-                if req.is_write() && inbox.len() >= shared.config.inbox_limit {
+                if req.is_write() && inbox.len() >= INBOX_LIMIT {
                     shared.stats.writes_shed_busy.fetch_add(1, Ordering::Relaxed);
                     inbox.push(Job::Reject(
                         Arc::clone(conn),
@@ -855,7 +811,7 @@ fn writer_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, stream: TcpStream) {
 fn worker_loop(shared: &Arc<Shared>, index: usize) {
     let mut worker = shared.db.register_worker();
     let inbox = &shared.inboxes[index];
-    let mut batch = Vec::with_capacity(shared.config.batch_max);
+    let mut batch = Vec::with_capacity(BATCH_MAX);
     loop {
         {
             let mut q = inbox.q.lock().unwrap_or_else(|e| e.into_inner());
@@ -877,16 +833,14 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
             if q.is_empty() {
                 return; // stop requested and fully drained
             }
-            let take = q.len().min(shared.config.batch_max);
+            let take = q.len().min(BATCH_MAX);
             batch.extend(q.drain(..take));
         }
         // One health probe per batch — the whole point of batching the
         // check: thousands of pipelined requests cost one atomic load each
         // iteration, not one per request.
         let health = shared.db.durability_health();
-        let degraded = shared.config.shed_on_degraded
-            && !matches!(health, DurabilityHealth::Healthy)
-            && shared.logger.is_some();
+        let degraded = !matches!(health, DurabilityHealth::Healthy) && shared.logger.is_some();
         for job in batch.drain(..) {
             match job {
                 Job::Hangup(conn) => conn.close(),
@@ -935,7 +889,7 @@ fn handle_request(
                     .lineages
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
-                    .acquire(lineage, shared.config.token_window);
+                    .acquire(lineage);
             }
             Outgoing {
                 durable_epoch: 0,

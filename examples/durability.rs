@@ -65,10 +65,16 @@ fn main() {
         orders2, orders,
         "schema must be recreated in the same order"
     );
-    let state = recover_into(&db2, &logs).expect("recovery");
+    let report = recover_into(&db2, &logs).expect("recovery");
     println!(
-        "recovered to durable epoch {}: {} transactions replayed, {} beyond the horizon skipped",
-        state.durable_epoch, state.replayed_txns, state.skipped_txns
+        "recovered to durable epoch {}: {} transactions ({} writes) replayed in {} µs, \
+         {} beyond the horizon skipped, {} delete tombstones swept",
+        report.durable_epoch,
+        report.replayed_txns,
+        report.replayed_writes,
+        report.replay_micros,
+        report.skipped_txns,
+        report.tombstones_reclaimed
     );
 
     let mut worker = db2.register_worker();

@@ -62,15 +62,17 @@ fn concurrent_commits_survive_crash_and_recovery() {
     let db2 = Database::open(config);
     let t2 = db2.create_table("ledger").unwrap();
     assert_eq!(t2, t);
-    let state = recover_into(&db2, &logs).unwrap();
-    assert!(state.durable_epoch >= durable_horizon.min(max_epoch));
+    let report = recover_into(&db2, &logs).unwrap();
+    assert!(report.durable_epoch >= durable_horizon.min(max_epoch));
+    assert_eq!(report.replayed_txns, 600);
+    assert_eq!(report.corrupt_log_tails, 0);
 
     let mut w = db2.register_worker();
     let mut txn = w.begin();
     // Every transaction whose epoch is within the recovered horizon must be
     // present; the durable-epoch wait above makes that all of them.
     for (key, tid) in &committed {
-        if tid.epoch() <= state.durable_epoch {
+        if tid.epoch() <= report.durable_epoch {
             assert!(
                 txn.read(t2, key.as_bytes()).unwrap().is_some(),
                 "durable commit {key} (epoch {}) missing after recovery",
