@@ -1,18 +1,9 @@
-//! Shared harness utilities for the figure/table reproduction binaries.
+//! Shared harness utilities for the paper-reproduction binaries: the `fig`
+//! runner (every figure and table of §5), `fig_recovery` and `history_fuzz`.
 //!
-//! Every binary reads its scale from environment variables so the same code
-//! can run a quick smoke pass on a laptop or a long paper-scale run:
-//!
-//! | Variable | Meaning | Default |
-//! |---|---|---|
-//! | `SILO_BENCH_SECONDS` | measured seconds per data point | 2 |
-//! | `SILO_BENCH_THREADS` | comma-separated worker counts to sweep | `1,2,4` |
-//! | `SILO_BENCH_SCALE` | TPC-C scale factor vs. the spec sizes | 0.05 |
-//! | `SILO_BENCH_YCSB_KEYS` | keys pre-loaded for YCSB experiments | 200000 |
-//!
-//! The paper's own parameters (60-second runs, 32 threads, 160 M keys,
-//! warehouses = workers at full spec scale) are reproduced by setting these
-//! variables accordingly on suitable hardware.
+//! The `SILO_BENCH_*` environment variables are documented once, in the
+//! `fig` runner's module doc (`src/bin/fig.rs`). Absolute performance is
+//! gated by `benchmark/` + `BENCHMARK.json`, not here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,7 +12,6 @@ use std::time::Duration;
 
 use silo_core::{Database, SiloConfig};
 use silo_wl::driver::{RunOptions, RunResult};
-use silo_wl::partitioned::{PartitionedStats, PartitionedStore};
 
 /// A global allocator wrapper that tracks live and peak allocated bytes
 /// (used by the §5.6 space-overhead experiment) plus a per-thread allocation
@@ -102,24 +92,33 @@ pub fn bench_seconds() -> Duration {
     Duration::from_secs(env_u64("SILO_BENCH_SECONDS", 2))
 }
 
-/// The thread counts to sweep.
-pub fn bench_threads() -> Vec<usize> {
-    std::env::var("SILO_BENCH_THREADS")
-        .unwrap_or_else(|_| "1,2,4".to_string())
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
+/// Parses a comma-separated list of worker counts (`"1,2,4"`). An empty
+/// list, a zero, or an entry that is not a number is an error: a typo must
+/// not silently shrink a sweep.
+pub fn parse_threads(spec: &str) -> Result<Vec<usize>, String> {
+    spec.split(',')
+        .map(|part| match part.trim().parse() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!(
+                "SILO_BENCH_THREADS: {part:?} is not a positive worker count"
+            )),
+        })
         .collect()
+}
+
+/// The thread counts to sweep (`SILO_BENCH_THREADS`, default `1,2,4`); an
+/// invalid list is a usage error (exit status 2).
+pub fn bench_threads() -> Vec<usize> {
+    let spec = std::env::var("SILO_BENCH_THREADS").unwrap_or_else(|_| "1,2,4".to_string());
+    parse_threads(&spec).unwrap_or_else(|e| {
+        eprintln!("usage error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// The TPC-C scale factor relative to the spec sizes.
 pub fn bench_scale() -> f64 {
     env_f64("SILO_BENCH_SCALE", 0.05)
-}
-
-/// Number of keys for YCSB-style experiments.
-pub fn ycsb_keys() -> u64 {
-    env_u64("SILO_BENCH_YCSB_KEYS", 200_000)
 }
 
 /// A MemSilo database configuration (logging disabled, paper defaults
@@ -159,27 +158,6 @@ pub fn print_logger_stats(result: &RunResult) {
     }
 }
 
-/// Prints the index-structure statistics for a run, indented under its
-/// result row.
-pub fn print_index_stats(result: &RunResult) {
-    if let Some(idx) = &result.index_stats {
-        println!(
-            "  └─ index: {} entries in {} leaves / {} inners over {} layers (per level {:?}, trie depth {}, {} suffix / {} layer entries); {} splits, {} layers created, {} reader retries",
-            idx.entries,
-            idx.leaves,
-            idx.inners,
-            idx.layers,
-            idx.nodes_per_level,
-            idx.max_trie_depth,
-            idx.suffix_entries,
-            idx.layer_entries,
-            idx.splits,
-            idx.layer_creations,
-            idx.reader_retries,
-        );
-    }
-}
-
 /// Prints the checkpointer counters for a run that had one, indented under
 /// its result row.
 pub fn print_checkpoint_stats(result: &RunResult) {
@@ -199,19 +177,19 @@ pub fn print_checkpoint_stats(result: &RunResult) {
     }
 }
 
-/// Rows accumulated by [`emit_bench_json`] for the current process, flushed
-/// to a file by [`write_bench_json`].
+/// Rows accumulated by [`emit_bench_json`] since the last
+/// [`write_bench_json`].
 static BENCH_JSON_ROWS: std::sync::Mutex<Vec<String>> = std::sync::Mutex::new(Vec::new());
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Emits one machine-readable benchmark row: printed to stdout as a
-/// `BENCH_JSON {...}` line (grep-able from CI logs) and retained for
-/// [`write_bench_json`]. Fields cover throughput, aborts, allocator
-/// discipline, durable-latency percentiles, and the logger counters, so the
-/// perf trajectory of every figure can be tracked across PRs.
+/// Emits one machine-readable result row: printed to stdout as a
+/// `BENCH_JSON {...}` line and retained for [`write_bench_json`]. A row
+/// carries what a reader of the uploaded artifact compares across runs:
+/// throughput, aborts, allocator discipline and, for a persistent run, the
+/// durable-latency summary.
 pub fn emit_bench_json(bench: &str, series: &str, threads: usize, result: &RunResult) {
     let mut row = format!(
         "{{\"bench\":\"{}\",\"series\":\"{}\",\"threads\":{},\"seconds\":{:.3},\"committed\":{},\"aborted\":{},\"throughput_txns_per_s\":{:.1},\"allocs_per_txn\":{:.4},\"aborts_per_txn\":{:.5}",
@@ -227,127 +205,39 @@ pub fn emit_bench_json(bench: &str, series: &str, threads: usize, result: &RunRe
     );
     if result.latency.samples > 0 {
         row.push_str(&format!(
-            ",\"latency_samples\":{},\"latency_mean_us\":{:.1},\"latency_p50_us\":{},\"latency_p99_us\":{},\"latency_max_us\":{}",
+            ",\"latency_samples\":{},\"latency_mean_us\":{:.1},\"latency_p50_us\":{},\"latency_p99_us\":{}",
             result.latency.samples,
             result.latency.mean_us,
             result.latency.p50_us,
             result.latency.p99_us,
-            result.latency.max_us,
-        ));
-    }
-    if let Some(log) = &result.logger_stats {
-        row.push_str(&format!(
-            ",\"log_buffers_published\":{},\"log_steal_publishes\":{},\"log_pool_hits\":{},\"log_pool_misses\":{},\"log_sync_calls\":{},\"log_bytes_published\":{},\"log_bytes_written\":{},\"log_segments_rotated\":{},\"log_segments_deleted\":{},\"log_bytes_truncated\":{},\"log_retries\":{},\"log_backoff_micros\":{},\"log_failures\":{},\"log_checksum_blocks\":{},\"log_faults_injected\":{}",
-            log.buffers_published,
-            log.steal_publishes,
-            log.pool_hits,
-            log.pool_misses,
-            log.sync_calls,
-            log.bytes_published,
-            log.bytes_written,
-            log.segments_rotated,
-            log.segments_deleted,
-            log.bytes_truncated,
-            log.retries,
-            log.backoff_micros,
-            log.logger_failures,
-            log.checksum_blocks,
-            log.faults_injected,
-        ));
-    }
-    if let Some(idx) = &result.index_stats {
-        row.push_str(&format!(
-            ",\"idx_entries\":{},\"idx_leaves\":{},\"idx_inners\":{},\"idx_layers\":{},\"idx_suffix_entries\":{},\"idx_layer_entries\":{},\"idx_max_btree_depth\":{},\"idx_max_trie_depth\":{},\"idx_splits\":{},\"idx_layer_creations\":{},\"idx_reader_retries\":{}",
-            idx.entries,
-            idx.leaves,
-            idx.inners,
-            idx.layers,
-            idx.suffix_entries,
-            idx.layer_entries,
-            idx.max_btree_depth,
-            idx.max_trie_depth,
-            idx.splits,
-            idx.layer_creations,
-            idx.reader_retries,
-        ));
-    }
-    if let Some(ckpt) = &result.checkpoint_stats {
-        row.push_str(&format!(
-            ",\"ckpt_completed\":{},\"ckpt_last_epoch\":{},\"ckpt_last_records\":{},\"ckpt_last_bytes\":{},\"ckpt_write_rate_bytes_per_s\":{:.0},\"ckpt_total_bytes\":{}",
-            ckpt.completed,
-            ckpt.last_epoch,
-            ckpt.last_records,
-            ckpt.last_bytes,
-            ckpt.last_write_rate(),
-            ckpt.total_bytes,
         ));
     }
     row.push('}');
     println!("BENCH_JSON {row}");
-    BENCH_JSON_ROWS.lock().unwrap().push(row);
+    BENCH_JSON_ROWS
+        .lock()
+        .expect("no panic while holding the row list")
+        .push(row);
 }
 
-/// Emits one pre-formatted `BENCH_JSON` row (a complete JSON object string)
-/// for benchmarks whose metrics don't come from a driver [`RunResult`] —
-/// e.g. `fig_net`, whose load generator measures wire latency client-side.
-/// The row should carry at least `bench`, `series`, `threads`, and
-/// `throughput_txns_per_s` so the regression gate can key and compare it.
-pub fn emit_bench_json_raw(row: String) {
-    println!("BENCH_JSON {row}");
-    BENCH_JSON_ROWS.lock().unwrap().push(row);
-}
-
-/// Writes every row emitted so far to `BENCH_<bench>.json` (a JSON array)
-/// under `SILO_BENCH_JSON_DIR`. Does nothing when the variable is unset, so
-/// ad-hoc runs don't litter the working directory.
+/// Writes the rows emitted since the previous call to `BENCH_<bench>.json`
+/// (a JSON array) under `SILO_BENCH_JSON_DIR`, and forgets them. Does not
+/// write when the variable is unset, so ad-hoc runs don't litter the
+/// working directory.
 pub fn write_bench_json(bench: &str) {
+    let rows = std::mem::take(
+        &mut *BENCH_JSON_ROWS
+            .lock()
+            .expect("no panic while holding the row list"),
+    );
     let Ok(dir) = std::env::var("SILO_BENCH_JSON_DIR") else {
         return;
     };
-    let rows = BENCH_JSON_ROWS.lock().unwrap();
     let body = format!("[\n  {}\n]\n", rows.join(",\n  "));
     let path = std::path::Path::new(&dir).join(format!("BENCH_{bench}.json"));
     if let Err(e) = std::fs::create_dir_all(&dir).and_then(|_| std::fs::write(&path, body)) {
         eprintln!("warning: failed to write {}: {e}", path.display());
     }
-}
-
-/// Runs the partitioned-store new-order loop on `threads` threads for
-/// `duration` and returns `(committed, cross_partition, elapsed)`.
-pub fn run_partitioned(
-    store: &Arc<PartitionedStore>,
-    threads: usize,
-    duration: Duration,
-) -> (u64, u64, Duration) {
-    use rand::SeedableRng;
-    use std::sync::atomic::AtomicBool;
-    let stop = Arc::new(AtomicBool::new(false));
-    let warehouses = store.config().warehouses;
-    let start = std::time::Instant::now();
-    let mut handles = Vec::new();
-    for t in 0..threads {
-        let store = Arc::clone(store);
-        let stop = Arc::clone(&stop);
-        handles.push(std::thread::spawn(move || {
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(1000 + t as u64);
-            let mut stats = PartitionedStats::default();
-            let home = (t as u32 % warehouses) + 1;
-            while !stop.load(Ordering::Relaxed) {
-                store.new_order(&mut rng, home, &mut stats);
-            }
-            stats
-        }));
-    }
-    std::thread::sleep(duration);
-    stop.store(true, Ordering::Relaxed);
-    let mut committed = 0;
-    let mut cross = 0;
-    for h in handles {
-        let s = h.join().expect("partitioned worker");
-        committed += s.committed;
-        cross += s.cross_partition;
-    }
-    (committed, cross, start.elapsed())
 }
 
 /// Builds run options with the harness defaults.
@@ -365,7 +255,14 @@ mod tests {
     fn env_parsing_defaults() {
         assert_eq!(env_u64("SILO_BENCH_DOES_NOT_EXIST", 7), 7);
         assert_eq!(env_f64("SILO_BENCH_DOES_NOT_EXIST", 0.5), 0.5);
-        assert!(!bench_threads().is_empty());
+    }
+
+    #[test]
+    fn thread_lists_are_parsed_strictly() {
+        assert_eq!(parse_threads("1, 2,4"), Ok(vec![1, 2, 4]));
+        for bad in ["", "1,,2", "1,x", "0", "2;4"] {
+            assert!(parse_threads(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]

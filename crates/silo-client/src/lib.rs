@@ -589,9 +589,8 @@ fn derive_lineage() -> u64 {
 /// lifecycle: timeouts, typed-error retries, reconnection, and exactly-once
 /// write replay via request tokens (see the crate docs).
 ///
-/// For throughput, use [`Session::connection`]-level pipelining (or the
-/// `fig_net` load generator's pattern): issue a burst of `send`s, then drain
-/// with `recv`.
+/// For throughput, use [`Session::connection`]-level pipelining: issue a
+/// burst of `send`s, then drain with `recv`.
 pub struct Session {
     conn: Option<Connection>,
     addrs: Vec<SocketAddr>,

@@ -399,10 +399,13 @@ struct Shared {
     stats: StatsInner,
     stop: AtomicBool,
     inboxes: Vec<Inbox>,
+    /// Live connections: pushed by the acceptor, removed by the worker that
+    /// drains the connection's `Hangup`.
     conns: Mutex<Vec<Arc<Conn>>>,
     lineages: Mutex<LineageTable>,
     active_conns: AtomicUsize,
-    /// Reader/writer thread handles, appended by the acceptor.
+    /// Reader/writer thread handles, appended by the acceptor, which also
+    /// joins the finished ones each time it accepts.
     io_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -542,20 +545,33 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
                     reject_connection(stream);
                     continue;
                 }
+                reap_finished_io_threads(shared);
                 let id = next_conn_id;
                 next_conn_id += 1;
-                if let Err(e) = spawn_connection(shared, stream, id) {
+                if spawn_connection(shared, stream, id).is_err() {
                     // Accepted but could not serve (fd clone failure):
                     // nothing to do but drop it.
-                    let _ = e;
                     shared.stats.connections_rejected.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // Nothing pending (`WouldBlock`) or a transient accept failure.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
+    }
+}
+
+/// Joins the reader/writer threads of connections that have ended, so a
+/// long-lived server under connection churn holds handles (and their
+/// stacks) only for live connections plus those closed since the last
+/// accept. `shutdown()` joins whatever is left.
+fn reap_finished_io_threads(shared: &Shared) {
+    let mut io_threads = shared.io_threads.lock().unwrap_or_else(|e| e.into_inner());
+    let (finished, live): (Vec<_>, Vec<_>) =
+        std::mem::take(&mut *io_threads).into_iter().partition(|t| t.is_finished());
+    *io_threads = live;
+    drop(io_threads);
+    for t in finished {
+        let _ = t.join();
     }
 }
 
@@ -843,7 +859,14 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
         let degraded = !matches!(health, DurabilityHealth::Healthy) && shared.logger.is_some();
         for job in batch.drain(..) {
             match job {
-                Job::Hangup(conn) => conn.close(),
+                Job::Hangup(conn) => {
+                    conn.close();
+                    // Nothing can reach the connection any more: forget it,
+                    // so its socket closes when the writer exits instead of
+                    // staying open until `shutdown()`.
+                    let mut conns = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
+                    conns.retain(|c| !Arc::ptr_eq(c, &conn));
+                }
                 Job::Reject(conn, code, detail) => {
                     shared.stats.requests.fetch_add(1, Ordering::Relaxed);
                     conn.push(Outgoing {

@@ -4,7 +4,7 @@
 
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use silo_core::{Database, SiloConfig};
 use silo_net::protocol::{
@@ -286,4 +286,55 @@ fn shutdown_is_clean_and_idempotent() {
     server.shutdown();
     server.shutdown(); // idempotent
     assert_eq!(server.stats().connections_accepted, 1);
+}
+
+/// Open descriptors of this process; `None` where there is no `/proc`.
+fn open_fds() -> Option<usize> {
+    std::fs::read_dir("/proc/self/fd").ok().map(|dir| dir.count())
+}
+
+#[test]
+fn closed_connections_release_their_socket() {
+    const CHURN: u64 = 300;
+    // Other tests of this binary open a handful of sockets concurrently.
+    const SLACK: usize = 32;
+    let server = start_server();
+    let mut c = TcpStream::connect(server.local_addr()).unwrap();
+    let table = match call(&mut c, &Request::OpenTable { name: "kv".to_string() }) {
+        Response::TableId { id } => id,
+        other => panic!("unexpected {other:?}"),
+    };
+    assert_eq!(
+        call(&mut c, &Request::Put { table, key: b"a".to_vec(), value: b"1".to_vec() }),
+        Response::Ok
+    );
+    drop(c);
+
+    let before = open_fds();
+    for _ in 0..CHURN {
+        let mut c = TcpStream::connect(server.local_addr()).unwrap();
+        assert_eq!(
+            call(&mut c, &Request::Get { table, key: b"a".to_vec() }),
+            Response::Value { value: Some(b"1".to_vec()) }
+        );
+    }
+
+    // A hang-up travels reader → worker → writer before the last handle on
+    // the socket drops, so give it a moment to settle.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = server.stats();
+        let fds = open_fds();
+        let released = fds.zip(before).map_or(true, |(now, before)| now <= before + SLACK);
+        if released && stats.disconnects == CHURN + 1 {
+            assert_eq!(stats.connections_accepted, CHURN + 1);
+            assert_eq!(stats.connections_rejected, 0);
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{CHURN} closed connections later: {fds:?} open fds (was {before:?}), {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
