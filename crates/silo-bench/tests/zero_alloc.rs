@@ -303,3 +303,201 @@ fn warmed_worker_with_logger_commits_without_heap_allocation() {
     drop(worker);
     logger.shutdown();
 }
+
+/// Runs `f`, adding the allocations it makes on this thread to `allocs`.
+fn counted<R>(allocs: &mut u64, f: impl FnOnce() -> R) -> R {
+    let before = CountingAllocator::thread_allocs();
+    let result = f();
+    *allocs += CountingAllocator::thread_allocs() - before;
+    result
+}
+
+/// The five TPC-C transactions under the same rule. The read-only ones —
+/// order-status, and stock-level on a snapshot and as a regular transaction —
+/// must not allocate at all. New-order, payment and delivery may allocate
+/// only what outlives them: the records they insert or install as new
+/// versions (counted as record-pool misses), the index nodes and key-suffix
+/// buffers their inserts create, and the owned key each delete — or each
+/// insert placeholder of a rolled-back new-order — hands to the garbage
+/// collector for the later unhook. Keys, row copies, scan results and the
+/// index's insert and scan bookkeeping all live on the stack or in the
+/// worker's reusable scratch.
+#[test]
+fn warmed_worker_runs_tpcc_without_transient_heap_allocation() {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use silo_wl::tpcc::schema::TpccTable;
+    use silo_wl::tpcc::{self, txns, TpccConfig};
+
+    let db = Database::open(
+        SiloConfig::default()
+            .with_epoch(EpochConfig {
+                epoch_interval: Duration::from_millis(1),
+                snapshot_interval_epochs: 5,
+            })
+            // Epochs and GC move only when `maintain` below says so.
+            .with_spawn_epoch_advancer(false)
+            .with_gc_interval_txns(u64::MAX),
+    );
+    // `tiny()` with every last name present in every district (so selection
+    // by name scans real matches) and enough items and orders that no
+    // transaction finds a row missing.
+    let cfg = TpccConfig {
+        customers_per_district: 1000,
+        initial_orders_per_district: 100,
+        items: 200,
+        ..TpccConfig::tiny()
+    };
+    let cfg_no_snapshot = TpccConfig {
+        stock_level_on_snapshot: false,
+        ..cfg.clone()
+    };
+    let tables = tpcc::load(&db, &cfg);
+    let mut worker = db.register_worker();
+    let mut rng = SmallRng::seed_from_u64(7);
+    // Crosses a snapshot boundary and reclaims what that frees: superseded
+    // versions refill the record pool, deleted NEW-ORDER rows are unhooked.
+    let maintain = |worker: &mut silo_core::Worker| {
+        worker.quiesce();
+        db.epochs().advance_n(6);
+        worker.collect_garbage();
+    };
+
+    // ---- Warm-up ----------------------------------------------------
+    // Mixed transactions of every kind size the context's sets, the arena,
+    // the scan scratch and the garbage lists beyond what any measured window
+    // below needs.
+    for _ in 0..4 {
+        for i in 0..1000u32 {
+            let w_id = i % cfg.warehouses + 1;
+            let _ = match rng.gen_range(0..100u32) {
+                0..=44 => txns::new_order(&mut worker, &tables, &cfg, &mut rng, w_id).map(|_| ()),
+                45..=87 => txns::payment(&mut worker, &tables, &cfg, &mut rng, w_id),
+                88..=91 => txns::order_status(&mut worker, &tables, &cfg, &mut rng, w_id),
+                92..=95 => txns::delivery(&mut worker, &tables, &cfg, &mut rng, w_id),
+                96..=97 => {
+                    txns::stock_level(&mut worker, &tables, &cfg, &mut rng, w_id).map(|_| ())
+                }
+                _ => txns::stock_level(&mut worker, &tables, &cfg_no_snapshot, &mut rng, w_id)
+                    .map(|_| ()),
+            };
+        }
+        maintain(&mut worker);
+    }
+    assert!(
+        CountingAllocator::thread_allocs() > 0,
+        "counting allocator saw no warm-up allocations — not installed?"
+    );
+
+    // ---- Read-only transactions: nothing ------------------------------
+    let (mut allocs, mut low_stock) = (0, 0);
+    for _ in 0..200 {
+        counted(&mut allocs, || {
+            txns::order_status(&mut worker, &tables, &cfg, &mut rng, 1)
+        })
+        .expect("order-status");
+    }
+    assert_eq!(allocs, 0, "order-status allocated");
+    for _ in 0..200 {
+        low_stock += counted(&mut allocs, || {
+            txns::stock_level(&mut worker, &tables, &cfg, &mut rng, 2)
+        })
+        .expect("stock-level");
+    }
+    assert_eq!(allocs, 0, "stock-level on a snapshot allocated");
+    for _ in 0..200 {
+        low_stock += counted(&mut allocs, || {
+            txns::stock_level(&mut worker, &tables, &cfg_no_snapshot, &mut rng, 2)
+        })
+        .expect("stock-level");
+    }
+    assert_eq!(allocs, 0, "stock-level as a regular transaction allocated");
+    assert!(
+        low_stock > 0,
+        "stock-level never found an item below its threshold"
+    );
+
+    // ---- Writers: only what outlives them ------------------------------
+    // What a window may have allocated, from the engine's own accounting:
+    // record-pool misses and arena chunks, index nodes, trie layers and
+    // suffix buffers (a buffer and its box) created, and `unhook_keys`.
+    let long_lived = |worker: &silo_core::Worker| {
+        let index = db.index_stats();
+        worker.stats().pool_misses
+            + worker.stats().arena_chunk_allocs
+            + index.leaves
+            + index.inners
+            + index.layer_creations
+            + 2 * index.suffix_entries
+    };
+    // The tables are shared between warehouses: one scan sees every row.
+    let pending_new_orders = |worker: &mut silo_core::Worker| {
+        let mut txn = worker.begin();
+        let rows = txn
+            .scan(tables.id(TpccTable::NewOrder, 1), b"", None, None)
+            .expect("scan")
+            .len() as u64;
+        txn.commit().expect("read-only commit");
+        rows
+    };
+
+    maintain(&mut worker);
+    let before = long_lived(&worker);
+    // A rolled-back new-order (1 %) leaves its insert placeholders to the
+    // garbage collector; nothing else of an aborted transaction is garbage.
+    let (mut allocs, mut committed, mut unhook_keys) = (0, 0, 0);
+    for _ in 0..300 {
+        let garbage = worker.pending_garbage();
+        match counted(&mut allocs, || {
+            txns::new_order(&mut worker, &tables, &cfg, &mut rng, 1)
+        }) {
+            Ok(_) => committed += 1,
+            Err(_) => unhook_keys += (worker.pending_garbage() - garbage) as u64,
+        }
+    }
+    let allowed = long_lived(&worker) - before + unhook_keys;
+    assert!(committed >= 290, "new-order mostly commits: {committed}");
+    assert!(
+        allocs <= allowed,
+        "300 new-orders allocated {allocs} times but only {allowed} things outlive them"
+    );
+
+    maintain(&mut worker);
+    let before = long_lived(&worker);
+    let mut allocs = 0;
+    for _ in 0..300 {
+        counted(&mut allocs, || {
+            txns::payment(&mut worker, &tables, &cfg, &mut rng, 2)
+        })
+        .expect("payment");
+    }
+    let allowed = long_lived(&worker) - before;
+    assert!(
+        allocs <= allowed,
+        "300 payments allocated {allocs} times but only {allowed} things outlive them"
+    );
+
+    // Delivery deletes one NEW-ORDER row per district it serves; GC between
+    // deliveries unhooks them, so every delivery has work to do.
+    maintain(&mut worker);
+    let before = long_lived(&worker);
+    let pending_before = pending_new_orders(&mut worker);
+    let mut allocs = 0;
+    for _ in 0..20 {
+        maintain(&mut worker);
+        counted(&mut allocs, || {
+            txns::delivery(&mut worker, &tables, &cfg, &mut rng, 1)
+        })
+        .expect("delivery");
+    }
+    let deleted = pending_before - pending_new_orders(&mut worker);
+    let allowed = long_lived(&worker) - before + deleted;
+    assert!(
+        deleted >= 20,
+        "deliveries found orders to deliver: {deleted}"
+    );
+    assert!(
+        allocs <= allowed,
+        "20 deliveries allocated {allocs} times but only {allowed} things outlive them"
+    );
+}

@@ -101,30 +101,37 @@ impl<'w> SnapshotTxn<'w> {
     }
 
     /// Reads `key` as of the snapshot, or `None` if the key did not exist at
-    /// that point in the serial order.
+    /// that point in the serial order. The collecting form of
+    /// [`SnapshotTxn::read_with`].
     pub fn read(&mut self, table_id: TableId, key: &[u8]) -> Option<Vec<u8>> {
+        self.read_with(table_id, key, <[u8]>::to_vec)
+    }
+
+    /// Reads `key` as of the snapshot and, if it existed at that point in
+    /// the serial order, hands its value to `f` as a slice borrowed from the
+    /// worker's scratch buffer; returns what `f` returned. Allocates nothing.
+    pub fn read_with<R>(
+        &mut self,
+        table_id: TableId,
+        key: &[u8],
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Option<R> {
         let table_ptr = self.worker.table_ptr(table_id);
         // SAFETY: the worker's table cache keeps the table alive.
         let table = unsafe { &*table_ptr };
         let value = table.tree().get(key)?;
         self.reads += 1;
-        let record = value as *const Record;
+        let buf = &mut self.worker.ctx.scratch;
         // SAFETY: records reachable from the index are only freed after a
         // grace period; the worker's refreshed `se_w` pins every chain member
         // relevant for this snapshot.
-        let rec = unsafe { &*record };
-        let version = rec.snapshot_version(self.snapshot_epoch)?;
-        let word = version.tid().read_stable();
-        if word.is_absent() {
-            return None;
-        }
-        let mut out = Vec::new();
-        version.read_data_unvalidated(&mut out);
-        Some(out)
+        let present = unsafe { read_snapshot_version(value, self.snapshot_epoch, buf) };
+        present.then(|| f(buf))
     }
 
     /// Scans `[start, end)` as of the snapshot, returning at most `limit`
-    /// records that existed at the snapshot point.
+    /// records that existed at the snapshot point. The collecting form of
+    /// [`SnapshotTxn::scan_with`].
     pub fn scan(
         &mut self,
         table_id: TableId,
@@ -132,32 +139,45 @@ impl<'w> SnapshotTxn<'w> {
         end: Option<&[u8]>,
         limit: Option<usize>,
     ) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut out = Vec::new();
+        self.scan_with(table_id, start, end, limit, |key, value| {
+            out.push((key.to_vec(), value.to_vec()));
+        });
+        out
+    }
+
+    /// Scans `[start, end)` as of the snapshot, calling `visit(key, value)`
+    /// for at most `limit` records that existed at the snapshot point, with
+    /// both slices borrowed for the duration of the call. Allocates nothing
+    /// once the worker's scan scratch has grown to the shape of the range.
+    pub fn scan_with(
+        &mut self,
+        table_id: TableId,
+        start: &[u8],
+        end: Option<&[u8]>,
+        limit: Option<usize>,
+        mut visit: impl FnMut(&[u8], &[u8]),
+    ) {
         let table_ptr = self.worker.table_ptr(table_id);
         // SAFETY: the worker's table cache keeps the table alive.
         let table = unsafe { &*table_ptr };
-        let result = table.tree().scan(start, end, None);
+        let snapshot_epoch = self.snapshot_epoch;
+        let Worker { ctx, scan, .. } = &mut *self.worker;
+        let buf = &mut ctx.scratch;
+        // The limit counts records present at the snapshot, which the index
+        // cannot tell from absent ones: it walks the whole range.
         let limit = limit.unwrap_or(usize::MAX);
-        let mut out = Vec::new();
-        for (key, value) in result.entries {
-            if out.len() >= limit {
-                break;
-            }
-            let record = value as *const Record;
-            // SAFETY: as in `read`.
-            let rec = unsafe { &*record };
-            let Some(version) = rec.snapshot_version(self.snapshot_epoch) else {
-                continue;
-            };
-            let word = version.tid().read_stable();
-            if word.is_absent() {
-                continue;
-            }
-            self.reads += 1;
-            let mut data = Vec::new();
-            version.read_data_unvalidated(&mut data);
-            out.push((key, data));
-        }
-        out
+        let mut visited = 0;
+        table
+            .tree()
+            .scan_with(scan, start, end, None, |key, value| {
+                // SAFETY: as in `read_with`.
+                if visited < limit && unsafe { read_snapshot_version(value, snapshot_epoch, buf) } {
+                    visited += 1;
+                    visit(key, buf);
+                }
+            });
+        self.reads += visited as u64;
     }
 
     /// Streams every record of `table_id` that exists at this snapshot, in
@@ -272,6 +292,26 @@ impl<'w> SnapshotTxn<'w> {
     pub fn finish(self) {
         // Statistics are updated in Drop.
     }
+}
+
+/// Copies into `buf` the value the record behind index value `value` had
+/// at `snapshot_epoch`; returns whether the key existed at that point.
+///
+/// # Safety
+///
+/// `value` must be a record pointer read from a live index by a worker whose
+/// pinned `se_w` covers `snapshot_epoch`.
+unsafe fn read_snapshot_version(value: u64, snapshot_epoch: u64, buf: &mut Vec<u8>) -> bool {
+    // SAFETY: forwarded from the caller's contract.
+    let rec = unsafe { &*(value as *const Record) };
+    let Some(version) = rec.snapshot_version(snapshot_epoch) else {
+        return false;
+    };
+    if version.tid().read_stable().is_absent() {
+        return false;
+    }
+    version.read_data_unvalidated(buf);
+    true
 }
 
 impl<'w> Drop for SnapshotTxn<'w> {

@@ -263,43 +263,239 @@ fn write_skew_is_prevented() {
 
 #[test]
 fn phantom_protection_on_scans() {
-    let db = test_db();
-    let t = db.create_table("t").unwrap();
-    let mut w1 = db.register_worker();
-    let mut w2 = db.register_worker();
+    // Through the collecting `scan` and through the `scan_with` visitor.
+    for visitor in [false, true] {
+        let db = test_db();
+        let t = db.create_table("t").unwrap();
+        let mut w1 = db.register_worker();
+        let mut w2 = db.register_worker();
 
-    {
-        let mut setup = w1.begin();
-        for i in 0..20u32 {
-            setup
-                .write(t, format!("k{:02}", i).as_bytes(), b"v")
-                .unwrap();
+        {
+            let mut setup = w1.begin();
+            for i in 0..20u32 {
+                setup
+                    .write(t, format!("k{:02}", i).as_bytes(), b"v")
+                    .unwrap();
+            }
+            setup.commit().unwrap();
         }
-        setup.commit().unwrap();
+
+        // t1 scans a range; t2 inserts a key into that range and commits;
+        // t1's commit must fail node-set validation.
+        let mut t1 = w1.begin();
+        let rows = if visitor {
+            let mut rows = 0;
+            t1.scan_with(t, b"k05", Some(b"k15"), None, |_, _| rows += 1)
+                .unwrap();
+            rows
+        } else {
+            t1.scan(t, b"k05", Some(b"k15"), None).unwrap().len()
+        };
+        assert_eq!(rows, 10);
+
+        let mut t2 = w2.begin();
+        t2.insert(t, b"k07x", b"phantom").unwrap();
+        t2.commit().unwrap();
+
+        // t1 is doomed either way. Depending on which leaf its own insert
+        // lands in, the conflict is caught early by the §4.6 node-set fix-up
+        // (the insert touches the leaf t2 changed) or by commit-time
+        // node-set validation.
+        match t1.write(t, b"summary", b"10-rows") {
+            Ok(()) => assert!(t1.commit().is_err()),
+            // Dropping the poisoned transaction aborts it with the fix-up
+            // failure as the recorded reason.
+            Err(_) => drop(t1),
+        }
+        let reasons = &w1.stats().abort_reasons;
+        assert_eq!(reasons.node_validation + reasons.node_set_fixup, 1);
     }
+}
 
-    // t1 scans a range; t2 inserts a key into that range and commits; t1's
-    // commit must fail node-set validation.
-    let mut t1 = w1.begin();
-    let rows = t1.scan(t, b"k05", Some(b"k15"), None).unwrap();
-    assert_eq!(rows.len(), 10);
+/// What a scan of `[start, end)` with `limit` must produce, from a model of
+/// the index: every key the index holds in the range (`None` = an absent
+/// record: deleted and not yet unhooked, or this transaction's own insert
+/// placeholder) counts against the limit; present ones are returned with
+/// `pending` (this transaction's updates and deletes) overlaid.
+fn expected_scan(
+    index: &std::collections::BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    pending: &std::collections::BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    start: &[u8],
+    end: Option<&[u8]>,
+    limit: Option<usize>,
+) -> Vec<(Vec<u8>, Vec<u8>)> {
+    index
+        .range(start.to_vec()..)
+        .take_while(|(k, _)| end.map_or(true, |e| k.as_slice() < e))
+        .take(limit.unwrap_or(usize::MAX))
+        .filter_map(|(k, committed)| {
+            let committed = committed.as_ref()?;
+            match pending.get(k) {
+                Some(overlay) => overlay.clone().map(|v| (k.clone(), v)),
+                None => Some((k.clone(), committed.clone())),
+            }
+        })
+        .collect()
+}
 
-    let mut t2 = w2.begin();
-    t2.insert(t, b"k07x", b"phantom").unwrap();
-    t2.commit().unwrap();
+/// `read_with`/`scan_with` against `read`/`scan` and against a model, over a
+/// randomized mix of committed rows, absent records, and the transaction's
+/// own pending updates, deletes and inserts; then the same for snapshots.
+#[test]
+fn borrowed_reads_and_scans_match_the_collecting_forms() {
+    use std::collections::BTreeMap;
+    for seed in 1..=6u64 {
+        // GC off: deleted keys stay in the index as absent records.
+        let db = Database::open(SiloConfig::for_testing().without_gc());
+        let t = db.create_table("t").unwrap();
+        let mut w = db.register_worker();
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        // Keys of 4, 12 and 20 bytes, so scans cross trie layers and
+        // suffixes; values of varying length.
+        let key = |i: u64| -> Vec<u8> {
+            let mut k = format!("{:04}", i / 3).into_bytes();
+            match i % 3 {
+                0 => {}
+                1 => k.extend_from_slice(b"-shared-"),
+                _ => k.extend_from_slice(b"-shared-suffix-k"),
+            }
+            k
+        };
+        let value =
+            |tag: &str, i: u64| format!("{tag}{}", "x".repeat(i as usize % 40)).into_bytes();
 
-    // t1 is doomed either way. Depending on which leaf its own insert lands
-    // in, the conflict is caught early by the §4.6 node-set fix-up (the
-    // insert touches the leaf t2 changed) or by commit-time node-set
-    // validation.
-    match t1.write(t, b"summary", b"10-rows") {
-        Ok(()) => assert!(t1.commit().is_err()),
-        // Dropping the poisoned transaction aborts it with the fix-up
-        // failure as the recorded reason.
-        Err(_) => drop(t1),
+        let mut index: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+        let mut txn = w.begin();
+        for i in 0..240 {
+            if next(10) < 7 {
+                txn.write(t, &key(i), &value("committed", i)).unwrap();
+                index.insert(key(i), Some(value("committed", i)));
+            }
+        }
+        txn.commit().unwrap();
+        let mut txn = w.begin();
+        for i in 0..240 {
+            if index.contains_key(&key(i)) && next(10) < 2 {
+                assert!(txn.delete(t, &key(i)).unwrap());
+                index.insert(key(i), None);
+            }
+        }
+        txn.commit().unwrap();
+        let at_snapshot = index.clone();
+        advance_epochs(&db, &[&w], 12);
+
+        // One transaction with pending work of every kind.
+        let mut txn = w.begin();
+        let mut pending: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+        for i in 0..240 {
+            let present = matches!(index.get(&key(i)), Some(Some(_)));
+            match next(10) {
+                0 | 1 if present => {
+                    txn.write(t, &key(i), &value("pending", i)).unwrap();
+                    pending.insert(key(i), Some(value("pending", i)));
+                }
+                2 if present => {
+                    assert!(txn.delete(t, &key(i)).unwrap());
+                    pending.insert(key(i), None);
+                }
+                3 if !index.contains_key(&key(i)) => {
+                    // An own insert leaves an absent placeholder in the index.
+                    txn.insert(t, &key(i), &value("inserted", i)).unwrap();
+                    index.insert(key(i), None);
+                    pending.insert(key(i), Some(value("inserted", i)));
+                }
+                _ => {}
+            }
+        }
+
+        for i in 0..240 {
+            let (reads, nodes) = (txn.read_set_len(), txn.node_set_len());
+            let owned = txn.read(t, &key(i)).unwrap();
+            let grew = (txn.read_set_len() - reads, txn.node_set_len() - nodes);
+            let (reads, nodes) = (txn.read_set_len(), txn.node_set_len());
+            let borrowed = txn.read_with(t, &key(i), <[u8]>::to_vec).unwrap();
+            assert_eq!(borrowed, owned, "seed {seed} key {i}");
+            assert_eq!(
+                (txn.read_set_len() - reads, txn.node_set_len() - nodes),
+                grew,
+                "seed {seed} key {i}: both forms register the same validation work"
+            );
+            let expected = match pending.get(&key(i)) {
+                Some(own) => own.clone(),
+                None => index.get(&key(i)).cloned().flatten(),
+            };
+            assert_eq!(owned, expected, "seed {seed} key {i}");
+        }
+
+        let ranges: [(Vec<u8>, Option<Vec<u8>>); 4] = [
+            (Vec::new(), None),
+            (key(30), Some(key(200))),
+            (key(61), Some(key(64))),
+            (b"0050-shared-a".to_vec(), Some(b"0070-".to_vec())),
+        ];
+        for (start, end) in &ranges {
+            for limit in [None, Some(0), Some(1), Some(7), Some(1000)] {
+                let (reads, nodes) = (txn.read_set_len(), txn.node_set_len());
+                let owned = txn.scan(t, start, end.as_deref(), limit).unwrap();
+                let grew = (txn.read_set_len() - reads, txn.node_set_len() - nodes);
+                let (reads, nodes) = (txn.read_set_len(), txn.node_set_len());
+                let mut borrowed = Vec::new();
+                txn.scan_with(t, start, end.as_deref(), limit, |k, v| {
+                    borrowed.push((k.to_vec(), v.to_vec()));
+                })
+                .unwrap();
+                assert_eq!(
+                    borrowed, owned,
+                    "seed {seed} {start:?}..{end:?} limit {limit:?}"
+                );
+                assert_eq!(
+                    (txn.read_set_len() - reads, txn.node_set_len() - nodes),
+                    grew,
+                    "seed {seed}: both forms register the same validation work"
+                );
+                assert_eq!(
+                    owned,
+                    expected_scan(&index, &pending, start, end.as_deref(), limit),
+                    "seed {seed} {start:?}..{end:?} limit {limit:?}"
+                );
+            }
+        }
+        txn.commit().unwrap();
+
+        // The snapshot predates that transaction: it sees the rows of the
+        // first two, and its limit counts present rows only.
+        let mut snap = w.begin_snapshot();
+        for i in 0..240 {
+            let owned = snap.read(t, &key(i));
+            assert_eq!(snap.read_with(t, &key(i), <[u8]>::to_vec), owned);
+            assert_eq!(owned, at_snapshot.get(&key(i)).cloned().flatten());
+        }
+        for (start, end) in &ranges {
+            for limit in [None, Some(0), Some(1), Some(7), Some(1000)] {
+                let owned = snap.scan(t, start, end.as_deref(), limit);
+                let mut borrowed = Vec::new();
+                snap.scan_with(t, start, end.as_deref(), limit, |k, v| {
+                    borrowed.push((k.to_vec(), v.to_vec()));
+                });
+                assert_eq!(borrowed, owned);
+                let expected: Vec<_> =
+                    expected_scan(&at_snapshot, &BTreeMap::new(), start, end.as_deref(), None)
+                        .into_iter()
+                        .take(limit.unwrap_or(usize::MAX))
+                        .collect();
+                assert_eq!(
+                    owned, expected,
+                    "seed {seed} {start:?}..{end:?} limit {limit:?}"
+                );
+            }
+        }
     }
-    let reasons = &w1.stats().abort_reasons;
-    assert_eq!(reasons.node_validation + reasons.node_set_fixup, 1);
 }
 
 #[test]

@@ -41,7 +41,7 @@
 
 use std::sync::atomic::{fence, Ordering};
 
-use silo_index::{InsertOutcome, NodeChange, NodeRef};
+use silo_index::{InsertOutcome, NodeChange, NodeChanges, NodeRef};
 use silo_tid::{Tid, TidWord};
 
 use crate::arena::{Arena, ArenaSlice};
@@ -98,7 +98,9 @@ pub(crate) struct TxnContext {
     /// Absent placeholder records inserted by this transaction, kept so an
     /// abort can schedule their cleanup.
     placeholders: Vec<(TableId, ArenaSlice, RecordPtr)>,
-    scratch: Vec<u8>,
+    /// Value bytes of the record being read. Snapshot transactions, which
+    /// have no context of their own, borrow it from the idle worker.
+    pub(crate) scratch: Vec<u8>,
     arena: Arena,
 }
 
@@ -262,11 +264,27 @@ impl<'w> Txn<'w> {
     /// (absent record present in the index), so a concurrent insert is
     /// detected at commit time.
     ///
-    /// Allocates a fresh `Vec` for the returned value; hot paths that reuse a
-    /// buffer should prefer [`Txn::read_into`].
+    /// This is the collecting form of [`Txn::read_with`]: it allocates a
+    /// fresh `Vec` for the returned value.
     pub fn read(&mut self, table: TableId, key: &[u8]) -> Result<Option<Vec<u8>>, Abort> {
-        let mut out = Vec::new();
-        Ok(self.read_into(table, key, &mut out)?.then_some(out))
+        self.read_with(table, key, <[u8]>::to_vec)
+    }
+
+    /// Reads `key` and, if it is present, hands its value to `f` as a slice
+    /// borrowed from the transaction; returns what `f` returned, or `None`
+    /// for an absent key. Nothing is allocated: the value is read into the
+    /// worker's scratch buffer, which `f` sees for the duration of the call.
+    pub fn read_with<R>(
+        &mut self,
+        table: TableId,
+        key: &[u8],
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>, Abort> {
+        let mut buf = std::mem::take(&mut self.ctx.scratch);
+        let found = self.read_into(table, key, &mut buf);
+        let result = found.map(|found| found.then(|| f(&buf)));
+        self.ctx.scratch = buf;
+        result
     }
 
     /// Reads the value of `key` in `table` into `out`, returning whether the
@@ -306,10 +324,7 @@ impl<'w> Txn<'w> {
     /// Reads `key` and returns whether it exists, without copying the value
     /// out of the transaction.
     pub fn exists(&mut self, table: TableId, key: &[u8]) -> Result<bool, Abort> {
-        let mut buf = std::mem::take(&mut self.ctx.scratch);
-        let result = self.read_into(table, key, &mut buf);
-        self.ctx.scratch = buf;
-        result
+        Ok(self.read_with(table, key, |_| ())?.is_some())
     }
 
     /// The §4.5 record-read protocol against the index. On
@@ -368,14 +383,11 @@ impl<'w> Txn<'w> {
         }
     }
 
-    /// Scans `[start, end)` in `table` (ascending key order), returning at
-    /// most `limit` present records.
+    /// Scans `[start, end)` in `table` (ascending key order), returning the
+    /// present records among the first `limit` index entries.
     ///
-    /// Every index leaf examined is added to the node-set, which is what
-    /// protects the scanned range against phantoms (§4.6). The scan observes
-    /// committed state; values written earlier by this same transaction are
-    /// overlaid for keys the scan returns, but keys newly inserted by this
-    /// transaction are not merged into the result.
+    /// This is the collecting form of [`Txn::scan_with`]: it owns every key
+    /// and value it returns, so it allocates per record.
     pub fn scan(
         &mut self,
         table_id: TableId,
@@ -383,58 +395,107 @@ impl<'w> Txn<'w> {
         end: Option<&[u8]>,
         limit: Option<usize>,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>, Abort> {
+        let mut out = Vec::new();
+        self.scan_with(table_id, start, end, limit, |key, value| {
+            out.push((key.to_vec(), value.to_vec()));
+        })?;
+        Ok(out)
+    }
+
+    /// Scans `[start, end)` in `table` (ascending key order), calling
+    /// `visit(key, value)` for each present record with both slices borrowed
+    /// from the transaction for the duration of the call.
+    ///
+    /// Every index leaf examined is added to the node-set, which is what
+    /// protects the scanned range against phantoms (§4.6). The scan observes
+    /// committed state; values written earlier by this same transaction are
+    /// overlaid for keys the scan visits, but keys newly inserted by this
+    /// transaction are not merged into the result. `limit` bounds the index
+    /// entries examined, so records found absent (deleted but not yet
+    /// unhooked) count against it without being visited.
+    pub fn scan_with(
+        &mut self,
+        table_id: TableId,
+        start: &[u8],
+        end: Option<&[u8]>,
+        limit: Option<usize>,
+        mut visit: impl FnMut(&[u8], &[u8]),
+    ) -> Result<(), Abort> {
         if let Some(reason) = self.poisoned {
             return Err(Abort(reason));
         }
         let table = self.table(table_id);
-        let result = table.tree().scan(start, end, limit);
-        for (node, version) in &result.nodes {
+        // The scan's working memory and the record buffer leave the worker
+        // while the index drives `scanned_record`, which needs `&mut self`.
+        let mut scan = std::mem::take(&mut self.worker.scan);
+        let mut buf = std::mem::take(&mut self.ctx.scratch);
+        let mut outcome = Ok(());
+        table
+            .tree()
+            .scan_with(&mut scan, start, end, limit, |key, ptr| {
+                if outcome.is_ok() {
+                    outcome = self.scanned_record(
+                        table_id,
+                        key,
+                        ptr as *const Record,
+                        &mut buf,
+                        &mut visit,
+                    );
+                }
+            });
+        for &(node, version) in scan.nodes() {
             self.ctx.node_set.push(NodeSetEntry {
                 table: table_id,
-                node: *node,
-                version: *version,
+                node,
+                version,
             });
         }
-        let mut out = Vec::with_capacity(result.entries.len());
-        let mut buf = std::mem::take(&mut self.ctx.scratch);
-        for (key, ptr) in result.entries {
-            let record = ptr as *const Record;
-            // SAFETY: as in `read_internal`.
-            let rec = unsafe { &*record };
-            let word = rec.read_consistent(&mut buf);
-            if !word.is_latest() {
-                // The record was superseded while scanning; the node-set (and
-                // read-set of the superseding writer) will catch any real
-                // conflict, so read the new version through the index.
-                match self.read_internal(table_id, &key, &mut buf) {
-                    Ok(ReadOutcome::Present) => out.push((key, buf.clone())),
-                    Ok(ReadOutcome::Absent | ReadOutcome::Missing) => {}
-                    Err(abort) => {
-                        self.ctx.scratch = buf;
-                        return Err(abort);
-                    }
-                }
-                continue;
+        self.worker.scan = scan;
+        self.ctx.scratch = buf;
+        outcome
+    }
+
+    /// Reads one record the index scan produced, registers it for
+    /// validation, and visits it if it is present (with this transaction's
+    /// own pending update overlaid).
+    fn scanned_record(
+        &mut self,
+        table_id: TableId,
+        key: &[u8],
+        record: *const Record,
+        buf: &mut Vec<u8>,
+        visit: &mut impl FnMut(&[u8], &[u8]),
+    ) -> Result<(), Abort> {
+        // SAFETY: as in `read_internal`.
+        let rec = unsafe { &*record };
+        let word = rec.read_consistent(buf);
+        if !word.is_latest() {
+            // The record was superseded while scanning; the node-set (and
+            // read-set of the superseding writer) will catch any real
+            // conflict, so read the new version through the index.
+            if let ReadOutcome::Present = self.read_internal(table_id, key, buf)? {
+                visit(key, buf);
             }
-            self.ctx.read_set.push(ReadEntry {
-                record,
-                observed: word,
-            });
-            self.record_read(table_id, &key, word.tid().raw());
-            if !word.is_absent() {
-                // Overlay this transaction's own pending update, if any.
-                if let Some(idx) = self.find_write(table_id, &key) {
+            return Ok(());
+        }
+        self.ctx.read_set.push(ReadEntry {
+            record,
+            observed: word,
+        });
+        self.record_read(table_id, key, word.tid().raw());
+        if !word.is_absent() {
+            // Overlay this transaction's own pending update, if any.
+            match self.find_write(table_id, key) {
+                Some(idx) => {
                     if let Some(v) = self.ctx.write_set[idx].new_value {
                         // SAFETY: arena slice valid until the txn finishes.
-                        out.push((key, unsafe { v.as_slice() }.to_vec()));
+                        visit(key, unsafe { v.as_slice() });
                     }
-                } else {
-                    out.push((key, buf.clone()));
                 }
+                None => visit(key, buf),
             }
         }
-        self.ctx.scratch = buf;
-        Ok(out)
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -651,10 +712,9 @@ impl<'w> Txn<'w> {
     fn apply_node_set_fixup(
         &mut self,
         table_id: TableId,
-        changes: &[NodeChange],
+        changes: &NodeChanges,
     ) -> Result<(), Abort> {
-        let mut new_entries: Vec<NodeSetEntry> = Vec::new();
-        for change in changes {
+        for change in changes.iter() {
             match change {
                 NodeChange::Updated {
                     node,
@@ -682,7 +742,7 @@ impl<'w> Txn<'w> {
                         .iter()
                         .any(|e| e.table == table_id && e.node == *split_from);
                     if inherits {
-                        new_entries.push(NodeSetEntry {
+                        self.ctx.node_set.push(NodeSetEntry {
                             table: table_id,
                             node: *node,
                             version: *version,
@@ -691,7 +751,6 @@ impl<'w> Txn<'w> {
                 }
             }
         }
-        self.ctx.node_set.extend(new_entries);
         Ok(())
     }
 
@@ -757,14 +816,17 @@ impl<'w> Txn<'w> {
         for entry in &self.ctx.read_set {
             // SAFETY: read-set records are pinned by our epoch.
             let current = unsafe { (*entry.record).tid().load() };
-            let in_write_set = self
-                .ctx
-                .write_set
-                .binary_search_by_key(&(entry.record as usize), |w| w.record as usize)
-                .is_ok();
+            // A lock bit is excused only when it is ours; the write set is
+            // searched only for the reads that find one.
+            let in_write_set = || {
+                self.ctx
+                    .write_set
+                    .binary_search_by_key(&(entry.record as usize), |w| w.record as usize)
+                    .is_ok()
+            };
             if current.tid() != entry.observed.tid()
                 || !current.is_latest()
-                || (current.is_locked() && !in_write_set)
+                || (current.is_locked() && !in_write_set())
             {
                 return Err(Abort(AbortReason::ReadValidation));
             }

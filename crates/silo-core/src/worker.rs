@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use silo_check::HistorySession;
 use silo_epoch::WorkerEpochHandle;
+use silo_index::ScanScratch;
 use silo_tid::{TidGenerator, TidWord};
 
 use crate::config::SiloConfig;
@@ -35,6 +36,9 @@ pub struct Worker {
     /// the transaction finishes — so steady-state transactions allocate
     /// nothing.
     pub(crate) ctx: TxnContext,
+    /// The index scan's working memory (frame stack, key buffer, visited
+    /// leaves), reused by every `scan_with` of this worker's transactions.
+    pub(crate) scan: ScanScratch,
     /// Reusable buffer for garbage ready to be reclaimed, so GC rounds do not
     /// allocate either.
     gc_scratch: Vec<(u64, Garbage)>,
@@ -74,6 +78,7 @@ impl Worker {
             tree_garbage: GarbageList::default(),
             stats: WorkerStats::default(),
             ctx: TxnContext::default(),
+            scan: ScanScratch::default(),
             gc_scratch: Vec::new(),
             table_cache: Vec::new(),
             txns_since_gc: 0,

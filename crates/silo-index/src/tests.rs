@@ -169,7 +169,7 @@ fn insert_node_changes_cover_splits() {
                 "expected new leaf + new root: {node_changes:?}"
             );
             // Reported new versions must match the live tree.
-            for change in &node_changes {
+            for change in node_changes.iter() {
                 match change {
                     NodeChange::Updated {
                         node, new_version, ..
@@ -224,6 +224,46 @@ fn scan_respects_bounds_and_limit() {
     let r = t.scan(&key(1000), None, None);
     assert!(r.entries.is_empty());
     assert!(!r.nodes.is_empty(), "even an empty scan registers a leaf");
+}
+
+#[test]
+fn scan_with_reuses_its_scratch_across_scans() {
+    // Keys of 4, 12 and 27 bytes: the scans below cross trie layers, suffix
+    // entries and leaf boundaries, and each leaves a different shape behind
+    // in the scratch the next one reuses.
+    let t = Tree::new();
+    for i in 0..600u64 {
+        let mut k = format!("{:04}", i / 3).into_bytes();
+        match i % 3 {
+            0 => {}
+            1 => k.extend_from_slice(b"-shared-"),
+            _ => k.extend_from_slice(b"-shared-and-a-longer-tail"),
+        }
+        t.insert_if_absent(&k, i);
+    }
+    type Case = (&'static [u8], Option<&'static [u8]>, Option<usize>);
+    let cases: [Case; 7] = [
+        (b"", None, None),
+        (b"0100-shared-", Some(b"0150"), None),
+        (b"0199", None, Some(5)),
+        (b"0020-shared-and", Some(b"0020-shared-b"), None),
+        (b"", None, Some(0)),
+        (b"9999", None, None),
+        (b"0000", Some(b"0199-shared-a"), Some(400)),
+    ];
+    let mut scratch = ScanScratch::default();
+    for (start, end, limit) in cases {
+        let collected = t.scan(start, end, limit);
+        let mut visited = Vec::new();
+        t.scan_with(&mut scratch, start, end, limit, |k, v| {
+            visited.push((k.to_vec(), v));
+        });
+        assert_eq!(
+            visited, collected.entries,
+            "{start:?}..{end:?} limit {limit:?}"
+        );
+        assert_eq!(scratch.nodes(), &collected.nodes[..]);
+    }
 }
 
 #[test]

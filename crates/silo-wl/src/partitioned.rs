@@ -40,8 +40,8 @@ impl Partition {
     }
 
     /// Insert or overwrite a key.
-    pub fn put(&mut self, table: TpccTable, key: Vec<u8>, value: Vec<u8>) {
-        self.tables[table.index()].insert(key, value);
+    pub fn put(&mut self, table: TpccTable, key: impl Into<Vec<u8>>, value: Vec<u8>) {
+        self.tables[table.index()].insert(key.into(), value);
     }
 
     /// Number of keys in one of the partition's tables.

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use silo_core::Database;
 
 use super::schema::{self, DistrictRow, OrderRow, TpccTable};
-use super::{txns, TpccConfig, TpccTables};
+use super::{TpccConfig, TpccTables};
 
 /// What [`check_consistency`] verified, for reporting.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -87,7 +87,7 @@ pub fn check_consistency(
                 .scan(
                     tables.id(TpccTable::NewOrder, w),
                     &schema::new_order_district_prefix(w, d),
-                    txns::prefix_end(&schema::new_order_district_prefix(w, d)).as_deref(),
+                    schema::prefix_end(&schema::new_order_district_prefix(w, d)).as_deref(),
                     None,
                 )
                 .map_err(|e| format!("new-order scan aborted at w={w} d={d}: {e}"))?;
@@ -121,7 +121,7 @@ pub fn check_consistency(
                     .scan(
                         tables.id(TpccTable::OrderLine, w),
                         &prefix,
-                        txns::prefix_end(&prefix).as_deref(),
+                        schema::prefix_end(&prefix).as_deref(),
                         None,
                     )
                     .map_err(|e| format!("order-line scan aborted at w={w} d={d} o={o_id}: {e}"))?;

@@ -16,6 +16,7 @@
 
 pub mod check;
 pub mod schema;
+mod stack;
 pub mod txns;
 
 use std::sync::Arc;
@@ -276,20 +277,34 @@ const NAME_SYLLABLES: [&str; 10] = [
     "BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING",
 ];
 
-/// Builds a TPC-C customer last name from a number in `0..=999`.
-pub fn last_name(num: u32) -> String {
+/// Builds a TPC-C customer last name from a number in `0..=999`, zero-padded
+/// to the 16 bytes the last-name index key gives it (names are at most 15).
+pub fn last_name_padded(num: u32) -> [u8; 16] {
     let num = num % 1000;
-    format!(
-        "{}{}{}",
-        NAME_SYLLABLES[(num / 100) as usize],
-        NAME_SYLLABLES[((num / 10) % 10) as usize],
-        NAME_SYLLABLES[(num % 10) as usize]
-    )
+    let mut name = [0u8; 16];
+    let mut len = 0;
+    for digit in [num / 100, (num / 10) % 10, num % 10] {
+        let syllable = NAME_SYLLABLES[digit as usize].as_bytes();
+        name[len..len + syllable.len()].copy_from_slice(syllable);
+        len += syllable.len();
+    }
+    name
 }
 
-/// A random last name for transaction input (`NURand(255, 0, 999)`).
-pub fn random_last_name(rng: &mut SmallRng) -> String {
-    last_name(nurand(rng, 255, NURAND_C_C_LAST, 0, 999))
+fn name_string(padded: &[u8; 16]) -> String {
+    let len = padded.iter().position(|&b| b == 0).unwrap_or(padded.len());
+    String::from_utf8_lossy(&padded[..len]).into_owned()
+}
+
+/// Builds a TPC-C customer last name from a number in `0..=999`.
+pub fn last_name(num: u32) -> String {
+    name_string(&last_name_padded(num))
+}
+
+/// A random last name for transaction input (`NURand(255, 0, 999)`), padded
+/// as [`last_name_padded`] does.
+pub fn random_last_name(rng: &mut SmallRng) -> [u8; 16] {
+    last_name_padded(nurand(rng, 255, NURAND_C_C_LAST, 0, 999))
 }
 
 /// A random alphanumeric string with length in `[min, max]`.
@@ -425,7 +440,7 @@ fn load_warehouse(
             let last = if c <= config.customers_per_district.min(1000) {
                 last_name(c - 1)
             } else {
-                random_last_name(rng)
+                name_string(&random_last_name(rng))
             };
             let customer = CustomerRow {
                 first: random_string(rng, 8, 16),

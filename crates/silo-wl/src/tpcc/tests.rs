@@ -319,7 +319,7 @@ fn consistency_invariants_hold_after_concurrent_mix() {
                     .scan(
                         tables.id(TpccTable::OrderLine, w),
                         &schema::order_line_prefix(w, d, o_id),
-                        txns::prefix_end(&schema::order_line_prefix(w, d, o_id)).as_deref(),
+                        schema::prefix_end(&schema::order_line_prefix(w, d, o_id)).as_deref(),
                         None,
                     )
                     .unwrap();
