@@ -141,9 +141,10 @@ pub enum DurabilityHealth {
 /// subsystem (`silo-log`) to build redo log records without the engine
 /// depending on it.
 pub trait CommitHook: Send + Sync {
-    /// Called once per committed transaction, after Phase 3 released all
-    /// locks. `writes` exposes every modified record; the borrowed keys and
-    /// values are only valid for the duration of the call.
+    /// Called once per committed transaction that wrote something, after
+    /// Phase 3 released all locks (a read-only commit has nothing to redo and
+    /// is not reported, §4.10). `writes` exposes every modified record; the
+    /// borrowed keys and values are only valid for the duration of the call.
     fn on_commit(&self, worker_id: usize, tid: Tid, writes: &dyn CommitWrites);
 
     /// Called when a worker finishes (used to flush partial buffers).

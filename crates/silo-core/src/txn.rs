@@ -871,12 +871,16 @@ impl<'w> Txn<'w> {
         // carries the TID and the table/key/value of every modification
         // (§4.10); the hook serializes directly from the arena-backed
         // write-set into the worker's log buffer — nothing is cloned here.
+        // A transaction that wrote nothing has nothing to redo and gets no
+        // log record.
         if let Some(hook) = self.worker.database().commit_hook() {
-            hook.on_commit(
-                self.worker.id(),
-                commit_tid,
-                &WriteSetView(&self.ctx.write_set),
-            );
+            if !self.ctx.write_set.is_empty() {
+                hook.on_commit(
+                    self.worker.id(),
+                    commit_tid,
+                    &WriteSetView(&self.ctx.write_set),
+                );
+            }
         }
 
         // Close the recorded transaction: writes (keys still alive in the

@@ -37,7 +37,7 @@ mod reclaim;
 pub mod shared_write_audit;
 
 pub use advancer::EpochAdvancer;
-pub use manager::{EpochConfig, EpochManager, WorkerEpochHandle, QUIESCENT};
+pub use manager::{AdvanceListener, EpochConfig, EpochManager, WorkerEpochHandle, QUIESCENT};
 pub use reclaim::ReclamationQueue;
 
 /// Computes the snapshot epoch `snap(e) = k * floor(e / k)` (paper §4.9).

@@ -1,7 +1,7 @@
 //! The global epoch manager and per-worker epoch handles.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 use crossbeam::utils::CachePadded;
@@ -33,6 +33,16 @@ impl Default for EpochConfig {
             snapshot_interval_epochs: 25,
         }
     }
+}
+
+/// Told about every advance of the global epoch `E`, on the thread that
+/// advanced it (the epoch advancer, or a test driving epochs by hand) and
+/// after the new value is visible. The durability subsystem registers one to
+/// start a group-commit round at the epoch boundary instead of keeping a
+/// second clock; workers are never involved.
+pub trait AdvanceListener: Send + Sync {
+    /// `E` is now `epoch`. Runs on the advancing thread: keep it short.
+    fn epoch_advanced(&self, epoch: u64);
 }
 
 /// Per-worker epoch slot shared between the worker and the epoch manager.
@@ -116,6 +126,9 @@ pub struct EpochManager {
     registered: AtomicUsize,
     /// Serializes registration (worker startup only — never on a hot path).
     register_lock: Mutex<()>,
+    /// Who to tell when `E` advances. Held weakly: a listener that has been
+    /// dropped is pruned by the next advance.
+    advance_listeners: Mutex<Vec<Weak<dyn AdvanceListener>>>,
 }
 
 impl EpochManager {
@@ -131,6 +144,7 @@ impl EpochManager {
             workers: RegistryChunk::new(),
             registered: AtomicUsize::new(0),
             register_lock: Mutex::new(()),
+            advance_listeners: Mutex::new(Vec::new()),
         })
     }
 
@@ -210,12 +224,38 @@ impl EpochManager {
         n
     }
 
+    /// Registers `listener` to be told about every later advance of `E`.
+    pub fn add_advance_listener(&self, listener: Weak<dyn AdvanceListener>) {
+        self.advance_listeners.lock().push(listener);
+    }
+
+    /// Tells the listeners that `E` is now `epoch`; the caller just made it so.
+    fn notify_advance(&self, epoch: u64) {
+        self.advance_listeners
+            .lock()
+            .retain(|listener| match listener.upgrade() {
+                Some(listener) => {
+                    listener.epoch_advanced(epoch);
+                    true
+                }
+                None => false,
+            });
+    }
+
     /// The minimum local epoch over all active, non-quiescent workers, or
-    /// `None` if every worker is quiescent.
+    /// `None` if every worker is quiescent (callers then use `E`).
+    ///
+    /// This is the floor under every commit still to come: a worker seen
+    /// here at `e_w = x` commits its current transaction in an epoch `≥ x`,
+    /// and a worker seen quiescent (or not yet registered) begins its next
+    /// one at the `E` of that moment. A caller that read `E` *before* this
+    /// call (with a `SeqCst` fence in between, to pair with the one in front
+    /// of a commit's epoch read) may therefore take `min(E, floor)` as a
+    /// lower bound on the epoch of any commit it has not yet observed.
     ///
     /// Read-only: called from every worker's GC path, so it must not touch a
     /// shared lock (see [`RegistryChunk`]).
-    fn min_worker_epoch(&self) -> Option<u64> {
+    pub fn min_worker_epoch(&self) -> Option<u64> {
         let mut min: Option<u64> = None;
         self.for_each_slot(|w| {
             if w.active.load(Ordering::Acquire) {
@@ -271,6 +311,9 @@ impl EpochManager {
             e
         };
         self.refresh_snapshot_epoch(new_e);
+        if may_advance {
+            self.notify_advance(new_e);
+        }
         new_e
     }
 
@@ -304,8 +347,11 @@ impl EpochManager {
             "advance_to with non-quiescent workers"
         );
         shared_write_audit::note();
-        self.global_epoch.fetch_max(target, Ordering::AcqRel);
+        let before = self.global_epoch.fetch_max(target, Ordering::AcqRel);
         self.refresh_snapshot_epoch(self.global_epoch());
+        if target > before {
+            self.notify_advance(target);
+        }
     }
 
     /// Advances the global epoch by (up to) `n` steps, used by tests and by
@@ -592,6 +638,57 @@ mod tests {
         // The reclamation epoch is governed by the slowest worker's se_w.
         let min_sew = w1.local_snapshot_epoch().min(w2.local_snapshot_epoch());
         assert_eq!(m.snapshot_reclamation_epoch(), min_sew - 1);
+    }
+
+    #[test]
+    fn min_worker_epoch_is_the_oldest_non_quiescent_worker() {
+        let m = mgr();
+        assert_eq!(m.min_worker_epoch(), None);
+        let w1 = m.register_worker();
+        let w2 = m.register_worker();
+        assert_eq!(m.min_worker_epoch(), None); // registered quiescent
+        w1.refresh();
+        m.try_advance(); // E = 2
+        w2.refresh();
+        assert_eq!(m.min_worker_epoch(), Some(1));
+        w1.quiesce();
+        assert_eq!(m.min_worker_epoch(), Some(2));
+        drop(w2);
+        assert_eq!(m.min_worker_epoch(), None);
+    }
+
+    /// Records every epoch it is told about.
+    #[derive(Default)]
+    struct Recorder(Mutex<Vec<u64>>);
+
+    impl AdvanceListener for Recorder {
+        fn epoch_advanced(&self, epoch: u64) {
+            self.0.lock().push(epoch);
+        }
+    }
+
+    #[test]
+    fn listeners_hear_every_advance_and_nothing_else() {
+        let m = mgr();
+        let recorder = Arc::new(Recorder::default());
+        let listener: Arc<dyn AdvanceListener> = Arc::clone(&recorder) as _;
+        m.add_advance_listener(Arc::downgrade(&listener));
+
+        let w = m.register_worker();
+        w.refresh(); // e_w = 1
+        assert_eq!(m.try_advance(), 2);
+        assert_eq!(m.try_advance(), 2); // deferred: no advance, no call
+        w.quiesce();
+        assert_eq!(m.advance_n(2), 4);
+        m.advance_to(9);
+        m.advance_to(5); // already past: no advance, no call
+        assert_eq!(*recorder.0.lock(), vec![2, 3, 4, 9]);
+
+        // A dropped listener is pruned by the next advance.
+        drop(listener);
+        drop(recorder);
+        m.try_advance();
+        assert!(m.advance_listeners.lock().is_empty());
     }
 
     #[test]

@@ -49,7 +49,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use silo_core::{Database, Tid};
+use silo_core::{Database, Tid, Worker};
 
 use crate::fault::{FaultPlan, FaultSite, InjectedCrash};
 use crate::{lock, SiloLogger};
@@ -163,13 +163,34 @@ struct CheckpointerShared {
     db: Arc<Database>,
     logger: Arc<SiloLogger>,
     stats: StatCells,
-    /// Serializes checkpoint runs (the periodic thread vs. `run_now`) and
-    /// holds the epoch of the last complete checkpoint.
-    run_state: StdMutex<u64>,
+    /// Serializes checkpoint runs (the periodic thread vs. `run_now`).
+    run_state: StdMutex<RunState>,
     stop: AtomicBool,
     stop_cv: Condvar,
     /// Paired with `stop_cv` for the interval sleep.
     stop_mutex: StdMutex<()>,
+}
+
+/// What one checkpoint attempt hands to the next.
+struct RunState {
+    /// Epoch of the last complete checkpoint.
+    last_epoch: u64,
+    /// The worker that pins the snapshot for a whole walk, and one worker per
+    /// slice writer. Registered once and quiescent between attempts: worker
+    /// ids are never reused, so registering per attempt would exhaust
+    /// [`crate::MAX_WORKERS`] after a few hundred checkpoints.
+    pin_worker: Worker,
+    walkers: Vec<Worker>,
+}
+
+/// A finished table walk: the slices are on disk and synced, nothing is
+/// published yet.
+struct Walk {
+    epoch: u64,
+    dir: PathBuf,
+    /// `(bytes, records)` per slice.
+    slices: Vec<(u64, u64)>,
+    started: Instant,
 }
 
 /// The checkpointer: owns a background thread that periodically writes
@@ -195,12 +216,19 @@ impl Checkpointer {
         logger: Arc<SiloLogger>,
         config: CheckpointConfig,
     ) -> Arc<Checkpointer> {
+        let run_state = RunState {
+            last_epoch: 0,
+            pin_worker: db.register_worker(),
+            walkers: (0..config.writers.max(1))
+                .map(|_| db.register_worker())
+                .collect(),
+        };
         let shared = Arc::new(CheckpointerShared {
             config,
             db,
             logger,
             stats: StatCells::default(),
-            run_state: StdMutex::new(0),
+            run_state: StdMutex::new(run_state),
             stop: AtomicBool::new(false),
             stop_cv: Condvar::new(),
             stop_mutex: StdMutex::new(()),
@@ -308,13 +336,34 @@ fn run_once(shared: &CheckpointerShared) -> std::io::Result<Option<u64>> {
             "checkpointing requires enable_snapshots",
         ));
     }
-    let mut last_epoch = lock(&shared.run_state);
+    let mut state = lock(&shared.run_state);
+    let walked = walk(shared, &mut state);
+    // However the walk ended, none of the long-lived workers may stay inside
+    // an epoch: that would hold back reclamation, the epoch advance, and the
+    // durable epoch the next step waits for.
+    state.pin_worker.quiesce();
+    for walker in &state.walkers {
+        walker.quiesce();
+    }
+    match walked? {
+        Some(walk) => publish(shared, &mut state.last_epoch, walk),
+        None => Ok(None),
+    }
+}
+
+/// Step 1: writes and syncs the slices of a consistent snapshot. `None` means
+/// the snapshot epoch has not moved since the last complete checkpoint.
+fn walk(shared: &CheckpointerShared, state: &mut RunState) -> std::io::Result<Option<Walk>> {
+    let RunState {
+        last_epoch,
+        pin_worker,
+        walkers,
+    } = state;
     // Pin the chosen snapshot for the whole checkpoint: this worker's `se_w`
     // bounds the snapshot reclamation epoch, so no version the `ce` snapshot
     // can reach is freed while the writers re-pin table by table (each
-    // writer's own pin has per-table gaps — registration, and the txn
-    // boundary inside `begin_snapshot_at`).
-    let mut pin_worker = shared.db.register_worker();
+    // writer's own pin has per-table gaps — the txn boundary inside
+    // `begin_snapshot_at`).
     let pin = pin_worker.begin_snapshot();
     let ce = pin.snapshot_epoch();
     if ce == 0 || ce <= *last_epoch {
@@ -334,7 +383,7 @@ fn run_once(shared: &CheckpointerShared) -> std::io::Result<Option<u64>> {
     // Walk every table in parallel slices: a shared work queue of table ids,
     // one slice file per writer thread.
     let tables = shared.db.table_ids();
-    let writers = shared.config.writers.clamp(1, tables.len().max(1));
+    let writers = walkers.len().min(tables.len().max(1));
     let next_table = AtomicUsize::new(0);
     let chunk = shared.config.chunk;
     // One pacer shared by every writer: the configured rate is a global
@@ -346,8 +395,7 @@ fn run_once(shared: &CheckpointerShared) -> std::io::Result<Option<u64>> {
     let mut slices: Vec<(u64, u64)> = Vec::with_capacity(writers); // (bytes, records)
     let results: Vec<std::io::Result<(u64, u64)>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(writers);
-        for w in 0..writers {
-            let db = &shared.db;
+        for (w, worker) in walkers.iter_mut().take(writers).enumerate() {
             let tables = &tables;
             let next_table = &next_table;
             let pacer = pacer.as_ref();
@@ -357,7 +405,6 @@ fn run_once(shared: &CheckpointerShared) -> std::io::Result<Option<u64>> {
                 let file = std::fs::File::create(&path)?;
                 let mut out = BufWriter::new(file);
                 out.write_all(SLICE_MAGIC)?;
-                let mut worker = db.register_worker();
                 let mut bytes = SLICE_MAGIC.len() as u64;
                 let mut records = 0u64;
                 let mut staging = Vec::with_capacity(4096);
@@ -402,7 +449,6 @@ fn run_once(shared: &CheckpointerShared) -> std::io::Result<Option<u64>> {
                         return Err(e);
                     }
                 }
-                worker.quiesce();
                 if !frame.is_empty() {
                     bytes += write_frame(&mut out, &frame)?;
                 }
@@ -430,11 +476,29 @@ fn run_once(shared: &CheckpointerShared) -> std::io::Result<Option<u64>> {
             }
         }
     }
-    // The walk is complete; release the snapshot pin before the durability
-    // wait so an idle checkpoint epoch does not hold back reclamation.
     pin.finish();
-    pin_worker.quiesce();
+    Ok(Some(Walk {
+        epoch: ce,
+        dir,
+        slices,
+        started,
+    }))
+}
 
+/// Steps 2–4: waits for the walked epoch to be durable, then publishes the
+/// checkpoint and drops what it supersedes.
+fn publish(
+    shared: &CheckpointerShared,
+    last_epoch: &mut u64,
+    walk: Walk,
+) -> std::io::Result<Option<u64>> {
+    let Walk {
+        epoch: ce,
+        dir,
+        slices,
+        started,
+    } = walk;
+    let root = &shared.config.root;
     // The checkpoint claims every transaction with epoch ≤ ce; only publish
     // it once the log guarantees that claim survives a crash.
     if !shared

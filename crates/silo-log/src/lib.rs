@@ -13,9 +13,13 @@
 //! * a small number of **logger threads**, each responsible for a disjoint
 //!   subset of the workers, coalesce the published buffers into a single
 //!   append + sync per group-commit round, compute a local durable epoch
-//!   `d_l = epoch(min ctid_w) − 1`, persist it, and publish it. Loggers are
-//!   event-driven: they block on their mailbox and are woken by the first
-//!   publish of a round (or by an epoch-tick timeout when idle);
+//!   `d_l`, persist it, and publish it. Only two things hold `d_l` back: a
+//!   buffer a worker has not published yet, and a worker still inside an
+//!   older epoch — so `d_l = min(E, min e_w, epoch of every unpublished
+//!   buffer) − 1` (see `logger_loop`). Loggers are event-driven: a round
+//!   starts when a worker publishes a buffer or when the global epoch
+//!   advances (an [`AdvanceListener`]), so a commit is durable one epoch
+//!   boundary and one sync after it happened;
 //! * the global **durable epoch** `D = min d_l`. Transactions with epochs
 //!   `≤ D` are durable, and results are released to clients only then —
 //!   epoch-granularity group commit. Advancement is signalled through a
@@ -62,14 +66,14 @@ pub use recovery::{
 pub use sink::{FileSink, LogSink, MemorySink, SinkError, SinkErrorKind, TruncateOutcome};
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
-use silo_core::{CommitHook, CommitWrites, Database, DurabilityHealth, Tid};
+use silo_core::{AdvanceListener, CommitHook, CommitWrites, Database, DurabilityHealth, Tid};
 
 use record::{encode_compressed_into, encode_epoch_marker, encode_txn_writes};
 
@@ -475,32 +479,23 @@ struct WorkerLogState {
     /// Serialized, not yet published log records (raw, even in `+Compress`
     /// mode — compression happens on the logger threads).
     buffer: Mutex<Vec<u8>>,
-    /// Last committed TID (`ctid_w`), raw representation. Zero means "no
-    /// commit yet".
-    ctid: CachePadded<AtomicU64>,
     /// Epoch of the first record in the current buffer (for epoch-boundary
     /// publishing).
     buffer_epoch: AtomicU64,
     /// Epoch of the records currently sitting *unpublished* in `buffer`, or
-    /// zero when the buffer is empty. This — not `ctid` — is what bounds the
-    /// durable epoch: a worker whose buffer is empty has published everything
-    /// it ever committed, so it must not pin the durable epoch at its last
-    /// commit (that would deadlock a worker that blocks waiting for its own
-    /// transaction to become durable, as the group-commit latency probes do).
-    pending_epoch: AtomicU64,
-    /// The worker has finished: its buffer was flushed and it will not commit
-    /// again, so it no longer holds the durable epoch back.
-    finished: AtomicBool,
+    /// zero when the buffer is empty. Stored under the buffer lock by every
+    /// commit, so it is visible to anyone who later sees the worker quiesce
+    /// or begin its next transaction. The padding keeps two workers' states
+    /// off one cache line.
+    pending_epoch: CachePadded<AtomicU64>,
 }
 
 impl WorkerLogState {
     fn new() -> Self {
         WorkerLogState {
             buffer: Mutex::new(Vec::new()),
-            ctid: CachePadded::new(AtomicU64::new(0)),
             buffer_epoch: AtomicU64::new(0),
-            pending_epoch: AtomicU64::new(0),
-            finished: AtomicBool::new(false),
+            pending_epoch: CachePadded::new(AtomicU64::new(0)),
         }
     }
 }
@@ -566,6 +561,24 @@ impl LoggerShared {
             .map(|d| d.load(Ordering::Acquire))
             .min()
             .unwrap_or(0)
+    }
+
+    /// Starts a round on every logger. The mailbox lock is taken so the wake
+    /// cannot land between a logger's wait check and its park.
+    fn wake_loggers(&self) {
+        for inbox in &self.inboxes {
+            let _guard = lock(&inbox.queue);
+            inbox.cv.notify_all();
+        }
+    }
+}
+
+/// Every advance of the global epoch starts a group-commit round: the epoch
+/// that just closed can become durable now, and nothing else can make it so
+/// sooner. Runs on the advancer thread.
+impl AdvanceListener for LoggerShared {
+    fn epoch_advanced(&self, _epoch: u64) {
+        self.wake_loggers();
     }
 }
 
@@ -643,6 +656,8 @@ impl SiloLogger {
             stop: AtomicBool::new(false),
             detached: AtomicBool::new(false),
         });
+        let listener: Arc<dyn AdvanceListener> = Arc::clone(&shared) as _;
+        epochs.add_advance_listener(Arc::downgrade(&listener));
 
         let mut handles = Vec::new();
         for (i, mut sink) in sinks.into_iter().enumerate() {
@@ -659,10 +674,7 @@ impl SiloLogger {
                     // Unwind: stop the loggers already running before
                     // reporting the failure.
                     shared.stop.store(true, Ordering::Release);
-                    for inbox in &shared.inboxes {
-                        let _guard = lock(&inbox.queue);
-                        inbox.cv.notify_all();
-                    }
+                    shared.wake_loggers();
                     for h in handles {
                         let _ = h.join();
                     }
@@ -719,6 +731,12 @@ impl SiloLogger {
     /// local durable epoch is frozen), or [`SiloLogger::shutdown`] detached
     /// the logger threads — waiters are woken and get [`DurableWait::Failed`]
     /// instead of blocking until the timeout.
+    ///
+    /// The calling thread must not hold a [`silo_core::Worker`] inside an
+    /// epoch while it waits: a worker pinned at `e_w = e` stops the global
+    /// epoch at `e + 1` and the durable epoch below `e`, so a wait for `e`
+    /// can only time out. Drop the worker or `quiesce()` it before parking
+    /// here, or wait on another thread while the worker keeps committing.
     pub fn wait_for_durable(&self, epoch: u64, timeout: Duration) -> DurableWait {
         self.wait_until_durable(epoch, Some(std::time::Instant::now() + timeout))
     }
@@ -736,6 +754,10 @@ impl SiloLogger {
     /// cost is one wait per *group*, not per transaction. Use
     /// [`SiloLogger::wait_for_durable`] instead when the caller needs to
     /// observe slow progress (timeouts) rather than only terminal states.
+    ///
+    /// As there, `quiesce()` or drop the calling thread's own worker first: a
+    /// worker left inside epoch `e` holds the durable epoch below `e`, and
+    /// this wait has no timeout to end it.
     pub fn wait_for_durable_epoch(&self, epoch: u64) -> DurableWait {
         self.wait_until_durable(epoch, None)
     }
@@ -853,10 +875,7 @@ impl SiloLogger {
         self.shared
             .truncate_epoch
             .fetch_max(ckpt_epoch, Ordering::AcqRel);
-        for inbox in &self.shared.inboxes {
-            let _guard = lock(&inbox.queue);
-            inbox.cv.notify_all();
-        }
+        self.shared.wake_loggers();
     }
 
     /// The in-memory log contents (only for [`LogDestination::Memory`]); one
@@ -869,12 +888,7 @@ impl SiloLogger {
     /// Worker buffers not yet published are lost (they were not durable).
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::Release);
-        for inbox in &self.shared.inboxes {
-            // Take the lock so the wake cannot land between a logger's
-            // empty-check and its park.
-            let _guard = lock(&inbox.queue);
-            inbox.cv.notify_all();
-        }
+        self.shared.wake_loggers();
         let mut handles = self.handles.lock();
         for h in handles.drain(..) {
             let _ = h.join();
@@ -887,17 +901,6 @@ impl SiloLogger {
         // between reading the flag and blocking.
         let _cached = lock(&self.shared.durable);
         self.shared.durable_cv.notify_all();
-    }
-
-    /// The last committed TID of every worker that committed at least once
-    /// (diagnostics).
-    pub fn worker_ctids(&self) -> Vec<Tid> {
-        self.shared
-            .workers
-            .iter()
-            .map(|w| Tid::from_raw(w.ctid.load(Ordering::Acquire)))
-            .filter(|t| *t != Tid::ZERO)
-            .collect()
     }
 }
 
@@ -937,9 +940,6 @@ impl CommitHook for SiloLogger {
             if buffer.is_empty() { 0 } else { tid.epoch() },
             Ordering::Release,
         );
-        drop(buffer);
-        // Publish ctid_w after the buffer (paper ordering).
-        state.ctid.store(tid.raw(), Ordering::Release);
     }
 
     fn on_worker_finish(&self, worker_id: usize) {
@@ -951,8 +951,6 @@ impl CommitHook for SiloLogger {
         let buffer_epoch = state.buffer_epoch.load(Ordering::Relaxed);
         self.shared.publish(worker_id, &mut buffer, buffer_epoch);
         state.pending_epoch.store(0, Ordering::Release);
-        drop(buffer);
-        state.finished.store(true, Ordering::Release);
     }
 
     fn durability_health(&self) -> DurabilityHealth {
@@ -1104,6 +1102,13 @@ fn logger_thread(
     }
 }
 
+/// How long an idle logger sleeps when no publish, epoch advance or stop
+/// wakes it. A safety net: every cause of a round has its own wake.
+const IDLE_FALLBACK: Duration = Duration::from_secs(1);
+
+/// First re-poll interval while a worker is still inside an older epoch.
+const REPOLL_MIN: Duration = Duration::from_micros(50);
+
 /// The fallible group-commit loop of one logger thread (§4.10); an `Err`
 /// means the sink is unusable and the logger must degrade.
 fn logger_loop(
@@ -1115,14 +1120,12 @@ fn logger_loop(
     let num_loggers = shared.inboxes.len();
     let inbox = &shared.inboxes[logger_index];
     let my_durable = &shared.durable_epochs[logger_index];
-    // Idle loggers wake once per epoch tick: the durable epoch can only move
-    // when the global epoch does, so there is nothing to recompute sooner.
-    let tick = epochs
-        .config()
-        .epoch_interval
-        .max(Duration::from_micros(100));
     // Checkpoint epoch this logger last truncated its segments against.
     let mut last_truncated = 0u64;
+    // `E` as of the previous round, and the re-poll interval while that
+    // round found a worker still inside an older epoch (see the wait below).
+    let mut last_epoch = 0u64;
+    let mut repoll: Option<Duration> = None;
 
     // Round-local reusable state: the drained mailbox swap partner, the
     // coalesced output for one group-commit round, and compression scratch.
@@ -1144,65 +1147,65 @@ fn logger_loop(
     };
 
     loop {
-        // Wait for work, event-driven: park on the mailbox until a worker
-        // publishes a buffer, the subsystem stops, or an epoch tick elapses
-        // (the timeout keeps the durable epoch advancing while idle). The
-        // mailbox is NOT drained yet: the durable bound must be computed
+        // Wait for a reason to run a round: a worker published a buffer, the
+        // global epoch advanced (the advance listener notifies this condvar),
+        // or the subsystem is stopping. One cause has no event: a worker
+        // that was still inside an older epoch last round moves the bound
+        // when it begins its next transaction or quiesces, and neither
+        // notifies anyone — a busy worker is mid-transaction at almost every
+        // advance. Only then is the wait a short re-poll, doubling so that a
+        // transaction held open for seconds costs a handful of wake-ups.
+        // `IDLE_FALLBACK` is a safety net; no bound depends on it.
+        //
+        // The mailbox is NOT drained yet: the durable bound must be computed
         // first, so that every buffer the bound accounts for as "published"
         // is drained into this very round — draining first would let a
         // buffer slip in between drain and bound and be declared durable one
         // round before it reaches the sink.
         {
             let queue = lock(&inbox.queue);
-            if queue.is_empty() && !shared.stop.load(Ordering::Acquire) {
+            if queue.is_empty()
+                && epochs.global_epoch() == last_epoch
+                && !shared.stop.load(Ordering::Acquire)
+            {
                 drop(
                     inbox
                         .cv
-                        .wait_timeout(queue, tick)
+                        .wait_timeout(queue, repoll.unwrap_or(IDLE_FALLBACK))
                         .unwrap_or_else(PoisonError::into_inner),
                 );
             }
         }
         let stopping = shared.stop.load(Ordering::Acquire);
 
-        // Compute this logger's durable bound d over its *active* (not
-        // finished) workers. A worker constrains d only through data that is
-        // not yet on its way to the sink:
-        //
-        // * A non-empty worker buffer holds unpublished records of exactly
-        //   one epoch `b` (buffers are published at epoch boundaries), so
-        //   that worker bounds d ≤ b − 1.
-        // * An empty buffer means everything the worker ever committed has
-        //   been published. Its only unpublished data is a commit still in
-        //   flight, whose epoch is ≥ E − 1 (the worker's local epoch pins
-        //   the global epoch within one step), so the worker bounds
-        //   d ≤ E − 2. Crucially this keeps advancing while the worker is
-        //   idle — or parked inside `wait_for_durable` for its own
-        //   transaction, which would deadlock if its stale ctid were the
-        //   bound.
-        //
-        // Finished workers flushed all their buffers and will not commit
-        // again, so they impose no bound at all.
+        // This logger's durable bound. Read `E`, then the workers' epochs,
+        // then their buffers — the order is the proof. A worker seen
+        // quiescent, or at `e_w = x`, made every earlier commit's
+        // `pending_epoch` store before the epoch store we just read, so the
+        // buffer scan below sees it; whatever it commits after that lands in
+        // an epoch `≥ x`, and a worker whose `begin` we missed reads its
+        // commit epoch after we read `E` (the fence here pairs with the one
+        // in front of that read), so it lands in an epoch `≥ E`. So `floor`
+        // is below every commit the scan can miss, and the scan covers the
+        // rest: a buffer below the floor is steal-published into this round
+        // (its worker may be idle, and it is the only thing holding that
+        // epoch back), a buffer at or above it bounds `d` by its epoch.
+        // Nothing else holds the durable epoch back.
         let e_now = epochs.global_epoch();
-        let mut min_bound: Option<u64> = None;
+        fence(Ordering::SeqCst);
+        let floor = epochs.min_worker_epoch().map_or(e_now, |e| e.min(e_now));
+        let mut bound = floor;
         for (wid, state) in shared.workers.iter().enumerate() {
             if wid % num_loggers != logger_index {
                 continue;
             }
-            if state.finished.load(Ordering::Acquire) {
-                continue;
-            }
             let mut pending = state.pending_epoch.load(Ordering::Acquire);
-            if pending != 0 && pending < e_now {
-                // The worker has a partial buffer from a *past* epoch. It
-                // only publishes on its next commit or on finish, so if it
-                // went idle (or parked in `wait_for_durable`), that buffer
-                // would hold the durable epoch back forever. Steal-publish it
-                // here; commits only ever append complete records, so the
-                // buffer is always safe to ship.
+            if pending != 0 && pending < floor {
+                // Commits only ever append complete records, so the buffer
+                // is always safe to ship.
                 let mut buffer = state.buffer.lock();
                 let buffer_epoch = state.buffer_epoch.load(Ordering::Relaxed);
-                if !buffer.is_empty() && buffer_epoch < e_now {
+                if !buffer.is_empty() && buffer_epoch < floor {
                     shared.publish(wid, &mut buffer, buffer_epoch);
                     state.pending_epoch.store(0, Ordering::Release);
                     shared
@@ -1210,38 +1213,15 @@ fn logger_loop(
                         .steal_publishes
                         .fetch_add(1, Ordering::Relaxed);
                 }
-                drop(buffer);
                 pending = state.pending_epoch.load(Ordering::Acquire);
             }
-            let ctid = state.ctid.load(Ordering::Acquire);
-            if pending == 0 && ctid == 0 {
-                // Untouched worker slot (never committed): imposes no bound.
-                // (A first commit that is in flight right now can land in
-                // epoch E − 1; the `None` fallback below can declare E − 1
-                // durable a round early in that window. This matches the
-                // paper's accounting, which also only sees published state.)
-                continue;
+            if pending != 0 {
+                bound = bound.min(pending);
             }
-            let bound = if pending != 0 {
-                pending.saturating_sub(1)
-            } else {
-                e_now.saturating_sub(2)
-            };
-            min_bound = Some(match min_bound {
-                Some(m) => m.min(bound),
-                None => bound,
-            });
         }
-        let local_durable = match min_bound {
-            Some(bound) => bound,
-            // Every worker routed to this logger has finished: all their
-            // commits are published. A worker that registers later can still
-            // commit in the *current* epoch, so only epochs strictly before
-            // it may be declared durable — never `e_now` itself, even when a
-            // finished worker's last commit lies there (that commit is on
-            // disk, but a new unpublished commit could share its epoch).
-            None => e_now.saturating_sub(1),
-        };
+        let local_durable = bound.saturating_sub(1);
+        last_epoch = e_now;
+        repoll = (floor < e_now).then(|| repoll.map_or(REPOLL_MIN, |d| (d * 2).min(IDLE_FALLBACK)));
 
         // Drain the mailbox *after* the bound: every buffer the bound
         // counted as published (including this round's steals, which went
@@ -1391,5 +1371,7 @@ fn logger_loop(
     }
 }
 
+#[cfg(test)]
+mod bound_tests;
 #[cfg(test)]
 mod tests;

@@ -485,17 +485,7 @@ impl<R: std::io::Read> StreamDecoder<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::sealed;
-
-    /// Every block of `stream`, through the one decoder.
-    fn decode_all(stream: &[u8]) -> Result<Vec<Block>, DecodeError> {
-        let mut decoder = StreamDecoder::new(stream);
-        let mut blocks = Vec::new();
-        while let Some(block) = decoder.next_block()? {
-            blocks.push(block);
-        }
-        Ok(blocks)
-    }
+    use crate::tests::{decode_all, sealed};
 
     /// A bare transaction block writing `k = v` to table 0.
     fn txn(tid: Tid) -> Vec<u8> {

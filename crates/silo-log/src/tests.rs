@@ -14,6 +14,16 @@ pub(crate) fn sealed(inner: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Every block of `stream`, through the one decoder.
+pub(crate) fn decode_all(stream: &[u8]) -> Result<Vec<record::Block>, record::DecodeError> {
+    let mut decoder = record::StreamDecoder::new(stream);
+    let mut blocks = Vec::new();
+    while let Some(block) = decoder.next_block()? {
+        blocks.push(block);
+    }
+    Ok(blocks)
+}
+
 /// A fresh, empty scratch directory unique to this test process.
 pub(crate) fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("silo-{name}-{}", std::process::id()));
@@ -429,6 +439,8 @@ fn worker_finish_flushes_partial_buffers() {
     // Nothing forces the buffer out except the epoch boundary / finish call.
     use silo_core::CommitHook;
     logger.on_worker_finish(w.id());
+    // A finished worker has also left its epoch (dropping it does both).
+    w.quiesce();
     assert!(logger
         .wait_for_durable(tid.epoch(), Duration::from_secs(5))
         .is_durable());

@@ -33,7 +33,9 @@ fn main() {
     let mut txn = worker.begin();
     txn.delete(orders, b"order-00042").expect("delete");
     let delete_tid = txn.commit().expect("commit");
-    drop(worker);
+    // Leave the epoch before waiting: a worker still inside epoch `e` stops
+    // the global epoch at `e + 1` and the durable epoch below `e`.
+    worker.quiesce();
 
     println!("committed 501 transactions; last TID = {last_tid}");
     let durable = logger.wait_for_durable(delete_tid.epoch(), Duration::from_secs(10));

@@ -148,6 +148,59 @@ fn pipelined_acked_writes_survive_recovery() {
 }
 
 #[test]
+fn a_put_is_acked_within_one_epoch_and_a_get_logs_nothing() {
+    // A closed loop at depth 1 sends each `PUT` just after an epoch boundary
+    // released the previous ack, so its own ack waits for exactly one more
+    // boundary and one sync — not two.
+    const EPOCH: Duration = Duration::from_millis(100);
+    let db = Database::open(
+        SiloConfig::default()
+            .with_epoch(EpochConfig {
+                epoch_interval: EPOCH,
+                ..EpochConfig::default()
+            })
+            .with_spawn_epoch_advancer(true),
+    );
+    let logger = SiloLogger::install(LogConfig::in_memory(1), &db).expect("install");
+    let mut server = Server::start(
+        Arc::clone(&db),
+        Some(Arc::clone(&logger)),
+        ServerConfig::default().with_workers(1),
+    )
+    .expect("start server");
+    let mut session = Session::connect(server.local_addr()).expect("connect");
+    let table = session.open_table("kv").expect("open table");
+    session.put(table, b"warm-up", b"v").expect("put");
+
+    let mut acks: Vec<Duration> = (0..10u8)
+        .map(|i| {
+            let sent = Instant::now();
+            session.put(table, &[i], b"v").expect("put");
+            sent.elapsed()
+        })
+        .collect();
+    acks.sort();
+    let median = acks[acks.len() / 2];
+    assert!(
+        median < EPOCH.mul_f64(1.8),
+        "median PUT ack {median:?} on a {EPOCH:?} epoch; all ten: {acks:?}"
+    );
+
+    // Every `PUT` above is acked, so its record is published; `GET`s are
+    // read-only commits and give the logger nothing more.
+    let published = logger.stats().bytes_published;
+    for i in 0..10u8 {
+        assert!(session.get(table, &[i]).expect("get").is_some());
+    }
+    assert_eq!(logger.stats().bytes_published, published);
+
+    drop(session);
+    server.shutdown();
+    logger.shutdown();
+    db.stop_epoch_advancer();
+}
+
+#[test]
 fn degraded_durability_sheds_typed_errors_not_acks() {
     let db = Database::open(fast_epoch_config());
     let recorder = HistoryRecorder::new();
