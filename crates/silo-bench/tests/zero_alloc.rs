@@ -117,6 +117,61 @@ fn warmed_worker_commits_without_heap_allocation() {
     assert_eq!(stats.aborts, 0);
 }
 
+/// The same guarantee for a large transaction: once a worker has run one
+/// 1 024-write transaction, the next one finds the write-set's entries, its
+/// hash index, the arena chunks and the read-set all retained, and touches
+/// no allocator — the index is part of the reusable context, not a per-
+/// transaction map.
+#[test]
+fn warmed_worker_commits_a_1024_write_transaction_without_heap_allocation() {
+    const WRITES: u64 = 1024;
+    let wide_key = |i: u64| {
+        let mut k = [0u8; 16];
+        k[..8].copy_from_slice(b"widetbl:");
+        k[8..].copy_from_slice(&i.to_be_bytes());
+        k
+    };
+    let db = Database::open(
+        SiloConfig::default()
+            .with_spawn_epoch_advancer(false)
+            .with_gc_interval_txns(u64::MAX),
+    );
+    let table = db.create_table("wide").unwrap();
+    let mut worker = db.register_worker();
+    let mut value = vec![0u8; RECORD_SIZE];
+    let mut read_buf = Vec::with_capacity(RECORD_SIZE);
+
+    // Round 0 inserts the keys; round 1 sizes everything an updating
+    // transaction of this shape uses; round 2 is measured.
+    let mut allocs_by_round = [0u64; 3];
+    for (round, allocs) in allocs_by_round.iter_mut().enumerate() {
+        let before = CountingAllocator::thread_allocs();
+        let mut txn = worker.begin();
+        for i in 0..WRITES {
+            let found = txn.read_into(table, &wide_key(i), &mut read_buf).unwrap();
+            assert_eq!(found, round > 0);
+            value.fill((round as u64 + i) as u8);
+            txn.write(table, &wide_key(i), &value).unwrap();
+        }
+        // Read-your-writes goes through the index at this size.
+        assert!(txn
+            .read_into(table, &wide_key(WRITES / 2), &mut read_buf)
+            .unwrap());
+        assert_eq!(read_buf[0], (round as u64 + WRITES / 2) as u8);
+        assert_eq!(txn.write_set_len(), WRITES as usize);
+        txn.commit().unwrap();
+        *allocs = CountingAllocator::thread_allocs() - before;
+    }
+    assert!(
+        allocs_by_round[0] > 0,
+        "loading allocates records and nodes"
+    );
+    assert_eq!(
+        allocs_by_round[2], 0,
+        "a warmed 1 024-write transaction must not touch the heap"
+    );
+}
+
 /// The same guarantee with a (disabled) [`HistoryRecorder`] installed: every
 /// worker binds a history session at registration, so the recorder's
 /// disabled state must cost exactly one relaxed atomic load per transaction

@@ -58,6 +58,7 @@ pub mod error;
 mod gc;
 pub mod record;
 pub mod session;
+mod set;
 pub mod snapshot;
 pub mod stats;
 pub mod txn;
@@ -79,5 +80,7 @@ pub use stats::{AbortBreakdown, WorkerStats};
 pub use txn::Txn;
 pub use worker::Worker;
 
+#[cfg(test)]
+mod set_tests;
 #[cfg(test)]
 mod tests;

@@ -13,12 +13,34 @@
 //!   protection).
 //!
 //! All of that state lives in a [`TxnContext`] owned by the [`Worker`] and
-//! *reused* across transactions: `begin` hands the context to the new
-//! transaction, commit/abort clear it (retaining capacity) and hand it back.
-//! Write-set keys and values are copied into the context's bump [`Arena`]
-//! rather than individually heap-allocated. Together with the worker's record
-//! pool this makes the steady-state hot path allocation-free, which is the
-//! point of the paper's per-core memory pools (§4.8).
+//! *reused* across transactions: the transaction works on its worker's
+//! context in place — it holds the worker exclusively for as long as it
+//! lives — and clears it (retaining capacity) when it finishes. Write-set
+//! keys and values are copied into the context's bump [`Arena`] rather than
+//! individually heap-allocated. Together with the worker's record pool this
+//! makes the steady-state hot path allocation-free, which is the point of
+//! the paper's per-core memory pools (§4.8).
+//!
+//! **Every operation costs the same however large the transaction is.** The
+//! write-set holds one entry per `(table, key)` and the node-set one per
+//! `(table, leaf)`; each is an [`IndexedSet`]: scanned while it has a handful
+//! of entries, looked up through a retained hash index beyond that. So
+//! read-your-writes, the duplicate check of an insert, a repeat observation
+//! of a leaf and the §4.6 node-set fix-up are all O(1), and a transaction of
+//! a thousand writes pays per write what one of ten does.
+//!
+//! **The read memo.** A read-modify-write reads a key and then writes it;
+//! the write needs the record the read found, not a second descent. The
+//! context therefore remembers what the *most recent point read* found —
+//! `(table, key, record, observed TID word)` — under one invariant: the memo
+//! is `Some` only if the transaction's latest read, point read or scan, was
+//! a point read that found a record; it then holds that read's key, record
+//! and observed word, and the read-set holds the same observation. Every
+//! point read overwrites or empties it, every scan empties it, and it is
+//! cleared with the rest of the context, so it never outlives its
+//! transaction. `write`/`update`/`delete` of the remembered key
+//! (when the write-set has no entry for it) take the record from the memo;
+//! validation of that read is already the read-set's job.
 //!
 //! Commit runs the three-phase protocol of Figure 2:
 //!
@@ -32,6 +54,10 @@
 //!    choose the commit TID: the smallest TID that is larger than every TID
 //!    observed, larger than the worker's previous TID, and in the epoch taken
 //!    at the serialization point.
+//!
+//!    A transaction that wrote nothing skips Phase 1 (there is nothing to
+//!    lock, so nothing for the fences to order), validates, draws its TID
+//!    the same way, and is done: no Phase 3, no log record.
 //! 3. **Phase 3** — install the new record values (in place when allowed,
 //!    otherwise as freshly allocated versions linked for snapshot readers),
 //!    writing the new TID word and releasing each lock in a single atomic
@@ -49,6 +75,7 @@ use crate::database::{CommitWrite, CommitWrites, Table, TableId};
 use crate::error::{Abort, AbortReason};
 use crate::gc::Garbage;
 use crate::record::{Record, RecordPtr};
+use crate::set::{self, IndexedSet, Keyed};
 use crate::worker::Worker;
 
 /// A read-set entry: a record and the TID word observed when it was read.
@@ -73,7 +100,22 @@ struct WriteEntry {
     is_insert: bool,
 }
 
-/// A node-set entry: an index leaf and the version under which it was
+impl WriteEntry {
+    fn is_for(&self, table: TableId, key: &[u8]) -> bool {
+        // SAFETY: write-set keys live in the transaction's arena, which is
+        // only reset after the write-set has been cleared.
+        self.table == table && unsafe { self.key.as_slice() } == key
+    }
+}
+
+impl Keyed for WriteEntry {
+    fn key_hash(&self) -> u64 {
+        // SAFETY: as in `is_for`.
+        set::hash_bytes(self.table, unsafe { self.key.as_slice() })
+    }
+}
+
+/// A node-set entry: an index leaf and the version under which it was first
 /// examined.
 #[derive(Debug, Clone, Copy)]
 struct NodeSetEntry {
@@ -82,19 +124,47 @@ struct NodeSetEntry {
     version: u64,
 }
 
+fn node_hash(table: TableId, node: NodeRef) -> u64 {
+    set::finish(set::mix(table as u64, node.as_usize() as u64))
+}
+
+impl Keyed for NodeSetEntry {
+    fn key_hash(&self) -> u64 {
+        node_hash(self.table, self.node)
+    }
+}
+
+/// What the most recent point read found: the record `key` (held in
+/// [`TxnContext::memo_key`]) maps to and the TID word observed, which the
+/// read-set already holds.
+#[derive(Debug, Clone, Copy)]
+struct ReadMemo {
+    table: TableId,
+    record: *const Record,
+    observed: TidWord,
+}
+
 /// The reusable per-worker transaction state: read/write/node sets, insert
 /// placeholders, a scratch buffer for consistent record reads, and the bump
 /// arena backing write-set keys and values.
 ///
-/// A worker owns exactly one context. [`Worker::begin`] moves it into the new
-/// [`Txn`]; the transaction's drop clears every set (retaining capacity),
-/// rewinds the arena, and moves it back — so after warm-up, beginning and
-/// finishing transactions performs no heap allocation.
+/// A worker owns exactly one context, and the one live [`Txn`] that borrows
+/// the worker uses it in place; the transaction's drop clears every set
+/// (retaining capacity) and rewinds the arena — so after warm-up, beginning
+/// and finishing transactions performs no heap allocation, and neither moves
+/// the context.
 #[derive(Debug, Default)]
 pub(crate) struct TxnContext {
     read_set: Vec<ReadEntry>,
-    write_set: Vec<WriteEntry>,
-    node_set: Vec<NodeSetEntry>,
+    /// At most one entry per `(table, key)`.
+    write_set: IndexedSet<WriteEntry>,
+    /// At most one entry per `(table, leaf)`, holding the first version the
+    /// transaction saw the leaf at.
+    node_set: IndexedSet<NodeSetEntry>,
+    /// Set by every point read that finds a record, dropped by every other
+    /// read or scan; see the module docs.
+    memo: Option<ReadMemo>,
+    memo_key: Vec<u8>,
     /// Absent placeholder records inserted by this transaction, kept so an
     /// abort can schedule their cleanup.
     placeholders: Vec<(TableId, ArenaSlice, RecordPtr)>,
@@ -104,8 +174,8 @@ pub(crate) struct TxnContext {
     arena: Arena,
 }
 
-// SAFETY: between transactions every set is empty and the arena holds only
-// plain bytes, so moving the context (with its owning Worker) to another
+// SAFETY: between transactions every set is empty, the memo is `None` and
+// the arena holds only plain bytes, so moving the context (with its owning Worker) to another
 // thread is sound. While a transaction is live the context is pinned by the
 // transaction's exclusive borrow of the worker and cannot move at all.
 unsafe impl Send for TxnContext {}
@@ -117,6 +187,7 @@ impl TxnContext {
         self.read_set.clear();
         self.write_set.clear();
         self.node_set.clear();
+        self.memo = None;
         self.placeholders.clear();
         self.scratch.clear();
         self.arena.reset();
@@ -125,6 +196,38 @@ impl TxnContext {
     /// Cumulative global-allocator hits made by the arena (stats).
     pub(crate) fn arena_chunk_allocs(&self) -> u64 {
         self.arena.chunk_allocs
+    }
+
+    fn find_write(&self, table: TableId, key: &[u8]) -> Option<usize> {
+        self.write_set
+            .find(|| set::hash_bytes(table, key), |w| w.is_for(table, key))
+    }
+
+    fn find_node(&self, table: TableId, node: NodeRef) -> Option<usize> {
+        self.node_set.find(
+            || node_hash(table, node),
+            |e| e.table == table && e.node == node,
+        )
+    }
+
+    /// Adds `node` to the node-set unless it is already there. A repeat
+    /// observation keeps the version seen first: had the leaf changed in
+    /// between, that first version is the one that can no longer validate,
+    /// so it decides commit exactly as two entries would.
+    fn observe_node(&mut self, table: TableId, node: NodeRef, version: u64) {
+        if self.find_node(table, node).is_none() {
+            self.node_set.push(NodeSetEntry {
+                table,
+                node,
+                version,
+            });
+        }
+    }
+
+    /// The memo, if it describes `key`.
+    fn memo_for(&self, table: TableId, key: &[u8]) -> Option<ReadMemo> {
+        self.memo
+            .filter(|m| m.table == table && self.memo_key == key)
     }
 }
 
@@ -147,7 +250,6 @@ impl TxnContext {
 /// ```
 pub struct Txn<'w> {
     worker: &'w mut Worker,
-    ctx: TxnContext,
     poisoned: Option<AbortReason>,
     /// Set once Phase 1 has acquired the write-set locks; tells the abort
     /// path whether it owns (and must release) those lock bits.
@@ -168,9 +270,9 @@ pub struct Txn<'w> {
 impl<'w> std::fmt::Debug for Txn<'w> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Txn")
-            .field("reads", &self.ctx.read_set.len())
-            .field("writes", &self.ctx.write_set.len())
-            .field("nodes", &self.ctx.node_set.len())
+            .field("reads", &self.worker.ctx.read_set.len())
+            .field("writes", &self.worker.ctx.write_set.len())
+            .field("nodes", &self.worker.ctx.node_set.len())
             .field("poisoned", &self.poisoned)
             .finish()
     }
@@ -178,11 +280,9 @@ impl<'w> std::fmt::Debug for Txn<'w> {
 
 impl<'w> Txn<'w> {
     pub(crate) fn new(worker: &'w mut Worker) -> Self {
-        let ctx = std::mem::take(&mut worker.ctx);
         let recording = worker.history.as_mut().is_some_and(|h| h.begin_txn());
         Txn {
             worker,
-            ctx,
             poisoned: None,
             locks_held: false,
             finished: false,
@@ -198,23 +298,23 @@ impl<'w> Txn<'w> {
 
     /// Number of records in the read-set (diagnostics).
     pub fn read_set_len(&self) -> usize {
-        self.ctx.read_set.len()
+        self.worker.ctx.read_set.len()
     }
 
     /// Number of records in the write-set (diagnostics).
     pub fn write_set_len(&self) -> usize {
-        self.ctx.write_set.len()
+        self.worker.ctx.write_set.len()
     }
 
     /// Number of leaves in the node-set (diagnostics).
     pub fn node_set_len(&self) -> usize {
-        self.ctx.node_set.len()
+        self.worker.ctx.node_set.len()
     }
 
     /// Number of insert placeholders created by this transaction
     /// (diagnostics).
     pub fn placeholder_len(&self) -> usize {
-        self.ctx.placeholders.len()
+        self.worker.ctx.placeholders.len()
     }
 
     fn table(&mut self, id: TableId) -> &'static Table {
@@ -245,14 +345,6 @@ impl<'w> Txn<'w> {
         }
     }
 
-    fn find_write(&self, table: TableId, key: &[u8]) -> Option<usize> {
-        self.ctx.write_set.iter().position(|w| {
-            // SAFETY: write-set keys live in this transaction's arena, which
-            // is only reset after the transaction finishes.
-            w.table == table && unsafe { w.key.as_slice() } == key
-        })
-    }
-
     // ------------------------------------------------------------------
     // Reads
     // ------------------------------------------------------------------
@@ -280,10 +372,10 @@ impl<'w> Txn<'w> {
         key: &[u8],
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<Option<R>, Abort> {
-        let mut buf = std::mem::take(&mut self.ctx.scratch);
+        let mut buf = std::mem::take(&mut self.worker.ctx.scratch);
         let found = self.read_into(table, key, &mut buf);
         let result = found.map(|found| found.then(|| f(&buf)));
-        self.ctx.scratch = buf;
+        self.worker.ctx.scratch = buf;
         result
     }
 
@@ -302,8 +394,8 @@ impl<'w> Txn<'w> {
         }
         out.clear();
         // Read-your-own-writes.
-        if let Some(idx) = self.find_write(table, key) {
-            return Ok(match self.ctx.write_set[idx].new_value {
+        if let Some(idx) = self.worker.ctx.find_write(table, key) {
+            return Ok(match self.worker.ctx.write_set.entries[idx].new_value {
                 Some(value) => {
                     // SAFETY: arena slice valid until the txn finishes.
                     out.extend_from_slice(unsafe { value.as_slice() });
@@ -330,7 +422,8 @@ impl<'w> Txn<'w> {
     /// The §4.5 record-read protocol against the index. On
     /// [`ReadOutcome::Present`] the value bytes are in `buf`; in every case
     /// the read has been registered in the read-set or node-set as required
-    /// for commit-time validation.
+    /// for commit-time validation, and the read memo describes `key` if it
+    /// maps to a record and is empty otherwise.
     fn read_internal(
         &mut self,
         table_id: TableId,
@@ -339,21 +432,21 @@ impl<'w> Txn<'w> {
     ) -> Result<ReadOutcome, Abort> {
         let retry_limit = self.worker.config().read_retry_limit;
         let table = self.table(table_id);
+        self.worker.ctx.memo = None;
         let mut attempts = 0;
         loop {
             let (value, node, version) = table.tree().get_tracked(key);
             match value {
                 None => {
-                    self.ctx.node_set.push(NodeSetEntry {
-                        table: table_id,
-                        node,
-                        version,
-                    });
+                    self.worker.ctx.observe_node(table_id, node, version);
                     self.record_read(table_id, key, 0);
                     return Ok(ReadOutcome::Missing);
                 }
                 Some(ptr) => {
                     let record = ptr as *const Record;
+                    // The leaf → record hop is a dependent miss; have the
+                    // data lines on their way while the TID word arrives.
+                    Record::prefetch_data(record);
                     // SAFETY: records referenced from the index are only freed
                     // after a grace period; our refreshed worker epoch pins them.
                     let rec = unsafe { &*record };
@@ -367,10 +460,17 @@ impl<'w> Txn<'w> {
                         }
                         continue;
                     }
-                    self.ctx.read_set.push(ReadEntry {
+                    self.worker.ctx.read_set.push(ReadEntry {
                         record,
                         observed: word,
                     });
+                    self.worker.ctx.memo = Some(ReadMemo {
+                        table: table_id,
+                        record,
+                        observed: word,
+                    });
+                    self.worker.ctx.memo_key.clear();
+                    self.worker.ctx.memo_key.extend_from_slice(key);
                     // An absent record's TID is its deleting transaction's:
                     // exactly the version this read observed.
                     self.record_read(table_id, key, word.tid().raw());
@@ -428,7 +528,7 @@ impl<'w> Txn<'w> {
         // The scan's working memory and the record buffer leave the worker
         // while the index drives `scanned_record`, which needs `&mut self`.
         let mut scan = std::mem::take(&mut self.worker.scan);
-        let mut buf = std::mem::take(&mut self.ctx.scratch);
+        let mut buf = std::mem::take(&mut self.worker.ctx.scratch);
         let mut outcome = Ok(());
         table
             .tree()
@@ -444,14 +544,11 @@ impl<'w> Txn<'w> {
                 }
             });
         for &(node, version) in scan.nodes() {
-            self.ctx.node_set.push(NodeSetEntry {
-                table: table_id,
-                node,
-                version,
-            });
+            self.worker.ctx.observe_node(table_id, node, version);
         }
+        self.worker.ctx.memo = None;
         self.worker.scan = scan;
-        self.ctx.scratch = buf;
+        self.worker.ctx.scratch = buf;
         outcome
     }
 
@@ -478,16 +575,16 @@ impl<'w> Txn<'w> {
             }
             return Ok(());
         }
-        self.ctx.read_set.push(ReadEntry {
+        self.worker.ctx.read_set.push(ReadEntry {
             record,
             observed: word,
         });
         self.record_read(table_id, key, word.tid().raw());
         if !word.is_absent() {
             // Overlay this transaction's own pending update, if any.
-            match self.find_write(table_id, key) {
+            match self.worker.ctx.find_write(table_id, key) {
                 Some(idx) => {
-                    if let Some(v) = self.ctx.write_set[idx].new_value {
+                    if let Some(v) = self.worker.ctx.write_set.entries[idx].new_value {
                         // SAFETY: arena slice valid until the txn finishes.
                         visit(key, unsafe { v.as_slice() });
                     }
@@ -509,34 +606,52 @@ impl<'w> Txn<'w> {
             return Err(Abort(reason));
         }
         // Merge with an existing write-set entry.
-        if let Some(idx) = self.find_write(table, key) {
-            self.ctx.write_set[idx].new_value = Some(self.ctx.arena.alloc(value));
+        if let Some(idx) = self.worker.ctx.find_write(table, key) {
+            self.worker.ctx.write_set.entries[idx].new_value =
+                Some(self.worker.ctx.arena.alloc(value));
             return Ok(());
         }
-        let mut buf = std::mem::take(&mut self.ctx.scratch);
-        let outcome = self.read_internal(table, key, &mut buf);
-        self.ctx.scratch = buf;
-        match outcome? {
-            ReadOutcome::Present | ReadOutcome::Absent => {
-                // The read-set entry just pushed references the record.
-                let record = self
-                    .ctx
-                    .read_set
-                    .last()
-                    .expect("read_internal pushed")
-                    .record;
-                let entry = WriteEntry {
-                    table,
-                    key: self.ctx.arena.alloc(key),
-                    record: record as *mut Record,
-                    new_value: Some(self.ctx.arena.alloc(value)),
-                    is_insert: false,
-                };
-                self.ctx.write_set.push(entry);
+        match self.record_for_write(table, key)? {
+            Some(found) => {
+                self.push_write(table, key, found.record, Some(value));
                 Ok(())
             }
-            ReadOutcome::Missing => self.insert(table, key, value),
+            None => self.insert_missing(table, key, value),
         }
+    }
+
+    /// The record `key` maps to, for an operation about to add it to the
+    /// write-set: from the read memo when the transaction's previous
+    /// operation was a read of this very key — the read-set already holds
+    /// that observation — and through a tracked read of its own otherwise.
+    /// `None` when the key is missing from the index.
+    fn record_for_write(&mut self, table: TableId, key: &[u8]) -> Result<Option<ReadMemo>, Abort> {
+        if self.worker.ctx.memo_for(table, key).is_none() {
+            let mut buf = std::mem::take(&mut self.worker.ctx.scratch);
+            let outcome = self.read_internal(table, key, &mut buf);
+            self.worker.ctx.scratch = buf;
+            outcome?;
+        }
+        // Either way the memo now describes `key`, or is empty.
+        Ok(self.worker.ctx.memo)
+    }
+
+    /// Adds a write-set entry for `key`, which has none yet.
+    fn push_write(
+        &mut self,
+        table: TableId,
+        key: &[u8],
+        record: *const Record,
+        new_value: Option<&[u8]>,
+    ) {
+        let entry = WriteEntry {
+            table,
+            key: self.worker.ctx.arena.alloc(key),
+            record: record as *mut Record,
+            new_value: new_value.map(|v| self.worker.ctx.arena.alloc(v)),
+            is_insert: false,
+        };
+        self.worker.ctx.write_set.push(entry);
     }
 
     /// Updates an existing key, failing (without poisoning the transaction)
@@ -545,35 +660,20 @@ impl<'w> Txn<'w> {
         if let Some(reason) = self.poisoned {
             return Err(Abort(reason));
         }
-        if let Some(idx) = self.find_write(table, key) {
-            if self.ctx.write_set[idx].new_value.is_none() {
+        if let Some(idx) = self.worker.ctx.find_write(table, key) {
+            if self.worker.ctx.write_set.entries[idx].new_value.is_none() {
                 return Ok(false);
             }
-            self.ctx.write_set[idx].new_value = Some(self.ctx.arena.alloc(value));
+            self.worker.ctx.write_set.entries[idx].new_value =
+                Some(self.worker.ctx.arena.alloc(value));
             return Ok(true);
         }
-        let mut buf = std::mem::take(&mut self.ctx.scratch);
-        let outcome = self.read_internal(table, key, &mut buf);
-        self.ctx.scratch = buf;
-        match outcome? {
-            ReadOutcome::Present => {
-                let record = self
-                    .ctx
-                    .read_set
-                    .last()
-                    .expect("read_internal pushed")
-                    .record;
-                let entry = WriteEntry {
-                    table,
-                    key: self.ctx.arena.alloc(key),
-                    record: record as *mut Record,
-                    new_value: Some(self.ctx.arena.alloc(value)),
-                    is_insert: false,
-                };
-                self.ctx.write_set.push(entry);
+        match self.record_for_write(table, key)? {
+            Some(found) if !found.observed.is_absent() => {
+                self.push_write(table, key, found.record, Some(value));
                 Ok(true)
             }
-            ReadOutcome::Absent | ReadOutcome::Missing => Ok(false),
+            _ => Ok(false),
         }
     }
 
@@ -583,15 +683,21 @@ impl<'w> Txn<'w> {
         if let Some(reason) = self.poisoned {
             return Err(Abort(reason));
         }
-        if let Some(idx) = self.find_write(table_id, key) {
+        if let Some(idx) = self.worker.ctx.find_write(table_id, key) {
             // Key written earlier in this transaction: a previous delete makes
             // this a plain re-insert; a previous value makes it a duplicate.
-            if self.ctx.write_set[idx].new_value.is_none() {
-                self.ctx.write_set[idx].new_value = Some(self.ctx.arena.alloc(value));
+            if self.worker.ctx.write_set.entries[idx].new_value.is_none() {
+                self.worker.ctx.write_set.entries[idx].new_value =
+                    Some(self.worker.ctx.arena.alloc(value));
                 return Ok(());
             }
             return Err(self.poison(AbortReason::DuplicateKey));
         }
+        self.insert_missing(table_id, key, value)
+    }
+
+    /// The insert path proper, for a key the write-set does not hold.
+    fn insert_missing(&mut self, table_id: TableId, key: &[u8], value: &[u8]) -> Result<(), Abort> {
         let table = self.table(table_id);
         // Construct the absent placeholder record before the commit protocol
         // runs, so Phase 1 has something to lock (§4.5 "Inserts"). It is
@@ -612,39 +718,33 @@ impl<'w> Txn<'w> {
                 let record = existing as *const Record;
                 // SAFETY: as in `read_internal`.
                 let rec = unsafe { &*record };
-                let mut buf = std::mem::take(&mut self.ctx.scratch);
+                let mut buf = std::mem::take(&mut self.worker.ctx.scratch);
                 let word = rec.read_consistent(&mut buf);
-                self.ctx.scratch = buf;
+                self.worker.ctx.scratch = buf;
                 if word.is_latest() && word.is_absent() {
                     // The key was deleted (or is another transaction's
                     // placeholder): treat this as a write over the absent
                     // record, validated through the read-set.
-                    self.ctx.read_set.push(ReadEntry {
+                    self.worker.ctx.read_set.push(ReadEntry {
                         record,
                         observed: word,
                     });
                     // The insert's implicit absence check observed the
                     // delete's version (or 0 for a foreign placeholder).
                     self.record_read(table_id, key, word.tid().raw());
-                    let entry = WriteEntry {
-                        table: table_id,
-                        key: self.ctx.arena.alloc(key),
-                        record: record as *mut Record,
-                        new_value: Some(self.ctx.arena.alloc(value)),
-                        is_insert: false,
-                    };
-                    self.ctx.write_set.push(entry);
+                    self.push_write(table_id, key, record, Some(value));
                     return Ok(());
                 }
                 Err(self.poison(AbortReason::DuplicateKey))
             }
             InsertOutcome::Inserted { node_changes } => {
                 self.apply_node_set_fixup(table_id, &node_changes)?;
-                let key_slice = self.ctx.arena.alloc(key);
-                self.ctx
+                let key_slice = self.worker.ctx.arena.alloc(key);
+                self.worker
+                    .ctx
                     .placeholders
                     .push((table_id, key_slice, RecordPtr(placeholder)));
-                self.ctx.read_set.push(ReadEntry {
+                self.worker.ctx.read_set.push(ReadEntry {
                     record: placeholder,
                     observed: placeholder_word,
                 });
@@ -655,10 +755,10 @@ impl<'w> Txn<'w> {
                     table: table_id,
                     key: key_slice,
                     record: placeholder,
-                    new_value: Some(self.ctx.arena.alloc(value)),
+                    new_value: Some(self.worker.ctx.arena.alloc(value)),
                     is_insert: true,
                 };
-                self.ctx.write_set.push(entry);
+                self.worker.ctx.write_set.push(entry);
                 Ok(())
             }
         }
@@ -671,36 +771,20 @@ impl<'w> Txn<'w> {
         if let Some(reason) = self.poisoned {
             return Err(Abort(reason));
         }
-        if let Some(idx) = self.find_write(table_id, key) {
-            let existed = self.ctx.write_set[idx].new_value.is_some();
+        if let Some(idx) = self.worker.ctx.find_write(table_id, key) {
+            let existed = self.worker.ctx.write_set.entries[idx].new_value.is_some();
             // Whether the key came from an earlier insert or write in this
             // same transaction, committing the entry as valueless marks the
             // record absent.
-            self.ctx.write_set[idx].new_value = None;
+            self.worker.ctx.write_set.entries[idx].new_value = None;
             return Ok(existed);
         }
-        let mut buf = std::mem::take(&mut self.ctx.scratch);
-        let outcome = self.read_internal(table_id, key, &mut buf);
-        self.ctx.scratch = buf;
-        match outcome? {
-            ReadOutcome::Present => {
-                let record = self
-                    .ctx
-                    .read_set
-                    .last()
-                    .expect("read_internal pushed")
-                    .record;
-                let entry = WriteEntry {
-                    table: table_id,
-                    key: self.ctx.arena.alloc(key),
-                    record: record as *mut Record,
-                    new_value: None,
-                    is_insert: false,
-                };
-                self.ctx.write_set.push(entry);
+        match self.record_for_write(table_id, key)? {
+            Some(found) if !found.observed.is_absent() => {
+                self.push_write(table_id, key, found.record, None);
                 Ok(true)
             }
-            ReadOutcome::Absent | ReadOutcome::Missing => Ok(false),
+            _ => Ok(false),
         }
     }
 
@@ -721,13 +805,12 @@ impl<'w> Txn<'w> {
                     old_version,
                     new_version,
                 } => {
-                    for entry in &mut self.ctx.node_set {
-                        if entry.table == table_id && entry.node == *node {
-                            if entry.version == *old_version {
-                                entry.version = *new_version;
-                            } else if entry.version != *new_version {
-                                return Err(self.poison(AbortReason::NodeSetFixup));
-                            }
+                    if let Some(at) = self.worker.ctx.find_node(table_id, *node) {
+                        let entry = &mut self.worker.ctx.node_set.entries[at];
+                        if entry.version == *old_version {
+                            entry.version = *new_version;
+                        } else if entry.version != *new_version {
+                            return Err(self.poison(AbortReason::NodeSetFixup));
                         }
                     }
                 }
@@ -736,17 +819,8 @@ impl<'w> Txn<'w> {
                     version,
                     split_from,
                 } => {
-                    let inherits = self
-                        .ctx
-                        .node_set
-                        .iter()
-                        .any(|e| e.table == table_id && e.node == *split_from);
-                    if inherits {
-                        self.ctx.node_set.push(NodeSetEntry {
-                            table: table_id,
-                            node: *node,
-                            version: *version,
-                        });
+                    if self.worker.ctx.find_node(table_id, *split_from).is_some() {
+                        self.worker.ctx.observe_node(table_id, *node, *version);
                     }
                 }
             }
@@ -786,41 +860,31 @@ impl<'w> Txn<'w> {
             return Err(Abort(reason));
         }
 
-        // ---------------- Phase 1 ----------------
-        // Lock the write-set in a deterministic global order (record
-        // addresses) to avoid deadlock among committing transactions. The
-        // unstable sort never allocates (a stable sort's merge buffer would).
-        self.ctx
-            .write_set
-            .sort_unstable_by_key(|w| w.record as usize);
-        debug_assert!(self
-            .ctx
-            .write_set
-            .windows(2)
-            .all(|w| w[0].record != w[1].record));
-        for entry in &self.ctx.write_set {
-            // SAFETY: write-set records are pinned by our epoch.
-            unsafe { (*entry.record).tid().lock() };
-        }
-        self.locks_held = true;
-
-        // The fenced load of the global epoch is the serialization point.
-        // On TSO hardware these are compiler fences; `SeqCst` fences keep the
-        // implementation correct on weaker architectures too.
-        fence(Ordering::SeqCst);
-        let commit_epoch = self.worker.database().epochs().global_epoch();
-        fence(Ordering::SeqCst);
+        // A read-only transaction (§4.4) has nothing to lock, install or
+        // log: it takes its epoch, validates, and draws a TID so that its
+        // worker's TIDs stay monotone. The fences below order the lock
+        // acquisitions before the epoch load and the epoch load before the
+        // validation loads; with no locks taken and no TID ever stored into
+        // a record, the acquire load alone keeps the epoch at or before
+        // validation, and `generate` never returns a TID below an observed
+        // one whatever epoch it is given.
+        let read_only = self.worker.ctx.write_set.is_empty();
+        let commit_epoch = if read_only {
+            self.worker.database().epochs().global_epoch()
+        } else {
+            self.lock_write_set()
+        };
 
         // ---------------- Phase 2 ----------------
+        let write_set = &self.worker.ctx.write_set.entries;
         let mut max_observed = Tid::ZERO;
-        for entry in &self.ctx.read_set {
+        for entry in &self.worker.ctx.read_set {
             // SAFETY: read-set records are pinned by our epoch.
             let current = unsafe { (*entry.record).tid().load() };
             // A lock bit is excused only when it is ours; the write set is
             // searched only for the reads that find one.
             let in_write_set = || {
-                self.ctx
-                    .write_set
+                write_set
                     .binary_search_by_key(&(entry.record as usize), |w| w.record as usize)
                     .is_ok()
             };
@@ -832,7 +896,7 @@ impl<'w> Txn<'w> {
             }
             max_observed = max_observed.max(current.tid());
         }
-        for entry in &self.ctx.write_set {
+        for entry in write_set {
             // SAFETY: we hold the lock on every write-set record.
             let current = unsafe { (*entry.record).tid().load() };
             if !entry.is_insert && !current.is_latest() {
@@ -841,7 +905,9 @@ impl<'w> Txn<'w> {
             }
             max_observed = max_observed.max(current.tid());
         }
-        for entry in &self.ctx.node_set {
+        for i in 0..self.worker.ctx.node_set.len() {
+            // Copied out: `table_ptr` may fill the worker's table cache.
+            let entry = self.worker.ctx.node_set.entries[i];
             let table_ptr = self.worker.table_ptr(entry.table);
             // SAFETY: the worker's table cache keeps the table alive.
             let table = unsafe { &*table_ptr };
@@ -859,26 +925,25 @@ impl<'w> Txn<'w> {
             self.worker.tid_gen().generate(max_observed, commit_epoch)
         };
 
-        // ---------------- Phase 3 ----------------
-        for i in 0..self.ctx.write_set.len() {
-            self.apply_write(i, commit_tid, commit_epoch);
-        }
-        // Every lock was released by `apply_write` (TID store + unlock are a
-        // single atomic store, §4.4 Phase 3).
-        self.locks_held = false;
+        if !read_only {
+            // ---------------- Phase 3 ----------------
+            for i in 0..self.worker.ctx.write_set.len() {
+                self.apply_write(i, commit_tid, commit_epoch);
+            }
+            // Every lock was released by `apply_write` (TID store + unlock
+            // are a single atomic store, §4.4 Phase 3).
+            self.locks_held = false;
 
-        // Report to the durability subsystem (if installed). The log record
-        // carries the TID and the table/key/value of every modification
-        // (§4.10); the hook serializes directly from the arena-backed
-        // write-set into the worker's log buffer — nothing is cloned here.
-        // A transaction that wrote nothing has nothing to redo and gets no
-        // log record.
-        if let Some(hook) = self.worker.database().commit_hook() {
-            if !self.ctx.write_set.is_empty() {
+            // Report to the durability subsystem (if installed). The log
+            // record carries the TID and the table/key/value of every
+            // modification (§4.10); the hook serializes directly from the
+            // arena-backed write-set into the worker's log buffer — nothing
+            // is cloned here.
+            if let Some(hook) = self.worker.database().commit_hook() {
                 hook.on_commit(
                     self.worker.id(),
                     commit_tid,
-                    &WriteSetView(&self.ctx.write_set),
+                    &WriteSetView(&self.worker.ctx.write_set.entries),
                 );
             }
         }
@@ -887,7 +952,7 @@ impl<'w> Txn<'w> {
         // arena) plus the commit TID. Reads were recorded as they happened.
         if self.recording {
             if let Some(history) = self.worker.history.as_mut() {
-                for entry in &self.ctx.write_set {
+                for entry in &self.worker.ctx.write_set.entries {
                     // SAFETY: arena slices are valid until the txn finishes.
                     history.record_write(
                         entry.table,
@@ -901,6 +966,31 @@ impl<'w> Txn<'w> {
         }
 
         Ok(commit_tid)
+    }
+
+    /// Phase 1: locks every write-set record and returns the epoch read at
+    /// the serialization point.
+    fn lock_write_set(&mut self) -> u64 {
+        // Lock in a deterministic global order (record addresses) to avoid
+        // deadlock among committing transactions. The unstable sort never
+        // allocates (a stable sort's merge buffer would). It invalidates the
+        // write-set's index, which nothing consults from here on.
+        let write_set = &mut self.worker.ctx.write_set.entries;
+        write_set.sort_unstable_by_key(|w| w.record as usize);
+        debug_assert!(write_set.windows(2).all(|w| w[0].record != w[1].record));
+        for entry in write_set.iter() {
+            // SAFETY: write-set records are pinned by our epoch.
+            unsafe { (*entry.record).tid().lock() };
+        }
+        self.locks_held = true;
+
+        // The fenced load of the global epoch is the serialization point.
+        // On TSO hardware these are compiler fences; `SeqCst` fences keep the
+        // implementation correct on weaker architectures too.
+        fence(Ordering::SeqCst);
+        let commit_epoch = self.worker.database().epochs().global_epoch();
+        fence(Ordering::SeqCst);
+        commit_epoch
     }
 
     /// Installs one write-set entry and releases its lock (Phase 3).
@@ -919,7 +1009,7 @@ impl<'w> Txn<'w> {
             record,
             new_value,
             is_insert,
-        } = self.ctx.write_set[index];
+        } = self.worker.ctx.write_set.entries[index];
         // SAFETY: we hold the record's lock; it is pinned by our epoch.
         let rec = unsafe { &*record };
         let old_word = rec.tid().load_relaxed();
@@ -1045,9 +1135,18 @@ impl<'w> Txn<'w> {
     ) -> *mut Record {
         let snap_k = self.worker.config().epoch.snapshot_interval_epochs;
         let new_record = self.worker.alloc_record(value, new_word);
-        if keep_old_for_snapshot {
-            // SAFETY: freshly allocated, not yet published.
-            unsafe { (*new_record).set_prev(old_record) };
+        // The version snapshot readers fall back to: the old record when it
+        // is kept for them, else whatever the old record fell back to — as
+        // an in-place overwrite would have left it.
+        // SAFETY: the new record is freshly allocated and not yet published;
+        // we hold the old record's lock.
+        unsafe {
+            let prev = if keep_old_for_snapshot {
+                old_record
+            } else {
+                (*old_record).prev()
+            };
+            (*new_record).set_prev(prev);
         }
         let table_ptr = self.worker.table_ptr(table_id);
         // SAFETY: the worker's table cache keeps the table alive.
@@ -1068,8 +1167,15 @@ impl<'w> Txn<'w> {
             self.worker
                 .defer_snapshot(snap_epoch, Garbage::Record(RecordPtr(old_record)));
         } else {
+            // The reclamation epoch is the global epoch read *after* the
+            // unlink, not the commit epoch read in Phase 1: the epoch may
+            // have advanced in between, and a reader that began in the new
+            // epoch and fetched the old pointer just before the unlink is
+            // only held back by an epoch at least its own.
+            fence(Ordering::SeqCst);
+            let unlinked_in = self.worker.database().epochs().global_epoch();
             self.worker
-                .defer_tree(commit_epoch, Garbage::Record(RecordPtr(old_record)));
+                .defer_tree(unlinked_in, Garbage::Record(RecordPtr(old_record)));
         }
         self.worker.stats.new_versions += 1;
         new_record
@@ -1080,7 +1186,7 @@ impl<'w> Txn<'w> {
         // a lock bit observed on these records in any other situation belongs
         // to a different committing transaction and must not be touched.
         if self.locks_held {
-            for entry in &self.ctx.write_set {
+            for entry in &self.worker.ctx.write_set.entries {
                 // SAFETY: write-set records are pinned by our epoch; Phase 1
                 // locked each of them and Phase 3 did not run.
                 unsafe { (*entry.record).tid().unlock() };
@@ -1094,7 +1200,8 @@ impl<'w> Txn<'w> {
             let epochs = self.worker.database().epochs();
             epochs.snapshot_of(epochs.global_epoch())
         };
-        for (table, key, record) in self.ctx.placeholders.drain(..) {
+        for i in 0..self.worker.ctx.placeholders.len() {
+            let (table, key, record) = self.worker.ctx.placeholders[i];
             // The Unhook garbage outlives the transaction; copy the key out
             // of the arena.
             // SAFETY: arena slices are valid until the txn finishes.
@@ -1102,11 +1209,12 @@ impl<'w> Txn<'w> {
             self.worker
                 .defer_snapshot(snap_epoch, Garbage::Unhook { table, key, record });
         }
+        self.worker.ctx.placeholders.clear();
         // Close the recorded transaction as aborted, keeping its attempted
         // writes for diagnostics (the checker ignores aborted transactions).
         if self.recording {
             if let Some(history) = self.worker.history.as_mut() {
-                for entry in &self.ctx.write_set {
+                for entry in &self.worker.ctx.write_set.entries {
                     // SAFETY: arena slices are valid until the txn finishes.
                     history.record_write(
                         entry.table,
@@ -1128,11 +1236,9 @@ impl<'w> Drop for Txn<'w> {
         if !self.finished {
             self.abort_inner(self.poisoned.unwrap_or(AbortReason::UserRequested));
         }
-        // Clear the context (retaining capacity) and hand it back to the
-        // worker for the next transaction.
-        self.ctx.reset();
-        self.worker.stats.arena_chunk_allocs = self.ctx.arena_chunk_allocs();
-        self.worker.ctx = std::mem::take(&mut self.ctx);
+        // Clear the context (retaining capacity) for the next transaction.
+        self.worker.ctx.reset();
+        self.worker.stats.arena_chunk_allocs = self.worker.ctx.arena_chunk_allocs();
     }
 }
 

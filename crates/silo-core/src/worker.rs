@@ -31,10 +31,9 @@ pub struct Worker {
     pub(crate) snapshot_garbage: GarbageList,
     pub(crate) tree_garbage: GarbageList,
     pub(crate) stats: WorkerStats,
-    /// The reusable transaction context (read/write/node sets, arena). Moved
-    /// into each [`Txn`] by [`Worker::begin`] and handed back, cleared, when
-    /// the transaction finishes — so steady-state transactions allocate
-    /// nothing.
+    /// The reusable transaction context (read/write/node sets, arena), used
+    /// in place by the [`Txn`] borrowing this worker and cleared when it
+    /// finishes — so steady-state transactions allocate nothing.
     pub(crate) ctx: TxnContext,
     /// The index scan's working memory (frame stack, key buffer, visited
     /// leaves), reused by every `scan_with` of this worker's transactions.
@@ -378,12 +377,19 @@ impl Worker {
         // Holding the record's lock (and having cleared `latest`) excludes
         // every path that replaces the index value (`install_new_version`
         // runs under the old record's lock), so the mapping is still ours.
-        if let Some(removed) = table.tree().remove(&key) {
+        let removed = table.tree().remove(&key);
+        // Reclaim under the epoch read *after* the unlink: `current_epoch`
+        // was read when the round began, the global epoch may have advanced
+        // since, and a reader that began in the new epoch and reached the
+        // record just before the removal is only held back by an epoch at
+        // least its own.
+        std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
+        let unlinked_in = self.db.epochs().global_epoch();
+        if let Some(removed) = removed {
             self.tree_garbage
-                .push(current_epoch, Garbage::TreeKey(removed));
+                .push(unlinked_in, Garbage::TreeKey(removed));
         }
-        self.tree_garbage
-            .push(current_epoch, Garbage::Record(record));
+        self.tree_garbage.push(unlinked_in, Garbage::Record(record));
     }
 }
 

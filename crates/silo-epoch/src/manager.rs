@@ -424,6 +424,12 @@ impl WorkerEpochHandle {
     /// value matches, so from that moment on the `E − e_w ≤ 1` invariant is
     /// enforced by the advancer's own check.
     ///
+    /// A slot that already holds the value is left alone: only this worker
+    /// writes its slot, so the value was published — `SeqCst` — by an earlier
+    /// refresh and has been visible to the advancer ever since. Between two
+    /// epoch advances, then, beginning a transaction costs two loads of the
+    /// worker's own line instead of two full-barrier stores.
+    ///
     /// Returns `(e_w, se_w)`.
     ///
     /// Not a [`shared_write_audit`] site: the stores land in this worker's
@@ -433,8 +439,12 @@ impl WorkerEpochHandle {
         loop {
             let e = self.manager.global_epoch();
             let se = self.manager.global_snapshot_epoch();
-            self.slot.local_epoch.store(e, Ordering::SeqCst);
-            self.slot.local_snapshot_epoch.store(se, Ordering::SeqCst);
+            if self.slot.local_epoch.load(Ordering::Relaxed) != e {
+                self.slot.local_epoch.store(e, Ordering::SeqCst);
+            }
+            if self.slot.local_snapshot_epoch.load(Ordering::Relaxed) != se {
+                self.slot.local_snapshot_epoch.store(se, Ordering::SeqCst);
+            }
             if self.manager.global_epoch() == e {
                 return (e, se);
             }

@@ -80,11 +80,11 @@ use silo_epoch::shared_write_audit;
 mod node;
 
 pub use node::{
-    keyslice, klen_class, KeyBuf, Permutation, FANOUT, KLEN_LAYER, KLEN_SUFFIX, LEAF_WIDTH,
-    NODE_LEAF_BIT, NODE_LOCK_BIT, NODE_VERSION_INC,
+    keyslice, klen_class, prefetch_line, KeyBuf, Permutation, FANOUT, KLEN_LAYER, KLEN_SUFFIX,
+    LEAF_WIDTH, NODE_LEAF_BIT, NODE_LOCK_BIT, NODE_VERSION_INC,
 };
 
-use node::{prefetch, prefetch_line, InnerNode, LeafNode, LeafSearch, NodeHeader};
+use node::{prefetch, InnerNode, LeafNode, LeafSearch, NodeHeader};
 
 // ---------------------------------------------------------------------------
 // Suffix-dereference audit (test builds only)
@@ -1544,7 +1544,11 @@ impl Tree {
         let leaf = leaf_hdr as *const LeafNode;
         // SAFETY: leaf at the end of the chain, lock held.
         let leaf_ref = unsafe { &*leaf };
-        let (mut sep, right_leaf) = leaf_ref.split();
+        let rank = match leaf_ref.search(leaf_ref.permutation(), slice, klen_class(klen)) {
+            LeafSearch::NotFound { rank } => rank,
+            LeafSearch::Found { .. } => unreachable!("key was absent under the leaf lock"),
+        };
+        let (mut sep, right_leaf) = leaf_ref.split(rank);
         shared_write_audit::note();
         self.counters.splits.fetch_add(1, Ordering::Relaxed);
         // SAFETY: split returns a live, locked right sibling.

@@ -777,6 +777,9 @@ pub enum LeafSearch {
     },
 }
 
+/// [`LeafNode::last_insert`] when no insert is remembered.
+const NO_SLOT: u8 = u8::MAX;
+
 /// A leaf node: up to [`LEAF_WIDTH`] entries in fixed slots, ordered by the
 /// permutation word, plus a B-link pointer to the right sibling leaf. Field
 /// order keeps the search-relevant arrays (`slices`, `klens`) in the first
@@ -788,6 +791,11 @@ pub struct LeafNode {
     permutation: AtomicU64,
     slices: [AtomicU64; LEAF_WIDTH],
     klens: [AtomicU8; LEAF_WIDTH],
+    /// Slot of the entry most recently inserted into this leaf, or
+    /// [`NO_SLOT`]: how [`LeafNode::split`] recognises keys arriving in
+    /// order. Read and written under the leaf lock only; it occupies the
+    /// byte of padding after `klens`, so the node is no larger for it.
+    last_insert: AtomicU8,
     next: AtomicPtr<LeafNode>,
     values: [AtomicU64; LEAF_WIDTH],
     suffixes: [AtomicPtr<KeyBuf>; LEAF_WIDTH],
@@ -801,6 +809,7 @@ impl LeafNode {
             permutation: AtomicU64::new(Permutation::empty().raw()),
             slices: [const { AtomicU64::new(0) }; LEAF_WIDTH],
             klens: [const { AtomicU8::new(0) }; LEAF_WIDTH],
+            last_insert: AtomicU8::new(NO_SLOT),
             next: AtomicPtr::new(std::ptr::null_mut()),
             values: [const { AtomicU64::new(0) }; LEAF_WIDTH],
             suffixes: [const { AtomicPtr::new(std::ptr::null_mut()) }; LEAF_WIDTH],
@@ -990,6 +999,7 @@ impl LeafNode {
         self.klens[slot].store(klen, Ordering::Release);
         self.suffixes[slot].store(suffix, Ordering::Release);
         self.values[slot].store(value, Ordering::Release);
+        self.last_insert.store(slot as u8, Ordering::Relaxed);
         // The permutation store publishes the slot: readers that see the new
         // word also see the entry fields (release/acquire on the word).
         self.set_permutation(new_perm);
@@ -1043,20 +1053,36 @@ impl LeafNode {
     /// always possible because at most 10 entries can share a slice — so the
     /// parent can route on the separator slice alone.
     ///
+    /// `rank` is where the key whose insertion forced the split belongs. If
+    /// the entry just before it is the one this leaf received last, keys are
+    /// arriving in order, and they will keep arriving right there: a
+    /// half-half split would leave every left leaf half empty for good, so
+    /// the split is made at the insertion point instead and the left leaf
+    /// stays full. At the right edge of the leaf that is Masstree's append
+    /// rule; recognising the run by the leaf's last insert rather than by
+    /// the edge also covers a run that ends in the middle of the key space
+    /// (one loader's range below another's, each TPC-C district's orders
+    /// below the next district's) and leaves a leaf filled in no particular
+    /// order to split in the middle wherever its last key fell.
+    ///
     /// Returns `(separator_slice, right_sibling)`; the separator equals the
     /// right sibling's first slice. The right sibling is returned locked.
-    pub fn split(&self) -> (u64, *mut LeafNode) {
+    pub fn split(&self, rank: usize) -> (u64, *mut LeafNode) {
         let perm = self.permutation();
         let n = perm.count();
         debug_assert_eq!(n, LEAF_WIDTH);
-        // Pick the slice boundary closest to the middle.
+        let in_order =
+            rank > 0 && perm.slot(rank - 1) as u8 == self.last_insert.load(Ordering::Relaxed);
+        // Pick the slice boundary closest to the insertion point of an
+        // ordered run, else to the middle.
+        let target = if in_order { rank } else { n / 2 };
         let mut boundary = 0usize;
         let mut best = usize::MAX;
         for j in 1..n {
             let prev = self.slices[perm.slot(j - 1)].load(Ordering::Relaxed);
             let cur = self.slices[perm.slot(j)].load(Ordering::Relaxed);
             if prev != cur {
-                let dist = j.abs_diff(n / 2);
+                let dist = j.abs_diff(target);
                 if dist < best {
                     best = dist;
                     boundary = j;
@@ -1092,7 +1118,9 @@ impl LeafNode {
         self.next.store(right, Ordering::Release);
         let sep = right_ref.slices[0].load(Ordering::Relaxed);
         // Truncating the permutation atomically retires the moved ranks:
-        // their slots become the new free region.
+        // their slots become the new free region. The remembered slot may
+        // be among them.
+        self.last_insert.store(NO_SLOT, Ordering::Relaxed);
         self.set_permutation(perm.truncated(boundary));
         (sep, right)
     }
@@ -1298,18 +1326,46 @@ mod tests {
 
     #[test]
     fn leaf_split_moves_upper_half_and_links_sibling() {
+        // Filled right to left: wherever the next key belongs, it does not
+        // continue the leaf's last insert.
+        let descending: Vec<usize> = (0..LEAF_WIDTH).rev().collect();
+        for rank in [2, LEAF_WIDTH / 2, LEAF_WIDTH] {
+            assert_eq!(split_full_leaf(&descending, rank), LEAF_WIDTH / 2);
+        }
+    }
+
+    #[test]
+    fn in_order_run_splits_at_its_insertion_point() {
+        // A run that reached the leaf's right edge: Masstree's append split.
+        let ascending: Vec<usize> = (0..LEAF_WIDTH).collect();
+        assert_eq!(split_full_leaf(&ascending, LEAF_WIDTH), LEAF_WIDTH - 1);
+        // A run that ends below keys already there (another loader's range).
+        let interior: Vec<usize> = (10..LEAF_WIDTH).chain(0..10).collect();
+        assert_eq!(split_full_leaf(&interior, 10), 10);
+        // The same leaf, but the next key does not follow the run.
+        assert_eq!(split_full_leaf(&interior, 12), LEAF_WIDTH / 2);
+    }
+
+    /// Fills a leaf with the distinct-slice keys `order` names, inserted in
+    /// that order, splits it for a key belonging at `rank`, checks the
+    /// halves and returns how many entries stayed on the left.
+    fn split_full_leaf(order: &[usize], rank: usize) -> usize {
         let leaf_ptr = LeafNode::allocate();
         // SAFETY: single-threaded exclusive access in this test.
         let leaf = unsafe { &*leaf_ptr };
-        for i in 0..LEAF_WIDTH {
+        for &i in order {
             let key = format!("key{:03}", i);
             let (slice, class) = keyslice(key.as_bytes());
             let perm = leaf.permutation();
-            leaf.insert_entry(perm, i, slice, class, std::ptr::null_mut(), i as u64);
+            let at = match leaf.search(perm, slice, class) {
+                LeafSearch::NotFound { rank } => rank,
+                LeafSearch::Found { .. } => panic!("distinct"),
+            };
+            leaf.insert_entry(perm, at, slice, class, std::ptr::null_mut(), i as u64);
         }
         assert!(leaf.is_full());
         leaf.header.lock();
-        let (sep, right_ptr) = leaf.split();
+        let (sep, right_ptr) = leaf.split(rank);
         // SAFETY: right sibling freshly created by split.
         let right = unsafe { &*right_ptr };
         let left_n = leaf.permutation().count();
@@ -1333,6 +1389,7 @@ mod tests {
             drop(Box::from_raw(leaf_ptr));
             drop(Box::from_raw(right_ptr));
         }
+        left_n
     }
 
     #[test]
@@ -1381,7 +1438,7 @@ mod tests {
         }
         assert!(leaf.is_full());
         leaf.header.lock();
-        let (sep, right_ptr) = leaf.split();
+        let (sep, right_ptr) = leaf.split(0);
         // SAFETY: right sibling freshly created by split.
         let right = unsafe { &*right_ptr };
         let shared_slice = keyslice(shared).0;

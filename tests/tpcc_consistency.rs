@@ -21,8 +21,31 @@ fn test_threads(default: usize) -> usize {
 
 #[test]
 fn tpcc_consistency_conditions_after_concurrent_mix() {
-    let db = Database::open(SiloConfig::default().with_epoch(EpochConfig {
-        epoch_interval: Duration::from_millis(5),
+    // Overridable so the oversubscribed-stress sweep can pin 4 workers onto
+    // 1 core: catches parking/spin pathologies that a thread-per-core run
+    // never exercises.
+    mix_keeps_consistency(SiloConfig::default(), 5, test_threads(3));
+}
+
+/// Every write installs a new record and the old one goes back to the
+/// global allocator (Figure 11's "Simple"), on 1 ms epochs with more workers
+/// than this box has cores: a worker descheduled between reading its commit
+/// epoch and unlinking a record, or between fetching a pointer and reading
+/// through it, straddles an epoch advance every few transactions. A record
+/// reclaimed under an epoch older than the one it was unlinked in is freed
+/// under such a reader; glibc then aborts the process or the reader sees a
+/// length of terabytes.
+#[test]
+fn tpcc_mix_frees_no_record_under_a_reader() {
+    let config = SiloConfig::default()
+        .with_per_worker_pool(false)
+        .with_overwrite_in_place(false);
+    mix_keeps_consistency(config, 1, test_threads(4));
+}
+
+fn mix_keeps_consistency(config: SiloConfig, epoch_ms: u64, threads: usize) {
+    let db = Database::open(config.with_epoch(EpochConfig {
+        epoch_interval: Duration::from_millis(epoch_ms),
         snapshot_interval_epochs: 5,
     }));
     let cfg = TpccConfig {
@@ -35,12 +58,12 @@ fn tpcc_consistency_conditions_after_concurrent_mix() {
     };
     let tables = load(&db, &cfg);
     let result = RunOptions::default()
-        // Overridable so the oversubscribed-stress sweep can pin 4 workers
-        // onto 1 core: catches parking/spin pathologies that a
-        // thread-per-core run never exercises.
-        .with_threads(test_threads(3))
+        .with_threads(threads)
         .with_duration(Duration::from_millis(500))
-        .run(&db, Arc::new(TpccWorkload::new(cfg.clone(), tables.clone())));
+        .run(
+            &db,
+            Arc::new(TpccWorkload::new(cfg.clone(), tables.clone())),
+        );
     assert!(result.committed > 0);
 
     let summary = check_consistency(&db, &cfg, &tables).expect("consistency violated");
