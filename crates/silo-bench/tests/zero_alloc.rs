@@ -33,18 +33,18 @@ fn key(i: u64) -> [u8; 16] {
 
 #[test]
 fn warmed_worker_commits_without_heap_allocation() {
-    let db = Database::open(SiloConfig::default()
-        .with_epoch(EpochConfig {
-            epoch_interval: Duration::from_millis(1),
-            snapshot_interval_epochs: 5,
-        })
-        // Deterministic epochs: advanced manually during warm-up only, so
-        // every measured write lands in the same snapshot interval and takes
-        // the in-place overwrite path.
-        .with_spawn_epoch_advancer(false)
-        // GC runs only when invoked explicitly below; the measured section
-        // must not depend on how much garbage happens to be ready.
-        .with_gc_interval_txns(u64::MAX));
+    let db = Database::open(
+        SiloConfig::default()
+            .with_epoch(EpochConfig {
+                epoch_interval: Duration::from_millis(1),
+                snapshot_interval_epochs: 5,
+            })
+            // Deterministic epochs: advanced manually during warm-up only, so
+            // every measured write lands in the same snapshot interval and takes
+            // the in-place overwrite path, and — the collector running once per
+            // epoch — no collector round falls into the measured section.
+            .with_spawn_epoch_advancer(false),
+    );
     let table = db.create_table("ycsb").unwrap();
     let mut worker = db.register_worker();
 
@@ -131,11 +131,7 @@ fn warmed_worker_commits_a_1024_write_transaction_without_heap_allocation() {
         k[8..].copy_from_slice(&i.to_be_bytes());
         k
     };
-    let db = Database::open(
-        SiloConfig::default()
-            .with_spawn_epoch_advancer(false)
-            .with_gc_interval_txns(u64::MAX),
-    );
+    let db = Database::open(SiloConfig::default().with_spawn_epoch_advancer(false));
     let table = db.create_table("wide").unwrap();
     let mut worker = db.register_worker();
     let mut value = vec![0u8; RECORD_SIZE];
@@ -179,13 +175,14 @@ fn warmed_worker_commits_a_1024_write_transaction_without_heap_allocation() {
 /// serializability checker out of the hot path.
 #[test]
 fn warmed_worker_with_disabled_recorder_commits_without_heap_allocation() {
-    let db = Database::open(SiloConfig::default()
-        .with_epoch(EpochConfig {
-            epoch_interval: Duration::from_millis(1),
-            snapshot_interval_epochs: 5,
-        })
-        .with_spawn_epoch_advancer(false)
-        .with_gc_interval_txns(u64::MAX));
+    let db = Database::open(
+        SiloConfig::default()
+            .with_epoch(EpochConfig {
+                epoch_interval: Duration::from_millis(1),
+                snapshot_interval_epochs: 5,
+            })
+            .with_spawn_epoch_advancer(false),
+    );
     let recorder = Arc::new(HistoryRecorder::new_disabled());
     db.set_history_recorder(Arc::clone(&recorder))
         .expect("fresh database has no recorder");
@@ -261,16 +258,17 @@ fn warmed_worker_with_disabled_recorder_commits_without_heap_allocation() {
 /// into pre-sized memory.
 #[test]
 fn warmed_worker_with_logger_commits_without_heap_allocation() {
-    let db = Database::open(SiloConfig::default()
-        .with_epoch(EpochConfig {
-            epoch_interval: Duration::from_millis(1),
-            // Never cross a snapshot boundary during the test: every measured
-            // write takes the in-place overwrite path regardless of the
-            // epoch advances that force log-buffer publishes.
-            snapshot_interval_epochs: 1_000_000,
-        })
-        .with_spawn_epoch_advancer(false)
-        .with_gc_interval_txns(u64::MAX));
+    let db = Database::open(
+        SiloConfig::default()
+            .with_epoch(EpochConfig {
+                epoch_interval: Duration::from_millis(1),
+                // Never cross a snapshot boundary during the test: every measured
+                // write takes the in-place overwrite path regardless of the
+                // epoch advances that force log-buffer publishes.
+                snapshot_interval_epochs: 1_000_000,
+            })
+            .with_spawn_epoch_advancer(false),
+    );
     // A small publish watermark so the measured section publishes several
     // buffers, and a pool deep enough that the pool can never run dry even
     // if the logger thread is descheduled the whole time (publishes during
@@ -390,9 +388,9 @@ fn warmed_worker_runs_tpcc_without_transient_heap_allocation() {
                 epoch_interval: Duration::from_millis(1),
                 snapshot_interval_epochs: 5,
             })
-            // Epochs and GC move only when `maintain` below says so.
-            .with_spawn_epoch_advancer(false)
-            .with_gc_interval_txns(u64::MAX),
+            // Epochs, and with them the collector, move only when
+            // `maintain` below says so.
+            .with_spawn_epoch_advancer(false),
     );
     // `tiny()` with every last name present in every district (so selection
     // by name scans real matches) and enough items and orders that no

@@ -39,8 +39,9 @@ pub struct SiloConfig {
     /// snapshot overwrite rule, so updates always overwrite when possible.
     pub enable_snapshots: bool,
     /// `+NoGC` (inverted): run the epoch-based garbage collector in workers
-    /// between transactions (§4.8). Disabling leaks superseded versions until
-    /// the database is dropped.
+    /// between transactions (§4.8): one round at each worker's first
+    /// transaction boundary in every new epoch. Disabling leaks superseded
+    /// versions until the database is dropped.
     pub enable_gc: bool,
     /// `MemSilo+GlobalTID`: draw commit TIDs from a single shared atomic
     /// counter instead of the decentralized per-worker rule (§5.2).
@@ -54,8 +55,6 @@ pub struct SiloConfig {
     /// version (because a concurrent writer superseded it) before the
     /// transaction gives up and aborts.
     pub read_retry_limit: usize,
-    /// Run garbage collection in a worker after this many transactions.
-    pub gc_interval_txns: u64,
 }
 
 impl Default for SiloConfig {
@@ -69,7 +68,6 @@ impl Default for SiloConfig {
             global_tid: false,
             per_worker_pool: true,
             read_retry_limit: 16,
-            gc_interval_txns: 64,
         }
     }
 }
@@ -156,12 +154,6 @@ impl SiloConfig {
     /// Sets the unstable-read retry limit before a transaction aborts.
     pub fn with_read_retry_limit(mut self, limit: usize) -> Self {
         self.read_retry_limit = limit;
-        self
-    }
-
-    /// Sets how many transactions a worker runs between GC passes.
-    pub fn with_gc_interval_txns(mut self, interval: u64) -> Self {
-        self.gc_interval_txns = interval;
         self
     }
 }

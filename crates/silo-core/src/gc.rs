@@ -20,6 +20,8 @@
 //! instead of going back to the global allocator, standing in for the paper's
 //! NUMA-aware allocator (see DESIGN.md).
 
+use std::collections::VecDeque;
+
 use silo_index::RemovedEntry;
 use silo_tid::TidWord;
 
@@ -46,38 +48,54 @@ pub(crate) enum Garbage {
     },
 }
 
-/// A per-worker list of `(reclamation_epoch, garbage)` pairs.
+/// A per-worker queue of `(reclamation_epoch, garbage)` pairs in
+/// registration order.
+///
+/// Every producer registers a non-decreasing epoch (a worker's commit epochs
+/// and the global epoch it reads only grow), so the ready items are always a
+/// prefix: a collector round pops that prefix and stops at the first item
+/// that is not ready, costing one comparison when nothing can be freed and
+/// O(items freed) otherwise — never a walk over everything pending. Were an
+/// epoch ever pushed out of order, the items behind it would only be
+/// released late, which is safe.
 #[derive(Debug, Default)]
 pub(crate) struct GarbageList {
-    items: Vec<(u64, Garbage)>,
+    items: VecDeque<(u64, Garbage)>,
 }
 
 impl GarbageList {
     /// Registers `garbage` to be processed once the relevant reclamation
-    /// epoch reaches `epoch`.
+    /// epoch reaches `epoch`, which must be at least every epoch registered
+    /// before it.
     pub(crate) fn push(&mut self, epoch: u64, garbage: Garbage) {
-        self.items.push((epoch, garbage));
+        debug_assert!(
+            self.items.back().map_or(true, |&(last, _)| last <= epoch),
+            "garbage registered out of epoch order: {epoch} after {:?}",
+            self.items.back().map(|&(last, _)| last)
+        );
+        self.items.push_back((epoch, garbage));
     }
 
-    /// Moves every item whose epoch is `≤ up_to` into `out` (which the caller
-    /// reuses across GC rounds, keeping reclamation allocation-free). Items
-    /// are extracted with `swap_remove`, so relative order is not preserved —
-    /// reclamation order within a round is immaterial.
-    pub(crate) fn take_ready_into(&mut self, up_to: u64, out: &mut Vec<(u64, Garbage)>) {
-        let mut i = 0;
-        while i < self.items.len() {
-            if self.items[i].0 <= up_to {
-                out.push(self.items.swap_remove(i));
-            } else {
-                i += 1;
+    /// Moves the ready prefix — items whose epoch is `≤ up_to`, oldest
+    /// first — into `out` (which the caller reuses across rounds, keeping
+    /// reclamation allocation-free). Returns how many items it examined:
+    /// the ones it moved plus the one it stopped at, if any.
+    pub(crate) fn take_ready_into(&mut self, up_to: u64, out: &mut Vec<(u64, Garbage)>) -> usize {
+        let mut examined = 0;
+        while let Some(&(epoch, _)) = self.items.front() {
+            examined += 1;
+            if epoch > up_to {
+                break;
             }
+            out.extend(self.items.pop_front());
         }
+        examined
     }
 
     /// Removes and returns all items regardless of epoch (shutdown).
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn take_all(&mut self) -> Vec<(u64, Garbage)> {
-        std::mem::take(&mut self.items)
+        std::mem::take(&mut self.items).into()
     }
 
     /// Number of pending items.
@@ -195,25 +213,74 @@ mod tests {
         TidWord::new(Tid::new(1, 1), false, true, false)
     }
 
+    /// A garbage item whose record pointer is just a label, never
+    /// dereferenced: lets the model test tell items apart.
+    fn labelled(label: usize) -> Garbage {
+        Garbage::Record(RecordPtr(label as *mut Record))
+    }
+
+    fn label(garbage: &Garbage) -> usize {
+        match garbage {
+            Garbage::Record(ptr) => ptr.0 as usize,
+            other => panic!("unexpected garbage {other:?}"),
+        }
+    }
+
+    /// `GarbageList` against a plain `Vec` holding everything pushed and not
+    /// yet released, over seeded interleavings of pushes (epochs that grow
+    /// by 0–2 at a time, as a worker's do) and rounds whose bound wanders
+    /// below and above them.
     #[test]
-    fn garbage_list_partitions_by_epoch() {
-        let mut list = GarbageList::default();
-        list.push(3, Garbage::Record(RecordPtr::null()));
-        list.push(5, Garbage::Record(RecordPtr::null()));
-        list.push(1, Garbage::Record(RecordPtr::null()));
-        assert_eq!(list.pending(), 3);
-        let mut ready = Vec::new();
-        list.take_ready_into(3, &mut ready);
-        assert_eq!(ready.len(), 2);
-        assert!(ready.iter().all(|(epoch, _)| *epoch <= 3));
-        assert_eq!(list.pending(), 1);
-        // A second round with the same bound finds nothing new.
-        ready.clear();
-        list.take_ready_into(3, &mut ready);
-        assert!(ready.is_empty());
-        let rest = list.take_all();
-        assert_eq!(rest.len(), 1);
-        assert_eq!(list.pending(), 0);
+    fn garbage_list_releases_the_ready_prefix_of_a_plain_model() {
+        for seed in 1..=32u64 {
+            let mut rng = seed;
+            let mut next = move |bound: u64| {
+                // splitmix64
+                rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = rng;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) % bound
+            };
+            let mut list = GarbageList::default();
+            let mut model: Vec<(u64, usize)> = Vec::new();
+            let mut ready = Vec::new();
+            let (mut epoch, mut pushed) = (1u64, 0usize);
+            for _ in 0..2_000 {
+                if next(3) != 0 {
+                    epoch += next(3);
+                    list.push(epoch, labelled(pushed));
+                    model.push((epoch, pushed));
+                    pushed += 1;
+                    continue;
+                }
+                let bound = (epoch + 2).saturating_sub(next(8));
+                ready.clear();
+                let examined = list.take_ready_into(bound, &mut ready);
+                let released: Vec<(u64, usize)> =
+                    ready.iter().map(|(e, g)| (*e, label(g))).collect();
+                assert!(
+                    released.iter().all(|&(e, _)| e <= bound),
+                    "seed {seed}: released an item above bound {bound}"
+                );
+                let expected: Vec<(u64, usize)> =
+                    model.iter().copied().filter(|&(e, _)| e <= bound).collect();
+                assert_eq!(released, expected, "seed {seed}, bound {bound}");
+                model.retain(|&(e, _)| e > bound);
+                assert_eq!(list.pending(), model.len(), "seed {seed}");
+                assert!(
+                    examined <= released.len() + 1,
+                    "seed {seed}: examined {examined} items to release {}",
+                    released.len()
+                );
+            }
+            // Once the bound reaches the last epoch pushed, nothing is left.
+            ready.clear();
+            list.take_ready_into(epoch, &mut ready);
+            assert_eq!(ready.len(), model.len(), "seed {seed}");
+            assert_eq!(list.pending(), 0, "seed {seed}");
+            assert!(list.take_all().is_empty());
+        }
     }
 
     #[test]

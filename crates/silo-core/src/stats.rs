@@ -18,6 +18,9 @@ pub struct WorkerStats {
     pub abort_reasons: AbortBreakdown,
     /// Records reclaimed by this worker's garbage collector.
     pub records_reclaimed: u64,
+    /// Collector rounds this worker ran: at most one per epoch from its
+    /// transaction boundaries, plus every explicit `collect_garbage`.
+    pub gc_rounds: u64,
     /// Record allocations served from the per-worker pool.
     pub pool_hits: u64,
     /// Record allocations that went to the global allocator.
@@ -79,6 +82,7 @@ impl WorkerStats {
         self.aborts += other.aborts;
         self.snapshot_commits += other.snapshot_commits;
         self.records_reclaimed += other.records_reclaimed;
+        self.gc_rounds += other.gc_rounds;
         self.pool_hits += other.pool_hits;
         self.pool_misses += other.pool_misses;
         self.arena_chunk_allocs += other.arena_chunk_allocs;
@@ -149,12 +153,14 @@ mod tests {
             commits: 5,
             aborts: 1,
             inplace_overwrites: 7,
+            gc_rounds: 4,
             ..Default::default()
         };
         a.merge(&b);
         assert_eq!(a.commits, 15);
         assert_eq!(a.aborts, 3);
         assert_eq!(a.inplace_overwrites, 7);
+        assert_eq!(a.gc_rounds, 4);
     }
 
     #[test]

@@ -1573,3 +1573,38 @@ fn snapshot_chain_survives_a_second_new_version_in_one_interval() {
     let mut snap = w.begin_snapshot();
     assert_eq!(snap.read(t, b"row"), Some(b"old-value".to_vec()));
 }
+
+/// A worker draws at most 2^21 TIDs per epoch. Empty read-only transactions
+/// can use them up well inside one epoch; the one after the last must wait
+/// for the next epoch rather than panic, and TIDs stay strictly monotone
+/// across the wait.
+#[test]
+fn read_only_commits_wait_out_an_exhausted_epoch() {
+    use std::sync::atomic::AtomicU64;
+
+    let db = test_db();
+    let mut w = db.register_worker();
+    let per_epoch = silo_tid::MAX_SEQUENCE + 1;
+    let committed = Arc::new(AtomicU64::new(0));
+    let first_epoch = db.epochs().global_epoch();
+    let advancer = {
+        let (db, committed) = (Arc::clone(&db), Arc::clone(&committed));
+        std::thread::spawn(move || {
+            while committed.load(Ordering::Relaxed) < per_epoch {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            // Give the worker time to reach its next commit and wait there.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            db.epochs().try_advance()
+        })
+    };
+    let mut prev = Tid::ZERO;
+    for i in 1..=per_epoch + 1 {
+        let tid = w.begin().commit().unwrap();
+        assert!(tid > prev, "commit {i}: {tid:?} after {prev:?}");
+        prev = tid;
+        committed.store(i, Ordering::Relaxed);
+    }
+    assert_eq!(advancer.join().unwrap(), first_epoch + 1);
+    assert_eq!(prev, Tid::new(first_epoch + 1, 0));
+}

@@ -922,7 +922,25 @@ impl<'w> Txn<'w> {
                 .global_tid_generator()
                 .generate(max_observed, commit_epoch)
         } else {
-            self.worker.tid_gen().generate(max_observed, commit_epoch)
+            let mut tid_epoch = commit_epoch;
+            if read_only {
+                // A worker has 2^21 TIDs per epoch, and a loop of empty
+                // transactions can use them up. A read-only commit holds no
+                // locks and will not touch a record again, so it waits for
+                // the next epoch rather than overflow. It refreshes rather
+                // than just reads `E` so that its own `e_w` cannot hold
+                // the advance back.
+                while self
+                    .worker
+                    .tid_gen()
+                    .last()
+                    .next_exhausts_epoch(max_observed, tid_epoch)
+                {
+                    std::thread::yield_now();
+                    (tid_epoch, _) = self.worker.epoch().refresh();
+                }
+            }
+            self.worker.tid_gen().generate(max_observed, tid_epoch)
         };
 
         if !read_only {

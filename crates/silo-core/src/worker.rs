@@ -42,7 +42,9 @@ pub struct Worker {
     /// allocate either.
     gc_scratch: Vec<(u64, Garbage)>,
     table_cache: Vec<Option<Arc<Table>>>,
-    txns_since_gc: u64,
+    /// The global epoch this worker's last collector round ran in. A new
+    /// round runs at the first transaction boundary that sees `E` move on.
+    gc_epoch: u64,
     /// The worker's history-recording handle, present when the database had a
     /// recorder installed at registration time. All recording goes to this
     /// worker-local buffer; the shared recorder is touched only by the
@@ -67,6 +69,7 @@ impl Worker {
         let history = db
             .history_recorder()
             .map(|r| HistorySession::new(Arc::clone(r), id));
+        let gc_epoch = db.epochs().global_epoch();
         Worker {
             db,
             id,
@@ -80,7 +83,7 @@ impl Worker {
             scan: ScanScratch::default(),
             gc_scratch: Vec::new(),
             table_cache: Vec::new(),
-            txns_since_gc: 0,
+            gc_epoch,
             history,
         }
     }
@@ -131,20 +134,22 @@ impl Worker {
 
     /// Starts a new read/write transaction.
     ///
-    /// Refreshes the worker's local epochs (`e_w ← E`, `se_w ← SE`) and —
-    /// every `gc_interval_txns` transactions — runs the garbage collector
-    /// "between requests" as the paper describes.
+    /// Refreshes the worker's local epochs (`e_w ← E`, `se_w ← SE`) and, when
+    /// `E` has advanced since the worker's last collector round, runs one
+    /// "between requests" as the paper describes: at most one round per
+    /// epoch, however many transactions the epoch holds.
     pub fn begin(&mut self) -> Txn<'_> {
-        self.on_txn_boundary();
-        self.epoch.refresh();
+        let (epoch, _) = self.epoch.refresh();
+        self.collect_if_epoch_moved(epoch);
         Txn::new(self)
     }
 
     /// Starts a read-only snapshot transaction on the most recent snapshot
-    /// epoch (§4.9). Snapshot transactions never abort.
+    /// epoch (§4.9). Snapshot transactions never abort. Runs a collector
+    /// round on a new epoch, as [`Worker::begin`] does.
     pub fn begin_snapshot(&mut self) -> SnapshotTxn<'_> {
-        self.on_txn_boundary();
-        let (_, sew) = self.epoch.refresh();
+        let (epoch, sew) = self.epoch.refresh();
+        self.collect_if_epoch_moved(epoch);
         let snapshot_epoch = if self.db.config().enable_snapshots {
             sew
         } else {
@@ -165,17 +170,19 @@ impl Worker {
     /// many short snapshot transactions — each `begin_snapshot_at` re-pins
     /// `se_w` to the chosen epoch (so the versions that snapshot needs are
     /// never reclaimed mid-walk) while refreshing `e_w` (so the walk never
-    /// stalls global epoch advancement).
+    /// stalls global epoch advancement). A collector round on a new epoch
+    /// runs under that pin, so it frees nothing the snapshot can reach.
     pub fn begin_snapshot_at(&mut self, snapshot_epoch: u64) -> SnapshotTxn<'_> {
-        self.on_txn_boundary();
         let snapshot_epoch = snapshot_epoch.min(self.db.epochs().global_snapshot_epoch());
         if self.db.config().enable_snapshots {
-            self.epoch.refresh_pinned(snapshot_epoch);
+            let epoch = self.epoch.refresh_pinned(snapshot_epoch);
+            self.collect_if_epoch_moved(epoch);
             SnapshotTxn::new(self, snapshot_epoch)
         } else {
             // Snapshots disabled: no old versions are retained, so the best
             // available point is the latest committed state.
-            self.epoch.refresh();
+            let (epoch, _) = self.epoch.refresh();
+            self.collect_if_epoch_moved(epoch);
             SnapshotTxn::new(self, u64::MAX)
         }
     }
@@ -196,11 +203,13 @@ impl Worker {
         }
     }
 
-    fn on_txn_boundary(&mut self) {
-        self.txns_since_gc += 1;
-        if self.db.config().enable_gc && self.txns_since_gc >= self.db.config().gc_interval_txns {
-            self.txns_since_gc = 0;
-            self.collect_garbage();
+    /// Runs a collector round if `E` — just refreshed to `epoch` — moved
+    /// since the last one. The reclamation epochs move with `E`, and
+    /// `try_advance` keeps `E − e_w ≤ 1`, so an item is freed at most one
+    /// epoch after it became ready.
+    fn collect_if_epoch_moved(&mut self, epoch: u64) {
+        if epoch != self.gc_epoch && self.db.config().enable_gc {
+            self.collect_round(epoch);
         }
     }
 
@@ -250,19 +259,30 @@ impl Worker {
     ///   trees, with the unhooked memory deferred again to the tree list.
     /// * Items in the tree list whose epoch `≤` the tree reclamation epoch
     ///   are freed.
+    ///
+    /// Both lists are in epoch order, so a round stops at the first item
+    /// that is not ready: it costs what it frees. Transaction boundaries run
+    /// one automatically whenever `E` has advanced; call this directly to
+    /// reclaim without starting a transaction (e.g. before dropping a
+    /// worker).
     pub fn collect_garbage(&mut self) {
-        if !self.db.config().enable_gc {
-            return;
+        if self.db.config().enable_gc {
+            // Pin the current epoch for the duration of the collection: the
+            // unhook path reads tree state and record words, which is only
+            // safe while this worker is non-quiescent (otherwise another
+            // worker's reclamation could free them mid-inspection). The pin
+            // lasts until the worker's next refresh or `quiesce`.
+            let (epoch, _) = self.epoch.refresh();
+            self.collect_round(epoch);
         }
-        // Pin the current epoch for the duration of the collection: the
-        // unhook path reads tree state and record words, which is only safe
-        // while this worker is non-quiescent (otherwise another worker's
-        // reclamation could free them mid-inspection). `begin` refreshes
-        // again afterwards, so the pin never lingers past the boundary.
-        self.epoch.refresh();
+    }
+
+    /// One collector round on a worker already pinned at `epoch`.
+    fn collect_round(&mut self, epoch: u64) {
+        self.gc_epoch = epoch;
+        self.stats.gc_rounds += 1;
         let snapshot_reclaim = self.db.epochs().snapshot_reclamation_epoch();
         let tree_reclaim = self.db.epochs().tree_reclamation_epoch();
-        let current_epoch = self.db.epochs().global_epoch();
 
         // The ready items are drained into a reusable buffer (taken while
         // processing, because the unhook path pushes new garbage) so a GC
@@ -283,7 +303,7 @@ impl Worker {
                 }
                 Garbage::TreeKey(entry) => drop(entry),
                 Garbage::Unhook { table, key, record } => {
-                    self.unhook_deleted_key(table, key, record, current_epoch);
+                    self.unhook_deleted_key(table, key, record, epoch);
                 }
             }
         }
@@ -302,7 +322,7 @@ impl Worker {
                 Garbage::Unhook { table, key, record } => {
                     // Unhook items normally live in the snapshot list; handle
                     // them here too for robustness.
-                    self.unhook_deleted_key(table, key, record, current_epoch);
+                    self.unhook_deleted_key(table, key, record, epoch);
                 }
             }
         }
@@ -333,7 +353,7 @@ impl Worker {
         table_id: TableId,
         key: Vec<u8>,
         record: RecordPtr,
-        current_epoch: u64,
+        epoch: u64,
     ) {
         let table_ptr = self.table_ptr(table_id);
         // SAFETY: the table cache keeps the Arc alive for the worker's
@@ -351,10 +371,14 @@ impl Worker {
         // non-quiescent, so the record cannot have been reclaimed.
         let tid = unsafe { (*record.0).tid() };
         if !tid.try_lock() {
-            // A committing transaction holds the record; try again at the
-            // next collection round.
+            // A committing transaction holds the record; try again once the
+            // snapshot reclamation epoch passes this round's snapshot epoch.
+            // `snap(epoch)` is at least every epoch already in the list (all
+            // registered by commits and aborts no later than `epoch`), which
+            // keeps the list in order.
+            let retry_at = self.db.epochs().snapshot_of(epoch);
             self.snapshot_garbage.push(
-                current_epoch,
+                retry_at,
                 Garbage::Unhook {
                     table: table_id,
                     key,
@@ -378,8 +402,8 @@ impl Worker {
         // every path that replaces the index value (`install_new_version`
         // runs under the old record's lock), so the mapping is still ours.
         let removed = table.tree().remove(&key);
-        // Reclaim under the epoch read *after* the unlink: `current_epoch`
-        // was read when the round began, the global epoch may have advanced
+        // Reclaim under the epoch read *after* the unlink: `epoch` was read
+        // when the round began, the global epoch may have advanced
         // since, and a reader that began in the new epoch and reached the
         // record just before the removal is only held back by an epoch at
         // least its own.
@@ -436,6 +460,80 @@ mod tests {
         w.defer_tree(1, Garbage::Record(RecordPtr::null()));
         assert_eq!(w.pending_garbage(), 0);
         w.collect_garbage();
+    }
+
+    /// Commits `key = value` as a new record version (the database never
+    /// overwrites in place), so the version it replaces becomes garbage.
+    fn put(w: &mut Worker, t: TableId, key: &[u8], value: &[u8]) {
+        let mut txn = w.begin();
+        txn.write(t, key, value).unwrap();
+        txn.commit().unwrap();
+    }
+
+    fn new_versions_db() -> Arc<Database> {
+        Database::open(SiloConfig::for_testing().with_overwrite_in_place(false))
+    }
+
+    #[test]
+    fn collector_runs_once_per_epoch_not_per_transaction() {
+        let db = new_versions_db();
+        let t = db.create_table("t").unwrap();
+        let mut w = db.register_worker();
+        put(&mut w, t, b"k", b"v0");
+        put(&mut w, t, b"k", b"v1");
+        let pending = w.pending_garbage();
+        assert_eq!(pending, 1, "the superseded version awaits reclamation");
+
+        let rounds = w.stats().gc_rounds;
+        for _ in 0..10_000 {
+            w.begin().commit().unwrap();
+        }
+        assert_eq!(w.stats().gc_rounds, rounds, "no round within one epoch");
+        assert_eq!(w.pending_garbage(), pending);
+
+        // The worker is at E, so the advance is allowed without quiescing.
+        let e = db.epochs().global_epoch();
+        assert_eq!(db.epochs().try_advance(), e + 1);
+        for _ in 0..100 {
+            w.begin().commit().unwrap();
+        }
+        assert_eq!(w.stats().gc_rounds, rounds + 1, "one round per new epoch");
+    }
+
+    #[test]
+    fn a_worker_in_the_unlink_epoch_keeps_the_version_out_of_the_pool() {
+        let db = new_versions_db();
+        let t = db.create_table("t").unwrap();
+        let mut writer = db.register_worker();
+        let mut reader = db.register_worker();
+        put(&mut writer, t, b"k", b"v0");
+        let unlinked_in = db.epochs().global_epoch();
+
+        // The reader holds the record the writer is about to supersede.
+        let mut reading = reader.begin();
+        assert_eq!(reading.read(t, b"k").unwrap(), Some(b"v0".to_vec()));
+        put(&mut writer, t, b"k", b"v1");
+        assert_eq!(writer.pending_garbage(), 1);
+
+        // E moves on, but the reader is still in the unlink epoch: the
+        // writer's round must not free the version.
+        assert_eq!(db.epochs().try_advance(), unlinked_in + 1);
+        let rounds = writer.stats().gc_rounds;
+        writer.begin().commit().unwrap();
+        assert_eq!(writer.stats().gc_rounds, rounds + 1);
+        assert_eq!(writer.pending_garbage(), 1);
+        assert_eq!(writer.stats().records_reclaimed, 0);
+        assert_eq!(writer.pool.pooled(), 0);
+
+        // Once the reader has left the epoch, the next epoch's round frees
+        // it into the writer's pool.
+        drop(reading);
+        reader.quiesce();
+        assert_eq!(db.epochs().try_advance(), unlinked_in + 2);
+        writer.begin().commit().unwrap();
+        assert_eq!(writer.pending_garbage(), 0);
+        assert_eq!(writer.stats().records_reclaimed, 1);
+        assert_eq!(writer.pool.pooled(), 1);
     }
 
     #[test]

@@ -114,8 +114,20 @@ impl Tid {
     /// `self` and `other`, implementing the paper's TID-generation rule:
     /// the result is (a) larger than any TID observed, (b) larger than the
     /// worker's previously chosen TID and (c) lies in the current epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Tid::next_exhausts_epoch`]: callers that can wait for
+    /// the next epoch check first.
     pub fn next_after(self, other: Tid, epoch: u64) -> Tid {
         let floor = self.max(other);
+        assert!(
+            !self.next_exhausts_epoch(other, epoch),
+            "TID sequence of epoch {} exhausted: a worker drew 2^{SEQUENCE_BITS} TIDs \
+             in one epoch (a read-only commit waits for the next epoch instead; a \
+             writer cannot, so the epoch advancer must have stalled)",
+            floor.epoch()
+        );
         let candidate = if floor.epoch() >= epoch {
             // Observed TIDs already reach (or exceed) the current epoch:
             // keep counting within the observed epoch.
@@ -125,6 +137,14 @@ impl Tid {
         };
         debug_assert!(candidate > self && candidate > other);
         candidate
+    }
+
+    /// Whether [`Tid::next_after`]`(other, epoch)` would run out of sequence
+    /// numbers: the larger of the two TIDs is already the last one of an
+    /// epoch at or after `epoch`. A later `epoch` makes room again.
+    pub fn next_exhausts_epoch(self, other: Tid, epoch: u64) -> bool {
+        let floor = self.max(other);
+        floor.epoch() >= epoch && floor.sequence() == MAX_SEQUENCE
     }
 }
 
@@ -430,6 +450,17 @@ mod tests {
         assert!(next > observed);
         assert_eq!(next.epoch(), 7);
         assert_eq!(next.sequence(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "exhausted")]
+    fn next_after_refuses_an_exhausted_epoch() {
+        let last = Tid::new(5, MAX_SEQUENCE);
+        assert!(last.next_exhausts_epoch(Tid::ZERO, 5));
+        assert!(Tid::ZERO.next_exhausts_epoch(last, 4));
+        assert!(!last.next_exhausts_epoch(Tid::ZERO, 6));
+        assert_eq!(last.next_after(Tid::ZERO, 6), Tid::new(6, 0));
+        let _ = last.next_after(Tid::ZERO, 5);
     }
 
     #[test]

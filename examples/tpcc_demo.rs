@@ -52,7 +52,10 @@ fn main() {
         result.stats.inplace_overwrites
     );
     println!("new versions      : {:>12}", result.stats.new_versions);
-    println!("records reclaimed : {:>12}", result.stats.records_reclaimed);
+    println!(
+        "records reclaimed : {:>12} in {} collector rounds",
+        result.stats.records_reclaimed, result.stats.gc_rounds
+    );
     println!(
         "abort breakdown   : read={} node={} dup={} unstable={}",
         result.stats.abort_reasons.read_validation,
