@@ -12,9 +12,10 @@
 //!   `SIGKILL`s this process mid-run.
 //! * `fig_recovery recover <dir>` — recover a fresh database from `<dir>`,
 //!   verify the TPC-C consistency conditions on the recovered state, check
-//!   the recovered durable epoch against `SILO_RECOVERY_MIN_EPOCH` (the last
-//!   durable epoch the killed run reported), and check the replayed log tail
-//!   stayed small relative to `SILO_RECOVERY_TOTAL_LOG_BYTES`.
+//!   that no complete checkpoint failed verification, check the recovered
+//!   durable epoch against `SILO_RECOVERY_MIN_EPOCH` (the last durable epoch
+//!   the killed run reported), and check the replayed log tail stayed small
+//!   relative to `SILO_RECOVERY_TOTAL_LOG_BYTES`.
 //!
 //! Extra knobs (on top of the usual `SILO_BENCH_*` harness variables):
 //!
@@ -241,8 +242,10 @@ fn recover_and_verify(dir: &Path, min_epoch: u64, total_log_bytes: Option<u64>) 
         post.committed,
     );
     println!(
-        "BENCH_JSON {{\"bench\":\"fig_recovery\",\"series\":\"recover\",\"ckpt_epoch\":{},\"ckpt_records\":{},\"ckpt_bytes\":{},\"ckpt_micros\":{},\"durable_epoch\":{},\"replayed_txns\":{},\"replayed_writes\":{},\"skipped_txns\":{},\"covered_txns\":{},\"log_tail_bytes\":{},\"log_files\":{},\"replay_micros\":{},\"tombstones_reclaimed\":{},\"restart_us\":{},\"districts_checked\":{},\"post_recovery_committed\":{}}}",
+        "BENCH_JSON {{\"bench\":\"fig_recovery\",\"series\":\"recover\",\"ckpt_epoch\":{},\"checkpoints_skipped\":{},\"corrupt_log_tails\":{},\"ckpt_records\":{},\"ckpt_bytes\":{},\"ckpt_micros\":{},\"durable_epoch\":{},\"replayed_txns\":{},\"replayed_writes\":{},\"skipped_txns\":{},\"covered_txns\":{},\"log_tail_bytes\":{},\"log_files\":{},\"replay_micros\":{},\"tombstones_reclaimed\":{},\"restart_us\":{},\"districts_checked\":{},\"post_recovery_committed\":{}}}",
         report.checkpoint_epoch,
+        report.checkpoints_skipped,
+        report.corrupt_log_tails,
         report.checkpoint_records,
         report.checkpoint_bytes,
         report.checkpoint_micros,
@@ -260,6 +263,13 @@ fn recover_and_verify(dir: &Path, min_epoch: u64, total_log_bytes: Option<u64>) 
         post.committed,
     );
 
+    // Verifier gate: a crash corrupts nothing, and a checkpoint the crash
+    // left incomplete has no manifest, so no checkpoint may fail
+    // verification here. A skip means the verifier rejected a good slice.
+    assert_eq!(
+        report.checkpoints_skipped, 0,
+        "recovery skipped a complete checkpoint that failed verification"
+    );
     // Durability gate: everything the killed run reported durable must be
     // inside the recovered horizon.
     assert!(

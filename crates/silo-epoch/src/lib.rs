@@ -20,8 +20,6 @@
 //! * [`EpochAdvancer`] — the designated thread that periodically advances `E`
 //!   (every 40 ms in the paper; configurable here), respecting the invariant
 //!   `E − e_w ≤ 1` for every active worker.
-//! * [`ReclamationQueue`] — a per-worker list of deferred destructors tagged
-//!   with reclamation epochs.
 //! * [`shared_write_audit`] — a test-only (debug-build) counter of writes to
 //!   cross-thread shared memory, used to pin the paper's §3 rule that
 //!   read-only transactions never write to shared memory.
@@ -31,14 +29,12 @@
 
 mod advancer;
 mod manager;
-mod reclaim;
 
 #[path = "audit.rs"]
 pub mod shared_write_audit;
 
 pub use advancer::EpochAdvancer;
 pub use manager::{AdvanceListener, EpochConfig, EpochManager, WorkerEpochHandle, QUIESCENT};
-pub use reclaim::ReclamationQueue;
 
 /// Computes the snapshot epoch `snap(e) = k * floor(e / k)` (paper §4.9).
 ///

@@ -306,9 +306,9 @@ pub enum InsertOutcome {
 /// Owns the removed key's out-of-line suffix buffer, if it had one (keys of
 /// at most 8 bytes per trie layer store nothing out of line). Dropping it
 /// frees the buffer, so the caller **must defer the drop past a grace
-/// period** (e.g. via `silo_epoch::ReclamationQueue`) if concurrent readers
-/// may still hold the pointer; dropping immediately is only safe in
-/// single-threaded contexts.
+/// period** (`silo-core` queues it on the worker's epoch-ordered garbage
+/// list) if concurrent readers may still hold the pointer; dropping
+/// immediately is only safe in single-threaded contexts.
 #[derive(Debug)]
 pub struct RemovedEntry {
     /// The value that was associated with the removed key.

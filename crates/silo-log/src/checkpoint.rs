@@ -18,16 +18,30 @@
 //!                                       checkpoint complete
 //! ```
 //!
-//! Each slice starts with the magic `SILOSLC2` followed by CRC-framed
-//! chunks `len u32 | crc32 u32 | payload`; each payload is a whole number of
-//! records `table u32 | key_len u32 | key | tid u64 | val_len u32 | value` —
-//! the live records of a consistent snapshot at the checkpoint epoch, with
-//! the commit TID of each version. Deleted keys are simply not present
-//! (recovery starts from an empty database). Readers verify every frame's
-//! CRC-32 before parsing it, so a flipped bit in a slice is a typed error —
-//! and recovery then falls back to the previous complete checkpoint — rather
-//! than silently corrupt state. A slice that does not open with the magic is
-//! rejected the same way.
+//! A slice is written in the log's own format ([`crate::record`]): CRC-sealed
+//! envelopes of about 64 KiB, each holding whole transaction blocks, one per
+//! live record — `table | key | value` as a single write at the commit TID of
+//! its version. Together the slices hold the live records of a consistent
+//! snapshot at the checkpoint epoch; deleted keys are simply not present
+//! (recovery starts from an empty database). Slices are read back by the
+//! log's [`StreamDecoder`], which verifies each envelope's CRC-32 before it
+//! parses anything inside.
+//!
+//! Unlike a log stream, a slice is **strict**. It was fsynced before its
+//! manifest was written, so it is either whole or damaged; it has no torn
+//! tail to tolerate. [`verify_checkpoint`] rejects a slice with
+//! `io::ErrorKind::InvalidData` when:
+//!
+//! * the decoder returns an error (a failed CRC, a bad tag);
+//! * the decoder stops short of the slice's byte count in the manifest. It
+//!   reads a torn final envelope as a clean end of stream, and in a slice
+//!   that can only be damage, such as an inflated length field;
+//! * the number of decoded records differs from the manifest's count;
+//! * it holds any block other than a single-write transaction block with a
+//!   value, such as an epoch marker or a delete.
+//!
+//! Recovery then falls back to the previous complete checkpoint rather than
+//! load silently corrupt state.
 //!
 //! # Protocol
 //!
@@ -42,27 +56,26 @@
 //!    `≤ ce` are redundant — the checkpoint covers them — and are deleted.
 //! 4. Delete older checkpoints.
 
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use silo_core::{Database, Tid, Worker};
+use silo_core::{Database, TableId, Tid, Worker};
 
 use crate::fault::{FaultPlan, FaultSite, InjectedCrash};
+use crate::record::{self, BlockRef, DecodeError, StreamDecoder};
 use crate::{lock, SiloLogger};
 
 /// Name of the per-checkpoint completeness marker / metadata file.
 const MANIFEST: &str = "MANIFEST";
 /// First line of every manifest: the one checkpoint format.
-const MANIFEST_HEADER: &str = "silo-checkpoint v2";
+const MANIFEST_HEADER: &str = "silo-checkpoint v3";
 /// Subdirectory of the durability root holding checkpoints.
 const CHECKPOINT_DIR: &str = "checkpoints";
-/// Leading magic of a checkpoint slice.
-const SLICE_MAGIC: &[u8; 8] = b"SILOSLC2";
-/// Target payload size of one CRC frame (flushed at record boundaries).
+/// Target payload size of one sealed envelope (closed at record boundaries).
 const SLICE_FRAME: usize = 64 * 1024;
 
 /// An `io::Error` carrying an injected checkpoint crash, so `run_once` can
@@ -325,6 +338,61 @@ fn slice_path(dir: &Path, index: usize) -> PathBuf {
     dir.join(format!("slice-{index}.bin"))
 }
 
+/// Writes one slice: each live record becomes a single-write transaction
+/// block at its version's TID, sealed into envelopes of about
+/// [`SLICE_FRAME`] bytes. Records never span envelopes.
+struct SliceWriter<W> {
+    out: W,
+    /// The open envelope, its header at offset 0.
+    frame: Vec<u8>,
+    bytes: u64,
+    records: u64,
+}
+
+impl<W: Write> SliceWriter<W> {
+    fn new(out: W) -> Self {
+        let mut frame = Vec::with_capacity(SLICE_FRAME + 4096);
+        record::begin_sealed(&mut frame);
+        SliceWriter {
+            out,
+            frame,
+            bytes: 0,
+            records: 0,
+        }
+    }
+
+    /// Appends one record, returning the bytes its block adds.
+    fn push(&mut self, table: TableId, key: &[u8], tid: Tid, value: &[u8]) -> std::io::Result<u64> {
+        let before = self.frame.len();
+        record::encode_txn(&mut self.frame, tid, &[(table, key, Some(value))], false);
+        let added = (self.frame.len() - before) as u64;
+        self.records += 1;
+        if self.frame.len() >= SLICE_FRAME {
+            self.seal_frame()?;
+        }
+        Ok(added)
+    }
+
+    /// Seals and writes the open envelope, unless it is empty, and opens the
+    /// next one.
+    fn seal_frame(&mut self) -> std::io::Result<()> {
+        if record::seal(&mut self.frame, 0) {
+            self.out.write_all(&self.frame)?;
+            self.bytes += self.frame.len() as u64;
+        }
+        self.frame.clear();
+        record::begin_sealed(&mut self.frame);
+        Ok(())
+    }
+
+    /// Seals the last envelope and returns the sink with the slice's
+    /// `(bytes, records)`.
+    fn finish(mut self) -> std::io::Result<(W, u64, u64)> {
+        self.seal_frame()?;
+        Ok((self.out, self.bytes, self.records))
+    }
+}
+
 /// One checkpoint attempt: see the module docs for the protocol.
 fn run_once(shared: &CheckpointerShared) -> std::io::Result<Option<u64>> {
     // A consistent checkpoint needs the snapshot mechanism: without it the
@@ -403,12 +471,7 @@ fn walk(shared: &CheckpointerShared, state: &mut RunState) -> std::io::Result<Op
             let fault = shared.config.fault.as_ref();
             handles.push(scope.spawn(move || -> std::io::Result<(u64, u64)> {
                 let file = std::fs::File::create(&path)?;
-                let mut out = BufWriter::new(file);
-                out.write_all(SLICE_MAGIC)?;
-                let mut bytes = SLICE_MAGIC.len() as u64;
-                let mut records = 0u64;
-                let mut staging = Vec::with_capacity(4096);
-                let mut frame: Vec<u8> = Vec::with_capacity(SLICE_FRAME + 4096);
+                let mut slice = SliceWriter::new(BufWriter::new(file));
                 loop {
                     let i = next_table.fetch_add(1, Ordering::Relaxed);
                     let Some(&table) = tables.get(i) else { break };
@@ -419,29 +482,17 @@ fn walk(shared: &CheckpointerShared, state: &mut RunState) -> std::io::Result<Op
                     }
                     let mut snap = worker.begin_snapshot_at(ce);
                     let mut io_err: Option<std::io::Error> = None;
-                    records += snap.scan_versions_paced(table, chunk, pacer, |key, tid, value| {
+                    snap.scan_versions_paced(table, chunk, pacer, |key, tid, value| {
                         if io_err.is_some() {
                             return;
                         }
-                        staging.clear();
-                        staging.extend_from_slice(&table.to_le_bytes());
-                        staging.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                        staging.extend_from_slice(key);
-                        staging.extend_from_slice(&tid.raw().to_le_bytes());
-                        staging.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                        staging.extend_from_slice(value);
-                        if let Some(p) = pacer {
-                            p.note(staging.len() as u64);
-                        }
-                        // Records never span frames, so the reader can verify
-                        // a frame's checksum before parsing anything in it.
-                        frame.extend_from_slice(&staging);
-                        if frame.len() >= SLICE_FRAME {
-                            match write_frame(&mut out, &frame) {
-                                Ok(n) => bytes += n,
-                                Err(e) => io_err = Some(e),
+                        match slice.push(table, key, tid, value) {
+                            Ok(added) => {
+                                if let Some(p) = pacer {
+                                    p.note(added);
+                                }
                             }
-                            frame.clear();
+                            Err(e) => io_err = Some(e),
                         }
                     });
                     snap.finish();
@@ -449,9 +500,7 @@ fn walk(shared: &CheckpointerShared, state: &mut RunState) -> std::io::Result<Op
                         return Err(e);
                     }
                 }
-                if !frame.is_empty() {
-                    bytes += write_frame(&mut out, &frame)?;
-                }
+                let (mut out, bytes, records) = slice.finish()?;
                 out.flush()?;
                 out.get_ref().sync_data()?;
                 Ok((bytes, records))
@@ -684,159 +733,77 @@ pub fn latest_checkpoint(root: &Path) -> Option<CheckpointInfo> {
     complete_checkpoints(root).into_iter().next()
 }
 
-/// Reads every slice of `info` end to end without applying anything: each
-/// slice must open with the magic, each CRC frame must checksum correctly and
-/// every record must parse. A corrupt slice surfaces as the underlying typed
-/// error, letting recovery report it and fall back to an older checkpoint
-/// instead of loading silently-corrupted state.
+/// Reads every slice of `info` end to end without applying anything, holding
+/// each to the strict rules of the module docs. A damaged slice surfaces as
+/// an `InvalidData` error, letting recovery report it and fall back to an
+/// older checkpoint instead of loading silently-corrupted state.
 pub fn verify_checkpoint(info: &CheckpointInfo) -> std::io::Result<()> {
-    for (path, _, _) in &info.slices {
+    for (path, bytes, records) in &info.slices {
         let file = std::fs::File::open(path)?;
-        let mut reader = SliceReader::new(BufReader::new(file))?;
-        while reader.next_record()?.is_some() {}
+        read_slice(file, *bytes, *records, |_, _, _, _| {
+            Ok::<(), std::io::Error>(())
+        })?;
     }
     Ok(())
 }
 
-/// One record streamed out of a checkpoint slice.
-pub(crate) struct SliceRecord {
-    pub table: silo_core::TableId,
-    pub key: Vec<u8>,
-    pub tid: Tid,
-    pub value: Vec<u8>,
-}
-
-/// Writes one CRC frame `len u32 | crc32 u32 | payload`, returning the bytes
-/// it added to the slice.
-fn write_frame(out: &mut impl Write, payload: &[u8]) -> std::io::Result<u64> {
-    out.write_all(&(payload.len() as u32).to_le_bytes())?;
-    out.write_all(&crate::record::crc32(payload).to_le_bytes())?;
-    out.write_all(payload)?;
-    Ok(8 + payload.len() as u64)
-}
-
-/// Streams the records of one checkpoint slice. Unlike log streams, slices
-/// were fsynced before the manifest was written, so any malformation — a
-/// missing magic, truncation, a failed frame checksum, a record spanning
-/// frames — is a hard error rather than a tolerated torn tail.
-pub(crate) struct SliceReader<R> {
-    reader: R,
-    /// The current checksum-verified frame.
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl<R: Read> SliceReader<R> {
-    /// Checks the slice's leading magic.
-    pub(crate) fn new(mut reader: R) -> std::io::Result<Self> {
-        let mut lead = [0u8; 8];
-        if !read_exact_or_eof(&mut reader, &mut lead)? || &lead != SLICE_MAGIC {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "checkpoint slice does not start with the SILOSLC2 magic",
-            ));
-        }
-        Ok(SliceReader {
-            reader,
-            buf: Vec::new(),
-            pos: 0,
-        })
-    }
-
-    /// Loads and checksum-verifies the next frame. `Ok(false)` at clean end
-    /// of slice.
-    fn next_frame(&mut self) -> std::io::Result<bool> {
-        let mut head = [0u8; 8];
-        if !read_exact_or_eof(&mut self.reader, &mut head)? {
-            return Ok(false);
-        }
-        let len = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-        self.buf.resize(len, 0);
-        self.reader.read_exact(&mut self.buf)?;
-        if crate::record::crc32(&self.buf) != crc {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "checkpoint slice frame failed checksum verification",
-            ));
-        }
-        self.pos = 0;
-        Ok(true)
-    }
-
-    /// Reads exactly `out.len()` record bytes. `at_boundary` permits a clean
-    /// end of slice *before* any byte is read (between records).
-    fn read_record_bytes(&mut self, out: &mut [u8], at_boundary: bool) -> std::io::Result<bool> {
-        if out.is_empty() {
-            return Ok(true);
-        }
-        while self.pos == self.buf.len() {
-            if !self.next_frame()? {
-                if at_boundary {
-                    return Ok(false);
-                }
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "checkpoint slice truncated mid-record",
-                ));
+/// Streams the records of one slice, whose manifest claims `bytes` and
+/// `records`, through the log's decoder into `apply(tid, table, key,
+/// value)`. Any breach of the strict rules of the module docs is an
+/// `InvalidData` error.
+fn read_slice<E: From<std::io::Error>>(
+    reader: impl Read,
+    bytes: u64,
+    records: u64,
+    mut apply: impl FnMut(Tid, TableId, &[u8], &[u8]) -> Result<(), E>,
+) -> Result<(), E> {
+    let invalid = |why: String| -> E {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("checkpoint slice {why}"),
+        )
+        .into()
+    };
+    let mut decoder = StreamDecoder::new(reader);
+    let mut seen = 0u64;
+    let mut failed = None;
+    loop {
+        let more = decoder.next_envelope_with(|block| {
+            if failed.is_some() {
+                return;
             }
-        }
-        let end = self.pos + out.len();
-        let Some(chunk) = self.buf.get(self.pos..end) else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "checkpoint slice record spans CRC frames",
-            ));
-        };
-        out.copy_from_slice(chunk);
-        self.pos = end;
-        Ok(true)
-    }
-
-    pub(crate) fn next_record(&mut self) -> std::io::Result<Option<SliceRecord>> {
-        let mut head = [0u8; 8];
-        // table + key_len, tolerating clean EOF only at a record boundary.
-        if !self.read_record_bytes(&mut head, true)? {
-            return Ok(None);
-        }
-        let table = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes"));
-        let key_len = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes")) as usize;
-        let mut key = vec![0u8; key_len];
-        self.read_record_bytes(&mut key, false)?;
-        let mut tail = [0u8; 12];
-        self.read_record_bytes(&mut tail, false)?;
-        let tid = Tid::from_raw(u64::from_le_bytes(tail[0..8].try_into().expect("8 bytes")));
-        let val_len = u32::from_le_bytes(tail[8..12].try_into().expect("4 bytes")) as usize;
-        let mut value = vec![0u8; val_len];
-        self.read_record_bytes(&mut value, false)?;
-        Ok(Some(SliceRecord {
-            table,
-            key,
-            tid,
-            value,
-        }))
-    }
-}
-
-/// Reads exactly `buf.len()` bytes, or returns `Ok(false)` when the source is
-/// already exhausted (0 bytes read). A partial read is an error.
-fn read_exact_or_eof(reader: &mut impl Read, buf: &mut [u8]) -> std::io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "checkpoint slice truncated mid-record",
-                ))
+            let applied = match block {
+                BlockRef::Txn(tid, mut writes) if writes.len() == 1 => match writes.next() {
+                    Some((table, key, Some(value))) => apply(tid, table, key, value),
+                    _ => Err(invalid("holds a delete".into())),
+                },
+                _ => Err(invalid("holds a block that is not one live record".into())),
+            };
+            match applied {
+                Ok(()) => seen += 1,
+                Err(e) => failed = Some(e),
             }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+        });
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        match more {
+            Ok(true) => {}
+            Ok(false) => break,
+            Err(DecodeError::Io(kind)) => return Err(std::io::Error::from(kind).into()),
+            Err(e) => return Err(invalid(e.to_string())),
         }
     }
-    Ok(true)
+    let consumed = decoder.bytes_consumed();
+    if consumed != bytes {
+        return Err(invalid(format!("decodes to byte {consumed} of {bytes}")));
+    }
+    if seen != records {
+        return Err(invalid(format!(
+            "holds {seen} records, its manifest {records}"
+        )));
+    }
+    Ok(())
 }
 
 /// Loads a checkpoint into `db` with up to `threads` concurrent slice
@@ -860,27 +827,28 @@ pub(crate) fn load_checkpoint(
                     let mut bytes = 0u64;
                     loop {
                         let i = next_slice.fetch_add(1, Ordering::Relaxed);
-                        let Some((path, slice_bytes, _)) = info.slices.get(i) else {
+                        let Some(&(ref path, slice_bytes, slice_records)) = info.slices.get(i)
+                        else {
                             return Ok((records, bytes));
                         };
                         let file = std::fs::File::open(path)?;
-                        let mut reader = SliceReader::new(BufReader::new(file))?;
-                        while let Some(record) = reader.next_record()? {
-                            let table = crate::recovery::recovery_table(db, record.table)?;
-                            // SAFETY: recovery-mode exclusivity — no transactions
-                            // run during recovery, and checkpoint slices never
-                            // repeat a key (each key is scanned exactly once), so
-                            // no two loaders touch the same key.
-                            unsafe {
-                                silo_core::bulk_apply(
-                                    &table,
-                                    &record.key,
-                                    record.tid,
-                                    Some(&record.value),
-                                );
-                            }
-                            records += 1;
-                        }
+                        read_slice(
+                            file,
+                            slice_bytes,
+                            slice_records,
+                            |tid, table, key, value| {
+                                let table = crate::recovery::recovery_table(db, table)?;
+                                // SAFETY: recovery-mode exclusivity — no transactions
+                                // run during recovery, and checkpoint slices never
+                                // repeat a key (each key is scanned exactly once), so
+                                // no two loaders touch the same key.
+                                unsafe {
+                                    silo_core::bulk_apply(&table, key, tid, Some(value));
+                                }
+                                Ok::<(), crate::RecoveryError>(())
+                            },
+                        )?;
+                        records += slice_records;
                         bytes += slice_bytes;
                     }
                 }),
@@ -902,8 +870,33 @@ pub(crate) fn load_checkpoint(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A slice holding `records`, written by the checkpointer's own encoder.
+    pub(crate) fn slice_bytes(records: &[(TableId, &[u8], Tid, &[u8])]) -> Vec<u8> {
+        let mut slice = SliceWriter::new(Vec::new());
+        for &(table, key, tid, value) in records {
+            slice.push(table, key, tid, value).unwrap();
+        }
+        slice.finish().unwrap().0
+    }
+
+    /// Writes a one-slice checkpoint at `epoch` under the durability root
+    /// `root`, whose manifest claims `slice`'s length and `records` records.
+    pub(crate) fn write_one_slice_checkpoint(root: &Path, epoch: u64, slice: &[u8], records: u64) {
+        let dir = checkpoint_dir(root, epoch);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(slice_path(&dir, 0), slice).unwrap();
+        std::fs::write(
+            dir.join(MANIFEST),
+            format!(
+                "{MANIFEST_HEADER}\nepoch {epoch}\nslices 1\nslice 0 {} {records}\nend\n",
+                slice.len()
+            ),
+        )
+        .unwrap();
+    }
 
     #[test]
     fn manifest_roundtrip_and_incomplete_detection() {
@@ -918,7 +911,7 @@ mod tests {
         );
         std::fs::write(
             dir.join(MANIFEST),
-            "silo-checkpoint v2\nepoch 42\nslices 1\nslice 0 10 3\nend\n",
+            "silo-checkpoint v3\nepoch 42\nslices 1\nslice 0 10 3\nend\n",
         )
         .unwrap();
         let info = latest_checkpoint(&root).expect("complete checkpoint");
@@ -934,7 +927,7 @@ mod tests {
         std::fs::write(slice_path(&dir, 0), b"0123456789").unwrap();
         std::fs::write(
             dir.join(MANIFEST),
-            "silo-checkpoint v3\nepoch 42\nslices 1\nslice 0 10 3\nend\n",
+            "silo-checkpoint v2\nepoch 42\nslices 1\nslice 0 10 3\nend\n",
         )
         .unwrap();
         assert!(latest_checkpoint(&root).is_none());
@@ -950,7 +943,7 @@ mod tests {
             std::fs::create_dir_all(&dir).unwrap();
             std::fs::write(
                 dir.join(MANIFEST),
-                format!("silo-checkpoint v2\nepoch {epoch}\nslices 0\nend\n"),
+                format!("{MANIFEST_HEADER}\nepoch {epoch}\nslices 0\nend\n"),
             )
             .unwrap();
         }
@@ -958,75 +951,121 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
-    /// Builds one staging record in the slice wire format.
-    fn slice_record(table: u32, key: &[u8], tid: u64, value: &[u8]) -> Vec<u8> {
-        let mut rec = Vec::new();
-        rec.extend_from_slice(&table.to_le_bytes());
-        rec.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        rec.extend_from_slice(key);
-        rec.extend_from_slice(&tid.to_le_bytes());
-        rec.extend_from_slice(&(value.len() as u32).to_le_bytes());
-        rec.extend_from_slice(value);
-        rec
+    /// The records of `slice`, read against a manifest that claims its
+    /// length and `records` records.
+    fn read_all(
+        slice: &[u8],
+        records: u64,
+    ) -> std::io::Result<Vec<(TableId, Vec<u8>, Tid, Vec<u8>)>> {
+        let mut out = Vec::new();
+        read_slice(
+            slice,
+            slice.len() as u64,
+            records,
+            |tid, table, key, value| {
+                out.push((table, key.to_vec(), tid, value.to_vec()));
+                Ok::<(), std::io::Error>(())
+            },
+        )?;
+        Ok(out)
     }
 
     #[test]
     fn framed_slice_roundtrip_and_bit_flip_detection() {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&slice_record(1, b"alice", 77, b"100"));
-        payload.extend_from_slice(&slice_record(2, b"", 78, b""));
-        let mut slice = SLICE_MAGIC.to_vec();
-        write_frame(&mut slice, &payload).unwrap();
+        let slice = slice_bytes(&[
+            (1, b"alice", Tid::from_raw(77), b"100"),
+            (2, b"", Tid::from_raw(78), b""),
+        ]);
+        assert_eq!(
+            slice[0],
+            record::BLOCK_CHECKSUMMED,
+            "a slice is sealed rounds"
+        );
+        assert_eq!(
+            read_all(&slice, 2).unwrap(),
+            vec![
+                (1, b"alice".to_vec(), Tid::from_raw(77), b"100".to_vec()),
+                (2, Vec::new(), Tid::from_raw(78), Vec::new()),
+            ]
+        );
+        assert_eq!(read_all(&[], 0).unwrap(), Vec::new(), "an empty slice");
 
-        let mut reader = SliceReader::new(std::io::Cursor::new(slice.clone())).unwrap();
-        let first = reader.next_record().unwrap().expect("first record");
-        assert_eq!(
-            (first.table, first.key.as_slice()),
-            (1, b"alice".as_slice())
-        );
-        assert_eq!(
-            (first.tid.raw(), first.value.as_slice()),
-            (77, b"100".as_slice())
-        );
-        let second = reader.next_record().unwrap().expect("empty key and value");
-        assert_eq!(
-            (second.table, second.key.len(), second.value.len()),
-            (2, 0, 0)
-        );
-        assert!(
-            reader.next_record().unwrap().is_none(),
-            "clean end of slice"
-        );
+        // Records that fill several envelopes come back whole and in order.
+        let value = [7u8; 1000];
+        let keys: Vec<[u8; 4]> = (0..200u32).map(u32::to_be_bytes).collect();
+        let many: Vec<(TableId, &[u8], Tid, &[u8])> = keys
+            .iter()
+            .map(|key| (3, key.as_slice(), Tid::from_raw(9), value.as_slice()))
+            .collect();
+        let big = slice_bytes(&many);
+        assert!(big.len() > 2 * SLICE_FRAME);
+        let back = read_all(&big, 200).unwrap();
+        assert!(back
+            .iter()
+            .map(|r| r.1.as_slice())
+            .eq(keys.iter().map(|k| k.as_slice())));
 
-        // Any flipped bit in the frame payload is a typed error, not garbage.
+        // Any flipped bit in an envelope's payload is a typed error.
         let mut corrupt = slice.clone();
         let last = corrupt.len() - 1;
         corrupt[last] ^= 0x04;
-        let mut reader = SliceReader::new(std::io::Cursor::new(corrupt)).unwrap();
-        let err = loop {
-            match reader.next_record() {
-                Ok(Some(_)) => continue,
-                Ok(None) => panic!("corruption must not pass as a clean end"),
-                Err(e) => break e,
-            }
-        };
+        let err = read_all(&corrupt, 2).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]
-    fn slice_without_the_magic_is_a_typed_error() {
-        let mut slice = SLICE_MAGIC.to_vec();
-        write_frame(&mut slice, &slice_record(3, b"k", 9, b"v")).unwrap();
-        // One damaged magic byte, a bare record stream, and an empty file
-        // are all "not a slice" — none is parsed as records.
-        let mut damaged = slice.clone();
-        damaged[7] ^= 0x01;
-        for bytes in [damaged, slice_record(3, b"k", 9, b"v"), Vec::new()] {
-            let err = match SliceReader::new(std::io::Cursor::new(bytes)) {
-                Ok(_) => panic!("a slice without the magic must be rejected"),
-                Err(e) => e,
-            };
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    fn slice_breaking_a_strict_rule_is_a_typed_error() {
+        let tid = Tid::from_raw(9);
+        let good = slice_bytes(&[(3, b"k", tid, b"v")]);
+        let sealed = |fill: &dyn Fn(&mut Vec<u8>)| {
+            let mut out = Vec::new();
+            let header = record::begin_sealed(&mut out);
+            fill(&mut out);
+            record::seal(&mut out, header);
+            out
+        };
+        let mut bad_tag = good.clone();
+        bad_tag[0] ^= 0x20;
+        // The high byte of the envelope's length: the decoder reads the
+        // short envelope as torn, a clean end of a log.
+        let mut inflated = good.clone();
+        inflated[4] ^= 0x01;
+        // Every record is there, but a torn envelope header follows them:
+        // only the byte count tells.
+        let torn_tail = [good.as_slice(), &[record::BLOCK_CHECKSUMMED, 1, 0]].concat();
+        let mut bare = Vec::new();
+        record::encode_txn(&mut bare, tid, &[(3, b"k", Some(b"v"))], false);
+        let cases: Vec<(&str, Vec<u8>, u64)> = vec![
+            ("a damaged first tag", bad_tag, 1),
+            ("an inflated envelope length", inflated, 1),
+            ("a torn envelope after the records", torn_tail, 1),
+            ("a record outside an envelope", bare, 1),
+            ("one record fewer than the manifest", good.clone(), 2),
+            ("one record more than the manifest", good, 0),
+            ("no records at all", Vec::new(), 1),
+            (
+                "an epoch marker",
+                sealed(&|s| record::encode_epoch_marker(s, 9)),
+                0,
+            ),
+            (
+                "a delete",
+                sealed(&|s| record::encode_txn(s, tid, &[(3, b"k", None)], false)),
+                1,
+            ),
+            (
+                "two writes in one block",
+                sealed(&|s| {
+                    let writes: [(TableId, &[u8], Option<&[u8]>); 2] =
+                        [(3, b"k", Some(b"v")), (3, b"j", Some(b"w"))];
+                    record::encode_txn(s, tid, &writes, false)
+                }),
+                1,
+            ),
+        ];
+        for (what, slice, records) in cases {
+            let err = read_all(&slice, records).expect_err(what);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
         }
     }
 
@@ -1034,27 +1073,18 @@ mod tests {
     fn verify_checkpoint_flags_a_corrupt_slice() {
         let root = std::env::temp_dir().join(format!("silo-ckpt-verify-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let dir = checkpoint_dir(&root, 5);
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut slice = SLICE_MAGIC.to_vec();
-        write_frame(&mut slice, &slice_record(1, b"key", 11, b"value")).unwrap();
-        std::fs::write(slice_path(&dir, 0), &slice).unwrap();
-        std::fs::write(
-            dir.join(MANIFEST),
-            format!(
-                "silo-checkpoint v2\nepoch 5\nslices 1\nslice 0 {} 1\nend\n",
-                slice.len()
-            ),
-        )
-        .unwrap();
+        let mut slice = slice_bytes(&[(1, b"key", Tid::from_raw(11), b"value")]);
+        write_one_slice_checkpoint(&root, 5, &slice, 1);
         let info = latest_checkpoint(&root).expect("complete checkpoint");
         verify_checkpoint(&info).expect("intact slices verify");
 
         // Flip one payload bit (keeping the length, so the manifest check
         // still passes) — verification must now fail.
-        slice[SLICE_MAGIC.len() + 8] ^= 0x01;
-        std::fs::write(slice_path(&dir, 0), &slice).unwrap();
-        assert!(verify_checkpoint(&info).is_err());
+        let last = slice.len() - 1;
+        slice[last] ^= 0x01;
+        std::fs::write(slice_path(&info.dir, 0), &slice).unwrap();
+        let err = verify_checkpoint(&info).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -1067,7 +1097,7 @@ mod tests {
             std::fs::create_dir_all(&dir).unwrap();
             std::fs::write(
                 dir.join(MANIFEST),
-                format!("silo-checkpoint v2\nepoch {epoch}\nslices 0\nend\n"),
+                format!("{MANIFEST_HEADER}\nepoch {epoch}\nslices 0\nend\n"),
             )
             .unwrap();
         }

@@ -33,9 +33,12 @@
 //! epoch could produce an inconsistent state. [`recover_into`] runs the same
 //! replay over in-memory streams.
 //!
-//! There is one on-disk layout: log segments `silo-log-<logger>-seg<seq>.bin`
-//! holding CRC-sealed group-commit rounds ([`record`]), and checkpoints
-//! `checkpoints/ckpt-<epoch>/{slice-<i>.bin, MANIFEST}` ([`checkpoint`]).
+//! There is one on-disk format, CRC-sealed rounds of record blocks
+//! ([`record`]), and one decoder reads it back. Log segments
+//! `silo-log-<logger>-seg<seq>.bin` hold the group-commit rounds; checkpoint
+//! slices `checkpoints/ckpt-<epoch>/slice-<i>.bin` hold one single-write
+//! transaction block per live record, and each checkpoint's `MANIFEST`
+//! records every slice's byte and record count ([`checkpoint`]).
 //!
 //! The crate also implements the persistence-side knobs of the paper's factor
 //! analysis (Figure 11): `SmallRecs` (8-byte log records), `FullRecs`
@@ -310,12 +313,13 @@ pub struct LoggerStats {
     pub pool_hits: u64,
     /// Publishes that had to allocate a replacement buffer (pool empty).
     pub pool_misses: u64,
-    /// Group-commit rounds that reached the sink (`append` + `sync` pairs).
+    /// Group-commit rounds that reached the sink (`append` + `sync` pairs;
+    /// rotation stamps are not rounds).
     pub sync_calls: u64,
     /// Raw bytes workers published to their loggers.
     pub bytes_published: u64,
     /// Bytes actually appended to the sinks (post-compression, including
-    /// epoch markers).
+    /// epoch markers and rotation stamps).
     pub bytes_written: u64,
     /// Log segments closed by rotation (size threshold or checkpoint
     /// truncation).
@@ -479,14 +483,12 @@ struct WorkerLogState {
     /// Serialized, not yet published log records (raw, even in `+Compress`
     /// mode — compression happens on the logger threads).
     buffer: Mutex<Vec<u8>>,
-    /// Epoch of the first record in the current buffer (for epoch-boundary
-    /// publishing).
-    buffer_epoch: AtomicU64,
-    /// Epoch of the records currently sitting *unpublished* in `buffer`, or
-    /// zero when the buffer is empty. Stored under the buffer lock by every
-    /// commit, so it is visible to anyone who later sees the worker quiesce
-    /// or begin its next transaction. The padding keeps two workers' states
-    /// off one cache line.
+    /// Epoch of the records currently sitting *unpublished* in `buffer` (they
+    /// all share one: a commit in a new epoch publishes the old buffer
+    /// first), or zero when the buffer is empty. Stored under the buffer lock
+    /// by every commit, so it is visible to anyone who later sees the worker
+    /// quiesce or begin its next transaction. The padding keeps two workers'
+    /// states off one cache line.
     pending_epoch: CachePadded<AtomicU64>,
 }
 
@@ -494,7 +496,6 @@ impl WorkerLogState {
     fn new() -> Self {
         WorkerLogState {
             buffer: Mutex::new(Vec::new()),
-            buffer_epoch: AtomicU64::new(0),
             pending_epoch: CachePadded::new(AtomicU64::new(0)),
         }
     }
@@ -914,12 +915,9 @@ impl CommitHook for SiloLogger {
         // A new epoch begins: publish the previous buffer first so that the
         // logger can advance the durable epoch without waiting for this
         // buffer to fill (§4.10).
-        let buffer_epoch = state.buffer_epoch.load(Ordering::Relaxed);
-        if !buffer.is_empty() && buffer_epoch != tid.epoch() {
-            shared.publish(worker_id, &mut buffer, buffer_epoch);
-        }
-        if buffer.is_empty() {
-            state.buffer_epoch.store(tid.epoch(), Ordering::Relaxed);
+        let pending = state.pending_epoch.load(Ordering::Relaxed);
+        if pending != 0 && pending != tid.epoch() {
+            shared.publish(worker_id, &mut buffer, pending);
         }
 
         // Zero-copy handoff: serialize each write straight from the
@@ -948,8 +946,8 @@ impl CommitHook for SiloLogger {
         }
         let state = &self.shared.workers[worker_id];
         let mut buffer = state.buffer.lock();
-        let buffer_epoch = state.buffer_epoch.load(Ordering::Relaxed);
-        self.shared.publish(worker_id, &mut buffer, buffer_epoch);
+        let pending = state.pending_epoch.load(Ordering::Relaxed);
+        self.shared.publish(worker_id, &mut buffer, pending);
         state.pending_epoch.store(0, Ordering::Release);
     }
 
@@ -1020,31 +1018,43 @@ fn write_round(
     round: &[u8],
 ) -> Result<(), SinkError> {
     with_retry(shared, || sink.append(round))?;
-    let mut backoff = shared.config.retry_backoff.max(Duration::from_micros(1));
-    let cap = backoff * 64;
-    let mut slept = Duration::ZERO;
-    loop {
-        match sink.sync() {
-            Ok(()) => return Ok(()),
-            Err(e) if e.is_transient() && slept < shared.config.retry_budget => {
-                shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .counters
-                    .backoff_micros
-                    .fetch_add(backoff.as_micros() as u64, Ordering::Relaxed);
-                std::thread::sleep(backoff);
-                slept += backoff;
-                backoff = (backoff * 2).min(cap);
-                if sink.reopen()? {
-                    shared.counters.sync_reopens.fetch_add(1, Ordering::Relaxed);
-                    // The reopen dropped the round along with the rest of the
-                    // unsynced tail; put it back before syncing again.
-                    with_retry(shared, || sink.append(round))?;
-                }
-            }
-            Err(e) => return Err(e),
+    let mut retry = false;
+    with_retry(shared, || {
+        if std::mem::replace(&mut retry, true) && sink.reopen()? {
+            shared.counters.sync_reopens.fetch_add(1, Ordering::Relaxed);
+            // The reopen dropped the round along with the rest of the
+            // unsynced tail; put it back before syncing again.
+            with_retry(shared, || sink.append(round))?;
         }
+        sink.sync()
+    })
+}
+
+/// Writes one CRC-sealed round: `fill` appends its blocks to the cleared
+/// `round` buffer and returns the largest epoch they carry (for segmented
+/// sinks), then the envelope is sealed, appended, synced and counted in
+/// `checksum_blocks` and `bytes_written`. An empty envelope writes nothing
+/// and returns `false`.
+fn write_sealed_round(
+    shared: &LoggerShared,
+    sink: &mut dyn LogSink,
+    round: &mut Vec<u8>,
+    fill: impl FnOnce(&mut Vec<u8>) -> u64,
+) -> Result<bool, SinkError> {
+    round.clear();
+    let header = record::begin_sealed(round);
+    let max_epoch = fill(round);
+    if !record::seal(round, header) {
+        return Ok(false);
     }
+    let counters = &shared.counters;
+    counters.checksum_blocks.fetch_add(1, Ordering::Relaxed);
+    sink.observe_epoch(max_epoch);
+    write_round(shared, sink, round)?;
+    counters
+        .bytes_written
+        .fetch_add(round.len() as u64, Ordering::Relaxed);
+    Ok(true)
 }
 
 /// Body of each logger thread: runs the group-commit loop and, should the
@@ -1136,14 +1146,22 @@ fn logger_loop(
         heads: Vec::new(),
     });
 
-    // Appends one published buffer to the round, compressing it when
-    // configured, and recycles the buffer into the pool.
-    let coalesce = |round: &mut Vec<u8>, bytes: Vec<u8>, compressor: &mut Option<Compressor>| {
-        match compressor {
-            Some(c) => encode_compressed_into(round, &bytes, &mut c.scratch, &mut c.heads),
-            None => round.extend_from_slice(&bytes),
+    // Appends every drained buffer to the round, compressing it when
+    // configured, and recycles it into the pool. Returns the largest epoch
+    // the buffers carry.
+    let coalesce = |round: &mut Vec<u8>,
+                    drained: &mut Vec<(u64, Vec<u8>)>,
+                    compressor: &mut Option<Compressor>| {
+        let mut max_epoch = 0u64;
+        for (epoch, bytes) in drained.drain(..) {
+            max_epoch = max_epoch.max(epoch);
+            match compressor {
+                Some(c) => encode_compressed_into(round, &bytes, &mut c.scratch, &mut c.heads),
+                None => round.extend_from_slice(&bytes),
+            }
+            shared.pool.put(bytes);
         }
-        shared.pool.put(bytes);
+        max_epoch
     };
 
     loop {
@@ -1202,18 +1220,19 @@ fn logger_loop(
             let mut pending = state.pending_epoch.load(Ordering::Acquire);
             if pending != 0 && pending < floor {
                 // Commits only ever append complete records, so the buffer
-                // is always safe to ship.
+                // is always safe to ship. Re-read under the lock: the worker
+                // may have published or committed since.
                 let mut buffer = state.buffer.lock();
-                let buffer_epoch = state.buffer_epoch.load(Ordering::Relaxed);
-                if !buffer.is_empty() && buffer_epoch < floor {
-                    shared.publish(wid, &mut buffer, buffer_epoch);
+                pending = state.pending_epoch.load(Ordering::Acquire);
+                if pending != 0 && pending < floor {
+                    shared.publish(wid, &mut buffer, pending);
                     state.pending_epoch.store(0, Ordering::Release);
                     shared
                         .counters
                         .steal_publishes
                         .fetch_add(1, Ordering::Relaxed);
+                    pending = 0;
                 }
-                pending = state.pending_epoch.load(Ordering::Acquire);
             }
             if pending != 0 {
                 bound = bound.min(pending);
@@ -1227,38 +1246,21 @@ fn logger_loop(
         // counted as published (including this round's steals, which went
         // through our own mailbox) is now in `drained` and reaches the sink
         // before the marker that may declare its epoch durable.
-        {
-            let mut queue = lock(&inbox.queue);
-            std::mem::swap(&mut *queue, &mut drained);
-        }
+        std::mem::swap(&mut *lock(&inbox.queue), &mut drained);
 
         // Coalesce everything drained this round — published buffers
         // (compressed here in `+Compress` mode) followed by the durable-epoch
-        // marker — into one CRC-sealed envelope, one append + sync. The sink
-        // is told the largest epoch the round carries so segmented sinks can
-        // bound each segment.
-        round.clear();
-        let seal_header = record::begin_sealed(&mut round);
-        let wrote = !drained.is_empty();
-        let mut round_max_epoch = 0u64;
-        for (epoch, bytes) in drained.drain(..) {
-            round_max_epoch = round_max_epoch.max(epoch);
-            coalesce(&mut round, bytes, &mut compressor);
-        }
+        // marker — into one CRC-sealed envelope, one append + sync.
+        let published = !drained.is_empty();
         let prev = my_durable.load(Ordering::Acquire);
-        if wrote || local_durable > prev {
-            encode_epoch_marker(&mut round, local_durable);
-            record::seal(&mut round, seal_header);
-            shared
-                .counters
-                .checksum_blocks
-                .fetch_add(1, Ordering::Relaxed);
-            sink.observe_epoch(round_max_epoch.max(local_durable));
-            write_round(shared, sink, &round)?;
-            shared
-                .counters
-                .bytes_written
-                .fetch_add(round.len() as u64, Ordering::Relaxed);
+        let wrote = write_sealed_round(shared, sink, &mut round, |round| {
+            let max_epoch = coalesce(round, &mut drained, &mut compressor);
+            if published || local_durable > prev {
+                encode_epoch_marker(round, local_durable);
+            }
+            max_epoch.max(local_durable)
+        })?;
+        if wrote {
             shared.counters.sync_calls.fetch_add(1, Ordering::Relaxed);
             if local_durable > prev {
                 my_durable.store(local_durable, Ordering::Release);
@@ -1292,17 +1294,11 @@ fn logger_loop(
                         .counters
                         .segments_rotated
                         .fetch_add(1, Ordering::Relaxed);
-                    round.clear();
-                    let stamp_header = record::begin_sealed(&mut round);
-                    let d = my_durable.load(Ordering::Acquire);
-                    encode_epoch_marker(&mut round, d);
-                    record::seal(&mut round, stamp_header);
-                    shared
-                        .counters
-                        .checksum_blocks
-                        .fetch_add(1, Ordering::Relaxed);
-                    sink.observe_epoch(d);
-                    write_round(shared, sink, &round)?;
+                    write_sealed_round(shared, sink, &mut round, |round| {
+                        let d = my_durable.load(Ordering::Acquire);
+                        encode_epoch_marker(round, d);
+                        d
+                    })?;
                 }
                 Ok(false) => {}
                 // A failed rotation (e.g. ENOSPC creating the successor
@@ -1342,28 +1338,10 @@ fn logger_loop(
         if stopping {
             // One final drain so buffers published while this round was
             // being written still hit the sink.
-            round.clear();
-            let final_header = record::begin_sealed(&mut round);
-            {
-                let mut queue = lock(&inbox.queue);
-                std::mem::swap(&mut *queue, &mut drained);
-            }
-            let mut final_max = 0u64;
-            for (epoch, bytes) in drained.drain(..) {
-                final_max = final_max.max(epoch);
-                coalesce(&mut round, bytes, &mut compressor);
-            }
-            if record::seal(&mut round, final_header) {
-                shared
-                    .counters
-                    .checksum_blocks
-                    .fetch_add(1, Ordering::Relaxed);
-                sink.observe_epoch(final_max);
-                write_round(shared, sink, &round)?;
-                shared
-                    .counters
-                    .bytes_written
-                    .fetch_add(round.len() as u64, Ordering::Relaxed);
+            std::mem::swap(&mut *lock(&inbox.queue), &mut drained);
+            if write_sealed_round(shared, sink, &mut round, |round| {
+                coalesce(round, &mut drained, &mut compressor)
+            })? {
                 shared.counters.sync_calls.fetch_add(1, Ordering::Relaxed);
             }
             return Ok(());

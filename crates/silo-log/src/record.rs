@@ -226,6 +226,63 @@ pub enum Block {
     EpochMarker(u64),
 }
 
+/// A parsed block borrowed from the decoder's buffer (see
+/// [`StreamDecoder::next_envelope_with`]).
+pub(crate) enum BlockRef<'a> {
+    /// A transaction record: its TID and its writes.
+    Txn(Tid, WritesRef<'a>),
+    /// A durable-epoch marker.
+    EpochMarker(u64),
+}
+
+impl BlockRef<'_> {
+    /// The owned block; a transaction keeps its writes only if `materialize`.
+    fn into_block(self, materialize: bool) -> Block {
+        match self {
+            BlockRef::Txn(tid, writes) => Block::Txn(LoggedTxn {
+                tid,
+                writes: if materialize {
+                    writes
+                        .map(|(table, key, value)| LoggedWrite {
+                            table,
+                            key: key.to_vec(),
+                            value: value.map(<[u8]>::to_vec),
+                        })
+                        .collect()
+                } else {
+                    Vec::new()
+                },
+            }),
+            BlockRef::EpochMarker(epoch) => Block::EpochMarker(epoch),
+        }
+    }
+}
+
+/// The writes of a borrowed transaction block, each `(table, key, value)`
+/// with `value` `None` for a delete.
+pub(crate) struct WritesRef<'a> {
+    cur: Cursor<'a>,
+    left: usize,
+}
+
+impl<'a> Iterator for WritesRef<'a> {
+    type Item = WriteRef<'a>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.left = self.left.checked_sub(1)?;
+        Some(
+            decode_write(&mut self.cur)
+                .expect("the block was parsed whole before it was handed out"),
+        )
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for WritesRef<'_> {}
+
 /// Errors produced while decoding a log stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
@@ -258,6 +315,7 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+#[derive(Clone, Copy)]
 struct Cursor<'a> {
     data: &'a [u8],
     pos: usize,
@@ -294,45 +352,44 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn decode_txn(cur: &mut Cursor<'_>, materialize: bool) -> Result<LoggedTxn, DecodeError> {
-    let tid = Tid::from_raw(cur.u64()?);
-    let count = cur.u32()? as usize;
-    let mut writes = Vec::with_capacity(if materialize { count.min(1024) } else { 0 });
-    for _ in 0..count {
-        let table = cur.u32()?;
-        let key_len = cur.u32()? as usize;
-        let key = cur.take(key_len)?;
-        let tag = cur.u8()?;
-        let value = if tag == 1 {
-            let val_len = cur.u32()? as usize;
-            Some(cur.take(val_len)?)
-        } else {
-            None
-        };
-        if materialize {
-            writes.push(LoggedWrite {
-                table,
-                key: key.to_vec(),
-                value: value.map(<[u8]>::to_vec),
-            });
-        }
-    }
-    Ok(LoggedTxn { tid, writes })
+/// One write of a transaction block: `(table, key, value)`, `value` being
+/// `None` for a delete.
+type WriteRef<'a> = (TableId, &'a [u8], Option<&'a [u8]>);
+
+fn decode_write<'a>(cur: &mut Cursor<'a>) -> Result<WriteRef<'a>, DecodeError> {
+    let table = cur.u32()?;
+    let key_len = cur.u32()? as usize;
+    let key = cur.take(key_len)?;
+    let value = if cur.u8()? == 1 {
+        let val_len = cur.u32()? as usize;
+        Some(cur.take(val_len)?)
+    } else {
+        None
+    };
+    Ok((table, key, value))
 }
 
 /// Parses a run of inner blocks — TXN and MARKER, plus one level of
-/// COMPRESSED when `allow_compressed` — appending them to `out`.
-fn decode_inner(
+/// COMPRESSED when `allow_compressed` — handing each to `f` once its writes
+/// have all parsed.
+fn walk_inner(
     data: &[u8],
-    materialize: bool,
     allow_compressed: bool,
-    out: &mut std::collections::VecDeque<Block>,
+    f: &mut impl FnMut(BlockRef<'_>),
 ) -> Result<(), DecodeError> {
     let mut cur = Cursor { data, pos: 0 };
     while cur.remaining() > 0 {
         match cur.u8()? {
-            BLOCK_TXN => out.push_back(Block::Txn(decode_txn(&mut cur, materialize)?)),
-            BLOCK_EPOCH_MARKER => out.push_back(Block::EpochMarker(cur.u64()?)),
+            BLOCK_TXN => {
+                let tid = Tid::from_raw(cur.u64()?);
+                let left = cur.u32()? as usize;
+                let writes = WritesRef { cur, left };
+                for _ in 0..left {
+                    decode_write(&mut cur)?;
+                }
+                f(BlockRef::Txn(tid, writes));
+            }
+            BLOCK_EPOCH_MARKER => f(BlockRef::EpochMarker(cur.u64()?)),
             BLOCK_COMPRESSED if allow_compressed => {
                 let raw_len = cur.u32()? as usize;
                 let comp_len = cur.u32()? as usize;
@@ -341,7 +398,7 @@ fn decode_inner(
                 if raw.len() != raw_len {
                     return Err(DecodeError::BadCompression);
                 }
-                decode_inner(&raw, materialize, false, out)?;
+                walk_inner(&raw, false, f)?;
             }
             other => return Err(DecodeError::BadTag(other)),
         }
@@ -428,13 +485,12 @@ impl<R: std::io::Read> StreamDecoder<R> {
         Ok(())
     }
 
-    /// Decodes the next block, or `Ok(None)` at the end of the stream
-    /// (including after a torn final envelope).
-    pub fn next_block(&mut self) -> Result<Option<Block>, DecodeError> {
+    /// Reads the next envelope and verifies its CRC, returning its payload's
+    /// range in `buf`, or `None` at the end of the stream (including after a
+    /// torn final envelope). The envelope stays unconsumed until
+    /// [`consume_to`](Self::consume_to).
+    fn next_payload(&mut self) -> Result<Option<(usize, usize)>, DecodeError> {
         loop {
-            if let Some(block) = self.pending.pop_front() {
-                return Ok(Some(block));
-            }
             let mut cur = Cursor {
                 data: &self.buf[self.pos..],
                 pos: 0,
@@ -453,25 +509,12 @@ impl<R: std::io::Read> StreamDecoder<R> {
                 if crc32(payload) != crc {
                     return Err(DecodeError::BadChecksum);
                 }
-                Ok(payload)
+                Ok(len)
             })();
             match envelope {
-                Ok(payload) => {
-                    // The CRC matched, so the payload is complete: a block
-                    // truncated inside it is corruption (a checksum collision
-                    // or writer bug), never a torn write — and nothing of a
-                    // malformed envelope may be replayed.
-                    if let Err(e) =
-                        decode_inner(payload, !self.skip_payload, true, &mut self.pending)
-                    {
-                        self.pending.clear();
-                        return Err(match e {
-                            DecodeError::Truncated => DecodeError::BadChecksum,
-                            other => other,
-                        });
-                    }
-                    self.consumed += cur.pos as u64;
-                    self.pos += cur.pos;
+                Ok(len) => {
+                    let end = self.pos + cur.pos;
+                    return Ok(Some((end - len, end)));
                 }
                 Err(DecodeError::Truncated) if !self.eof => self.refill()?,
                 // Torn final envelope: the stream ends at the previous one.
@@ -479,6 +522,66 @@ impl<R: std::io::Read> StreamDecoder<R> {
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    fn consume_to(&mut self, end: usize) {
+        self.consumed += (end - self.pos) as u64;
+        self.pos = end;
+    }
+
+    /// Decodes the next block, or `Ok(None)` at the end of the stream
+    /// (including after a torn final envelope).
+    pub fn next_block(&mut self) -> Result<Option<Block>, DecodeError> {
+        loop {
+            if let Some(block) = self.pending.pop_front() {
+                return Ok(Some(block));
+            }
+            let Some((start, end)) = self.next_payload()? else {
+                return Ok(None);
+            };
+            // Nothing of a malformed envelope may be replayed.
+            let materialize = !self.skip_payload;
+            let pending = &mut self.pending;
+            let walked = walk_inner(&self.buf[start..end], true, &mut |block| {
+                pending.push_back(block.into_block(materialize))
+            });
+            if let Err(e) = walked {
+                self.pending.clear();
+                return Err(inside_envelope(e));
+            }
+            self.consume_to(end);
+        }
+    }
+
+    /// Decodes the next envelope and hands each of its blocks to `f` with
+    /// keys and values borrowed from the decoder's buffer, so nothing is
+    /// allocated per write — for readers that would drop what
+    /// [`next_block`](Self::next_block) materializes. Returns `Ok(false)` at
+    /// the end of the stream, a torn final envelope included. The envelope's
+    /// CRC is verified before `f` sees any of it; a block malformed inside a
+    /// verified envelope is an error once reached. Compressed blocks are
+    /// [`DecodeError::BadTag`] here. Do not mix with `next_block` on one
+    /// decoder.
+    pub(crate) fn next_envelope_with(
+        &mut self,
+        mut f: impl FnMut(BlockRef<'_>),
+    ) -> Result<bool, DecodeError> {
+        debug_assert!(self.pending.is_empty(), "mixed with next_block");
+        let Some((start, end)) = self.next_payload()? else {
+            return Ok(false);
+        };
+        walk_inner(&self.buf[start..end], false, &mut f).map_err(inside_envelope)?;
+        self.consume_to(end);
+        Ok(true)
+    }
+}
+
+/// The CRC matched, so the payload is complete: a block cut short inside it
+/// is corruption (a checksum collision or writer bug), never a torn write.
+fn inside_envelope(e: DecodeError) -> DecodeError {
+    match e {
+        DecodeError::Truncated => DecodeError::BadChecksum,
+        other => other,
     }
 }
 
@@ -633,6 +736,39 @@ mod tests {
         assert_eq!(dec.next_block().unwrap(), Some(Block::EpochMarker(2)));
         assert_eq!(dec.next_block().unwrap(), None);
         assert_eq!(dec.bytes_consumed(), buf.len() as u64);
+    }
+
+    #[test]
+    fn borrowed_envelope_walk_sees_what_next_block_decodes() {
+        let mut inner = Vec::new();
+        let writes: [(TableId, &[u8], Option<&[u8]>); 2] = [(2, b"a", Some(b"1")), (3, b"b", None)];
+        encode_txn(&mut inner, Tid::new(4, 1), &writes, false);
+        encode_epoch_marker(&mut inner, 3);
+        let first = sealed(&inner);
+        let second = sealed(&txn(Tid::new(4, 2)));
+        let stream = [&first[..], &second[..], &second[..4]].concat();
+
+        let mut walked = Vec::new();
+        let mut dec = StreamDecoder::new(stream.as_slice());
+        while dec
+            .next_envelope_with(|block| walked.push(block.into_block(true)))
+            .unwrap()
+        {}
+        assert_eq!(walked, decode_all(&stream).unwrap());
+        assert_eq!(dec.bytes_consumed(), (first.len() + second.len()) as u64);
+
+        // Compressed blocks are not walked, and a bad CRC is still an error.
+        let mut compressed = Vec::new();
+        encode_compressed(&mut compressed, &txn(Tid::new(1, 1)));
+        let mut flipped = second.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        for (stream, err) in [
+            (sealed(&compressed), DecodeError::BadTag(BLOCK_COMPRESSED)),
+            (flipped, DecodeError::BadChecksum),
+        ] {
+            let mut dec = StreamDecoder::new(stream.as_slice());
+            assert_eq!(dec.next_envelope_with(|_| {}), Err(err));
+        }
     }
 
     #[test]

@@ -797,71 +797,85 @@ mod tests {
         assert_eq!(read(&db, b"bare"), None);
     }
 
+    /// The records of the newer checkpoint below.
+    fn evil() -> [(TableId, &'static [u8], Tid, &'static [u8]); 2] {
+        [
+            (0, b"k", Tid::new(5, 1), b"evil"),
+            (0, b"x", Tid::new(5, 2), b"evil"),
+        ]
+    }
+
     /// A durability root holding a good checkpoint at epoch 3 (`k = good`)
-    /// and a newer one at epoch 5 (`k = evil`) whose slice `damage` mangled
-    /// in place (length intact, so the manifest alone cannot tell).
+    /// and a newer one at epoch 5 ([`evil`]) whose slice `damage` mangled.
+    /// Its manifest claims the mangled slice's length and both records, so
+    /// only the slice's contents can give the damage away.
     fn damaged_newer_checkpoint(name: &str, damage: impl Fn(&mut Vec<u8>)) -> PathBuf {
+        use crate::checkpoint::tests::{slice_bytes, write_one_slice_checkpoint};
         let dir = scratch_dir(name);
-        let slice = |tid: Tid, value: &[u8]| {
-            let mut rec = Vec::new();
-            rec.extend_from_slice(&0u32.to_le_bytes());
-            rec.extend_from_slice(&1u32.to_le_bytes());
-            rec.extend_from_slice(b"k");
-            rec.extend_from_slice(&tid.raw().to_le_bytes());
-            rec.extend_from_slice(&(value.len() as u32).to_le_bytes());
-            rec.extend_from_slice(value);
-            let mut slice = b"SILOSLC2".to_vec();
-            slice.extend_from_slice(&(rec.len() as u32).to_le_bytes());
-            slice.extend_from_slice(&crate::record::crc32(&rec).to_le_bytes());
-            slice.extend_from_slice(&rec);
-            slice
-        };
-        let write_ckpt = |epoch: u64, slice: &[u8]| {
-            let d = dir.join("checkpoints").join(format!("ckpt-{epoch:016x}"));
-            std::fs::create_dir_all(&d).unwrap();
-            std::fs::write(d.join("slice-0.bin"), slice).unwrap();
-            std::fs::write(
-                d.join("MANIFEST"),
-                format!(
-                    "silo-checkpoint v2\nepoch {epoch}\nslices 1\nslice 0 {} 1\nend\n",
-                    slice.len()
-                ),
-            )
-            .unwrap();
-        };
-        write_ckpt(3, &slice(Tid::new(3, 1), b"good"));
-        let mut newer = slice(Tid::new(5, 1), b"evil");
+        let good = slice_bytes(&[(0, b"k", Tid::new(3, 1), b"good")]);
+        write_one_slice_checkpoint(&dir, 3, &good, 1);
+        let mut newer = slice_bytes(&evil());
         damage(&mut newer);
-        write_ckpt(5, &newer);
+        write_one_slice_checkpoint(&dir, 5, &newer, evil().len() as u64);
         dir
     }
 
-    fn assert_falls_back_to_epoch_3(dir: &Path) {
+    /// The newer checkpoint of [`damaged_newer_checkpoint`] is complete by
+    /// its manifest, fails verification as `InvalidData`, and recovery falls
+    /// back to the one at epoch 3.
+    fn assert_falls_back_to_epoch_3(name: &str, damage: impl Fn(&mut Vec<u8>)) {
+        let dir = damaged_newer_checkpoint(name, damage);
+        let newest = crate::checkpoint::latest_checkpoint(&dir).expect("complete by manifest");
+        assert_eq!(newest.epoch, 5);
+        let err = crate::checkpoint::verify_checkpoint(&newest).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+
         let db = Database::open(SiloConfig::for_testing());
         db.create_table("t").unwrap();
-        let report = recover_directory(&db, dir, &RecoveryOptions::default()).unwrap();
+        let report = recover_directory(&db, &dir, &RecoveryOptions::default()).unwrap();
         assert_eq!(report.checkpoints_skipped, 1);
         assert_eq!(report.checkpoint_epoch, 3);
         assert_eq!(read(&db, b"k"), Some(b"good".to_vec()));
-        std::fs::remove_dir_all(dir).unwrap();
+        assert_eq!(read(&db, b"x"), None);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn recovery_falls_back_past_a_corrupt_checkpoint() {
-        let dir = damaged_newer_checkpoint("ckpt-fallback", |slice| {
+        assert_falls_back_to_epoch_3("ckpt-fallback", |slice| {
             let last = slice.len() - 1;
             slice[last] ^= 0x01;
         });
-        assert_falls_back_to_epoch_3(&dir);
     }
 
     #[test]
-    fn slice_with_a_damaged_magic_is_rejected_and_recovery_falls_back() {
-        let dir = damaged_newer_checkpoint("ckpt-magic", |slice| slice[3] ^= 0x20);
-        let newest = crate::checkpoint::latest_checkpoint(&dir).expect("complete by manifest");
-        assert_eq!(newest.epoch, 5);
-        let err = crate::checkpoint::verify_checkpoint(&newest).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert_falls_back_to_epoch_3(&dir);
+    fn slice_with_a_damaged_first_tag_is_rejected_and_recovery_falls_back() {
+        assert_falls_back_to_epoch_3("ckpt-tag", |slice| slice[0] ^= 0x20);
+    }
+
+    #[test]
+    fn slice_with_an_inflated_envelope_length_is_rejected_and_recovery_falls_back() {
+        // The decoder reads the now-short envelope as a torn tail — a clean
+        // end for a log, never for a slice.
+        assert_falls_back_to_epoch_3("ckpt-length", |slice| slice[4] ^= 0x01);
+    }
+
+    #[test]
+    fn slice_missing_a_record_is_rejected_and_recovery_falls_back() {
+        assert_falls_back_to_epoch_3("ckpt-short", |slice| {
+            *slice = crate::checkpoint::tests::slice_bytes(&evil()[..1]);
+        });
+    }
+
+    #[test]
+    fn slice_holding_an_epoch_marker_is_rejected_and_recovery_falls_back() {
+        assert_falls_back_to_epoch_3("ckpt-marker", |slice| {
+            let [(_, k, k_tid, k_value), (_, x, x_tid, x_value)] = evil();
+            *slice = round(&[
+                txn_block(k_tid, 0, k, Some(k_value)),
+                marker(5),
+                txn_block(x_tid, 0, x, Some(x_value)),
+            ]);
+        });
     }
 }

@@ -917,6 +917,13 @@ fn enospc_on_rotation_keeps_the_current_segment_writable() {
         assert!(stats.segments_rotated >= 1, "a later rotation must succeed");
         logger.shutdown();
         db.stop_epoch_advancer();
+        // Every byte on disk is counted, the fresh segments' rotation stamps
+        // included.
+        let on_disk: u64 = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().metadata().unwrap().len())
+            .sum();
+        assert_eq!(logger.stats().bytes_written, on_disk);
 
         // Everything acknowledged recovers.
         let db2 = Database::open(SiloConfig::for_testing());
@@ -983,38 +990,15 @@ mod checkpoint_equivalence {
     /// Writes a checkpoint at `ce` holding `state` (key -> (tid, value)) in
     /// the on-disk slice + manifest format.
     fn write_checkpoint(dir: &std::path::Path, ce: u64, state: &HashMap<u8, (Tid, Vec<u8>)>) {
-        let ckpt = dir.join("checkpoints").join(format!("ckpt-{ce:016x}"));
-        std::fs::create_dir_all(&ckpt).unwrap();
-        let mut records = Vec::new();
-        let mut keys: Vec<&u8> = state.keys().collect();
+        use crate::checkpoint::tests::{slice_bytes, write_one_slice_checkpoint};
+        let mut keys: Vec<(Vec<u8>, &(Tid, Vec<u8>))> =
+            state.iter().map(|(k, v)| (key_bytes(*k), v)).collect();
         keys.sort();
-        for k in &keys {
-            let (tid, value) = &state[k];
-            let key = key_bytes(**k);
-            records.extend_from_slice(&0u32.to_le_bytes());
-            records.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            records.extend_from_slice(&key);
-            records.extend_from_slice(&tid.raw().to_le_bytes());
-            records.extend_from_slice(&(value.len() as u32).to_le_bytes());
-            records.extend_from_slice(value);
-        }
-        // One CRC frame holds every record (an empty checkpoint has none).
-        let mut slice = b"SILOSLC2".to_vec();
-        if !records.is_empty() {
-            slice.extend_from_slice(&(records.len() as u32).to_le_bytes());
-            slice.extend_from_slice(&record::crc32(&records).to_le_bytes());
-            slice.extend_from_slice(&records);
-        }
-        std::fs::write(ckpt.join("slice-0.bin"), &slice).unwrap();
-        std::fs::write(
-            ckpt.join("MANIFEST"),
-            format!(
-                "silo-checkpoint v2\nepoch {ce}\nslices 1\nslice 0 {} {}\nend\n",
-                slice.len(),
-                keys.len()
-            ),
-        )
-        .unwrap();
+        let records: Vec<(silo_core::TableId, &[u8], Tid, &[u8])> = keys
+            .iter()
+            .map(|(key, (tid, value))| (0, key.as_slice(), *tid, value.as_slice()))
+            .collect();
+        write_one_slice_checkpoint(dir, ce, &slice_bytes(&records), records.len() as u64);
     }
 
     /// Recovers `dir` into a fresh database and returns the full table scan.
