@@ -145,7 +145,13 @@ impl Session {
         self.worker.quiesce();
     }
 
-    fn retry<T>(
+    /// Runs `op` as a one-shot transaction and commits it, returning its
+    /// value and the commit [`Tid`] — the rule every single-operation verb
+    /// above follows: transient OCC aborts are retried a few times,
+    /// deterministic ones (duplicate key, user-requested) surface at once.
+    /// For single operations the verbs don't cover, such as a delete whose
+    /// commit epoch the caller needs.
+    pub fn retry<T>(
         &mut self,
         mut op: impl FnMut(&mut Txn<'_>) -> Result<T, Abort>,
     ) -> Result<(T, Tid), Abort> {

@@ -70,7 +70,7 @@ pub use sink::{FileSink, LogSink, MemorySink, SinkError, SinkErrorKind, Truncate
 
 use std::path::PathBuf;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -514,6 +514,8 @@ struct LoggerShared {
     /// on the condvar instead of spin-sleeping.
     durable: StdMutex<u64>,
     durable_cv: Condvar,
+    /// Told whenever `durable_cv` is (see [`SiloLogger::add_durable_listener`]).
+    durable_listeners: Mutex<Vec<Weak<dyn AdvanceListener>>>,
     /// Latest checkpoint epoch a truncation was requested for (0 = never).
     /// Logger threads compare against their locally handled value and delete
     /// redundant segments when it moves.
@@ -562,6 +564,18 @@ impl LoggerShared {
             .map(|d| d.load(Ordering::Acquire))
             .min()
             .unwrap_or(0)
+    }
+
+    /// Wakes everything that waits on the durable epoch: the condvar's
+    /// waiters, under the `cached` guard so none can park between its check
+    /// and its wait, then — with the guard released — the durable listeners.
+    fn notify_durable(&self, cached: MutexGuard<'_, u64>) {
+        self.durable_cv.notify_all();
+        let durable = *cached;
+        drop(cached);
+        self.durable_listeners
+            .lock()
+            .retain(|listener| listener.upgrade().map(|l| l.epoch_advanced(durable)).is_some());
     }
 
     /// Starts a round on every logger. The mailbox lock is taken so the wake
@@ -653,6 +667,7 @@ impl SiloLogger {
                 .collect(),
             durable: StdMutex::new(0),
             durable_cv: Condvar::new(),
+            durable_listeners: Mutex::new(Vec::new()),
             truncate_epoch: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             detached: AtomicBool::new(false),
@@ -898,10 +913,20 @@ impl SiloLogger {
         // their records instead of queueing them.
         self.shared.detached.store(true, Ordering::Release);
         // Unblock every waiter — its epoch became durable during the final
-        // rounds, or never will. Under the cache mutex, so none can park
-        // between reading the flag and blocking.
-        let _cached = lock(&self.shared.durable);
-        self.shared.durable_cv.notify_all();
+        // rounds, or never will.
+        self.shared.notify_durable(lock(&self.shared.durable));
+    }
+
+    /// Registers `listener` to be told the durable epoch `D` whenever a
+    /// [`SiloLogger::wait_for_durable_epoch`] waiter would be woken: `D`
+    /// advanced, a logger failed permanently, or [`SiloLogger::shutdown`]
+    /// ran. In the last two cases `D` may not have moved; ask
+    /// [`SiloLogger::wait_for_durable`] with a zero timeout which it was.
+    /// Runs on a logger thread (or the one calling `shutdown`): keep it
+    /// short, and do not call back into the logger. Held weakly: a listener
+    /// whose last `Arc` is gone is never called again.
+    pub fn add_durable_listener(&self, listener: Weak<dyn AdvanceListener>) {
+        self.shared.durable_listeners.lock().push(listener);
     }
 }
 
@@ -1077,12 +1102,7 @@ fn logger_thread(
         .counters
         .logger_failures
         .fetch_add(1, Ordering::Release);
-    {
-        // Wake durability waiters under the cache mutex so none can park
-        // between reading the failure flag and blocking.
-        let _cached = lock(&shared.durable);
-        shared.durable_cv.notify_all();
-    }
+    shared.notify_durable(lock(&shared.durable));
     // Degraded mode: drain and recycle published buffers until shutdown.
     // Their records can never become durable (this logger's durable epoch is
     // frozen), but accepting them keeps workers running at full speed.
@@ -1276,7 +1296,7 @@ fn logger_loop(
                 let global = shared.durable_epoch();
                 if global > *cached {
                     *cached = global;
-                    shared.durable_cv.notify_all();
+                    shared.notify_durable(cached);
                 }
             }
         }
@@ -1351,5 +1371,7 @@ fn logger_loop(
 
 #[cfg(test)]
 mod bound_tests;
+#[cfg(test)]
+mod listener_tests;
 #[cfg(test)]
 mod tests;

@@ -1,11 +1,12 @@
 //! # silo-net — the network front-end
 //!
 //! Serves a [`silo_core::Database`] over TCP with a simple length-prefixed,
-//! pipelined binary protocol (see [`protocol`]) and a batching server (see
-//! [`server`]) whose durable write acknowledgements ride the engine's epoch
-//! group commit: a client pipelines a burst of writes, the server executes
-//! them as transactions, and one durable-epoch advance — one `fsync` —
-//! releases every ack in the burst.
+//! pipelined binary protocol (see [`protocol`]) and a server whose worker
+//! threads each poll their own connections (see [`server`]) and whose
+//! durable write acknowledgements ride the engine's epoch group commit: a
+//! client pipelines a burst of writes, the server executes them as
+//! transactions, and one durable-epoch advance — one `fsync` — releases
+//! every ack in the burst.
 //!
 //! The matching blocking client lives in the `silo-client` crate; both are
 //! re-exported from the `silo` facade.

@@ -300,8 +300,9 @@ pub enum ErrorCode {
     /// The transaction aborted (validation failure, duplicate insert, …).
     /// Retrying is reasonable.
     Aborted,
-    /// The server shed the request before executing it: its worker inbox is
-    /// over the backlog watermark. Back off and retry.
+    /// The server shed the request before executing it (its connection's
+    /// reply backlog is over the watermark) or refused the connection (too
+    /// many open). Back off and retry.
     ServerBusy,
     /// The server shed this *write* because durability is degraded or failed
     /// (`durability_health()`): accepting it would hand out acks the log
@@ -473,6 +474,23 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     })?;
     w.write_all(&len.to_le_bytes())?;
     w.write_all(payload)
+}
+
+/// The first frame in `buf`: its payload and the bytes it spans, header
+/// included. `Ok(None)` while the frame is incomplete; a header announcing
+/// more than `max_bytes` is [`FrameError::Oversized`].
+pub(crate) fn split_frame(
+    buf: &[u8],
+    max_bytes: usize,
+) -> Result<Option<(&[u8], usize)>, FrameError> {
+    let Some(header) = buf.get(..4) else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(header.try_into().expect("four bytes")) as usize;
+    if len > max_bytes {
+        return Err(FrameError::Oversized { len, max: max_bytes });
+    }
+    Ok(buf.get(4..4 + len).map(|payload| (payload, 4 + len)))
 }
 
 /// Reads one frame's payload into `buf` (cleared first, capacity reused).
@@ -990,6 +1008,22 @@ mod tests {
             other => panic!("expected Oversized, got {other:?}"),
         }
         assert!(buf.capacity() < (1 << 30));
+    }
+
+    #[test]
+    fn split_frame_takes_whole_frames_and_rejects_oversized_headers() {
+        let stream = [frame(b"alpha"), frame(b"")].concat();
+        let (payload, used) = split_frame(&stream, 1024).unwrap().unwrap();
+        assert_eq!((payload, used), (&b"alpha"[..], 9));
+        assert_eq!(split_frame(&stream[used..], 1024).unwrap(), Some((&b""[..], 4)));
+        // Every strict prefix of a frame is incomplete, not an error.
+        for cut in 0..used {
+            assert_eq!(split_frame(&stream[..cut], 1024).unwrap(), None, "cut {cut}");
+        }
+        match split_frame(&(1u32 << 30).to_le_bytes(), 64 << 10) {
+            Err(FrameError::Oversized { len, max }) => assert_eq!((len, max), (1 << 30, 64 << 10)),
+            other => panic!("expected Oversized, got {other:?}"),
+        }
     }
 
     #[test]

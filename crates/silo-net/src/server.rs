@@ -1,73 +1,83 @@
-//! The batching server: a small thread pool of request executors riding the
-//! engine's epoch group commit.
+//! The server: a fixed set of worker threads, each owning one engine
+//! `Session` and its share of the connections, riding the engine's epoch
+//! group commit.
 //!
 //! # Architecture
 //!
 //! ```text
-//!  acceptor ──► per-connection reader ──► worker inbox (pinned by conn id)
-//!                                              │  drain ≤ BATCH_MAX per
-//!                                              │  iteration, execute as
-//!                                              ▼  transactions
-//!                                         per-connection outbox
-//!                                              │  writes tagged with their
-//!                                              ▼  commit epoch
-//!              per-connection writer ◄─────────┘
-//!              waits once per group for the durable epoch,
-//!              then flushes the whole pipelined burst
+//!  worker 0: poll(wake, listener, its sockets)
+//!              │ accept ──► keep connection `id` when id % workers == 0,
+//!              │            else hand it to worker id % workers (wake byte)
+//!  worker i: poll(wake, its sockets)
+//!              │ read → decode frames → execute each on the worker's Session
+//!              ▼
+//!           per-connection out-queue, in request order
+//!              │ a write's ack (and every reply behind it) waits here
+//!              ▼ until its commit epoch is durable
+//!           write the releasable prefix
 //! ```
 //!
-//! Each worker thread owns a [`Worker`](silo_core::Worker) handle and drains
-//! a *batch* of decoded requests per iteration, executing each as a
-//! transaction. A connection's requests are pinned to one worker, so its
-//! responses come back in request order — which is what makes fire-N-drain-N
-//! pipelining work without request ids.
+//! As in Silo (§3), a worker runs each request it reads to completion: a
+//! request never changes thread. A connection lives on one worker, so its
+//! responses come back in request order — which is what makes
+//! fire-N-drain-N pipelining work without request ids.
 //!
 //! # Durable acknowledgement
 //!
-//! A write's `Ok` frame is held back by the connection's writer thread until
-//! the write's commit epoch passes the logger's durable watermark
-//! ([`SiloLogger::wait_for_durable_epoch`]). Because the durable epoch is
-//! monotone, one condvar wake releases *every* write the group fsync covered
-//! — thousands of pipelined connections amortize a single `fsync` exactly as
-//! §4.10 of the paper intends. If durability fails while an ack is pending,
-//! the ack is rewritten into a typed [`ErrorCode::DurabilityDegraded`] frame
-//! rather than sent as a false positive.
+//! A write's `Ok` frame waits in the connection's out-queue until the write's
+//! commit epoch passes the logger's durable watermark. The server is a
+//! durable listener ([`SiloLogger::add_durable_listener`]): each advance of
+//! the durable epoch writes one byte to every worker's wake socket, and that
+//! one wake releases *every* ack the group fsync covered — thousands of
+//! pipelined connections amortize a single `fsync` exactly as §4.10 of the
+//! paper intends. A worker quiesces before it blocks in `poll`, so it never
+//! holds back the epoch its own parked acks wait for. If durability fails
+//! while an ack is parked, the ack is rewritten into a typed
+//! [`ErrorCode::DurabilityDegraded`] frame rather than sent as a false
+//! positive.
 //!
 //! # Load shedding
 //!
-//! * **Backlog** — while a worker's inbox holds `INBOX_LIMIT` (4096) jobs,
-//!   incoming *writes* are answered with [`ErrorCode::ServerBusy`] without
-//!   being executed (the rejection rides the normal inbox path so response
-//!   order is preserved).
-//! * **Durability degradation** — each batch checks
+//! * **Backlog** — while a connection's out-queue holds `BACKLOG_LIMIT`
+//!   (4096) replies, its new *writes* are answered with
+//!   [`ErrorCode::ServerBusy`] without being executed (in order, like any
+//!   other reply).
+//! * **Durability degradation** — each poll round checks
 //!   [`Database::durability_health`] once; while `Degraded`/`Failed`, writes
 //!   are answered with [`ErrorCode::DurabilityDegraded`] instead of being
 //!   executed. Reads keep flowing: the in-memory state is still consistent.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, BufWriter, Write as _};
+use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::raw::{c_int, c_short, c_ulong};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use silo_core::{Abort, AbortReason, Database, DurabilityHealth, Worker};
+use silo_core::{AdvanceListener, Database, DurabilityHealth, Session};
 use silo_log::{DurableWait, SiloLogger};
 
 use crate::fault::{FaultStream, NetFaultPlan};
 use crate::protocol::{
-    self, ErrorCode, FrameError, Request, Response, TxnOp, DEFAULT_MAX_FRAME_BYTES,
-    PROTOCOL_VERSION, SUPPORTED_FEATURES,
+    self, ErrorCode, Request, Response, TxnOp, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    SUPPORTED_FEATURES,
 };
 
-/// Maximum requests a worker drains and executes per iteration.
-const BATCH_MAX: usize = 64;
-/// Soft inbox backlog bound per worker; writes arriving beyond it are shed
-/// with `ServerBusy`.
-const INBOX_LIMIT: usize = 4096;
-/// Socket write timeout for response frames, bounding the shutdown drain even
-/// against a half-open peer that never reads.
+/// Reply backlog bound per connection; writes arriving while its out-queue
+/// holds this many replies are shed with `ServerBusy`.
+const BACKLOG_LIMIT: usize = 4096;
+/// How long pending reply bytes may wait for the socket to take any of them
+/// before the connection is dropped; also bounds the shutdown flush against
+/// a half-open peer that never reads.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+/// How long worker 0 leaves the listener out of its poll set after a failed
+/// `accept` (out of descriptors, say), instead of spinning on it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(2);
+/// Bytes asked of a socket per `read` call.
+const READ_CHUNK: usize = 64 << 10;
 /// How many tokenized write outcomes the server remembers per connection
 /// lineage for exactly-once replay (see
 /// [`crate::protocol::FEATURE_REQUEST_TOKENS`]).
@@ -92,10 +102,11 @@ pub struct ServerConfig {
     /// Address to listen on. Use port 0 to let the OS pick
     /// (see [`Server::local_addr`]).
     pub listen: String,
-    /// Number of request-executor threads, each owning one engine `Worker`.
+    /// Number of worker threads, each owning one engine `Worker` and its
+    /// share of the connections. The server runs exactly this many threads.
     pub workers: usize,
-    /// Maximum concurrent connections; the acceptor drops connections beyond
-    /// this without serving them.
+    /// Maximum concurrent connections; connections beyond this are answered
+    /// with a `ServerBusy` frame and dropped without being served.
     pub max_connections: usize,
     /// Maximum accepted frame payload, in bytes. Oversized frames are
     /// answered with a `BadRequest` error and the connection is closed
@@ -134,7 +145,7 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the number of request-executor threads.
+    /// Sets the number of worker threads.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -186,13 +197,13 @@ pub struct ServerStats {
     pub txns_committed: u64,
     /// Transactions aborted (after retries, where applicable).
     pub txns_aborted: u64,
-    /// Writes durably acknowledged (an `Ok` frame actually sent after the
-    /// durable-epoch wait).
+    /// Writes durably acknowledged (an `Ok` frame released after its epoch
+    /// became durable).
     pub writes_acked: u64,
-    /// Writes shed with `ServerBusy` (inbox backlog).
+    /// Writes shed with `ServerBusy` (reply backlog).
     pub writes_shed_busy: u64,
     /// Writes shed with `DurabilityDegraded` (health-based, including acks
-    /// rewritten after a failed durable wait).
+    /// rewritten after durability failed).
     pub writes_shed_degraded: u64,
     /// Connections that ended on a transport error (reset, broken pipe,
     /// torn stream — a peer that died rather than hung up cleanly).
@@ -248,52 +259,15 @@ impl StatsInner {
     }
 }
 
-/// A response queued for a connection's writer thread. `durable_epoch > 0`
-/// means "hold this frame until that epoch is durable".
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// A reply in a connection's out-queue, or the remembered outcome of a
+/// tokenized write. `durable_epoch > 0` holds it — and every reply behind
+/// it — until that epoch is durable.
+#[derive(Clone)]
 struct Outgoing {
-    durable_epoch: u64,
-    resp: Response,
-}
-
-/// Per-connection shared state between reader, workers, and writer.
-struct Conn {
-    id: u64,
-    stream: TcpStream,
-    outbox: Mutex<VecDeque<Outgoing>>,
-    cv: Condvar,
-    /// Set once no more responses will ever be enqueued (the reader's
-    /// `Hangup` marker has drained through the worker); the writer exits
-    /// after emptying the outbox.
-    closed: AtomicBool,
-    /// The connection's lineage from its `Hello` handshake (0 until a
-    /// handshake negotiates request tokens). Keys the token-replay window.
-    lineage: AtomicU64,
-}
-
-impl Conn {
-    fn push(&self, out: Outgoing) {
-        if self.closed.load(Ordering::Acquire) {
-            return;
-        }
-        let mut q = self.outbox.lock().unwrap_or_else(|e| e.into_inner());
-        q.push_back(out);
-        drop(q);
-        self.cv.notify_one();
-    }
-
-    fn close(&self) {
-        // Setting the flag while holding the outbox lock pairs with the
-        // writer's check-then-wait under the same lock, so a plain (untimed)
-        // condvar wait cannot miss the close.
-        let q = self.outbox.lock().unwrap_or_else(|e| e.into_inner());
-        self.closed.store(true, Ordering::Release);
-        drop(q);
-        self.cv.notify_all();
-    }
-}
-
-/// The remembered outcome of one tokenized write.
-struct StoredAck {
     durable_epoch: u64,
     resp: Response,
 }
@@ -304,18 +278,15 @@ struct StoredAck {
 #[derive(Default)]
 struct TokenWindow {
     order: VecDeque<u64>,
-    acks: HashMap<u64, StoredAck>,
+    acks: HashMap<u64, Outgoing>,
 }
 
 impl TokenWindow {
     fn lookup(&self, token: u64) -> Option<Outgoing> {
-        self.acks.get(&token).map(|a| Outgoing {
-            durable_epoch: a.durable_epoch,
-            resp: a.resp.clone(),
-        })
+        self.acks.get(&token).cloned()
     }
 
-    fn record(&mut self, token: u64, durable_epoch: u64, resp: Response) {
+    fn record(&mut self, token: u64, outcome: Outgoing) {
         if self.acks.contains_key(&token) {
             return;
         }
@@ -325,7 +296,7 @@ impl TokenWindow {
             }
         }
         self.order.push_back(token);
-        self.acks.insert(token, StoredAck { durable_epoch, resp });
+        self.acks.insert(token, outcome);
     }
 }
 
@@ -361,52 +332,37 @@ impl LineageTable {
     }
 }
 
-/// Work routed to an executor thread. Everything a connection produces —
-/// including rejections and its end-of-stream marker — flows through the
-/// same pinned inbox, which is what keeps response order equal to request
-/// order.
-enum Job {
-    Request(Arc<Conn>, Request),
-    Reject(Arc<Conn>, ErrorCode, String),
-    /// The connection's reader is done; after this drains, no more responses
-    /// can be enqueued for the connection.
-    Hangup(Arc<Conn>),
-}
-
-#[derive(Default)]
-struct Inbox {
-    q: Mutex<VecDeque<Job>>,
-    cv: Condvar,
-}
-
-impl Inbox {
-    fn len(&self) -> usize {
-        self.q.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    fn push(&self, job: Job) {
-        let mut q = self.q.lock().unwrap_or_else(|e| e.into_inner());
-        q.push_back(job);
-        drop(q);
-        self.cv.notify_one();
-    }
-}
-
 struct Shared {
     db: Arc<Database>,
     logger: Option<Arc<SiloLogger>>,
     config: ServerConfig,
     stats: StatsInner,
     stop: AtomicBool,
-    inboxes: Vec<Inbox>,
-    /// Live connections: pushed by the acceptor, removed by the worker that
-    /// drains the connection's `Hangup`.
-    conns: Mutex<Vec<Arc<Conn>>>,
+    /// The write ends of the workers' wake sockets (non-blocking).
+    wakers: Vec<UnixStream>,
+    /// Connections worker 0 accepted for each worker, adopted on its next
+    /// wake.
+    arrivals: Vec<Mutex<Vec<Conn>>>,
     lineages: Mutex<LineageTable>,
     active_conns: AtomicUsize,
-    /// Reader/writer thread handles, appended by the acceptor, which also
-    /// joins the finished ones each time it accepts.
-    io_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+}
+
+impl Shared {
+    /// Makes worker `index`'s `poll` return. A socket too full to take the
+    /// byte already holds a wake the worker has not consumed.
+    fn wake(&self, index: usize) {
+        let _ = (&self.wakers[index]).write(&[1]);
+    }
+}
+
+/// Registered with the logger: a durable-epoch advance, a logger failure or
+/// a logger shutdown may release parked acks on any worker.
+impl AdvanceListener for Shared {
+    fn epoch_advanced(&self, _durable_epoch: u64) {
+        for index in 0..self.wakers.len() {
+            self.wake(index);
+        }
+    }
 }
 
 /// A running network front-end over a [`Database`].
@@ -419,12 +375,11 @@ struct Shared {
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    acceptor: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds the listen address and spawns the acceptor and worker threads.
+    /// Binds the listen address and spawns the worker threads.
     ///
     /// `logger` should be the [`SiloLogger`] installed on `db` when the
     /// server is to acknowledge durable writes; pass `None` for a purely
@@ -438,39 +393,47 @@ impl Server {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let inboxes = (0..config.workers.max(1)).map(|_| Inbox::default()).collect();
+        let workers = config.workers.max(1);
+        let mut wakers = Vec::with_capacity(workers);
+        let mut wake_ends = Vec::with_capacity(workers);
+        for _ in 0..workers {
+            let (waker, wake) = UnixStream::pair()?;
+            waker.set_nonblocking(true)?;
+            wake.set_nonblocking(true)?;
+            wakers.push(waker);
+            wake_ends.push(wake);
+        }
         let shared = Arc::new(Shared {
             db,
             logger,
             config,
             stats: StatsInner::default(),
             stop: AtomicBool::new(false),
-            inboxes,
-            conns: Mutex::new(Vec::new()),
+            wakers,
+            arrivals: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
             lineages: Mutex::new(LineageTable::default()),
             active_conns: AtomicUsize::new(0),
-            io_threads: Mutex::new(Vec::new()),
         });
+        if let Some(logger) = &shared.logger {
+            let listener: Arc<dyn AdvanceListener> = Arc::clone(&shared) as _;
+            logger.add_durable_listener(Arc::downgrade(&listener));
+        }
 
-        let workers = (0..shared.inboxes.len())
-            .map(|i| {
+        let mut listener = Some(listener);
+        let workers = wake_ends
+            .into_iter()
+            .enumerate()
+            .map(|(i, wake)| {
                 let shared = Arc::clone(&shared);
+                let listener = listener.take();
                 std::thread::Builder::new()
                     .name(format!("silo-net-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || worker_loop(&shared, i, wake, listener))
                     .expect("spawn server worker")
             })
             .collect();
 
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("silo-net-acceptor".to_string())
-                .spawn(move || acceptor_loop(&shared, listener))
-                .expect("spawn server acceptor")
-        };
-
-        Ok(Server { shared, local_addr, acceptor: Some(acceptor), workers })
+        Ok(Server { shared, local_addr, workers })
     }
 
     /// The bound listen address (resolves port 0 to the OS-picked port).
@@ -483,48 +446,22 @@ impl Server {
         self.shared.stats.snapshot()
     }
 
-    /// Stops accepting, closes every connection, drains in-flight requests,
-    /// and joins every thread. In-flight durable acks are resolved (sent or
-    /// rewritten as errors) before the corresponding writer exits. Idempotent.
+    /// Stops accepting, answers the requests already received, resolves
+    /// every parked durable ack (sent or rewritten as an error), flushes,
+    /// closes every connection and joins the workers. Idempotent.
     pub fn shutdown(&mut self) {
         if self.shared.stop.swap(true, Ordering::AcqRel) {
             return;
         }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+        for index in 0..self.shared.wakers.len() {
+            self.shared.wake(index);
         }
-        // Unblock every reader: readers observe EOF, push their Hangup
-        // marker, and exit.
-        for conn in self.shared.conns.lock().unwrap_or_else(|e| e.into_inner()).iter() {
-            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        }
-        // Workers drain what the readers enqueued (including the Hangups,
-        // which close the outboxes), then exit on the stop flag. The stop
-        // flag was set above, *before* taking each inbox lock: a worker is
-        // either inside cv.wait (this notify wakes it) or will re-check the
-        // flag under the lock — either way the wakeup cannot be lost, so the
-        // workers' untimed waits stay sound.
-        for inbox in &self.shared.inboxes {
-            let q = inbox.q.lock().unwrap_or_else(|e| e.into_inner());
-            inbox.cv.notify_all();
-            drop(q);
-        }
-        let mut io_threads: Vec<_> =
-            std::mem::take(&mut *self.shared.io_threads.lock().unwrap_or_else(|e| e.into_inner()));
-        // Join readers and writers *after* the workers so writers see their
-        // final responses; order within io_threads does not matter because
-        // every thread has an exit condition that is now satisfied.
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // Safety net: if a worker exited without processing a Hangup (it
-        // cannot, but a panic would), force-close every outbox so writers
-        // cannot park forever.
-        for conn in self.shared.conns.lock().unwrap_or_else(|e| e.into_inner()).iter() {
-            conn.close();
-        }
-        for t in io_threads.drain(..) {
-            let _ = t.join();
+        // Hand-offs that raced a worker's exit: close them unserved.
+        for arrivals in &self.shared.arrivals {
+            arrivals.lock().unwrap_or_else(|e| e.into_inner()).clear();
         }
     }
 }
@@ -535,350 +472,416 @@ impl Drop for Server {
     }
 }
 
-fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
-    let mut next_conn_id = 0u64;
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if shared.active_conns.load(Ordering::Acquire) >= shared.config.max_connections {
-                    shared.stats.connections_rejected.fetch_add(1, Ordering::Relaxed);
-                    reject_connection(stream);
-                    continue;
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x1;
+const POLLOUT: c_short = 0x4;
+const POLLERR: c_short = 0x8;
+const POLLHUP: c_short = 0x10;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+fn pollfd(fd: RawFd, events: c_short) -> PollFd {
+    PollFd { fd, events, revents: 0 }
+}
+
+/// Blocks until one of `fds` is ready or `timeout` passes (`None`: no
+/// timeout); readiness lands in each entry's `revents`. An interrupted call
+/// leaves every `revents` zero, which callers treat as a timeout.
+fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) {
+    // Rounded up: a deadline is due when `poll` returns, not a moment after.
+    let ms =
+        timeout.map_or(-1, |t| t.as_nanos().div_ceil(1_000_000).min(c_int::MAX as u128) as c_int);
+    // SAFETY: `fds` is an exclusively borrowed array of `fds.len()` `pollfd`
+    // structs, valid for the whole call; the kernel writes only their
+    // `revents` fields.
+    unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms) };
+}
+
+/// One client connection, owned by one worker.
+struct Conn {
+    stream: FaultStream<TcpStream>,
+    /// Bytes read but not yet decoded: a partial frame, between rounds.
+    rbuf: Vec<u8>,
+    /// Replies in request order, not yet released to `wbuf`.
+    out: VecDeque<Outgoing>,
+    /// Encoded replies the socket has not taken yet.
+    wbuf: Vec<u8>,
+    /// The lineage from the `Hello` handshake (0 until a handshake
+    /// negotiates request tokens). Keys the token-replay window.
+    lineage: u64,
+    /// False once the connection will read no more (the peer hung up, the
+    /// stream lost its framing, a read deadline passed, shutdown); it closes
+    /// once its replies are written.
+    reading: bool,
+    /// Set on a transport failure: the connection closes at once.
+    dead: bool,
+    /// When the first byte of the partial frame in `rbuf` arrived.
+    frame_start: Option<Instant>,
+    /// When the last complete frame arrived (or the connection was accepted).
+    last_frame: Instant,
+    /// Since when `wbuf` has been waiting for the socket to take a byte.
+    write_stalled: Option<Instant>,
+}
+
+impl Conn {
+    fn new(stream: TcpStream, fault: Option<Arc<NetFaultPlan>>) -> std::io::Result<Conn> {
+        stream.set_nonblocking(true)?;
+        stream.set_nodelay(true).ok();
+        // A killing fault shuts the socket down, so the peer sees it too.
+        let socket = fault.as_ref().map(|_| stream.try_clone()).transpose()?;
+        let mut stream = FaultStream::new(stream, fault);
+        if let Some(socket) = socket {
+            stream = stream.with_socket(socket);
+        }
+        Ok(Conn {
+            stream,
+            rbuf: Vec::new(),
+            out: VecDeque::new(),
+            wbuf: Vec::new(),
+            lineage: 0,
+            reading: true,
+            dead: false,
+            frame_start: None,
+            last_frame: Instant::now(),
+            write_stalled: None,
+        })
+    }
+
+    /// The read deadline in force, and whether it is a frame's (else the
+    /// idle budget's).
+    fn read_deadline(&self, config: &ServerConfig) -> Option<(Instant, bool)> {
+        let (since, budget) = match self.frame_start {
+            Some(start) => (start, config.read_timeout),
+            None => (self.last_frame, config.idle_timeout),
+        };
+        (self.reading && !budget.is_zero()).then(|| (since + budget, self.frame_start.is_some()))
+    }
+
+    fn push(&mut self, shared: &Shared, out: Outgoing) {
+        bump(&shared.stats.requests);
+        self.out.push_back(out);
+    }
+
+    /// Answers once and reads no more: the stream is no longer frame-aligned.
+    fn refuse(&mut self, shared: &Shared, detail: String) {
+        self.push(shared, reply_err(ErrorCode::BadRequest, detail));
+        self.reading = false;
+    }
+
+    /// Drops the connection on a transport failure, counting it as a reset
+    /// unless it had already ended its reading some other way.
+    fn kill(&mut self, shared: &Shared) {
+        if self.reading {
+            bump(&shared.stats.connections_reset);
+        }
+        self.reading = false;
+        self.dead = true;
+    }
+
+    /// Reads what the socket holds and serves every complete frame in it.
+    fn read_and_serve(
+        &mut self,
+        shared: &Shared,
+        session: &mut Session,
+        health: DurabilityHealth,
+        scratch: &mut [u8],
+        now: Instant,
+    ) {
+        let mut eof = false;
+        loop {
+            match self.stream.read(scratch) {
+                Ok(0) => {
+                    eof = true;
+                    break;
                 }
-                reap_finished_io_threads(shared);
-                let id = next_conn_id;
-                next_conn_id += 1;
-                if spawn_connection(shared, stream, id).is_err() {
-                    // Accepted but could not serve (fd clone failure):
-                    // nothing to do but drop it.
-                    shared.stats.connections_rejected.fetch_add(1, Ordering::Relaxed);
+                Ok(n) => {
+                    self.rbuf.extend_from_slice(&scratch[..n]);
+                    if n < scratch.len() {
+                        break;
+                    }
                 }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(_) => return self.kill(shared),
             }
-            // Nothing pending (`WouldBlock`) or a transient accept failure.
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+        }
+
+        let mut pos = 0;
+        while self.reading {
+            let (payload, used) =
+                match protocol::split_frame(&self.rbuf[pos..], shared.config.max_frame_bytes) {
+                    Ok(Some(frame)) => frame,
+                    Ok(None) => break,
+                    Err(oversized) => {
+                        bump(&shared.stats.protocol_errors);
+                        self.refuse(shared, oversized.to_string());
+                        break;
+                    }
+                };
+            let decoded = protocol::decode_request(payload);
+            pos += used;
+            self.last_frame = now;
+            self.frame_start = None;
+            let out = match decoded {
+                Ok(req) if req.is_write() && self.out.len() >= BACKLOG_LIMIT => {
+                    bump(&shared.stats.writes_shed_busy);
+                    reply_err(ErrorCode::ServerBusy, "reply backlog over its limit".to_string())
+                }
+                Ok(req) => handle_request(shared, session, &mut self.lineage, req, health),
+                // Framing is still intact after a payload-level decode error,
+                // so answer and keep the connection.
+                Err(e) => {
+                    bump(&shared.stats.protocol_errors);
+                    reply_err(ErrorCode::BadRequest, e.to_string())
+                }
+            };
+            self.push(shared, out);
+        }
+        self.rbuf.drain(..pos);
+        if self.rbuf.is_empty() {
+            self.frame_start = None;
+        } else if self.frame_start.is_none() {
+            self.frame_start = Some(now);
+        }
+        if eof && self.reading {
+            self.reading = false;
+            if self.rbuf.is_empty() {
+                bump(&shared.stats.disconnects);
+            } else {
+                // A crashed peer: nothing sensible to answer.
+                bump(&shared.stats.protocol_errors);
+                bump(&shared.stats.connections_reset);
+            }
         }
     }
-}
 
-/// Joins the reader/writer threads of connections that have ended, so a
-/// long-lived server under connection churn holds handles (and their
-/// stacks) only for live connections plus those closed since the last
-/// accept. `shutdown()` joins whatever is left.
-fn reap_finished_io_threads(shared: &Shared) {
-    let mut io_threads = shared.io_threads.lock().unwrap_or_else(|e| e.into_inner());
-    let (finished, live): (Vec<_>, Vec<_>) =
-        std::mem::take(&mut *io_threads).into_iter().partition(|t| t.is_finished());
-    *io_threads = live;
-    drop(io_threads);
-    for t in finished {
-        let _ = t.join();
+    /// Ends reading once a read deadline has passed.
+    fn expire_reads(&mut self, shared: &Shared, now: Instant) {
+        match self.read_deadline(&shared.config) {
+            Some((at, true)) if now >= at => {
+                bump(&shared.stats.read_timeouts);
+                self.refuse(shared, "frame read deadline exceeded".to_string());
+            }
+            Some((at, false)) if now >= at => {
+                bump(&shared.stats.idle_closed);
+                self.reading = false;
+            }
+            _ => {}
+        }
+    }
+
+    /// Moves the releasable prefix of the out-queue — every reply up to the
+    /// first write whose epoch is not durable yet — to the socket.
+    fn write(&mut self, shared: &Shared, payload: &mut Vec<u8>, now: Instant) {
+        while let Some(next) = self.out.front() {
+            let ack = match &shared.logger {
+                Some(logger) if next.durable_epoch > 0 => {
+                    Some(logger.wait_for_durable(next.durable_epoch, Duration::ZERO))
+                }
+                _ => None,
+            };
+            if ack == Some(DurableWait::Timeout) {
+                break;
+            }
+            let mut resp = self.out.pop_front().expect("a reply is queued").resp;
+            match ack {
+                Some(DurableWait::Durable) => bump(&shared.stats.writes_acked),
+                Some(_) => {
+                    // Never send a false ack: the write committed in memory
+                    // but its durability can no longer be guaranteed.
+                    bump(&shared.stats.writes_shed_degraded);
+                    resp = Response::Error {
+                        code: ErrorCode::DurabilityDegraded,
+                        detail: "durability failed before the write's epoch became durable"
+                            .to_string(),
+                    };
+                }
+                None => {}
+            }
+            payload.clear();
+            protocol::encode_response(payload, &resp);
+            if protocol::write_frame(&mut self.wbuf, payload).is_err() {
+                return self.kill(shared);
+            }
+        }
+        let mut written = 0;
+        while written < self.wbuf.len() {
+            match self.stream.write(&self.wbuf[written..]) {
+                Ok(0) => return self.kill(shared),
+                Ok(n) => {
+                    written += n;
+                    self.write_stalled = None;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    self.write_stalled.get_or_insert(now);
+                    break;
+                }
+                Err(_) => return self.kill(shared),
+            }
+        }
+        self.wbuf.drain(..written);
+    }
+
+    fn finished(&self, now: Instant) -> bool {
+        self.dead
+            || self.write_stalled.is_some_and(|since| now >= since + WRITE_TIMEOUT)
+            || (!self.reading && self.out.is_empty() && self.wbuf.is_empty())
     }
 }
 
-/// Answers an over-limit connection with one typed `ServerBusy` frame
-/// (best effort, bounded by a short write timeout) before dropping it, so
+/// Answers an over-limit connection with one typed `ServerBusy` frame — a
+/// fresh socket takes it in one non-blocking write — before dropping it, so
 /// the client can back off instead of guessing why it was reset.
 fn reject_connection(stream: TcpStream) {
-    // An accepted socket may inherit the listener's nonblocking mode on
-    // some platforms; be explicit so the write timeout governs.
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let mut payload = Vec::new();
+    let detail = "connection limit reached".to_string();
+    let (mut payload, mut frame) = (Vec::new(), Vec::new());
     protocol::encode_response(
         &mut payload,
-        &Response::Error {
-            code: ErrorCode::ServerBusy,
-            detail: "connection limit reached".to_string(),
-        },
+        &Response::Error { code: ErrorCode::ServerBusy, detail },
     );
-    let mut w = &stream;
-    let _ = protocol::write_frame(&mut w, &payload);
-    let _ = w.flush();
-    drop(stream);
-}
-
-fn spawn_connection(shared: &Arc<Shared>, stream: TcpStream, id: u64) -> std::io::Result<()> {
-    stream.set_nodelay(true).ok();
-    // Accepted sockets may inherit the listener's nonblocking mode on some
-    // platforms; the I/O loops below rely on blocking reads with timeouts.
-    stream.set_nonblocking(false)?;
-    let read_half = stream.try_clone()?;
-    let write_half = stream.try_clone()?;
-    write_half.set_write_timeout(Some(WRITE_TIMEOUT)).ok();
-    let conn = Arc::new(Conn {
-        id,
-        stream,
-        outbox: Mutex::new(VecDeque::new()),
-        cv: Condvar::new(),
-        closed: AtomicBool::new(false),
-        lineage: AtomicU64::new(0),
-    });
-    shared.stats.connections_accepted.fetch_add(1, Ordering::Relaxed);
-    shared.active_conns.fetch_add(1, Ordering::AcqRel);
-    shared.conns.lock().unwrap_or_else(|e| e.into_inner()).push(Arc::clone(&conn));
-
-    let reader = {
-        let shared = Arc::clone(shared);
-        let conn = Arc::clone(&conn);
-        std::thread::Builder::new()
-            .name(format!("silo-net-read-{id}"))
-            .spawn(move || reader_loop(&shared, &conn, read_half))?
-    };
-    let writer = {
-        let shared = Arc::clone(shared);
-        std::thread::Builder::new()
-            .name(format!("silo-net-write-{id}"))
-            .spawn(move || writer_loop(&shared, &conn, write_half))?
-    };
-    let mut io_threads = shared.io_threads.lock().unwrap_or_else(|e| e.into_inner());
-    io_threads.push(reader);
-    io_threads.push(writer);
-    Ok(())
-}
-
-/// The socket-timeout tick used as the clock for the frame deadline and the
-/// idle budget: fine enough that short test timeouts resolve promptly,
-/// coarse enough that an idle connection costs a handful of wakeups per
-/// second. Under load, reads return data and the tick never fires.
-fn read_tick(config: &ServerConfig) -> Option<Duration> {
-    let budgets = [config.read_timeout, config.idle_timeout]
-        .into_iter()
-        .filter(|d| !d.is_zero())
-        .min()?;
-    Some((budgets / 4).clamp(Duration::from_millis(5), Duration::from_millis(250)))
-}
-
-fn reader_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, stream: TcpStream) {
-    let inbox = &shared.inboxes[(conn.id as usize) % shared.inboxes.len()];
-    let socket = stream.try_clone().ok();
-    if let Some(tick) = read_tick(&shared.config) {
-        stream.set_read_timeout(Some(tick)).ok();
+    protocol::write_frame(&mut frame, &payload).expect("a short reply fits one frame");
+    if stream.set_nonblocking(true).is_ok() {
+        let _ = (&stream).write(&frame);
     }
-    let mut r = BufReader::new({
-        let mut fs = FaultStream::new(stream, shared.config.fault.clone());
-        if let Some(socket) = socket {
-            fs = fs.with_socket(socket);
-        }
-        fs
-    });
-    let frame_timeout =
-        (!shared.config.read_timeout.is_zero()).then_some(shared.config.read_timeout);
-    let idle_timeout = shared.config.idle_timeout;
-    let mut last_activity = Instant::now();
-    let mut buf = Vec::new();
+}
+
+/// Worker 0's accept loop: admits what the listener holds, keeping its own
+/// share and handing the rest out. Returns when to poll the listener again
+/// after a failed `accept`.
+fn accept_all(
+    shared: &Shared,
+    listener: &TcpListener,
+    next_id: &mut u64,
+    conns: &mut Vec<Conn>,
+    now: Instant,
+) -> Option<Instant> {
     loop {
-        match protocol::read_frame_deadline(&mut r, &mut buf, shared.config.max_frame_bytes, frame_timeout)
-        {
-            Ok(true) => {
-                last_activity = Instant::now();
-            }
-            Ok(false) => {
-                shared.stats.disconnects.fetch_add(1, Ordering::Relaxed);
-                break; // clean EOF between frames
-            }
-            Err(FrameError::TimedOut { mid_frame: false }) => {
-                // The connection is idle; tolerate it up to the idle budget
-                // (and re-check the stop flag so shutdown stays prompt).
-                if shared.stop.load(Ordering::Acquire) {
-                    break;
-                }
-                if !idle_timeout.is_zero() && last_activity.elapsed() >= idle_timeout {
-                    shared.stats.idle_closed.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                continue;
-            }
-            Err(FrameError::TimedOut { mid_frame: true }) => {
-                // A frame started but stalled past its deadline: the stream
-                // is no longer frame-aligned. Answer once and hang up.
-                shared.stats.read_timeouts.fetch_add(1, Ordering::Relaxed);
-                inbox.push(Job::Reject(
-                    Arc::clone(conn),
-                    ErrorCode::BadRequest,
-                    "frame read deadline exceeded".to_string(),
-                ));
-                break;
-            }
-            Err(FrameError::Torn) => {
-                // A crashed peer: nothing sensible to answer.
-                shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                shared.stats.connections_reset.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            Err(FrameError::Oversized { len, max }) => {
-                // The stream is no longer frame-aligned: answer once (in
-                // order, through the inbox) and hang up.
-                shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                inbox.push(Job::Reject(
-                    Arc::clone(conn),
-                    ErrorCode::BadRequest,
-                    format!("frame of {len} bytes exceeds the {max}-byte limit"),
-                ));
-                break;
-            }
-            Err(FrameError::Io(_)) => {
-                shared.stats.connections_reset.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-        }
-        match protocol::decode_request(&buf) {
-            Ok(req) => {
-                // Backlog shedding: drop writes (only) while the pinned
-                // worker's inbox is over the watermark. The rejection rides
-                // the inbox so the response order still matches the request
-                // order.
-                if req.is_write() && inbox.len() >= INBOX_LIMIT {
-                    shared.stats.writes_shed_busy.fetch_add(1, Ordering::Relaxed);
-                    inbox.push(Job::Reject(
-                        Arc::clone(conn),
-                        ErrorCode::ServerBusy,
-                        "worker inbox over backlog limit".to_string(),
-                    ));
-                } else {
-                    inbox.push(Job::Request(Arc::clone(conn), req));
-                }
-            }
-            Err(e) => {
-                // Framing is still intact after a payload-level decode
-                // error, so answer and keep the connection.
-                shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                inbox.push(Job::Reject(Arc::clone(conn), ErrorCode::BadRequest, e.to_string()));
-            }
-        }
-    }
-    let _ = conn.stream.shutdown(std::net::Shutdown::Read);
-    inbox.push(Job::Hangup(Arc::clone(conn)));
-    shared.active_conns.fetch_sub(1, Ordering::AcqRel);
-}
-
-fn writer_loop(shared: &Arc<Shared>, conn: &Arc<Conn>, stream: TcpStream) {
-    let socket = stream.try_clone().ok();
-    let mut w = BufWriter::new({
-        let mut fs = FaultStream::new(stream, shared.config.fault.clone());
-        if let Some(socket) = socket {
-            fs = fs.with_socket(socket);
-        }
-        fs
-    });
-    let mut payload = Vec::new();
-    'outer: loop {
-        let next = {
-            let mut q = conn.outbox.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(out) = q.pop_front() {
-                    break out;
-                }
-                if conn.closed.load(Ordering::Acquire) {
-                    break 'outer;
-                }
-                // Nothing pending: flush the burst we just wrote before
-                // parking, so the client sees its pipeline drain.
-                drop(q);
-                if w.flush().is_err() {
-                    break 'outer;
-                }
-                q = conn.outbox.lock().unwrap_or_else(|e| e.into_inner());
-                if q.is_empty() && !conn.closed.load(Ordering::Acquire) {
-                    // An untimed wait is safe: push() enqueues under this
-                    // lock before notifying, and close() flips the flag
-                    // under this lock, so whichever happens after our
-                    // re-check necessarily reaches the condvar.
-                    q = conn.cv.wait(q).unwrap_or_else(|e| e.into_inner());
-                }
-            }
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return None,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return Some(now + ACCEPT_BACKOFF),
         };
-        let mut resp = next.resp;
-        if next.durable_epoch > 0 {
-            if let Some(logger) = &shared.logger {
-                // The group-commit wait: parks until the batch's epoch is
-                // durable. Coalesces across the pipeline — once the epoch
-                // is durable every queued ack behind it passes the fast
-                // path without touching the condvar.
-                match logger.wait_for_durable_epoch(next.durable_epoch) {
-                    DurableWait::Durable => {
-                        shared.stats.writes_acked.fetch_add(1, Ordering::Relaxed);
-                    }
-                    _ => {
-                        // Never send a false ack: the write committed in
-                        // memory but its durability can no longer be
-                        // guaranteed.
-                        shared.stats.writes_shed_degraded.fetch_add(1, Ordering::Relaxed);
-                        resp = Response::Error {
-                            code: ErrorCode::DurabilityDegraded,
-                            detail: "durability failed before the write's epoch became durable"
-                                .to_string(),
-                        };
-                    }
-                }
-            } else {
-                shared.stats.writes_acked.fetch_add(1, Ordering::Relaxed);
-            }
+        if shared.active_conns.load(Ordering::Acquire) >= shared.config.max_connections {
+            bump(&shared.stats.connections_rejected);
+            reject_connection(stream);
+            continue;
         }
-        payload.clear();
-        protocol::encode_response(&mut payload, &resp);
-        if protocol::write_frame(&mut w, &payload).is_err() {
-            break;
+        let Ok(conn) = Conn::new(stream, shared.config.fault.clone()) else {
+            // Accepted but could not be set up: nothing to do but drop it.
+            bump(&shared.stats.connections_rejected);
+            continue;
+        };
+        bump(&shared.stats.connections_accepted);
+        shared.active_conns.fetch_add(1, Ordering::AcqRel);
+        let owner = (*next_id % shared.wakers.len() as u64) as usize;
+        *next_id += 1;
+        if owner == 0 {
+            conns.push(conn);
+        } else {
+            shared.arrivals[owner].lock().unwrap_or_else(|e| e.into_inner()).push(conn);
+            shared.wake(owner);
         }
     }
-    let _ = w.flush();
-    let _ = conn.stream.shutdown(std::net::Shutdown::Write);
 }
 
-fn worker_loop(shared: &Arc<Shared>, index: usize) {
-    let mut worker = shared.db.register_worker();
-    let inbox = &shared.inboxes[index];
-    let mut batch = Vec::with_capacity(BATCH_MAX);
+fn worker_loop(
+    shared: &Shared,
+    index: usize,
+    mut wake: UnixStream,
+    mut listener: Option<TcpListener>,
+) {
+    let mut session = shared.db.session();
+    let mut conns: Vec<Conn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut scratch = vec![0u8; READ_CHUNK];
+    let mut payload = Vec::new();
+    let mut next_id = 0u64;
+    let mut accept_paused: Option<Instant> = None;
+    // Set at shutdown: when to give up on replies the sockets have not taken.
+    let mut closing: Option<Instant> = None;
+
     loop {
-        {
-            let mut q = inbox.q.lock().unwrap_or_else(|e| e.into_inner());
-            if q.is_empty() {
-                // Mark this worker quiescent before parking: an idle worker
-                // whose local epoch stays pinned would stall the global
-                // epoch (the `E − e_w ≤ 1` invariant) and with it the
-                // durable watermark every pending ack waits on.
-                drop(q);
-                worker.quiesce();
-                q = inbox.q.lock().unwrap_or_else(|e| e.into_inner());
+        let now = Instant::now();
+        if closing.is_none() && shared.stop.load(Ordering::Acquire) {
+            // Answer what has already arrived and read no more; parked acks
+            // are resolved by the wakes the logger still sends.
+            closing = Some(now + WRITE_TIMEOUT);
+            listener = None;
+            let health = shared.db.durability_health();
+            for conn in &mut conns {
+                if conn.reading {
+                    conn.read_and_serve(shared, &mut session, health, &mut scratch, now);
+                }
+                conn.reading = false;
             }
-            while q.is_empty() && !shared.stop.load(Ordering::Acquire) {
-                // Untimed: push() notifies after enqueuing under this lock,
-                // and shutdown() sets the stop flag before notifying under
-                // this lock, so neither wakeup can be lost.
-                q = inbox.cv.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-            if q.is_empty() {
-                return; // stop requested and fully drained
-            }
-            let take = q.len().min(BATCH_MAX);
-            batch.extend(q.drain(..take));
         }
-        // One health probe per batch — the whole point of batching the
-        // check: thousands of pipelined requests cost one atomic load each
-        // iteration, not one per request.
+        for conn in &mut conns {
+            conn.expire_reads(shared, now);
+            conn.write(shared, &mut payload, now);
+        }
+        conns.retain(|conn| {
+            let finished = conn.finished(now);
+            if finished {
+                shared.active_conns.fetch_sub(1, Ordering::AcqRel);
+            }
+            !finished
+        });
+        if closing.is_some_and(|until| conns.is_empty() || now >= until) {
+            return;
+        }
+
+        accept_paused = accept_paused.filter(|until| *until > now);
+        fds.clear();
+        fds.push(pollfd(wake.as_raw_fd(), POLLIN));
+        let listening = listener.as_ref().filter(|_| accept_paused.is_none());
+        if let Some(listener) = listening {
+            fds.push(pollfd(listener.as_raw_fd(), POLLIN));
+        }
+        let first_conn = fds.len();
+        let mut deadline = accept_paused.or(closing);
+        for conn in &conns {
+            let read = if conn.reading { POLLIN } else { 0 };
+            let write = if conn.wbuf.is_empty() { 0 } else { POLLOUT };
+            fds.push(pollfd(conn.stream.get_ref().as_raw_fd(), read | write));
+            let read_deadline = conn.read_deadline(&shared.config).map(|(at, _)| at);
+            let write_deadline = conn.write_stalled.map(|since| since + WRITE_TIMEOUT);
+            deadline = deadline.into_iter().chain(read_deadline).chain(write_deadline).min();
+        }
+        // Never block inside an epoch: that would hold the durable epoch
+        // below it, and with it every ack parked here.
+        session.quiesce();
+        wait_ready(&mut fds, deadline.map(|d| d.saturating_duration_since(now)));
+
+        let now = Instant::now();
+        if fds[0].revents != 0 {
+            while matches!(wake.read(&mut scratch), Ok(n) if n > 0) {}
+            if closing.is_none() {
+                let mut arrivals = shared.arrivals[index].lock().unwrap_or_else(|e| e.into_inner());
+                conns.append(&mut arrivals);
+            }
+        }
+        if let Some(listener) = listening.filter(|_| fds[1].revents != 0) {
+            accept_paused = accept_all(shared, listener, &mut next_id, &mut conns, now);
+        }
+        // One health probe per round, not one per request. Connections
+        // adopted this round were not polled and wait for the next.
         let health = shared.db.durability_health();
-        let degraded = !matches!(health, DurabilityHealth::Healthy) && shared.logger.is_some();
-        for job in batch.drain(..) {
-            match job {
-                Job::Hangup(conn) => {
-                    conn.close();
-                    // Nothing can reach the connection any more: forget it,
-                    // so its socket closes when the writer exits instead of
-                    // staying open until `shutdown()`.
-                    let mut conns = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
-                    conns.retain(|c| !Arc::ptr_eq(c, &conn));
-                }
-                Job::Reject(conn, code, detail) => {
-                    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-                    conn.push(Outgoing {
-                        durable_epoch: 0,
-                        resp: Response::Error { code, detail },
-                    });
-                }
-                Job::Request(conn, req) => {
-                    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-                    let out = handle_request(shared, &mut worker, &conn, req, degraded, health);
-                    conn.push(out);
-                }
+        for (conn, fd) in conns.iter_mut().zip(&fds[first_conn..]) {
+            if conn.reading && fd.revents & (POLLIN | POLLHUP | POLLERR) != 0 {
+                conn.read_and_serve(shared, &mut session, health, &mut scratch, now);
+            } else if fd.revents & (POLLHUP | POLLERR) != 0 {
+                conn.kill(shared);
             }
         }
     }
@@ -889,10 +892,9 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
 /// the degraded-writes shed — and everything else goes to [`execute`].
 fn handle_request(
     shared: &Shared,
-    worker: &mut Worker,
-    conn: &Arc<Conn>,
+    session: &mut Session,
+    conn_lineage: &mut u64,
     req: Request,
-    degraded: bool,
     health: DurabilityHealth,
 ) -> Outgoing {
     match req {
@@ -900,19 +902,17 @@ fn handle_request(
             if version != PROTOCOL_VERSION {
                 return reply_err(
                     ErrorCode::UnsupportedVersion,
-                    format!("server speaks protocol version {PROTOCOL_VERSION}, client sent {version}"),
+                    format!(
+                        "server speaks protocol version {PROTOCOL_VERSION}, client sent {version}"
+                    ),
                 );
             }
             let granted = features & SUPPORTED_FEATURES;
             if granted & protocol::FEATURE_REQUEST_TOKENS != 0 && lineage != 0 {
-                conn.lineage.store(lineage, Ordering::Release);
+                *conn_lineage = lineage;
                 // Materialize the lineage's window now so a replayed token
                 // finds it even if the original ack raced the reconnect.
-                shared
-                    .lineages
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .acquire(lineage);
+                shared.lineages.lock().unwrap_or_else(|e| e.into_inner()).acquire(lineage);
             }
             Outgoing {
                 durable_epoch: 0,
@@ -920,95 +920,84 @@ fn handle_request(
             }
         }
         Request::Tokenized { token, req } => {
-            let lineage = conn.lineage.load(Ordering::Acquire);
-            if lineage == 0 {
+            if *conn_lineage == 0 {
                 return reply_err(
                     ErrorCode::BadRequest,
                     "tokenized request without a token-negotiating handshake".to_string(),
                 );
             }
-            let window = shared
-                .lineages
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .get(lineage);
+            let window =
+                shared.lineages.lock().unwrap_or_else(|e| e.into_inner()).get(*conn_lineage);
             let Some(window) = window else {
                 // Evicted under lineage pressure: execute as a fresh write
                 // (replay protection is bounded, not infinite).
-                return shed_or_execute(shared, worker, &req, degraded, health);
+                return shed_or_execute(shared, session, &req, health);
             };
             // Replay check *before* the degraded shed: a write that was
             // already applied and remembered must return its recorded
             // outcome, not a fresh rejection — the stored durable epoch
             // still gates the ack on actual durability.
             if let Some(stored) = window.lock().unwrap_or_else(|e| e.into_inner()).lookup(token) {
-                shared.stats.token_replays.fetch_add(1, Ordering::Relaxed);
+                bump(&shared.stats.token_replays);
                 return stored;
             }
-            let out = shed_or_execute(shared, worker, &req, degraded, health);
+            let out = shed_or_execute(shared, session, &req, health);
             // Remember only successful outcomes: a shed or abort is safe to
             // re-execute, and recording it would pin a transient failure as
             // the token's permanent answer.
             if !matches!(out.resp, Response::Error { .. }) {
-                window
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .record(token, out.durable_epoch, out.resp.clone());
+                window.lock().unwrap_or_else(|e| e.into_inner()).record(token, out.clone());
             }
             out
         }
-        req => shed_or_execute(shared, worker, &req, degraded, health),
+        req => shed_or_execute(shared, session, &req, health),
     }
 }
 
 /// The degraded-durability write shed, applied on the way into [`execute`].
 fn shed_or_execute(
     shared: &Shared,
-    worker: &mut Worker,
+    session: &mut Session,
     req: &Request,
-    degraded: bool,
     health: DurabilityHealth,
 ) -> Outgoing {
+    let degraded = !matches!(health, DurabilityHealth::Healthy) && shared.logger.is_some();
     if degraded && req.is_write() {
-        shared.stats.writes_shed_degraded.fetch_add(1, Ordering::Relaxed);
-        return Outgoing {
-            durable_epoch: 0,
-            resp: Response::Error {
-                code: ErrorCode::DurabilityDegraded,
-                detail: format!("shedding writes: durability {}", match health {
+        bump(&shared.stats.writes_shed_degraded);
+        return reply_err(
+            ErrorCode::DurabilityDegraded,
+            format!(
+                "shedding writes: durability {}",
+                match health {
                     DurabilityHealth::Degraded { lag_epochs } => {
                         format!("lags by {lag_epochs} epochs")
                     }
                     DurabilityHealth::Failed => "failed permanently".to_string(),
                     DurabilityHealth::Healthy => "healthy".to_string(),
-                }),
-            },
-        };
+                }
+            ),
+        );
     }
-    execute(shared, worker, req)
+    execute(shared, session, req)
 }
 
-/// How many times single-operation requests are retried on an OCC abort
-/// before the abort is surfaced to the client. Multi-op `Txn` requests are
-/// never auto-retried: the client owns their semantics.
-const SINGLE_OP_RETRIES: usize = 3;
-
-fn execute(shared: &Shared, worker: &mut Worker, req: &Request) -> Outgoing {
+/// Runs one request on the worker's session. Single operations follow the
+/// session's retry rule; a multi-op `Txn` executes exactly once — the client
+/// decides whether an abort is worth retrying.
+fn execute(shared: &Shared, session: &mut Session, req: &Request) -> Outgoing {
     let db = &shared.db;
     // Catalog errors first, so transactions never see unknown table ids.
     if let Some(table) = req_tables(req).find(|&t| db.try_table(t).is_none()) {
         return reply_err(ErrorCode::NoSuchTable, format!("unknown table id {table}"));
     }
-    match req {
+    // On commit: the reply, and the commit TID when the request wrote.
+    let committed = match req {
         Request::Health => {
             let health = db.durability_health();
             let global_epoch = db.epochs().global_epoch();
-            let durable_epoch = shared
-                .logger
-                .as_ref()
-                .map(|l| l.durable_epoch())
-                .unwrap_or(global_epoch);
-            Outgoing {
+            let durable_epoch =
+                shared.logger.as_ref().map(|l| l.durable_epoch()).unwrap_or(global_epoch);
+            return Outgoing {
                 durable_epoch: 0,
                 resp: Response::Health {
                     health: health.into(),
@@ -1016,58 +1005,32 @@ fn execute(shared: &Shared, worker: &mut Worker, req: &Request) -> Outgoing {
                     durable_epoch,
                     global_epoch,
                 },
-            }
+            };
         }
-        Request::OpenTable { name } => match db.table_id(name).or_else(|_| {
-            // Create-if-missing; a racing creator is fine, resolve again.
-            db.create_table(name).or_else(|_| db.table_id(name))
-        }) {
-            Ok(id) => Outgoing { durable_epoch: 0, resp: Response::TableId { id } },
-            Err(e) => reply_err(ErrorCode::NoSuchTable, e.to_string()),
-        },
-        Request::Get { table, key } => retry_single(shared, || {
-            let mut txn = worker.begin();
-            let value = txn.read(*table, key)?;
-            txn.commit()?;
-            shared.stats.txns_committed.fetch_add(1, Ordering::Relaxed);
-            Ok(Outgoing { durable_epoch: 0, resp: Response::Value { value } })
-        }),
-        Request::Scan { table, start, end, limit } => retry_single(shared, || {
-            let mut txn = worker.begin();
-            let entries = txn.scan(
-                *table,
-                start,
-                end.as_deref(),
-                if *limit == 0 { None } else { Some(*limit as usize) },
-            )?;
-            txn.commit()?;
-            shared.stats.txns_committed.fetch_add(1, Ordering::Relaxed);
-            Ok(Outgoing { durable_epoch: 0, resp: Response::Entries { entries } })
-        }),
-        Request::Put { table, key, value } => retry_single(shared, || {
-            let mut txn = worker.begin();
-            txn.write(*table, key, value)?;
-            let tid = txn.commit()?;
-            Ok(ack_write(shared, tid.epoch()))
-        }),
-        Request::Insert { table, key, value } => retry_single(shared, || {
-            let mut txn = worker.begin();
-            txn.insert(*table, key, value)?;
-            let tid = txn.commit()?;
-            Ok(ack_write(shared, tid.epoch()))
-        }),
-        Request::Delete { table, key } => retry_single(shared, || {
-            let mut txn = worker.begin();
-            txn.delete(*table, key)?;
-            let tid = txn.commit()?;
-            Ok(ack_write(shared, tid.epoch()))
-        }),
-        Request::Txn { ops } => {
-            // Multi-op transactions execute exactly once; the client decides
-            // whether an abort is worth retrying.
-            let mut txn = worker.begin();
-            let mut reads = Vec::new();
-            let result: Result<(), Abort> = (|| {
+        Request::OpenTable { name } => {
+            return match session.open_table(name) {
+                Ok(id) => Outgoing { durable_epoch: 0, resp: Response::TableId { id } },
+                Err(_) => reply_err(ErrorCode::NoSuchTable, format!("cannot open table {name:?}")),
+            };
+        }
+        Request::Get { table, key } => {
+            session.get(*table, key).map(|value| (Response::Value { value }, None))
+        }
+        Request::Scan { table, start, end, limit } => session
+            .scan(*table, start, end.as_deref(), (*limit != 0).then_some(*limit as usize))
+            .map(|entries| (Response::Entries { entries }, None)),
+        Request::Put { table, key, value } => {
+            session.put(*table, key, value).map(|tid| (Response::Ok, Some(tid)))
+        }
+        Request::Insert { table, key, value } => {
+            session.insert(*table, key, value).map(|tid| (Response::Ok, Some(tid)))
+        }
+        Request::Delete { table, key } => {
+            session.retry(|txn| txn.delete(*table, key)).map(|(_, tid)| (Response::Ok, Some(tid)))
+        }
+        Request::Txn { ops } => session
+            .transact(|txn| {
+                let mut reads = Vec::new();
                 for op in ops {
                     match op {
                         TxnOp::Get { table, key } => reads.push(txn.read(*table, key)?),
@@ -1078,32 +1041,33 @@ fn execute(shared: &Shared, worker: &mut Worker, req: &Request) -> Outgoing {
                         }
                     }
                 }
-                Ok(())
-            })();
-            match result.and_then(|()| txn.commit()) {
-                Ok(tid) => {
-                    shared.stats.txns_committed.fetch_add(1, Ordering::Relaxed);
-                    // Read results always come back; a transaction that also
-                    // wrote carries its commit epoch so the writer holds the
-                    // frame until the group is durable.
-                    let has_writes =
-                        ops.iter().any(TxnOp::is_write) && shared.logger.is_some();
-                    Outgoing {
-                        durable_epoch: if has_writes { tid.epoch() } else { 0 },
-                        resp: Response::TxnOk { reads },
-                    }
-                }
-                Err(abort) => {
-                    shared.stats.txns_aborted.fetch_add(1, Ordering::Relaxed);
-                    reply_err(ErrorCode::Aborted, abort.0.to_string())
-                }
-            }
-        }
+                Ok(reads)
+            })
+            .map(|(reads, tid)| {
+                (Response::TxnOk { reads }, ops.iter().any(TxnOp::is_write).then_some(tid))
+            }),
         // Resolved by `handle_request` before execution ever sees them.
-        Request::Hello { .. } | Request::Tokenized { .. } => reply_err(
-            ErrorCode::Internal,
-            "protocol-level request reached the executor".to_string(),
-        ),
+        Request::Hello { .. } | Request::Tokenized { .. } => {
+            return reply_err(
+                ErrorCode::Internal,
+                "protocol-level request reached the executor".to_string(),
+            );
+        }
+    };
+    match committed {
+        Ok((resp, wrote)) => {
+            bump(&shared.stats.txns_committed);
+            // A logged write's reply waits in the out-queue for its epoch.
+            let durable_epoch = match (wrote, &shared.logger) {
+                (Some(tid), Some(_)) => tid.epoch(),
+                _ => 0,
+            };
+            Outgoing { durable_epoch, resp }
+        }
+        Err(abort) => {
+            bump(&shared.stats.txns_aborted);
+            reply_err(ErrorCode::Aborted, abort.0.to_string())
+        }
     }
 }
 
@@ -1132,36 +1096,4 @@ fn req_tables(req: &Request) -> impl Iterator<Item = u32> + '_ {
 
 fn reply_err(code: ErrorCode, detail: String) -> Outgoing {
     Outgoing { durable_epoch: 0, resp: Response::Error { code, detail } }
-}
-
-fn ack_write(shared: &Shared, epoch: u64) -> Outgoing {
-    shared.stats.txns_committed.fetch_add(1, Ordering::Relaxed);
-    if shared.logger.is_some() {
-        Outgoing { durable_epoch: epoch, resp: Response::Ok }
-    } else {
-        Outgoing { durable_epoch: 0, resp: Response::Ok }
-    }
-}
-
-/// Runs a single-op request, retrying benign OCC aborts a few times. A
-/// `DuplicateKey` abort is surfaced immediately (it is a semantic outcome,
-/// not contention), as is `UserRequested`.
-fn retry_single(shared: &Shared, mut f: impl FnMut() -> Result<Outgoing, Abort>) -> Outgoing {
-    let mut attempt = 0;
-    loop {
-        match f() {
-            Ok(out) => return out,
-            Err(abort) => {
-                shared.stats.txns_aborted.fetch_add(1, Ordering::Relaxed);
-                let retryable = !matches!(
-                    abort.0,
-                    AbortReason::DuplicateKey | AbortReason::UserRequested
-                );
-                if !retryable || attempt + 1 >= SINGLE_OP_RETRIES {
-                    return reply_err(ErrorCode::Aborted, abort.0.to_string());
-                }
-                attempt += 1;
-            }
-        }
-    }
 }

@@ -1,12 +1,15 @@
 //! Server behavior against raw sockets: request execution, torn-stream and
 //! oversized-frame handling, deadlines, admission control, the protocol
-//! handshake, and clean shutdown.
+//! handshake, reply order behind a durable ack, threads per connection, and
+//! clean shutdown.
 
 use std::io::Write as _;
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use silo_core::{Database, SiloConfig};
+use silo_core::{Database, EpochConfig, SiloConfig};
+use silo_log::{LogConfig, SiloLogger};
 use silo_net::protocol::{
     decode_response, encode_request, read_frame, write_frame, ErrorCode, Request, Response, TxnOp,
     PROTOCOL_VERSION,
@@ -319,8 +322,8 @@ fn closed_connections_release_their_socket() {
         );
     }
 
-    // A hang-up travels reader → worker → writer before the last handle on
-    // the socket drops, so give it a moment to settle.
+    // The owning worker sees each hang-up on its next poll round and only
+    // then closes the socket, so give it a moment to settle.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let stats = server.stats();
@@ -337,4 +340,85 @@ fn closed_connections_release_their_socket() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+/// Threads of this process; `None` where there is no `/proc`.
+fn threads() -> Option<usize> {
+    std::fs::read_dir("/proc/self/task").ok().map(|dir| dir.count())
+}
+
+#[test]
+fn connections_add_no_threads() {
+    const CONNS: usize = 64;
+    // Other tests of this binary start and stop servers concurrently; a
+    // thread per connection would add 64 or more.
+    const SLACK: usize = 32;
+    let server = start_server();
+    let before = threads();
+    let mut conns: Vec<TcpStream> =
+        (0..CONNS).map(|_| TcpStream::connect(server.local_addr()).unwrap()).collect();
+    // A round trip on each: every connection is accepted and being served.
+    for c in &mut conns {
+        match call(c, &Request::Health) {
+            Response::Health { .. } => {}
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    let after = threads();
+    if let (Some(before), Some(after)) = (before, after) {
+        assert!(
+            after <= before + SLACK,
+            "{CONNS} open connections took the process from {before} to {after} threads"
+        );
+    }
+    assert_eq!(server.stats().connections_accepted, CONNS as u64);
+}
+
+#[test]
+fn a_get_pipelined_behind_a_durable_put_is_answered_after_its_ack() {
+    let db = Database::open(
+        SiloConfig::default()
+            .with_epoch(EpochConfig {
+                epoch_interval: Duration::from_millis(100),
+                ..EpochConfig::default()
+            })
+            .with_spawn_epoch_advancer(true),
+    );
+    let logger = SiloLogger::install(LogConfig::in_memory(1), &db).unwrap();
+    let mut server = Server::start(
+        Arc::clone(&db),
+        Some(Arc::clone(&logger)),
+        ServerConfig::default().with_workers(1),
+    )
+    .unwrap();
+    let mut c = TcpStream::connect(server.local_addr()).unwrap();
+    let table = match call(&mut c, &Request::OpenTable { name: "kv".to_string() }) {
+        Response::TableId { id } => id,
+        other => panic!("unexpected {other:?}"),
+    };
+
+    // Both frames in one write: the server reads and executes them in the
+    // same round, while the PUT's ack waits up to an epoch for durability.
+    let mut burst = Vec::new();
+    for req in [
+        Request::Put { table, key: b"k".to_vec(), value: b"v".to_vec() },
+        Request::Get { table, key: b"j".to_vec() },
+    ] {
+        let mut payload = Vec::new();
+        encode_request(&mut payload, &req);
+        write_frame(&mut burst, &payload).unwrap();
+    }
+    c.write_all(&burst).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut buf = Vec::new();
+    assert!(read_frame(&mut c, &mut buf, 1 << 20).unwrap());
+    assert_eq!(decode_response(&buf).unwrap(), Response::Ok, "the PUT's ack comes first");
+    assert!(read_frame(&mut c, &mut buf, 1 << 20).unwrap());
+    assert_eq!(decode_response(&buf).unwrap(), Response::Value { value: None });
+
+    drop(c);
+    server.shutdown();
+    assert_eq!(server.stats().writes_acked, 1);
+    logger.shutdown();
+    db.stop_epoch_advancer();
 }

@@ -14,8 +14,9 @@
 //!   checker.
 //! * [`wl`] (`silo-wl`) — workloads (YCSB, TPC-C), baselines, the driver,
 //!   and the history-recording scenario fuzzer.
-//! * [`net`] (`silo-net`) — the network front-end: a thread-pool server
-//!   speaking a length-prefixed pipelined binary protocol, acking writes
+//! * [`net`] (`silo-net`) — the network front-end: a server whose worker
+//!   threads each poll their own connections, speaking a length-prefixed
+//!   pipelined binary protocol, acking writes
 //!   only once their epoch is durable.
 //! * [`client`] (`silo-client`) — the blocking pipelined client for that
 //!   protocol.
