@@ -13,6 +13,7 @@ use silo_tid::{GlobalTidGenerator, Tid};
 use crate::config::SiloConfig;
 use crate::error::CatalogError;
 use crate::record::Record;
+use crate::txn::WriteEntry;
 use crate::worker::Worker;
 
 /// Identifier of a table within a database.
@@ -90,30 +91,49 @@ pub struct CommitWrite<'a> {
     pub value: Option<&'a [u8]>,
 }
 
-/// A borrowed, allocation-free view of a committed transaction's writes,
-/// passed to [`CommitHook::on_commit`].
+/// A committed transaction's writes, passed to [`CommitHook::on_commit`]: a
+/// borrowed view over the engine's arena-backed write-set, in lock order.
 ///
-/// The engine hands the hook a view over its (arena-backed) write-set rather
-/// than a materialized slice, so the durability layer can serialize each
-/// write straight into its log buffer without the engine cloning keys or
-/// values first — the zero-copy commit→log handoff of §4.10.
-pub trait CommitWrites {
-    /// Number of writes in the transaction.
-    fn count(&self) -> usize;
+/// Iterating it yields each key and value where the transaction left them,
+/// so the durability layer serializes every write straight into its log
+/// buffer, with nothing cloned and no dynamic call per write: the zero-copy
+/// commit→log handoff of §4.10.
+#[derive(Debug, Clone, Copy)]
+pub struct CommitWrites<'a>(&'a [WriteEntry]);
 
-    /// Invokes `f` once per write, in write-set (lock) order.
-    fn for_each(&self, f: &mut dyn FnMut(CommitWrite<'_>));
-}
-
-impl CommitWrites for [CommitWrite<'_>] {
-    fn count(&self) -> usize {
-        self.len()
+impl<'a> CommitWrites<'a> {
+    /// A view over `entries`.
+    ///
+    /// # Safety
+    ///
+    /// The arena holding the entries' keys and values must not be rewound
+    /// while the view is alive.
+    pub(crate) unsafe fn new(entries: &'a [WriteEntry]) -> Self {
+        CommitWrites(entries)
     }
 
-    fn for_each(&self, f: &mut dyn FnMut(CommitWrite<'_>)) {
-        for w in self {
-            f(*w);
-        }
+    /// Number of writes in the transaction.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the transaction wrote nothing (never true for a view handed
+    /// to a hook: read-only commits are not reported).
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The writes, in write-set (lock) order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = CommitWrite<'a>> + 'a {
+        self.0.iter().map(|w| {
+            // SAFETY: the arena outlives the view (see `new`).
+            let (key, value) = unsafe { (w.key.as_slice(), w.new_value.map(|v| v.as_slice())) };
+            CommitWrite {
+                table: w.table,
+                key,
+                value,
+            }
+        })
     }
 }
 
@@ -145,7 +165,7 @@ pub trait CommitHook: Send + Sync {
     /// Phase 3 released all locks (a read-only commit has nothing to redo and
     /// is not reported, §4.10). `writes` exposes every modified record; the
     /// borrowed keys and values are only valid for the duration of the call.
-    fn on_commit(&self, worker_id: usize, tid: Tid, writes: &dyn CommitWrites);
+    fn on_commit(&self, worker_id: usize, tid: Tid, writes: CommitWrites<'_>);
 
     /// Called when a worker finishes (used to flush partial buffers).
     fn on_worker_finish(&self, _worker_id: usize) {}
@@ -387,7 +407,7 @@ mod tests {
     fn commit_hook_can_only_be_set_once() {
         struct NullHook;
         impl CommitHook for NullHook {
-            fn on_commit(&self, _: usize, _: Tid, _: &dyn CommitWrites) {}
+            fn on_commit(&self, _: usize, _: Tid, _: CommitWrites<'_>) {}
         }
         let db = Database::open(SiloConfig::for_testing());
         assert!(db.set_commit_hook(Arc::new(NullHook)).is_ok());

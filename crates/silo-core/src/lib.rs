@@ -39,7 +39,8 @@
 //! | [`record`] | §4.3, §4.5 | record layout, read/write protocols, version chains |
 //! | [`database`] | §3, §4.7 | tables, catalog, commit hook for durability |
 //! | [`worker`] | §4.1, §4.8 | per-thread worker state, epochs, GC, allocation pool |
-//! | [`txn`] | §4.4–§4.7 | the three-phase OCC commit protocol |
+//! | [`txn`] | §4.5–§4.6 | transactions: reads, scans, writes, phantom protection |
+//! | [`commit`] | §4.4, Figure 2 | the three-phase OCC commit protocol, and abort |
 //! | [`snapshot`] | §4.9 | never-aborting read-only snapshot transactions |
 //!
 //! The index substrate lives in the `silo-index` crate, the epoch subsystem
@@ -52,6 +53,7 @@
 
 mod arena;
 pub mod bulk;
+pub mod commit;
 pub mod config;
 pub mod database;
 pub mod error;

@@ -448,7 +448,7 @@ fn read_only_commit_reaches_neither_the_log_hook_nor_shared_memory() {
     #[derive(Default)]
     struct Counting(AtomicU64);
     impl CommitHook for Counting {
-        fn on_commit(&self, _worker: usize, _tid: Tid, _writes: &dyn CommitWrites) {
+        fn on_commit(&self, _worker: usize, _tid: Tid, _writes: CommitWrites<'_>) {
             self.0.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -459,6 +459,7 @@ fn read_only_commit_reaches_neither_the_log_hook_nor_shared_memory() {
     let mut w = db.register_worker();
     let mut txn = w.begin();
     txn.write(t, b"a", b"0").unwrap();
+    txn.write(t, b"b", b"0").unwrap();
     txn.commit().unwrap();
     assert_eq!(hook.0.load(Ordering::Relaxed), 1);
     for _ in 0..5 {
@@ -467,4 +468,23 @@ fn read_only_commit_reaches_neither_the_log_hook_nor_shared_memory() {
         txn.commit().unwrap();
     }
     assert_eq!(hook.0.load(Ordering::Relaxed), 1);
+
+    // A writer that locks `b` in Phase 1 and then fails Phase 2 on its
+    // stale read of `a` reaches the hook no more than a reader does, and
+    // leaves `b` unlocked.
+    let mut other = db.register_worker();
+    let mut stale = w.begin();
+    assert!(stale.read(t, b"a").unwrap().is_some());
+    stale.write(t, b"b", b"1").unwrap();
+    let mut txn = other.begin();
+    txn.write(t, b"a", b"1").unwrap();
+    txn.commit().unwrap();
+    assert_eq!(hook.0.load(Ordering::Relaxed), 2);
+    assert_eq!(stale.commit().unwrap_err().0, AbortReason::ReadValidation);
+    assert_eq!(hook.0.load(Ordering::Relaxed), 2);
+    assert_eq!(w.stats().abort_reasons.read_validation, 1);
+    let (b, _, _) = db.table(t).tree().get_tracked(b"b");
+    // SAFETY: `b` was never superseded or deleted, and no collector ran.
+    let word = unsafe { (*(b.unwrap() as *const crate::record::Record)).tid().load() };
+    assert!(!word.is_locked());
 }

@@ -814,11 +814,11 @@ fn commit_hook_receives_writes() {
         log: Mutex<Vec<(usize, Tid, Vec<(TableId, Vec<u8>, Option<Vec<u8>>)>)>>,
     }
     impl CommitHook for Capture {
-        fn on_commit(&self, worker: usize, tid: Tid, writes: &dyn CommitWrites) {
-            let mut owned = Vec::with_capacity(writes.count());
-            writes.for_each(&mut |w| {
-                owned.push((w.table, w.key.to_vec(), w.value.map(|v| v.to_vec())));
-            });
+        fn on_commit(&self, worker: usize, tid: Tid, writes: CommitWrites<'_>) {
+            let owned = writes
+                .iter()
+                .map(|w| (w.table, w.key.to_vec(), w.value.map(|v| v.to_vec())))
+                .collect();
             self.log.lock().unwrap().push((worker, tid, owned));
         }
     }

@@ -1,5 +1,5 @@
-//! Serializable read/write transactions and the Silo commit protocol
-//! (paper §4.4–§4.7, Figure 2).
+//! Serializable read/write transactions: their reads, scans and writes
+//! (paper §4.5–§4.6). Commit and abort are in [`crate::commit`].
 //!
 //! A transaction tracks, in worker-local storage:
 //!
@@ -12,18 +12,18 @@
 //!   absent — with the version observed at the time (§4.6, phantom
 //!   protection).
 //!
-//! All of that state lives in a [`TxnContext`] owned by the [`Worker`] and
+//! All of that state lives in a `TxnContext` owned by the [`Worker`] and
 //! *reused* across transactions: the transaction works on its worker's
 //! context in place — it holds the worker exclusively for as long as it
 //! lives — and clears it (retaining capacity) when it finishes. Write-set
-//! keys and values are copied into the context's bump [`Arena`] rather than
+//! keys and values are copied into the context's bump `Arena` rather than
 //! individually heap-allocated. Together with the worker's record pool this
 //! makes the steady-state hot path allocation-free, which is the point of
 //! the paper's per-core memory pools (§4.8).
 //!
 //! **Every operation costs the same however large the transaction is.** The
 //! write-set holds one entry per `(table, key)` and the node-set one per
-//! `(table, leaf)`; each is an [`IndexedSet`]: scanned while it has a handful
+//! `(table, leaf)`; each is an `IndexedSet`: scanned while it has a handful
 //! of entries, looked up through a retained hash index beyond that. So
 //! read-your-writes, the duplicate check of an insert, a repeat observation
 //! of a leaf and the §4.6 node-set fix-up are all O(1), and a transaction of
@@ -41,63 +41,37 @@
 //! transaction. `write`/`update`/`delete` of the remembered key
 //! (when the write-set has no entry for it) take the record from the memo;
 //! validation of that read is already the read-set's job.
-//!
-//! Commit runs the three-phase protocol of Figure 2:
-//!
-//! 1. **Phase 1** — lock every write-set record (in a deterministic global
-//!    order: the record's address) by acquiring its TID-word lock bit, then
-//!    take a fenced snapshot of the global epoch. That snapshot is the
-//!    transaction's *serialization point*.
-//! 2. **Phase 2** — validate the read-set (TID unchanged, still the latest
-//!    version, not locked by another transaction) and the node-set (leaf
-//!    versions unchanged). On failure release the locks and abort. On success
-//!    choose the commit TID: the smallest TID that is larger than every TID
-//!    observed, larger than the worker's previous TID, and in the epoch taken
-//!    at the serialization point.
-//!
-//!    A transaction that wrote nothing skips Phase 1 (there is nothing to
-//!    lock, so nothing for the fences to order), validates, draws its TID
-//!    the same way, and is done: no Phase 3, no log record.
-//! 3. **Phase 3** — install the new record values (in place when allowed,
-//!    otherwise as freshly allocated versions linked for snapshot readers),
-//!    writing the new TID word and releasing each lock in a single atomic
-//!    store. The durability hook then serializes the write-set straight from
-//!    the arena-backed entries into the worker's log buffer — no intermediate
-//!    clone of keys or values.
-
-use std::sync::atomic::{fence, Ordering};
 
 use silo_index::{InsertOutcome, NodeChange, NodeChanges, NodeRef};
 use silo_tid::{Tid, TidWord};
 
 use crate::arena::{Arena, ArenaSlice};
-use crate::database::{CommitWrite, CommitWrites, Table, TableId};
+use crate::database::{Table, TableId};
 use crate::error::{Abort, AbortReason};
-use crate::gc::Garbage;
 use crate::record::{Record, RecordPtr};
 use crate::set::{self, IndexedSet, Keyed};
 use crate::worker::Worker;
 
 /// A read-set entry: a record and the TID word observed when it was read.
 #[derive(Debug, Clone, Copy)]
-struct ReadEntry {
-    record: *const Record,
-    observed: TidWord,
+pub(crate) struct ReadEntry {
+    pub(crate) record: *const Record,
+    pub(crate) observed: TidWord,
 }
 
 /// A write-set entry: the record to modify and its new state. Key and value
 /// bytes live in the transaction's arena, so the entry is plain-old-data and
 /// cheap to copy out during Phase 3.
 #[derive(Debug, Clone, Copy)]
-struct WriteEntry {
-    table: TableId,
-    key: ArenaSlice,
-    record: *mut Record,
+pub(crate) struct WriteEntry {
+    pub(crate) table: TableId,
+    pub(crate) key: ArenaSlice,
+    pub(crate) record: *mut Record,
     /// `Some(bytes)` for an insert/update, `None` for a delete.
-    new_value: Option<ArenaSlice>,
+    pub(crate) new_value: Option<ArenaSlice>,
     /// The record is an absent placeholder created by this transaction's own
     /// insert (§4.5 "Inserts").
-    is_insert: bool,
+    pub(crate) is_insert: bool,
 }
 
 impl WriteEntry {
@@ -118,10 +92,10 @@ impl Keyed for WriteEntry {
 /// A node-set entry: an index leaf and the version under which it was first
 /// examined.
 #[derive(Debug, Clone, Copy)]
-struct NodeSetEntry {
-    table: TableId,
-    node: NodeRef,
-    version: u64,
+pub(crate) struct NodeSetEntry {
+    pub(crate) table: TableId,
+    pub(crate) node: NodeRef,
+    pub(crate) version: u64,
 }
 
 fn node_hash(table: TableId, node: NodeRef) -> u64 {
@@ -155,19 +129,19 @@ struct ReadMemo {
 /// the context.
 #[derive(Debug, Default)]
 pub(crate) struct TxnContext {
-    read_set: Vec<ReadEntry>,
+    pub(crate) read_set: Vec<ReadEntry>,
     /// At most one entry per `(table, key)`.
-    write_set: IndexedSet<WriteEntry>,
+    pub(crate) write_set: IndexedSet<WriteEntry>,
     /// At most one entry per `(table, leaf)`, holding the first version the
     /// transaction saw the leaf at.
-    node_set: IndexedSet<NodeSetEntry>,
+    pub(crate) node_set: IndexedSet<NodeSetEntry>,
     /// Set by every point read that finds a record, dropped by every other
     /// read or scan; see the module docs.
     memo: Option<ReadMemo>,
     memo_key: Vec<u8>,
     /// Absent placeholder records inserted by this transaction, kept so an
     /// abort can schedule their cleanup.
-    placeholders: Vec<(TableId, ArenaSlice, RecordPtr)>,
+    pub(crate) placeholders: Vec<(TableId, ArenaSlice, RecordPtr)>,
     /// Value bytes of the record being read. Snapshot transactions, which
     /// have no context of their own, borrow it from the idle worker.
     pub(crate) scratch: Vec<u8>,
@@ -183,7 +157,7 @@ unsafe impl Send for TxnContext {}
 impl TxnContext {
     /// Clears all transaction state, retaining allocated capacity, and
     /// rewinds the arena.
-    fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.read_set.clear();
         self.write_set.clear();
         self.node_set.clear();
@@ -249,17 +223,17 @@ impl TxnContext {
 /// assert_send(txn); // must not compile
 /// ```
 pub struct Txn<'w> {
-    worker: &'w mut Worker,
-    poisoned: Option<AbortReason>,
+    pub(crate) worker: &'w mut Worker,
+    pub(crate) poisoned: Option<AbortReason>,
     /// Set once Phase 1 has acquired the write-set locks; tells the abort
     /// path whether it owns (and must release) those lock bits.
-    locks_held: bool,
-    finished: bool,
+    pub(crate) locks_held: bool,
+    pub(crate) finished: bool,
     /// Whether this transaction records its reads/writes into the worker's
     /// history session. Decided once at `begin` (one relaxed load of the
     /// recorder's enabled flag) so the per-read check is a plain bool — and
     /// constant `false` when no recorder is installed.
-    recording: bool,
+    pub(crate) recording: bool,
     /// Keeps `Txn` `!Send`, as it was when the raw-pointer sets lived inline:
     /// a live transaction holds record and arena pointers and must stay on
     /// the thread that began it (`TxnContext`'s `Send` impl is only argued
@@ -826,460 +800,6 @@ impl<'w> Txn<'w> {
             }
         }
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Commit / abort
-    // ------------------------------------------------------------------
-
-    /// Runs the commit protocol (Figure 2). On success returns the commit
-    /// TID; on failure the transaction has aborted and released all locks.
-    pub fn commit(mut self) -> Result<Tid, Abort> {
-        match self.commit_inner() {
-            Ok(tid) => {
-                self.worker.stats.commits += 1;
-                self.finished = true;
-                Ok(tid)
-            }
-            Err(abort) => {
-                self.abort_inner(abort.0);
-                self.finished = true;
-                Err(abort)
-            }
-        }
-    }
-
-    /// Aborts the transaction explicitly.
-    pub fn abort(mut self) {
-        self.abort_inner(AbortReason::UserRequested);
-        self.finished = true;
-    }
-
-    fn commit_inner(&mut self) -> Result<Tid, Abort> {
-        if let Some(reason) = self.poisoned {
-            return Err(Abort(reason));
-        }
-
-        // A read-only transaction (§4.4) has nothing to lock, install or
-        // log: it takes its epoch, validates, and draws a TID so that its
-        // worker's TIDs stay monotone. The fences below order the lock
-        // acquisitions before the epoch load and the epoch load before the
-        // validation loads; with no locks taken and no TID ever stored into
-        // a record, the acquire load alone keeps the epoch at or before
-        // validation, and `generate` never returns a TID below an observed
-        // one whatever epoch it is given.
-        let read_only = self.worker.ctx.write_set.is_empty();
-        let commit_epoch = if read_only {
-            self.worker.database().epochs().global_epoch()
-        } else {
-            self.lock_write_set()
-        };
-
-        // ---------------- Phase 2 ----------------
-        let write_set = &self.worker.ctx.write_set.entries;
-        let mut max_observed = Tid::ZERO;
-        for entry in &self.worker.ctx.read_set {
-            // SAFETY: read-set records are pinned by our epoch.
-            let current = unsafe { (*entry.record).tid().load() };
-            // A lock bit is excused only when it is ours; the write set is
-            // searched only for the reads that find one.
-            let in_write_set = || {
-                write_set
-                    .binary_search_by_key(&(entry.record as usize), |w| w.record as usize)
-                    .is_ok()
-            };
-            if current.tid() != entry.observed.tid()
-                || !current.is_latest()
-                || (current.is_locked() && !in_write_set())
-            {
-                return Err(Abort(AbortReason::ReadValidation));
-            }
-            max_observed = max_observed.max(current.tid());
-        }
-        for entry in write_set {
-            // SAFETY: we hold the lock on every write-set record.
-            let current = unsafe { (*entry.record).tid().load() };
-            if !entry.is_insert && !current.is_latest() {
-                // A blind write raced with a concurrent supersession.
-                return Err(Abort(AbortReason::ReadValidation));
-            }
-            max_observed = max_observed.max(current.tid());
-        }
-        for i in 0..self.worker.ctx.node_set.len() {
-            // Copied out: `table_ptr` may fill the worker's table cache.
-            let entry = self.worker.ctx.node_set.entries[i];
-            let table_ptr = self.worker.table_ptr(entry.table);
-            // SAFETY: the worker's table cache keeps the table alive.
-            let table = unsafe { &*table_ptr };
-            if table.tree().node_version(entry.node) != entry.version {
-                return Err(Abort(AbortReason::NodeValidation));
-            }
-        }
-
-        let commit_tid = if self.worker.config().global_tid {
-            self.worker
-                .database()
-                .global_tid_generator()
-                .generate(max_observed, commit_epoch)
-        } else {
-            let mut tid_epoch = commit_epoch;
-            if read_only {
-                // A worker has 2^21 TIDs per epoch, and a loop of empty
-                // transactions can use them up. A read-only commit holds no
-                // locks and will not touch a record again, so it waits for
-                // the next epoch rather than overflow. It refreshes rather
-                // than just reads `E` so that its own `e_w` cannot hold
-                // the advance back.
-                while self
-                    .worker
-                    .tid_gen()
-                    .last()
-                    .next_exhausts_epoch(max_observed, tid_epoch)
-                {
-                    std::thread::yield_now();
-                    (tid_epoch, _) = self.worker.epoch().refresh();
-                }
-            }
-            self.worker.tid_gen().generate(max_observed, tid_epoch)
-        };
-
-        if !read_only {
-            // ---------------- Phase 3 ----------------
-            for i in 0..self.worker.ctx.write_set.len() {
-                self.apply_write(i, commit_tid, commit_epoch);
-            }
-            // Every lock was released by `apply_write` (TID store + unlock
-            // are a single atomic store, §4.4 Phase 3).
-            self.locks_held = false;
-
-            // Report to the durability subsystem (if installed). The log
-            // record carries the TID and the table/key/value of every
-            // modification (§4.10); the hook serializes directly from the
-            // arena-backed write-set into the worker's log buffer — nothing
-            // is cloned here.
-            if let Some(hook) = self.worker.database().commit_hook() {
-                hook.on_commit(
-                    self.worker.id(),
-                    commit_tid,
-                    &WriteSetView(&self.worker.ctx.write_set.entries),
-                );
-            }
-        }
-
-        // Close the recorded transaction: writes (keys still alive in the
-        // arena) plus the commit TID. Reads were recorded as they happened.
-        if self.recording {
-            if let Some(history) = self.worker.history.as_mut() {
-                for entry in &self.worker.ctx.write_set.entries {
-                    // SAFETY: arena slices are valid until the txn finishes.
-                    history.record_write(
-                        entry.table,
-                        unsafe { entry.key.as_slice() },
-                        entry.new_value.is_none(),
-                    );
-                }
-                history.finish_txn(Some(commit_tid), true);
-            }
-            self.recording = false;
-        }
-
-        Ok(commit_tid)
-    }
-
-    /// Phase 1: locks every write-set record and returns the epoch read at
-    /// the serialization point.
-    fn lock_write_set(&mut self) -> u64 {
-        // Lock in a deterministic global order (record addresses) to avoid
-        // deadlock among committing transactions. The unstable sort never
-        // allocates (a stable sort's merge buffer would). It invalidates the
-        // write-set's index, which nothing consults from here on.
-        let write_set = &mut self.worker.ctx.write_set.entries;
-        write_set.sort_unstable_by_key(|w| w.record as usize);
-        debug_assert!(write_set.windows(2).all(|w| w[0].record != w[1].record));
-        for entry in write_set.iter() {
-            // SAFETY: write-set records are pinned by our epoch.
-            unsafe { (*entry.record).tid().lock() };
-        }
-        self.locks_held = true;
-
-        // The fenced load of the global epoch is the serialization point.
-        // On TSO hardware these are compiler fences; `SeqCst` fences keep the
-        // implementation correct on weaker architectures too.
-        fence(Ordering::SeqCst);
-        let commit_epoch = self.worker.database().epochs().global_epoch();
-        fence(Ordering::SeqCst);
-        commit_epoch
-    }
-
-    /// Installs one write-set entry and releases its lock (Phase 3).
-    fn apply_write(&mut self, index: usize, commit_tid: Tid, commit_epoch: u64) {
-        let cfg_overwrite = self.worker.config().overwrite_in_place;
-        let cfg_snapshots = self.worker.config().enable_snapshots;
-        let snap_k = self.worker.config().epoch.snapshot_interval_epochs;
-
-        // The entry is plain-old-data (key/value are arena slices): copy it
-        // out so no borrow of the write-set is held across the &mut self
-        // calls below. The arena is not touched again until the transaction
-        // finishes, so the slices stay valid throughout.
-        let WriteEntry {
-            table: table_id,
-            key,
-            record,
-            new_value,
-            is_insert,
-        } = self.worker.ctx.write_set.entries[index];
-        // SAFETY: we hold the record's lock; it is pinned by our epoch.
-        let rec = unsafe { &*record };
-        let old_word = rec.tid().load_relaxed();
-        let old_epoch = old_word.tid().epoch();
-        let same_snapshot =
-            silo_epoch::snap(old_epoch, snap_k) == silo_epoch::snap(commit_epoch, snap_k);
-        let snap_epoch = silo_epoch::snap(commit_epoch, snap_k);
-        let present_word = TidWord::new(commit_tid, false, true, false);
-        let absent_word = TidWord::new(commit_tid, false, true, true);
-
-        match new_value {
-            Some(value) => {
-                // SAFETY: arena slices are valid until the txn finishes.
-                let value = unsafe { value.as_slice() };
-                // SAFETY: as above.
-                let key = unsafe { key.as_slice() };
-                if is_insert {
-                    // Freshly inserted placeholder: give it its real value and
-                    // TID. The placeholder was sized for the value at insert
-                    // time; a later same-transaction overwrite may have grown
-                    // it past the capacity, in which case a new record is
-                    // installed instead.
-                    if rec.fits(value) {
-                        // SAFETY: lock held, fits checked.
-                        unsafe { rec.overwrite(value) };
-                        rec.tid().store_and_unlock(present_word);
-                        self.worker.stats.inplace_overwrites += 1;
-                    } else {
-                        self.install_new_version(
-                            table_id,
-                            key,
-                            record,
-                            value,
-                            present_word,
-                            old_word,
-                            false,
-                            commit_epoch,
-                        );
-                    }
-                    return;
-                }
-                let keep_old_for_snapshot = cfg_snapshots && !same_snapshot;
-                let can_overwrite = cfg_overwrite && rec.fits(value) && !keep_old_for_snapshot;
-                if can_overwrite {
-                    // SAFETY: lock held, fits checked.
-                    unsafe { rec.overwrite(value) };
-                    rec.tid().store_and_unlock(present_word);
-                    self.worker.stats.inplace_overwrites += 1;
-                } else {
-                    self.install_new_version(
-                        table_id,
-                        key,
-                        record,
-                        value,
-                        present_word,
-                        old_word,
-                        keep_old_for_snapshot,
-                        commit_epoch,
-                    );
-                }
-            }
-            None => {
-                // Delete: keep the old version reachable for snapshots when it
-                // crosses a snapshot boundary, then mark the key absent and
-                // schedule the two-stage cleanup (§4.5 "Deletes", §4.9
-                // "Deletions"). The Unhook garbage outlives the transaction,
-                // so the key is copied out of the arena here — deletes are the
-                // one write kind that pays an owned-key allocation.
-                // SAFETY: arena slice valid until the txn finishes.
-                let owned_key = unsafe { key.as_slice() }.to_vec();
-                let keep_old_for_snapshot = cfg_snapshots && !same_snapshot && !is_insert;
-                if keep_old_for_snapshot {
-                    let new_head = self.install_new_version(
-                        table_id,
-                        &owned_key,
-                        record,
-                        &[],
-                        absent_word,
-                        old_word,
-                        true,
-                        commit_epoch,
-                    );
-                    // `install_new_version` registered the superseded version;
-                    // additionally schedule the unhook of the new absent head.
-                    self.worker.defer_snapshot(
-                        snap_epoch,
-                        Garbage::Unhook {
-                            table: table_id,
-                            key: owned_key,
-                            record: RecordPtr(new_head),
-                        },
-                    );
-                } else {
-                    rec.tid().store_and_unlock(absent_word);
-                    self.worker.defer_snapshot(
-                        snap_epoch,
-                        Garbage::Unhook {
-                            table: table_id,
-                            key: owned_key,
-                            record: RecordPtr(record),
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    /// Installs a freshly allocated record as the new latest version for
-    /// `key`, marks the old record superseded, and schedules the old version
-    /// for reclamation (linked for snapshot readers when required). Returns
-    /// the new record.
-    #[allow(clippy::too_many_arguments)]
-    fn install_new_version(
-        &mut self,
-        table_id: TableId,
-        key: &[u8],
-        old_record: *mut Record,
-        value: &[u8],
-        new_word: TidWord,
-        old_word: TidWord,
-        keep_old_for_snapshot: bool,
-        commit_epoch: u64,
-    ) -> *mut Record {
-        let snap_k = self.worker.config().epoch.snapshot_interval_epochs;
-        let new_record = self.worker.alloc_record(value, new_word);
-        // The version snapshot readers fall back to: the old record when it
-        // is kept for them, else whatever the old record fell back to — as
-        // an in-place overwrite would have left it.
-        // SAFETY: the new record is freshly allocated and not yet published;
-        // we hold the old record's lock.
-        unsafe {
-            let prev = if keep_old_for_snapshot {
-                old_record
-            } else {
-                (*old_record).prev()
-            };
-            (*new_record).set_prev(prev);
-        }
-        let table_ptr = self.worker.table_ptr(table_id);
-        // SAFETY: the worker's table cache keeps the table alive.
-        let table = unsafe { &*table_ptr };
-        let updated = table.tree().update_value(key, new_record as u64);
-        debug_assert!(updated, "write-set key vanished from the index");
-        // Mark the old version superseded and release the lock. Readers that
-        // observe the cleared latest bit retry through the index and find the
-        // new record.
-        // SAFETY: we hold the old record's lock.
-        unsafe {
-            (*old_record)
-                .tid()
-                .store_and_unlock(old_word.with_latest(false).with_locked(false));
-        }
-        if keep_old_for_snapshot {
-            let snap_epoch = silo_epoch::snap(commit_epoch, snap_k);
-            self.worker
-                .defer_snapshot(snap_epoch, Garbage::Record(RecordPtr(old_record)));
-        } else {
-            // The reclamation epoch is the global epoch read *after* the
-            // unlink, not the commit epoch read in Phase 1: the epoch may
-            // have advanced in between, and a reader that began in the new
-            // epoch and fetched the old pointer just before the unlink is
-            // only held back by an epoch at least its own.
-            fence(Ordering::SeqCst);
-            let unlinked_in = self.worker.database().epochs().global_epoch();
-            self.worker
-                .defer_tree(unlinked_in, Garbage::Record(RecordPtr(old_record)));
-        }
-        self.worker.stats.new_versions += 1;
-        new_record
-    }
-
-    fn abort_inner(&mut self, reason: AbortReason) {
-        // Release the write-set locks if (and only if) Phase 1 acquired them:
-        // a lock bit observed on these records in any other situation belongs
-        // to a different committing transaction and must not be touched.
-        if self.locks_held {
-            for entry in &self.worker.ctx.write_set.entries {
-                // SAFETY: write-set records are pinned by our epoch; Phase 1
-                // locked each of them and Phase 3 did not run.
-                unsafe { (*entry.record).tid().unlock() };
-            }
-            self.locks_held = false;
-        }
-        // Register this transaction's absent placeholders for cleanup (§4.5:
-        // "If the commit fails, the commit protocol registers the absent
-        // record for future garbage collection.").
-        let snap_epoch = {
-            let epochs = self.worker.database().epochs();
-            epochs.snapshot_of(epochs.global_epoch())
-        };
-        for i in 0..self.worker.ctx.placeholders.len() {
-            let (table, key, record) = self.worker.ctx.placeholders[i];
-            // The Unhook garbage outlives the transaction; copy the key out
-            // of the arena.
-            // SAFETY: arena slices are valid until the txn finishes.
-            let key = unsafe { key.as_slice() }.to_vec();
-            self.worker
-                .defer_snapshot(snap_epoch, Garbage::Unhook { table, key, record });
-        }
-        self.worker.ctx.placeholders.clear();
-        // Close the recorded transaction as aborted, keeping its attempted
-        // writes for diagnostics (the checker ignores aborted transactions).
-        if self.recording {
-            if let Some(history) = self.worker.history.as_mut() {
-                for entry in &self.worker.ctx.write_set.entries {
-                    // SAFETY: arena slices are valid until the txn finishes.
-                    history.record_write(
-                        entry.table,
-                        unsafe { entry.key.as_slice() },
-                        entry.new_value.is_none(),
-                    );
-                }
-                history.finish_txn(None, false);
-            }
-            self.recording = false;
-        }
-        self.worker.stats.aborts += 1;
-        self.worker.stats.abort_reasons.record(reason);
-    }
-}
-
-impl<'w> Drop for Txn<'w> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.abort_inner(self.poisoned.unwrap_or(AbortReason::UserRequested));
-        }
-        // Clear the context (retaining capacity) for the next transaction.
-        self.worker.ctx.reset();
-        self.worker.stats.arena_chunk_allocs = self.worker.ctx.arena_chunk_allocs();
-    }
-}
-
-/// Borrow-based [`CommitWrites`] view over the write-set, handed to the
-/// commit hook so the durability layer serializes keys and values straight
-/// from the arena without any intermediate collection.
-struct WriteSetView<'a>(&'a [WriteEntry]);
-
-impl CommitWrites for WriteSetView<'_> {
-    fn count(&self) -> usize {
-        self.0.len()
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(CommitWrite<'_>)) {
-        for w in self.0 {
-            // SAFETY: arena slices are valid until the txn finishes, and the
-            // hook runs strictly before that.
-            f(CommitWrite {
-                table: w.table,
-                key: unsafe { w.key.as_slice() },
-                value: w.new_value.as_ref().map(|v| unsafe { v.as_slice() }),
-            });
-        }
     }
 }
 

@@ -286,42 +286,26 @@ impl Worker {
 
         // The ready items are drained into a reusable buffer (taken while
         // processing, because the unhook path pushes new garbage) so a GC
-        // round performs no heap allocation in steady state.
+        // round performs no heap allocation in steady state. Both lists'
+        // ready prefixes are taken up front, snapshot list first: what an
+        // unhook below pushes to the tree list is tagged with the current
+        // epoch, which `tree_reclaim` (`min e_w − 1`) has not reached.
         let mut ready = std::mem::take(&mut self.gc_scratch);
-
         ready.clear();
         self.snapshot_garbage
             .take_ready_into(snapshot_reclaim, &mut ready);
-        for (_, garbage) in ready.drain(..) {
-            match garbage {
-                Garbage::Record(ptr) => {
-                    self.stats.records_reclaimed += 1;
-                    // SAFETY: the snapshot reclamation epoch passed, so no
-                    // snapshot transaction (or regular reader) can still reach
-                    // this superseded version.
-                    unsafe { self.pool.recycle(ptr) };
-                }
-                Garbage::TreeKey(entry) => drop(entry),
-                Garbage::Unhook { table, key, record } => {
-                    self.unhook_deleted_key(table, key, record, epoch);
-                }
-            }
-        }
-
         self.tree_garbage.take_ready_into(tree_reclaim, &mut ready);
         for (_, garbage) in ready.drain(..) {
             match garbage {
                 Garbage::Record(ptr) => {
                     self.stats.records_reclaimed += 1;
-                    // SAFETY: the tree reclamation epoch passed, so no worker
-                    // still inside a transaction from the registration epoch
-                    // can hold a pointer to this record.
+                    // SAFETY: the reclamation epoch of the record's list
+                    // passed, so no transaction (snapshot or regular) can
+                    // still reach this superseded or unhooked version.
                     unsafe { self.pool.recycle(ptr) };
                 }
                 Garbage::TreeKey(entry) => drop(entry),
                 Garbage::Unhook { table, key, record } => {
-                    // Unhook items normally live in the snapshot list; handle
-                    // them here too for robustness.
                     self.unhook_deleted_key(table, key, record, epoch);
                 }
             }

@@ -254,7 +254,7 @@ impl EpochManager {
     /// lower bound on the epoch of any commit it has not yet observed.
     ///
     /// Read-only: called from every worker's GC path, so it must not touch a
-    /// shared lock (see [`RegistryChunk`]).
+    /// shared lock (see `RegistryChunk`).
     pub fn min_worker_epoch(&self) -> Option<u64> {
         let mut min: Option<u64> = None;
         self.for_each_slot(|w| {

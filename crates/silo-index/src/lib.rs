@@ -771,7 +771,7 @@ impl Tree {
     /// modify (adding an entry, or converting a suffix entry into a layer).
     ///
     /// This is the one point operation that keeps its own descent loop
-    /// instead of delegating to [`Tree::locate`] (which `try_replace` and
+    /// instead of delegating to `Tree::locate` (which `try_replace` and
     /// `remove` share): reads are the throughput-critical path, and keeping
     /// the value load inside the retry loop — rather than round-tripping
     /// through a `Located` — measured faster and lets the loop return as
@@ -1033,7 +1033,7 @@ impl Tree {
     /// a limit is given. `key` is only valid for the duration of the call.
     /// Afterwards [`ScanScratch::nodes`] lists every leaf visited.
     ///
-    /// One explicit [`ScanFrame`] per trie layer on the current descent path
+    /// One explicit `ScanFrame` per trie layer on the current descent path
     /// (an explicit stack rather than recursion, so adversarially deep layer
     /// chains — keys with enormous shared prefixes — cannot overflow the
     /// thread stack). Each frame's *local* bounds are the original bounds
@@ -1685,7 +1685,7 @@ impl Tree {
     }
 
     /// Atomically replaces the value associated with `key`, returning
-    /// whether the key was present. See [`Tree::try_replace`] for the
+    /// whether the key was present. See `Tree::try_replace` for the
     /// version-stability guarantee.
     pub fn update_value(&self, key: &[u8], value: u64) -> bool {
         self.try_replace(key, value).is_some()

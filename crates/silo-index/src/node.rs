@@ -130,7 +130,7 @@ pub fn prefetch<T>(ptr: *const T) {
 
 /// Prefetches a single cache line. For small objects reached through scan
 /// cursors (record headers behind value words, suffix buffers) the 4-line
-/// node prefetch of [`prefetch`] would cost four prefetch slots and pollute
+/// node prefetch of `prefetch` would cost four prefetch slots and pollute
 /// the L1 with lines the scan never touches.
 #[inline(always)]
 pub fn prefetch_line<T>(ptr: *const T) {

@@ -63,7 +63,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use silo_core::{Database, TableId, Tid, Worker};
+use silo_core::{CommitWrite, Database, TableId, Tid, Worker};
 
 use crate::fault::{FaultPlan, FaultSite, InjectedCrash};
 use crate::record::{self, BlockRef, DecodeError, StreamDecoder};
@@ -364,7 +364,12 @@ impl<W: Write> SliceWriter<W> {
     /// Appends one record, returning the bytes its block adds.
     fn push(&mut self, table: TableId, key: &[u8], tid: Tid, value: &[u8]) -> std::io::Result<u64> {
         let before = self.frame.len();
-        record::encode_txn(&mut self.frame, tid, &[(table, key, Some(value))], false);
+        let write = CommitWrite {
+            table,
+            key,
+            value: Some(value),
+        };
+        record::encode_txn(&mut self.frame, tid, [write], false);
         let added = (self.frame.len() - before) as u64;
         self.records += 1;
         if self.frame.len() >= SLICE_FRAME {
@@ -872,6 +877,7 @@ pub(crate) fn load_checkpoint(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::tests::as_writes;
 
     /// A slice holding `records`, written by the checkpointer's own encoder.
     pub(crate) fn slice_bytes(records: &[(TableId, &[u8], Tid, &[u8])]) -> Vec<u8> {
@@ -1034,7 +1040,7 @@ pub(crate) mod tests {
         // only the byte count tells.
         let torn_tail = [good.as_slice(), &[record::BLOCK_CHECKSUMMED, 1, 0]].concat();
         let mut bare = Vec::new();
-        record::encode_txn(&mut bare, tid, &[(3, b"k", Some(b"v"))], false);
+        record::encode_txn(&mut bare, tid, as_writes(&[(3, b"k", Some(b"v"))]), false);
         let cases: Vec<(&str, Vec<u8>, u64)> = vec![
             ("a damaged first tag", bad_tag, 1),
             ("an inflated envelope length", inflated, 1),
@@ -1050,7 +1056,7 @@ pub(crate) mod tests {
             ),
             (
                 "a delete",
-                sealed(&|s| record::encode_txn(s, tid, &[(3, b"k", None)], false)),
+                sealed(&|s| record::encode_txn(s, tid, as_writes(&[(3, b"k", None)]), false)),
                 1,
             ),
             (
@@ -1058,7 +1064,7 @@ pub(crate) mod tests {
                 sealed(&|s| {
                     let writes: [(TableId, &[u8], Option<&[u8]>); 2] =
                         [(3, b"k", Some(b"v")), (3, b"j", Some(b"w"))];
-                    record::encode_txn(s, tid, &writes, false)
+                    record::encode_txn(s, tid, as_writes(&writes), false)
                 }),
                 1,
             ),

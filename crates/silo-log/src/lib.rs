@@ -78,7 +78,7 @@ use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 use silo_core::{AdvanceListener, CommitHook, CommitWrites, Database, DurabilityHealth, Tid};
 
-use record::{encode_compressed_into, encode_epoch_marker, encode_txn_writes};
+use record::{encode_compressed_into, encode_epoch_marker, encode_txn};
 
 /// Maximum number of workers the logging subsystem supports.
 pub const MAX_WORKERS: usize = 256;
@@ -931,7 +931,7 @@ impl SiloLogger {
 }
 
 impl CommitHook for SiloLogger {
-    fn on_commit(&self, worker_id: usize, tid: Tid, writes: &dyn CommitWrites) {
+    fn on_commit(&self, worker_id: usize, tid: Tid, writes: CommitWrites<'_>) {
         assert!(worker_id < MAX_WORKERS, "worker id exceeds MAX_WORKERS");
         let shared = &self.shared;
         let state = &shared.workers[worker_id];
@@ -951,7 +951,7 @@ impl CommitHook for SiloLogger {
         // threads compress while batching, keeping the CPU cost off the
         // commit path.
         let small = matches!(shared.config.mode, LogMode::SmallRecords);
-        encode_txn_writes(&mut buffer, tid, writes, small);
+        encode_txn(&mut buffer, tid, writes.iter(), small);
 
         if buffer.len() >= shared.config.buffer_capacity {
             shared.publish(worker_id, &mut buffer, tid.epoch());
@@ -1371,6 +1371,8 @@ fn logger_loop(
 
 #[cfg(test)]
 mod bound_tests;
+#[cfg(test)]
+mod hook_tests;
 #[cfg(test)]
 mod listener_tests;
 #[cfg(test)]

@@ -31,7 +31,7 @@
 //! The `SmallRecs` mode of the Figure 11 persistence analysis logs only the
 //! 8-byte TID (count = 0), giving an upper bound for any logging scheme.
 
-use silo_core::{CommitWrite, CommitWrites, TableId};
+use silo_core::{CommitWrite, TableId};
 use silo_tid::Tid;
 
 /// Block tag for a transaction record.
@@ -126,67 +126,39 @@ pub struct LoggedTxn {
     pub writes: Vec<LoggedWrite>,
 }
 
-/// Appends one write (`table | key | tag [| value]`) to a transaction block.
-fn encode_write(out: &mut Vec<u8>, table: TableId, key: &[u8], value: Option<&[u8]>) {
-    out.extend_from_slice(&table.to_le_bytes());
-    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    out.extend_from_slice(key);
-    match value {
-        Some(v) => {
-            out.push(1);
-            out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            out.extend_from_slice(v);
-        }
-        None => out.push(0),
-    }
-}
-
-/// The slice form of a write-set, for callers without a live transaction.
-struct SliceWrites<'a>(&'a [(TableId, &'a [u8], Option<&'a [u8]>)]);
-
-impl CommitWrites for SliceWrites<'_> {
-    fn count(&self) -> usize {
-        self.0.len()
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(CommitWrite<'_>)) {
-        for &(table, key, value) in self.0 {
-            f(CommitWrite { table, key, value });
-        }
-    }
-}
-
-/// Appends a transaction block to `out` from a slice of writes; see
-/// [`encode_txn_writes`].
-pub fn encode_txn(
-    out: &mut Vec<u8>,
-    tid: Tid,
-    writes: &[(TableId, &[u8], Option<&[u8]>)],
-    small_records: bool,
-) {
-    encode_txn_writes(out, tid, &SliceWrites(writes), small_records);
-}
-
-/// Appends a transaction block to `out`, drawing the writes directly from a
-/// borrowed [`CommitWrites`] view. This is the zero-copy commit→log path:
+/// Appends a transaction block to `out`: the TID, the write count, and each
+/// write as `table | key | tag [| value]`. Given a live transaction's
+/// [`silo_core::CommitWrites::iter`] this is the zero-copy commit→log path:
 /// each key and value is serialized straight from the committing worker's
 /// write-set into the log buffer, with no intermediate collection.
 ///
 /// When `small_records` is set, only the TID is logged (write count 0).
-pub fn encode_txn_writes(
-    out: &mut Vec<u8>,
-    tid: Tid,
-    writes: &dyn CommitWrites,
-    small_records: bool,
-) {
+pub fn encode_txn<'a, I>(out: &mut Vec<u8>, tid: Tid, writes: I, small_records: bool)
+where
+    I: IntoIterator<Item = CommitWrite<'a>>,
+    I::IntoIter: ExactSizeIterator,
+{
     out.push(BLOCK_TXN);
     out.extend_from_slice(&tid.raw().to_le_bytes());
     if small_records {
         out.extend_from_slice(&0u32.to_le_bytes());
         return;
     }
-    out.extend_from_slice(&(writes.count() as u32).to_le_bytes());
-    writes.for_each(&mut |w| encode_write(out, w.table, w.key, w.value));
+    let writes = writes.into_iter();
+    out.extend_from_slice(&(writes.len() as u32).to_le_bytes());
+    for CommitWrite { table, key, value } in writes {
+        out.extend_from_slice(&table.to_le_bytes());
+        out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        out.extend_from_slice(key);
+        match value {
+            Some(v) => {
+                out.push(1);
+                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
+                out.extend_from_slice(v);
+            }
+            None => out.push(0),
+        }
+    }
 }
 
 /// Appends a durable-epoch marker block to `out`.
@@ -588,12 +560,12 @@ fn inside_envelope(e: DecodeError) -> DecodeError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::{decode_all, sealed};
+    use crate::tests::{as_writes, decode_all, sealed};
 
     /// A bare transaction block writing `k = v` to table 0.
     fn txn(tid: Tid) -> Vec<u8> {
         let mut buf = Vec::new();
-        encode_txn(&mut buf, tid, &[(0, b"k", Some(b"v"))], false);
+        encode_txn(&mut buf, tid, as_writes(&[(0, b"k", Some(b"v"))]), false);
         buf
     }
 
@@ -605,7 +577,7 @@ mod tests {
             (3, b"key-b", None),
             (7, b"", Some(b"".as_ref())),
         ];
-        encode_txn(&mut buf, Tid::new(5, 42), &writes, false);
+        encode_txn(&mut buf, Tid::new(5, 42), as_writes(&writes), false);
         encode_epoch_marker(&mut buf, 4);
         let stream = sealed(&buf);
         let blocks = decode_all(&stream).unwrap();
@@ -638,7 +610,7 @@ mod tests {
         let mut buf = Vec::new();
         let writes: Vec<(TableId, &[u8], Option<&[u8]>)> =
             vec![(0, b"key", Some(b"a-large-value".as_ref()))];
-        encode_txn(&mut buf, Tid::new(1, 1), &writes, true);
+        encode_txn(&mut buf, Tid::new(1, 1), as_writes(&writes), true);
         assert_eq!(buf.len(), 1 + 8 + 4);
         match &decode_all(&sealed(&buf)).unwrap()[0] {
             Block::Txn(t) => assert!(t.writes.is_empty()),
@@ -742,7 +714,7 @@ mod tests {
     fn borrowed_envelope_walk_sees_what_next_block_decodes() {
         let mut inner = Vec::new();
         let writes: [(TableId, &[u8], Option<&[u8]>); 2] = [(2, b"a", Some(b"1")), (3, b"b", None)];
-        encode_txn(&mut inner, Tid::new(4, 1), &writes, false);
+        encode_txn(&mut inner, Tid::new(4, 1), as_writes(&writes), false);
         encode_epoch_marker(&mut inner, 3);
         let first = sealed(&inner);
         let second = sealed(&txn(Tid::new(4, 2)));
@@ -796,7 +768,7 @@ mod tests {
             let value = vec![b'x'; 64];
             let writes: Vec<(TableId, &[u8], Option<&[u8]>)> =
                 vec![(1, key.as_bytes(), Some(&value))];
-            encode_txn(&mut inner, Tid::new(2, i), &writes, false);
+            encode_txn(&mut inner, Tid::new(2, i), as_writes(&writes), false);
         }
         let mut round = Vec::new();
         encode_compressed(&mut round, &inner);
@@ -809,6 +781,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::tests::as_writes;
     use proptest::collection::vec;
     use proptest::prelude::*;
 
@@ -835,7 +808,7 @@ mod proptests {
                 .map(|w| (w.table, w.key.as_slice(), w.value.as_deref()))
                 .collect();
             let mut inner = Vec::new();
-            encode_txn(&mut inner, tid, &borrowed, false);
+            encode_txn(&mut inner, tid, as_writes(&borrowed), false);
             let stream = crate::tests::sealed(&if compress {
                 let mut outer = Vec::new();
                 encode_compressed(&mut outer, &inner);

@@ -499,12 +499,12 @@ fn replay_tail<R: std::io::Read>(
 mod tests {
     use super::*;
     use crate::record::{encode_epoch_marker, encode_txn};
-    use crate::tests::{scratch_dir, sealed};
+    use crate::tests::{as_writes, scratch_dir, sealed};
     use silo_core::SiloConfig;
 
     fn txn_block(tid: Tid, table: TableId, key: &[u8], value: Option<&[u8]>) -> Vec<u8> {
         let mut buf = Vec::new();
-        encode_txn(&mut buf, tid, &[(table, key, value)], false);
+        encode_txn(&mut buf, tid, as_writes(&[(table, key, value)]), false);
         buf
     }
 

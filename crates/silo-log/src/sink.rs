@@ -531,7 +531,7 @@ impl LogSink for MemorySink {
 mod tests {
     use super::*;
     use crate::record::{encode_epoch_marker, encode_txn};
-    use crate::tests::{scratch_dir, sealed};
+    use crate::tests::{as_writes, scratch_dir, sealed};
     use silo_core::TableId;
     use silo_tid::Tid;
 
@@ -614,7 +614,7 @@ mod tests {
     fn txn_bytes(epoch: u64, key: &[u8]) -> Vec<u8> {
         let mut buf = Vec::new();
         let writes: Vec<(TableId, &[u8], Option<&[u8]>)> = vec![(0, key, Some(b"v".as_ref()))];
-        encode_txn(&mut buf, Tid::new(epoch, 1), &writes, false);
+        encode_txn(&mut buf, Tid::new(epoch, 1), as_writes(&writes), false);
         sealed(&buf)
     }
 
@@ -622,7 +622,7 @@ mod tests {
     fn old_segment(epoch: u64) -> Vec<u8> {
         let mut old = Vec::new();
         let writes: Vec<(TableId, &[u8], Option<&[u8]>)> = vec![(0, b"old", Some(b"v".as_ref()))];
-        encode_txn(&mut old, Tid::new(epoch, 1), &writes, false);
+        encode_txn(&mut old, Tid::new(epoch, 1), as_writes(&writes), false);
         encode_epoch_marker(&mut old, epoch);
         sealed(&old)
     }

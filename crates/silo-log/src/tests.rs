@@ -14,6 +14,15 @@ pub(crate) fn sealed(inner: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The tuple form of a write-set, as [`record::encode_txn`] takes it.
+pub(crate) fn as_writes<'a>(
+    writes: &'a [(silo_core::TableId, &'a [u8], Option<&'a [u8]>)],
+) -> impl ExactSizeIterator<Item = silo_core::CommitWrite<'a>> + 'a {
+    writes
+        .iter()
+        .map(|&(table, key, value)| silo_core::CommitWrite { table, key, value })
+}
+
 /// Every block of `stream`, through the one decoder.
 pub(crate) fn decode_all(stream: &[u8]) -> Result<Vec<record::Block>, record::DecodeError> {
     let mut decoder = record::StreamDecoder::new(stream);
@@ -945,6 +954,7 @@ mod checkpoint_equivalence {
 
     use super::*;
     use crate::record::{encode_epoch_marker, encode_txn};
+    use crate::tests::as_writes;
     use proptest::collection::vec;
     use proptest::prelude::*;
     use silo_core::Tid;
@@ -1059,9 +1069,9 @@ mod checkpoint_equivalence {
                     .map(|(t, k, v)| (*t, k.as_slice(), v.as_deref()))
                     .collect();
                 let stream = ((split_bits >> (i % 64)) & 1) as usize;
-                encode_txn(&mut streams[stream], tid, &borrowed, false);
+                encode_txn(&mut streams[stream], tid, as_writes(&borrowed), false);
                 if tid.epoch() > ce {
-                    encode_txn(&mut tail_streams[stream], tid, &borrowed, false);
+                    encode_txn(&mut tail_streams[stream], tid, as_writes(&borrowed), false);
                 }
                 for (k, v) in &writes {
                     // Reference model: the largest TID wins per key.

@@ -4,7 +4,7 @@
 //! None of them touches the allocator: keys are stack arrays, rows are read
 //! through [`Txn::read_with`] / [`Txn::scan_with`] as borrowed bytes and
 //! their columns picked out with the schema's [`Field`] constants, and a row
-//! that is written back is patched in a stack copy ([`RowBuf`]) of the bytes
+//! that is written back is patched in a stack copy (`RowBuf`) of the bytes
 //! that were read.
 
 use std::fmt::Write;
