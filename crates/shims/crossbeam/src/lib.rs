@@ -1,11 +1,9 @@
 //! Offline stand-in for [`crossbeam`](https://crates.io/crates/crossbeam).
 //!
-//! Provides the two pieces this workspace uses: [`utils::CachePadded`] (a
+//! Provides the one piece this workspace uses: [`utils::CachePadded`], a
 //! 128-byte-aligned wrapper that keeps hot atomics on their own cache line,
-//! matching crossbeam's alignment on modern x86_64/aarch64) and
-//! [`channel`] (unbounded MPSC channels backed by `std::sync::mpsc`; the
-//! workspace only ever attaches one consumer per channel, so MPMC semantics
-//! are not required).
+//! matching crossbeam's alignment on modern x86_64/aarch64. Channels come
+//! from `std::sync::mpsc` directly.
 
 /// Utilities: cache-line padding.
 pub mod utils {
@@ -57,69 +55,8 @@ pub mod utils {
     }
 }
 
-/// Unbounded channels with crossbeam's method surface.
-pub mod channel {
-    use std::sync::mpsc;
-    use std::time::Duration;
-
-    pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError};
-
-    /// Sending half of an unbounded channel.
-    pub struct Sender<T>(mpsc::Sender<T>);
-
-    /// Receiving half of an unbounded channel.
-    pub struct Receiver<T>(mpsc::Receiver<T>);
-
-    /// Creates an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender(tx), Receiver(rx))
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            Sender(self.0.clone())
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Sends `value`; fails only when the receiver is gone.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            self.0.send(value)
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Blocks until a message arrives or all senders disconnect.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.recv()
-        }
-
-        /// Returns a pending message without blocking.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.0.try_recv()
-        }
-
-        /// Blocks for at most `timeout` waiting for a message.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            self.0.recv_timeout(timeout)
-        }
-
-        /// Iterates over messages, blocking until senders disconnect.
-        pub fn iter(&self) -> mpsc::Iter<'_, T> {
-            self.0.iter()
-        }
-
-        /// Iterates over currently pending messages without blocking.
-        pub fn try_iter(&self) -> mpsc::TryIter<'_, T> {
-            self.0.try_iter()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::channel;
     use super::utils::CachePadded;
 
     #[test]
@@ -128,26 +65,5 @@ mod tests {
         assert_eq!(*padded, 7);
         assert_eq!(std::mem::align_of::<CachePadded<u64>>(), 128);
         assert_eq!(padded.into_inner(), 7);
-    }
-
-    #[test]
-    fn channel_roundtrip_across_threads() {
-        let (tx, rx) = channel::unbounded();
-        let tx2 = tx.clone();
-        let handle = std::thread::spawn(move || {
-            for i in 0..100 {
-                tx2.send(i).unwrap();
-            }
-        });
-        for i in 0..50 {
-            tx.send(1000 + i).unwrap();
-        }
-        handle.join().unwrap();
-        drop(tx);
-        let mut got = Vec::new();
-        while let Ok(v) = rx.try_recv() {
-            got.push(v);
-        }
-        assert_eq!(got.len(), 150);
     }
 }

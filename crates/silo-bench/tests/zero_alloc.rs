@@ -357,6 +357,57 @@ fn warmed_worker_with_logger_commits_without_heap_allocation() {
     logger.shutdown();
 }
 
+/// The checkpoint walk under the same rule, scaled: walking a table through
+/// `scan_versions` allocates a fixed number of times however many records
+/// the table holds. Each chunk resumes through the index's borrowed scan
+/// with the worker's scratch, rather than a collecting scan that owns every
+/// key it returns.
+#[test]
+fn snapshot_walk_allocations_do_not_grow_with_the_table() {
+    let db = Database::open(SiloConfig::default().with_spawn_epoch_advancer(false));
+    let mut worker = db.register_worker();
+    let value = [7u8; RECORD_SIZE];
+    let [small, large] = [1_000u64, 100_000].map(|records| {
+        let table = db.create_table(&format!("walk{records}")).unwrap();
+        for batch in 0..records.div_ceil(1_000) {
+            let mut txn = worker.begin();
+            for i in batch * 1_000..records.min((batch + 1) * 1_000) {
+                txn.write(table, &i.to_be_bytes(), &value).unwrap();
+            }
+            txn.commit().unwrap();
+        }
+        (table, records)
+    });
+    // Move the snapshot epoch past the load, so the walks see every record.
+    let loaded = db.epochs().global_epoch();
+    worker.quiesce();
+    while db.epochs().global_snapshot_epoch() <= loaded {
+        db.epochs().advance_n(1);
+    }
+
+    // Returns (records yielded, allocations made) for one walk of `table`.
+    let mut walk = |table| {
+        let before = CountingAllocator::thread_allocs();
+        let mut snap = worker.begin_snapshot();
+        let yielded = snap.scan_versions(table, 64, None, |_, _, _| {});
+        snap.finish();
+        (yielded, CountingAllocator::thread_allocs() - before)
+    };
+    // The warm-up walk sizes the scan scratch and the value buffer, and
+    // takes the collector round of the new epoch.
+    assert_eq!(walk(large.0).0, large.1);
+    let (small_records, small_allocs) = walk(small.0);
+    let (large_records, large_allocs) = walk(large.0);
+    assert_eq!((small_records, large_records), (small.1, large.1));
+    assert!(
+        small_allocs.abs_diff(large_allocs) <= 2,
+        "walking {} records allocated {small_allocs} times, walking {} \
+         allocated {large_allocs} times",
+        small.1,
+        large.1
+    );
+}
+
 /// Runs `f`, adding the allocations it makes on this thread to `allocs`.
 fn counted<R>(allocs: &mut u64, f: impl FnOnce() -> R) -> R {
     let before = CountingAllocator::thread_allocs();

@@ -298,7 +298,7 @@ mod tests {
         assert_eq!(pool.hits, 1);
         let mut out = Vec::new();
         // SAFETY: r2 is exclusively owned here.
-        unsafe { (*r2).read_data_unvalidated(&mut out) };
+        unsafe { (*r2).read_consistent(&mut out) };
         assert_eq!(out, b"abc");
         // SAFETY: sole owner.
         unsafe { Record::free(r2) };

@@ -41,7 +41,7 @@
 //! | [`worker`] | §4.1, §4.8 | per-thread worker state, epochs, GC, allocation pool |
 //! | [`txn`] | §4.5–§4.6 | transactions: reads, scans, writes, phantom protection |
 //! | [`commit`] | §4.4, Figure 2 | the three-phase OCC commit protocol, and abort |
-//! | [`snapshot`] | §4.9 | never-aborting read-only snapshot transactions |
+//! | [`snapshot`] | §4.9 | never-aborting read-only snapshot transactions: reads, scans and the checkpoint walk over one validated version read |
 //!
 //! The index substrate lives in the `silo-index` crate, the epoch subsystem
 //! in `silo-epoch`, TIDs in `silo-tid`, and durability in `silo-log`.

@@ -200,12 +200,9 @@ impl Record {
         fence(Ordering::Release);
     }
 
-    /// Copies the record data into `out` without validation.
-    ///
-    /// Only correct for record versions that can no longer change: superseded
-    /// snapshot versions (their epoch precedes the current snapshot epoch, so
-    /// they are never overwritten in place) or records the caller has locked.
-    pub fn read_data_unvalidated(&self, out: &mut Vec<u8>) {
+    /// Copies the record data into `out` without validation: the copy step of
+    /// [`Record::read_consistent`], which checks the TID word around it.
+    fn read_data_unvalidated(&self, out: &mut Vec<u8>) {
         out.clear();
         let len = self.len.load(Ordering::Acquire).min(self.cap);
         if len > 0 {
@@ -242,8 +239,11 @@ impl Record {
     /// Walks the previous-version chain (including `self`) and returns the
     /// most recent version whose TID epoch is `≤ snapshot_epoch`, if any.
     ///
-    /// Used by snapshot transactions (§4.9). Chain members are immutable, so
-    /// no validation is needed beyond the initial consistent read of the head.
+    /// Used by snapshot transactions (§4.9). Superseded chain members never
+    /// change, but the returned version can be the head, which a writer may
+    /// overwrite in place (always so with snapshots disabled). A caller
+    /// therefore copies the version with [`Record::read_consistent`] and
+    /// walks again if the copied TID word's epoch is past `snapshot_epoch`.
     pub fn snapshot_version(&self, snapshot_epoch: u64) -> Option<&Record> {
         let mut cur: *const Record = self;
         while !cur.is_null() {
@@ -379,15 +379,15 @@ mod tests {
         let mut out = Vec::new();
 
         let v = head_ref.snapshot_version(9).unwrap();
-        v.read_data_unvalidated(&mut out);
+        v.read_consistent(&mut out);
         assert_eq!(out, b"v-epoch9");
 
         let v = head_ref.snapshot_version(7).unwrap();
-        v.read_data_unvalidated(&mut out);
+        v.read_consistent(&mut out);
         assert_eq!(out, b"v-epoch5");
 
         let v = head_ref.snapshot_version(4).unwrap();
-        v.read_data_unvalidated(&mut out);
+        v.read_consistent(&mut out);
         assert_eq!(out, b"v-epoch2");
 
         assert!(head_ref.snapshot_version(1).is_none());

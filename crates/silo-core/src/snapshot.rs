@@ -8,6 +8,11 @@
 //! and never modified, snapshot transactions commit without validation and
 //! **never abort** — which is exactly why the stock-level experiment of
 //! Figure 10 benefits from them.
+//!
+//! Every read here — a point read, a range scan, the checkpoint walk — goes
+//! through one version read, which copies the version it finds with the §4.5
+//! read protocol: the version can be the chain head, and the chain head can
+//! change under the copy.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -24,7 +29,7 @@ use crate::worker::Worker;
 ///
 /// One pacer can be shared (`Arc`) by several walker threads, making the
 /// rate a *global* budget across all of them. Walkers report progress with
-/// [`WalkPacer::note`]; [`SnapshotTxn::scan_versions_paced`] sleeps off any
+/// [`WalkPacer::note`]; [`SnapshotTxn::scan_versions`] sleeps off any
 /// [`WalkPacer::backlog`] between chunks — in small slices, re-refreshing
 /// the worker's epoch pin, so throttling never stalls global epoch
 /// advancement.
@@ -120,13 +125,13 @@ impl<'w> SnapshotTxn<'w> {
         // SAFETY: the worker's table cache keeps the table alive.
         let table = unsafe { &*table_ptr };
         let value = table.tree().get(key)?;
-        self.reads += 1;
         let buf = &mut self.worker.ctx.scratch;
         // SAFETY: records reachable from the index are only freed after a
         // grace period; the worker's refreshed `se_w` pins every chain member
         // relevant for this snapshot.
-        let present = unsafe { read_snapshot_version(value, self.snapshot_epoch, buf) };
-        present.then(|| f(buf))
+        unsafe { read_version(value, self.snapshot_epoch, buf) }?;
+        self.reads += 1;
+        Some(f(buf))
     }
 
     /// Scans `[start, end)` as of the snapshot, returning at most `limit`
@@ -158,26 +163,17 @@ impl<'w> SnapshotTxn<'w> {
         limit: Option<usize>,
         mut visit: impl FnMut(&[u8], &[u8]),
     ) {
-        let table_ptr = self.worker.table_ptr(table_id);
-        // SAFETY: the worker's table cache keeps the table alive.
-        let table = unsafe { &*table_ptr };
-        let snapshot_epoch = self.snapshot_epoch;
-        let Worker { ctx, scan, .. } = &mut *self.worker;
-        let buf = &mut ctx.scratch;
         // The limit counts records present at the snapshot, which the index
-        // cannot tell from absent ones: it walks the whole range.
-        let limit = limit.unwrap_or(usize::MAX);
-        let mut visited = 0;
-        table
-            .tree()
-            .scan_with(scan, start, end, None, |key, value| {
-                // SAFETY: as in `read_with`.
-                if visited < limit && unsafe { read_snapshot_version(value, snapshot_epoch, buf) } {
-                    visited += 1;
-                    visit(key, buf);
-                }
-            });
-        self.reads += visited as u64;
+        // cannot tell from absent ones: it walks the whole range, but no
+        // version is read once the limit is reached.
+        let mut left = limit.unwrap_or(usize::MAX);
+        self.scan_entries(table_id, start, end, None, |key, version| {
+            if let Some((_, value)) = version.filter(|_| left > 0) {
+                left -= 1;
+                visit(key, value);
+            }
+            left > 0
+        });
     }
 
     /// Streams every record of `table_id` that exists at this snapshot, in
@@ -191,23 +187,14 @@ impl<'w> SnapshotTxn<'w> {
     /// The yielded TID is the version's commit TID, which the recovery path
     /// uses to resolve conflicts against log-tail records.
     ///
+    /// When a [`WalkPacer`] is given, the walk also sleeps off the pacer's
+    /// backlog between chunks (in short slices, keeping the worker's epoch
+    /// pin fresh so global epoch advancement is delayed by at most one
+    /// slice). The caller reports its notion of progress — e.g. serialized
+    /// bytes — via [`WalkPacer::note`] from inside `f`.
+    ///
     /// Returns the number of records yielded.
-    pub fn scan_versions_into(
-        &mut self,
-        table_id: TableId,
-        chunk: usize,
-        f: impl FnMut(&[u8], Tid, &[u8]),
-    ) -> u64 {
-        self.scan_versions_paced(table_id, chunk, None, f)
-    }
-
-    /// [`SnapshotTxn::scan_versions_into`] with an optional rate limit: when
-    /// a [`WalkPacer`] is given, the walk sleeps off the pacer's backlog
-    /// between chunks (in short slices, keeping the worker's epoch pin fresh
-    /// so global epoch advancement is delayed by at most one slice). The
-    /// caller reports its notion of progress — e.g. serialized bytes — via
-    /// [`WalkPacer::note`] from inside `f`.
-    pub fn scan_versions_paced(
+    pub fn scan_versions(
         &mut self,
         table_id: TableId,
         chunk: usize,
@@ -215,72 +202,82 @@ impl<'w> SnapshotTxn<'w> {
         mut f: impl FnMut(&[u8], Tid, &[u8]),
     ) -> u64 {
         let chunk = chunk.max(1);
-        let snapshot_epoch = self.snapshot_epoch;
+        // Each chunk starts at the successor of the last key the previous
+        // chunk walked; the two buffers swap roles between chunks.
+        let (mut start, mut resume) = (Vec::new(), Vec::new());
+        let mut yielded = 0u64;
+        loop {
+            let mut walked = 0;
+            self.scan_entries(table_id, &start, None, Some(chunk), |key, version| {
+                walked += 1;
+                if walked == chunk {
+                    resume.clear();
+                    resume.extend_from_slice(key);
+                    resume.push(0);
+                }
+                if let Some((tid, value)) = version {
+                    yielded += 1;
+                    f(key, tid, value);
+                }
+                true
+            });
+            if walked < chunk {
+                return yielded;
+            }
+            std::mem::swap(&mut start, &mut resume);
+            // Let the global epoch move past us while we are between chunks,
+            // and sleep off the pacer backlog in ≤ 2 ms slices, re-refreshing
+            // the pin after each slice so a long throttle never holds back
+            // the epoch.
+            self.refresh_walk_pin();
+            while let Some(backlog) = pacer.map(WalkPacer::backlog).filter(|b| !b.is_zero()) {
+                std::thread::sleep(backlog.min(Duration::from_millis(2)));
+                self.refresh_walk_pin();
+            }
+        }
+    }
+
+    /// The scan body of [`SnapshotTxn::scan_with`] and
+    /// [`SnapshotTxn::scan_versions`]: walks at most `entries` index entries
+    /// of `[start, end)` through the worker's scan scratch and calls
+    /// `visit(key, version)` on each, where `version` is the record's TID and
+    /// value at the snapshot, or `None` if the key did not exist then. Once
+    /// `visit` returns `false`, the rest of the range is walked without
+    /// reading versions.
+    fn scan_entries(
+        &mut self,
+        table_id: TableId,
+        start: &[u8],
+        end: Option<&[u8]>,
+        entries: Option<usize>,
+        mut visit: impl FnMut(&[u8], Option<(Tid, &[u8])>) -> bool,
+    ) {
         let table_ptr = self.worker.table_ptr(table_id);
         // SAFETY: the worker's table cache keeps the table alive.
         let table = unsafe { &*table_ptr };
-        let mut start: Vec<u8> = Vec::new();
-        let mut data = Vec::new();
-        let mut yielded = 0u64;
-        loop {
-            let result = table.tree().scan(&start, None, Some(chunk));
-            let n = result.entries.len();
-            for (key, value) in result.entries {
-                let record = value as *const Record;
-                // SAFETY: as in `read` — the pinned `se_w` keeps every chain
-                // member this snapshot can reach alive.
-                let rec = unsafe { &*record };
-                // Validated read with retry: the chain *head* can change
-                // under us (an in-place overwrite when snapshots are
-                // disabled, or a concurrent commit pushing the version we
-                // want onto the chain between the walk and the copy), so
-                // copy via the §4.5 read protocol and re-walk if the version
-                // turned out to belong to an epoch after the snapshot.
-                while let Some(version) = rec.snapshot_version(snapshot_epoch) {
-                    let word = version.read_consistent(&mut data);
-                    if snapshot_epoch != u64::MAX && word.tid().epoch() > snapshot_epoch {
-                        // The head moved past the snapshot mid-copy; the
-                        // version this snapshot needs is now on the chain.
-                        continue;
-                    }
-                    if !word.is_absent() {
-                        self.reads += 1;
-                        yielded += 1;
-                        f(&key, word.tid(), &data);
-                    }
-                    break;
+        let snapshot_epoch = self.snapshot_epoch;
+        let reads = &mut self.reads;
+        let Worker { ctx, scan, .. } = &mut *self.worker;
+        let buf = &mut ctx.scratch;
+        let mut reading = true;
+        table
+            .tree()
+            .scan_with(scan, start, end, entries, |key, value| {
+                if reading {
+                    // SAFETY: as in `read_with`.
+                    let tid = unsafe { read_version(value, snapshot_epoch, buf) };
+                    *reads += u64::from(tid.is_some());
+                    reading = visit(key, tid.map(|tid| (tid, buf.as_slice())));
                 }
-                start = key;
-            }
-            if n < chunk {
-                return yielded;
-            }
-            // Resume at the successor of the last key seen, and let the
-            // global epoch move past us while we are between chunks.
-            start.push(0);
-            self.refresh_walk_pin(snapshot_epoch);
-            // Throttle: sleep off the pacer backlog in ≤ 2 ms slices,
-            // re-refreshing the pin after each slice so a long throttle
-            // never holds back the epoch.
-            if let Some(pacer) = pacer {
-                loop {
-                    let backlog = pacer.backlog();
-                    if backlog.is_zero() {
-                        break;
-                    }
-                    std::thread::sleep(backlog.min(std::time::Duration::from_millis(2)));
-                    self.refresh_walk_pin(snapshot_epoch);
-                }
-            }
-        }
+            });
     }
 
     /// Re-refreshes the worker's epoch between walk chunks: keep `se_w`
     /// pinned to the snapshot (so its versions stay reachable) while moving
     /// `e_w` forward — or, with snapshots disabled, a plain refresh.
-    fn refresh_walk_pin(&self, snapshot_epoch: u64) {
-        if snapshot_epoch != u64::MAX {
-            self.worker.epoch().refresh_pinned(snapshot_epoch);
+    fn refresh_walk_pin(&self) {
+        if self.snapshot_epoch != u64::MAX {
+            self.worker.epoch().refresh_pinned(self.snapshot_epoch);
         } else {
             self.worker.epoch().refresh();
         }
@@ -294,24 +291,32 @@ impl<'w> SnapshotTxn<'w> {
     }
 }
 
-/// Copies into `buf` the value the record behind index value `value` had
-/// at `snapshot_epoch`; returns whether the key existed at that point.
+/// The one snapshot version read (§4.9): copies into `buf` the version of
+/// the record behind index value `value` that `snapshot_epoch` sees, and
+/// returns its TID, or `None` if the key did not exist at that point in the
+/// serial order.
+///
+/// The version can be the chain head, which a writer may overwrite in place
+/// under the copy — always so with snapshots disabled, where
+/// `snapshot_epoch` is `u64::MAX`. So the copy follows the §4.5 read
+/// protocol, and if the copied TID word turns out to be past the snapshot,
+/// the head moved on after the walk and the version this snapshot needs is
+/// now on the chain: walk again.
 ///
 /// # Safety
 ///
 /// `value` must be a record pointer read from a live index by a worker whose
 /// pinned `se_w` covers `snapshot_epoch`.
-unsafe fn read_snapshot_version(value: u64, snapshot_epoch: u64, buf: &mut Vec<u8>) -> bool {
+unsafe fn read_version(value: u64, snapshot_epoch: u64, buf: &mut Vec<u8>) -> Option<Tid> {
     // SAFETY: forwarded from the caller's contract.
     let rec = unsafe { &*(value as *const Record) };
-    let Some(version) = rec.snapshot_version(snapshot_epoch) else {
-        return false;
-    };
-    if version.tid().read_stable().is_absent() {
-        return false;
+    while let Some(version) = rec.snapshot_version(snapshot_epoch) {
+        let word = version.read_consistent(buf);
+        if word.tid().epoch() <= snapshot_epoch {
+            return (!word.is_absent()).then(|| word.tid());
+        }
     }
-    version.read_data_unvalidated(buf);
-    true
+    None
 }
 
 impl<'w> Drop for SnapshotTxn<'w> {
@@ -322,6 +327,9 @@ impl<'w> Drop for SnapshotTxn<'w> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
     use super::*;
     use crate::config::SiloConfig;
     use crate::database::Database;
@@ -356,7 +364,7 @@ mod tests {
         let pacer = WalkPacer::new(100_000);
         let started = Instant::now();
         let mut snap = w.begin_snapshot();
-        let yielded = snap.scan_versions_paced(t, 32, Some(&pacer), |_, _, value| {
+        let yielded = snap.scan_versions(t, 32, Some(&pacer), |_, _, value| {
             pacer.note(value.len() as u64);
         });
         assert_eq!(yielded, 200);
@@ -365,5 +373,78 @@ mod tests {
             "walk was not throttled: {:?}",
             started.elapsed()
         );
+    }
+
+    /// Runs snapshot reads of one key through `read_with` and `scan_with`
+    /// for about a second while a writer overwrites it with 4 KiB of one
+    /// repeated byte, and returns `(values seen, torn values)`.
+    fn snapshot_reads_under_overwrites(snapshots: bool) -> (u64, u64) {
+        const VALUE: usize = 4096;
+        let db = Database::open(
+            SiloConfig::default()
+                .with_epoch(silo_epoch::EpochConfig {
+                    epoch_interval: Duration::from_millis(2),
+                    snapshot_interval_epochs: 5,
+                })
+                .with_snapshots(snapshots),
+        );
+        let t = db.create_table("t").unwrap();
+        let mut w = db.register_worker();
+        let mut txn = w.begin();
+        txn.write(t, b"key", &[0; VALUE]).unwrap();
+        txn.commit().unwrap();
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (db, stop) = (Arc::clone(&db), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut w = db.register_worker();
+                let mut value = [0; VALUE];
+                for byte in (1..=u8::MAX).cycle() {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    value.fill(byte);
+                    let mut txn = w.begin();
+                    txn.write(t, b"key", &value).unwrap();
+                    let _ = txn.commit();
+                }
+            })
+        };
+
+        let uniform = |v: &[u8]| v.len() == VALUE && v.iter().all(|&b| b == v[0]);
+        let (mut seen, mut torn) = (0u64, 0u64);
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while Instant::now() < deadline {
+            let mut snap = w.begin_snapshot();
+            if let Some(ok) = snap.read_with(t, b"key", uniform) {
+                seen += 1;
+                torn += u64::from(!ok);
+            }
+            snap.scan_with(t, b"", None, None, |_, v| {
+                seen += 1;
+                torn += u64::from(!uniform(v));
+            });
+        }
+        stop.store(true, Ordering::Relaxed);
+        writer.join().unwrap();
+        db.stop_epoch_advancer();
+        (seen, torn)
+    }
+
+    #[test]
+    fn snapshots_off_reads_never_tear() {
+        // With snapshots off a snapshot reads the chain head, which the
+        // writer overwrites in place under the copy.
+        let (seen, torn) = snapshot_reads_under_overwrites(false);
+        assert!(seen > 100, "only {seen} snapshot reads ran");
+        assert_eq!(torn, 0, "{torn} of {seen} snapshot reads tore");
+    }
+
+    #[test]
+    fn snapshots_on_reads_never_tear() {
+        let (seen, torn) = snapshot_reads_under_overwrites(true);
+        assert!(seen > 100, "only {seen} snapshot reads ran");
+        assert_eq!(torn, 0, "{torn} of {seen} snapshot reads tore");
     }
 }

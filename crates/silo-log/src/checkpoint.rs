@@ -46,9 +46,10 @@
 //! # Protocol
 //!
 //! 1. Pick the current global snapshot epoch `ce` and walk every table on
-//!    `writers` threads via [`silo_core::SnapshotTxn::scan_versions_into`] —
-//!    a consistent cut that runs concurrently with commits and never blocks
-//!    them.
+//!    `writers` threads via [`silo_core::SnapshotTxn::scan_versions`] — a
+//!    consistent cut that runs concurrently with commits and never blocks
+//!    them, read through the same validated version read as every other
+//!    snapshot read.
 //! 2. fsync the slices, wait until the durable epoch reaches `ce`, then write
 //!    `MANIFEST` (via a temp file + rename). Waiting first guarantees that
 //!    any crash after the manifest exists recovers a durable horizon `≥ ce`.
@@ -487,7 +488,7 @@ fn walk(shared: &CheckpointerShared, state: &mut RunState) -> std::io::Result<Op
                     }
                     let mut snap = worker.begin_snapshot_at(ce);
                     let mut io_err: Option<std::io::Error> = None;
-                    snap.scan_versions_paced(table, chunk, pacer, |key, tid, value| {
+                    snap.scan_versions(table, chunk, pacer, |key, tid, value| {
                         if io_err.is_some() {
                             return;
                         }

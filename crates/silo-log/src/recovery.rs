@@ -537,7 +537,7 @@ mod tests {
         let mut w = db.register_worker();
         let mut snap = w.begin_snapshot();
         let mut out = Vec::new();
-        snap.scan_versions_into(0, 64, |key, tid, value| {
+        snap.scan_versions(0, 64, None, |key, tid, value| {
             out.push((key.to_vec(), tid, value.to_vec()));
         });
         snap.finish();
