@@ -49,7 +49,8 @@ impl Table {
         &self.tree
     }
 
-    /// Approximate number of keys (including logically absent records).
+    /// Number of keys, logically absent records included, counted by a walk
+    /// of the whole index (O(n); approximate while writers are active).
     pub fn approximate_len(&self) -> usize {
         self.tree.len()
     }

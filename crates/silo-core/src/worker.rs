@@ -343,8 +343,7 @@ impl Worker {
         // SAFETY: the table cache keeps the Arc alive for the worker's
         // lifetime.
         let table = unsafe { &*table_ptr };
-        let (value, _, _) = table.tree().get_tracked(&key);
-        if value != Some(record.0 as u64) {
+        if table.tree().get(&key) != Some(record.0 as u64) {
             // The key no longer maps to this record (or is gone entirely): a
             // later insert superseded it, and that transaction's garbage
             // registration owns the record now. The pointer may dangle —

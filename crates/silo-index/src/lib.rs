@@ -5,8 +5,7 @@
 //! shared memory and coordinate with writers purely through per-node version
 //! numbers and fences; writers use fine-grained per-node locks. This crate
 //! provides that substrate with the exact interface contract Silo's commit
-//! protocol relies on, and — since this PR — with Masstree's cache
-//! craftsmanship:
+//! protocol relies on, together with Masstree's cache craftsmanship:
 //!
 //! * **Inline keyslices.** Keys are compared 8 bytes at a time as big-endian
 //!   `u64`s stored inline in interior and leaf nodes, so descent performs
@@ -27,11 +26,14 @@
 //!   before the parent's version re-check, overlapping memory latency with
 //!   validation.
 //!
-//! The concurrency contract is unchanged from the previous B+-tree:
+//! The concurrency contract:
 //!
 //! * **Optimistic, write-free readers.** [`Tree::get`] and [`Tree::scan`]
 //!   never modify shared memory. They validate per-node versions after
-//!   reading and restart on interference.
+//!   reading and restart on interference. Every point operation — reads,
+//!   value replacement and removal — shares one optimistic descent and one
+//!   leaf probe (`LeafNode::search`); only the lock-crabbing insert and the
+//!   scan engine walk the tree their own way.
 //! * **Version-tracked leaves for phantom protection.** Any change to a
 //!   leaf's key *membership* (insert, remove, split, suffix→layer
 //!   conversion) increments the leaf's version. [`Tree::get_tracked`] and
@@ -58,11 +60,10 @@
 //!   [`Tree::stats`]), so a retrying reader bumps a line it owns instead of
 //!   bouncing a tree-global counter. The invariant is pinned by tests via
 //!   [`silo_epoch::shared_write_audit`].
-//! * **Permutation-ordered interior nodes** (matching the leaves since this
-//!   PR). An interior insert writes one free key/child slot and publishes
-//!   with a single atomic permutation store, so descending readers never
-//!   observe a separator array mid-shift. Leaf slice search is a branchless
-//!   SIMD compare on x86-64 (see `node::LeafNode::find`).
+//! * **Permutation-ordered interior nodes**, like the leaves. An interior
+//!   insert writes one free key/child slot and publishes with a single
+//!   atomic permutation store, so descending readers never observe a
+//!   separator array mid-shift.
 //!
 //! Remaining simplifications vs. Masstree: nodes are never merged or freed
 //! before the tree drops, and empty trie layers are left in place after
@@ -71,7 +72,6 @@
 
 #![warn(missing_docs)]
 
-use std::ops::Bound;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -294,10 +294,6 @@ pub enum InsertOutcome {
     Exists {
         /// The value currently associated with the key.
         value: u64,
-        /// The leaf holding the key.
-        leaf: NodeRef,
-        /// The leaf's version at the time of the lookup.
-        version: u64,
     },
 }
 
@@ -603,7 +599,6 @@ unsafe impl Send for RetiredSuffix {}
 /// structured as a trie of B+-trees over 8-byte keyslices.
 pub struct Tree {
     root: Layer,
-    len: AtomicUsize,
     counters: Counters,
     retired: Mutex<Vec<RetiredSuffix>>,
 }
@@ -716,15 +711,15 @@ impl Tree {
     pub fn new() -> Self {
         Tree {
             root: Layer::new(),
-            len: AtomicUsize::new(0),
             counters: Counters::default(),
             retired: Mutex::new(Vec::new()),
         }
     }
 
-    /// Number of keys currently in the tree (approximate under concurrency).
+    /// Number of keys currently in the tree, counted by the structural walk
+    /// of [`Tree::stats`] (O(n); approximate while writers are active).
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.stats().entries as usize
     }
 
     /// Whether the tree contains no keys.
@@ -769,49 +764,43 @@ impl Tree {
     /// key is detected at commit time (§4.6): the leaf is the one — at
     /// whatever trie layer the descent ended — that such an insert must
     /// modify (adding an entry, or converting a suffix entry into a layer).
-    ///
-    /// This is the one point operation that keeps its own descent loop
-    /// instead of delegating to `Tree::locate` (which `try_replace` and
-    /// `remove` share): reads are the throughput-critical path, and keeping
-    /// the value load inside the retry loop — rather than round-tripping
-    /// through a `Located` — measured faster and lets the loop return as
-    /// soon as a single version validates.
     pub fn get_tracked(&self, key: &[u8]) -> (Option<u64>, NodeRef, u64) {
+        let loc = self.locate(key);
+        (
+            loc.entry.map(|(_, _, value)| value),
+            NodeRef::from_ptr(loc.leaf as *const NodeHeader),
+            loc.version,
+        )
+    }
+
+    /// The one optimistic point descent, shared by reads and writes: walks
+    /// the trie layers to the terminal leaf for `key` and resolves whether
+    /// the key is present, retrying on interference until the outcome has
+    /// been validated under a single leaf version. Writes nothing shared
+    /// (the paper's §3 rule); lock-taking callers upgrade afterwards with
+    /// [`NodeHeader::try_upgrade_lock`], whose success proves the returned
+    /// rank/slot are still exact.
+    fn locate(&self, key: &[u8]) -> Located {
         let mut layer: &Layer = &self.root;
         let mut rem: &[u8] = key;
         'layer: loop {
             let (slice, class) = keyslice(rem);
             'retry: loop {
-                let (leaf, version) = layer.find_leaf(slice, &self.counters);
+                let (leaf_ptr, version) = layer.find_leaf(slice, &self.counters);
                 // SAFETY: leaves are never freed while the tree is alive.
-                let leaf_ref = unsafe { &*leaf };
-                let node_ref = NodeRef::from_ptr(leaf as *const NodeHeader);
-                let perm = leaf_ref.permutation();
-                // The read path keeps the rank-ordered scalar scan: the
-                // vectorized probe (`LeafNode::find`) measured neutral here
-                // — descent memory-level parallelism dominates and the leaf
-                // probe touches only ~2 cache lines — and the scan's early
-                // exit keeps the version re-check's latency shadow short.
-                match leaf_ref.search(perm, slice, class) {
-                    LeafSearch::NotFound { .. } => {
-                        if leaf_ref.header.version_raw() != version {
-                            self.counters.note_retry();
-                            continue 'retry;
-                        }
-                        return (None, node_ref, version);
+                let leaf = unsafe { &*leaf_ptr };
+                let entry = match leaf.search(leaf.permutation(), slice, class) {
+                    LeafSearch::NotFound { .. } => None,
+                    // Inline entries match completely on (slice, klen): no
+                    // pointer is chased for keys of ≤ 8 bytes per layer —
+                    // the paper's single-slice fast path.
+                    LeafSearch::Found { rank, slot } if class <= 8 => {
+                        Some((rank, slot, leaf.value(slot)))
                     }
-                    LeafSearch::Found { slot, .. } if class <= 8 => {
-                        let value = leaf_ref.value(slot);
-                        if leaf_ref.header.version_raw() != version {
-                            self.counters.note_retry();
-                            continue 'retry;
-                        }
-                        return (Some(value), node_ref, version);
-                    }
-                    LeafSearch::Found { slot, .. } => match leaf_ref.klen(slot) {
+                    LeafSearch::Found { rank, slot } => match leaf.klen(slot) {
                         KLEN_LAYER => {
-                            let value = leaf_ref.value(slot);
-                            if leaf_ref.header.version_raw() != version {
+                            let value = leaf.value(slot);
+                            if leaf.header.version_raw() != version {
                                 self.counters.note_retry();
                                 continue 'retry;
                             }
@@ -825,7 +814,7 @@ impl Tree {
                             continue 'layer;
                         }
                         KLEN_SUFFIX => {
-                            let sp = leaf_ref.suffix(slot);
+                            let sp = leaf.suffix(slot);
                             if sp.is_null() {
                                 self.counters.note_retry();
                                 continue 'retry;
@@ -834,114 +823,25 @@ impl Tree {
                             // dereferenceable (immutable buffers, deferred
                             // reclamation).
                             let matches = unsafe { suffix_bytes(sp) } == &rem[8..];
-                            let value = leaf_ref.value(slot);
-                            if leaf_ref.header.version_raw() != version {
-                                self.counters.note_retry();
-                                continue 'retry;
-                            }
-                            return (matches.then_some(value), node_ref, version);
+                            matches.then(|| (rank, slot, leaf.value(slot)))
                         }
                         _ => {
+                            // Torn (slot mid-rewrite): the version check
+                            // cannot pass.
                             self.counters.note_retry();
                             continue 'retry;
                         }
                     },
-                }
-            }
-        }
-    }
-
-    /// The optimistic descent shared by every point operation: walks the
-    /// trie layers to the terminal leaf for `key` and resolves whether the
-    /// key is present, retrying on interference until the outcome has been
-    /// validated under a single leaf version. Writes nothing shared (the
-    /// paper's §3 rule); lock-taking callers upgrade afterwards with
-    /// [`NodeHeader::try_upgrade_lock`], whose success proves the returned
-    /// rank/slot are still exact.
-    fn locate(&self, key: &[u8]) -> Located {
-        let mut layer: &Layer = &self.root;
-        let mut rem: &[u8] = key;
-        'layer: loop {
-            let (slice, class) = keyslice(rem);
-            'retry: loop {
-                let (leaf_ptr, version) = layer.find_leaf(slice, &self.counters);
-                // SAFETY: leaves are never freed while the tree is alive.
-                let leaf = unsafe { &*leaf_ptr };
-                let perm = leaf.permutation();
-                // `Located` hits never need an insertion rank, so this probe
-                // uses the vectorized leaf compare: one SSE2 equality pass
-                // over all slice slots (see `LeafNode::find`) instead of the
-                // rank-ordered chain of permutation-indexed loads.
-                let Some((rank, slot)) = leaf.find(perm, slice, class) else {
-                    if leaf.header.version_raw() != version {
-                        self.counters.note_retry();
-                        continue 'retry;
-                    }
-                    return Located {
-                        leaf: leaf_ptr,
-                        version,
-                        entry: None,
-                    };
                 };
-                if class <= 8 {
-                    // Inline entries match completely on (slice, klen): no
-                    // pointer is chased for keys of ≤ 8 bytes per layer —
-                    // the paper's single-slice fast path.
-                    let value = leaf.value(slot);
-                    if leaf.header.version_raw() != version {
-                        self.counters.note_retry();
-                        continue 'retry;
-                    }
-                    return Located {
-                        leaf: leaf_ptr,
-                        version,
-                        entry: Some((rank, slot, value)),
-                    };
+                if leaf.header.version_raw() != version {
+                    self.counters.note_retry();
+                    continue 'retry;
                 }
-                match leaf.klen(slot) {
-                    KLEN_LAYER => {
-                        let value = leaf.value(slot);
-                        if leaf.header.version_raw() != version {
-                            self.counters.note_retry();
-                            continue 'retry;
-                        }
-                        // SAFETY: the version check validated the
-                        // (klen, value) pair, and layers are never freed
-                        // while the tree is alive.
-                        let next = unsafe { &*(value as *const Layer) };
-                        prefetch(next.root.load(Ordering::Acquire));
-                        layer = next;
-                        rem = &rem[8..];
-                        continue 'layer;
-                    }
-                    KLEN_SUFFIX => {
-                        let sp = leaf.suffix(slot);
-                        if sp.is_null() {
-                            self.counters.note_retry();
-                            continue 'retry;
-                        }
-                        // SAFETY: non-null suffix pointers in a node are
-                        // dereferenceable (immutable buffers, deferred
-                        // reclamation).
-                        let matches = unsafe { suffix_bytes(sp) } == &rem[8..];
-                        let value = leaf.value(slot);
-                        if leaf.header.version_raw() != version {
-                            self.counters.note_retry();
-                            continue 'retry;
-                        }
-                        return Located {
-                            leaf: leaf_ptr,
-                            version,
-                            entry: matches.then_some((rank, slot, value)),
-                        };
-                    }
-                    _ => {
-                        // Torn (slot mid-rewrite): the version check cannot
-                        // pass.
-                        self.counters.note_retry();
-                        continue 'retry;
-                    }
-                }
+                return Located {
+                    leaf: leaf_ptr,
+                    version,
+                    entry,
+                };
             }
         }
     }
@@ -1249,36 +1149,6 @@ impl Tree {
         }
     }
 
-    /// Scans an arbitrary range expressed with `Bound`s; convenience wrapper
-    /// over [`Tree::scan`] (exclusive upper bounds only, matching what
-    /// Silo's range queries need).
-    pub fn scan_range(
-        &self,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-        limit: Option<usize>,
-    ) -> ScanResult {
-        let start_key: Vec<u8> = match start {
-            Bound::Unbounded => Vec::new(),
-            Bound::Included(k) => k.to_vec(),
-            Bound::Excluded(k) => {
-                // Smallest key strictly greater than k: append a zero byte.
-                let mut v = k.to_vec();
-                v.push(0);
-                v
-            }
-        };
-        match end {
-            Bound::Unbounded => self.scan(&start_key, None, limit),
-            Bound::Included(k) => {
-                let mut v = k.to_vec();
-                v.push(0);
-                self.scan(&start_key, Some(&v), limit)
-            }
-            Bound::Excluded(k) => self.scan(&start_key, Some(k), limit),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Write path (lock crabbing)
     // ------------------------------------------------------------------
@@ -1353,14 +1223,9 @@ impl Tree {
 
                 match leaf_ref.search(perm, slice, class) {
                     LeafSearch::Found { slot, .. } if class <= 8 => {
-                        let existing = leaf_ref.value(slot);
-                        let version = chain.last().expect("chain contains the leaf").1;
+                        let value = leaf_ref.value(slot);
                         unlock_chain(&chain);
-                        return InsertOutcome::Exists {
-                            value: existing,
-                            leaf: NodeRef::from_ptr(node),
-                            version,
-                        };
+                        return InsertOutcome::Exists { value };
                     }
                     LeafSearch::Found { slot, .. } => {
                         // The slice's suffix/layer bucket is occupied.
@@ -1379,15 +1244,9 @@ impl Tree {
                                 // SAFETY: read under the leaf lock.
                                 let sfx = unsafe { suffix_bytes(sp) };
                                 if sfx == &rem[8..] {
-                                    let existing = leaf_ref.value(slot);
-                                    let version =
-                                        chain.last().expect("chain contains the leaf").1;
+                                    let value = leaf_ref.value(slot);
                                     unlock_chain(&chain);
-                                    return InsertOutcome::Exists {
-                                        value: existing,
-                                        leaf: NodeRef::from_ptr(node),
-                                        version,
-                                    };
+                                    return InsertOutcome::Exists { value };
                                 }
                                 // Two distinct keys share the slice: convert
                                 // the suffix entry into a trie layer holding
@@ -1447,7 +1306,6 @@ impl Tree {
                                     });
                                 }
                                 shared_write_audit::note();
-                                self.len.fetch_add(1, Ordering::Relaxed);
                                 return InsertOutcome::Inserted {
                                     node_changes: changes,
                                 };
@@ -1484,7 +1342,6 @@ impl Tree {
                                 unsafe { (*anc).unlock() };
                             }
                             shared_write_audit::note();
-                            self.len.fetch_add(1, Ordering::Relaxed);
                             return InsertOutcome::Inserted {
                                 node_changes: changes,
                             };
@@ -1501,7 +1358,6 @@ impl Tree {
                             &mut changes,
                         );
                         shared_write_audit::note();
-                        self.len.fetch_add(1, Ordering::Relaxed);
                         return InsertOutcome::Inserted {
                             node_changes: changes,
                         };
@@ -1730,7 +1586,6 @@ impl Tree {
             let (_, suffix, value) = leaf.remove_entry(perm, rank);
             leaf.header.unlock_with_increment();
             shared_write_audit::note();
-            self.len.fetch_sub(1, Ordering::Relaxed);
             return Some(RemovedEntry { value, suffix });
         }
     }
@@ -1936,7 +1791,7 @@ impl Drop for Tree {
 
 impl std::fmt::Debug for Tree {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tree").field("len", &self.len()).finish()
+        f.debug_struct("Tree").finish_non_exhaustive()
     }
 }
 

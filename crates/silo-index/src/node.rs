@@ -58,10 +58,9 @@
 //! shifting up to 15 keys and 16 children while readers spin on the locked
 //! version — the writer-side version-bump window shrinks to two stores.
 //!
-//! Leaf point lookups go through [`LeafNode::find`], which compares the
-//! probe slice against all 15 slice slots with one vector compare (SSE2 on
-//! x86-64, a branch-free autovectorizable loop elsewhere) instead of walking
-//! the permutation through a chain of dependent loads.
+//! Every leaf probe — optimistic point lookups, lock-holding inserts and
+//! splits alike — is [`LeafNode::search`]: a walk of the permutation in key
+//! order that stops at the first slot at or past the probe.
 
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, Ordering};
 
@@ -322,37 +321,6 @@ impl Permutation {
     pub fn identity(count: usize) -> Permutation {
         debug_assert!(count <= LEAF_WIDTH);
         Permutation((Permutation::empty().0 & !0xF) | count as u64)
-    }
-
-    /// Bitmask of the active slots: bit `s` is set iff slot `s` appears in
-    /// the first [`Permutation::count`] positions. Pure register arithmetic
-    /// (no memory loads), used to filter vector-compare results.
-    #[inline(always)]
-    pub fn active_mask(self) -> u32 {
-        let mut m = 0u32;
-        let mut word = self.0 >> 4;
-        for _ in 0..self.count() {
-            m |= 1 << (word & 0xF);
-            word >>= 4;
-        }
-        m
-    }
-
-    /// The rank of `slot` in the active order, or `None` if it is free.
-    ///
-    /// Branchless: XORs a nibble-broadcast of `slot` against the slot word
-    /// so the sought nibble becomes `0`, then finds the lowest zero nibble
-    /// with the classic `(x - 1s) & !x & 8s` trick — no serial
-    /// shift-and-compare walk. Each slot appears at most once in a valid
-    /// permutation, so the lowest match is the only match.
-    #[inline(always)]
-    pub fn rank_of(self, slot: usize) -> Option<usize> {
-        const LOW: u64 = 0x0111_1111_1111_1111; // 15 nibbles of 0x1
-        const HIGH: u64 = LOW << 3; // 15 nibbles of 0x8
-        let x = (self.0 >> 4) ^ (slot as u64 * LOW);
-        let zero = x.wrapping_sub(LOW) & !x & HIGH;
-        let rank = (zero.trailing_zeros() / 4) as usize;
-        (rank < self.count()).then_some(rank)
     }
 }
 
@@ -899,89 +867,6 @@ impl LeafNode {
         LeafSearch::NotFound { rank: n }
     }
 
-    /// Equality bitmask of `slice` against all [`LEAF_WIDTH`] slice slots
-    /// (bit `s` set iff `slices[s] == slice`), active or not.
-    ///
-    /// On x86-64 this is four SSE2 compares over unaligned 128-bit loads; a
-    /// raw vector load of slots concurrently being rewritten may tear, which
-    /// can only produce a false bit (either polarity) that the caller's
-    /// version re-check discards — the same benign-race argument the whole
-    /// optimistic read path rests on. Visibility of a slot published by a
-    /// permutation store is ordered by the caller's acquire load of the
-    /// permutation word, not by these loads. Other architectures use a
-    /// branch-free loop over relaxed atomic loads that LLVM can vectorize.
-    #[inline]
-    fn slice_eq_mask(&self, slice: u64) -> u32 {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: all loads are in bounds of `self.slices`; racy reads
-            // are validated by the version protocol (see above).
-            unsafe {
-                use core::arch::x86_64::{
-                    _mm_and_si128, _mm_castsi128_pd, _mm_cmpeq_epi32, _mm_loadu_si128,
-                    _mm_movemask_pd, _mm_set1_epi64x, _mm_shuffle_epi32,
-                };
-                let key = _mm_set1_epi64x(slice as i64);
-                let base = self.slices.as_ptr();
-                let mut mask = 0u32;
-                let mut i = 0;
-                while i + 2 <= LEAF_WIDTH {
-                    let v = _mm_loadu_si128(base.add(i) as *const _);
-                    // SSE2 has no 64-bit compare: AND the 32-bit equality
-                    // lanes with their swapped pair, then take the per-64-bit
-                    // sign bits.
-                    let eq32 = _mm_cmpeq_epi32(v, key);
-                    let eq64 = _mm_and_si128(eq32, _mm_shuffle_epi32(eq32, 0b1011_0001));
-                    mask |= (_mm_movemask_pd(_mm_castsi128_pd(eq64)) as u32) << i;
-                    i += 2;
-                }
-                let last = self.slices[LEAF_WIDTH - 1].load(Ordering::Relaxed);
-                mask |= ((last == slice) as u32) << (LEAF_WIDTH - 1);
-                mask
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let mut mask = 0u32;
-            for (s, cell) in self.slices.iter().enumerate() {
-                mask |= ((cell.load(Ordering::Relaxed) == slice) as u32) << s;
-            }
-            mask
-        }
-    }
-
-    /// Point lookup on the read path: the `(rank, slot)` of the active entry
-    /// matching `(slice, class)`, or `None` if no such entry is active.
-    ///
-    /// Semantically [`LeafNode::search`] restricted to what lookups need (no
-    /// insertion rank on a miss), but instead of walking the permutation
-    /// through a chain of dependent loads it vector-compares the probe
-    /// against every slice slot at once and filters the candidates by the
-    /// permutation's active mask. At most one active entry can match a
-    /// `(slice, class)` pair; a torn read can surface a spurious candidate,
-    /// which the caller's version re-check discards like any other torn
-    /// state. Optimistic callers must validate the leaf version before
-    /// trusting the result.
-    #[inline]
-    pub fn find(&self, perm: Permutation, slice: u64, class: u8) -> Option<(usize, usize)> {
-        let mut m = self.slice_eq_mask(slice);
-        while m != 0 {
-            let slot = m.trailing_zeros() as usize;
-            m &= m - 1;
-            // `rank_of` returns `None` for slots outside the permutation's
-            // active prefix, so stale (freed or mid-insert) slots that
-            // happen to hold a matching slice are filtered here — no
-            // separate active-mask pass over all 15 nibbles is needed for
-            // the common single-candidate case.
-            if klen_class(self.klens[slot].load(Ordering::Acquire)) == class {
-                if let Some(rank) = perm.rank_of(slot) {
-                    return Some((rank, slot));
-                }
-            }
-        }
-        None
-    }
-
     /// Writes a full entry into `slot` and publishes the permutation placing
     /// it at `rank`. Caller must hold the leaf lock and pass the current
     /// permutation; the leaf must not be full. Returns the new permutation.
@@ -1488,35 +1373,12 @@ mod tests {
     }
 
     #[test]
-    fn permutation_active_mask_and_rank_of() {
-        let mut perm = Permutation::empty();
-        assert_eq!(perm.active_mask(), 0);
-        let mut active = Vec::new();
-        for rank in 0..LEAF_WIDTH {
-            let (p, slot) = perm.insert_at(rank / 2);
-            perm = p;
-            active.push(slot);
-            let mask = perm.active_mask();
-            assert_eq!(mask.count_ones() as usize, rank + 1);
-            for s in 0..LEAF_WIDTH {
-                assert_eq!(mask & (1 << s) != 0, active.contains(&s), "slot {s}");
-                match perm.rank_of(s) {
-                    Some(r) => assert_eq!(perm.slot(r), s),
-                    None => assert!(!active.contains(&s)),
-                }
-            }
-        }
-        let (p, freed) = perm.remove_at(3);
-        assert_eq!(p.active_mask() & (1 << freed), 0);
-        assert_eq!(p.rank_of(freed), None);
-    }
-
-    #[test]
-    fn leaf_find_matches_search() {
+    fn leaf_search_finds_keys_by_slice_and_class() {
         let leaf_ptr = LeafNode::allocate();
         // SAFETY: single-threaded exclusive access in this test.
         let leaf = unsafe { &*leaf_ptr };
-        // A mix of short, exact-slice and long keys, including shared slices.
+        // A mix of short, exact-slice and long keys, including shared slices,
+        // listed in key order.
         let keys: Vec<Vec<u8>> = vec![
             b"a".to_vec(),
             b"a\x00\x00".to_vec(),
@@ -1540,37 +1402,52 @@ mod tests {
             leaf.insert_entry(perm, rank, slice, class, suffix, i as u64);
         }
         let perm = leaf.permutation();
-        // Probe every inserted key plus misses sharing slices with hits.
-        let mut probes: Vec<(u64, u8)> = keys.iter().map(|k| keyslice(k)).collect();
-        probes.push(keyslice(b"ab"));
-        probes.push(keyslice(b"a\x00"));
-        probes.push(keyslice(b"nope-missing"));
-        probes.push((keyslice(b"a").0, 4));
-        for &(slice, class) in &probes {
-            let expected = match leaf.search(perm, slice, class) {
-                LeafSearch::Found { rank, slot } => Some((rank, slot)),
-                LeafSearch::NotFound { .. } => None,
-            };
-            assert_eq!(
-                leaf.find(perm, slice, class),
-                expected,
-                "find/search disagree on ({slice:#x}, {class})"
-            );
+        // Every inserted key is found at its key-order rank, in the slot
+        // holding its value.
+        for (i, k) in keys.iter().enumerate() {
+            let (slice, class) = keyslice(k);
+            match leaf.search(perm, slice, class) {
+                LeafSearch::Found { rank, slot } => {
+                    assert_eq!(rank, i, "rank of {k:?}");
+                    assert_eq!(perm.slot(rank), slot);
+                    assert_eq!(leaf.value(slot), i as u64);
+                }
+                LeafSearch::NotFound { .. } => panic!("{k:?} not found"),
+            }
         }
-        // Removal deactivates the slot for find as well.
+        // Misses sharing a slice with a hit (differing only in the klen
+        // class) and plain misses report their insertion rank.
+        let misses: [((u64, u8), usize); 4] = [
+            (keyslice(b"ab"), 2),
+            (keyslice(b"a\x00"), 1),
+            (keyslice(b"nope-missing"), 5),
+            ((keyslice(b"a").0, 4), 2),
+        ];
+        for ((slice, class), want) in misses {
+            match leaf.search(perm, slice, class) {
+                LeafSearch::NotFound { rank } => {
+                    assert_eq!(rank, want, "miss ({slice:#x}, {class})")
+                }
+                LeafSearch::Found { .. } => panic!("({slice:#x}, {class}) is absent"),
+            }
+        }
+        // Removal deactivates the slot, although the freed slot still holds
+        // the slice: the permutation alone decides what search sees.
         let (slice, class) = keyslice(b"m");
-        let (rank, slot) = leaf.find(perm, slice, class).expect("m present");
+        let LeafSearch::Found { rank, slot } = leaf.search(perm, slice, class) else {
+            panic!("m present");
+        };
         let (_, _, value) = leaf.remove_entry(perm, rank);
         assert_eq!(value, 4);
-        let perm = leaf.permutation();
-        assert_eq!(leaf.find(perm, slice, class), None);
-        // The stale slot still holds the slice: prove the active mask is what
-        // filtered it out.
-        assert_ne!(leaf.slice_eq_mask(slice) & (1 << slot), 0);
+        assert_eq!(leaf.slice(slot), slice, "the stale slot keeps its slice");
+        assert_eq!(
+            leaf.search(leaf.permutation(), slice, class),
+            LeafSearch::NotFound { rank: 4 }
+        );
         // SAFETY: exclusive access; free the one suffix, then the leaf.
         unsafe {
             let (s, c) = keyslice(b"abcdefghZZ");
-            if let Some((_, slot)) = leaf.find(leaf.permutation(), s, c) {
+            if let LeafSearch::Found { slot, .. } = leaf.search(leaf.permutation(), s, c) {
                 KeyBuf::free(leaf.suffix(slot));
             }
             drop(Box::from_raw(leaf_ptr));

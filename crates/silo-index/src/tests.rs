@@ -267,23 +267,6 @@ fn scan_with_reuses_its_scratch_across_scans() {
 }
 
 #[test]
-fn scan_range_bounds() {
-    let t = Tree::new();
-    for i in 0..100u64 {
-        t.insert_if_absent(&key(i), i);
-    }
-    use std::ops::Bound::*;
-    let r = t.scan_range(Included(&key(10)[..]), Excluded(&key(20)[..]), None);
-    assert_eq!(r.entries.len(), 10);
-    let r = t.scan_range(Excluded(&key(10)[..]), Included(&key(20)[..]), None);
-    assert_eq!(r.entries.len(), 10);
-    assert_eq!(r.entries.first().unwrap().0, key(11));
-    assert_eq!(r.entries.last().unwrap().0, key(20));
-    let r = t.scan_range(Unbounded, Excluded(&key(5)[..]), None);
-    assert_eq!(r.entries.len(), 5);
-}
-
-#[test]
 fn scan_detects_membership_changes_via_node_versions() {
     let t = Tree::new();
     for i in 0..100u64 {
