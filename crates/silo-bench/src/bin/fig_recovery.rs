@@ -200,7 +200,6 @@ fn recover_and_verify(dir: &Path, min_epoch: u64, total_log_bytes: Option<u64>) 
         dir,
         &RecoveryOptions {
             replay_threads: recovery_threads(),
-            ..Default::default()
         },
     )
     .expect("recovery failed");

@@ -168,9 +168,6 @@ pub trait CommitHook: Send + Sync {
     /// borrowed keys and values are only valid for the duration of the call.
     fn on_commit(&self, worker_id: usize, tid: Tid, writes: CommitWrites<'_>);
 
-    /// Called when a worker finishes (used to flush partial buffers).
-    fn on_worker_finish(&self, _worker_id: usize) {}
-
     /// The hook's current durability health, for backpressure. Hooks that
     /// cannot fail (or do not track failure) report
     /// [`DurabilityHealth::Healthy`].

@@ -402,12 +402,6 @@ impl Worker {
 
 impl Drop for Worker {
     fn drop(&mut self) {
-        // Tell the durability subsystem (if any) that this worker will not
-        // commit again, so it can flush the worker's partial log buffer and
-        // stop letting it hold back the durable epoch.
-        if let Some(hook) = self.db.commit_hook() {
-            hook.on_worker_finish(self.id);
-        }
         // Do not free pending garbage here: superseded versions are still
         // reachable through the live records' previous-version chains and
         // absent records are still referenced by the index, so the Database's

@@ -20,9 +20,19 @@ fn manual_db(epoch_interval: Duration) -> (Arc<Database>, Arc<SiloLogger>, Table
 }
 
 fn put(w: &mut Worker, t: TableId, key: &[u8]) -> Tid {
+    put_value(w, t, key, b"value")
+}
+
+fn put_value(w: &mut Worker, t: TableId, key: &[u8], value: &[u8]) -> Tid {
     let mut txn = w.begin();
-    txn.write(t, key, b"value").unwrap();
+    txn.write(t, key, value).unwrap();
     txn.commit().unwrap()
+}
+
+/// Commits one write of `buffer_capacity` bytes: it fills the worker's log
+/// buffer, so the commit publishes on the watermark and starts a round.
+fn put_full(logger: &SiloLogger, w: &mut Worker, t: TableId, key: &[u8]) -> Tid {
+    put_value(w, t, key, &vec![b'v'; logger.config().buffer_capacity])
 }
 
 /// Blocks until the logger has written a round beyond the `before` count: a
@@ -45,13 +55,14 @@ fn blocks(logger: &SiloLogger) -> Vec<Block> {
 fn an_uncommitted_first_transaction_holds_its_epoch_back() {
     let (db, logger, t) = manual_db(Duration::from_millis(1));
     db.epochs().advance_n(3);
-    // Worker A commits and finishes: no buffer of its own is left to bound D.
-    // (It creates the keys the others overwrite, so that their transactions
-    // cannot invalidate each other's node sets.)
+    // Worker A commits and finishes: its second commit publishes, so no
+    // buffer of its own is left to bound D. (It creates the keys the others
+    // overwrite, so that their transactions cannot invalidate each other's
+    // node sets.)
     let rounds = logger.stats().sync_calls;
     let mut a = db.register_worker();
     put(&mut a, t, b"b");
-    put(&mut a, t, b"c");
+    put_full(&logger, &mut a, t, b"c");
     drop(a);
     await_round(&logger, rounds);
     // Worker B is inside a transaction in epoch `e` and has never committed:
@@ -65,7 +76,7 @@ fn an_uncommitted_first_transaction_holds_its_epoch_back() {
     // Force a round that sees all of this: a third worker publishes.
     let rounds = logger.stats().sync_calls;
     let mut c = db.register_worker();
-    put(&mut c, t, b"c");
+    put_full(&logger, &mut c, t, b"c");
     drop(c);
     await_round(&logger, rounds);
     assert!(
@@ -136,12 +147,10 @@ fn a_pinned_worker_holds_the_durable_epoch_below_its_own() {
 
     // Whatever the other worker commits and publishes, however many rounds
     // run, D stays below x.
-    use silo_core::CommitHook;
     for i in 0..4u8 {
         let rounds = logger.stats().sync_calls;
-        put(&mut busy, t, &[i]);
+        put_full(&logger, &mut busy, t, &[i]);
         busy.quiesce();
-        logger.on_worker_finish(busy.id());
         await_round(&logger, rounds);
         assert!(logger.durable_epoch() < x, "D = {}", logger.durable_epoch());
     }

@@ -78,6 +78,9 @@ const MANIFEST_HEADER: &str = "silo-checkpoint v3";
 const CHECKPOINT_DIR: &str = "checkpoints";
 /// Target payload size of one sealed envelope (closed at record boundaries).
 const SLICE_FRAME: usize = 64 * 1024;
+/// How long a checkpoint waits for its epoch to become durable before it is
+/// abandoned.
+const DURABLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// An `io::Error` carrying an injected checkpoint crash, so `run_once` can
 /// abort *without cleanup* — simulating `kill -9` at a protocol-critical
@@ -98,9 +101,6 @@ pub struct CheckpointConfig {
     /// Index keys scanned per chunk while walking a table (bounds memory and
     /// the epoch-pin granularity of the walk).
     pub chunk: usize,
-    /// How long to wait for the checkpoint epoch to become durable before
-    /// abandoning the checkpoint.
-    pub durable_timeout: Duration,
     /// Rate limit for the table walk, in serialized bytes per second summed
     /// across all writer threads (0 = unthrottled). On machines where the
     /// walk competes with workers for CPU, pacing keeps the checkpoint from
@@ -121,7 +121,6 @@ impl CheckpointConfig {
             interval: Duration::from_secs(10),
             writers: 2,
             chunk: 1024,
-            durable_timeout: Duration::from_secs(30),
             max_walk_bytes_per_sec: 0,
             fault: None,
         }
@@ -558,7 +557,7 @@ fn publish(
     // it once the log guarantees that claim survives a crash.
     if !shared
         .logger
-        .wait_for_durable(ce, shared.config.durable_timeout)
+        .wait_for_durable(ce, DURABLE_TIMEOUT)
         .is_durable()
     {
         let _ = std::fs::remove_dir_all(&dir);

@@ -445,10 +445,6 @@ impl LogSink for FaultSink {
         }
     }
 
-    fn bytes_written(&self) -> u64 {
-        self.inner.bytes_written()
-    }
-
     fn observe_epoch(&mut self, epoch: u64) {
         self.inner.observe_epoch(epoch);
     }

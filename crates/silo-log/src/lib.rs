@@ -13,13 +13,13 @@
 //! * a small number of **logger threads**, each responsible for a disjoint
 //!   subset of the workers, coalesce the published buffers into a single
 //!   append + sync per group-commit round, compute a local durable epoch
-//!   `d_l`, persist it, and publish it. Only two things hold `d_l` back: a
-//!   buffer a worker has not published yet, and a worker still inside an
-//!   older epoch — so `d_l = min(E, min e_w, epoch of every unpublished
-//!   buffer) − 1` (see `logger_loop`). Loggers are event-driven: a round
-//!   starts when a worker publishes a buffer or when the global epoch
-//!   advances (an [`AdvanceListener`]), so a commit is durable one epoch
-//!   boundary and one sync after it happened;
+//!   `d_l`, persist it, and publish it. Each round reads the floor
+//!   `min(E, min e_w)`, steals every buffer below `floor` into the round,
+//!   and sets `d_l = floor − 1` (see `logger_loop`); the steal is also how
+//!   the partial buffer of an idle or dropped worker reaches the log.
+//!   Loggers are event-driven: a round starts when a worker publishes a
+//!   buffer or when the global epoch advances (an [`AdvanceListener`]), so a
+//!   commit is durable one epoch boundary and one sync after it happened;
 //! * the global **durable epoch** `D = min d_l`. Transactions with epochs
 //!   `≤ D` are durable, and results are released to clients only then —
 //!   epoch-granularity group commit. Advancement is signalled through a
@@ -204,18 +204,6 @@ impl LogConfig {
         }
     }
 
-    /// Sets where log bytes go.
-    pub fn with_destination(mut self, destination: LogDestination) -> Self {
-        self.destination = destination;
-        self
-    }
-
-    /// Sets the number of logger threads.
-    pub fn with_num_loggers(mut self, num_loggers: usize) -> Self {
-        self.num_loggers = num_loggers.max(1);
-        self
-    }
-
     /// Sets the record contents ([`LogMode`]).
     pub fn with_mode(mut self, mode: LogMode) -> Self {
         self.mode = mode;
@@ -303,11 +291,10 @@ impl DurableWait {
 /// created.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LoggerStats {
-    /// Buffers handed from workers to logger threads (including steals and
-    /// finish-flushes).
+    /// Buffers handed from workers to logger threads (including steals).
     pub buffers_published: u64,
-    /// Buffers a logger pulled out of an idle worker whose partial buffer was
-    /// holding the durable epoch back.
+    /// Buffers a logger pulled out of an idle or dropped worker whose partial
+    /// buffer was holding the durable epoch back.
     pub steal_publishes: u64,
     /// Publishes that drew their replacement buffer from the recycled pool.
     pub pool_hits: u64,
@@ -467,6 +454,11 @@ impl BufferPool {
 struct Inbox {
     queue: StdMutex<Vec<(u64, Vec<u8>)>>,
     cv: Condvar,
+    /// Set under the queue lock once the logger takes no more buffers: it
+    /// stopped or failed. A publish checks it under the same lock, so nothing
+    /// is queued after the logger's last drain. Durable waiters read it
+    /// without the lock; they need no data it guards.
+    closed: AtomicBool,
 }
 
 impl Inbox {
@@ -474,7 +466,15 @@ impl Inbox {
         Inbox {
             queue: StdMutex::new(Vec::with_capacity(depth_hint)),
             cv: Condvar::new(),
+            closed: AtomicBool::new(false),
         }
+    }
+
+    /// Refuses every later publish and hands back what is still queued.
+    fn close(&self) -> Vec<(u64, Vec<u8>)> {
+        let mut queue = lock(&self.queue);
+        self.closed.store(true, Ordering::Release);
+        std::mem::take(&mut *queue)
     }
 }
 
@@ -521,40 +521,44 @@ struct LoggerShared {
     /// redundant segments when it moves.
     truncate_epoch: AtomicU64,
     stop: AtomicBool,
-    /// Set once the logger threads have been joined: from then on nothing
-    /// will ever drain the mailboxes, so publishes drop their records
-    /// instead of growing a dead queue.
-    detached: AtomicBool,
 }
 
 impl LoggerShared {
-    /// Flushes a worker's buffer to its logger: the full buffer is swapped
-    /// for a recycled one and pushed into the logger's mailbox (tagged with
-    /// `epoch`, the single epoch of every record it holds), waking it.
+    /// Flushes a worker's buffer to its logger: the full buffer is pushed
+    /// into the logger's mailbox (tagged with `epoch`, the single epoch of
+    /// every record it holds), waking it, and replaced by a recycled one. If
+    /// the mailbox is closed the records are dropped instead: they were not
+    /// durable, and nothing will drain it again.
     fn publish(&self, worker_id: usize, buffer: &mut Vec<u8>, epoch: u64) {
         if buffer.is_empty() {
             return;
         }
-        if self.detached.load(Ordering::Acquire) {
-            // The logger threads are gone; these records can never become
-            // durable. Drop them (they were not durable anyway) rather than
-            // leaking them into a mailbox nothing drains. `stop` alone is
-            // not enough here: during the stopping round the loggers still
-            // steal-publish and final-drain, and a buffer their durable
-            // bound accounts for must reach the sink.
-            buffer.clear();
-            return;
+        let inbox = &self.inboxes[worker_id % self.inboxes.len()];
+        let bytes = buffer.len() as u64;
+        {
+            let mut queue = lock(&inbox.queue);
+            if inbox.closed.load(Ordering::Relaxed) {
+                buffer.clear();
+                return;
+            }
+            queue.push((epoch, std::mem::take(buffer)));
         }
-        let bytes = std::mem::replace(buffer, self.pool.take(&self.counters));
+        inbox.cv.notify_one();
+        *buffer = self.pool.take(&self.counters);
         self.counters
             .bytes_published
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+            .fetch_add(bytes, Ordering::Relaxed);
         self.counters
             .buffers_published
             .fetch_add(1, Ordering::Relaxed);
-        let inbox = &self.inboxes[worker_id % self.inboxes.len()];
-        lock(&inbox.queue).push((epoch, bytes));
-        inbox.cv.notify_one();
+    }
+
+    /// Whether some logger takes no more buffers, so `D` can no longer reach
+    /// an epoch it has not reached yet.
+    fn any_closed(&self) -> bool {
+        self.inboxes
+            .iter()
+            .any(|inbox| inbox.closed.load(Ordering::Acquire))
     }
 
     /// The global durable epoch `D = min d_l` from the per-logger atomics.
@@ -670,7 +674,6 @@ impl SiloLogger {
             durable_listeners: Mutex::new(Vec::new()),
             truncate_epoch: AtomicU64::new(0),
             stop: AtomicBool::new(false),
-            detached: AtomicBool::new(false),
         });
         let listener: Arc<dyn AdvanceListener> = Arc::clone(&shared) as _;
         epochs.add_advance_listener(Arc::downgrade(&listener));
@@ -744,7 +747,7 @@ impl SiloLogger {
     /// Waiters park on a condvar that the logger threads signal whenever the
     /// global durable epoch advances, so this costs no CPU while parked. If
     /// the epoch can never become durable — a logger failed permanently (its
-    /// local durable epoch is frozen), or [`SiloLogger::shutdown`] detached
+    /// local durable epoch is frozen), or [`SiloLogger::shutdown`] stopped
     /// the logger threads — waiters are woken and get [`DurableWait::Failed`]
     /// instead of blocking until the timeout.
     ///
@@ -760,7 +763,7 @@ impl SiloLogger {
     /// Blocks until the durable epoch reaches `epoch`, with no timeout — the
     /// group-commit wait. Returns [`DurableWait::Durable`] once `D ≥ epoch`,
     /// or [`DurableWait::Failed`] if that can never happen: a logger thread
-    /// failed permanently, or [`SiloLogger::shutdown`] detached the logger
+    /// failed permanently, or [`SiloLogger::shutdown`] stopped the logger
     /// threads before the epoch was reached.
     ///
     /// This is the right call for batch acknowledgement (a network server
@@ -778,8 +781,9 @@ impl SiloLogger {
         self.wait_until_durable(epoch, None)
     }
 
-    /// The one durable wait: parks until `D ≥ epoch`, durability can no
-    /// longer advance, or `deadline` (if any) passes.
+    /// The one durable wait: parks until `D ≥ epoch`, a logger closed its
+    /// mailbox (it failed or stopped, so `D` is final), or `deadline` (if
+    /// any) passes.
     fn wait_until_durable(&self, epoch: u64, deadline: Option<std::time::Instant>) -> DurableWait {
         // Fast path: the published durable epoch already covers the request;
         // skip the mutex entirely (this is the common case for every
@@ -789,9 +793,7 @@ impl SiloLogger {
         }
         let mut durable = lock(&self.shared.durable);
         while *durable < epoch {
-            if self.shared.counters.logger_failures.load(Ordering::Acquire) > 0
-                || self.shared.detached.load(Ordering::Acquire)
-            {
+            if self.shared.any_closed() {
                 return DurableWait::Failed;
             }
             durable = match deadline {
@@ -901,7 +903,9 @@ impl SiloLogger {
     }
 
     /// Stops the logger threads after they drain already-published buffers.
-    /// Worker buffers not yet published are lost (they were not durable).
+    /// Each closes its mailbox on the way out, so later publishes drop their
+    /// records. Worker buffers not yet published are lost (they were not
+    /// durable).
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::Release);
         self.shared.wake_loggers();
@@ -909,9 +913,6 @@ impl SiloLogger {
         for h in handles.drain(..) {
             let _ = h.join();
         }
-        // From here on nothing drains the mailboxes: later publishes drop
-        // their records instead of queueing them.
-        self.shared.detached.store(true, Ordering::Release);
         // Unblock every waiter — its epoch became durable during the final
         // rounds, or never will.
         self.shared.notify_durable(lock(&self.shared.durable));
@@ -963,17 +964,6 @@ impl CommitHook for SiloLogger {
             if buffer.is_empty() { 0 } else { tid.epoch() },
             Ordering::Release,
         );
-    }
-
-    fn on_worker_finish(&self, worker_id: usize) {
-        if worker_id >= MAX_WORKERS {
-            return;
-        }
-        let state = &self.shared.workers[worker_id];
-        let mut buffer = state.buffer.lock();
-        let pending = state.pending_epoch.load(Ordering::Relaxed);
-        self.shared.publish(worker_id, &mut buffer, pending);
-        state.pending_epoch.store(0, Ordering::Release);
     }
 
     fn durability_health(&self) -> DurabilityHealth {
@@ -1084,10 +1074,11 @@ fn write_sealed_round(
 
 /// Body of each logger thread: runs the group-commit loop and, should the
 /// sink fail permanently, degrades instead of aborting the process — the
-/// failure is counted (so [`SiloLogger::wait_for_durable`] reports
-/// [`DurableWait::Failed`] and health reports [`DurabilityHealth::Failed`]),
-/// waiters are woken, and the thread keeps draining its mailbox so workers
-/// never block or leak on a dead logger.
+/// logger closes its mailbox and recycles what was queued (its durable epoch
+/// is frozen, so those records can never become durable; later publishes
+/// drop theirs and workers run on at full speed), counts the failure (health
+/// reports [`DurabilityHealth::Failed`]) and wakes the waiters, which get
+/// [`DurableWait::Failed`].
 fn logger_thread(
     logger_index: usize,
     shared: Arc<LoggerShared>,
@@ -1098,38 +1089,15 @@ fn logger_thread(
         return;
     };
     eprintln!("silo-logger-{logger_index}: durability failed, degrading: {e}");
+    let queued = shared.inboxes[logger_index].close();
+    queued
+        .into_iter()
+        .for_each(|(_, bytes)| shared.pool.put(bytes));
     shared
         .counters
         .logger_failures
         .fetch_add(1, Ordering::Release);
     shared.notify_durable(lock(&shared.durable));
-    // Degraded mode: drain and recycle published buffers until shutdown.
-    // Their records can never become durable (this logger's durable epoch is
-    // frozen), but accepting them keeps workers running at full speed.
-    let inbox = &shared.inboxes[logger_index];
-    let mut drained: Vec<(u64, Vec<u8>)> = Vec::new();
-    loop {
-        {
-            let queue = lock(&inbox.queue);
-            if queue.is_empty() {
-                if shared.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                let mut queue = inbox
-                    .cv
-                    .wait_timeout(queue, Duration::from_millis(50))
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-                std::mem::swap(&mut *queue, &mut drained);
-            } else {
-                let mut queue = queue;
-                std::mem::swap(&mut *queue, &mut drained);
-            }
-        }
-        for (_, bytes) in drained.drain(..) {
-            shared.pool.put(bytes);
-        }
-    }
 }
 
 /// How long an idle logger sleeps when no publish, epoch advance or stop
@@ -1195,11 +1163,11 @@ fn logger_loop(
         // transaction held open for seconds costs a handful of wake-ups.
         // `IDLE_FALLBACK` is a safety net; no bound depends on it.
         //
-        // The mailbox is NOT drained yet: the durable bound must be computed
-        // first, so that every buffer the bound accounts for as "published"
-        // is drained into this very round — draining first would let a
-        // buffer slip in between drain and bound and be declared durable one
-        // round before it reaches the sink.
+        // The mailbox is NOT drained yet: the floor must be read and the
+        // steal done first, so that every buffer below the floor is drained
+        // into this very round — draining first would let a buffer published
+        // between drain and floor be declared durable one round before it
+        // reaches the sink.
         {
             let queue = lock(&inbox.queue);
             if queue.is_empty()
@@ -1226,46 +1194,39 @@ fn logger_loop(
         // in front of that read), so it lands in an epoch `≥ E`. So `floor`
         // is below every commit the scan can miss, and the scan covers the
         // rest: a buffer below the floor is steal-published into this round
-        // (its worker may be idle, and it is the only thing holding that
-        // epoch back), a buffer at or above it bounds `d` by its epoch.
-        // Nothing else holds the durable epoch back.
+        // (its worker may be idle or dropped, and it is the only thing
+        // holding that epoch back); one at or above it holds only epochs
+        // `≥ floor`. So `d_l = floor − 1`.
         let e_now = epochs.global_epoch();
         fence(Ordering::SeqCst);
         let floor = epochs.min_worker_epoch().map_or(e_now, |e| e.min(e_now));
-        let mut bound = floor;
-        for (wid, state) in shared.workers.iter().enumerate() {
-            if wid % num_loggers != logger_index {
+        let workers = shared.workers.iter().enumerate();
+        for (wid, state) in workers.skip(logger_index).step_by(num_loggers) {
+            if !(1..floor).contains(&state.pending_epoch.load(Ordering::Acquire)) {
                 continue;
             }
-            let mut pending = state.pending_epoch.load(Ordering::Acquire);
-            if pending != 0 && pending < floor {
-                // Commits only ever append complete records, so the buffer
-                // is always safe to ship. Re-read under the lock: the worker
-                // may have published or committed since.
-                let mut buffer = state.buffer.lock();
-                pending = state.pending_epoch.load(Ordering::Acquire);
-                if pending != 0 && pending < floor {
-                    shared.publish(wid, &mut buffer, pending);
-                    state.pending_epoch.store(0, Ordering::Release);
-                    shared
-                        .counters
-                        .steal_publishes
-                        .fetch_add(1, Ordering::Relaxed);
-                    pending = 0;
-                }
-            }
-            if pending != 0 {
-                bound = bound.min(pending);
+            // Commits only ever append complete records, so the buffer is
+            // always safe to ship. Re-read under the lock: the worker may
+            // have published or committed since.
+            let mut buffer = state.buffer.lock();
+            let pending = state.pending_epoch.load(Ordering::Acquire);
+            if (1..floor).contains(&pending) {
+                shared.publish(wid, &mut buffer, pending);
+                state.pending_epoch.store(0, Ordering::Release);
+                shared
+                    .counters
+                    .steal_publishes
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
-        let local_durable = bound.saturating_sub(1);
+        let local_durable = floor.saturating_sub(1);
         last_epoch = e_now;
         repoll = (floor < e_now).then(|| repoll.map_or(REPOLL_MIN, |d| (d * 2).min(IDLE_FALLBACK)));
 
-        // Drain the mailbox *after* the bound: every buffer the bound
-        // counted as published (including this round's steals, which went
-        // through our own mailbox) is now in `drained` and reaches the sink
-        // before the marker that may declare its epoch durable.
+        // Drain the mailbox *after* the steal: every buffer below the floor
+        // (including this round's steals, which went through our own
+        // mailbox) is now in `drained` and reaches the sink before the
+        // marker that may declare its epoch durable.
         std::mem::swap(&mut *lock(&inbox.queue), &mut drained);
 
         // Coalesce everything drained this round — published buffers
@@ -1356,9 +1317,10 @@ fn logger_loop(
         }
 
         if stopping {
-            // One final drain so buffers published while this round was
-            // being written still hit the sink.
-            std::mem::swap(&mut *lock(&inbox.queue), &mut drained);
+            // Close the mailbox and write what it still holds, so buffers
+            // published while this round was being written still hit the
+            // sink and none can land after it.
+            drained = inbox.close();
             if write_sealed_round(shared, sink, &mut round, |round| {
                 coalesce(round, &mut drained, &mut compressor)
             })? {

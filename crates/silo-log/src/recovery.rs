@@ -163,18 +163,11 @@ pub struct RecoveryOptions {
     /// replayed log writes (one streaming decoder additionally runs per log
     /// stream).
     pub replay_threads: usize,
-    /// Sweep absent records (delete tombstones and recovered final deletes)
-    /// out of the indexes once replay completes, instead of leaving them
-    /// hooked until some future write touches their keys.
-    pub sweep_tombstones: bool,
 }
 
 impl Default for RecoveryOptions {
     fn default() -> Self {
-        RecoveryOptions {
-            replay_threads: 4,
-            sweep_tombstones: true,
-        }
+        RecoveryOptions { replay_threads: 4 }
     }
 }
 
@@ -458,32 +451,30 @@ fn replay_tail<R: std::io::Read>(
     // otherwise stay hooked in the index until a future write happens to
     // touch them. Recovery still holds exclusive access, so they can be
     // unhooked and freed directly, one table per thread.
-    if options.sweep_tombstones {
-        let table_ids = db.table_ids();
-        let next = AtomicU64::new(0);
-        let reclaimed = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(table_ids.len().max(1)) {
-                let next = &next;
-                let reclaimed = &reclaimed;
-                let table_ids = &table_ids;
-                let db = Arc::clone(db);
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                    let Some(&table) = table_ids.get(i) else {
-                        break;
-                    };
-                    let table = db.table(table);
-                    // SAFETY: recovery-mode exclusivity — replay finished and
-                    // no transactional workers run yet; each table is swept
-                    // by exactly one thread.
-                    let n = unsafe { silo_core::sweep_absent(&table) };
-                    reclaimed.fetch_add(n, Ordering::Relaxed);
-                });
-            }
-        });
-        report.tombstones_reclaimed = reclaimed.load(Ordering::Relaxed);
-    }
+    let table_ids = db.table_ids();
+    let next = AtomicU64::new(0);
+    let reclaimed = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(table_ids.len().max(1)) {
+            let next = &next;
+            let reclaimed = &reclaimed;
+            let table_ids = &table_ids;
+            let db = Arc::clone(db);
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed) as usize;
+                let Some(&table) = table_ids.get(i) else {
+                    break;
+                };
+                let table = db.table(table);
+                // SAFETY: recovery-mode exclusivity — replay finished and
+                // no transactional workers run yet; each table is swept
+                // by exactly one thread.
+                let n = unsafe { silo_core::sweep_absent(&table) };
+                reclaimed.fetch_add(n, Ordering::Relaxed);
+            });
+        }
+    });
+    report.tombstones_reclaimed = reclaimed.load(Ordering::Relaxed);
 
     // Fast-forward the epochs past everything recovered, far enough that the
     // next snapshot epoch covers the whole recovered state (§4.9:

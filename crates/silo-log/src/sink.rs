@@ -184,8 +184,6 @@ pub trait LogSink {
     fn append(&mut self, data: &[u8]) -> Result<(), SinkError>;
     /// Makes previously appended data stable (fsync for files).
     fn sync(&mut self) -> Result<(), SinkError>;
-    /// Bytes written so far.
-    fn bytes_written(&self) -> u64;
     /// Tells the sink the largest epoch (transaction or durable-marker) it is
     /// about to receive in the current round, so segmented sinks can bound
     /// each segment's contents.
@@ -241,7 +239,6 @@ pub struct FileSink {
     file: File,
     path: PathBuf,
     fsync: bool,
-    written: u64,
     /// Stable length of the current file: bytes of fully appended rounds.
     /// A failed append rolls the file back to this offset so a retry cannot
     /// duplicate a partial write.
@@ -336,7 +333,6 @@ impl FileSink {
             file,
             path,
             fsync,
-            written: 0,
             file_len: 0,
             synced_len: 0,
             dir: dir.to_path_buf(),
@@ -389,7 +385,6 @@ impl LogSink for FileSink {
             return Err(self.rollback_append(err));
         }
         self.file_len += data.len() as u64;
-        self.written += data.len() as u64;
         Ok(())
     }
 
@@ -402,10 +397,6 @@ impl LogSink for FileSink {
         }
         self.synced_len = self.file_len;
         Ok(())
-    }
-
-    fn bytes_written(&self) -> u64 {
-        self.written
     }
 
     fn observe_epoch(&mut self, epoch: u64) {
@@ -458,8 +449,6 @@ impl LogSink for FileSink {
             .map_err(|e| SinkError::io("reopen", &e))?;
         file.seek(SeekFrom::Start(self.synced_len))
             .map_err(|e| SinkError::io("reopen", &e))?;
-        let lost = self.file_len.saturating_sub(self.synced_len);
-        self.written = self.written.saturating_sub(lost);
         self.file_len = self.synced_len;
         self.file = file;
         Ok(true)
@@ -501,29 +490,23 @@ impl LogSink for FileSink {
 /// A sink appending to a shared in-memory buffer (the `Silo+tmpfs` stand-in).
 pub struct MemorySink {
     buffer: Arc<Mutex<Vec<u8>>>,
-    written: u64,
 }
 
 impl MemorySink {
     /// Creates a sink appending to `buffer`.
     pub fn new(buffer: Arc<Mutex<Vec<u8>>>) -> Self {
-        MemorySink { buffer, written: 0 }
+        MemorySink { buffer }
     }
 }
 
 impl LogSink for MemorySink {
     fn append(&mut self, data: &[u8]) -> Result<(), SinkError> {
         self.buffer.lock().extend_from_slice(data);
-        self.written += data.len() as u64;
         Ok(())
     }
 
     fn sync(&mut self) -> Result<(), SinkError> {
         Ok(())
-    }
-
-    fn bytes_written(&self) -> u64 {
-        self.written
     }
 }
 
@@ -543,7 +526,6 @@ mod tests {
         sink.append(b"world").unwrap();
         sink.sync().unwrap();
         assert_eq!(&*buf.lock(), b"hello world");
-        assert_eq!(sink.bytes_written(), 11);
     }
 
     #[test]
@@ -553,7 +535,6 @@ mod tests {
             let mut sink = FileSink::open(&dir, 0, 1, true, 1 << 20).unwrap();
             sink.append(b"0123456789").unwrap();
             sink.sync().unwrap();
-            assert_eq!(sink.bytes_written(), 10);
             assert!(!sink.should_rotate());
         }
         assert_eq!(
@@ -571,11 +552,9 @@ mod tests {
         sink.append(b"AAAA").unwrap();
         sink.sync().unwrap();
         // A round lands in the page cache but its sync fails: reopen must
-        // drop exactly that round and rewind the accounting.
+        // drop exactly that round.
         sink.append(b"BBBB").unwrap();
-        assert_eq!(sink.bytes_written(), 8);
         assert!(sink.reopen().unwrap());
-        assert_eq!(sink.bytes_written(), 4, "unsynced bytes are uncounted");
         assert_eq!(std::fs::read(&path).unwrap(), b"AAAA");
         // The retried round appends at the synced offset, not after the
         // discarded tail.

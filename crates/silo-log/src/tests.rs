@@ -75,8 +75,8 @@ fn committed_transactions_become_durable() {
             .unwrap();
         last_tid = txn.commit().unwrap();
     }
-    // The worker is done; dropping it flushes its buffer and stops it from
-    // holding back the durable epoch.
+    // The worker is done; dropping it takes it out of its epoch, so the
+    // logger steals its partial buffer and the durable epoch moves past it.
     drop(w);
     // The group-commit property: once the durable epoch passes the commit
     // epoch, the transaction is recoverable.
@@ -114,7 +114,7 @@ fn durable_epoch_lags_commits_until_logged() {
 
 #[test]
 fn timed_durable_wait_fails_fast_across_shutdown() {
-    // Once shutdown has detached the logger threads nothing can advance the
+    // Once shutdown has stopped the logger threads nothing can advance the
     // durable epoch, so a timed wait must report `Failed` like the untimed
     // one does — not burn its whole timeout.
     let (db, logger) = logged_db(LogConfig::in_memory(1));
@@ -295,38 +295,48 @@ fn compressed_logs_shrink_and_recover_identically() {
 #[test]
 fn idle_worker_partial_buffer_is_stolen_and_becomes_durable() {
     // A worker commits once (a partial buffer, far below the watermark) and
-    // then goes idle without finishing. The event-driven logger must
-    // steal-publish the stale buffer on an epoch tick — otherwise the
-    // durable epoch would be stuck behind the idle worker forever.
-    let (db, logger) = logged_db(LogConfig {
-        buffer_capacity: 1024 * 1024,
-        ..LogConfig::in_memory(1)
-    });
-    let t = db.create_table("t").unwrap();
-    let mut w = db.register_worker();
-    let mut txn = w.begin();
-    txn.write(t, b"lonely", b"value").unwrap();
-    let tid = txn.commit().unwrap();
-    // Quiesce (but keep the worker alive and unfinished) so the global epoch
-    // can advance past the commit.
-    w.quiesce();
-    assert!(
-        logger
-            .wait_for_durable(tid.epoch(), Duration::from_secs(5))
-            .is_durable(),
-        "stolen partial buffer never became durable (durable epoch {})",
-        logger.durable_epoch()
-    );
-    assert!(
-        logger.stats().steal_publishes >= 1,
-        "the only publish path for an idle worker is the steal"
-    );
-    let (db2, _) = recovered("t", &logger.memory_logs());
-    assert_eq!(
-        full_scan(&db2, t),
-        vec![(b"lonely".to_vec(), b"value".to_vec())]
-    );
-    db.stop_epoch_advancer();
+    // then goes idle: quiesced but alive, or dropped. The event-driven
+    // logger must steal-publish the stale buffer on an epoch tick —
+    // otherwise the durable epoch would be stuck behind the idle worker
+    // forever, or the dropped worker's commit would never reach the log.
+    for dropped in [false, true] {
+        let (db, logger) = logged_db(LogConfig {
+            buffer_capacity: 1024 * 1024,
+            ..LogConfig::in_memory(1)
+        });
+        let t = db.create_table("t").unwrap();
+        let mut w = db.register_worker();
+        let mut txn = w.begin();
+        txn.write(t, b"lonely", b"value").unwrap();
+        let tid = txn.commit().unwrap();
+        // Either way the worker leaves its epoch, so the global epoch can
+        // advance past the commit.
+        let _alive = if dropped {
+            drop(w);
+            None
+        } else {
+            w.quiesce();
+            Some(w)
+        };
+        assert!(
+            logger
+                .wait_for_durable(tid.epoch(), Duration::from_secs(5))
+                .is_durable(),
+            "stolen partial buffer never became durable (dropped: {dropped}, durable epoch {})",
+            logger.durable_epoch()
+        );
+        assert!(
+            logger.stats().steal_publishes >= 1,
+            "the only publish path for an idle worker is the steal"
+        );
+        logger.shutdown();
+        let (db2, _) = recovered("t", &logger.memory_logs());
+        assert_eq!(
+            full_scan(&db2, t),
+            vec![(b"lonely".to_vec(), b"value".to_vec())]
+        );
+        db.stop_epoch_advancer();
+    }
 }
 
 #[test]
@@ -384,7 +394,7 @@ fn pool_survives_finish_steal_and_shutdown_races() {
         let stop = Arc::clone(&stop);
         handles.push(std::thread::spawn(move || {
             // Bounded re-registration (worker ids are finite): each drop
-            // exercises on_worker_finish racing the logger's steal scan.
+            // leaves a partial buffer for the logger's steal scan.
             for generation in 0..25u64 {
                 let mut w = db.register_worker();
                 for i in 0..80u64 {
@@ -431,34 +441,6 @@ fn pool_survives_finish_steal_and_shutdown_races() {
     // fresh database.
     let (_, report) = recovered("t", &logger.memory_logs());
     assert_eq!(report.corrupt_log_tails, 0);
-    db.stop_epoch_advancer();
-}
-
-#[test]
-fn worker_finish_flushes_partial_buffers() {
-    let (db, logger) = logged_db(LogConfig {
-        buffer_capacity: 1024 * 1024, // never fills by size
-        ..LogConfig::in_memory(1)
-    });
-    let t = db.create_table("t").unwrap();
-    let mut w = db.register_worker();
-    let mut txn = w.begin();
-    txn.write(t, b"solo", b"value").unwrap();
-    let tid = txn.commit().unwrap();
-    // Nothing forces the buffer out except the epoch boundary / finish call.
-    use silo_core::CommitHook;
-    logger.on_worker_finish(w.id());
-    // A finished worker has also left its epoch (dropping it does both).
-    w.quiesce();
-    assert!(logger
-        .wait_for_durable(tid.epoch(), Duration::from_secs(5))
-        .is_durable());
-    logger.shutdown();
-    let (db2, _) = recovered("t", &logger.memory_logs());
-    assert_eq!(
-        full_scan(&db2, t),
-        vec![(b"solo".to_vec(), b"value".to_vec())]
-    );
     db.stop_epoch_advancer();
 }
 
@@ -578,15 +560,7 @@ fn checkpoint_truncates_log_and_recovery_replays_only_the_tail() {
     // Recover into a fresh database: schema first, then checkpoint + tail.
     let db2 = Database::open(SiloConfig::for_testing());
     let t2 = db2.create_table("t").unwrap();
-    let report = recover_directory(
-        &db2,
-        &dir,
-        &RecoveryOptions {
-            replay_threads: 3,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let report = recover_directory(&db2, &dir, &RecoveryOptions { replay_threads: 3 }).unwrap();
     assert_eq!(report.checkpoint_epoch, ckpt_epoch);
     assert_eq!(report.checkpoint_records, 280);
     assert!(report.durable_epoch > ckpt_epoch);
@@ -873,6 +847,58 @@ fn a_permanent_fault_degrades_the_logger_instead_of_aborting() {
 }
 
 #[test]
+fn publishes_into_a_closed_inbox_drop_their_records() {
+    // A logger that stopped or failed closes its mailbox. A publish after
+    // that drops its records (they can never become durable) instead of
+    // queueing a buffer that nothing drains, and draws no replacement
+    // buffer from the pool.
+    for failed in [false, true] {
+        let plan = FaultPlan::new().fail_at(FaultSite::Append, 1, FaultKind::Permanent);
+        let (db, logger) = logged_db(LogConfig {
+            buffer_capacity: 256,
+            fault: failed.then(|| Arc::new(plan)),
+            retry_budget: Duration::from_millis(50),
+            ..LogConfig::in_memory(1)
+        });
+        let t = db.create_table("t").unwrap();
+        let mut w = db.register_worker();
+        let full = vec![b'v'; 256];
+        let mut put = |key: &[u8]| {
+            let mut txn = w.begin();
+            txn.write(t, key, &full).unwrap();
+            txn.commit().unwrap()
+        };
+        if failed {
+            // The publish starts a round whose append fails for good.
+            let tid = put(b"first");
+            assert_eq!(
+                logger.wait_for_durable(tid.epoch(), Duration::from_secs(10)),
+                DurableWait::Failed
+            );
+        } else {
+            logger.shutdown();
+        }
+        let before = logger.stats();
+        for i in 0..4u8 {
+            put(&[i]);
+        }
+        let after = logger.stats();
+        assert_eq!(
+            after.buffers_published, before.buffers_published,
+            "failed: {failed}"
+        );
+        assert_eq!(
+            after.pool_hits + after.pool_misses,
+            before.pool_hits + before.pool_misses,
+            "failed: {failed}"
+        );
+        drop(w);
+        logger.shutdown();
+        db.stop_epoch_advancer();
+    }
+}
+
+#[test]
 fn enospc_on_rotation_keeps_the_current_segment_writable() {
     let dir = std::env::temp_dir().join(format!("silo-log-enospc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -1015,15 +1041,7 @@ mod checkpoint_equivalence {
     fn recover_scan(dir: &std::path::Path) -> Vec<(Vec<u8>, Vec<u8>)> {
         let db = Database::open(SiloConfig::for_testing());
         let t = db.create_table("t").unwrap();
-        recover_directory(
-            &db,
-            dir,
-            &RecoveryOptions {
-                replay_threads: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        recover_directory(&db, dir, &RecoveryOptions { replay_threads: 2 }).unwrap();
         full_scan(&db, t)
     }
 

@@ -216,17 +216,10 @@ fn run_case(profile: &str, seed: u64) -> PathBuf {
     // "Crash": recover from whatever is on disk into a fresh database.
     let db = open_db();
     let table = db.create_table("t").unwrap();
-    let report = recover_directory(
-        &db,
-        &dir,
-        &RecoveryOptions {
-            replay_threads: 2,
-            ..Default::default()
-        },
-    )
-    .unwrap_or_else(|e| {
-        panic!("recovery must degrade, not fail: profile={profile} seed={seed}: {e}")
-    });
+    let report = recover_directory(&db, &dir, &RecoveryOptions { replay_threads: 2 })
+        .unwrap_or_else(|e| {
+            panic!("recovery must degrade, not fail: profile={profile} seed={seed}: {e}")
+        });
 
     let mut w = db.register_worker();
     let mut txn = w.begin();
@@ -434,7 +427,7 @@ mod bit_flips {
             let report = recover_directory(
                 &db,
                 &scratch,
-                &RecoveryOptions { replay_threads: 2, ..Default::default() },
+                &RecoveryOptions { replay_threads: 2 },
             );
             // Graceful degradation: a flipped bit may shrink what is
             // recovered, never turn recovery into a panic or an error.

@@ -370,7 +370,7 @@ impl AdvanceListener for Shared {
 /// Start it with [`Server::start`], connect with `silo-client`, and stop it
 /// with [`Server::shutdown`] (also invoked on drop). Shut the server down
 /// *before* the logger: in-flight durable waits resolve against a live
-/// logger, while a detached one fails them (acks are then rewritten as
+/// logger, while a stopped one fails them (acks are then rewritten as
 /// `DurabilityDegraded`, never silently dropped).
 pub struct Server {
     shared: Arc<Shared>,
