@@ -295,48 +295,74 @@ fn compressed_logs_shrink_and_recover_identically() {
 #[test]
 fn idle_worker_partial_buffer_is_stolen_and_becomes_durable() {
     // A worker commits once (a partial buffer, far below the watermark) and
-    // then goes idle: quiesced but alive, or dropped. The event-driven
-    // logger must steal-publish the stale buffer on an epoch tick —
-    // otherwise the durable epoch would be stuck behind the idle worker
-    // forever, or the dropped worker's commit would never reach the log.
-    for dropped in [false, true] {
-        let (db, logger) = logged_db(LogConfig {
-            buffer_capacity: 1024 * 1024,
-            ..LogConfig::in_memory(1)
-        });
-        let t = db.create_table("t").unwrap();
-        let mut w = db.register_worker();
-        let mut txn = w.begin();
-        txn.write(t, b"lonely", b"value").unwrap();
-        let tid = txn.commit().unwrap();
-        // Either way the worker leaves its epoch, so the global epoch can
-        // advance past the commit.
-        let _alive = if dropped {
-            drop(w);
-            None
-        } else {
-            w.quiesce();
-            Some(w)
-        };
-        assert!(
-            logger
-                .wait_for_durable(tid.epoch(), Duration::from_secs(5))
-                .is_durable(),
-            "stolen partial buffer never became durable (dropped: {dropped}, durable epoch {})",
-            logger.durable_epoch()
-        );
-        assert!(
-            logger.stats().steal_publishes >= 1,
-            "the only publish path for an idle worker is the steal"
-        );
-        logger.shutdown();
-        let (db2, _) = recovered("t", &logger.memory_logs());
-        assert_eq!(
-            full_scan(&db2, t),
-            vec![(b"lonely".to_vec(), b"value".to_vec())]
-        );
-        db.stop_epoch_advancer();
-    }
+    // then goes idle without finishing. The event-driven logger must
+    // steal-publish the stale buffer on an epoch tick — otherwise the
+    // durable epoch would be stuck behind the idle worker forever.
+    let (db, logger) = logged_db(LogConfig {
+        buffer_capacity: 1024 * 1024,
+        ..LogConfig::in_memory(1)
+    });
+    let t = db.create_table("t").unwrap();
+    let mut w = db.register_worker();
+    let mut txn = w.begin();
+    txn.write(t, b"lonely", b"value").unwrap();
+    let tid = txn.commit().unwrap();
+    // Quiesce (but keep the worker alive and unfinished) so the global epoch
+    // can advance past the commit.
+    w.quiesce();
+    assert!(
+        logger
+            .wait_for_durable(tid.epoch(), Duration::from_secs(5))
+            .is_durable(),
+        "stolen partial buffer never became durable (durable epoch {})",
+        logger.durable_epoch()
+    );
+    assert!(
+        logger.stats().steal_publishes >= 1,
+        "the only publish path for an idle worker is the steal"
+    );
+    logger.shutdown();
+    let (db2, _) = recovered("t", &logger.memory_logs());
+    assert_eq!(
+        full_scan(&db2, t),
+        vec![(b"lonely".to_vec(), b"value".to_vec())]
+    );
+    db.stop_epoch_advancer();
+}
+
+#[test]
+fn worker_finish_flushes_partial_buffers() {
+    // A finished worker's partial buffer reaches the log without any
+    // finish-time flush: dropping the worker leaves its epoch, and the
+    // first logger round whose floor passes that epoch steals the buffer.
+    let (db, logger) = logged_db(LogConfig {
+        buffer_capacity: 1024 * 1024, // never fills by size
+        ..LogConfig::in_memory(1)
+    });
+    let t = db.create_table("t").unwrap();
+    let mut w = db.register_worker();
+    let mut txn = w.begin();
+    txn.write(t, b"solo", b"value").unwrap();
+    let tid = txn.commit().unwrap();
+    drop(w);
+    assert!(
+        logger
+            .wait_for_durable(tid.epoch(), Duration::from_secs(5))
+            .is_durable(),
+        "a dropped worker's partial buffer never became durable (durable epoch {})",
+        logger.durable_epoch()
+    );
+    assert!(
+        logger.stats().steal_publishes >= 1,
+        "the only publish path for a dropped worker is the steal"
+    );
+    logger.shutdown();
+    let (db2, _) = recovered("t", &logger.memory_logs());
+    assert_eq!(
+        full_scan(&db2, t),
+        vec![(b"solo".to_vec(), b"value".to_vec())]
+    );
+    db.stop_epoch_advancer();
 }
 
 #[test]
