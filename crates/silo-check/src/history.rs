@@ -23,7 +23,7 @@
 //! is therefore `(session, txn_id)`; per-key version TIDs *are* unique, which
 //! is all the checker needs.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use silo_tid::Tid;
@@ -81,7 +81,7 @@ impl SessionHistory {
         }
     }
 
-    /// The session (worker) id this history belongs to.
+    /// The session label this history belongs to (see [`HistorySession::new`]).
     pub fn session(&self) -> usize {
         self.session
     }
@@ -326,6 +326,8 @@ pub struct WriteView<'a> {
 pub struct HistoryRecorder {
     enabled: AtomicBool,
     sessions: Mutex<Vec<SessionHistory>>,
+    /// The label of the next [`HistorySession`].
+    next_session: AtomicUsize,
 }
 
 impl HistoryRecorder {
@@ -380,8 +382,12 @@ pub struct HistorySession {
 }
 
 impl HistorySession {
-    /// Creates the handle for worker `session`.
-    pub fn new(shared: Arc<HistoryRecorder>, session: usize) -> Self {
+    /// Creates a worker's handle, labelled by `shared` with a session id no
+    /// other handle of that recorder gets. It is not the worker id: a worker
+    /// id is unique only among the live workers, so two workers that shared
+    /// an id one after the other still record as two sessions.
+    pub fn new(shared: Arc<HistoryRecorder>) -> Self {
+        let session = shared.next_session.fetch_add(1, Ordering::Relaxed);
         HistorySession {
             shared,
             log: SessionHistory::new(session),
@@ -464,7 +470,7 @@ mod tests {
     #[test]
     fn recorder_enable_gate_and_submission() {
         let rec = HistoryRecorder::new_disabled();
-        let mut session = HistorySession::new(Arc::clone(&rec), 0);
+        let mut session = HistorySession::new(Arc::clone(&rec));
         assert!(!session.begin_txn(), "disabled recorder must not record");
         rec.set_enabled(true);
         assert!(session.begin_txn());
@@ -475,12 +481,15 @@ mod tests {
         assert_eq!(sessions.len(), 1);
         assert_eq!(sessions[0].len(), 1);
         assert!(rec.take_sessions().is_empty());
+        // Every handle gets a fresh label.
+        assert_eq!(sessions[0].session(), 0);
+        assert_eq!(HistorySession::new(Arc::clone(&rec)).log.session(), 1);
     }
 
     #[test]
     fn empty_sessions_are_not_submitted() {
         let rec = HistoryRecorder::new();
-        let session = HistorySession::new(Arc::clone(&rec), 0);
+        let session = HistorySession::new(Arc::clone(&rec));
         drop(session);
         assert!(rec.take_sessions().is_empty());
     }

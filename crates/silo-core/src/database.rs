@@ -1,7 +1,6 @@
 //! The database catalog: tables, index trees, and engine-wide state.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
@@ -190,7 +189,6 @@ pub struct Database {
     global_tid: GlobalTidGenerator,
     commit_hook: OnceLock<Arc<dyn CommitHook>>,
     history: OnceLock<Arc<HistoryRecorder>>,
-    next_worker_id: AtomicUsize,
 }
 
 impl std::fmt::Debug for Database {
@@ -220,7 +218,6 @@ impl Database {
             global_tid: GlobalTidGenerator::new(),
             commit_hook: OnceLock::new(),
             history: OnceLock::new(),
-            next_worker_id: AtomicUsize::new(0),
         })
     }
 
@@ -336,10 +333,15 @@ impl Database {
         stats
     }
 
-    /// Registers a new worker thread with the engine.
+    /// Registers a new worker thread with the engine. Its [`Worker::id`] is
+    /// its epoch slot: unique among the live workers, below
+    /// [`crate::MAX_WORKERS`], and reused once the worker drops.
+    ///
+    /// # Panics
+    ///
+    /// If [`crate::MAX_WORKERS`] workers are already alive.
     pub fn register_worker(self: &Arc<Self>) -> Worker {
-        let id = self.next_worker_id.fetch_add(1, Ordering::Relaxed);
-        Worker::new(Arc::clone(self), id)
+        Worker::new(Arc::clone(self))
     }
 
     /// Stops the background epoch advancer (if one is running). Called

@@ -73,7 +73,7 @@ pub use database::{
 };
 pub use error::{Abort, AbortReason, CatalogError};
 pub use silo_check::{check_serializability, CheckReport, HistoryRecorder, SessionHistory};
-pub use silo_epoch::{AdvanceListener, EpochConfig, EpochManager};
+pub use silo_epoch::{AdvanceListener, EpochConfig, EpochManager, MAX_WORKERS};
 pub use silo_index::IndexStats;
 pub use silo_tid::{Tid, TidWord};
 pub use session::Session;

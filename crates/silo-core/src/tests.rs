@@ -1548,8 +1548,32 @@ mod history_recording {
 
         let sessions = recorder.take_sessions();
         assert_eq!(sessions.len(), 1);
-        // Worker ids are sequential: 0 = early, 1 = late.
-        assert_eq!(sessions[0].session(), 1);
+        // The recorder labels sessions itself: `late` is its first.
+        assert_eq!(sessions[0].session(), 0);
+    }
+
+    /// Worker ids are reused; session labels are not.
+    #[test]
+    fn workers_that_share_a_slot_record_as_two_sessions() {
+        let db = test_db();
+        let t = db.create_table("t").unwrap();
+        let recorder = HistoryRecorder::new();
+        db.set_history_recorder(Arc::clone(&recorder)).unwrap();
+        let mut ids = Vec::new();
+        for value in [b"1", b"2"] {
+            let mut w = db.register_worker();
+            ids.push(w.id());
+            let mut txn = w.begin();
+            txn.write(t, b"k", value).unwrap();
+            txn.commit().unwrap();
+        }
+        assert_eq!(ids[0], ids[1]);
+        let labels: Vec<usize> = recorder
+            .take_sessions()
+            .iter()
+            .map(|s| s.session())
+            .collect();
+        assert_eq!(labels, [0, 1]);
     }
 }
 

@@ -24,7 +24,6 @@ use crate::txn::{Txn, TxnContext};
 /// protocol itself.
 pub struct Worker {
     db: Arc<Database>,
-    id: usize,
     epoch: WorkerEpochHandle,
     tid_gen: TidGenerator,
     pub(crate) pool: RecordPool,
@@ -55,7 +54,7 @@ pub struct Worker {
 impl std::fmt::Debug for Worker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Worker")
-            .field("id", &self.id)
+            .field("id", &self.id())
             .field("commits", &self.stats.commits)
             .field("aborts", &self.stats.aborts)
             .finish_non_exhaustive()
@@ -63,16 +62,15 @@ impl std::fmt::Debug for Worker {
 }
 
 impl Worker {
-    pub(crate) fn new(db: Arc<Database>, id: usize) -> Self {
+    pub(crate) fn new(db: Arc<Database>) -> Self {
         let epoch = db.epochs().register_worker();
         let pool = RecordPool::new(db.config().per_worker_pool);
         let history = db
             .history_recorder()
-            .map(|r| HistorySession::new(Arc::clone(r), id));
+            .map(|r| HistorySession::new(Arc::clone(r)));
         let gc_epoch = db.epochs().global_epoch();
         Worker {
             db,
-            id,
             epoch,
             tid_gen: TidGenerator::new(),
             pool,
@@ -88,9 +86,11 @@ impl Worker {
         }
     }
 
-    /// The worker's id (unique within its database).
+    /// The worker's id: its epoch slot, unique among the database's live
+    /// workers and below [`crate::MAX_WORKERS`]. A later worker may get the
+    /// same id once this one drops.
     pub fn id(&self) -> usize {
-        self.id
+        self.epoch.id()
     }
 
     /// The database this worker belongs to.

@@ -34,7 +34,9 @@ mod manager;
 pub mod shared_write_audit;
 
 pub use advancer::EpochAdvancer;
-pub use manager::{AdvanceListener, EpochConfig, EpochManager, WorkerEpochHandle, QUIESCENT};
+pub use manager::{
+    AdvanceListener, EpochConfig, EpochManager, WorkerEpochHandle, MAX_WORKERS, QUIESCENT,
+};
 
 /// Computes the snapshot epoch `snap(e) = k * floor(e / k)` (paper §4.9).
 ///

@@ -1,7 +1,7 @@
 //! The global epoch manager and per-worker epoch handles.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use crossbeam::utils::CachePadded;
@@ -45,70 +45,29 @@ pub trait AdvanceListener: Send + Sync {
     fn epoch_advanced(&self, epoch: u64);
 }
 
-/// Per-worker epoch slot shared between the worker and the epoch manager.
+/// Most workers one [`EpochManager`] keeps alive at once: the size of its
+/// worker-slot table. A slot, and with it its index — the worker id — is
+/// reused once its worker drops.
+pub const MAX_WORKERS: usize = 256;
+
+/// One worker's epoch slot: `(e_w, se_w)` plus the claim that makes the slot
+/// index the worker's id. Only the owning worker writes the epochs; the
+/// whole slot sits on its own cache line.
 #[derive(Debug)]
 struct WorkerSlot {
     /// Local epoch `e_w`, or [`QUIESCENT`].
-    local_epoch: CachePadded<AtomicU64>,
+    local_epoch: AtomicU64,
     /// Local snapshot epoch `se_w`, or [`QUIESCENT`].
-    local_snapshot_epoch: CachePadded<AtomicU64>,
-    /// Whether the owning worker handle is still alive.
-    active: AtomicBool,
+    local_snapshot_epoch: AtomicU64,
+    /// Whether a live [`WorkerEpochHandle`] owns the slot. A free slot is
+    /// always quiescent: the handle quiesces before it releases the claim.
+    claimed: AtomicBool,
 }
 
-impl WorkerSlot {
-    fn new() -> Self {
-        WorkerSlot {
-            local_epoch: CachePadded::new(AtomicU64::new(QUIESCENT)),
-            local_snapshot_epoch: CachePadded::new(AtomicU64::new(QUIESCENT)),
-            active: AtomicBool::new(true),
-        }
-    }
-}
-
-/// Worker slots per registry chunk. Chunks are append-only and never freed,
-/// so scans can walk them without synchronizing with registration.
-const REGISTRY_CHUNK: usize = 64;
-
-/// One chunk of the append-only, lock-free worker registry.
-///
-/// Registration (rare: worker startup) fills `slots` strictly left to right
-/// under [`EpochManager::register_lock`] and chains a fresh chunk into `next`
-/// when full. Scans — the epoch advancer's min-epoch computation and, more
-/// importantly, every worker's GC-path reclamation-epoch reads — walk the
-/// `OnceLock`s with plain acquire loads: the first unset slot is the end of
-/// the registry. The previous design kept the slots in a `Mutex<Vec<_>>`,
-/// which made every garbage-collection check a *write* to a shared cache
-/// line (the mutex word) that all workers bounced on.
-struct RegistryChunk {
-    slots: [OnceLock<Arc<WorkerSlot>>; REGISTRY_CHUNK],
-    next: OnceLock<Box<RegistryChunk>>,
-}
-
-impl std::fmt::Debug for RegistryChunk {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let filled = self.slots.iter().take_while(|s| s.get().is_some()).count();
-        f.debug_struct("RegistryChunk")
-            .field("filled", &filled)
-            .field("chained", &self.next.get().is_some())
-            .finish()
-    }
-}
-
-impl RegistryChunk {
-    fn new() -> Box<RegistryChunk> {
-        Box::new(RegistryChunk {
-            slots: [const { OnceLock::new() }; REGISTRY_CHUNK],
-            next: OnceLock::new(),
-        })
-    }
-}
-
-/// The global epoch state: `E`, `SE`, and all registered workers.
+/// The global epoch state: `E`, `SE`, and the worker-slot table.
 ///
 /// A single `EpochManager` is shared (via `Arc`) by every worker thread, the
 /// epoch-advancer thread, the garbage collector and the durability subsystem.
-#[derive(Debug)]
 pub struct EpochManager {
     config: EpochConfig,
     /// The global epoch `E`. Read by every committing transaction, written
@@ -117,18 +76,27 @@ pub struct EpochManager {
     global_epoch: CachePadded<AtomicU64>,
     /// The global snapshot epoch `SE = snap(E - k)`.
     global_snapshot_epoch: CachePadded<AtomicU64>,
-    /// Head of the append-only worker registry. Scans (min-epoch
-    /// computations on the advancer *and* on every worker's GC path) walk it
-    /// lock-free; only registration takes `register_lock`.
-    workers: Box<RegistryChunk>,
-    /// Number of registered slots (monotone; inactive slots stay counted
-    /// here and are filtered by the `active` flag during scans).
-    registered: AtomicUsize,
-    /// Serializes registration (worker startup only — never on a hot path).
-    register_lock: Mutex<()>,
+    /// The worker slots. Registration claims the lowest free one, so live
+    /// workers stay packed at the front.
+    slots: [CachePadded<WorkerSlot>; MAX_WORKERS],
+    /// One past the highest slot ever claimed. Scans — the advancer's
+    /// min-epoch computation and every worker's GC-path reclamation-epoch
+    /// reads — walk the slots below it with plain loads and touch no lock.
+    high_water: AtomicUsize,
     /// Who to tell when `E` advances. Held weakly: a listener that has been
     /// dropped is pruned by the next advance.
     advance_listeners: Mutex<Vec<Weak<dyn AdvanceListener>>>,
+}
+
+impl std::fmt::Debug for EpochManager {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EpochManager")
+            .field("global_epoch", &self.global_epoch())
+            .field("global_snapshot_epoch", &self.global_snapshot_epoch())
+            .field("workers", &self.worker_count())
+            .field("high_water", &self.high_water())
+            .finish_non_exhaustive()
+    }
 }
 
 impl EpochManager {
@@ -141,9 +109,14 @@ impl EpochManager {
             config,
             global_epoch: CachePadded::new(AtomicU64::new(1)),
             global_snapshot_epoch: CachePadded::new(AtomicU64::new(0)),
-            workers: RegistryChunk::new(),
-            registered: AtomicUsize::new(0),
-            register_lock: Mutex::new(()),
+            slots: std::array::from_fn(|_| {
+                CachePadded::new(WorkerSlot {
+                    local_epoch: AtomicU64::new(QUIESCENT),
+                    local_snapshot_epoch: AtomicU64::new(QUIESCENT),
+                    claimed: AtomicBool::new(false),
+                })
+            }),
+            high_water: AtomicUsize::new(0),
             advance_listeners: Mutex::new(Vec::new()),
         })
     }
@@ -168,60 +141,58 @@ impl EpochManager {
         self.global_snapshot_epoch.load(Ordering::Acquire)
     }
 
-    /// Registers a new worker and returns its epoch handle.
+    /// Registers a new worker and returns its epoch handle, whose id is the
+    /// lowest slot no live worker holds: unique among the live workers of
+    /// this manager, and below [`MAX_WORKERS`].
     ///
     /// The worker starts quiescent; it must call [`WorkerEpochHandle::refresh`]
     /// at the start of each transaction (or batch of transactions).
+    ///
+    /// # Panics
+    ///
+    /// If [`MAX_WORKERS`] workers are already alive.
     pub fn register_worker(self: &Arc<Self>) -> WorkerEpochHandle {
         shared_write_audit::note();
-        let slot = Arc::new(WorkerSlot::new());
-        let guard = self.register_lock.lock();
-        let id = self.registered.load(Ordering::Relaxed);
-        let mut chunk = &*self.workers;
-        for _ in 0..id / REGISTRY_CHUNK {
-            chunk = chunk.next.get_or_init(RegistryChunk::new);
-        }
-        chunk.slots[id % REGISTRY_CHUNK]
-            .set(Arc::clone(&slot))
-            .unwrap_or_else(|_| unreachable!("registry slot {id} filled twice"));
-        // Publish the count only after the slot is set, so lock-free scans
-        // never see a gap.
-        self.registered.store(id + 1, Ordering::Release);
-        drop(guard);
+        // The claim's `Acquire` pairs with the `Release` that frees a slot in
+        // `WorkerEpochHandle::drop`: a reused slot is seen quiescent.
+        let id = self
+            .slots
+            .iter()
+            .position(|slot| {
+                !slot.claimed.load(Ordering::Relaxed)
+                    && slot
+                        .claimed
+                        .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                        .is_ok()
+            })
+            .unwrap_or_else(|| panic!("more than MAX_WORKERS ({MAX_WORKERS}) workers alive"));
+        // Pairs with the `Acquire` in `high_water`: a scan that reaches the
+        // slot sees it claimed.
+        self.high_water.fetch_max(id + 1, Ordering::Release);
         WorkerEpochHandle {
             manager: Arc::clone(self),
-            slot,
             id,
         }
     }
 
-    /// Walks every registered worker slot, lock-free. The registry is
-    /// append-only: the first unset slot terminates the walk.
-    fn for_each_slot(&self, mut f: impl FnMut(&WorkerSlot)) {
-        let mut chunk = &*self.workers;
-        loop {
-            for slot in &chunk.slots {
-                match slot.get() {
-                    Some(w) => f(w),
-                    None => return,
-                }
-            }
-            match chunk.next.get() {
-                Some(next) => chunk = next,
-                None => return,
-            }
-        }
+    /// The slots any worker has ever held; the rest were never claimed.
+    fn used_slots(&self) -> &[CachePadded<WorkerSlot>] {
+        &self.slots[..self.high_water()]
     }
 
-    /// Number of registered workers (including quiescent but not dropped ones).
+    /// One past the highest worker id ever handed out. Registration reuses
+    /// the lowest free slot, so this never exceeds the most workers that were
+    /// alive (or registering) at once.
+    pub fn high_water(&self) -> usize {
+        self.high_water.load(Ordering::Acquire)
+    }
+
+    /// Number of live workers (including quiescent but not dropped ones).
     pub fn worker_count(&self) -> usize {
-        let mut n = 0;
-        self.for_each_slot(|w| {
-            if w.active.load(Ordering::Acquire) {
-                n += 1;
-            }
-        });
-        n
+        self.used_slots()
+            .iter()
+            .filter(|slot| slot.claimed.load(Ordering::Acquire))
+            .count()
     }
 
     /// Registers `listener` to be told about every later advance of `E`.
@@ -242,7 +213,7 @@ impl EpochManager {
             });
     }
 
-    /// The minimum local epoch over all active, non-quiescent workers, or
+    /// The minimum local epoch over all non-quiescent workers, or
     /// `None` if every worker is quiescent (callers then use `E`).
     ///
     /// This is the floor under every commit still to come: a worker seen
@@ -254,34 +225,24 @@ impl EpochManager {
     /// lower bound on the epoch of any commit it has not yet observed.
     ///
     /// Read-only: called from every worker's GC path, so it must not touch a
-    /// shared lock (see `RegistryChunk`).
+    /// shared lock. A free slot reads as quiescent.
     pub fn min_worker_epoch(&self) -> Option<u64> {
-        let mut min: Option<u64> = None;
-        self.for_each_slot(|w| {
-            if w.active.load(Ordering::Acquire) {
-                let e = w.local_epoch.load(Ordering::Acquire);
-                if e != QUIESCENT {
-                    min = Some(min.map_or(e, |m: u64| m.min(e)));
-                }
-            }
-        });
-        min
+        self.used_slots()
+            .iter()
+            .map(|slot| slot.local_epoch.load(Ordering::Acquire))
+            .filter(|&e| e != QUIESCENT)
+            .min()
     }
 
-    /// The minimum local snapshot epoch over all active, non-quiescent
-    /// workers, or `None` if every worker is quiescent. Read-only, like
+    /// The minimum local snapshot epoch over all non-quiescent workers, or
+    /// `None` if every worker is quiescent. Read-only, like
     /// [`EpochManager::min_worker_epoch`].
     fn min_worker_snapshot_epoch(&self) -> Option<u64> {
-        let mut min: Option<u64> = None;
-        self.for_each_slot(|w| {
-            if w.active.load(Ordering::Acquire) {
-                let e = w.local_snapshot_epoch.load(Ordering::Acquire);
-                if e != QUIESCENT {
-                    min = Some(min.map_or(e, |m: u64| m.min(e)));
-                }
-            }
-        });
-        min
+        self.used_slots()
+            .iter()
+            .map(|slot| slot.local_snapshot_epoch.load(Ordering::Acquire))
+            .filter(|&e| e != QUIESCENT)
+            .min()
     }
 
     /// Attempts to advance the global epoch by one, maintaining the invariant
@@ -394,20 +355,25 @@ impl EpochManager {
 
 /// A worker's handle onto the epoch subsystem.
 ///
-/// The handle owns the worker's `e_w` / `se_w` slots. Dropping the handle
-/// marks the worker inactive so it no longer holds back epoch advancement or
-/// reclamation.
+/// The handle owns one slot of the manager's table, the worker's `e_w` /
+/// `se_w`. Dropping the handle quiesces the slot and frees it for the next
+/// registration, so a dropped worker holds back neither epoch advancement
+/// nor reclamation.
 #[derive(Debug)]
 pub struct WorkerEpochHandle {
     manager: Arc<EpochManager>,
-    slot: Arc<WorkerSlot>,
     id: usize,
 }
 
 impl WorkerEpochHandle {
-    /// The worker's registration index (diagnostics only).
+    /// The worker's slot index: unique among the live workers of its
+    /// manager, below [`MAX_WORKERS`], and reused after the handle drops.
     pub fn id(&self) -> usize {
         self.id
+    }
+
+    fn slot(&self) -> &WorkerSlot {
+        &self.manager.slots[self.id]
     }
 
     /// The epoch manager this worker is registered with.
@@ -436,14 +402,15 @@ impl WorkerEpochHandle {
     /// own cache-line-padded slot, the sanctioned per-worker pattern — no
     /// other thread's writes ever touch that line.
     pub fn refresh(&self) -> (u64, u64) {
+        let slot = self.slot();
         loop {
             let e = self.manager.global_epoch();
             let se = self.manager.global_snapshot_epoch();
-            if self.slot.local_epoch.load(Ordering::Relaxed) != e {
-                self.slot.local_epoch.store(e, Ordering::SeqCst);
+            if slot.local_epoch.load(Ordering::Relaxed) != e {
+                slot.local_epoch.store(e, Ordering::SeqCst);
             }
-            if self.slot.local_snapshot_epoch.load(Ordering::Relaxed) != se {
-                self.slot.local_snapshot_epoch.store(se, Ordering::SeqCst);
+            if slot.local_snapshot_epoch.load(Ordering::Relaxed) != se {
+                slot.local_snapshot_epoch.store(se, Ordering::SeqCst);
             }
             if self.manager.global_epoch() == e {
                 return (e, se);
@@ -465,11 +432,11 @@ impl WorkerEpochHandle {
     ///
     /// Returns the refreshed `e_w`.
     pub fn refresh_pinned(&self, snapshot_epoch: u64) -> u64 {
+        let slot = self.slot();
         loop {
             let e = self.manager.global_epoch();
-            self.slot.local_epoch.store(e, Ordering::SeqCst);
-            self.slot
-                .local_snapshot_epoch
+            slot.local_epoch.store(e, Ordering::SeqCst);
+            slot.local_snapshot_epoch
                 .store(snapshot_epoch, Ordering::SeqCst);
             if self.manager.global_epoch() == e {
                 return e;
@@ -479,21 +446,21 @@ impl WorkerEpochHandle {
 
     /// The worker's current local epoch `e_w` (or [`QUIESCENT`]).
     pub fn local_epoch(&self) -> u64 {
-        self.slot.local_epoch.load(Ordering::Acquire)
+        self.slot().local_epoch.load(Ordering::Acquire)
     }
 
     /// The worker's current local snapshot epoch `se_w` (or [`QUIESCENT`]).
     pub fn local_snapshot_epoch(&self) -> u64 {
-        self.slot.local_snapshot_epoch.load(Ordering::Acquire)
+        self.slot().local_snapshot_epoch.load(Ordering::Acquire)
     }
 
     /// Marks the worker quiescent: it is outside any transaction and holds no
     /// references to shared objects, so it neither delays epoch advancement
     /// nor holds back reclamation.
     pub fn quiesce(&self) {
-        self.slot.local_epoch.store(QUIESCENT, Ordering::Release);
-        self.slot
-            .local_snapshot_epoch
+        let slot = self.slot();
+        slot.local_epoch.store(QUIESCENT, Ordering::Release);
+        slot.local_snapshot_epoch
             .store(QUIESCENT, Ordering::Release);
     }
 }
@@ -501,7 +468,7 @@ impl WorkerEpochHandle {
 impl Drop for WorkerEpochHandle {
     fn drop(&mut self) {
         self.quiesce();
-        self.slot.active.store(false, Ordering::Release);
+        self.slot().claimed.store(false, Ordering::Release);
     }
 }
 
@@ -665,6 +632,77 @@ mod tests {
         assert_eq!(m.min_worker_epoch(), Some(2));
         drop(w2);
         assert_eq!(m.min_worker_epoch(), None);
+    }
+
+    #[test]
+    fn a_dropped_worker_frees_its_slot_for_the_next_registration() {
+        let m = mgr();
+        let (w0, w1, w2) = (
+            m.register_worker(),
+            m.register_worker(),
+            m.register_worker(),
+        );
+        assert_eq!([w0.id(), w1.id(), w2.id()], [0, 1, 2]);
+        w1.refresh();
+        drop(w1);
+        assert_eq!(m.worker_count(), 2);
+        // The lowest free slot comes back quiescent; the table did not grow.
+        let again = m.register_worker();
+        assert_eq!(again.id(), 1);
+        assert_eq!(again.local_epoch(), QUIESCENT);
+        assert_eq!(m.min_worker_epoch(), None);
+        assert_eq!(m.high_water(), 3);
+        drop((w0, w2, again));
+        assert_eq!(m.worker_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_WORKERS")]
+    fn registering_past_max_workers_live_panics() {
+        let m = mgr();
+        let live: Vec<_> = (0..MAX_WORKERS).map(|_| m.register_worker()).collect();
+        assert_eq!(live.last().unwrap().id(), MAX_WORKERS - 1);
+        m.register_worker();
+    }
+
+    #[test]
+    fn concurrent_churn_keeps_ids_distinct_and_the_table_small() {
+        const THREADS: usize = 4;
+        const CYCLES: usize = 2_000;
+        let m = mgr();
+        let live: Arc<Vec<AtomicBool>> =
+            Arc::new((0..MAX_WORKERS).map(|_| AtomicBool::new(false)).collect());
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let m = Arc::clone(&m);
+                let live = Arc::clone(&live);
+                std::thread::spawn(move || {
+                    for _ in 0..CYCLES {
+                        let w = m.register_worker();
+                        assert!(w.id() < MAX_WORKERS);
+                        assert!(
+                            !live[w.id()].swap(true, Ordering::AcqRel),
+                            "id {} held twice",
+                            w.id()
+                        );
+                        w.refresh();
+                        live[w.id()].store(false, Ordering::Release);
+                        drop(w);
+                    }
+                })
+            })
+            .collect();
+        for _ in 0..200 {
+            m.try_advance();
+            std::thread::yield_now();
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(m.worker_count(), 0);
+        assert_eq!(m.min_worker_epoch(), None);
+        // Each thread holds or is claiming at most one slot at a time.
+        assert!(m.high_water() <= THREADS, "high water {}", m.high_water());
     }
 
     /// Records every epoch it is told about.

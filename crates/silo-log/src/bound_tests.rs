@@ -237,9 +237,16 @@ fn a_thousand_checkpoint_attempts_register_no_workers() {
     assert!(stats.completed >= 5, "{stats:?}");
     assert_eq!(stats.completed + stats.skipped, 1000, "{stats:?}");
 
-    // Worker ids are not reused, so this is how a leak shows: a fresh id
-    // beyond `MAX_WORKERS` trips the logger's assert on its first commit.
+    // Each attempt registers its workers and drops them again: only `w` is
+    // left, and the slot table grew no further than one attempt's workers.
+    assert_eq!(db.epochs().worker_count(), 1);
+    assert!(
+        db.epochs().high_water() <= 3,
+        "{}",
+        db.epochs().high_water()
+    );
     let mut fresh = db.register_worker();
+    assert_eq!(fresh.id(), 1);
     put(&mut fresh, t, b"fresh");
     ckpt.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();

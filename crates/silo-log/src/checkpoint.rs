@@ -40,8 +40,14 @@
 //! * it holds any block other than a single-write transaction block with a
 //!   value, such as an epoch marker or a delete.
 //!
-//! Recovery then falls back to the previous complete checkpoint rather than
-//! load silently corrupt state.
+//! The manifest is renamed into place last, so after that only damage can
+//! make it unparsable, name another epoch than its directory, or claim
+//! another length than a slice has. Recovery reads the newest checkpoint
+//! with a manifest and fails with [`crate::RecoveryError::Checkpoint`] on
+//! any of this rather than load silently corrupt state, or none. It has
+//! nothing to fall back to: the log before the checkpoint epoch is
+//! truncated, and the checkpointer keeps only the newest complete
+//! checkpoint.
 //!
 //! # Protocol
 //!
@@ -55,7 +61,7 @@
 //!    any crash after the manifest exists recovers a durable horizon `≥ ce`.
 //! 3. Ask the logger to truncate: segments whose records all have epochs
 //!    `≤ ce` are redundant — the checkpoint covers them — and are deleted.
-//! 4. Delete older checkpoints.
+//! 4. Delete every older checkpoint.
 
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -176,24 +182,13 @@ struct CheckpointerShared {
     db: Arc<Database>,
     logger: Arc<SiloLogger>,
     stats: StatCells,
-    /// Serializes checkpoint runs (the periodic thread vs. `run_now`).
-    run_state: StdMutex<RunState>,
+    /// Epoch of the last complete checkpoint. The lock serializes checkpoint
+    /// runs (the periodic thread vs. `run_now`).
+    last_epoch: StdMutex<u64>,
     stop: AtomicBool,
     stop_cv: Condvar,
     /// Paired with `stop_cv` for the interval sleep.
     stop_mutex: StdMutex<()>,
-}
-
-/// What one checkpoint attempt hands to the next.
-struct RunState {
-    /// Epoch of the last complete checkpoint.
-    last_epoch: u64,
-    /// The worker that pins the snapshot for a whole walk, and one worker per
-    /// slice writer. Registered once and quiescent between attempts: worker
-    /// ids are never reused, so registering per attempt would exhaust
-    /// [`crate::MAX_WORKERS`] after a few hundred checkpoints.
-    pin_worker: Worker,
-    walkers: Vec<Worker>,
 }
 
 /// A finished table walk: the slices are on disk and synced, nothing is
@@ -229,19 +224,12 @@ impl Checkpointer {
         logger: Arc<SiloLogger>,
         config: CheckpointConfig,
     ) -> Arc<Checkpointer> {
-        let run_state = RunState {
-            last_epoch: 0,
-            pin_worker: db.register_worker(),
-            walkers: (0..config.writers.max(1))
-                .map(|_| db.register_worker())
-                .collect(),
-        };
         let shared = Arc::new(CheckpointerShared {
             config,
             db,
             logger,
             stats: StatCells::default(),
-            run_state: StdMutex::new(run_state),
+            last_epoch: StdMutex::new(0),
             stop: AtomicBool::new(false),
             stop_cv: Condvar::new(),
             stop_mutex: StdMutex::new(()),
@@ -334,6 +322,22 @@ fn parse_checkpoint_dir(name: &str) -> Option<u64> {
     u64::from_str_radix(name.strip_prefix("ckpt-")?, 16).ok()
 }
 
+/// Every checkpoint directory under `root` with its epoch, complete or not.
+fn checkpoint_dirs(root: &Path) -> Vec<(u64, PathBuf)> {
+    let Ok(entries) = std::fs::read_dir(checkpoints_root(root)) else {
+        return Vec::new();
+    };
+    entries
+        .flatten()
+        .filter_map(|entry| {
+            Some((
+                parse_checkpoint_dir(entry.file_name().to_str()?)?,
+                entry.path(),
+            ))
+        })
+        .collect()
+}
+
 fn slice_path(dir: &Path, index: usize) -> PathBuf {
     dir.join(format!("slice-{index}.bin"))
 }
@@ -409,37 +413,30 @@ fn run_once(shared: &CheckpointerShared) -> std::io::Result<Option<u64>> {
             "checkpointing requires enable_snapshots",
         ));
     }
-    let mut state = lock(&shared.run_state);
-    let walked = walk(shared, &mut state);
-    // However the walk ended, none of the long-lived workers may stay inside
-    // an epoch: that would hold back reclamation, the epoch advance, and the
-    // durable epoch the next step waits for.
-    state.pin_worker.quiesce();
-    for walker in &state.walkers {
-        walker.quiesce();
-    }
-    match walked? {
-        Some(walk) => publish(shared, &mut state.last_epoch, walk),
+    let mut last_epoch = lock(&shared.last_epoch);
+    match walk(shared, *last_epoch)? {
+        Some(walk) => publish(shared, &mut last_epoch, walk),
         None => Ok(None),
     }
 }
 
 /// Step 1: writes and syncs the slices of a consistent snapshot. `None` means
 /// the snapshot epoch has not moved since the last complete checkpoint.
-fn walk(shared: &CheckpointerShared, state: &mut RunState) -> std::io::Result<Option<Walk>> {
-    let RunState {
-        last_epoch,
-        pin_worker,
-        walkers,
-    } = state;
+///
+/// The walk's workers live for this attempt only. Dropping them on return,
+/// however the walk ended, frees their slots and leaves none of them inside
+/// an epoch, where they would hold back reclamation, the epoch advance, and
+/// the durable epoch the next step waits for.
+fn walk(shared: &CheckpointerShared, last_epoch: u64) -> std::io::Result<Option<Walk>> {
     // Pin the chosen snapshot for the whole checkpoint: this worker's `se_w`
     // bounds the snapshot reclamation epoch, so no version the `ce` snapshot
     // can reach is freed while the writers re-pin table by table (each
     // writer's own pin has per-table gaps — the txn boundary inside
     // `begin_snapshot_at`).
+    let mut pin_worker = shared.db.register_worker();
     let pin = pin_worker.begin_snapshot();
     let ce = pin.snapshot_epoch();
-    if ce == 0 || ce <= *last_epoch {
+    if ce == 0 || ce <= last_epoch {
         shared.stats.skipped.fetch_add(1, Ordering::Relaxed);
         return Ok(None);
     }
@@ -456,7 +453,8 @@ fn walk(shared: &CheckpointerShared, state: &mut RunState) -> std::io::Result<Op
     // Walk every table in parallel slices: a shared work queue of table ids,
     // one slice file per writer thread.
     let tables = shared.db.table_ids();
-    let writers = walkers.len().min(tables.len().max(1));
+    let writers = shared.config.writers.clamp(1, tables.len().max(1));
+    let mut walkers: Vec<Worker> = (0..writers).map(|_| shared.db.register_worker()).collect();
     let next_table = AtomicUsize::new(0);
     let chunk = shared.config.chunk;
     // One pacer shared by every writer: the configured rate is a global
@@ -468,7 +466,7 @@ fn walk(shared: &CheckpointerShared, state: &mut RunState) -> std::io::Result<Op
     let mut slices: Vec<(u64, u64)> = Vec::with_capacity(writers); // (bytes, records)
     let results: Vec<std::io::Result<(u64, u64)>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(writers);
-        for (w, worker) in walkers.iter_mut().take(writers).enumerate() {
+        for (w, worker) in walkers.iter_mut().enumerate() {
             let tables = &tables;
             let next_table = &next_table;
             let pacer = pacer.as_ref();
@@ -605,29 +603,12 @@ fn publish(
     // The checkpoint is durable: logs covering epochs ≤ ce are redundant.
     shared.logger.truncate_logs(ce);
 
-    // Older checkpoints are superseded — but keep the newest complete
-    // predecessor as a fallback should this checkpoint's slices rot on disk
-    // before the next one lands. Everything older than that (and any stale
-    // incomplete attempt) goes.
-    if let Ok(entries) = std::fs::read_dir(checkpoints_root(root)) {
-        let mut older: Vec<(u64, PathBuf)> = entries
-            .flatten()
-            .filter_map(|entry| {
-                let name = entry.file_name();
-                let epoch = parse_checkpoint_dir(name.to_str()?)?;
-                (epoch < ce).then(|| (epoch, entry.path()))
-            })
-            .collect();
-        older.sort_by_key(|(epoch, _)| *epoch);
-        let fallback = older
-            .iter()
-            .rev()
-            .find(|(_, path)| read_manifest(path).is_some())
-            .map(|(epoch, _)| *epoch);
-        for (epoch, path) in older {
-            if Some(epoch) != fallback {
-                let _ = std::fs::remove_dir_all(path);
-            }
+    // Older checkpoints (and any stale incomplete attempt) are superseded. No
+    // older one is kept as a fallback: the log behind it is truncated, so
+    // recovering from it would silently lose every transaction up to `ce`.
+    for (epoch, dir) in checkpoint_dirs(root) {
+        if epoch < ce {
+            let _ = std::fs::remove_dir_all(dir);
         }
     }
 
@@ -681,6 +662,9 @@ fn read_manifest(dir: &Path) -> Option<CheckpointInfo> {
         return None;
     }
     let epoch: u64 = lines.next()?.strip_prefix("epoch ")?.parse().ok()?;
+    if parse_checkpoint_dir(dir.file_name()?.to_str()?) != Some(epoch) {
+        return None;
+    }
     let count: usize = lines.next()?.strip_prefix("slices ")?.parse().ok()?;
     let mut slices = Vec::with_capacity(count);
     for line in lines {
@@ -713,20 +697,13 @@ fn read_manifest(dir: &Path) -> Option<CheckpointInfo> {
 }
 
 /// Every *complete* checkpoint (manifest present, slice lengths matching)
-/// under the durability root `root`, newest first. Recovery walks this list
-/// in order, falling back past any checkpoint whose slices fail
-/// [`verify_checkpoint`].
+/// under the durability root `root`, newest first. Only a crash between a
+/// manifest's rename and the deletion of its predecessors leaves more than
+/// one.
 pub fn complete_checkpoints(root: &Path) -> Vec<CheckpointInfo> {
-    let Ok(entries) = std::fs::read_dir(checkpoints_root(root)) else {
-        return Vec::new();
-    };
-    let mut found: Vec<CheckpointInfo> = entries
-        .flatten()
-        .filter_map(|entry| {
-            let name = entry.file_name();
-            parse_checkpoint_dir(name.to_str()?)?;
-            read_manifest(&entry.path())
-        })
+    let mut found: Vec<CheckpointInfo> = checkpoint_dirs(root)
+        .iter()
+        .filter_map(|(_, dir)| read_manifest(dir))
         .collect();
     found.sort_by_key(|info| std::cmp::Reverse(info.epoch));
     found
@@ -738,10 +715,31 @@ pub fn latest_checkpoint(root: &Path) -> Option<CheckpointInfo> {
     complete_checkpoints(root).into_iter().next()
 }
 
+/// The newest checkpoint under `root` that has a manifest, with its epoch,
+/// read and verified. The manifest's rename is what makes a checkpoint
+/// complete, so after it only damage can make the manifest unreadable or a
+/// slice fail [`verify_checkpoint`]; either is an `InvalidData` error.
+pub(crate) fn newest_checkpoint(root: &Path) -> Option<(u64, std::io::Result<CheckpointInfo>)> {
+    let (epoch, dir) = checkpoint_dirs(root)
+        .into_iter()
+        .filter(|(_, dir)| dir.join(MANIFEST).exists())
+        .max_by_key(|(epoch, _)| *epoch)?;
+    let info = read_manifest(&dir).ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "checkpoint manifest is damaged or disagrees with its slices",
+        )
+    });
+    Some((
+        epoch,
+        info.and_then(|info| verify_checkpoint(&info).map(|()| info)),
+    ))
+}
+
 /// Reads every slice of `info` end to end without applying anything, holding
 /// each to the strict rules of the module docs. A damaged slice surfaces as
-/// an `InvalidData` error, letting recovery report it and fall back to an
-/// older checkpoint instead of loading silently-corrupted state.
+/// an `InvalidData` error, so recovery fails before it loads anything
+/// instead of loading silently-corrupted state.
 pub fn verify_checkpoint(info: &CheckpointInfo) -> std::io::Result<()> {
     for (path, bytes, records) in &info.slices {
         let file = std::fs::File::open(path)?;

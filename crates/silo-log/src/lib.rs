@@ -76,12 +76,11 @@ use std::time::Duration;
 
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
-use silo_core::{AdvanceListener, CommitHook, CommitWrites, Database, DurabilityHealth, Tid};
+use silo_core::{
+    AdvanceListener, CommitHook, CommitWrites, Database, DurabilityHealth, Tid, MAX_WORKERS,
+};
 
 use record::{encode_compressed_into, encode_epoch_marker, encode_txn};
-
-/// Maximum number of workers the logging subsystem supports.
-pub const MAX_WORKERS: usize = 256;
 
 /// Locks a std mutex, recovering from poison (a panicking logger thread must
 /// not take the workers down with it).
@@ -478,7 +477,10 @@ impl Inbox {
     }
 }
 
-/// Per-worker logging state.
+/// Per-worker logging state, indexed by worker id. It belongs to the id, not
+/// to one worker: records a dropped worker left unpublished wait here for the
+/// steal, or for the next worker given the id to publish them at its first
+/// commit in a later epoch.
 struct WorkerLogState {
     /// Serialized, not yet published log records (raw, even in `+Compress`
     /// mode — compression happens on the logger threads).
@@ -933,7 +935,6 @@ impl SiloLogger {
 
 impl CommitHook for SiloLogger {
     fn on_commit(&self, worker_id: usize, tid: Tid, writes: CommitWrites<'_>) {
-        assert!(worker_id < MAX_WORKERS, "worker id exceeds MAX_WORKERS");
         let shared = &self.shared;
         let state = &shared.workers[worker_id];
         let mut buffer = state.buffer.lock();
@@ -1200,7 +1201,7 @@ fn logger_loop(
         let e_now = epochs.global_epoch();
         fence(Ordering::SeqCst);
         let floor = epochs.min_worker_epoch().map_or(e_now, |e| e.min(e_now));
-        let workers = shared.workers.iter().enumerate();
+        let workers = shared.workers[..epochs.high_water()].iter().enumerate();
         for (wid, state) in workers.skip(logger_index).step_by(num_loggers) {
             if !(1..floor).contains(&state.pending_epoch.load(Ordering::Acquire)) {
                 continue;

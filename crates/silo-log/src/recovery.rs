@@ -39,6 +39,15 @@ pub enum RecoveryError {
     /// Applying the recovered state to the database failed (e.g. the schema
     /// was not recreated before recovery).
     Apply(String),
+    /// The newest checkpoint failed verification (`error` is `InvalidData`
+    /// for a damaged manifest or slice). Nothing was loaded: the log before
+    /// the checkpoint is truncated, so no other state is the durable one.
+    Checkpoint {
+        /// The checkpoint's epoch.
+        epoch: u64,
+        /// Why it was rejected.
+        error: std::io::Error,
+    },
 }
 
 impl std::fmt::Display for RecoveryError {
@@ -47,6 +56,12 @@ impl std::fmt::Display for RecoveryError {
             RecoveryError::Decode(e) => write!(f, "log decode error: {e}"),
             RecoveryError::Io(e) => write!(f, "log read error: {e}"),
             RecoveryError::Apply(e) => write!(f, "recovery apply error: {e}"),
+            RecoveryError::Checkpoint { epoch, error } => {
+                write!(
+                    f,
+                    "checkpoint at epoch {epoch} failed verification: {error}"
+                )
+            }
         }
     }
 }
@@ -209,9 +224,6 @@ pub struct RecoveryReport {
     /// Log streams whose tail was malformed (failed checksum, bad tag) and
     /// treated as the torn tail of §4.10 — ignored past the last good block.
     pub corrupt_log_tails: u64,
-    /// Complete-looking checkpoints that failed slice verification and were
-    /// skipped in favor of an older one.
-    pub checkpoints_skipped: u64,
 }
 
 /// The table a recovered write applies to.
@@ -245,6 +257,10 @@ fn shard_of(table: TableId, key: &[u8], shards: usize) -> usize {
 /// The database must be freshly opened with its tables recreated (same
 /// [`TableId`]s as before the crash) and no concurrent transactional access.
 ///
+/// A newest checkpoint whose manifest or slices are damaged (see
+/// [`crate::verify_checkpoint`]) is [`RecoveryError::Checkpoint`], returned
+/// before anything is loaded.
+///
 /// The horizon is the minimum over **all** streams found under `dir` —
 /// including streams of logger indices a previous run used but a
 /// reconfigured run no longer writes. Such stale streams cap the horizon at
@@ -260,27 +276,16 @@ pub fn recover_directory(
     let threads = options.replay_threads.max(1);
     let mut report = RecoveryReport::default();
 
-    // The checkpoint. Checkpoints are tried newest first; one whose slices
-    // fail checksum verification is skipped in favor of the next complete one
-    // (the checkpointer keeps the previous complete checkpoint around as
-    // exactly this fallback) rather than loaded as garbage.
+    // The newest checkpoint, verified before anything is loaded. An older
+    // one is no fallback: the log before the newest is truncated.
     let ckpt_start = Instant::now();
-    for info in crate::checkpoint::complete_checkpoints(dir) {
-        if let Err(e) = crate::checkpoint::verify_checkpoint(&info) {
-            eprintln!(
-                "silo-log: checkpoint at epoch {} failed verification ({e}); \
-                 falling back to an older checkpoint",
-                info.epoch
-            );
-            report.checkpoints_skipped += 1;
-            continue;
-        }
+    if let Some((epoch, info)) = crate::checkpoint::newest_checkpoint(dir) {
+        let info = info.map_err(|error| RecoveryError::Checkpoint { epoch, error })?;
         let (records, bytes) = crate::checkpoint::load_checkpoint(db, &info, threads)?;
         report.checkpoint_epoch = info.epoch;
         report.checkpoint_records = records;
         report.checkpoint_bytes = bytes;
         report.checkpoint_micros = ckpt_start.elapsed().as_micros() as u64;
-        break;
     }
 
     let streams = log_streams(dir)?;
@@ -812,28 +817,56 @@ mod tests {
     }
 
     /// The newer checkpoint of [`damaged_newer_checkpoint`] is complete by
-    /// its manifest, fails verification as `InvalidData`, and recovery falls
-    /// back to the one at epoch 3.
-    fn assert_falls_back_to_epoch_3(name: &str, damage: impl Fn(&mut Vec<u8>)) {
+    /// its manifest and fails verification as `InvalidData`, so recovery
+    /// refuses it.
+    fn assert_recovery_refuses(name: &str, damage: impl Fn(&mut Vec<u8>)) {
         let dir = damaged_newer_checkpoint(name, damage);
         let newest = crate::checkpoint::latest_checkpoint(&dir).expect("complete by manifest");
         assert_eq!(newest.epoch, 5);
         let err = crate::checkpoint::verify_checkpoint(&newest).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert_refused(&dir);
+    }
 
+    /// Recovery from `dir` fails on the checkpoint at epoch 5 as
+    /// `InvalidData` and loads nothing — not even the intact one at epoch 3,
+    /// which the log behind the newer one no longer extends.
+    fn assert_refused(dir: &Path) {
         let db = Database::open(SiloConfig::for_testing());
         db.create_table("t").unwrap();
-        let report = recover_directory(&db, &dir, &RecoveryOptions::default()).unwrap();
-        assert_eq!(report.checkpoints_skipped, 1);
-        assert_eq!(report.checkpoint_epoch, 3);
-        assert_eq!(read(&db, b"k"), Some(b"good".to_vec()));
-        assert_eq!(read(&db, b"x"), None);
-        std::fs::remove_dir_all(&dir).unwrap();
+        match recover_directory(&db, dir, &RecoveryOptions::default()) {
+            Err(RecoveryError::Checkpoint { epoch: 5, error }) => {
+                assert_eq!(error.kind(), std::io::ErrorKind::InvalidData, "{error}")
+            }
+            other => panic!("recovery from a damaged checkpoint returned {other:?}"),
+        }
+        assert_eq!(db.table(0).approximate_len(), 0, "nothing is loaded");
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
+    fn a_damaged_manifest_fails_recovery_instead_of_hiding_its_checkpoint() {
+        // Each edit leaves a manifest that no longer describes its slices, so
+        // the checkpoint at epoch 5 is not complete by `latest_checkpoint`.
+        for (name, from, to) in [
+            ("ckpt-manifest-epoch", "epoch 5", "epoch 7"),
+            ("ckpt-manifest-length", "slice 0 ", "slice 0 1"),
+            ("ckpt-manifest-end", "end", "enD"),
+        ] {
+            let dir = damaged_newer_checkpoint(name, |_| {});
+            let manifest = dir.join("checkpoints/ckpt-0000000000000005/MANIFEST");
+            let text = std::fs::read_to_string(&manifest).unwrap();
+            std::fs::write(&manifest, text.replace(from, to)).unwrap();
+            assert_eq!(crate::checkpoint::latest_checkpoint(&dir).unwrap().epoch, 3);
+            assert_refused(&dir);
+        }
+    }
+
+    // Each damage case below names the fallback recovery must not take: it
+    // refuses instead (see `assert_recovery_refuses`).
+    #[test]
     fn recovery_falls_back_past_a_corrupt_checkpoint() {
-        assert_falls_back_to_epoch_3("ckpt-fallback", |slice| {
+        assert_recovery_refuses("ckpt-fallback", |slice| {
             let last = slice.len() - 1;
             slice[last] ^= 0x01;
         });
@@ -841,26 +874,26 @@ mod tests {
 
     #[test]
     fn slice_with_a_damaged_first_tag_is_rejected_and_recovery_falls_back() {
-        assert_falls_back_to_epoch_3("ckpt-tag", |slice| slice[0] ^= 0x20);
+        assert_recovery_refuses("ckpt-tag", |slice| slice[0] ^= 0x20);
     }
 
     #[test]
     fn slice_with_an_inflated_envelope_length_is_rejected_and_recovery_falls_back() {
         // The decoder reads the now-short envelope as a torn tail — a clean
         // end for a log, never for a slice.
-        assert_falls_back_to_epoch_3("ckpt-length", |slice| slice[4] ^= 0x01);
+        assert_recovery_refuses("ckpt-length", |slice| slice[4] ^= 0x01);
     }
 
     #[test]
     fn slice_missing_a_record_is_rejected_and_recovery_falls_back() {
-        assert_falls_back_to_epoch_3("ckpt-short", |slice| {
+        assert_recovery_refuses("ckpt-short", |slice| {
             *slice = crate::checkpoint::tests::slice_bytes(&evil()[..1]);
         });
     }
 
     #[test]
     fn slice_holding_an_epoch_marker_is_rejected_and_recovery_falls_back() {
-        assert_falls_back_to_epoch_3("ckpt-marker", |slice| {
+        assert_recovery_refuses("ckpt-marker", |slice| {
             let [(_, k, k_tid, k_value), (_, x, x_tid, x_value)] = evil();
             *slice = round(&[
                 txn_block(k_tid, 0, k, Some(k_value)),

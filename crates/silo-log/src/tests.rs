@@ -366,6 +366,32 @@ fn worker_finish_flushes_partial_buffers() {
 }
 
 #[test]
+fn ten_thousand_short_lived_workers_share_one_slot_and_log_every_commit() {
+    // Each worker registers, commits one write and drops, so the next one
+    // gets the same id and the same log buffer: the records its predecessor
+    // left there are published by its first commit in a new epoch, or by
+    // the steal.
+    let (db, logger) = logged_db(LogConfig::in_memory(1));
+    let t = db.create_table("t").unwrap();
+    let mut last = silo_core::Tid::ZERO;
+    for cycle in 0..10_000u32 {
+        let mut w = db.register_worker();
+        let mut txn = w.begin();
+        txn.write(t, &cycle.to_be_bytes(), b"v").unwrap();
+        last = txn.commit().unwrap();
+    }
+    assert_eq!(db.epochs().worker_count(), 0);
+    assert_eq!(db.epochs().high_water(), 1);
+    assert!(logger
+        .wait_for_durable(last.epoch(), Duration::from_secs(10))
+        .is_durable());
+    logger.shutdown();
+    let (db2, _) = recovered("t", &logger.memory_logs());
+    assert_eq!(full_scan(&db2, t).len(), 10_000);
+    db.stop_epoch_advancer();
+}
+
+#[test]
 fn compression_happens_on_the_logger_side() {
     // Workers publish raw bytes; the logger compresses while batching. The
     // counters make the division of labour observable: published (raw) bytes
@@ -419,8 +445,8 @@ fn pool_survives_finish_steal_and_shutdown_races() {
         let db = Arc::clone(&db);
         let stop = Arc::clone(&stop);
         handles.push(std::thread::spawn(move || {
-            // Bounded re-registration (worker ids are finite): each drop
-            // leaves a partial buffer for the logger's steal scan.
+            // Each drop leaves a partial buffer for the logger's steal scan,
+            // or for the next generation, which may get the same id.
             for generation in 0..25u64 {
                 let mut w = db.register_worker();
                 for i in 0..80u64 {
@@ -719,6 +745,104 @@ fn recovery_without_any_checkpoint_still_replays_the_whole_log() {
     assert_eq!(report.replayed_txns, 64);
     assert_eq!(report.log_files, 2, "one first segment per logger");
     assert_eq!(full_scan(&db2, t2), expected);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Commits `rows` keys `{prefix}{i}` and waits until they are durable and
+/// inside the snapshot a checkpoint taken now would walk.
+fn commit_durable_rows(
+    db: &Arc<Database>,
+    logger: &SiloLogger,
+    t: silo_core::TableId,
+    prefix: &str,
+    rows: u32,
+) {
+    let mut w = db.register_worker();
+    let mut last = silo_core::Tid::ZERO;
+    for i in 0..rows {
+        let mut txn = w.begin();
+        txn.write(t, format!("{prefix}{i:03}").as_bytes(), &[b'v'; 64])
+            .unwrap();
+        last = txn.commit().unwrap();
+    }
+    drop(w);
+    assert!(logger
+        .wait_for_durable(last.epoch(), Duration::from_secs(10))
+        .is_durable());
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while db.epochs().global_snapshot_epoch() <= last.epoch() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "snapshot epoch stalled"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn a_rotted_newest_checkpoint_fails_recovery_instead_of_losing_rows() {
+    // Two checkpoints over small segments: the second truncates the log the
+    // first one would need. Rotting the second must not leave recovery to
+    // load the first and report a durable epoch past the rows it lost.
+    let dir = scratch_dir("ckpt-rot");
+    let checkpoint;
+    {
+        let (db, logger) = logged_db(LogConfig {
+            segment_bytes: 4096,
+            ..LogConfig::to_directory(&dir, 1)
+        });
+        let t = db.create_table("t").unwrap();
+        let ckpt = Checkpointer::spawn(
+            Arc::clone(&db),
+            Arc::clone(&logger),
+            CheckpointConfig {
+                interval: Duration::from_secs(3600),
+                ..CheckpointConfig::new(&dir)
+            },
+        );
+        commit_durable_rows(&db, &logger, t, "a", 200);
+        ckpt.run_now().unwrap().expect("first checkpoint");
+        commit_durable_rows(&db, &logger, t, "b", 200);
+        let deleted = logger.stats().segments_deleted;
+        checkpoint = ckpt.run_now().unwrap().expect("second checkpoint");
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while logger.stats().segments_deleted == deleted {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the second checkpoint truncated nothing: {}",
+                logger.stats()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        commit_durable_rows(&db, &logger, t, "c", 200);
+        ckpt.shutdown();
+        logger.shutdown();
+        db.stop_epoch_advancer();
+    }
+
+    let newest = latest_checkpoint(&dir).expect("complete checkpoint");
+    assert_eq!(newest.epoch, checkpoint);
+    let (slice, bytes, _) = &newest.slices[0];
+    let mut rotted = std::fs::read(slice).unwrap();
+    rotted[*bytes as usize / 2] ^= 0x10;
+    std::fs::write(slice, rotted).unwrap();
+
+    let db = Database::open(SiloConfig::for_testing());
+    let t = db.create_table("t").unwrap();
+    let result = recover_directory(&db, &dir, &RecoveryOptions::default());
+    let rows = full_scan(&db, t).len();
+    assert!(
+        result.is_err(),
+        "recovery returned Ok with {rows} of 600 rows: {result:?}"
+    );
+    match result {
+        Err(RecoveryError::Checkpoint { epoch, error }) => {
+            assert_eq!(epoch, checkpoint);
+            assert_eq!(error.kind(), std::io::ErrorKind::InvalidData, "{error}");
+        }
+        other => panic!("expected a checkpoint error, got {other:?}"),
+    }
+    assert_eq!(rows, 0, "nothing is loaded");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

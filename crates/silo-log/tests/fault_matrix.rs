@@ -6,8 +6,9 @@
 //! database and checks the durability contract:
 //!
 //! * recovery never panics and never returns an error for on-disk damage
-//!   these faults can produce (it degrades: corrupt tails end streams,
-//!   corrupt checkpoints fall back);
+//!   these faults can produce (it degrades: corrupt tails end streams); a
+//!   rotted checkpoint, which only the bit-flip sweep produces, is the one
+//!   error, since the log behind the checkpoint is truncated;
 //! * every transaction acknowledged as durable (epoch ≤ the logger's durable
 //!   epoch) is recovered with exactly its committed value — except under
 //!   `corrupt`, where bits were flipped on their way to disk *after* the ack
@@ -28,8 +29,8 @@ use std::time::Duration;
 use silo_core::{Database, SiloConfig};
 use silo_log::fault::is_injected_crash;
 use silo_log::{
-    recover_directory, CheckpointConfig, Checkpointer, FaultPlan, LogConfig, RecoveryOptions,
-    SiloLogger,
+    recover_directory, CheckpointConfig, Checkpointer, FaultPlan, LogConfig, RecoveryError,
+    RecoveryOptions, SiloLogger,
 };
 
 const PROFILES: &[&str] = &[
@@ -296,8 +297,11 @@ mod bit_flips {
     //! Single-bit corruption sweep: record a real durability directory once
     //! (logs + a checkpoint), then flip one random bit in one random file and
     //! recover. The invariant is graceful degradation: recovery must never
-    //! panic or error, and must never report a value that was not committed —
-    //! whatever the bit hit (segment payload, checkpoint slice, manifest).
+    //! panic, and must never report a value that was not committed — whatever
+    //! the bit hit (segment payload, checkpoint slice, manifest). A bit in
+    //! the checkpoint (slice or manifest) is always an error that loads
+    //! nothing: the checkpoint fails verification, and the log behind it is
+    //! truncated. A bit in a segment never is.
 
     use super::*;
     use proptest::prelude::*;
@@ -384,8 +388,9 @@ mod bit_flips {
 
     /// Copies the fixture into a scratch dir, flips bit `bit_index` of the
     /// whole-directory byte stream (file `file_pick`, offset scaled into that
-    /// file), and returns the scratch dir.
-    fn corrupted_copy(case: u64, file_pick: usize, bit_index: u64) -> PathBuf {
+    /// file), and returns the scratch dir and the flipped file's path relative
+    /// to it (`None` if the picked file was empty).
+    fn corrupted_copy(case: u64, file_pick: usize, bit_index: u64) -> (PathBuf, Option<PathBuf>) {
         let fx = fixture();
         let scratch =
             scratch_root().join(format!("silo-bitflip-case-{case}-{}", std::process::id()));
@@ -399,7 +404,8 @@ mod bit_flips {
         let rel = &files[file_pick % files.len()];
         let path = scratch.join(rel);
         let mut bytes = std::fs::read(&path).unwrap();
-        if !bytes.is_empty() {
+        let flipped = !bytes.is_empty();
+        if flipped {
             let bit = bit_index % (bytes.len() as u64 * 8);
             bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
             std::fs::write(&path, &bytes).unwrap();
@@ -409,7 +415,7 @@ mod bit_flips {
                 bytes.len()
             );
         }
-        scratch
+        (scratch, flipped.then(|| rel.clone()))
     }
 
     proptest! {
@@ -421,7 +427,7 @@ mod bit_flips {
             file_pick in 0usize..64,
             bit_index in 0u64..u64::MAX,
         ) {
-            let scratch = corrupted_copy(case, file_pick, bit_index);
+            let (scratch, flipped) = corrupted_copy(case, file_pick, bit_index);
             let db = open_db();
             let table = db.create_table("t").unwrap();
             let report = recover_directory(
@@ -429,9 +435,23 @@ mod bit_flips {
                 &scratch,
                 &RecoveryOptions { replay_threads: 2 },
             );
-            // Graceful degradation: a flipped bit may shrink what is
-            // recovered, never turn recovery into a panic or an error.
-            let report = report.expect("recovery must degrade, not fail");
+            // Graceful degradation: a flipped bit in the log may shrink what
+            // is recovered, never turn recovery into a panic or an error. One
+            // in the checkpoint always fails it, and loads nothing.
+            let in_checkpoint = flipped.is_some_and(|rel| rel.starts_with("checkpoints"));
+            let report = match report {
+                Err(RecoveryError::Checkpoint { error, .. }) if in_checkpoint => {
+                    prop_assert_eq!(error.kind(), std::io::ErrorKind::InvalidData);
+                    prop_assert_eq!(db.table(table).approximate_len(), 0, "nothing is loaded");
+                    db.stop_epoch_advancer();
+                    std::fs::remove_dir_all(&scratch).unwrap();
+                    return Ok(());
+                }
+                report => {
+                    prop_assert!(!in_checkpoint, "a flipped checkpoint bit was not detected");
+                    report.expect("recovery must degrade, not fail")
+                }
+            };
             let mut w = db.register_worker();
             let mut txn = w.begin();
             let rows = txn.scan(table, b"", None, None).expect("scan");
