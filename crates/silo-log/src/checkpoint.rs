@@ -24,7 +24,7 @@
 //! its version. Together the slices hold the live records of a consistent
 //! snapshot at the checkpoint epoch; deleted keys are simply not present
 //! (recovery starts from an empty database). Slices are read back by the
-//! log's [`StreamDecoder`], which verifies each envelope's CRC-32 before it
+//! log's [`StreamDecoder`], which verifies each envelope's CRC-32C before it
 //! parses anything inside.
 //!
 //! Unlike a log stream, a slice is **strict**. It was fsynced before its

@@ -72,7 +72,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
@@ -331,18 +331,33 @@ pub struct LoggerStats {
     /// Segment deletions that failed during truncation (retried on the next
     /// round).
     pub truncate_failures: u64,
-    /// CRC32-sealed envelopes written to the sinks (one per group-commit
-    /// round or rotation stamp).
+    /// CRC-32C-sealed envelopes written to the sinks (one per group-commit
+    /// round or rotation stamp). A round that failed to reach the sink is not
+    /// counted.
     pub checksum_blocks: u64,
     /// Faults the configured [`FaultPlan`] injected (0 without a plan).
     pub faults_injected: u64,
+    /// Nanoseconds logger threads spent sealing the envelopes counted in
+    /// `checksum_blocks` (computing their CRC-32C).
+    pub seal_ns: u64,
+    /// Nanoseconds logger threads spent appending those envelopes to the
+    /// sinks, transient-error retries included.
+    pub append_ns: u64,
+    /// Nanoseconds logger threads spent syncing them, including a reopen and
+    /// re-append after a failed sync.
+    pub sync_ns: u64,
+    /// Rounds that raised a logger's local durable epoch `d_l`.
+    pub durable_advances: u64,
+    /// Summed over `durable_advances`: nanoseconds from the latest global
+    /// epoch advance to the round's `d_l` store.
+    pub durable_advance_ns: u64,
 }
 
 impl std::fmt::Display for LoggerStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} buffers ({} stolen), pool {}/{} hits/misses, {} syncs, {} B published, {} B written, {} rotations, {} segments / {} B truncated, {} retries ({} µs backoff, {} sync reopens), {} failed loggers, {} checksummed rounds, {} faults injected",
+            "{} buffers ({} stolen), pool {}/{} hits/misses, {} syncs, {} B published, {} B written, {} rotations, {} segments / {} B truncated, {} retries ({} µs backoff, {} sync reopens), {} failed loggers, {} checksummed rounds, {} faults injected, seal/append/sync {}/{}/{} µs, {} d_l advances ({} µs mean after the epoch advance)",
             self.buffers_published,
             self.steal_publishes,
             self.pool_hits,
@@ -359,11 +374,17 @@ impl std::fmt::Display for LoggerStats {
             self.logger_failures,
             self.checksum_blocks,
             self.faults_injected,
+            self.seal_ns / 1_000,
+            self.append_ns / 1_000,
+            self.sync_ns / 1_000,
+            self.durable_advances,
+            self.durable_advance_ns / self.durable_advances.max(1) / 1_000,
         )
     }
 }
 
-/// Cumulative counters, updated by workers and logger threads.
+/// Cumulative counters, updated by workers and logger threads. The phase
+/// times and durable advances are written by logger threads only.
 #[derive(Default)]
 struct Counters {
     buffers_published: AtomicU64,
@@ -382,6 +403,11 @@ struct Counters {
     logger_failures: AtomicU64,
     truncate_failures: AtomicU64,
     checksum_blocks: AtomicU64,
+    seal_ns: AtomicU64,
+    append_ns: AtomicU64,
+    sync_ns: AtomicU64,
+    durable_advances: AtomicU64,
+    durable_advance_ns: AtomicU64,
 }
 
 /// The recycled buffer pool (paper §4.10: "it recycles [the buffers] to
@@ -523,9 +549,18 @@ struct LoggerShared {
     /// redundant segments when it moves.
     truncate_epoch: AtomicU64,
     stop: AtomicBool,
+    /// The clock `advanced_at_ns` counts from.
+    started: Instant,
+    /// When the global epoch last advanced, in nanoseconds since `started`.
+    advanced_at_ns: AtomicU64,
 }
 
 impl LoggerShared {
+    /// Nanoseconds since the subsystem was created.
+    fn now_ns(&self) -> u64 {
+        self.started.elapsed().as_nanos() as u64
+    }
+
     /// Flushes a worker's buffer to its logger: the full buffer is pushed
     /// into the logger's mailbox (tagged with `epoch`, the single epoch of
     /// every record it holds), waking it, and replaced by a recycled one. If
@@ -599,6 +634,7 @@ impl LoggerShared {
 /// sooner. Runs on the advancer thread.
 impl AdvanceListener for LoggerShared {
     fn epoch_advanced(&self, _epoch: u64) {
+        self.advanced_at_ns.store(self.now_ns(), Ordering::Relaxed);
         self.wake_loggers();
     }
 }
@@ -676,6 +712,8 @@ impl SiloLogger {
             durable_listeners: Mutex::new(Vec::new()),
             truncate_epoch: AtomicU64::new(0),
             stop: AtomicBool::new(false),
+            started: Instant::now(),
+            advanced_at_ns: AtomicU64::new(0),
         });
         let listener: Arc<dyn AdvanceListener> = Arc::clone(&shared) as _;
         epochs.add_advance_listener(Arc::downgrade(&listener));
@@ -873,6 +911,11 @@ impl SiloLogger {
             logger_failures: c.logger_failures.load(Ordering::Relaxed),
             truncate_failures: c.truncate_failures.load(Ordering::Relaxed),
             checksum_blocks: c.checksum_blocks.load(Ordering::Relaxed),
+            seal_ns: c.seal_ns.load(Ordering::Relaxed),
+            append_ns: c.append_ns.load(Ordering::Relaxed),
+            sync_ns: c.sync_ns.load(Ordering::Relaxed),
+            durable_advances: c.durable_advances.load(Ordering::Relaxed),
+            durable_advance_ns: c.durable_advance_ns.load(Ordering::Relaxed),
             faults_injected: self
                 .shared
                 .config
@@ -1028,12 +1071,16 @@ fn with_retry(
 /// discards the unsynced tail, re-appends the round, and syncs the fresh
 /// descriptor; sinks without descriptor semantics (in-memory, injected
 /// faults on a memory sink) fall back to a plain re-sync.
+///
+/// The time of a round that succeeds is counted in `append_ns` and `sync_ns`.
 fn write_round(
     shared: &LoggerShared,
     sink: &mut dyn LogSink,
     round: &[u8],
 ) -> Result<(), SinkError> {
+    let started = Instant::now();
     with_retry(shared, || sink.append(round))?;
+    let appended = Instant::now();
     let mut retry = false;
     with_retry(shared, || {
         if std::mem::replace(&mut retry, true) && sink.reopen()? {
@@ -1043,14 +1090,22 @@ fn write_round(
             with_retry(shared, || sink.append(round))?;
         }
         sink.sync()
-    })
+    })?;
+    let counters = &shared.counters;
+    counters
+        .append_ns
+        .fetch_add((appended - started).as_nanos() as u64, Ordering::Relaxed);
+    counters
+        .sync_ns
+        .fetch_add(appended.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    Ok(())
 }
 
 /// Writes one CRC-sealed round: `fill` appends its blocks to the cleared
 /// `round` buffer and returns the largest epoch they carry (for segmented
-/// sinks), then the envelope is sealed, appended, synced and counted in
-/// `checksum_blocks` and `bytes_written`. An empty envelope writes nothing
-/// and returns `false`.
+/// sinks), then the envelope is sealed, appended and synced. Once it has
+/// reached the sink it is counted in `checksum_blocks`, `seal_ns` and
+/// `bytes_written`. An empty envelope writes nothing and returns `false`.
 fn write_sealed_round(
     shared: &LoggerShared,
     sink: &mut dyn LogSink,
@@ -1060,13 +1115,16 @@ fn write_sealed_round(
     round.clear();
     let header = record::begin_sealed(round);
     let max_epoch = fill(round);
+    let sealing = Instant::now();
     if !record::seal(round, header) {
         return Ok(false);
     }
-    let counters = &shared.counters;
-    counters.checksum_blocks.fetch_add(1, Ordering::Relaxed);
+    let seal_ns = sealing.elapsed().as_nanos() as u64;
     sink.observe_epoch(max_epoch);
     write_round(shared, sink, round)?;
+    let counters = &shared.counters;
+    counters.checksum_blocks.fetch_add(1, Ordering::Relaxed);
+    counters.seal_ns.fetch_add(seal_ns, Ordering::Relaxed);
     counters
         .bytes_written
         .fetch_add(round.len() as u64, Ordering::Relaxed);
@@ -1246,6 +1304,14 @@ fn logger_loop(
             shared.counters.sync_calls.fetch_add(1, Ordering::Relaxed);
             if local_durable > prev {
                 my_durable.store(local_durable, Ordering::Release);
+                let since_advance = shared
+                    .now_ns()
+                    .saturating_sub(shared.advanced_at_ns.load(Ordering::Relaxed));
+                let counters = &shared.counters;
+                counters.durable_advances.fetch_add(1, Ordering::Relaxed);
+                counters
+                    .durable_advance_ns
+                    .fetch_add(since_advance, Ordering::Relaxed);
                 // Signal waiters when the *global* durable epoch moved. The
                 // min over the per-logger atomics is recomputed *inside* the
                 // mutex: each logger stores its slot before locking, so the

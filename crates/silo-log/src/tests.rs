@@ -1049,6 +1049,69 @@ fn publishes_into_a_closed_inbox_drop_their_records() {
 }
 
 #[test]
+fn a_round_that_fails_to_reach_the_sink_is_not_counted() {
+    // The first append fails for good: that round was sealed, but it never
+    // reached the sink, so no counter of written rounds may include it.
+    let plan = FaultPlan::new().fail_at(FaultSite::Append, 1, FaultKind::Permanent);
+    let (db, logger) = logged_db(LogConfig {
+        fault: Some(Arc::new(plan)),
+        ..LogConfig::in_memory(1)
+    });
+    let t = db.create_table("t").unwrap();
+    let mut w = db.register_worker();
+    let mut txn = w.begin();
+    txn.write(t, b"k", b"v").unwrap();
+    let tid = txn.commit().unwrap();
+    drop(w);
+    assert_eq!(
+        logger.wait_for_durable(tid.epoch(), Duration::from_secs(10)),
+        DurableWait::Failed
+    );
+    let stats = logger.stats();
+    assert_eq!(stats.logger_failures, 1);
+    assert_eq!(stats.faults_injected, 1);
+    assert_eq!(stats.checksum_blocks, 0, "{stats}");
+    assert_eq!(stats.sync_calls, 0, "{stats}");
+    assert_eq!(stats.bytes_written, 0, "{stats}");
+    assert_eq!(stats.durable_advances, 0, "{stats}");
+    logger.shutdown();
+    db.stop_epoch_advancer();
+}
+
+#[test]
+fn logger_phase_times_and_durable_advances_move() {
+    let (db, logger) = logged_db(LogConfig::in_memory(1));
+    let t = db.create_table("t").unwrap();
+    let mut w = db.register_worker();
+    let mut last = silo_core::Tid::ZERO;
+    for i in 0..200u32 {
+        let mut txn = w.begin();
+        txn.write(t, &i.to_le_bytes(), &[b'v'; 100]).unwrap();
+        last = txn.commit().unwrap();
+    }
+    drop(w);
+    assert!(logger
+        .wait_for_durable(last.epoch(), Duration::from_secs(10))
+        .is_durable());
+    // Stopped, so the counters hold still while they are read.
+    logger.shutdown();
+    let stats = logger.stats();
+    assert!(stats.checksum_blocks > 0, "{stats}");
+    for (name, value) in [
+        ("seal_ns", stats.seal_ns),
+        ("append_ns", stats.append_ns),
+        ("sync_ns", stats.sync_ns),
+        ("durable_advances", stats.durable_advances),
+        ("durable_advance_ns", stats.durable_advance_ns),
+    ] {
+        assert!(value > 0, "{name} did not move: {stats}");
+    }
+    // Only a written round can raise `d_l`.
+    assert!(stats.durable_advances <= stats.sync_calls, "{stats}");
+    db.stop_epoch_advancer();
+}
+
+#[test]
 fn enospc_on_rotation_keeps_the_current_segment_writable() {
     let dir = std::env::temp_dir().join(format!("silo-log-enospc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
