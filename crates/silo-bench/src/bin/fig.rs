@@ -87,8 +87,7 @@ impl MeteredHeap {
 // only adds bookkeeping), so a block allocated under one setting of the flag
 // may be resized or freed under the other. `alloc_zeroed` and `realloc` are
 // forwarded too, so an unmetered series keeps the system allocator's lazily
-// zeroed pages and in-place growth (the in-memory log sink of Figure 7 grows
-// one large buffer).
+// zeroed pages and in-place growth.
 unsafe impl GlobalAlloc for MeteredHeap {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: the caller's contract, forwarded unchanged.
@@ -466,7 +465,7 @@ static FIGURES: &[Figure] = &[
         columns: &[MEAN_MS, P50_MS, P99_MS, MAX_MS, THROUGHPUT],
         series: &[
             Series::logged("Silo", |dir, t| to_files(dir, t).with_fsync(true)),
-            Series::logged("Silo+tmpfs", |_, t| LogConfig::in_memory(t.min(4))),
+            Series::logged("Silo+tmpfs", to_files),
         ],
         paper: "about two epochs: the commit's own and the logger round that covers it (§5.3)",
         paper_value: Some(2.0),

@@ -8,9 +8,10 @@
 //! any of them (a stray `to_vec`, a stable sort, a fresh `Vec` per begin)
 //! fails this test rather than only showing up as a throughput dip.
 
-use std::time::Duration;
-
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use silo_bench::CountingAllocator;
 use silo_core::{Database, EpochConfig, HistoryRecorder, SiloConfig};
@@ -18,6 +19,21 @@ use silo_log::{LogConfig, SiloLogger};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+/// A fresh log directory for one test, removed when dropped.
+struct LogDir(PathBuf);
+
+impl Drop for LogDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn log_dir(name: &str) -> LogDir {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    LogDir(std::env::temp_dir().join(format!("silo-{name}-{}-{n}", std::process::id())))
+}
 
 /// Number of keys the workload cycles through.
 const KEYS: u64 = 64;
@@ -273,8 +289,9 @@ fn warmed_worker_with_logger_commits_without_heap_allocation() {
     // buffers, and a pool deep enough that the pool can never run dry even
     // if the logger thread is descheduled the whole time (publishes during
     // the test ≪ 64 buffers in the pool).
+    let dir = log_dir("zero-alloc");
     let logger = SiloLogger::install(
-        LogConfig::in_memory(1)
+        LogConfig::to_directory(&dir.0, 1)
             .with_buffer_capacity(4096)
             .with_pool_buffers(64),
         &db,

@@ -2,6 +2,8 @@
 //! pipelining, durable acknowledgements riding group commit, and the
 //! resilience stack (retries, reconnection, token replay, `AckUnknown`).
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -14,24 +16,40 @@ use silo_log::{LogConfig, SiloLogger};
 use silo_net::protocol::{Request, Response};
 use silo_net::{NetFaultKind, NetFaultPlan, NetFaultSite, Server, ServerConfig};
 
-fn start_durable_server() -> (Arc<Database>, Arc<SiloLogger>, Server) {
+/// A fresh log directory for one test, removed when dropped.
+struct LogDir(PathBuf);
+
+impl Drop for LogDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn log_dir(name: &str) -> LogDir {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    LogDir(std::env::temp_dir().join(format!("silo-{name}-{}-{n}", std::process::id())))
+}
+
+fn start_durable_server() -> (LogDir, Arc<Database>, Arc<SiloLogger>, Server) {
     let config = SiloConfig::default()
         .with_epoch(EpochConfig { epoch_interval: Duration::from_millis(1), ..Default::default() })
         .with_spawn_epoch_advancer(true);
     let db = Database::open(config);
-    let logger = SiloLogger::install(LogConfig::in_memory(2), &db).unwrap();
+    let dir = log_dir("client-server");
+    let logger = SiloLogger::install(LogConfig::to_directory(&dir.0, 2), &db).unwrap();
     let server = Server::start(
         Arc::clone(&db),
         Some(Arc::clone(&logger)),
         ServerConfig::default().with_workers(2),
     )
     .unwrap();
-    (db, logger, server)
+    (dir, db, logger, server)
 }
 
 #[test]
 fn session_vocabulary_end_to_end() {
-    let (_db, logger, mut server) = start_durable_server();
+    let (_dir, _db, logger, mut server) = start_durable_server();
     let mut session = Session::connect(server.local_addr()).unwrap();
 
     let kv = session.open_table("kv").unwrap();
@@ -74,7 +92,7 @@ fn session_vocabulary_end_to_end() {
 
 #[test]
 fn pipelined_burst_drains_in_order() {
-    let (_db, logger, mut server) = start_durable_server();
+    let (_dir, _db, logger, mut server) = start_durable_server();
     let mut conn = Connection::connect(server.local_addr()).unwrap();
 
     let table = match conn.call(&Request::OpenTable { name: "burst".to_string() }).unwrap() {
@@ -141,7 +159,7 @@ fn fast_retry(max_retries: u32) -> RetryPolicy {
 
 #[test]
 fn resilient_session_is_inert_on_a_healthy_server() {
-    let (_db, _logger, mut server) = start_durable_server();
+    let (_dir, _db, _logger, mut server) = start_durable_server();
     let mut session =
         Session::connect_with(server.local_addr(), ClientConfig::resilient()).unwrap();
     assert!(session.tokens_negotiated());
@@ -159,7 +177,7 @@ fn resilient_session_is_inert_on_a_healthy_server() {
 
 #[test]
 fn deterministic_aborts_burn_the_retry_budget_then_surface() {
-    let (_db, _logger, server) = start_durable_server();
+    let (_dir, _db, _logger, server) = start_durable_server();
     let config = ClientConfig::resilient().with_retry(fast_retry(2));
     let mut session = Session::connect_with(server.local_addr(), config).unwrap();
     let kv = session.open_table("kv").unwrap();
@@ -174,7 +192,7 @@ fn deterministic_aborts_burn_the_retry_budget_then_surface() {
 
 #[test]
 fn lost_ack_is_replayed_from_the_token_window_exactly_once() {
-    let (_db, _logger, mut server) = start_durable_server();
+    let (_dir, _db, _logger, mut server) = start_durable_server();
     // Reads per connection: 1 = HELLO response, 2 = open_table response,
     // 3 = the insert's ack — which this plan replaces with a connection
     // reset, so the client never sees the outcome of an executed write.
@@ -200,7 +218,7 @@ fn lost_ack_is_replayed_from_the_token_window_exactly_once() {
 
 #[test]
 fn torn_request_is_resent_fresh_after_reconnecting() {
-    let (_db, _logger, mut server) = start_durable_server();
+    let (_dir, _db, _logger, mut server) = start_durable_server();
     // Writes per connection: 1 = HELLO, 2 = open_table, 3 = the insert —
     // torn mid-frame, so the server never sees a complete request.
     let fault = Arc::new(
@@ -224,7 +242,7 @@ fn torn_request_is_resent_fresh_after_reconnecting() {
 
 #[test]
 fn untokenized_in_flight_write_surfaces_ack_unknown() {
-    let (_db, _logger, server) = start_durable_server();
+    let (_dir, _db, _logger, server) = start_durable_server();
     // Reads per connection (no handshake): 1 = open_table response, 2 = the
     // put's ack, lost to a reset.
     let fault = Arc::new(
@@ -252,7 +270,7 @@ fn untokenized_in_flight_write_surfaces_ack_unknown() {
 
 #[test]
 fn reads_ride_through_connection_resets_transparently() {
-    let (_db, _logger, server) = start_durable_server();
+    let (_dir, _db, _logger, server) = start_durable_server();
     let fault = Arc::new(
         NetFaultPlan::new().fail_at(NetFaultSite::Read, 3, NetFaultKind::Reset),
     );
@@ -270,7 +288,7 @@ fn reads_ride_through_connection_resets_transparently() {
 
 #[test]
 fn recv_without_send_is_an_error() {
-    let (_db, _logger, server) = start_durable_server();
+    let (_dir, _db, _logger, server) = start_durable_server();
     let mut conn = Connection::connect(server.local_addr()).unwrap();
     match conn.recv() {
         Err(ClientError::Protocol(_)) => {}

@@ -3,20 +3,23 @@
 
 use super::*;
 use crate::record::Block;
-use crate::tests::{decode_all, scratch_dir};
+use crate::tests::{decode_all, log_stream, scratch_dir, ScratchDir};
 use silo_core::{EpochConfig, SiloConfig, TableId, Worker};
 use std::time::Instant;
 
-/// A logged database (one logger, in memory) whose epochs only move when the
-/// test says so. `epoch_interval` is what an epoch-paced clock would tick at.
-fn manual_db(epoch_interval: Duration) -> (Arc<Database>, Arc<SiloLogger>, TableId) {
+/// A logged database (one logger, logging to a scratch directory) whose
+/// epochs only move when the test says so. `epoch_interval` is what an
+/// epoch-paced clock would tick at.
+fn manual_db(epoch_interval: Duration) -> (ScratchDir, Arc<Database>, Arc<SiloLogger>, TableId) {
+    let dir = scratch_dir("bound");
     let db = Database::open(SiloConfig::for_testing().with_epoch(EpochConfig {
         epoch_interval,
         snapshot_interval_epochs: 5,
     }));
-    let logger = SiloLogger::install(LogConfig::in_memory(1), &db).expect("install logger");
+    let logger =
+        SiloLogger::install(LogConfig::to_directory(&*dir, 1), &db).expect("install logger");
     let t = db.create_table("t").unwrap();
-    (db, logger, t)
+    (dir, db, logger, t)
 }
 
 fn put(w: &mut Worker, t: TableId, key: &[u8]) -> Tid {
@@ -46,14 +49,14 @@ fn await_round(logger: &SiloLogger, before: u64) {
     }
 }
 
-/// The blocks of the single in-memory log stream.
+/// The blocks of the single logger's segment files, in sequence order.
 fn blocks(logger: &SiloLogger) -> Vec<Block> {
-    decode_all(&logger.memory_logs()[0]).expect("decodable log")
+    decode_all(&log_stream(&logger.config().dir, 0)).expect("decodable log")
 }
 
 #[test]
 fn an_uncommitted_first_transaction_holds_its_epoch_back() {
-    let (db, logger, t) = manual_db(Duration::from_millis(1));
+    let (_dir, db, logger, t) = manual_db(Duration::from_millis(1));
     db.epochs().advance_n(3);
     // Worker A commits and finishes: its second commit publishes, so no
     // buffer of its own is left to bound D. (It creates the keys the others
@@ -113,7 +116,7 @@ fn a_quiesced_commit_is_durable_one_advance_later() {
     // An epoch-paced clock would tick every 10 s here: whatever makes these
     // commits durable within the assertion below is the advance itself. Five
     // in a row, so that a fallback wake-up cannot account for it either.
-    let (db, logger, t) = manual_db(Duration::from_secs(10));
+    let (_dir, db, logger, t) = manual_db(Duration::from_secs(10));
     let mut w = db.register_worker();
     for i in 0..5u8 {
         let tid = put(&mut w, t, &[i]);
@@ -137,7 +140,7 @@ fn a_quiesced_commit_is_durable_one_advance_later() {
 
 #[test]
 fn a_pinned_worker_holds_the_durable_epoch_below_its_own() {
-    let (db, logger, t) = manual_db(Duration::from_millis(1));
+    let (_dir, db, logger, t) = manual_db(Duration::from_millis(1));
     db.epochs().advance_n(3);
     let mut pinned = db.register_worker();
     let mut busy = db.register_worker();
@@ -173,7 +176,7 @@ fn a_pinned_worker_holds_the_durable_epoch_below_its_own() {
 
 #[test]
 fn read_only_commits_are_log_silent() {
-    let (db, logger, t) = manual_db(Duration::from_millis(1));
+    let (_dir, db, logger, t) = manual_db(Duration::from_millis(1));
     let mut w = db.register_worker();
     let tid = put(&mut w, t, b"k");
     let state = &logger.shared.workers[w.id()];
@@ -213,14 +216,14 @@ fn read_only_commits_are_log_silent() {
 
 #[test]
 fn a_thousand_checkpoint_attempts_register_no_workers() {
-    let dir = scratch_dir("ckpt-1000");
-    let (db, logger, t) = manual_db(Duration::from_millis(1));
+    let ckpt_dir = scratch_dir("ckpt-1000");
+    let (_dir, db, logger, t) = manual_db(Duration::from_millis(1));
     let ckpt = Checkpointer::spawn(
         Arc::clone(&db),
         Arc::clone(&logger),
         CheckpointConfig {
             interval: Duration::from_secs(3600),
-            ..CheckpointConfig::new(&dir)
+            ..CheckpointConfig::new(&*ckpt_dir)
         },
     );
     let mut w = db.register_worker();
@@ -249,5 +252,4 @@ fn a_thousand_checkpoint_attempts_register_no_workers() {
     assert_eq!(fresh.id(), 1);
     put(&mut fresh, t, b"fresh");
     ckpt.shutdown();
-    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -875,7 +875,7 @@ pub(crate) fn load_checkpoint(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::tests::as_writes;
+    use crate::tests::{as_writes, scratch_dir};
 
     /// A slice holding `records`, written by the checkpointer's own encoder.
     pub(crate) fn slice_bytes(records: &[(TableId, &[u8], Tid, &[u8])]) -> Vec<u8> {
@@ -904,8 +904,7 @@ pub(crate) mod tests {
 
     #[test]
     fn manifest_roundtrip_and_incomplete_detection() {
-        let root = std::env::temp_dir().join(format!("silo-ckpt-manifest-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = scratch_dir("ckpt-manifest");
         let dir = checkpoint_dir(&root, 42);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(slice_path(&dir, 0), b"0123456789").unwrap();
@@ -935,13 +934,11 @@ pub(crate) mod tests {
         )
         .unwrap();
         assert!(latest_checkpoint(&root).is_none());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn latest_checkpoint_picks_max_epoch() {
-        let root = std::env::temp_dir().join(format!("silo-ckpt-latest-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = scratch_dir("ckpt-latest");
         for epoch in [7u64, 19, 12] {
             let dir = checkpoint_dir(&root, epoch);
             std::fs::create_dir_all(&dir).unwrap();
@@ -952,7 +949,6 @@ pub(crate) mod tests {
             .unwrap();
         }
         assert_eq!(latest_checkpoint(&root).unwrap().epoch, 19);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// The records of `slice`, read against a manifest that claims its
@@ -1075,8 +1071,7 @@ pub(crate) mod tests {
 
     #[test]
     fn verify_checkpoint_flags_a_corrupt_slice() {
-        let root = std::env::temp_dir().join(format!("silo-ckpt-verify-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = scratch_dir("ckpt-verify");
         let mut slice = slice_bytes(&[(1, b"key", Tid::from_raw(11), b"value")]);
         write_one_slice_checkpoint(&root, 5, &slice, 1);
         let info = latest_checkpoint(&root).expect("complete checkpoint");
@@ -1089,13 +1084,11 @@ pub(crate) mod tests {
         std::fs::write(slice_path(&info.dir, 0), &slice).unwrap();
         let err = verify_checkpoint(&info).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn complete_checkpoints_lists_newest_first() {
-        let root = std::env::temp_dir().join(format!("silo-ckpt-complete-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = scratch_dir("ckpt-complete");
         for epoch in [4u64, 9, 6] {
             let dir = checkpoint_dir(&root, epoch);
             std::fs::create_dir_all(&dir).unwrap();
@@ -1112,6 +1105,5 @@ pub(crate) mod tests {
             .map(|c| c.epoch)
             .collect();
         assert_eq!(epochs, vec![9, 6, 4]);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 }

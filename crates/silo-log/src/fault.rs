@@ -2,10 +2,10 @@
 //!
 //! A [`FaultPlan`] is a seeded failpoint registry: it schedules faults (by
 //! kind) at specific operation counts of specific [`FaultSite`]s, on the
-//! generic [`Schedule`] core that `silo-net`'s wire faults share. Sinks are
-//! wrapped in a [`FaultSink`] only when a plan is configured through
-//! [`crate::LogConfig::fault`], so production configurations pay nothing —
-//! the hot path never even branches on a disabled plan.
+//! generic [`Schedule`] core that `silo-net`'s wire faults share. A plan
+//! configured through [`crate::LogConfig::fault`] is consulted inside the
+//! log sink's append, sync and rotate, and at the checkpointer's crash
+//! points; without one, each of those calls costs one `Option` check.
 //!
 //! Plans are either built explicitly ([`FaultPlan::new`] + [`FaultPlan::fail_at`],
 //! for unit tests that need one precise fault) or derived from a seed
@@ -16,8 +16,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-
-use crate::sink::{LogSink, SinkError, TruncateOutcome};
 
 /// xorshift64* — deterministic, dependency-free PRNG for seeded schedules.
 pub fn xorshift(state: &mut u64) -> u64 {
@@ -378,105 +376,6 @@ impl std::error::Error for InjectedCrash {}
 /// Whether an I/O error is an injected checkpoint crash.
 pub fn is_injected_crash(e: &std::io::Error) -> bool {
     e.get_ref().is_some_and(|inner| inner.is::<InjectedCrash>())
-}
-
-/// A [`LogSink`] wrapper that injects the faults a [`FaultPlan`] schedules.
-///
-/// Fault semantics preserve the sink contract ([`LogSink::append`]): a
-/// *transient* failure (including `ENOSPC`) is injected **before** any byte
-/// reaches the inner sink, so a retry is safe; a *torn* write appends a
-/// prefix and then fails permanently (the tail stays torn, exactly like a
-/// crash mid-append); a *bit flip* silently corrupts the data and reports
-/// success.
-pub struct FaultSink {
-    inner: Box<dyn LogSink + Send>,
-    plan: std::sync::Arc<FaultPlan>,
-}
-
-impl FaultSink {
-    /// Wraps `inner`, injecting the faults `plan` schedules.
-    pub fn new(inner: Box<dyn LogSink + Send>, plan: std::sync::Arc<FaultPlan>) -> FaultSink {
-        FaultSink { inner, plan }
-    }
-}
-
-impl LogSink for FaultSink {
-    fn append(&mut self, data: &[u8]) -> Result<(), SinkError> {
-        match self.plan.next_fault(FaultSite::Append) {
-            None | Some(FaultKind::Crash) => self.inner.append(data),
-            Some(FaultKind::Transient) => Err(SinkError::injected("append", true)),
-            Some(FaultKind::Permanent) => Err(SinkError::injected("append", false)),
-            Some(FaultKind::NoSpace) => Err(SinkError::no_space("append", true)),
-            Some(FaultKind::ShortWrite) => {
-                // A torn write: a prefix lands, then the device dies. The
-                // inner result is irrelevant — the sink is failed either way.
-                let torn = data.len() / 2;
-                let _ = self.inner.append(&data[..torn]);
-                Err(SinkError::injected_torn("append", torn, data.len()))
-            }
-            Some(FaultKind::BitFlip { bit }) => {
-                if data.is_empty() {
-                    return self.inner.append(data);
-                }
-                let mut corrupted = data.to_vec();
-                let pos = (bit / 8) as usize % corrupted.len();
-                corrupted[pos] ^= 1 << (bit % 8);
-                self.inner.append(&corrupted)
-            }
-            Some(FaultKind::SyncStall { millis }) => {
-                std::thread::sleep(std::time::Duration::from_millis(millis));
-                self.inner.append(data)
-            }
-        }
-    }
-
-    fn sync(&mut self) -> Result<(), SinkError> {
-        match self.plan.next_fault(FaultSite::Sync) {
-            None | Some(FaultKind::Crash) | Some(FaultKind::BitFlip { .. }) => self.inner.sync(),
-            Some(FaultKind::Transient) => Err(SinkError::injected("sync", true)),
-            Some(FaultKind::Permanent) | Some(FaultKind::ShortWrite) => {
-                Err(SinkError::injected("sync", false))
-            }
-            Some(FaultKind::NoSpace) => Err(SinkError::no_space("sync", true)),
-            Some(FaultKind::SyncStall { millis }) => {
-                std::thread::sleep(std::time::Duration::from_millis(millis));
-                self.inner.sync()
-            }
-        }
-    }
-
-    fn observe_epoch(&mut self, epoch: u64) {
-        self.inner.observe_epoch(epoch);
-    }
-
-    fn should_rotate(&self) -> bool {
-        self.inner.should_rotate()
-    }
-
-    fn rotate(&mut self) -> Result<bool, SinkError> {
-        match self.plan.next_fault(FaultSite::Rotate) {
-            None | Some(FaultKind::Crash) | Some(FaultKind::BitFlip { .. }) => self.inner.rotate(),
-            Some(FaultKind::Transient) => Err(SinkError::injected("rotate", true)),
-            Some(FaultKind::Permanent) | Some(FaultKind::ShortWrite) => {
-                Err(SinkError::injected("rotate", false))
-            }
-            Some(FaultKind::NoSpace) => Err(SinkError::no_space("rotate", true)),
-            Some(FaultKind::SyncStall { millis }) => {
-                std::thread::sleep(std::time::Duration::from_millis(millis));
-                self.inner.rotate()
-            }
-        }
-    }
-
-    fn truncate_obsolete(&mut self, ckpt_epoch: u64) -> TruncateOutcome {
-        self.inner.truncate_obsolete(ckpt_epoch)
-    }
-
-    fn reopen(&mut self) -> Result<bool, SinkError> {
-        // Reopens are the *recovery* from an injected sync fault; injecting
-        // here would only mask the site under test.
-        self.inner.reopen()
-    }
 }
 
 #[cfg(test)]

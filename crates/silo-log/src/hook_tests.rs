@@ -6,7 +6,7 @@
 
 use super::*;
 use crate::record::{Block, LoggedTxn, LoggedWrite};
-use crate::tests::decode_all;
+use crate::tests::{decode_all, log_stream, scratch_dir};
 use silo_core::{EpochConfig, SiloConfig, TableId};
 
 fn write(table: TableId, key: &[u8], value: Option<&[u8]>) -> LoggedWrite {
@@ -20,12 +20,13 @@ fn write(table: TableId, key: &[u8], value: Option<&[u8]>) -> LoggedWrite {
 /// Runs the sequence under `mode` and returns what the log holds next to
 /// what it should hold.
 fn logged(mode: LogMode) -> (Vec<LoggedTxn>, Vec<LoggedTxn>) {
+    let dir = scratch_dir("hook");
     let db = Database::open(SiloConfig::for_testing().with_epoch(EpochConfig {
         epoch_interval: Duration::from_secs(10),
         snapshot_interval_epochs: 5,
     }));
-    let logger =
-        SiloLogger::install(LogConfig::in_memory(1).with_mode(mode), &db).expect("install logger");
+    let config = LogConfig::to_directory(&*dir, 1).with_mode(mode);
+    let logger = SiloLogger::install(config, &db).expect("install logger");
     let t = db.create_table("t").unwrap();
     let u = db.create_table("u").unwrap();
     let mut w = db.register_worker();
@@ -70,7 +71,7 @@ fn logged(mode: LogMode) -> (Vec<LoggedTxn>, Vec<LoggedTxn>) {
         .is_durable());
     logger.shutdown();
 
-    let actual = decode_all(&logger.memory_logs()[0])
+    let actual = decode_all(&log_stream(&dir, 0))
         .expect("decodable log")
         .into_iter()
         .filter_map(|block| match block {

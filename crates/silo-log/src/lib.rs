@@ -30,8 +30,7 @@
 //! transactions the checkpoint does not cover with `epoch(tid) ≤ D`, applying
 //! log records for the same key in TID order. Nothing newer is replayed: the
 //! serial order within an epoch is not recoverable, so replaying a partial
-//! epoch could produce an inconsistent state. [`recover_into`] runs the same
-//! replay over in-memory streams.
+//! epoch could produce an inconsistent state.
 //!
 //! There is one on-disk format, CRC-sealed rounds of record blocks
 //! ([`record`]), and one decoder reads it back. Log segments
@@ -43,8 +42,9 @@
 //! The crate also implements the persistence-side knobs of the paper's factor
 //! analysis (Figure 11): `SmallRecs` (8-byte log records), `FullRecs`
 //! (default) and `Compress` (LZ77-style compression of log buffers — applied
-//! by the *logger* threads, off the workers' commit path), plus an in-memory
-//! sink that stands in for the paper's `Silo+tmpfs` configuration.
+//! by the *logger* threads, off the workers' commit path). Loggers only ever
+//! write segment files; the paper's `Silo+tmpfs` configuration is the same
+//! logger with fsync off ([`LogConfig::fsync`]).
 
 #![warn(missing_docs)]
 // Raw key/value byte tuples are part of this crate's vocabulary; aliasing
@@ -63,10 +63,10 @@ pub use checkpoint::{
     CheckpointStats, Checkpointer,
 };
 pub use fault::{FaultKind, FaultPlan, FaultSite};
-pub use recovery::{
-    recover_directory, recover_into, RecoveryError, RecoveryOptions, RecoveryReport,
-};
-pub use sink::{FileSink, LogSink, MemorySink, SinkError, SinkErrorKind, TruncateOutcome};
+pub use recovery::{recover_directory, RecoveryError, RecoveryOptions, RecoveryReport};
+pub use sink::{SinkError, SinkErrorKind};
+
+use sink::FileSink;
 
 use std::path::PathBuf;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
@@ -98,24 +98,11 @@ pub enum LogMode {
     SmallRecords,
 }
 
-/// Where log bytes go.
-#[derive(Debug, Clone)]
-pub enum LogDestination {
-    /// One stream of segment files per logger under this directory
-    /// (`silo-log-<logger>-seg<seq>.bin`), next to the checkpoints.
-    Directory(PathBuf),
-    /// Keep log bytes in memory — the stand-in for the paper's `Silo+tmpfs`
-    /// configuration, isolating logging-subsystem overhead from device
-    /// overhead.
-    Memory,
-}
-
 /// Durability configuration.
 ///
-/// The struct is `#[non_exhaustive]`: construct it with [`Default`],
-/// [`LogConfig::to_directory`], or [`LogConfig::in_memory`] and refine it
-/// with the builder-style `with_*` methods, so new knobs are never a
-/// breaking change for downstream code:
+/// The struct is `#[non_exhaustive]`: construct it with
+/// [`LogConfig::to_directory`] and refine it with the builder-style `with_*`
+/// methods, so new knobs are never a breaking change for downstream code:
 ///
 /// ```
 /// use silo_log::LogConfig;
@@ -128,8 +115,9 @@ pub enum LogDestination {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct LogConfig {
-    /// Where to write the log.
-    pub destination: LogDestination,
+    /// The directory of the log: one stream of segment files per logger
+    /// (`silo-log-<logger>-seg<seq>.bin`), next to the checkpoints.
+    pub dir: PathBuf,
     /// Number of logger threads (the paper uses 4).
     pub num_loggers: usize,
     /// Record contents ([`LogMode`]).
@@ -137,7 +125,9 @@ pub struct LogConfig {
     /// Compress published buffers before they hit the sink (`+Compress`).
     /// Compression runs on the logger threads, not the workers' commit path.
     pub compress: bool,
-    /// Call `fsync` after each logger write batch.
+    /// Call `fsync` after each logger write batch. Off, the log is the
+    /// paper's `Silo+tmpfs` configuration: the same files, with no device
+    /// wait.
     pub fsync: bool,
     /// Worker buffer fill level that triggers a publish to the logger.
     pub buffer_capacity: usize,
@@ -146,8 +136,8 @@ pub struct LogConfig {
     /// depth) so that steady-state publishes never hit the allocator.
     pub pool_buffers: usize,
     /// Rotate a logger's file into a fresh segment once it exceeds this many
-    /// bytes (directory destinations only). Smaller segments let checkpoints
-    /// truncate the log at a finer grain; each rotation costs one fsync.
+    /// bytes. Smaller segments let checkpoints truncate the log at a finer
+    /// grain; each rotation costs one fsync.
     pub segment_bytes: u64,
     /// Initial backoff after a transient sink error; doubles per consecutive
     /// retry (capped at 64× this value).
@@ -160,16 +150,17 @@ pub struct LogConfig {
     /// [`DurabilityHealth::Degraded`] — the backpressure watermark a stalled
     /// disk trips.
     pub max_durable_lag_epochs: u64,
-    /// Fault-injection plan for tests; `None` (the default) adds no wrapper
-    /// and no per-operation cost.
+    /// Fault-injection plan for tests; `None` (the default) costs one
+    /// `Option` check per sink call.
     pub fault: Option<Arc<FaultPlan>>,
 }
 
-impl Default for LogConfig {
-    fn default() -> Self {
+impl LogConfig {
+    /// Logs to segment files under `dir` with the given number of loggers.
+    pub fn to_directory(dir: impl Into<PathBuf>, num_loggers: usize) -> Self {
         LogConfig {
-            destination: LogDestination::Memory,
-            num_loggers: 1,
+            dir: dir.into(),
+            num_loggers: num_loggers.max(1),
             mode: LogMode::FullRecords,
             compress: false,
             fsync: false,
@@ -180,26 +171,6 @@ impl Default for LogConfig {
             retry_budget: Duration::from_secs(2),
             max_durable_lag_epochs: 128,
             fault: None,
-        }
-    }
-}
-
-impl LogConfig {
-    /// Logs to files under `dir` with the given number of loggers.
-    pub fn to_directory(dir: impl Into<PathBuf>, num_loggers: usize) -> Self {
-        LogConfig {
-            destination: LogDestination::Directory(dir.into()),
-            num_loggers: num_loggers.max(1),
-            ..Default::default()
-        }
-    }
-
-    /// Logs to memory (the `Silo+tmpfs` stand-in).
-    pub fn in_memory(num_loggers: usize) -> Self {
-        LogConfig {
-            destination: LogDestination::Memory,
-            num_loggers: num_loggers.max(1),
-            ..Default::default()
         }
     }
 
@@ -233,7 +204,7 @@ impl LogConfig {
         self
     }
 
-    /// Sets the segment rotation threshold (directory destinations only).
+    /// Sets the segment rotation threshold.
     pub fn with_segment_bytes(mut self, bytes: u64) -> Self {
         self.segment_bytes = bytes;
         self
@@ -470,8 +441,8 @@ impl BufferPool {
 }
 
 /// A logger thread's mailbox: workers push published buffers (tagged with
-/// the single epoch all records in the buffer share, which segmented sinks
-/// use to bound each segment's contents) and wake the logger through the
+/// the single epoch all records in the buffer share, which the sink uses to
+/// bound each segment's contents) and wake the logger through the
 /// condvar; the logger swaps the whole queue out in one lock acquisition.
 /// Both sides reuse their `Vec`s, so steady-state traffic allocates nothing
 /// (unlike a linked-list channel, whose sends allocate a node on the worker
@@ -648,8 +619,6 @@ impl AdvanceListener for LoggerShared {
 pub struct SiloLogger {
     shared: Arc<LoggerShared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Memory sinks (one per logger) when the destination is `Memory`.
-    memory_sinks: Vec<Arc<Mutex<Vec<u8>>>>,
     /// The database's epoch manager, for the durable-lag watermark.
     epochs: Arc<silo_core::EpochManager>,
 }
@@ -673,29 +642,10 @@ impl SiloLogger {
     ) -> Result<Arc<SiloLogger>, SinkError> {
         let num_loggers = config.num_loggers.max(1);
 
-        // Build the per-logger sinks before spawning threads.
-        let mut memory_sinks = Vec::new();
-        let mut sinks: Vec<Box<dyn LogSink + Send>> = Vec::new();
-        for i in 0..num_loggers {
-            let sink: Box<dyn LogSink + Send> = match &config.destination {
-                LogDestination::Directory(dir) => Box::new(FileSink::open(
-                    dir,
-                    i,
-                    num_loggers,
-                    config.fsync,
-                    config.segment_bytes,
-                )?),
-                LogDestination::Memory => {
-                    let buf = Arc::new(Mutex::new(Vec::new()));
-                    memory_sinks.push(Arc::clone(&buf));
-                    Box::new(MemorySink::new(buf))
-                }
-            };
-            match &config.fault {
-                Some(plan) => sinks.push(Box::new(fault::FaultSink::new(sink, Arc::clone(plan)))),
-                None => sinks.push(sink),
-            }
-        }
+        // Open the per-logger sinks before spawning threads.
+        let sinks = (0..num_loggers)
+            .map(|i| FileSink::open(&config, i))
+            .collect::<Result<Vec<_>, _>>()?;
 
         let inbox_depth = config.pool_buffers + 16;
         let shared = Arc::new(LoggerShared {
@@ -725,7 +675,7 @@ impl SiloLogger {
             let spawned = std::thread::Builder::new()
                 .name(format!("silo-logger-{i}"))
                 .spawn(move || {
-                    logger_thread(i, thread_shared, sink.as_mut(), thread_epochs);
+                    logger_thread(i, thread_shared, &mut sink, thread_epochs);
                 });
             match spawned {
                 Ok(handle) => handles.push(handle),
@@ -748,7 +698,6 @@ impl SiloLogger {
         Ok(Arc::new(SiloLogger {
             shared,
             handles: Mutex::new(handles),
-            memory_sinks,
             epochs,
         }))
     }
@@ -941,12 +890,6 @@ impl SiloLogger {
         self.shared.wake_loggers();
     }
 
-    /// The in-memory log contents (only for [`LogDestination::Memory`]); one
-    /// buffer per logger. Used by tests and recovery-from-memory.
-    pub fn memory_logs(&self) -> Vec<Vec<u8>> {
-        self.memory_sinks.iter().map(|s| s.lock().clone()).collect()
-    }
-
     /// Stops the logger threads after they drain already-published buffers.
     /// Each closes its mailbox on the way out, so later publishes drop their
     /// records. Worker buffers not yet published are lost (they were not
@@ -1069,21 +1012,17 @@ fn with_retry(
 /// reaching the device ("fsyncgate" — the failure mode that corrupted
 /// PostgreSQL WALs for years). The only sound retry path reopens the file,
 /// discards the unsynced tail, re-appends the round, and syncs the fresh
-/// descriptor; sinks without descriptor semantics (in-memory, injected
-/// faults on a memory sink) fall back to a plain re-sync.
+/// descriptor.
 ///
 /// The time of a round that succeeds is counted in `append_ns` and `sync_ns`.
-fn write_round(
-    shared: &LoggerShared,
-    sink: &mut dyn LogSink,
-    round: &[u8],
-) -> Result<(), SinkError> {
+fn write_round(shared: &LoggerShared, sink: &mut FileSink, round: &[u8]) -> Result<(), SinkError> {
     let started = Instant::now();
     with_retry(shared, || sink.append(round))?;
     let appended = Instant::now();
     let mut retry = false;
     with_retry(shared, || {
-        if std::mem::replace(&mut retry, true) && sink.reopen()? {
+        if std::mem::replace(&mut retry, true) {
+            sink.reopen()?;
             shared.counters.sync_reopens.fetch_add(1, Ordering::Relaxed);
             // The reopen dropped the round along with the rest of the
             // unsynced tail; put it back before syncing again.
@@ -1102,13 +1041,13 @@ fn write_round(
 }
 
 /// Writes one CRC-sealed round: `fill` appends its blocks to the cleared
-/// `round` buffer and returns the largest epoch they carry (for segmented
-/// sinks), then the envelope is sealed, appended and synced. Once it has
+/// `round` buffer and returns the largest epoch they carry (which bounds the
+/// segment's contents), then the envelope is sealed, appended and synced. Once it has
 /// reached the sink it is counted in `checksum_blocks`, `seal_ns` and
 /// `bytes_written`. An empty envelope writes nothing and returns `false`.
 fn write_sealed_round(
     shared: &LoggerShared,
-    sink: &mut dyn LogSink,
+    sink: &mut FileSink,
     round: &mut Vec<u8>,
     fill: impl FnOnce(&mut Vec<u8>) -> u64,
 ) -> Result<bool, SinkError> {
@@ -1141,7 +1080,7 @@ fn write_sealed_round(
 fn logger_thread(
     logger_index: usize,
     shared: Arc<LoggerShared>,
-    sink: &mut dyn LogSink,
+    sink: &mut FileSink,
     epochs: Arc<silo_core::EpochManager>,
 ) {
     let Err(e) = logger_loop(logger_index, &shared, sink, &epochs) else {
@@ -1171,7 +1110,7 @@ const REPOLL_MIN: Duration = Duration::from_micros(50);
 fn logger_loop(
     logger_index: usize,
     shared: &Arc<LoggerShared>,
-    sink: &mut dyn LogSink,
+    sink: &mut FileSink,
     epochs: &Arc<silo_core::EpochManager>,
 ) -> Result<(), SinkError> {
     let num_loggers = shared.inboxes.len();

@@ -3,6 +3,7 @@
 //! `Arc` is gone. Epochs move only when a test says so.
 
 use super::*;
+use crate::tests::scratch_dir;
 use silo_core::{SiloConfig, TableId};
 use std::time::Instant;
 
@@ -21,8 +22,8 @@ impl AdvanceListener for Probe {
     }
 }
 
-/// A logged database (one logger, in memory) with no epoch advancer, and a
-/// probe registered as a durable listener.
+/// A logged database (one logger) with no epoch advancer, and a probe
+/// registered as a durable listener.
 fn listened_db(config: LogConfig) -> (Arc<Database>, Arc<SiloLogger>, TableId, Arc<Probe>) {
     let db = Database::open(SiloConfig::for_testing());
     let logger = SiloLogger::install(config, &db).expect("install logger");
@@ -55,7 +56,8 @@ fn await_calls(probe: &Probe, at_least: u64) {
 
 #[test]
 fn a_listener_hears_the_durable_epoch_advance_and_a_dropped_one_does_not() {
-    let (db, logger, t, probe) = listened_db(LogConfig::in_memory(1));
+    let dir = scratch_dir("listener");
+    let (db, logger, t, probe) = listened_db(LogConfig::to_directory(&*dir, 1));
     let dropped_calls = Arc::new(AtomicU64::new(0));
     let dropped: Arc<dyn AdvanceListener> = Arc::new(Probe {
         calls: Arc::clone(&dropped_calls),
@@ -86,10 +88,11 @@ fn a_listener_hears_the_durable_epoch_advance_and_a_dropped_one_does_not() {
 #[test]
 fn a_listener_hears_a_permanent_logger_failure() {
     let plan = Arc::new(FaultPlan::new().fail_at(FaultSite::Append, 1, FaultKind::Permanent));
+    let dir = scratch_dir("listener-failure");
     let (db, logger, t, probe) = listened_db(LogConfig {
         fault: Some(plan),
         retry_budget: Duration::from_millis(50),
-        ..LogConfig::in_memory(1)
+        ..LogConfig::to_directory(&*dir, 1)
     });
     commit_and_close_epoch(&db, t);
     await_calls(&probe, 1);
@@ -102,7 +105,8 @@ fn a_listener_hears_a_permanent_logger_failure() {
 
 #[test]
 fn a_listener_hears_shutdown() {
-    let (_db, logger, _t, probe) = listened_db(LogConfig::in_memory(1));
+    let dir = scratch_dir("listener-shutdown");
+    let (_db, logger, _t, probe) = listened_db(LogConfig::to_directory(&*dir, 1));
     // No commit and no advance: nothing has woken a durable waiter yet.
     assert_eq!(probe.calls.load(Ordering::SeqCst), 0);
     logger.shutdown();

@@ -13,9 +13,9 @@
 //! so records of the same key are always applied in TID order no matter which
 //! stream they came from. Nothing is ever loaded whole-file into memory.
 //!
-//! There is one pipeline. [`recover_directory`] runs it over the segment
-//! files of a durability root (after restoring the checkpoint there);
-//! [`recover_into`] runs it over in-memory streams (`ce = 0`).
+//! There is one pipeline, and one entry point: [`recover_directory`] runs it
+//! over the segment files of a durability root, after restoring the
+//! checkpoint there.
 
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -138,21 +138,21 @@ fn log_streams(dir: &Path) -> Result<Vec<Vec<PathBuf>>, std::io::Error> {
 }
 
 /// A reader chaining a logger's segment files into one logical stream.
-struct ChainedFiles {
-    paths: std::vec::IntoIter<PathBuf>,
+struct ChainedFiles<'a> {
+    paths: std::slice::Iter<'a, PathBuf>,
     current: Option<BufReader<std::fs::File>>,
 }
 
-impl ChainedFiles {
-    fn new(paths: Vec<PathBuf>) -> Self {
+impl<'a> ChainedFiles<'a> {
+    fn new(paths: &'a [PathBuf]) -> Self {
         ChainedFiles {
-            paths: paths.into_iter(),
+            paths: paths.iter(),
             current: None,
         }
     }
 }
 
-impl std::io::Read for ChainedFiles {
+impl std::io::Read for ChainedFiles<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         loop {
             if let Some(reader) = &mut self.current {
@@ -213,7 +213,7 @@ pub struct RecoveryReport {
     pub covered_txns: u64,
     /// Log bytes scanned during replay (the surviving segments — the tail).
     pub log_bytes_scanned: u64,
-    /// Number of surviving log files scanned (0 for in-memory streams).
+    /// Number of surviving log files scanned.
     pub log_files: u64,
     /// Wall-clock microseconds replaying the log tail (includes the horizon
     /// pre-scan).
@@ -290,52 +290,35 @@ pub fn recover_directory(
 
     let streams = log_streams(dir)?;
     report.log_files = streams.iter().map(|paths| paths.len() as u64).sum();
-    replay_tail(db, options, report, streams.len(), |i| {
-        ChainedFiles::new(streams[i].clone())
-    })
+    replay_tail(db, options, report, &streams)
 }
 
-/// Recovery from in-memory log streams (one per logger, as returned by
-/// [`crate::SiloLogger::memory_logs`] — the `Silo+tmpfs` configuration):
-/// the same replay as [`recover_directory`] with no checkpoint and the
-/// default [`RecoveryOptions`]. Recovered records keep their original TIDs
-/// and the epochs are fast-forwarded past the recovered horizon.
-pub fn recover_into(
-    db: &Arc<Database>,
-    streams: &[Vec<u8>],
-) -> Result<RecoveryReport, RecoveryError> {
-    replay_tail(
-        db,
-        &RecoveryOptions::default(),
-        RecoveryReport::default(),
-        streams.len(),
-        |i| streams[i].as_slice(),
-    )
-}
-
-/// The one replay pipeline, over `streams` logger streams that `open`
-/// (re)opens from the start — each is read twice: the horizon pre-scan, then
-/// the replay proper. `report` carries the checkpoint phase's results;
-/// transactions with epochs `≤ report.checkpoint_epoch` are already covered.
+/// The one replay pipeline, over one stream of segment files per logger —
+/// each is read twice: the horizon pre-scan, then the replay proper.
+/// `report` carries the checkpoint phase's results; transactions with epochs
+/// `≤ report.checkpoint_epoch` are already covered.
 ///
 /// Horizon scan → sharded [`silo_core::bulk_apply`] replay → tombstone sweep
 /// → epoch fast-forward.
-fn replay_tail<R: std::io::Read>(
+fn replay_tail(
     db: &Arc<Database>,
     options: &RecoveryOptions,
     mut report: RecoveryReport,
-    streams: usize,
-    open: impl Fn(usize) -> R + Sync,
+    streams: &[Vec<PathBuf>],
 ) -> Result<RecoveryReport, RecoveryError> {
     let threads = options.replay_threads.max(1);
     let ce = report.checkpoint_epoch;
     let replay_start = Instant::now();
-    let open = &open;
 
     // Horizon pre-scan (parallel, skipping payloads): per-stream max marker.
     let per_stream: Vec<Result<(u64, bool), RecoveryError>> = std::thread::scope(|scope| {
-        (0..streams)
-            .map(|i| scope.spawn(move || stream_durable(StreamDecoder::new_skipping(open(i)))))
+        streams
+            .iter()
+            .map(|paths| {
+                scope.spawn(move || {
+                    stream_durable(StreamDecoder::new_skipping(ChainedFiles::new(paths)))
+                })
+            })
             .collect::<Vec<_>>()
             .into_iter()
             .map(|h| h.join().expect("horizon scanner panicked"))
@@ -381,15 +364,15 @@ fn replay_tail<R: std::io::Read>(
             }));
         }
 
-        let mut decoder_handles = Vec::with_capacity(streams);
-        for i in 0..streams {
+        let mut decoder_handles = Vec::with_capacity(streams.len());
+        for paths in streams {
             let senders = senders.clone();
             let replayed = &replayed;
             let skipped = &skipped;
             let covered = &covered;
             let bytes_scanned = &bytes_scanned;
             decoder_handles.push(scope.spawn(move || -> Result<(), RecoveryError> {
-                let mut decoder = StreamDecoder::new(open(i));
+                let mut decoder = StreamDecoder::new(ChainedFiles::new(paths));
                 let mut batches: Vec<Vec<(Tid, LoggedWrite)>> = (0..senders.len())
                     .map(|_| Vec::with_capacity(BATCH))
                     .collect();
@@ -495,7 +478,7 @@ fn replay_tail<R: std::io::Read>(
 mod tests {
     use super::*;
     use crate::record::{encode_epoch_marker, encode_txn};
-    use crate::tests::{as_writes, scratch_dir, sealed};
+    use crate::tests::{as_writes, scratch_dir, sealed, write_segments, ScratchDir};
     use silo_core::SiloConfig;
 
     fn txn_block(tid: Tid, table: TableId, key: &[u8], value: Option<&[u8]>) -> Vec<u8> {
@@ -515,9 +498,12 @@ mod tests {
         sealed(&blocks.concat())
     }
 
-    /// Recovers `streams` into a fresh database with one table (id 0).
+    /// Writes `streams` as one segment file per logger and recovers them
+    /// into a fresh database with one table (id 0).
     fn recover(streams: &[Vec<u8>]) -> (Arc<Database>, RecoveryReport) {
-        crate::tests::recovered("t", streams)
+        let dir = scratch_dir("recover");
+        write_segments(&dir, streams);
+        crate::tests::recovered("t", &dir)
     }
 
     fn read(db: &Arc<Database>, key: &[u8]) -> Option<Vec<u8>> {
@@ -594,7 +580,7 @@ mod tests {
     }
 
     #[test]
-    fn recover_into_keeps_original_tids_and_fast_forwards_the_epoch() {
+    fn recovery_keeps_original_tids_and_fast_forwards_the_epoch() {
         let s = round(&[
             txn_block(Tid::new(1, 1), 0, b"alpha", Some(b"1")),
             txn_block(Tid::new(1, 2), 0, b"beta", Some(b"2")),
@@ -688,9 +674,11 @@ mod tests {
     #[test]
     fn apply_fails_without_schema() {
         let s = round(&[txn_block(Tid::new(1, 1), 5, b"k", Some(b"v")), marker(2)]);
+        let dir = scratch_dir("no-schema");
+        write_segments(&dir, &[s]);
         let db = Database::open(SiloConfig::for_testing());
         assert!(matches!(
-            recover_into(&db, &[s]),
+            recover_directory(&db, &dir, &RecoveryOptions::default()),
             Err(RecoveryError::Apply(_))
         ));
     }
@@ -716,13 +704,13 @@ mod tests {
         assert_eq!(report.replayed_txns, 0);
         assert_eq!(report.log_files, 3);
 
-        // So do the in-memory streams, and no streams at all.
+        // So do the same streams written by the test helper, and no streams
+        // at all.
         for streams in [vec![Vec::new(), torn.to_vec()], Vec::new()] {
             let (db, report) = recover(&streams);
             assert_eq!(report.durable_epoch, 0);
             assert_eq!(db.table(0).approximate_len(), 0);
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -743,7 +731,6 @@ mod tests {
         assert_eq!(report.durable_epoch, 0);
         assert_eq!(report.skipped_txns, 1, "the torn round is never decoded");
         assert_eq!(report.replayed_txns, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -805,7 +792,7 @@ mod tests {
     /// and a newer one at epoch 5 ([`evil`]) whose slice `damage` mangled.
     /// Its manifest claims the mangled slice's length and both records, so
     /// only the slice's contents can give the damage away.
-    fn damaged_newer_checkpoint(name: &str, damage: impl Fn(&mut Vec<u8>)) -> PathBuf {
+    fn damaged_newer_checkpoint(name: &str, damage: impl Fn(&mut Vec<u8>)) -> ScratchDir {
         use crate::checkpoint::tests::{slice_bytes, write_one_slice_checkpoint};
         let dir = scratch_dir(name);
         let good = slice_bytes(&[(0, b"k", Tid::new(3, 1), b"good")]);
@@ -841,7 +828,6 @@ mod tests {
             other => panic!("recovery from a damaged checkpoint returned {other:?}"),
         }
         assert_eq!(db.table(0).approximate_len(), 0, "nothing is loaded");
-        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]

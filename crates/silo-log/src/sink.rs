@@ -1,33 +1,38 @@
-//! Log output sinks: segmented log files and in-memory buffers.
+//! The log sink: each logger thread writes segmented log files.
 //!
 //! Logger threads coalesce every buffer drained in a group-commit round —
-//! plus the trailing durable-epoch marker — into one [`LogSink::append`]
-//! followed by one [`LogSink::sync`], so a sink sees exactly one write (and
-//! for [`FileSink`] with fsync enabled, one `fdatasync`) per round, however
-//! many workers published in it.
+//! plus the trailing durable-epoch marker — into one [`FileSink::append`]
+//! followed by one [`FileSink::sync`], so a sink sees exactly one write (and
+//! with fsync enabled, one `fdatasync`) per round, however many workers
+//! published in it.
 //!
 //! Every fallible operation returns a typed [`SinkError`] instead of
 //! panicking. Errors carry a *transient* bit: loggers retry transient
 //! failures with capped exponential backoff and treat permanent ones as the
 //! death of their sink (the logger marks itself failed; the process keeps
-//! running). [`LogSink::append`] is atomic at this layer: on error, either no
-//! byte of `data` reached the sink (safe to retry) or the error is permanent
+//! running). [`FileSink::append`] is atomic at this layer: on error, either no
+//! byte of `data` reached the file (safe to retry) or the error is permanent
 //! (torn tail — recovery's end-of-stream handling takes over, §4.10).
 //!
-//! [`FileSink`] writes *segments* (`silo-log-<logger>-seg<seq>.bin`) and
-//! tracks the largest record epoch each closed segment contains. Once a
-//! checkpoint at epoch `ce` is durable, every segment whose records all have
-//! epochs `≤ ce` is redundant (the checkpoint already covers those
-//! transactions) and [`LogSink::truncate_obsolete`] deletes it — this is what
-//! bounds log growth between checkpoints. Segments whose deletion fails stay
-//! registered and are retried on the next truncation round.
+//! The sink writes *segments* (`silo-log-<logger>-seg<seq>.bin`) and tracks
+//! the largest record epoch each closed segment contains. Once a checkpoint
+//! at epoch `ce` is durable, every segment whose records all have epochs
+//! `≤ ce` is redundant (the checkpoint already covers those transactions) and
+//! [`FileSink::truncate_obsolete`] deletes it — this is what bounds log growth
+//! between checkpoints. Segments whose deletion fails stay registered and are
+//! retried on the next truncation round.
+//!
+//! Faults from [`LogConfig::fault`] are injected here, at the sink's own
+//! append, sync and rotate, the way the checkpointer consults its plan at its
+//! crash sites: one `Option` check per call when no plan is set.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use crate::fault::{FaultKind, FaultPlan, FaultSite};
+use crate::LogConfig;
 
 /// The category of a [`SinkError`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,9 +163,9 @@ impl std::fmt::Display for SinkError {
 
 impl std::error::Error for SinkError {}
 
-/// The result of one [`LogSink::truncate_obsolete`] round.
+/// The result of one [`FileSink::truncate_obsolete`] round.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TruncateOutcome {
+pub(crate) struct TruncateOutcome {
     /// Segments successfully deleted.
     pub segments_deleted: u64,
     /// Bytes reclaimed by those deletions (measured before deleting).
@@ -168,60 +173,6 @@ pub struct TruncateOutcome {
     /// Deletions that failed; the segments stay registered and are retried
     /// on the next round.
     pub delete_failures: u64,
-}
-
-/// Destination for log bytes. Each logger thread owns one sink.
-///
-/// The segmentation hooks have no-op defaults for sinks without segments
-/// (in-memory).
-pub trait LogSink {
-    /// Appends `data` to the log (one call per group-commit round).
-    ///
-    /// Atomicity contract: on a *transient* error, no byte of `data` reached
-    /// the sink and the same call may be retried; a *permanent* error means
-    /// the sink is unusable (its tail may be torn — recovery treats a torn
-    /// tail as end-of-stream).
-    fn append(&mut self, data: &[u8]) -> Result<(), SinkError>;
-    /// Makes previously appended data stable (fsync for files).
-    fn sync(&mut self) -> Result<(), SinkError>;
-    /// Tells the sink the largest epoch (transaction or durable-marker) it is
-    /// about to receive in the current round, so segmented sinks can bound
-    /// each segment's contents.
-    fn observe_epoch(&mut self, _epoch: u64) {}
-    /// Whether the current segment is full and should be rotated.
-    fn should_rotate(&self) -> bool {
-        false
-    }
-    /// Closes the current segment and opens the next one. Returns whether a
-    /// rotation actually happened. A rotation failure leaves the current
-    /// segment writable, so the caller can simply keep appending and retry
-    /// the rotation later.
-    fn rotate(&mut self) -> Result<bool, SinkError> {
-        Ok(false)
-    }
-    /// Re-establishes the sink's descriptor after a **failed sync**,
-    /// discarding any unsynced tail, so the caller can re-append the round
-    /// and sync again.
-    ///
-    /// This exists because retrying `fsync` on the same descriptor is
-    /// unsound ("fsyncgate"): after a failed fsync the kernel may mark the
-    /// still-unwritten dirty pages clean, so a second fsync can report
-    /// success without the data ever reaching the device. The only sound
-    /// retry reopens the file and rewrites everything past the last
-    /// *successfully synced* offset.
-    ///
-    /// Returns whether a reopen actually happened; sinks without descriptor
-    /// semantics (in-memory) return `Ok(false)` and the caller falls back to
-    /// a plain sync retry.
-    fn reopen(&mut self) -> Result<bool, SinkError> {
-        Ok(false)
-    }
-    /// Deletes closed segments made redundant by a durable checkpoint at
-    /// `ckpt_epoch` (every epoch they contain is `≤ ckpt_epoch`). Failed
-    /// deletions are counted in the outcome and retried next round.
-    fn truncate_obsolete(&mut self, _ckpt_epoch: u64) -> TruncateOutcome {
-        TruncateOutcome::default()
-    }
 }
 
 /// A closed log segment retained on disk.
@@ -233,9 +184,9 @@ struct ClosedSegment {
     max_epoch: Option<u64>,
 }
 
-/// A sink writing segmented log files under a directory, optionally fsyncing
-/// on [`LogSink::sync`].
-pub struct FileSink {
+/// One logger's segmented log files under the log directory, optionally
+/// fsyncing on [`FileSink::sync`].
+pub(crate) struct FileSink {
     file: File,
     path: PathBuf,
     fsync: bool,
@@ -244,8 +195,8 @@ pub struct FileSink {
     /// duplicate a partial write.
     file_len: u64,
     /// Length of the current file known to be on the device: `file_len` as
-    /// of the last successful [`LogSink::sync`]. After a *failed* sync,
-    /// [`LogSink::reopen`] truncates back to this offset — anything beyond
+    /// of the last successful [`FileSink::sync`]. After a *failed* sync,
+    /// [`FileSink::reopen`] truncates back to this offset — anything beyond
     /// it may or may not have reached the device and must be rewritten.
     synced_len: u64,
     dir: PathBuf,
@@ -255,6 +206,8 @@ pub struct FileSink {
     next_seq: u64,
     current_max_epoch: u64,
     closed: Vec<ClosedSegment>,
+    /// The faults to inject ([`LogConfig::fault`]).
+    fault: Option<Arc<FaultPlan>>,
 }
 
 /// The file name of segment `seq` for logger `logger_index`.
@@ -270,8 +223,8 @@ pub(crate) fn parse_segment_name(name: &str) -> Option<(usize, u64)> {
 }
 
 impl FileSink {
-    /// Opens the sink for `logger_index` (one of `num_loggers` loggers) under
-    /// `dir`, starting a fresh segment.
+    /// Opens the sink of logger `logger_index` under `config.dir`, starting a
+    /// fresh segment.
     ///
     /// Existing segments (from a previous, possibly crashed, process) are
     /// never overwritten: the sink resumes after the largest existing
@@ -282,20 +235,15 @@ impl FileSink {
     /// eventually reclaims them too; until then they keep capping the
     /// recovery horizon at their final durable marker (see
     /// [`crate::recover_directory`]).
-    pub fn open(
-        dir: &Path,
-        logger_index: usize,
-        num_loggers: usize,
-        fsync: bool,
-        segment_bytes: u64,
-    ) -> Result<Self, SinkError> {
+    pub fn open(config: &LogConfig, logger_index: usize) -> Result<Self, SinkError> {
+        let dir = &config.dir;
         std::fs::create_dir_all(dir).map_err(|e| {
             SinkError::setup(
                 "open",
                 format!("cannot create log directory {}: {e}", dir.display()),
             )
         })?;
-        let num_loggers = num_loggers.max(1);
+        let num_loggers = config.num_loggers.max(1);
         let owns = |idx: usize| {
             idx == logger_index || (idx >= num_loggers && idx % num_loggers == logger_index)
         };
@@ -332,16 +280,76 @@ impl FileSink {
         Ok(FileSink {
             file,
             path,
-            fsync,
+            fsync: config.fsync,
             file_len: 0,
             synced_len: 0,
-            dir: dir.to_path_buf(),
+            dir: dir.clone(),
             logger_index,
-            segment_bytes: segment_bytes.max(1),
+            segment_bytes: config.segment_bytes.max(1),
             next_seq: next_seq + 1,
             current_max_epoch: 0,
             closed,
+            fault: config.fault.clone(),
         })
+    }
+
+    /// Counts one operation at `site` against the fault plan, if any. An
+    /// injected error (transient, permanent, `ENOSPC`) is returned before the
+    /// operation touches the file, a stall is slept through, and a fault the
+    /// operation carries out itself (a torn write, a bit flip, a crash point
+    /// it ignores) is handed back.
+    fn inject(&self, site: FaultSite, op: &'static str) -> Result<Option<FaultKind>, SinkError> {
+        let Some(plan) = &self.fault else {
+            return Ok(None);
+        };
+        match plan.next_fault(site) {
+            Some(FaultKind::Transient) => Err(SinkError::injected(op, true)),
+            Some(FaultKind::Permanent) => Err(SinkError::injected(op, false)),
+            Some(FaultKind::NoSpace) => Err(SinkError::no_space(op, true)),
+            Some(FaultKind::SyncStall { millis }) => {
+                std::thread::sleep(std::time::Duration::from_millis(millis));
+                Ok(None)
+            }
+            other => Ok(other),
+        }
+    }
+
+    /// Appends `data` to the current segment (one call per group-commit
+    /// round).
+    ///
+    /// Atomicity contract: on a *transient* error, no byte of `data` reached
+    /// the file and the same call may be retried; a *permanent* error means
+    /// the sink is unusable (its tail may be torn — recovery treats a torn
+    /// tail as end-of-stream). An injected torn write leaves its prefix in
+    /// the file; an injected bit flip writes a corrupted copy and succeeds.
+    pub fn append(&mut self, data: &[u8]) -> Result<(), SinkError> {
+        match self.inject(FaultSite::Append, "append")? {
+            Some(FaultKind::ShortWrite) => {
+                // A prefix lands, then the device dies: the sink is failed
+                // whatever the prefix's own write returned.
+                let torn = data.len() / 2;
+                let _ = self.write(&data[..torn]);
+                Err(SinkError::injected_torn("append", torn, data.len()))
+            }
+            Some(FaultKind::BitFlip { bit }) if !data.is_empty() => {
+                let mut corrupted = data.to_vec();
+                let pos = (bit / 8) as usize % corrupted.len();
+                corrupted[pos] ^= 1 << (bit % 8);
+                self.write(&corrupted)
+            }
+            _ => self.write(data),
+        }
+    }
+
+    /// Writes `data` at the end of the current segment, rolling a failed
+    /// write back.
+    fn write(&mut self, data: &[u8]) -> Result<(), SinkError> {
+        if let Err(e) = self.file.write_all(data) {
+            let err = SinkError::io("append", &e);
+            return Err(self.rollback_append(err));
+        }
+        self.file_len += data.len() as u64;
+        Ok(())
     }
 
     /// Rolls the current file back to the last stable length after a failed
@@ -357,38 +365,12 @@ impl FileSink {
             Err(_) => err.permanent(),
         }
     }
-}
 
-/// The largest epoch (transaction or durable-marker) found in a log file, by
-/// streaming scan. Unreadable or corrupt files report `u64::MAX` so they are
-/// never deleted.
-fn scan_file_max_epoch(path: &Path) -> u64 {
-    let Ok(file) = File::open(path) else {
-        return u64::MAX;
-    };
-    let mut decoder = crate::record::StreamDecoder::new_skipping(std::io::BufReader::new(file));
-    let mut max = 0u64;
-    loop {
-        match decoder.next_block() {
-            Ok(Some(crate::record::Block::Txn(txn))) => max = max.max(txn.tid.epoch()),
-            Ok(Some(crate::record::Block::EpochMarker(e))) => max = max.max(e),
-            Ok(None) => return max,
-            Err(_) => return u64::MAX,
+    /// Makes previously appended data stable (`fdatasync` when fsync is on).
+    pub fn sync(&mut self) -> Result<(), SinkError> {
+        if let Some(FaultKind::ShortWrite) = self.inject(FaultSite::Sync, "sync")? {
+            return Err(SinkError::injected("sync", false));
         }
-    }
-}
-
-impl LogSink for FileSink {
-    fn append(&mut self, data: &[u8]) -> Result<(), SinkError> {
-        if let Err(e) = self.file.write_all(data) {
-            let err = SinkError::io("append", &e);
-            return Err(self.rollback_append(err));
-        }
-        self.file_len += data.len() as u64;
-        Ok(())
-    }
-
-    fn sync(&mut self) -> Result<(), SinkError> {
         self.file.flush().map_err(|e| SinkError::io("sync", &e))?;
         if self.fsync {
             self.file
@@ -399,15 +381,25 @@ impl LogSink for FileSink {
         Ok(())
     }
 
-    fn observe_epoch(&mut self, epoch: u64) {
+    /// Records the largest epoch (transaction or durable-marker) the current
+    /// round carries, so each segment's contents are bounded.
+    pub fn observe_epoch(&mut self, epoch: u64) {
         self.current_max_epoch = self.current_max_epoch.max(epoch);
     }
 
-    fn should_rotate(&self) -> bool {
+    /// Whether the current segment is full and should be rotated.
+    pub fn should_rotate(&self) -> bool {
         self.file_len >= self.segment_bytes
     }
 
-    fn rotate(&mut self) -> Result<bool, SinkError> {
+    /// Closes the current segment and opens the next one. Returns whether a
+    /// rotation actually happened (an empty segment is not rotated). A
+    /// rotation failure leaves the current segment writable, so the caller
+    /// can simply keep appending and retry the rotation later.
+    pub fn rotate(&mut self) -> Result<bool, SinkError> {
+        if let Some(FaultKind::ShortWrite) = self.inject(FaultSite::Rotate, "rotate")? {
+            return Err(SinkError::injected("rotate", false));
+        }
         if self.file_len == 0 {
             // Nothing in the current segment; rotation would only litter.
             return Ok(false);
@@ -437,7 +429,17 @@ impl LogSink for FileSink {
         Ok(true)
     }
 
-    fn reopen(&mut self) -> Result<bool, SinkError> {
+    /// Re-establishes the descriptor after a **failed sync**, discarding any
+    /// unsynced tail, so the caller can re-append the round and sync again.
+    /// Never faulted: it is the recovery from an injected sync fault.
+    ///
+    /// This exists because retrying `fsync` on the same descriptor is
+    /// unsound ("fsyncgate"): after a failed fsync the kernel may mark the
+    /// still-unwritten dirty pages clean, so a second fsync can report
+    /// success without the data ever reaching the device. The only sound
+    /// retry reopens the file and rewrites everything past the last
+    /// *successfully synced* offset.
+    pub fn reopen(&mut self) -> Result<(), SinkError> {
         let mut file = OpenOptions::new()
             .write(true)
             .open(&self.path)
@@ -451,10 +453,13 @@ impl LogSink for FileSink {
             .map_err(|e| SinkError::io("reopen", &e))?;
         self.file_len = self.synced_len;
         self.file = file;
-        Ok(true)
+        Ok(())
     }
 
-    fn truncate_obsolete(&mut self, ckpt_epoch: u64) -> TruncateOutcome {
+    /// Deletes closed segments made redundant by a durable checkpoint at
+    /// `ckpt_epoch` (every epoch they contain is `≤ ckpt_epoch`). Failed
+    /// deletions are counted in the outcome and retried next round.
+    pub fn truncate_obsolete(&mut self, ckpt_epoch: u64) -> TruncateOutcome {
         let mut outcome = TruncateOutcome::default();
         self.closed.retain_mut(|closed| {
             let max_epoch = *closed
@@ -487,26 +492,22 @@ impl LogSink for FileSink {
     }
 }
 
-/// A sink appending to a shared in-memory buffer (the `Silo+tmpfs` stand-in).
-pub struct MemorySink {
-    buffer: Arc<Mutex<Vec<u8>>>,
-}
-
-impl MemorySink {
-    /// Creates a sink appending to `buffer`.
-    pub fn new(buffer: Arc<Mutex<Vec<u8>>>) -> Self {
-        MemorySink { buffer }
-    }
-}
-
-impl LogSink for MemorySink {
-    fn append(&mut self, data: &[u8]) -> Result<(), SinkError> {
-        self.buffer.lock().extend_from_slice(data);
-        Ok(())
-    }
-
-    fn sync(&mut self) -> Result<(), SinkError> {
-        Ok(())
+/// The largest epoch (transaction or durable-marker) found in a log file, by
+/// streaming scan. Unreadable or corrupt files report `u64::MAX` so they are
+/// never deleted.
+fn scan_file_max_epoch(path: &Path) -> u64 {
+    let Ok(file) = File::open(path) else {
+        return u64::MAX;
+    };
+    let mut decoder = crate::record::StreamDecoder::new_skipping(std::io::BufReader::new(file));
+    let mut max = 0u64;
+    loop {
+        match decoder.next_block() {
+            Ok(Some(crate::record::Block::Txn(txn))) => max = max.max(txn.tid.epoch()),
+            Ok(Some(crate::record::Block::EpochMarker(e))) => max = max.max(e),
+            Ok(None) => return max,
+            Err(_) => return u64::MAX,
+        }
     }
 }
 
@@ -518,21 +519,25 @@ mod tests {
     use silo_core::TableId;
     use silo_tid::Tid;
 
-    #[test]
-    fn memory_sink_appends() {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let mut sink = MemorySink::new(Arc::clone(&buf));
-        sink.append(b"hello ").unwrap();
-        sink.append(b"world").unwrap();
-        sink.sync().unwrap();
-        assert_eq!(&*buf.lock(), b"hello world");
+    /// Opens the sink of logger `logger` of `loggers` under `dir`.
+    fn open(
+        dir: &Path,
+        logger: usize,
+        loggers: usize,
+        fsync: bool,
+        segment_bytes: u64,
+    ) -> FileSink {
+        let config = LogConfig::to_directory(dir, loggers)
+            .with_fsync(fsync)
+            .with_segment_bytes(segment_bytes);
+        FileSink::open(&config, logger).unwrap()
     }
 
     #[test]
     fn file_sink_writes_its_first_segment() {
         let dir = scratch_dir("log-test");
         {
-            let mut sink = FileSink::open(&dir, 0, 1, true, 1 << 20).unwrap();
+            let mut sink = open(&dir, 0, 1, true, 1 << 20);
             sink.append(b"0123456789").unwrap();
             sink.sync().unwrap();
             assert!(!sink.should_rotate());
@@ -541,20 +546,19 @@ mod tests {
             std::fs::read(dir.join(segment_name(0, 0))).unwrap(),
             b"0123456789"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn reopen_discards_the_unsynced_tail_and_resumes_at_the_synced_offset() {
         let dir = scratch_dir("reopen-test");
         let path = dir.join(segment_name(0, 0));
-        let mut sink = FileSink::open(&dir, 0, 1, false, 1 << 20).unwrap();
+        let mut sink = open(&dir, 0, 1, false, 1 << 20);
         sink.append(b"AAAA").unwrap();
         sink.sync().unwrap();
         // A round lands in the page cache but its sync fails: reopen must
         // drop exactly that round.
         sink.append(b"BBBB").unwrap();
-        assert!(sink.reopen().unwrap());
+        sink.reopen().unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"AAAA");
         // The retried round appends at the synced offset, not after the
         // discarded tail.
@@ -562,9 +566,8 @@ mod tests {
         sink.sync().unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"AAAACCCC");
         // Reopen right after a successful sync is a no-op on the contents.
-        assert!(sink.reopen().unwrap());
+        sink.reopen().unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"AAAACCCC");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -572,13 +575,13 @@ mod tests {
         let dir = scratch_dir("no-such-dir");
         let blocker = dir.join("not-a-directory");
         std::fs::write(&blocker, b"").unwrap();
-        let err = match FileSink::open(&blocker.join("logs"), 0, 1, false, 1 << 20) {
+        let config = LogConfig::to_directory(blocker.join("logs"), 1);
+        let err = match FileSink::open(&config, 0) {
             Ok(_) => panic!("opening a sink under a regular file must fail"),
             Err(e) => e,
         };
         assert_eq!(err.kind(), SinkErrorKind::Setup);
         assert!(!err.is_transient());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -610,7 +613,7 @@ mod tests {
     fn segmented_sink_rotates_and_truncates_by_epoch() {
         let dir = scratch_dir("seg-test");
         {
-            let mut sink = FileSink::open(&dir, 0, 1, false, 64).unwrap();
+            let mut sink = open(&dir, 0, 1, false, 64);
             assert!(!sink.rotate().unwrap(), "an empty segment is not rotated");
             // Segment 0: epochs up to 3.
             sink.observe_epoch(3);
@@ -637,19 +640,18 @@ mod tests {
             let outcome = sink.truncate_obsolete(5);
             assert_eq!(outcome.segments_deleted, 0, "already truncated");
         }
-        let names: Vec<String> = std::fs::read_dir(&dir)
+        let names: Vec<String> = std::fs::read_dir(&*dir)
             .unwrap()
             .filter_map(|e| e.ok())
             .map(|e| e.file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(names, vec![segment_name(0, 1)]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn truncate_stops_tracking_segments_already_deleted_externally() {
         let dir = scratch_dir("seg-gone");
-        let mut sink = FileSink::open(&dir, 0, 1, false, 8).unwrap();
+        let mut sink = open(&dir, 0, 1, false, 8);
         sink.observe_epoch(1);
         sink.append(&txn_bytes(1, b"aaaaaaaa")).unwrap();
         assert!(sink.rotate().unwrap());
@@ -658,7 +660,6 @@ mod tests {
         let outcome = sink.truncate_obsolete(u64::MAX);
         assert_eq!(outcome.segments_deleted, 0);
         assert_eq!(outcome.delete_failures, 0, "NotFound is not a failure");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -671,15 +672,14 @@ mod tests {
         std::fs::write(dir.join(segment_name(3, 0)), old_segment(3)).unwrap();
         std::fs::write(dir.join(segment_name(5, 0)), old_segment(3)).unwrap();
 
-        let mut sink0 = FileSink::open(&dir, 0, 2, false, 1 << 20).unwrap();
-        let mut sink1 = FileSink::open(&dir, 1, 2, false, 1 << 20).unwrap();
+        let mut sink0 = open(&dir, 0, 2, false, 1 << 20);
+        let mut sink1 = open(&dir, 1, 2, false, 1 << 20);
         // Logger 0 adopts stream 2; logger 1 adopts streams 3 and 5.
         assert_eq!(sink0.truncate_obsolete(3).segments_deleted, 1);
         assert_eq!(sink1.truncate_obsolete(3).segments_deleted, 2);
         assert!(!dir.join(segment_name(2, 0)).exists());
         assert!(!dir.join(segment_name(3, 0)).exists());
         assert!(!dir.join(segment_name(5, 0)).exists());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -691,7 +691,7 @@ mod tests {
         // And an empty segment (crash right after rotation).
         std::fs::write(dir.join(segment_name(0, 1)), b"").unwrap();
 
-        let mut sink = FileSink::open(&dir, 0, 1, false, 1 << 20).unwrap();
+        let mut sink = open(&dir, 0, 1, false, 1 << 20);
         sink.observe_epoch(10);
         sink.append(&txn_bytes(10, b"new")).unwrap();
         sink.sync().unwrap();
@@ -713,7 +713,6 @@ mod tests {
         assert_eq!(sink.truncate_obsolete(4).segments_deleted, 1);
         assert!(dir.join(segment_name(0, 2)).exists());
         assert!(!dir.join(segment_name(0, 0)).exists());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -725,9 +724,8 @@ mod tests {
         let last = damaged.len() - 1;
         damaged[last] ^= 0x01;
         std::fs::write(dir.join(segment_name(0, 0)), damaged).unwrap();
-        let mut sink = FileSink::open(&dir, 0, 1, false, 1 << 20).unwrap();
+        let mut sink = open(&dir, 0, 1, false, 1 << 20);
         assert_eq!(sink.truncate_obsolete(u64::MAX - 1).segments_deleted, 0);
         assert!(dir.join(segment_name(0, 0)).exists());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

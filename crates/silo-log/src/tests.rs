@@ -33,19 +33,66 @@ pub(crate) fn decode_all(stream: &[u8]) -> Result<Vec<record::Block>, record::De
     Ok(blocks)
 }
 
-/// A fresh, empty scratch directory unique to this test process.
-pub(crate) fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("silo-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// A scratch directory of this test process, removed when dropped.
+pub(crate) struct ScratchDir(PathBuf);
+
+impl std::ops::Deref for ScratchDir {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
 }
 
-/// Recovers in-memory `logs` into a fresh database with one table `name`.
-pub(crate) fn recovered(name: &str, logs: &[Vec<u8>]) -> (Arc<Database>, RecoveryReport) {
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A fresh, empty scratch directory: the process id and a process-wide
+/// counter make it unique, so tests running in parallel never share one.
+pub(crate) fn scratch_dir(name: &str) -> ScratchDir {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("silo-{name}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    ScratchDir(dir)
+}
+
+/// Writes `streams[i]` as the first segment of logger `i` under `dir`.
+pub(crate) fn write_segments(dir: &std::path::Path, streams: &[Vec<u8>]) {
+    for (i, stream) in streams.iter().enumerate() {
+        std::fs::write(dir.join(format!("silo-log-{i}-seg000000.bin")), stream).unwrap();
+    }
+}
+
+/// The log of logger `logger` under `dir`: its segment files, read in
+/// sequence order.
+pub(crate) fn log_stream(dir: &std::path::Path, logger: usize) -> Vec<u8> {
+    let mut segments: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter_map(|path| {
+            let name = path.file_name()?.to_str()?;
+            let (idx, seq) = sink::parse_segment_name(name)?;
+            (idx == logger).then_some((seq, path))
+        })
+        .collect();
+    segments.sort();
+    segments
+        .iter()
+        .flat_map(|(_, path)| std::fs::read(path).unwrap())
+        .collect()
+}
+
+/// Recovers the log directory `dir` into a fresh database with one table
+/// `name`.
+pub(crate) fn recovered(name: &str, dir: &std::path::Path) -> (Arc<Database>, RecoveryReport) {
     let db = Database::open(SiloConfig::for_testing());
     db.create_table(name).unwrap();
-    let report = recover_into(&db, logs).unwrap();
+    let report = recover_directory(&db, dir, &RecoveryOptions::default()).unwrap();
     (db, report)
 }
 
@@ -64,7 +111,8 @@ fn logged_db(log_config: LogConfig) -> (Arc<Database>, Arc<SiloLogger>) {
 
 #[test]
 fn committed_transactions_become_durable() {
-    let (db, logger) = logged_db(LogConfig::in_memory(2));
+    let dir = scratch_dir("durable");
+    let (db, logger) = logged_db(LogConfig::to_directory(&*dir, 2));
     let t = db.create_table("t").unwrap();
     let mut w = db.register_worker();
 
@@ -95,7 +143,8 @@ fn committed_transactions_become_durable() {
 
 #[test]
 fn durable_epoch_lags_commits_until_logged() {
-    let (db, logger) = logged_db(LogConfig::in_memory(1));
+    let dir = scratch_dir("lag");
+    let (db, logger) = logged_db(LogConfig::to_directory(&*dir, 1));
     let t = db.create_table("t").unwrap();
     let mut w = db.register_worker();
     let mut txn = w.begin();
@@ -117,7 +166,8 @@ fn timed_durable_wait_fails_fast_across_shutdown() {
     // Once shutdown has stopped the logger threads nothing can advance the
     // durable epoch, so a timed wait must report `Failed` like the untimed
     // one does — not burn its whole timeout.
-    let (db, logger) = logged_db(LogConfig::in_memory(1));
+    let dir = scratch_dir("wait-shutdown");
+    let (db, logger) = logged_db(LogConfig::to_directory(&*dir, 1));
     let (started_tx, started_rx) = std::sync::mpsc::channel();
     let waiter = {
         let logger = Arc::clone(&logger);
@@ -146,7 +196,8 @@ fn timed_durable_wait_fails_fast_across_shutdown() {
 
 #[test]
 fn recovery_restores_exactly_the_durable_prefix() {
-    let (db, logger) = logged_db(LogConfig::in_memory(2));
+    let dir = scratch_dir("prefix");
+    let (db, logger) = logged_db(LogConfig::to_directory(&*dir, 2));
     let t = db.create_table("accounts").unwrap();
     let mut w = db.register_worker();
 
@@ -164,11 +215,10 @@ fn recovery_restores_exactly_the_durable_prefix() {
         .wait_for_durable(delete_tid.epoch(), Duration::from_secs(5))
         .is_durable());
     logger.shutdown();
-    let logs = logger.memory_logs();
     db.stop_epoch_advancer();
 
     // "Crash": open a fresh database, recreate the schema, replay the logs.
-    let (db2, report) = recovered("accounts", &logs);
+    let (db2, report) = recovered("accounts", &dir);
     assert!(report.durable_epoch >= delete_tid.epoch());
     assert_eq!(report.replayed_txns, 101);
 
@@ -188,9 +238,10 @@ fn recovery_restores_exactly_the_durable_prefix() {
 
 #[test]
 fn small_records_mode_logs_less_but_recovers_nothing_useful() {
+    let dir = scratch_dir("small-recs");
     let (db, logger) = logged_db(LogConfig {
         mode: LogMode::SmallRecords,
-        ..LogConfig::in_memory(1)
+        ..LogConfig::to_directory(&*dir, 1)
     });
     let t = db.create_table("t").unwrap();
     let mut w = db.register_worker();
@@ -213,7 +264,8 @@ fn small_records_mode_logs_less_but_recovers_nothing_useful() {
     let small_bytes = logger.bytes_published();
     db.stop_epoch_advancer();
 
-    let (db_full, logger_full) = logged_db(LogConfig::in_memory(1));
+    let full_dir = scratch_dir("full-recs");
+    let (db_full, logger_full) = logged_db(LogConfig::to_directory(&*full_dir, 1));
     let tf = db_full.create_table("t").unwrap();
     let mut wf = db_full.register_worker();
     let mut last = silo_core::Tid::ZERO;
@@ -241,7 +293,7 @@ fn small_records_mode_logs_less_but_recovers_nothing_useful() {
     );
     // And the small-records log carries no key/value data: every
     // transaction is seen, none restores anything.
-    let (db2, report) = recovered("t", &logger.memory_logs());
+    let (db2, report) = recovered("t", &dir);
     assert_eq!((report.replayed_txns, report.replayed_writes), (50, 0));
     assert!(full_scan(&db2, t).is_empty());
 }
@@ -249,9 +301,10 @@ fn small_records_mode_logs_less_but_recovers_nothing_useful() {
 #[test]
 fn compressed_logs_shrink_and_recover_identically() {
     let make = |compress: bool| {
+        let dir = scratch_dir("compress");
         let (db, logger) = logged_db(LogConfig {
             compress,
-            ..LogConfig::in_memory(1)
+            ..LogConfig::to_directory(&*dir, 1)
         });
         let t = db.create_table("t").unwrap();
         let mut w = db.register_worker();
@@ -275,21 +328,23 @@ fn compressed_logs_shrink_and_recover_identically() {
             .is_durable());
         logger.shutdown();
         db.stop_epoch_advancer();
-        let logs = logger.memory_logs();
-        let bytes: usize = logs.iter().map(Vec::len).sum();
-        (logs, bytes)
+        let bytes: u64 = std::fs::read_dir(&*dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().metadata().unwrap().len())
+            .sum();
+        (dir, bytes)
     };
-    let (plain_logs, plain_bytes) = make(false);
-    let (comp_logs, comp_bytes) = make(true);
+    let (plain_dir, plain_bytes) = make(false);
+    let (comp_dir, comp_bytes) = make(true);
     assert!(
         comp_bytes < plain_bytes,
         "compressed log ({comp_bytes}) should be smaller than plain ({plain_bytes})"
     );
 
-    let restore = |logs: &[Vec<u8>]| full_scan(&recovered("t", logs).0, 0);
-    let rows = restore(&plain_logs);
+    let restore = |dir: &std::path::Path| full_scan(&recovered("t", dir).0, 0);
+    let rows = restore(&plain_dir);
     assert_eq!(rows.len(), 80);
-    assert_eq!(rows, restore(&comp_logs));
+    assert_eq!(rows, restore(&comp_dir));
 }
 
 #[test]
@@ -298,9 +353,10 @@ fn idle_worker_partial_buffer_is_stolen_and_becomes_durable() {
     // then goes idle without finishing. The event-driven logger must
     // steal-publish the stale buffer on an epoch tick — otherwise the
     // durable epoch would be stuck behind the idle worker forever.
+    let dir = scratch_dir("idle-steal");
     let (db, logger) = logged_db(LogConfig {
         buffer_capacity: 1024 * 1024,
-        ..LogConfig::in_memory(1)
+        ..LogConfig::to_directory(&*dir, 1)
     });
     let t = db.create_table("t").unwrap();
     let mut w = db.register_worker();
@@ -322,7 +378,7 @@ fn idle_worker_partial_buffer_is_stolen_and_becomes_durable() {
         "the only publish path for an idle worker is the steal"
     );
     logger.shutdown();
-    let (db2, _) = recovered("t", &logger.memory_logs());
+    let (db2, _) = recovered("t", &dir);
     assert_eq!(
         full_scan(&db2, t),
         vec![(b"lonely".to_vec(), b"value".to_vec())]
@@ -335,9 +391,10 @@ fn worker_finish_flushes_partial_buffers() {
     // A finished worker's partial buffer reaches the log without any
     // finish-time flush: dropping the worker leaves its epoch, and the
     // first logger round whose floor passes that epoch steals the buffer.
+    let dir = scratch_dir("drop-steal");
     let (db, logger) = logged_db(LogConfig {
         buffer_capacity: 1024 * 1024, // never fills by size
-        ..LogConfig::in_memory(1)
+        ..LogConfig::to_directory(&*dir, 1)
     });
     let t = db.create_table("t").unwrap();
     let mut w = db.register_worker();
@@ -357,7 +414,7 @@ fn worker_finish_flushes_partial_buffers() {
         "the only publish path for a dropped worker is the steal"
     );
     logger.shutdown();
-    let (db2, _) = recovered("t", &logger.memory_logs());
+    let (db2, _) = recovered("t", &dir);
     assert_eq!(
         full_scan(&db2, t),
         vec![(b"solo".to_vec(), b"value".to_vec())]
@@ -371,7 +428,8 @@ fn ten_thousand_short_lived_workers_share_one_slot_and_log_every_commit() {
     // gets the same id and the same log buffer: the records its predecessor
     // left there are published by its first commit in a new epoch, or by
     // the steal.
-    let (db, logger) = logged_db(LogConfig::in_memory(1));
+    let dir = scratch_dir("one-slot");
+    let (db, logger) = logged_db(LogConfig::to_directory(&*dir, 1));
     let t = db.create_table("t").unwrap();
     let mut last = silo_core::Tid::ZERO;
     for cycle in 0..10_000u32 {
@@ -386,7 +444,7 @@ fn ten_thousand_short_lived_workers_share_one_slot_and_log_every_commit() {
         .wait_for_durable(last.epoch(), Duration::from_secs(10))
         .is_durable());
     logger.shutdown();
-    let (db2, _) = recovered("t", &logger.memory_logs());
+    let (db2, _) = recovered("t", &dir);
     assert_eq!(full_scan(&db2, t).len(), 10_000);
     db.stop_epoch_advancer();
 }
@@ -396,9 +454,10 @@ fn compression_happens_on_the_logger_side() {
     // Workers publish raw bytes; the logger compresses while batching. The
     // counters make the division of labour observable: published (raw) bytes
     // must exceed written (compressed) bytes on repetitive data.
+    let dir = scratch_dir("logger-compress");
     let (db, logger) = logged_db(LogConfig {
         compress: true,
-        ..LogConfig::in_memory(1)
+        ..LogConfig::to_directory(&*dir, 1)
     });
     let t = db.create_table("t").unwrap();
     let mut w = db.register_worker();
@@ -432,11 +491,11 @@ fn pool_survives_finish_steal_and_shutdown_races() {
     // fired while workers are still committing. The run must not panic, the
     // pool accounting must balance, and whatever reached the sinks must
     // still be a decodable, replayable log.
-    use std::sync::atomic::{AtomicBool, Ordering};
+    let dir = scratch_dir("pool-races");
     let (db, logger) = logged_db(LogConfig {
         buffer_capacity: 256, // tiny watermark: publish every couple of txns
         pool_buffers: 2,      // force pool misses under pressure
-        ..LogConfig::in_memory(2)
+        ..LogConfig::to_directory(&*dir, 2)
     });
     let t = db.create_table("t").unwrap();
     let stop = Arc::new(AtomicBool::new(false));
@@ -491,7 +550,7 @@ fn pool_survives_finish_steal_and_shutdown_races() {
 
     // The sinks hold a valid log prefix: decodable, and replayable into a
     // fresh database.
-    let (_, report) = recovered("t", &logger.memory_logs());
+    let (_, report) = recovered("t", &dir);
     assert_eq!(report.corrupt_log_tails, 0);
     db.stop_epoch_advancer();
 }
@@ -511,8 +570,7 @@ fn full_scan(db: &Arc<Database>, table: silo_core::TableId) -> Vec<(Vec<u8>, Vec
 
 #[test]
 fn checkpoint_truncates_log_and_recovery_replays_only_the_tail() {
-    let dir = std::env::temp_dir().join(format!("silo-ckpt-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("ckpt-e2e");
     let expected;
     let ckpt_epoch;
     {
@@ -520,7 +578,7 @@ fn checkpoint_truncates_log_and_recovery_replays_only_the_tail() {
             // Tiny segments so the pre-checkpoint history spans several files
             // truncation can reclaim.
             segment_bytes: 4096,
-            ..LogConfig::to_directory(&dir, 2)
+            ..LogConfig::to_directory(&*dir, 2)
         });
         let t = db.create_table("t").unwrap();
         let mut w = db.register_worker();
@@ -559,7 +617,7 @@ fn checkpoint_truncates_log_and_recovery_replays_only_the_tail() {
                 interval: Duration::from_secs(3600), // only explicit run_now
                 writers: 2,
                 chunk: 64,
-                ..CheckpointConfig::new(&dir)
+                ..CheckpointConfig::new(&*dir)
             },
         );
         ckpt_epoch = ckpt.run_now().unwrap().expect("checkpoint written");
@@ -646,14 +704,12 @@ fn checkpoint_truncates_log_and_recovery_replays_only_the_tail() {
     txn.write(t2, b"post", b"recovery").unwrap();
     let tid = txn.commit().unwrap();
     assert!(tid.epoch() > report.durable_epoch);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn paced_checkpoint_is_throttled_but_complete() {
-    let dir = std::env::temp_dir().join(format!("silo-ckpt-paced-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (db, logger) = logged_db(LogConfig::to_directory(&dir, 1));
+    let dir = scratch_dir("ckpt-paced");
+    let (db, logger) = logged_db(LogConfig::to_directory(&*dir, 1));
     let t = db.create_table("t").unwrap();
     let mut w = db.register_worker();
     let mut last = silo_core::Tid::ZERO;
@@ -686,7 +742,7 @@ fn paced_checkpoint_is_throttled_but_complete() {
             writers: 2,
             chunk: 32,
             max_walk_bytes_per_sec: 100_000,
-            ..CheckpointConfig::new(&dir)
+            ..CheckpointConfig::new(&*dir)
         },
     );
     let started = std::time::Instant::now();
@@ -710,16 +766,14 @@ fn paced_checkpoint_is_throttled_but_complete() {
     let report = recover_directory(&db2, &dir, &RecoveryOptions::default()).unwrap();
     assert_eq!(report.checkpoint_epoch, epoch);
     assert_eq!(full_scan(&db2, t2), expected);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn recovery_without_any_checkpoint_still_replays_the_whole_log() {
-    let dir = std::env::temp_dir().join(format!("silo-nockpt-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("nockpt-e2e");
     let expected;
     {
-        let (db, logger) = logged_db(LogConfig::to_directory(&dir, 2));
+        let (db, logger) = logged_db(LogConfig::to_directory(&*dir, 2));
         let t = db.create_table("t").unwrap();
         let mut w = db.register_worker();
         let mut last = silo_core::Tid::ZERO;
@@ -745,7 +799,6 @@ fn recovery_without_any_checkpoint_still_replays_the_whole_log() {
     assert_eq!(report.replayed_txns, 64);
     assert_eq!(report.log_files, 2, "one first segment per logger");
     assert_eq!(full_scan(&db2, t2), expected);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Commits `rows` keys `{prefix}{i}` and waits until they are durable and
@@ -789,7 +842,7 @@ fn a_rotted_newest_checkpoint_fails_recovery_instead_of_losing_rows() {
     {
         let (db, logger) = logged_db(LogConfig {
             segment_bytes: 4096,
-            ..LogConfig::to_directory(&dir, 1)
+            ..LogConfig::to_directory(&*dir, 1)
         });
         let t = db.create_table("t").unwrap();
         let ckpt = Checkpointer::spawn(
@@ -797,7 +850,7 @@ fn a_rotted_newest_checkpoint_fails_recovery_instead_of_losing_rows() {
             Arc::clone(&logger),
             CheckpointConfig {
                 interval: Duration::from_secs(3600),
-                ..CheckpointConfig::new(&dir)
+                ..CheckpointConfig::new(&*dir)
             },
         );
         commit_durable_rows(&db, &logger, t, "a", 200);
@@ -843,7 +896,6 @@ fn a_rotted_newest_checkpoint_fails_recovery_instead_of_losing_rows() {
         other => panic!("expected a checkpoint error, got {other:?}"),
     }
     assert_eq!(rows, 0, "nothing is loaded");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -854,23 +906,30 @@ fn transient_faults_are_retried_and_commits_stay_durable() {
             .fail_at(FaultSite::Append, 3, FaultKind::Transient)
             .fail_at(FaultSite::Sync, 2, FaultKind::Transient),
     );
+    let dir = scratch_dir("transient");
     let (db, logger) = logged_db(LogConfig {
         fault: Some(Arc::clone(&plan)),
         retry_backoff: Duration::from_micros(50),
-        ..LogConfig::in_memory(1)
+        ..LogConfig::to_directory(&*dir, 1)
     });
     let t = db.create_table("t").unwrap();
     let mut w = db.register_worker();
     let mut last = silo_core::Tid::ZERO;
+    // Four waves, each waited out until durable, so the log takes at least
+    // four rounds and every scheduled fault fires: a single burst can
+    // coalesce into one round, which never reaches the second sync.
     for i in 0..200u32 {
         let mut txn = w.begin();
         txn.write(t, format!("k{i}").as_bytes(), b"v").unwrap();
         last = txn.commit().unwrap();
+        if i % 50 == 49 {
+            w.quiesce();
+            assert!(logger
+                .wait_for_durable(last.epoch(), Duration::from_secs(10))
+                .is_durable());
+        }
     }
     drop(w);
-    assert!(logger
-        .wait_for_durable(last.epoch(), Duration::from_secs(10))
-        .is_durable());
     assert_eq!(
         logger.durability_health(),
         silo_core::DurabilityHealth::Healthy
@@ -882,13 +941,18 @@ fn transient_faults_are_retried_and_commits_stay_durable() {
     );
     assert!(stats.backoff_micros > 0);
     assert_eq!(stats.logger_failures, 0);
-    assert!(stats.faults_injected >= 1);
+    assert_eq!(stats.faults_injected, 3, "{stats}");
     logger.shutdown();
 
-    // Every committed transaction survives the retried faults.
-    let (_, report) = recovered("t", &logger.memory_logs());
+    // Every committed transaction survives the retried faults, and the
+    // failed sync was retried on a reopened segment, as in production.
+    let (_, report) = recovered("t", &dir);
     assert!(report.durable_epoch >= last.epoch());
     assert_eq!(report.replayed_txns, 200);
+    assert!(
+        stats.sync_reopens >= 1,
+        "a failed sync must reopen the segment: {stats}"
+    );
     db.stop_epoch_advancer();
 }
 
@@ -901,8 +965,7 @@ fn failed_syncs_reopen_the_segment_before_retrying() {
     // succeeds slowly and must NOT trigger a reopen) against a real file
     // sink and verify both the reopen counter and that every commit is
     // recoverable from the files afterwards.
-    let dir = std::env::temp_dir().join(format!("silo-log-fsyncgate-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("fsyncgate");
     let expected;
     let last;
     {
@@ -915,7 +978,7 @@ fn failed_syncs_reopen_the_segment_before_retrying() {
         let (db, logger) = logged_db(LogConfig {
             fault: Some(Arc::clone(&plan)),
             retry_backoff: Duration::from_micros(50),
-            ..LogConfig::to_directory(&dir, 1)
+            ..LogConfig::to_directory(&*dir, 1)
         });
         let t = db.create_table("t").unwrap();
         let mut w = db.register_worker();
@@ -948,7 +1011,6 @@ fn failed_syncs_reopen_the_segment_before_retrying() {
     assert!(report.durable_epoch >= last.epoch());
     assert_eq!(report.replayed_txns, 200);
     assert_eq!(full_scan(&db2, t2), expected);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -958,10 +1020,11 @@ fn a_permanent_fault_degrades_the_logger_instead_of_aborting() {
         1,
         FaultKind::Permanent,
     ));
+    let dir = scratch_dir("permanent");
     let (db, logger) = logged_db(LogConfig {
         fault: Some(plan),
         retry_budget: Duration::from_millis(50),
-        ..LogConfig::in_memory(1)
+        ..LogConfig::to_directory(&*dir, 1)
     });
     let t = db.create_table("t").unwrap();
     let mut w = db.register_worker();
@@ -1004,11 +1067,12 @@ fn publishes_into_a_closed_inbox_drop_their_records() {
     // buffer from the pool.
     for failed in [false, true] {
         let plan = FaultPlan::new().fail_at(FaultSite::Append, 1, FaultKind::Permanent);
+        let dir = scratch_dir("closed-inbox");
         let (db, logger) = logged_db(LogConfig {
             buffer_capacity: 256,
             fault: failed.then(|| Arc::new(plan)),
             retry_budget: Duration::from_millis(50),
-            ..LogConfig::in_memory(1)
+            ..LogConfig::to_directory(&*dir, 1)
         });
         let t = db.create_table("t").unwrap();
         let mut w = db.register_worker();
@@ -1053,9 +1117,10 @@ fn a_round_that_fails_to_reach_the_sink_is_not_counted() {
     // The first append fails for good: that round was sealed, but it never
     // reached the sink, so no counter of written rounds may include it.
     let plan = FaultPlan::new().fail_at(FaultSite::Append, 1, FaultKind::Permanent);
+    let dir = scratch_dir("uncounted");
     let (db, logger) = logged_db(LogConfig {
         fault: Some(Arc::new(plan)),
-        ..LogConfig::in_memory(1)
+        ..LogConfig::to_directory(&*dir, 1)
     });
     let t = db.create_table("t").unwrap();
     let mut w = db.register_worker();
@@ -1080,7 +1145,8 @@ fn a_round_that_fails_to_reach_the_sink_is_not_counted() {
 
 #[test]
 fn logger_phase_times_and_durable_advances_move() {
-    let (db, logger) = logged_db(LogConfig::in_memory(1));
+    let dir = scratch_dir("phase-times");
+    let (db, logger) = logged_db(LogConfig::to_directory(&*dir, 1));
     let t = db.create_table("t").unwrap();
     let mut w = db.register_worker();
     let mut last = silo_core::Tid::ZERO;
@@ -1113,8 +1179,7 @@ fn logger_phase_times_and_durable_advances_move() {
 
 #[test]
 fn enospc_on_rotation_keeps_the_current_segment_writable() {
-    let dir = std::env::temp_dir().join(format!("silo-log-enospc-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir("enospc");
     {
         let plan = Arc::new(crate::fault::FaultPlan::new().fail_at(
             FaultSite::Rotate,
@@ -1124,7 +1189,7 @@ fn enospc_on_rotation_keeps_the_current_segment_writable() {
         let (db, logger) = logged_db(LogConfig {
             segment_bytes: 4096,
             fault: Some(Arc::clone(&plan)),
-            ..LogConfig::to_directory(&dir, 1)
+            ..LogConfig::to_directory(&*dir, 1)
         });
         let t = db.create_table("t").unwrap();
         let mut last = silo_core::Tid::ZERO;
@@ -1167,7 +1232,7 @@ fn enospc_on_rotation_keeps_the_current_segment_writable() {
         db.stop_epoch_advancer();
         // Every byte on disk is counted, the fresh segments' rotation stamps
         // included.
-        let on_disk: u64 = std::fs::read_dir(&dir)
+        let on_disk: u64 = std::fs::read_dir(&*dir)
             .unwrap()
             .map(|entry| entry.unwrap().metadata().unwrap().len())
             .sum();
@@ -1180,7 +1245,6 @@ fn enospc_on_rotation_keeps_the_current_segment_writable() {
         assert!(report.durable_epoch >= last.epoch());
         assert_eq!(full_scan(&db2, t2).len(), total as usize);
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 mod checkpoint_equivalence {
@@ -1198,10 +1262,6 @@ mod checkpoint_equivalence {
     use proptest::prelude::*;
     use silo_core::Tid;
     use std::collections::HashMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Unique scratch-directory counter across proptest cases.
-    static CASE: AtomicU64 = AtomicU64::new(0);
 
     const MAX_EPOCH: u64 = 5;
 
@@ -1225,15 +1285,15 @@ mod checkpoint_equivalence {
     /// stream terminated by a durable-epoch marker at `durable`.
     fn write_log_dir(dir: &std::path::Path, streams: &[Vec<u8>], durable: u64) {
         std::fs::create_dir_all(dir).unwrap();
-        for (i, stream) in streams.iter().enumerate() {
-            let mut bytes = stream.clone();
-            encode_epoch_marker(&mut bytes, durable);
-            std::fs::write(
-                dir.join(format!("silo-log-{i}-seg000000.bin")),
-                sealed(&bytes),
-            )
-            .unwrap();
-        }
+        let sealed_streams: Vec<Vec<u8>> = streams
+            .iter()
+            .map(|stream| {
+                let mut bytes = stream.clone();
+                encode_epoch_marker(&mut bytes, durable);
+                sealed(&bytes)
+            })
+            .collect();
+        write_segments(dir, &sealed_streams);
     }
 
     /// Writes a checkpoint at `ce` holding `state` (key -> (tid, value)) in
@@ -1333,10 +1393,7 @@ mod checkpoint_equivalence {
                 rows
             };
 
-            let case = CASE.fetch_add(1, Ordering::Relaxed);
-            let root = std::env::temp_dir()
-                .join(format!("silo-ckpt-prop-{}-{case}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&root);
+            let root = scratch_dir("ckpt-prop");
 
             // (a) Full-log replay, no checkpoint.
             let full = root.join("full");
@@ -1363,7 +1420,6 @@ mod checkpoint_equivalence {
                     "checkpoint + truncated log diverged (ce={})", ce
                 );
             }
-            std::fs::remove_dir_all(&root).unwrap();
         }
     }
 }

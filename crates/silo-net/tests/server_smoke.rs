@@ -5,6 +5,8 @@
 
 use std::io::Write as _;
 use std::net::TcpStream;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -15,6 +17,21 @@ use silo_net::protocol::{
     PROTOCOL_VERSION,
 };
 use silo_net::{Server, ServerConfig};
+
+/// A fresh log directory for one test, removed when dropped.
+struct LogDir(PathBuf);
+
+impl Drop for LogDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn log_dir(name: &str) -> LogDir {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    LogDir(std::env::temp_dir().join(format!("silo-{name}-{}-{n}", std::process::id())))
+}
 
 fn call(stream: &mut TcpStream, req: &Request) -> Response {
     let mut payload = Vec::new();
@@ -384,7 +401,8 @@ fn a_get_pipelined_behind_a_durable_put_is_answered_after_its_ack() {
             })
             .with_spawn_epoch_advancer(true),
     );
-    let logger = SiloLogger::install(LogConfig::in_memory(1), &db).unwrap();
+    let dir = log_dir("smoke-ack-order");
+    let logger = SiloLogger::install(LogConfig::to_directory(&dir.0, 1), &db).unwrap();
     let mut server = Server::start(
         Arc::clone(&db),
         Some(Arc::clone(&logger)),

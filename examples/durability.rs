@@ -1,6 +1,7 @@
 //! Durability walkthrough: commit transactions with logging enabled, wait for
 //! the group-commit (durable) epoch, simulate a crash, and recover the
-//! durable prefix into a fresh database.
+//! durable prefix into a fresh database. Exits non-zero unless recovery
+//! restores exactly the 499 orders left after the cancellation.
 //!
 //! ```sh
 //! cargo run --release --example durability
@@ -9,12 +10,15 @@
 use std::time::Duration;
 
 use silo::{Database, LogConfig, SiloConfig, SiloLogger};
-use silo_log::recover_into;
+use silo_log::{recover_directory, RecoveryOptions};
 
 fn main() {
     // --- Phase 1: a database with logging -------------------------------
+    let dir = std::env::temp_dir().join(format!("silo-durability-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let db = Database::open(SiloConfig::default());
-    let logger = SiloLogger::install(LogConfig::in_memory(2), &db).expect("install logger");
+    let logger =
+        SiloLogger::install(LogConfig::to_directory(&dir, 2), &db).expect("install logger");
     let orders = db.create_table("orders").expect("create table");
 
     let mut worker = db.register_worker();
@@ -52,8 +56,10 @@ fn main() {
 
     // --- Phase 2: "crash" ------------------------------------------------
     logger.shutdown();
-    let logs = logger.memory_logs();
-    let log_bytes: usize = logs.iter().map(Vec::len).sum();
+    let log_bytes: u64 = std::fs::read_dir(&dir)
+        .expect("log directory")
+        .map(|entry| entry.expect("log file").metadata().expect("metadata").len())
+        .sum();
     println!(
         "simulating a crash; {} bytes of redo log survive",
         log_bytes
@@ -67,7 +73,7 @@ fn main() {
         orders2, orders,
         "schema must be recreated in the same order"
     );
-    let report = recover_into(&db2, &logs).expect("recovery");
+    let report = recover_directory(&db2, &dir, &RecoveryOptions::default()).expect("recovery");
     println!(
         "recovered to durable epoch {}: {} transactions ({} writes) replayed in {} µs, \
          {} beyond the horizon skipped, {} delete tombstones swept",
@@ -94,4 +100,9 @@ fn main() {
         }
     );
     db2.stop_epoch_advancer();
+    let _ = std::fs::remove_dir_all(&dir);
+    if rows.len() != 499 || cancelled.is_some() {
+        eprintln!("recovery lost or resurrected orders: expected 499 with order-00042 absent");
+        std::process::exit(1);
+    }
 }

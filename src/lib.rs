@@ -105,8 +105,8 @@ pub use silo_client::{
     ClientConfig, ClientError, ClientStats, Connection, RetryPolicy, ServerError, TxnBuilder,
 };
 pub use silo_log::{
-    DurableWait, FaultKind, FaultPlan, FaultSite, LogConfig, LogDestination, LogMode,
-    RecoveryError, SiloLogger, SinkError, SinkErrorKind,
+    DurableWait, FaultKind, FaultPlan, FaultSite, LogConfig, LogMode, RecoveryError, SiloLogger,
+    SinkError, SinkErrorKind,
 };
 pub use silo_net::{
     ErrorCode, HealthStatus, NetFaultKind, NetFaultPlan, NetFaultSite, Request, Response, Server,

@@ -3,6 +3,8 @@
 //! serializability checker verifies them — including while the durability
 //! subsystem is degraded by injected sync stalls.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -11,6 +13,21 @@ use silo::{
     Database, DurabilityHealth, EpochConfig, FaultKind, FaultPlan, FaultSite, LogConfig,
     SiloConfig, SiloLogger,
 };
+
+/// A fresh log directory for one test, removed when dropped.
+struct LogDir(PathBuf);
+
+impl Drop for LogDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn log_dir(name: &str) -> LogDir {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    LogDir(std::env::temp_dir().join(format!("silo-{name}-{}-{n}", std::process::id())))
+}
 
 /// Worker-thread count for concurrency tests: `SILO_TEST_THREADS` if set
 /// (the oversubscribed-stress runs use 4 on a 1-core box), else `default`.
@@ -88,8 +105,9 @@ fn history_stays_serializable_while_durability_degrades_and_recovers() {
             .fail_at(FaultSite::Sync, 3, FaultKind::SyncStall { millis: 400 })
             .fail_at(FaultSite::Sync, 4, FaultKind::SyncStall { millis: 400 }),
     );
+    let dir = log_dir("history-degraded");
     let logger = SiloLogger::install(
-        LogConfig::in_memory(1)
+        LogConfig::to_directory(&dir.0, 1)
             .with_fault(Arc::clone(&plan))
             .with_max_durable_lag_epochs(8),
         &db,

@@ -9,6 +9,7 @@
 //!   error at the client — never falsely acked — and the surviving history
 //!   stays serializable under the silo-check graph checker.
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,6 +51,21 @@ fn wait_for_health(
         );
         std::thread::sleep(Duration::from_millis(2));
     }
+}
+
+/// A fresh log directory for one test, removed when dropped.
+struct LogDir(PathBuf);
+
+impl Drop for LogDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn log_dir(name: &str) -> LogDir {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    LogDir(std::env::temp_dir().join(format!("silo-{name}-{}-{n}", std::process::id())))
 }
 
 #[test]
@@ -161,7 +177,8 @@ fn a_put_is_acked_within_one_epoch_and_a_get_logs_nothing() {
             })
             .with_spawn_epoch_advancer(true),
     );
-    let logger = SiloLogger::install(LogConfig::in_memory(1), &db).expect("install");
+    let dir = log_dir("net-e2e-ack");
+    let logger = SiloLogger::install(LogConfig::to_directory(&dir.0, 1), &db).expect("install");
     let mut server = Server::start(
         Arc::clone(&db),
         Some(Arc::clone(&logger)),
@@ -218,8 +235,9 @@ fn degraded_durability_sheds_typed_errors_not_acks() {
             .fail_at(FaultSite::Sync, 3, FaultKind::SyncStall { millis: 400 })
             .fail_at(FaultSite::Sync, 4, FaultKind::SyncStall { millis: 400 }),
     );
+    let dir = log_dir("net-e2e-degraded");
     let logger = SiloLogger::install(
-        LogConfig::in_memory(1)
+        LogConfig::to_directory(&dir.0, 1)
             .with_fault(Arc::clone(&plan))
             .with_max_durable_lag_epochs(8),
         &db,

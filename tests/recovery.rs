@@ -1,11 +1,28 @@
 //! Integration test: commit with logging under concurrency, crash, recover,
 //! and check that exactly the durable prefix is restored.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use silo::{Database, EpochConfig, LogConfig, SiloConfig, SiloLogger};
-use silo_log::recover_into;
+use silo_log::{recover_directory, RecoveryOptions};
+
+/// A fresh log directory for one test, removed when dropped.
+struct LogDir(PathBuf);
+
+impl Drop for LogDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn log_dir(name: &str) -> LogDir {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    LogDir(std::env::temp_dir().join(format!("silo-{name}-{}-{n}", std::process::id())))
+}
 
 #[test]
 fn concurrent_commits_survive_crash_and_recovery() {
@@ -14,7 +31,9 @@ fn concurrent_commits_survive_crash_and_recovery() {
         snapshot_interval_epochs: 5,
     });
     let db = Database::open(config.clone());
-    let logger = SiloLogger::install(LogConfig::in_memory(2), &db).expect("install logger");
+    let dir = log_dir("crash-recovery");
+    let logger =
+        SiloLogger::install(LogConfig::to_directory(&dir.0, 2), &db).expect("install logger");
     let t = db.create_table("ledger").unwrap();
 
     // Several threads append entries; each thread records what it committed.
@@ -27,11 +46,14 @@ fn concurrent_commits_survive_crash_and_recovery() {
             for i in 0..200u32 {
                 let key = format!("t{thread}-entry{i:04}");
                 // Retry on aborts (concurrent inserts into the same index leaf
-                // can fail node-set validation; the one-shot model simply
-                // re-executes the request).
+                // can fail node-set validation or fixup, in the write as well
+                // as the commit; the one-shot model simply re-executes the
+                // request).
                 loop {
                     let mut txn = w.begin();
-                    txn.write(t, key.as_bytes(), &i.to_be_bytes()).unwrap();
+                    if txn.write(t, key.as_bytes(), &i.to_be_bytes()).is_err() {
+                        continue;
+                    }
                     if let Ok(tid) = txn.commit() {
                         committed.push((key, tid));
                         break;
@@ -54,7 +76,6 @@ fn concurrent_commits_survive_crash_and_recovery() {
         "all commits should become durable once workers finish"
     );
     logger.shutdown();
-    let logs = logger.memory_logs();
     let durable_horizon = logger.durable_epoch();
     drop(db);
 
@@ -62,7 +83,7 @@ fn concurrent_commits_survive_crash_and_recovery() {
     let db2 = Database::open(config);
     let t2 = db2.create_table("ledger").unwrap();
     assert_eq!(t2, t);
-    let report = recover_into(&db2, &logs).unwrap();
+    let report = recover_directory(&db2, &dir.0, &RecoveryOptions::default()).unwrap();
     assert!(report.durable_epoch >= durable_horizon.min(max_epoch));
     assert_eq!(report.replayed_txns, 600);
     assert_eq!(report.corrupt_log_tails, 0);
