@@ -23,25 +23,25 @@
 //! assert_eq!(session.get(accounts, b"alice").unwrap(), Some(b"100".to_vec()));
 //! ```
 //!
-//! # Resilience
+//! # Failure handling
 //!
-//! A [`Session`] opened with [`ClientConfig::resilient`] rides out partial
-//! failure instead of surfacing it:
+//! Every [`Session`] opens its connection with a `HELLO` handshake that
+//! negotiates *request tokens* under a lineage derived for the session (the
+//! id the server files the session's token outcomes under). Every write the
+//! session issues goes out wrapped in a fresh token, and the server keeps
+//! recent outcomes per lineage, so a write whose ack was lost to a connection
+//! reset is answered from that memory when it is re-issued instead of being
+//! applied twice.
 //!
-//! * **Timeouts** — socket read/write timeouts plus a per-request deadline
-//!   bound every blocking call ([`ClientError::TimedOut`]).
+//! * **Timeouts** — socket connect, read and write timeouts bound every
+//!   blocking call ([`ClientError::TimedOut`]).
 //! * **Retries** — a [`RetryPolicy`] (capped exponential backoff + jitter,
-//!   bounded attempts) transparently retries `ServerBusy`, OCC `Aborted`
-//!   outcomes, and — after probing [`Session::health`] until the server
-//!   recovers — `DurabilityDegraded` sheds.
-//! * **Reconnect + exactly-once replay** — the `HELLO` handshake negotiates
-//!   *request tokens*: every write is wrapped in a client-assigned token and
-//!   the server remembers recent outcomes per connection *lineage*, so a
-//!   write whose ack was lost to a connection reset can be re-issued after
-//!   reconnecting without being applied twice. A write that was in flight
-//!   *without* a token when the transport died is never silently retried —
-//!   it surfaces as the typed [`ClientError::AckUnknown`], telling the
-//!   application the write may or may not have committed.
+//!   bounded attempts) retries `ServerBusy`, OCC `Aborted` outcomes, a dead
+//!   transport (re-dialing it and re-issuing the request under the same
+//!   token), and — after probing [`Session::health`] until the server
+//!   recovers — `DurabilityDegraded` sheds. The default [`ClientConfig`]
+//!   retries nothing: `ClientConfig::default().with_retry(RetryPolicy::default())`
+//!   turns retries on.
 //!
 //! A server shedding load surfaces as a typed [`ClientError::Server`] whose
 //! [`ErrorCode`] distinguishes `ServerBusy` (backlog — retry after backoff)
@@ -51,13 +51,15 @@
 
 #![warn(missing_docs)]
 
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 use std::io::{BufReader, BufWriter, Write as _};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use silo_net::fault::{FaultStream, NetFaultPlan};
+use silo_net::fault::{xorshift, FaultStream, NetFaultPlan};
 use silo_net::protocol::{
     self, FrameError, Request, Response, TxnOp, DEFAULT_MAX_FRAME_BYTES, FEATURE_REQUEST_TOKENS,
     PROTOCOL_VERSION,
@@ -96,14 +98,8 @@ pub enum ClientError {
     Closed,
     /// The server answered with a typed error frame.
     Server(ServerError),
-    /// A socket timeout or per-request deadline expired.
+    /// A socket timeout expired.
     TimedOut,
-    /// The transport died while an **untokenized write** was in flight: the
-    /// write may or may not have committed, and retrying it blindly could
-    /// apply it twice. The payload is the underlying transport error.
-    /// Sessions with request tokens negotiated never surface this — their
-    /// writes replay safely instead.
-    AckUnknown(Box<ClientError>),
 }
 
 impl std::fmt::Display for ClientError {
@@ -114,9 +110,6 @@ impl std::fmt::Display for ClientError {
             ClientError::Closed => write!(f, "connection closed with responses outstanding"),
             ClientError::Server(e) => write!(f, "server error: {e}"),
             ClientError::TimedOut => write!(f, "request timed out"),
-            ClientError::AckUnknown(cause) => {
-                write!(f, "write outcome unknown (transport died mid-request: {cause})")
-            }
         }
     }
 }
@@ -137,7 +130,6 @@ impl From<FrameError> for ClientError {
     fn from(e: FrameError) -> Self {
         match e {
             FrameError::Io(e) => ClientError::from(e),
-            FrameError::TimedOut { .. } => ClientError::TimedOut,
             other => ClientError::Protocol(other.to_string()),
         }
     }
@@ -178,7 +170,8 @@ impl ClientError {
     }
 }
 
-/// How a [`Session`] retries retryable outcomes: capped exponential backoff
+/// How a [`Session`] retries typed sheds, OCC aborts (a `transact` retry
+/// re-runs the whole batch) and dead transports: capped exponential backoff
 /// with jitter and a bounded attempt budget.
 ///
 /// Non-exhaustive with `with_*` builders. [`RetryPolicy::none`] (the
@@ -196,10 +189,6 @@ pub struct RetryPolicy {
     /// Randomize each backoff within `[backoff/2, backoff]` so synchronized
     /// clients do not retry in lockstep.
     pub jitter: bool,
-    /// Whether OCC `Aborted` outcomes are retried (single-op requests are
-    /// value-idempotent, so this is safe; multi-op `transact` retries re-run
-    /// the whole batch).
-    pub retry_aborts: bool,
     /// On `DurabilityDegraded`, poll [`Session::health`] for up to this long
     /// waiting for the server to report `Healthy` before retrying
     /// (`Duration::ZERO` = retry on plain backoff instead).
@@ -213,7 +202,6 @@ impl Default for RetryPolicy {
             initial_backoff: Duration::from_millis(2),
             max_backoff: Duration::from_millis(250),
             jitter: true,
-            retry_aborts: true,
             wait_for_health: Duration::from_secs(5),
         }
     }
@@ -249,12 +237,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Enables or disables retrying OCC aborts.
-    pub fn with_retry_aborts(mut self, retry: bool) -> Self {
-        self.retry_aborts = retry;
-        self
-    }
-
     /// Sets the health-recovery wait budget for `DurabilityDegraded`.
     pub fn with_wait_for_health(mut self, budget: Duration) -> Self {
         self.wait_for_health = budget;
@@ -265,9 +247,7 @@ impl RetryPolicy {
 /// Configuration for [`Session::connect_with`] /
 /// [`Connection::connect_with`].
 ///
-/// The default matches the historical client: no retries, no reconnection,
-/// generous socket timeouts, and a protocol handshake. Opt into the full
-/// resilience stack with [`ClientConfig::resilient`].
+/// The default retries nothing and sets generous socket timeouts.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ClientConfig {
@@ -278,23 +258,8 @@ pub struct ClientConfig {
     pub read_timeout: Duration,
     /// Socket write timeout (`Duration::ZERO` disables).
     pub write_timeout: Duration,
-    /// Per-response deadline: once a response frame's first byte arrives,
-    /// the rest must follow within this budget (`Duration::ZERO` = the
-    /// socket read timeout alone governs).
-    pub request_deadline: Duration,
-    /// Cap on accepted response frames.
-    pub max_frame_bytes: usize,
-    /// The retry policy for retryable outcomes.
+    /// The retry policy for retryable outcomes and dead transports.
     pub retry: RetryPolicy,
-    /// Whether a dead connection is transparently re-dialed (with a fresh
-    /// handshake and token replay for in-flight tokenized writes).
-    pub reconnect: bool,
-    /// Whether to open connections with a `HELLO` handshake (negotiating the
-    /// protocol version, and request tokens when `reconnect` is on).
-    pub handshake: bool,
-    /// The session's connection lineage (keys the server's token-replay
-    /// window across reconnects). 0 = derive a process-unique lineage.
-    pub lineage: u64,
     /// Wire fault-injection plan spliced into every connection this config
     /// opens (`None` in production: one branch per I/O call).
     pub fault: Option<Arc<NetFaultPlan>>,
@@ -306,28 +271,13 @@ impl Default for ClientConfig {
             connect_timeout: Duration::from_secs(5),
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(30),
-            request_deadline: Duration::ZERO,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             retry: RetryPolicy::none(),
-            reconnect: false,
-            handshake: true,
-            lineage: 0,
             fault: None,
         }
     }
 }
 
 impl ClientConfig {
-    /// The full resilience stack: default retries, reconnection, and
-    /// tokenized write replay.
-    pub fn resilient() -> ClientConfig {
-        ClientConfig {
-            retry: RetryPolicy::default(),
-            reconnect: true,
-            ..ClientConfig::default()
-        }
-    }
-
     /// Sets the TCP connect timeout (`Duration::ZERO` = OS default).
     pub fn with_connect_timeout(mut self, timeout: Duration) -> Self {
         self.connect_timeout = timeout;
@@ -346,40 +296,9 @@ impl ClientConfig {
         self
     }
 
-    /// Sets the per-response deadline (`Duration::ZERO` = socket timeout
-    /// governs).
-    pub fn with_request_deadline(mut self, deadline: Duration) -> Self {
-        self.request_deadline = deadline;
-        self
-    }
-
-    /// Caps accepted response frames.
-    pub fn with_max_frame_bytes(mut self, bytes: usize) -> Self {
-        self.max_frame_bytes = bytes;
-        self
-    }
-
     /// Sets the retry policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Enables or disables transparent reconnection.
-    pub fn with_reconnect(mut self, reconnect: bool) -> Self {
-        self.reconnect = reconnect;
-        self
-    }
-
-    /// Enables or disables the `HELLO` handshake.
-    pub fn with_handshake(mut self, handshake: bool) -> Self {
-        self.handshake = handshake;
-        self
-    }
-
-    /// Pins the session's connection lineage (0 = derive one).
-    pub fn with_lineage(mut self, lineage: u64) -> Self {
-        self.lineage = lineage;
         self
     }
 
@@ -390,16 +309,13 @@ impl ClientConfig {
     }
 }
 
-/// Counters a resilient [`Session`] keeps about its own recovery actions.
+/// Counters a [`Session`] keeps about its own recovery actions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientStats {
     /// Requests re-issued after a retryable outcome or transport failure.
     pub retries: u64,
     /// Connections re-dialed after the transport died.
     pub reconnects: u64,
-    /// Writes whose outcome was lost with the transport
-    /// ([`ClientError::AckUnknown`]).
-    pub ack_unknown: u64,
 }
 
 /// One pipelined connection to a silo-net server.
@@ -414,8 +330,6 @@ pub struct Connection {
     reader: BufReader<FaultStream<TcpStream>>,
     writer: BufWriter<FaultStream<TcpStream>>,
     in_flight: usize,
-    max_frame_bytes: usize,
-    request_deadline: Option<Duration>,
     encode_buf: Vec<u8>,
     frame_buf: Vec<u8>,
 }
@@ -472,22 +386,14 @@ impl Connection {
             reader: BufReader::new(read_half),
             writer: BufWriter::new(write_half),
             in_flight: 0,
-            max_frame_bytes: config.max_frame_bytes,
-            request_deadline: (!config.request_deadline.is_zero())
-                .then_some(config.request_deadline),
             encode_buf: Vec::new(),
             frame_buf: Vec::new(),
         })
     }
 
-    /// Caps the size of response frames this client will accept.
-    pub fn set_max_frame_bytes(&mut self, bytes: usize) {
-        self.max_frame_bytes = bytes;
-    }
-
     /// Performs the protocol handshake, requesting `features`; returns the
     /// granted feature bits.
-    pub fn hello(&mut self, lineage: u64, features: u64) -> Result<u64, ClientError> {
+    fn hello(&mut self, lineage: u64, features: u64) -> Result<u64, ClientError> {
         match self.call(&Request::Hello { version: PROTOCOL_VERSION, features, lineage })? {
             Response::HelloOk { version: _, features } => Ok(features),
             other => Err(unexpected("HelloOk", &other)),
@@ -520,12 +426,7 @@ impl Connection {
             return Err(ClientError::Protocol("recv with no request in flight".to_string()));
         }
         self.flush()?;
-        if !protocol::read_frame_deadline(
-            &mut self.reader,
-            &mut self.frame_buf,
-            self.max_frame_bytes,
-            self.request_deadline,
-        )? {
+        if !protocol::read_frame(&mut self.reader, &mut self.frame_buf, DEFAULT_MAX_FRAME_BYTES)? {
             return Err(ClientError::Closed);
         }
         self.in_flight -= 1;
@@ -573,21 +474,40 @@ pub struct HealthReport {
 /// Key-value entries returned by [`Session::scan`], in key order.
 pub type ScanEntries = Vec<(Vec<u8>, Vec<u8>)>;
 
-/// Source of process-unique lineage ids.
+/// Counts the sessions this process opened; each takes the next value.
 static LINEAGE_COUNTER: AtomicU64 = AtomicU64::new(1);
 
+/// A random value drawn once per process: `RandomState`'s keys, which the
+/// standard library seeds from the OS, hashed with the wall clock. Two
+/// processes that share a pid (two hosts, two pid namespaces) differ here.
+fn process_seed() -> u64 {
+    static SEED: OnceLock<u64> = OnceLock::new();
+    *SEED.get_or_init(|| {
+        let mut hasher = RandomState::new().build_hasher();
+        hasher.write_u128(SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_nanos()));
+        hasher.finish()
+    })
+}
+
+/// The lineage of a process's `counter`-th session: distinct counters give
+/// distinct lineages within a process, and never 0 (the server reads 0 as
+/// "no lineage").
+fn lineage(seed: u64, pid: u32, counter: u64) -> u64 {
+    (seed ^ (u64::from(pid) << 32) ^ counter).max(1)
+}
+
 fn derive_lineage() -> u64 {
-    let counter = LINEAGE_COUNTER.fetch_add(1, Ordering::Relaxed) & 0xFFFF_FFFF;
-    ((std::process::id() as u64) << 32) | counter
+    let counter = LINEAGE_COUNTER.fetch_add(1, Ordering::Relaxed);
+    lineage(process_seed(), std::process::id(), counter)
 }
 
 /// The remote counterpart of the embedded `silo_core::Session`: each method
 /// is one transaction against the server, synchronous and in the same
 /// vocabulary (`get`/`put`/`insert`/`delete`/`scan`/`transact`).
 ///
-/// With [`ClientConfig::resilient`] the session owns the whole failure
-/// lifecycle: timeouts, typed-error retries, reconnection, and exactly-once
-/// write replay via request tokens (see the crate docs).
+/// Every write carries a request token, so with a [`RetryPolicy`] the
+/// session re-issues a write whose ack was lost without applying it twice
+/// (see the crate docs).
 ///
 /// For throughput, use [`Session::connection`]-level pipelining: issue a
 /// burst of `send`s, then drain with `recv`.
@@ -596,8 +516,6 @@ pub struct Session {
     addrs: Vec<SocketAddr>,
     config: ClientConfig,
     lineage: u64,
-    /// Whether the server granted request tokens on the live connection.
-    tokens: bool,
     next_token: u64,
     connected_once: bool,
     stats: ClientStats,
@@ -606,7 +524,7 @@ pub struct Session {
 }
 
 impl Session {
-    /// Connects a new session with the default (non-resilient) config.
+    /// Connects a new session with the default config (no retries).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Session, ClientError> {
         Session::connect_with(addr, ClientConfig::default())
     }
@@ -620,15 +538,11 @@ impl Session {
         if addrs.is_empty() {
             return Err(ClientError::Protocol("no socket address resolved".to_string()));
         }
-        let lineage = match config.lineage {
-            0 if config.reconnect => derive_lineage(),
-            other => other,
-        };
+        let lineage = derive_lineage();
         let mut session = Session {
             conn: None,
             addrs,
             lineage,
-            tokens: false,
             next_token: 0,
             connected_once: false,
             stats: ClientStats::default(),
@@ -639,23 +553,8 @@ impl Session {
         Ok(session)
     }
 
-    /// Wraps an existing connection (no handshake, no reconnection — the
-    /// session cannot re-dial an address it never knew).
-    pub fn from_connection(conn: Connection) -> Session {
-        Session {
-            conn: Some(conn),
-            addrs: Vec::new(),
-            config: ClientConfig { handshake: false, ..ClientConfig::default() },
-            lineage: 0,
-            tokens: false,
-            next_token: 0,
-            connected_once: true,
-            stats: ClientStats::default(),
-            rng: 0x9E37_79B9_7F4A_7C15,
-        }
-    }
-
-    /// The underlying connection, for explicit pipelining.
+    /// The underlying connection, for explicit pipelining. Requests sent on
+    /// it directly carry no request token.
     ///
     /// # Panics
     ///
@@ -670,9 +569,10 @@ impl Session {
         self.stats
     }
 
-    /// Whether the live connection negotiated request tokens.
+    /// Whether the session holds a live connection that negotiated request
+    /// tokens. Every dial negotiates them: a server that refuses fails it.
     pub fn tokens_negotiated(&self) -> bool {
-        self.tokens
+        self.conn.is_some()
     }
 
     /// Resolves a table name to an id, creating the table if missing.
@@ -776,59 +676,33 @@ impl Session {
         }
     }
 
-    // -- the resilience core ------------------------------------------------
+    // -- the retry core -----------------------------------------------------
 
-    /// Issues one request through the session's full retry/reconnect/replay
-    /// machinery. Writes are wrapped in a fresh request token when the
-    /// handshake negotiated tokens, making their replay after a reconnect
-    /// exactly-once.
+    /// Issues one request through the session's retry/reconnect machinery.
+    /// A write is wrapped in a fresh request token first, so re-issuing it
+    /// after a reconnect is answered from the server's token window rather
+    /// than applied twice.
     fn call(&mut self, req: Request) -> Result<Response, ClientError> {
-        let is_write = req.is_write();
-        let req = if is_write && self.tokens {
+        let req = if req.is_write() {
             self.next_token += 1;
             Request::Tokenized { token: self.next_token, req: Box::new(req) }
         } else {
             req
         };
-        let tokenized = matches!(req, Request::Tokenized { .. });
         let policy = self.config.retry.clone();
         let mut attempt: u32 = 0;
         let mut backoff = policy.initial_backoff.max(Duration::from_millis(1));
         loop {
-            let (err, sent) = match self.try_call(&req) {
+            let err = match self.try_call(&req) {
                 Ok(resp) => return Ok(resp),
-                Err(pair) => pair,
+                Err(err) => err,
             };
-            if err.is_transport() {
-                self.conn = None;
-            }
-            let degraded = matches!(err.server_code(), Some(ErrorCode::DurabilityDegraded));
-            let retryable = match &err {
-                ClientError::Server(se) => match se.code {
-                    ErrorCode::Aborted => policy.retry_aborts,
-                    ErrorCode::ServerBusy | ErrorCode::DurabilityDegraded => true,
-                    _ => false,
-                },
-                _ if !sent => self.config.reconnect,
-                _ if !is_write || tokenized => self.config.reconnect,
-                _ => {
-                    // An untokenized write died in flight: its outcome is
-                    // unknowable and a blind retry could double-apply. Only
-                    // surface the typed uncertainty when this session would
-                    // otherwise have retried — a plain session keeps the
-                    // plain transport error.
-                    if self.config.reconnect {
-                        self.stats.ack_unknown += 1;
-                        return Err(ClientError::AckUnknown(Box::new(err)));
-                    }
-                    false
-                }
-            };
-            if !retryable || attempt >= policy.max_retries {
+            if !(err.is_transport() || err.is_retryable()) || attempt >= policy.max_retries {
                 return Err(err);
             }
             attempt += 1;
             self.stats.retries += 1;
+            let degraded = err.server_code() == Some(ErrorCode::DurabilityDegraded);
             if degraded && !policy.wait_for_health.is_zero() {
                 self.await_health(policy.wait_for_health);
             } else {
@@ -837,31 +711,27 @@ impl Session {
         }
     }
 
-    /// One attempt: ensure a live (handshaken) connection, then call.
-    /// The error carries whether the request may have reached the server.
-    fn try_call(&mut self, req: &Request) -> Result<Response, (ClientError, bool)> {
+    /// One attempt: ensure a live (handshaken) connection, then call. A
+    /// transport failure drops the connection, so the next attempt re-dials.
+    fn try_call(&mut self, req: &Request) -> Result<Response, ClientError> {
         if self.conn.is_none() {
-            self.redial().map_err(|e| (e, false))?;
+            self.redial()?;
         }
         let conn = self.conn.as_mut().expect("redial populated the connection");
-        conn.call(req).map_err(|e| (e, true))
+        conn.call(req).map_err(|e| {
+            if e.is_transport() {
+                self.conn = None;
+            }
+            e
+        })
     }
 
-    /// Dials (or re-dials) and re-runs the handshake.
+    /// Dials (or re-dials) and negotiates request tokens under the session's
+    /// lineage.
     fn redial(&mut self) -> Result<(), ClientError> {
-        if self.addrs.is_empty() {
-            // A `from_connection` session has no address to return to.
-            return Err(ClientError::Closed);
-        }
         let mut conn = Connection::connect_addrs(&self.addrs, &self.config)?;
-        if self.config.handshake {
-            let want = if self.config.reconnect && self.lineage != 0 {
-                FEATURE_REQUEST_TOKENS
-            } else {
-                0
-            };
-            let granted = conn.hello(self.lineage, want)?;
-            self.tokens = granted & FEATURE_REQUEST_TOKENS != 0 && self.lineage != 0;
+        if conn.hello(self.lineage, FEATURE_REQUEST_TOKENS)? & FEATURE_REQUEST_TOKENS == 0 {
+            return Err(ClientError::Protocol("server refused request tokens".to_string()));
         }
         if self.connected_once {
             self.stats.reconnects += 1;
@@ -877,12 +747,7 @@ impl Session {
         let deadline = Instant::now() + budget;
         loop {
             if let Ok(Response::Health { health: HealthStatus::Healthy, .. }) =
-                self.try_call(&Request::Health).map_err(|(e, _)| {
-                    if e.is_transport() {
-                        self.conn = None;
-                    }
-                    e
-                })
+                self.try_call(&Request::Health)
             {
                 return;
             }
@@ -896,13 +761,8 @@ impl Session {
     fn sleep_backoff(&mut self, backoff: &mut Duration, policy: &RetryPolicy) {
         let mut sleep = *backoff;
         if policy.jitter {
-            // xorshift64*: jitter within [backoff/2, backoff].
-            let mut x = self.rng;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.rng = x;
-            let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            // Jitter within [backoff/2, backoff].
+            let r = xorshift(&mut self.rng);
             let half = sleep / 2;
             let span_micros = half.as_micros().max(1) as u64;
             sleep = half + Duration::from_micros(r % span_micros);
@@ -961,5 +821,26 @@ impl TxnBuilder {
     /// Whether no operations are queued.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn processes_sharing_a_pid_derive_different_lineages() {
+        // Two hosts (or pid namespaces) each run pid 4242 and open their
+        // first session: only the process seed tells the two apart.
+        let a = lineage(0x1234_5678_9ABC_DEF0, 4242, 1);
+        let b = lineage(0x0FED_CBA9_8765_4321, 4242, 1);
+        assert_ne!(a, b);
+        assert!(a != 0 && b != 0, "lineages {a:#x} and {b:#x}");
+        // A seed that cancels pid and counter out still yields a lineage.
+        assert_eq!(lineage(4242 << 32 | 1, 4242, 1), 1);
+        // Within one process, every session gets its own lineage.
+        let (c, d) = (derive_lineage(), derive_lineage());
+        assert_ne!(c, d);
+        assert!(c != 0 && d != 0);
     }
 }

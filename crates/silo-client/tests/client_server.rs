@@ -1,11 +1,12 @@
 //! Client-against-server integration: the session vocabulary, explicit
 //! pipelining, durable acknowledgements riding group commit, and the
-//! resilience stack (retries, reconnection, token replay, `AckUnknown`).
+//! failure handling (timeouts, retries, reconnection, token replay).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::net::TcpListener;
+use std::time::{Duration, Instant};
 
 use silo_client::{
     ClientConfig, ClientError, Connection, ErrorCode, HealthStatus, RetryPolicy, Session,
@@ -51,6 +52,7 @@ fn start_durable_server() -> (LogDir, Arc<Database>, Arc<SiloLogger>, Server) {
 fn session_vocabulary_end_to_end() {
     let (_dir, _db, logger, mut server) = start_durable_server();
     let mut session = Session::connect(server.local_addr()).unwrap();
+    assert!(session.tokens_negotiated());
 
     let kv = session.open_table("kv").unwrap();
     session.put(kv, b"alice", b"100").unwrap();
@@ -160,15 +162,15 @@ fn fast_retry(max_retries: u32) -> RetryPolicy {
 #[test]
 fn resilient_session_is_inert_on_a_healthy_server() {
     let (_dir, _db, _logger, mut server) = start_durable_server();
-    let mut session =
-        Session::connect_with(server.local_addr(), ClientConfig::resilient()).unwrap();
+    let config = ClientConfig::default().with_retry(RetryPolicy::default());
+    let mut session = Session::connect_with(server.local_addr(), config).unwrap();
     assert!(session.tokens_negotiated());
     let kv = session.open_table("kv").unwrap();
     session.put(kv, b"k", b"v").unwrap();
     session.insert(kv, b"k2", b"v2").unwrap();
     assert_eq!(session.get(kv, b"k").unwrap(), Some(b"v".to_vec()));
     let stats = session.stats();
-    assert_eq!((stats.retries, stats.reconnects, stats.ack_unknown), (0, 0, 0));
+    assert_eq!((stats.retries, stats.reconnects), (0, 0));
     drop(session);
     server.shutdown();
     assert_eq!(server.stats().token_replays, 0);
@@ -178,7 +180,7 @@ fn resilient_session_is_inert_on_a_healthy_server() {
 #[test]
 fn deterministic_aborts_burn_the_retry_budget_then_surface() {
     let (_dir, _db, _logger, server) = start_durable_server();
-    let config = ClientConfig::resilient().with_retry(fast_retry(2));
+    let config = ClientConfig::default().with_retry(fast_retry(2));
     let mut session = Session::connect_with(server.local_addr(), config).unwrap();
     let kv = session.open_table("kv").unwrap();
     session.insert(kv, b"dup", b"1").unwrap();
@@ -199,7 +201,7 @@ fn lost_ack_is_replayed_from_the_token_window_exactly_once() {
     let fault = Arc::new(
         NetFaultPlan::new().fail_at(NetFaultSite::Read, 3, NetFaultKind::Reset),
     );
-    let config = ClientConfig::resilient()
+    let config = ClientConfig::default()
         .with_retry(fast_retry(4))
         .with_fault(Arc::clone(&fault));
     let mut session = Session::connect_with(server.local_addr(), config).unwrap();
@@ -224,7 +226,7 @@ fn torn_request_is_resent_fresh_after_reconnecting() {
     let fault = Arc::new(
         NetFaultPlan::new().fail_at(NetFaultSite::Write, 3, NetFaultKind::Torn),
     );
-    let config = ClientConfig::resilient()
+    let config = ClientConfig::default()
         .with_retry(fast_retry(4))
         .with_fault(Arc::clone(&fault));
     let mut session = Session::connect_with(server.local_addr(), config).unwrap();
@@ -241,40 +243,12 @@ fn torn_request_is_resent_fresh_after_reconnecting() {
 }
 
 #[test]
-fn untokenized_in_flight_write_surfaces_ack_unknown() {
-    let (_dir, _db, _logger, server) = start_durable_server();
-    // Reads per connection (no handshake): 1 = open_table response, 2 = the
-    // put's ack, lost to a reset.
-    let fault = Arc::new(
-        NetFaultPlan::new().fail_at(NetFaultSite::Read, 2, NetFaultKind::Reset),
-    );
-    // Reconnection is on but the handshake (and with it, tokens) is off:
-    // retrying the lost-ack write blindly could double-apply it, so the
-    // session must refuse and surface the typed uncertainty instead.
-    let config = ClientConfig::resilient()
-        .with_retry(fast_retry(4))
-        .with_handshake(false)
-        .with_fault(Arc::clone(&fault));
-    let mut session = Session::connect_with(server.local_addr(), config).unwrap();
-    assert!(!session.tokens_negotiated());
-    let kv = session.open_table("kv").unwrap();
-    match session.put(kv, b"k", b"v") {
-        Err(ClientError::AckUnknown(_)) => {}
-        other => panic!("unexpected {other:?}"),
-    }
-    assert_eq!(session.stats().ack_unknown, 1);
-    // The session stays usable: the next (read) request reconnects.
-    let _ = session.get(kv, b"k").unwrap();
-    assert_eq!(session.stats().reconnects, 1);
-}
-
-#[test]
 fn reads_ride_through_connection_resets_transparently() {
     let (_dir, _db, _logger, server) = start_durable_server();
     let fault = Arc::new(
         NetFaultPlan::new().fail_at(NetFaultSite::Read, 3, NetFaultKind::Reset),
     );
-    let config = ClientConfig::resilient()
+    let config = ClientConfig::default()
         .with_retry(fast_retry(4))
         .with_fault(Arc::clone(&fault));
     let mut session = Session::connect_with(server.local_addr(), config).unwrap();
@@ -294,4 +268,20 @@ fn recv_without_send_is_an_error() {
         Err(ClientError::Protocol(_)) => {}
         other => panic!("unexpected {other:?}"),
     }
+}
+
+#[test]
+fn a_silent_server_surfaces_as_a_client_timeout() {
+    // A listener that never answers (the kernel queues the connection in
+    // its backlog, so the dial succeeds): the session's HELLO waits on the socket's
+    // read timeout, which must surface typed rather than as a raw I/O error.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let config = ClientConfig::default().with_read_timeout(Duration::from_millis(50));
+    let started = Instant::now();
+    match Session::connect_with(listener.local_addr().unwrap(), config) {
+        Err(ClientError::TimedOut) => {}
+        Err(other) => panic!("expected TimedOut, got {other:?}"),
+        Ok(_) => panic!("a server that never answers completed the handshake"),
+    }
+    assert!(started.elapsed() < Duration::from_secs(10), "took {:?}", started.elapsed());
 }

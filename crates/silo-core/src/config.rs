@@ -18,8 +18,8 @@ use silo_epoch::EpochConfig;
 ///
 /// let config = SiloConfig::default()
 ///     .with_spawn_epoch_advancer(false)
-///     .with_read_retry_limit(8);
-/// assert!(!config.spawn_epoch_advancer);
+///     .with_gc(false);
+/// assert!(!config.spawn_epoch_advancer && !config.enable_gc);
 /// ```
 #[derive(Debug, Clone)]
 #[non_exhaustive]
@@ -51,10 +51,6 @@ pub struct SiloConfig {
     /// the laptop-scale stand-in for the paper's NUMA-aware superpage
     /// allocator (see DESIGN.md §4).
     pub per_worker_pool: bool,
-    /// How many times a read retries a record that is no longer the latest
-    /// version (because a concurrent writer superseded it) before the
-    /// transaction gives up and aborts.
-    pub read_retry_limit: usize,
 }
 
 impl Default for SiloConfig {
@@ -67,7 +63,6 @@ impl Default for SiloConfig {
             enable_gc: true,
             global_tid: false,
             per_worker_pool: true,
-            read_retry_limit: 16,
         }
     }
 }
@@ -148,12 +143,6 @@ impl SiloConfig {
     /// Enables or disables the per-worker allocation pool (`+Allocator`).
     pub fn with_per_worker_pool(mut self, enable: bool) -> Self {
         self.per_worker_pool = enable;
-        self
-    }
-
-    /// Sets the unstable-read retry limit before a transaction aborts.
-    pub fn with_read_retry_limit(mut self, limit: usize) -> Self {
-        self.read_retry_limit = limit;
         self
     }
 }

@@ -52,6 +52,11 @@ use crate::record::{Record, RecordPtr};
 use crate::set::{self, IndexedSet, Keyed};
 use crate::worker::Worker;
 
+/// How many times a read retries a record that is no longer the latest
+/// version (a concurrent writer superseded it) before the transaction gives
+/// up and aborts.
+const READ_RETRY_LIMIT: usize = 16;
+
 /// A read-set entry: a record and the TID word observed when it was read.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReadEntry {
@@ -404,7 +409,6 @@ impl<'w> Txn<'w> {
         key: &[u8],
         buf: &mut Vec<u8>,
     ) -> Result<ReadOutcome, Abort> {
-        let retry_limit = self.worker.config().read_retry_limit;
         let table = self.table(table_id);
         self.worker.ctx.memo = None;
         let mut attempts = 0;
@@ -429,7 +433,7 @@ impl<'w> Txn<'w> {
                         // Superseded between the index lookup and the data
                         // read: retry through the index (paper §4.5).
                         attempts += 1;
-                        if attempts > retry_limit {
+                        if attempts > READ_RETRY_LIMIT {
                             return Err(self.poison(AbortReason::UnstableRead));
                         }
                         continue;

@@ -44,7 +44,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use silo_log::fault::{profile_state, xorshift, Schedule};
+use silo_log::fault::{profile_state, Schedule};
+
+pub use silo_log::fault::xorshift;
 
 /// Which half of a connection a fault fires on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

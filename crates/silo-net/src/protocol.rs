@@ -427,17 +427,6 @@ pub enum FrameError {
         /// The receiver's limit.
         max: usize,
     },
-    /// A socket-level timeout fired while reading.
-    ///
-    /// `mid_frame: false` means the connection was *idle* — no byte of a new
-    /// frame had arrived — which the caller may tolerate up to its idle
-    /// budget. `mid_frame: true` means a frame started but did not complete
-    /// within the per-frame deadline (a stalled or slow-loris peer); the
-    /// stream is no longer frame-aligned and must be dropped.
-    TimedOut {
-        /// Whether the timeout interrupted a partially-read frame.
-        mid_frame: bool,
-    },
 }
 
 impl std::fmt::Display for FrameError {
@@ -448,8 +437,6 @@ impl std::fmt::Display for FrameError {
             FrameError::Oversized { len, max } => {
                 write!(f, "frame of {len} bytes exceeds the {max}-byte limit")
             }
-            FrameError::TimedOut { mid_frame: true } => write!(f, "frame read deadline exceeded"),
-            FrameError::TimedOut { mid_frame: false } => write!(f, "idle read timeout"),
         }
     }
 }
@@ -476,6 +463,17 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     w.write_all(payload)
 }
 
+/// The payload length a frame header announces; more than `max_bytes` is
+/// [`FrameError::Oversized`]. The one decoder of the frame header, shared by
+/// [`read_frame`] and the server's buffered `split_frame`.
+fn payload_len(header: [u8; 4], max_bytes: usize) -> Result<usize, FrameError> {
+    let len = u32::from_le_bytes(header) as usize;
+    if len > max_bytes {
+        return Err(FrameError::Oversized { len, max: max_bytes });
+    }
+    Ok(len)
+}
+
 /// The first frame in `buf`: its payload and the bytes it spans, header
 /// included. `Ok(None)` while the frame is incomplete; a header announcing
 /// more than `max_bytes` is [`FrameError::Oversized`].
@@ -486,111 +484,43 @@ pub(crate) fn split_frame(
     let Some(header) = buf.get(..4) else {
         return Ok(None);
     };
-    let len = u32::from_le_bytes(header.try_into().expect("four bytes")) as usize;
-    if len > max_bytes {
-        return Err(FrameError::Oversized { len, max: max_bytes });
-    }
+    let len = payload_len(header.try_into().expect("four bytes"), max_bytes)?;
     Ok(buf.get(4..4 + len).map(|payload| (payload, 4 + len)))
 }
 
-/// Reads one frame's payload into `buf` (cleared first, capacity reused).
+/// Reads one frame's payload into `buf` (cleared first, capacity reused)
+/// from a blocking stream.
 ///
 /// Returns `Ok(true)` when a frame was read, `Ok(false)` on a clean
 /// end-of-stream (the peer closed between frames). A stream that ends
 /// *inside* a frame yields [`FrameError::Torn`]; a header announcing more
 /// than `max_bytes` yields [`FrameError::Oversized`] before anything is
-/// allocated.
+/// allocated. A socket read timeout surfaces as [`FrameError::Io`].
 pub fn read_frame(
     r: &mut impl Read,
     buf: &mut Vec<u8>,
     max_bytes: usize,
 ) -> Result<bool, FrameError> {
-    read_frame_deadline(r, buf, max_bytes, None)
-}
-
-/// Whether an I/O error is a socket-timeout tick (`SO_RCVTIMEO` surfaces as
-/// `WouldBlock` on Unix and `TimedOut` on Windows).
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Like [`read_frame`], but with an explicit per-frame deadline — the
-/// slow-loris defense.
-///
-/// Requires a read timeout on the underlying socket to act as the clock: a
-/// timeout tick *before* the first header byte is reported as
-/// [`FrameError::TimedOut`]`{ mid_frame: false }` (the caller keeps its own
-/// idle budget and may simply call again). Once the first byte of a frame
-/// has arrived, the frame must complete within `frame_timeout`: the deadline
-/// is checked both on timeout ticks *and* after every partial read, so a
-/// peer dribbling one byte per tick (which never lets the socket timeout
-/// fire) still trips [`FrameError::TimedOut`]`{ mid_frame: true }`.
-/// `frame_timeout: None` makes any mid-frame timeout tick fatal immediately.
-pub fn read_frame_deadline(
-    r: &mut impl Read,
-    buf: &mut Vec<u8>,
-    max_bytes: usize,
-    frame_timeout: Option<std::time::Duration>,
-) -> Result<bool, FrameError> {
-    let mut header = [0u8; 4];
-    let mut filled = 0;
-    let mut deadline: Option<std::time::Instant> = None;
-    let expired = |deadline: &Option<std::time::Instant>| {
-        deadline.is_some_and(|d| std::time::Instant::now() >= d)
+    let torn = |e: std::io::Error| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => FrameError::Torn,
+        _ => FrameError::Io(e),
     };
-    while filled < header.len() {
-        match r.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => return Err(FrameError::Torn),
+    let mut header = [0u8; 4];
+    loop {
+        match r.read(&mut header) {
+            Ok(0) => return Ok(false),
             Ok(n) => {
-                if filled == 0 {
-                    deadline = frame_timeout.map(|t| std::time::Instant::now() + t);
-                }
-                filled += n;
-                if filled < header.len() && expired(&deadline) {
-                    return Err(FrameError::TimedOut { mid_frame: true });
-                }
+                r.read_exact(&mut header[n..]).map_err(torn)?;
+                break;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) if is_timeout(&e) => {
-                if filled == 0 {
-                    return Err(FrameError::TimedOut { mid_frame: false });
-                }
-                if frame_timeout.is_none() || expired(&deadline) {
-                    return Err(FrameError::TimedOut { mid_frame: true });
-                }
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > max_bytes {
-        return Err(FrameError::Oversized { len, max: max_bytes });
-    }
+    let len = payload_len(header, max_bytes)?;
     buf.clear();
     buf.resize(len, 0);
-    let mut got = 0;
-    while got < len {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => return Err(FrameError::Torn),
-            Ok(n) => {
-                got += n;
-                if got < len && expired(&deadline) {
-                    return Err(FrameError::TimedOut { mid_frame: true });
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) if is_timeout(&e) => {
-                if frame_timeout.is_none() || expired(&deadline) {
-                    return Err(FrameError::TimedOut { mid_frame: true });
-                }
-            }
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
+    r.read_exact(buf).map_err(torn)?;
     Ok(true)
 }
 
@@ -1112,66 +1042,5 @@ mod tests {
         };
         assert!(!read.is_write());
         assert!(!Request::Hello { version: 1, features: 0, lineage: 0 }.is_write());
-    }
-
-    /// A reader that dribbles one byte per call, then reports a socket
-    /// timeout forever.
-    struct Dribble {
-        data: Vec<u8>,
-        pos: usize,
-    }
-
-    impl Read for Dribble {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.pos < self.data.len() && !buf.is_empty() {
-                buf[0] = self.data[self.pos];
-                self.pos += 1;
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                Ok(1)
-            } else {
-                Err(std::io::Error::new(std::io::ErrorKind::WouldBlock, "tick"))
-            }
-        }
-    }
-
-    #[test]
-    fn idle_timeout_is_distinguished_from_mid_frame_timeout() {
-        let mut idle = Dribble { data: vec![], pos: 0 };
-        let mut buf = Vec::new();
-        match read_frame_deadline(&mut idle, &mut buf, 1024, Some(std::time::Duration::from_secs(5)))
-        {
-            Err(FrameError::TimedOut { mid_frame: false }) => {}
-            other => panic!("expected idle timeout, got {other:?}"),
-        }
-
-        let mut partial = Dribble { data: vec![9, 0], pos: 0 };
-        match read_frame_deadline(
-            &mut partial,
-            &mut buf,
-            1024,
-            Some(std::time::Duration::from_millis(1)),
-        ) {
-            Err(FrameError::TimedOut { mid_frame: true }) => {}
-            other => panic!("expected mid-frame timeout, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn slow_loris_trips_the_deadline_even_without_socket_timeouts_firing() {
-        // 2ms per byte with a 1ms frame budget: the dribbler always delivers
-        // a byte (no socket timeout ever fires), so only the per-partial-read
-        // deadline check can catch it.
-        let frame = frame(b"0123456789abcdef");
-        let mut loris = Dribble { data: frame, pos: 0 };
-        let mut buf = Vec::new();
-        match read_frame_deadline(
-            &mut loris,
-            &mut buf,
-            1024,
-            Some(std::time::Duration::from_millis(1)),
-        ) {
-            Err(FrameError::TimedOut { mid_frame: true }) => {}
-            other => panic!("expected mid-frame timeout, got {other:?}"),
-        }
     }
 }

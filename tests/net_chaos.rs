@@ -115,7 +115,7 @@ fn run_scenario(seed: u64, sessions: usize) {
                 seed ^ (c as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ));
             std::thread::spawn(move || {
-                let config = ClientConfig::resilient()
+                let config = ClientConfig::default()
                     .with_retry(chaos_retry())
                     .with_read_timeout(Duration::from_secs(5))
                     .with_fault(client_plan);
