@@ -24,7 +24,7 @@
 //! | `SILO_BENCH_CKPT_MS` | checkpoint interval (ms) | 1000 |
 //! | `SILO_BENCH_CKPT_BYTES_PER_SEC` | checkpoint walk rate limit (0 = off) | 0 |
 //! | `SILO_BENCH_SEGMENT_BYTES` | log segment rotation threshold | 4 MiB |
-//! | `SILO_RECOVERY_THREADS` | checkpoint-load / replay threads | 4 |
+//! | `SILO_RECOVERY_THREADS` | checkpoint-load threads; replay threads, each reading every log stream and applying its own key shard | 4 |
 //! | `SILO_RECOVERY_MIN_EPOCH` | recovered horizon must reach this | 0 |
 //! | `SILO_RECOVERY_TOTAL_LOG_BYTES` | total bytes the run logged | unset |
 //! | `SILO_RECOVERY_MAX_TAIL_FRACTION` | max tail/total ratio | 0.5 |

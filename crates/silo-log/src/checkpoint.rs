@@ -65,7 +65,7 @@
 
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -165,23 +165,13 @@ impl CheckpointStats {
     }
 }
 
-#[derive(Default)]
-struct StatCells {
-    completed: AtomicU64,
-    skipped: AtomicU64,
-    failed: AtomicU64,
-    last_epoch: AtomicU64,
-    last_records: AtomicU64,
-    last_bytes: AtomicU64,
-    last_micros: AtomicU64,
-    total_bytes: AtomicU64,
-}
-
 struct CheckpointerShared {
     config: CheckpointConfig,
     db: Arc<Database>,
     logger: Arc<SiloLogger>,
-    stats: StatCells,
+    /// Written once per attempt. Not under `last_epoch`, which a checkpoint
+    /// holds across its durability wait.
+    stats: StdMutex<CheckpointStats>,
     /// Epoch of the last complete checkpoint. The lock serializes checkpoint
     /// runs (the periodic thread vs. `run_now`).
     last_epoch: StdMutex<u64>,
@@ -228,7 +218,7 @@ impl Checkpointer {
             config,
             db,
             logger,
-            stats: StatCells::default(),
+            stats: StdMutex::default(),
             last_epoch: StdMutex::new(0),
             stop: AtomicBool::new(false),
             stop_cv: Condvar::new(),
@@ -255,7 +245,7 @@ impl Checkpointer {
                         return;
                     }
                     if let Err(e) = run_once(&thread_shared) {
-                        thread_shared.stats.failed.fetch_add(1, Ordering::Relaxed);
+                        lock(&thread_shared.stats).failed += 1;
                         eprintln!("silo-checkpointer: checkpoint failed: {e}");
                     }
                 }
@@ -276,17 +266,7 @@ impl Checkpointer {
 
     /// A snapshot of the checkpointer's counters.
     pub fn stats(&self) -> CheckpointStats {
-        let s = &self.shared.stats;
-        CheckpointStats {
-            completed: s.completed.load(Ordering::Relaxed),
-            skipped: s.skipped.load(Ordering::Relaxed),
-            failed: s.failed.load(Ordering::Relaxed),
-            last_epoch: s.last_epoch.load(Ordering::Relaxed),
-            last_records: s.last_records.load(Ordering::Relaxed),
-            last_bytes: s.last_bytes.load(Ordering::Relaxed),
-            last_micros: s.last_micros.load(Ordering::Relaxed),
-            total_bytes: s.total_bytes.load(Ordering::Relaxed),
-        }
+        lock(&self.shared.stats).clone()
     }
 
     /// Stops the checkpointer thread (a checkpoint in flight completes
@@ -437,7 +417,7 @@ fn walk(shared: &CheckpointerShared, last_epoch: u64) -> std::io::Result<Option<
     let pin = pin_worker.begin_snapshot();
     let ce = pin.snapshot_epoch();
     if ce == 0 || ce <= last_epoch {
-        shared.stats.skipped.fetch_add(1, Ordering::Relaxed);
+        lock(&shared.stats).skipped += 1;
         return Ok(None);
     }
     let started = Instant::now();
@@ -559,7 +539,7 @@ fn publish(
         .is_durable()
     {
         let _ = std::fs::remove_dir_all(&dir);
-        shared.stats.failed.fetch_add(1, Ordering::Relaxed);
+        lock(&shared.stats).failed += 1;
         return Ok(None);
     }
 
@@ -613,16 +593,13 @@ fn publish(
     }
 
     let bytes: u64 = slices.iter().map(|(b, _)| *b).sum();
-    let records: u64 = slices.iter().map(|(_, r)| *r).sum();
-    let stats = &shared.stats;
-    stats.completed.fetch_add(1, Ordering::Relaxed);
-    stats.last_epoch.store(ce, Ordering::Relaxed);
-    stats.last_records.store(records, Ordering::Relaxed);
-    stats.last_bytes.store(bytes, Ordering::Relaxed);
-    stats
-        .last_micros
-        .store(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-    stats.total_bytes.fetch_add(bytes, Ordering::Relaxed);
+    let mut stats = lock(&shared.stats);
+    stats.completed += 1;
+    stats.last_epoch = ce;
+    stats.last_records = slices.iter().map(|(_, r)| *r).sum();
+    stats.last_bytes = bytes;
+    stats.last_micros = started.elapsed().as_micros() as u64;
+    stats.total_bytes += bytes;
     *last_epoch = ce;
     Ok(Some(ce))
 }
@@ -696,25 +673,6 @@ fn read_manifest(dir: &Path) -> Option<CheckpointInfo> {
     None
 }
 
-/// Every *complete* checkpoint (manifest present, slice lengths matching)
-/// under the durability root `root`, newest first. Only a crash between a
-/// manifest's rename and the deletion of its predecessors leaves more than
-/// one.
-pub fn complete_checkpoints(root: &Path) -> Vec<CheckpointInfo> {
-    let mut found: Vec<CheckpointInfo> = checkpoint_dirs(root)
-        .iter()
-        .filter_map(|(_, dir)| read_manifest(dir))
-        .collect();
-    found.sort_by_key(|info| std::cmp::Reverse(info.epoch));
-    found
-}
-
-/// Finds the most recent *complete* checkpoint under the durability root
-/// `root` (the directory the logs are written to), if any.
-pub fn latest_checkpoint(root: &Path) -> Option<CheckpointInfo> {
-    complete_checkpoints(root).into_iter().next()
-}
-
 /// The newest checkpoint under `root` that has a manifest, with its epoch,
 /// read and verified. The manifest's rename is what makes a checkpoint
 /// complete, so after it only damage can make the manifest unreadable or a
@@ -771,7 +729,7 @@ fn read_slice<E: From<std::io::Error>>(
     let mut seen = 0u64;
     let mut failed = None;
     loop {
-        let more = decoder.next_envelope_with(|block| {
+        let more = decoder.next_envelope_with(false, |block| {
             if failed.is_some() {
                 return;
             }
@@ -819,57 +777,36 @@ pub(crate) fn load_checkpoint(
 ) -> Result<(u64, u64), crate::RecoveryError> {
     let threads = threads.clamp(1, info.slices.len().max(1));
     let next_slice = AtomicUsize::new(0);
-    let results: Vec<Result<(u64, u64), crate::RecoveryError>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let next_slice = &next_slice;
-            let info = &info;
-            handles.push(
-                scope.spawn(move || -> Result<(u64, u64), crate::RecoveryError> {
-                    let mut records = 0u64;
-                    let mut bytes = 0u64;
-                    loop {
-                        let i = next_slice.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(ref path, slice_bytes, slice_records)) = info.slices.get(i)
-                        else {
-                            return Ok((records, bytes));
-                        };
-                        let file = std::fs::File::open(path)?;
-                        read_slice(
-                            file,
-                            slice_bytes,
-                            slice_records,
-                            |tid, table, key, value| {
-                                let table = crate::recovery::recovery_table(db, table)?;
-                                // SAFETY: recovery-mode exclusivity — no transactions
-                                // run during recovery, and checkpoint slices never
-                                // repeat a key (each key is scanned exactly once), so
-                                // no two loaders touch the same key.
-                                unsafe {
-                                    silo_core::bulk_apply(&table, key, tid, Some(value));
-                                }
-                                Ok::<(), crate::RecoveryError>(())
-                            },
-                        )?;
-                        records += slice_records;
-                        bytes += slice_bytes;
+    let loaded = crate::recovery::in_parallel(threads, |_| {
+        let (mut records, mut bytes) = (0, 0);
+        while let Some((path, slice_bytes, slice_records)) =
+            info.slices.get(next_slice.fetch_add(1, Ordering::Relaxed))
+        {
+            let file = std::fs::File::open(path)?;
+            read_slice(
+                file,
+                *slice_bytes,
+                *slice_records,
+                |tid, table, key, value| {
+                    let table = crate::recovery::recovery_table(db, table)?;
+                    // SAFETY: recovery-mode exclusivity — no transactions run
+                    // during recovery, and checkpoint slices never repeat a key
+                    // (each key is scanned exactly once), so no two loaders
+                    // touch the same key.
+                    unsafe {
+                        silo_core::bulk_apply(&table, key, tid, Some(value));
                     }
-                }),
-            );
+                    Ok::<(), crate::RecoveryError>(())
+                },
+            )?;
+            records += slice_records;
+            bytes += slice_bytes;
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("checkpoint loader panicked"))
-            .collect()
-    });
-    let mut records = 0;
-    let mut bytes = 0;
-    for result in results {
-        let (r, b) = result?;
-        records += r;
-        bytes += b;
-    }
-    Ok((records, bytes))
+        Ok::<_, crate::RecoveryError>((records, bytes))
+    })?;
+    Ok(loaded
+        .into_iter()
+        .fold((0, 0), |(r, b), (records, bytes)| (r + records, b + bytes)))
 }
 
 #[cfg(test)]
@@ -902,43 +839,51 @@ pub(crate) mod tests {
         .unwrap();
     }
 
-    #[test]
-    fn manifest_roundtrip_and_incomplete_detection() {
-        let root = scratch_dir("ckpt-manifest");
-        let dir = checkpoint_dir(&root, 42);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(slice_path(&dir, 0), b"0123456789").unwrap();
-        assert!(
-            latest_checkpoint(&root).is_none(),
-            "no manifest means no checkpoint"
-        );
-        std::fs::write(
-            dir.join(MANIFEST),
-            "silo-checkpoint v3\nepoch 42\nslices 1\nslice 0 10 3\nend\n",
-        )
-        .unwrap();
-        let info = latest_checkpoint(&root).expect("complete checkpoint");
-        assert_eq!(info.epoch, 42);
-        assert_eq!(info.bytes(), 10);
-        assert_eq!(info.records(), 3);
-
-        // A slice shorter than the manifest claims invalidates the checkpoint.
-        std::fs::write(slice_path(&dir, 0), b"0123").unwrap();
-        assert!(latest_checkpoint(&root).is_none());
-
-        // So does a manifest of any other format version.
-        std::fs::write(slice_path(&dir, 0), b"0123456789").unwrap();
-        std::fs::write(
-            dir.join(MANIFEST),
-            "silo-checkpoint v2\nepoch 42\nslices 1\nslice 0 10 3\nend\n",
-        )
-        .unwrap();
-        assert!(latest_checkpoint(&root).is_none());
+    /// The newest checkpoint under `root` with a manifest: its epoch, and
+    /// the kind of error reading it, if any.
+    fn newest(root: &Path) -> Option<(u64, Result<CheckpointInfo, std::io::ErrorKind>)> {
+        newest_checkpoint(root).map(|(epoch, info)| (epoch, info.map_err(|e| e.kind())))
     }
 
     #[test]
-    fn latest_checkpoint_picks_max_epoch() {
-        let root = scratch_dir("ckpt-latest");
+    fn manifest_roundtrip_and_incomplete_detection() {
+        let root = scratch_dir("ckpt-manifest");
+        let slice = slice_bytes(&[
+            (0, b"a", Tid::from_raw(1), b"1"),
+            (0, b"b", Tid::from_raw(2), b"2"),
+            (0, b"c", Tid::from_raw(3), b"3"),
+        ]);
+        let dir = checkpoint_dir(&root, 42);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(slice_path(&dir, 0), &slice).unwrap();
+        assert!(newest(&root).is_none(), "no manifest means no checkpoint");
+        let manifest = |version: u32| {
+            format!(
+                "silo-checkpoint v{version}\nepoch 42\nslices 1\nslice 0 {} 3\nend\n",
+                slice.len()
+            )
+        };
+        std::fs::write(dir.join(MANIFEST), manifest(3)).unwrap();
+        let (epoch, info) = newest(&root).expect("complete checkpoint");
+        let info = info.unwrap();
+        assert_eq!((epoch, info.epoch), (42, 42));
+        assert_eq!(info.bytes(), slice.len() as u64);
+        assert_eq!(info.records(), 3);
+
+        // A slice shorter than the manifest claims invalidates the checkpoint.
+        std::fs::write(slice_path(&dir, 0), &slice[..4]).unwrap();
+        let invalid = Some((42, Err(std::io::ErrorKind::InvalidData)));
+        assert_eq!(newest(&root), invalid);
+
+        // So does a manifest of any other format version.
+        std::fs::write(slice_path(&dir, 0), &slice).unwrap();
+        std::fs::write(dir.join(MANIFEST), manifest(2)).unwrap();
+        assert_eq!(newest(&root), invalid);
+    }
+
+    #[test]
+    fn newest_checkpoint_picks_max_epoch() {
+        let root = scratch_dir("ckpt-newest");
         for epoch in [7u64, 19, 12] {
             let dir = checkpoint_dir(&root, epoch);
             std::fs::create_dir_all(&dir).unwrap();
@@ -948,7 +893,10 @@ pub(crate) mod tests {
             )
             .unwrap();
         }
-        assert_eq!(latest_checkpoint(&root).unwrap().epoch, 19);
+        // An incomplete attempt (no manifest) is not a checkpoint.
+        std::fs::create_dir_all(checkpoint_dir(&root, 23)).unwrap();
+        let (epoch, info) = newest(&root).expect("complete checkpoint");
+        assert_eq!((epoch, info.map(|info| info.epoch)), (19, Ok(19)));
     }
 
     /// The records of `slice`, read against a manifest that claims its
@@ -1074,7 +1022,8 @@ pub(crate) mod tests {
         let root = scratch_dir("ckpt-verify");
         let mut slice = slice_bytes(&[(1, b"key", Tid::from_raw(11), b"value")]);
         write_one_slice_checkpoint(&root, 5, &slice, 1);
-        let info = latest_checkpoint(&root).expect("complete checkpoint");
+        let (_, info) = newest_checkpoint(&root).expect("complete checkpoint");
+        let info = info.expect("intact slices verify");
         verify_checkpoint(&info).expect("intact slices verify");
 
         // Flip one payload bit (keeping the length, so the manifest check
@@ -1084,26 +1033,5 @@ pub(crate) mod tests {
         std::fs::write(slice_path(&info.dir, 0), &slice).unwrap();
         let err = verify_checkpoint(&info).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn complete_checkpoints_lists_newest_first() {
-        let root = scratch_dir("ckpt-complete");
-        for epoch in [4u64, 9, 6] {
-            let dir = checkpoint_dir(&root, epoch);
-            std::fs::create_dir_all(&dir).unwrap();
-            std::fs::write(
-                dir.join(MANIFEST),
-                format!("{MANIFEST_HEADER}\nepoch {epoch}\nslices 0\nend\n"),
-            )
-            .unwrap();
-        }
-        // An incomplete attempt (no manifest) is not listed.
-        std::fs::create_dir_all(checkpoint_dir(&root, 11)).unwrap();
-        let epochs: Vec<u64> = complete_checkpoints(&root)
-            .iter()
-            .map(|c| c.epoch)
-            .collect();
-        assert_eq!(epochs, vec![9, 6, 4]);
     }
 }

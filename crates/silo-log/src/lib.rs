@@ -59,8 +59,7 @@ mod recovery;
 mod sink;
 
 pub use checkpoint::{
-    complete_checkpoints, latest_checkpoint, verify_checkpoint, CheckpointConfig, CheckpointInfo,
-    CheckpointStats, Checkpointer,
+    verify_checkpoint, CheckpointConfig, CheckpointInfo, CheckpointStats, Checkpointer,
 };
 pub use fault::{FaultKind, FaultPlan, FaultSite};
 pub use recovery::{recover_directory, RecoveryError, RecoveryOptions, RecoveryReport};

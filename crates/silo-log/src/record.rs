@@ -242,22 +242,18 @@ pub(crate) enum BlockRef<'a> {
 }
 
 impl BlockRef<'_> {
-    /// The owned block; a transaction keeps its writes only if `materialize`.
-    fn into_block(self, materialize: bool) -> Block {
+    /// The owned block.
+    fn into_block(self) -> Block {
         match self {
             BlockRef::Txn(tid, writes) => Block::Txn(LoggedTxn {
                 tid,
-                writes: if materialize {
-                    writes
-                        .map(|(table, key, value)| LoggedWrite {
-                            table,
-                            key: key.to_vec(),
-                            value: value.map(<[u8]>::to_vec),
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                },
+                writes: writes
+                    .map(|(table, key, value)| LoggedWrite {
+                        table,
+                        key: key.to_vec(),
+                        value: value.map(<[u8]>::to_vec),
+                    })
+                    .collect(),
             }),
             BlockRef::EpochMarker(epoch) => Block::EpochMarker(epoch),
         }
@@ -375,12 +371,20 @@ fn decode_write<'a>(cur: &mut Cursor<'a>) -> Result<WriteRef<'a>, DecodeError> {
     Ok((table, key, value))
 }
 
-/// Parses a run of inner blocks — TXN and MARKER, plus one level of
-/// COMPRESSED when `allow_compressed` — handing each to `f` once its writes
-/// have all parsed.
+/// Where each TXN block of an envelope ends: recorded by the walk that
+/// parses the envelope, replayed by the walk that hands its blocks out, which
+/// so skips over the writes without decoding them again.
+enum TxnEnds<'a> {
+    Record(&'a mut Vec<usize>),
+    Replay(std::slice::Iter<'a, usize>),
+}
+
+/// Walks a run of inner blocks — TXN and MARKER, plus one level of
+/// COMPRESSED when `allow_compressed` — handing each to `f`.
 fn walk_inner(
     data: &[u8],
     allow_compressed: bool,
+    ends: &mut TxnEnds<'_>,
     f: &mut impl FnMut(BlockRef<'_>),
 ) -> Result<(), DecodeError> {
     let mut cur = Cursor { data, pos: 0 };
@@ -390,8 +394,14 @@ fn walk_inner(
                 let tid = Tid::from_raw(cur.u64()?);
                 let left = cur.u32()? as usize;
                 let writes = WritesRef { cur, left };
-                for _ in 0..left {
-                    decode_write(&mut cur)?;
+                match ends {
+                    TxnEnds::Record(ends) => {
+                        for _ in 0..left {
+                            decode_write(&mut cur)?;
+                        }
+                        ends.push(cur.pos);
+                    }
+                    TxnEnds::Replay(ends) => cur.pos = *ends.next().expect("a recorded end"),
                 }
                 f(BlockRef::Txn(tid, writes));
             }
@@ -404,7 +414,7 @@ fn walk_inner(
                 if raw.len() != raw_len {
                     return Err(DecodeError::BadCompression);
                 }
-                walk_inner(&raw, false, f)?;
+                walk_inner(&raw, false, ends, f)?;
             }
             other => return Err(DecodeError::BadTag(other)),
         }
@@ -421,11 +431,6 @@ fn walk_inner(
 /// with bounded memory. A torn *final* envelope (the stream ends before its
 /// announced length) terminates the stream cleanly, as a crash can tear the
 /// last file write; any other malformation is an error.
-///
-/// With `skip_payload` set, transaction blocks are parsed and skipped without
-/// materializing their writes (`Block::Txn` is returned with the TID and an
-/// empty write list) — the cheap mode recovery's first pass uses to find the
-/// durable horizon and per-segment epoch bounds.
 pub struct StreamDecoder<R> {
     reader: R,
     buf: Vec<u8>,
@@ -433,7 +438,8 @@ pub struct StreamDecoder<R> {
     eof: bool,
     /// Blocks of the current envelope, drained before the next is read.
     pending: std::collections::VecDeque<Block>,
-    skip_payload: bool,
+    /// The current envelope's TXN block ends (see `TxnEnds`).
+    txn_ends: Vec<usize>,
     consumed: u64,
 }
 
@@ -449,17 +455,9 @@ impl<R: std::io::Read> StreamDecoder<R> {
             pos: 0,
             eof: false,
             pending: std::collections::VecDeque::new(),
-            skip_payload: false,
+            txn_ends: Vec::new(),
             consumed: 0,
         }
-    }
-
-    /// Creates a decoder that parses transaction blocks without materializing
-    /// their writes.
-    pub fn new_skipping(reader: R) -> Self {
-        let mut d = Self::new(reader);
-        d.skip_payload = true;
-        d
     }
 
     /// Total bytes of complete envelopes consumed so far.
@@ -536,47 +534,52 @@ impl<R: std::io::Read> StreamDecoder<R> {
     }
 
     /// Decodes the next block, or `Ok(None)` at the end of the stream
-    /// (including after a torn final envelope).
+    /// (including after a torn final envelope): the owned form of the
+    /// borrowed envelope walk, compressed blocks admitted.
     pub fn next_block(&mut self) -> Result<Option<Block>, DecodeError> {
         loop {
             if let Some(block) = self.pending.pop_front() {
                 return Ok(Some(block));
             }
-            let Some((start, end)) = self.next_payload()? else {
+            let mut pending = std::mem::take(&mut self.pending);
+            let more = self.next_envelope_with(true, |block| pending.push_back(block.into_block()));
+            self.pending = pending;
+            if !more? {
                 return Ok(None);
-            };
-            // Nothing of a malformed envelope may be replayed.
-            let materialize = !self.skip_payload;
-            let pending = &mut self.pending;
-            let walked = walk_inner(&self.buf[start..end], true, &mut |block| {
-                pending.push_back(block.into_block(materialize))
-            });
-            if let Err(e) = walked {
-                self.pending.clear();
-                return Err(inside_envelope(e));
             }
-            self.consume_to(end);
         }
     }
 
     /// Decodes the next envelope and hands each of its blocks to `f` with
     /// keys and values borrowed from the decoder's buffer, so nothing is
-    /// allocated per write — for readers that would drop what
-    /// [`next_block`](Self::next_block) materializes. Returns `Ok(false)` at
-    /// the end of the stream, a torn final envelope included. The envelope's
-    /// CRC is verified before `f` sees any of it; a block malformed inside a
-    /// verified envelope is an error once reached. Compressed blocks are
-    /// [`DecodeError::BadTag`] here. Do not mix with `next_block` on one
-    /// decoder.
+    /// allocated per write. Returns `Ok(false)` at the end of the stream, a
+    /// torn final envelope included. Compressed blocks are admitted only if
+    /// `compressed` (log streams), else they are [`DecodeError::BadTag`]
+    /// (checkpoint slices). The envelope's CRC is verified and its blocks
+    /// are all parsed before `f` sees any of them, so nothing of a malformed
+    /// envelope is handed out. Do not mix with `next_block` on one decoder.
     pub(crate) fn next_envelope_with(
         &mut self,
+        compressed: bool,
         mut f: impl FnMut(BlockRef<'_>),
     ) -> Result<bool, DecodeError> {
         debug_assert!(self.pending.is_empty(), "mixed with next_block");
         let Some((start, end)) = self.next_payload()? else {
             return Ok(false);
         };
-        walk_inner(&self.buf[start..end], false, &mut f).map_err(inside_envelope)?;
+        let payload = &self.buf[start..end];
+        // Parse first, hand out second: a compressed block is inflated twice.
+        let ends = &mut self.txn_ends;
+        ends.clear();
+        walk_inner(payload, compressed, &mut TxnEnds::Record(ends), &mut |_| {})
+            .map_err(inside_envelope)?;
+        walk_inner(
+            payload,
+            compressed,
+            &mut TxnEnds::Replay(ends.iter()),
+            &mut f,
+        )
+        .expect("the envelope parsed above");
         self.consume_to(end);
         Ok(true)
     }
@@ -628,15 +631,6 @@ mod tests {
             other => panic!("unexpected block {other:?}"),
         }
         assert_eq!(blocks[1], Block::EpochMarker(4));
-
-        // The skipping decoder sees the same blocks minus the writes.
-        let mut skipping = StreamDecoder::new_skipping(stream.as_slice());
-        let skipped = LoggedTxn {
-            tid: Tid::new(5, 42),
-            writes: Vec::new(),
-        };
-        assert_eq!(skipping.next_block(), Ok(Some(Block::Txn(skipped))));
-        assert_eq!(skipping.next_block(), Ok(Some(Block::EpochMarker(4))));
     }
 
     #[test]
@@ -713,7 +707,13 @@ mod tests {
         encode_epoch_marker(&mut inner, 2);
         inner.extend(txn(Tid::new(1, 1)));
         inner.truncate(inner.len() - 3);
-        assert_eq!(decode_all(&sealed(&inner)), Err(DecodeError::BadChecksum));
+        let stream = sealed(&inner);
+        assert_eq!(decode_all(&stream), Err(DecodeError::BadChecksum));
+        let mut dec = StreamDecoder::new(stream.as_slice());
+        assert_eq!(
+            dec.next_envelope_with(true, |_| panic!("a block of a malformed envelope")),
+            Err(DecodeError::BadChecksum)
+        );
     }
 
     #[test]
@@ -844,23 +844,32 @@ mod tests {
         let mut walked = Vec::new();
         let mut dec = StreamDecoder::new(stream.as_slice());
         while dec
-            .next_envelope_with(|block| walked.push(block.into_block(true)))
+            .next_envelope_with(false, |block| walked.push(block.into_block()))
             .unwrap()
         {}
         assert_eq!(walked, decode_all(&stream).unwrap());
         assert_eq!(dec.bytes_consumed(), (first.len() + second.len()) as u64);
 
-        // Compressed blocks are not walked, and a bad CRC is still an error.
+        // Compressed blocks are walked only when admitted, and a bad CRC is
+        // still an error.
         let mut compressed = Vec::new();
         encode_compressed(&mut compressed, &txn(Tid::new(1, 1)));
+        let compressed = sealed(&compressed);
+        let mut dec = StreamDecoder::new(compressed.as_slice());
+        let mut walked = Vec::new();
+        assert_eq!(
+            dec.next_envelope_with(true, |block| walked.push(block.into_block())),
+            Ok(true)
+        );
+        assert_eq!(walked, decode_all(&compressed).unwrap());
         let mut flipped = second.clone();
         *flipped.last_mut().unwrap() ^= 1;
         for (stream, err) in [
-            (sealed(&compressed), DecodeError::BadTag(BLOCK_COMPRESSED)),
+            (compressed, DecodeError::BadTag(BLOCK_COMPRESSED)),
             (flipped, DecodeError::BadChecksum),
         ] {
             let mut dec = StreamDecoder::new(stream.as_slice());
-            assert_eq!(dec.next_envelope_with(|_| {}), Err(err));
+            assert_eq!(dec.next_envelope_with(false, |_| {}), Err(err));
         }
     }
 

@@ -7,26 +7,28 @@
 //! checkpoint (epoch `ce`; every transaction with epoch `≤ ce` is reflected
 //! in it), compute the durable epoch `D = max(ce, min_l max-marker)` from the
 //! surviving log segments, and replay exactly the transactions with
-//! `ce < epoch(tid) ≤ D` — the log *tail*. Replay fans out across worker
-//! threads: one streaming decoder per logger feeds writes, sharded by key
-//! hash, to appliers that resolve conflicts by TID ([`silo_core::bulk_apply`]),
-//! so records of the same key are always applied in TID order no matter which
-//! stream they came from. Nothing is ever loaded whole-file into memory.
+//! `ce < epoch(tid) ≤ D` — the log *tail*.
 //!
-//! There is one pipeline, and one entry point: [`recover_directory`] runs it
-//! over the segment files of a durability root, after restoring the
-//! checkpoint there.
+//! Replay has the checkpoint load's shape: `replay_threads` appliers each
+//! read every log stream themselves and apply only the writes of their own
+//! key shard, straight from the decoder's buffer. No two appliers touch one
+//! key, and [`silo_core::bulk_apply`] resolves each key by TID, so records of
+//! the same key end at the largest TID no matter which stream they came from
+//! or in which order. Nothing is ever loaded whole-file into memory.
+//!
+//! There is one entry point: [`recover_directory`] runs this over the
+//! segment files of a durability root, after restoring the checkpoint there.
 
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use silo_core::{Database, TableId, Tid};
+use silo_core::{Database, TableId};
 
-use crate::record::{Block, DecodeError, LoggedWrite, StreamDecoder};
+use crate::record::{BlockRef, DecodeError, StreamDecoder};
 use crate::sink::parse_segment_name;
 
 /// Errors produced during recovery.
@@ -80,38 +82,44 @@ impl From<std::io::Error> for RecoveryError {
     }
 }
 
-/// Decodes the next block leniently: a malformed block (failed checksum, bad
-/// length, unknown tag) ends the stream — it is the corrupt tail of §4.10,
-/// everything durably acknowledged precedes it — instead of failing recovery.
-/// Real I/O errors still propagate; corruption is recorded in `corrupt`.
-fn next_block_lenient<R: std::io::Read>(
-    decoder: &mut StreamDecoder<R>,
-    corrupt: &mut bool,
-) -> Result<Option<Block>, RecoveryError> {
-    match decoder.next_block() {
-        Ok(block) => Ok(block),
-        Err(e @ DecodeError::Io(_)) => Err(e.into()),
-        Err(_) => {
-            *corrupt = true;
-            Ok(None)
+/// Walks one logger's stream of segment files, handing each block of each
+/// whole envelope to `f`. A malformed envelope (failed checksum, bad length,
+/// unknown tag) ends the stream — it is the corrupt tail of §4.10, everything
+/// durably acknowledged precedes it — instead of failing recovery; real I/O
+/// errors still do. Returns the bytes of the envelopes walked and whether the
+/// stream ended at a corrupt one.
+fn walk_stream(
+    paths: &[PathBuf],
+    mut f: impl FnMut(BlockRef<'_>),
+) -> Result<(u64, bool), RecoveryError> {
+    let mut decoder = StreamDecoder::new(ChainedFiles::new(paths));
+    loop {
+        match decoder.next_envelope_with(true, &mut f) {
+            Ok(true) => {}
+            Ok(false) => return Ok((decoder.bytes_consumed(), false)),
+            Err(e @ DecodeError::Io(_)) => return Err(e.into()),
+            Err(_) => return Ok((decoder.bytes_consumed(), true)),
         }
     }
 }
 
-/// The largest durable-epoch marker a stream of blocks contains, plus whether
-/// the stream ended at a corrupt block. Transaction payloads are parsed but
-/// not materialized.
-fn stream_durable(
-    mut decoder: StreamDecoder<impl std::io::Read>,
-) -> Result<(u64, bool), RecoveryError> {
-    let mut durable = 0u64;
-    let mut corrupt = false;
-    while let Some(block) = next_block_lenient(&mut decoder, &mut corrupt)? {
-        if let Block::EpochMarker(e) = block {
-            durable = durable.max(e);
-        }
-    }
-    Ok((durable, corrupt))
+/// Runs `work(i)` for each `i` in `0..n`, each on its own scoped thread, and
+/// returns the results in order, or the first error.
+pub(crate) fn in_parallel<T: Send, E: Send>(
+    n: usize,
+    work: impl Fn(usize) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E> {
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = (0..n).map(|i| scope.spawn(move || work(i))).collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
 }
 
 /// The log segments under `dir`, grouped into one logical stream per logger
@@ -174,9 +182,9 @@ impl std::io::Read for ChainedFiles<'_> {
 /// Knobs for [`recover_directory`].
 #[derive(Debug, Clone)]
 pub struct RecoveryOptions {
-    /// Worker threads used both to load checkpoint slices and to apply
-    /// replayed log writes (one streaming decoder additionally runs per log
-    /// stream).
+    /// Worker threads used both to load checkpoint slices and to replay the
+    /// log: each replay thread reads every log stream and applies one key
+    /// shard of it.
     pub replay_threads: usize,
 }
 
@@ -248,8 +256,8 @@ fn shard_of(table: TableId, key: &[u8], shards: usize) -> usize {
 
 /// Full crash recovery from a durability root directory: restores the latest
 /// complete checkpoint (slices loaded concurrently), then replays the log
-/// tail — streaming decoders, one per logger stream, fan writes out to
-/// `replay_threads` appliers sharded by key hash, with TID-based conflict
+/// tail — `replay_threads` appliers, each reading every logger stream and
+/// applying the writes of its own key shard, with TID-based conflict
 /// resolution — and finally fast-forwards the epoch manager past the
 /// recovered horizon so post-recovery commits (and their log records) sort
 /// after everything recovered.
@@ -287,151 +295,40 @@ pub fn recover_directory(
         report.checkpoint_bytes = bytes;
         report.checkpoint_micros = ckpt_start.elapsed().as_micros() as u64;
     }
+    let ce = report.checkpoint_epoch;
 
+    // The log tail: each stream is read twice, by the horizon pre-scan (one
+    // thread per stream), then by every replay thread.
     let streams = log_streams(dir)?;
     report.log_files = streams.iter().map(|paths| paths.len() as u64).sum();
-    replay_tail(db, options, report, &streams)
-}
-
-/// The one replay pipeline, over one stream of segment files per logger —
-/// each is read twice: the horizon pre-scan, then the replay proper.
-/// `report` carries the checkpoint phase's results; transactions with epochs
-/// `≤ report.checkpoint_epoch` are already covered.
-///
-/// Horizon scan → sharded [`silo_core::bulk_apply`] replay → tombstone sweep
-/// → epoch fast-forward.
-fn replay_tail(
-    db: &Arc<Database>,
-    options: &RecoveryOptions,
-    mut report: RecoveryReport,
-    streams: &[Vec<PathBuf>],
-) -> Result<RecoveryReport, RecoveryError> {
-    let threads = options.replay_threads.max(1);
-    let ce = report.checkpoint_epoch;
     let replay_start = Instant::now();
-
-    // Horizon pre-scan (parallel, skipping payloads): per-stream max marker.
-    let per_stream: Vec<Result<(u64, bool), RecoveryError>> = std::thread::scope(|scope| {
-        streams
-            .iter()
-            .map(|paths| {
-                scope.spawn(move || {
-                    stream_durable(StreamDecoder::new_skipping(ChainedFiles::new(paths)))
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().expect("horizon scanner panicked"))
-            .collect()
-    });
-    let mut min_marker: Option<u64> = None;
-    for result in per_stream {
-        let (durable, corrupt) = result?;
-        report.corrupt_log_tails += corrupt as u64;
-        min_marker = Some(min_marker.map_or(durable, |m: u64| m.min(durable)));
-    }
-    let durable_epoch = min_marker.unwrap_or(0).max(ce);
+    let horizons = in_parallel(streams.len(), |s| {
+        let mut durable = 0u64;
+        let (_, corrupt) = walk_stream(&streams[s], |block| {
+            if let BlockRef::EpochMarker(epoch) = block {
+                durable = durable.max(epoch);
+            }
+        })?;
+        Ok::<_, RecoveryError>((durable, corrupt))
+    })?;
+    report.corrupt_log_tails = horizons.iter().filter(|(_, corrupt)| *corrupt).count() as u64;
+    let durable_epoch = horizons
+        .iter()
+        .map(|(durable, _)| *durable)
+        .min()
+        .unwrap_or(0)
+        .max(ce);
     report.durable_epoch = durable_epoch;
 
-    // Replay fan-out: one decoder per stream, `threads` shard appliers.
-    const BATCH: usize = 128;
-    let replayed = AtomicU64::new(0);
-    let skipped = AtomicU64::new(0);
-    let covered = AtomicU64::new(0);
-    let bytes_scanned = AtomicU64::new(0);
-    let (decoder_results, applier_results) = std::thread::scope(|scope| {
-        let mut senders = Vec::with_capacity(threads);
-        let mut applier_handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let (tx, rx) = std::sync::mpsc::channel::<Vec<(Tid, LoggedWrite)>>();
-            senders.push(tx);
-            let db = Arc::clone(db);
-            applier_handles.push(scope.spawn(move || -> Result<u64, RecoveryError> {
-                let mut applied = 0u64;
-                while let Ok(batch) = rx.recv() {
-                    for (tid, write) in batch {
-                        let table = recovery_table(&db, write.table)?;
-                        // SAFETY: recovery-mode exclusivity — no transactions
-                        // run during recovery, and sharding by key hash means
-                        // no other applier ever touches this key.
-                        unsafe {
-                            silo_core::bulk_apply(&table, &write.key, tid, write.value.as_deref());
-                        }
-                        applied += 1;
-                    }
-                }
-                Ok(applied)
-            }));
-        }
-
-        let mut decoder_handles = Vec::with_capacity(streams.len());
-        for paths in streams {
-            let senders = senders.clone();
-            let replayed = &replayed;
-            let skipped = &skipped;
-            let covered = &covered;
-            let bytes_scanned = &bytes_scanned;
-            decoder_handles.push(scope.spawn(move || -> Result<(), RecoveryError> {
-                let mut decoder = StreamDecoder::new(ChainedFiles::new(paths));
-                let mut batches: Vec<Vec<(Tid, LoggedWrite)>> = (0..senders.len())
-                    .map(|_| Vec::with_capacity(BATCH))
-                    .collect();
-                // Corruption was counted by the pre-scan; here it ends replay
-                // of this stream at the same point the pre-scan stopped.
-                let mut corrupt = false;
-                while let Some(block) = next_block_lenient(&mut decoder, &mut corrupt)? {
-                    let Block::Txn(txn) = block else { continue };
-                    let epoch = txn.tid.epoch();
-                    if epoch <= ce {
-                        covered.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    if epoch > durable_epoch {
-                        skipped.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    replayed.fetch_add(1, Ordering::Relaxed);
-                    for write in txn.writes {
-                        let shard = shard_of(write.table, &write.key, senders.len());
-                        batches[shard].push((txn.tid, write));
-                        if batches[shard].len() >= BATCH {
-                            let batch =
-                                std::mem::replace(&mut batches[shard], Vec::with_capacity(BATCH));
-                            let _ = senders[shard].send(batch);
-                        }
-                    }
-                }
-                for (shard, batch) in batches.into_iter().enumerate() {
-                    if !batch.is_empty() {
-                        let _ = senders[shard].send(batch);
-                    }
-                }
-                bytes_scanned.fetch_add(decoder.bytes_consumed(), Ordering::Relaxed);
-                Ok(())
-            }));
-        }
-        // Applier receivers terminate when the last sender clone is dropped.
-        drop(senders);
-        let decoder_results: Vec<Result<(), RecoveryError>> = decoder_handles
-            .into_iter()
-            .map(|h| h.join().expect("replay decoder panicked"))
-            .collect();
-        let applier_results: Vec<Result<u64, RecoveryError>> = applier_handles
-            .into_iter()
-            .map(|h| h.join().expect("replay applier panicked"))
-            .collect();
-        (decoder_results, applier_results)
-    });
-    for result in decoder_results {
-        result?;
-    }
-    for result in applier_results {
-        report.replayed_writes += result?;
-    }
-    report.replayed_txns = replayed.load(Ordering::Relaxed);
-    report.skipped_txns = skipped.load(Ordering::Relaxed);
-    report.covered_txns = covered.load(Ordering::Relaxed);
-    report.log_bytes_scanned = bytes_scanned.load(Ordering::Relaxed);
+    let shards = in_parallel(threads, |shard| {
+        replay_shard(db, &streams, shard, threads, ce, durable_epoch)
+    })?;
+    // Every shard reads every transaction and byte; each applies its own writes.
+    report.replayed_writes = shards.iter().map(|shard| shard.replayed_writes).sum();
+    report.replayed_txns = shards[0].replayed_txns;
+    report.skipped_txns = shards[0].skipped_txns;
+    report.covered_txns = shards[0].covered_txns;
+    report.log_bytes_scanned = shards[0].log_bytes_scanned;
     report.replay_micros = replay_start.elapsed().as_micros() as u64;
 
     // Reclaim tombstones. Replay installs absent records (delete tombstones
@@ -440,29 +337,18 @@ fn replay_tail(
     // touch them. Recovery still holds exclusive access, so they can be
     // unhooked and freed directly, one table per thread.
     let table_ids = db.table_ids();
-    let next = AtomicU64::new(0);
-    let reclaimed = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(table_ids.len().max(1)) {
-            let next = &next;
-            let reclaimed = &reclaimed;
-            let table_ids = &table_ids;
-            let db = Arc::clone(db);
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                let Some(&table) = table_ids.get(i) else {
-                    break;
-                };
-                let table = db.table(table);
-                // SAFETY: recovery-mode exclusivity — replay finished and
-                // no transactional workers run yet; each table is swept
-                // by exactly one thread.
-                let n = unsafe { silo_core::sweep_absent(&table) };
-                reclaimed.fetch_add(n, Ordering::Relaxed);
-            });
+    let next = AtomicUsize::new(0);
+    let swept = in_parallel(threads.min(table_ids.len().max(1)), |_| {
+        let mut reclaimed = 0;
+        while let Some(&table) = table_ids.get(next.fetch_add(1, Ordering::Relaxed)) {
+            // SAFETY: recovery-mode exclusivity — replay finished and no
+            // transactional workers run yet; each table is swept by exactly
+            // one thread.
+            reclaimed += unsafe { silo_core::sweep_absent(&db.table(table)) };
         }
-    });
-    report.tombstones_reclaimed = reclaimed.load(Ordering::Relaxed);
+        Ok::<u64, RecoveryError>(reclaimed)
+    })?;
+    report.tombstones_reclaimed = swept.iter().sum();
 
     // Fast-forward the epochs past everything recovered, far enough that the
     // next snapshot epoch covers the whole recovered state (§4.9:
@@ -474,12 +360,70 @@ fn replay_tail(
     Ok(report)
 }
 
+/// Replay thread `shard` of `shards`: reads every stream and applies the
+/// writes of tail transactions (`ce < epoch ≤ durable_epoch`) whose key
+/// falls in its shard, straight from the decoder's buffer. Its report counts
+/// the writes it applied, and every transaction and byte it read.
+fn replay_shard(
+    db: &Arc<Database>,
+    streams: &[Vec<PathBuf>],
+    shard: usize,
+    shards: usize,
+    ce: u64,
+    durable_epoch: u64,
+) -> Result<RecoveryReport, RecoveryError> {
+    let mut tally = RecoveryReport::default();
+    let mut failed = None;
+    for paths in streams {
+        // The pre-scan counted corruption; replay stops where it stopped.
+        let (bytes, _) = walk_stream(paths, |block| {
+            let BlockRef::Txn(tid, writes) = block else {
+                return;
+            };
+            let epoch = tid.epoch();
+            if epoch <= ce {
+                tally.covered_txns += 1;
+                return;
+            }
+            if epoch > durable_epoch {
+                tally.skipped_txns += 1;
+                return;
+            }
+            tally.replayed_txns += 1;
+            for (table, key, value) in writes {
+                if failed.is_some() || shard_of(table, key, shards) != shard {
+                    continue;
+                }
+                let table = match recovery_table(db, table) {
+                    Ok(table) => table,
+                    Err(e) => {
+                        failed = Some(e);
+                        continue;
+                    }
+                };
+                // SAFETY: recovery-mode exclusivity — no transactions run
+                // during recovery, and sharding by key hash means no other
+                // replay thread ever touches this key.
+                unsafe {
+                    silo_core::bulk_apply(&table, key, tid, value);
+                }
+                tally.replayed_writes += 1;
+            }
+        })?;
+        tally.log_bytes_scanned += bytes;
+    }
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(tally),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{encode_epoch_marker, encode_txn};
+    use crate::record::{begin_sealed, encode_epoch_marker, encode_txn, seal};
     use crate::tests::{as_writes, scratch_dir, sealed, write_segments, ScratchDir};
-    use silo_core::SiloConfig;
+    use silo_core::{SiloConfig, Tid};
 
     fn txn_block(tid: Tid, table: TableId, key: &[u8], value: Option<&[u8]>) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -762,6 +706,86 @@ mod tests {
     }
 
     #[test]
+    fn nothing_of_a_malformed_envelope_is_replayed() {
+        // The envelope's CRC is valid over a good TXN block followed by an
+        // unknown tag: its good block must not be applied either.
+        let good = round(&[txn_block(Tid::new(2, 1), 0, b"good", Some(b"v")), marker(2)]);
+        let mut bad = Vec::new();
+        let header = begin_sealed(&mut bad);
+        bad.extend(txn_block(Tid::new(2, 2), 0, b"inside", Some(b"w")));
+        bad.push(0x7F);
+        assert!(seal(&mut bad, header));
+        let (db, report) = recover(&[[good.clone(), bad].concat()]);
+        assert_eq!(report.replayed_txns, 1);
+        assert_eq!(report.corrupt_log_tails, 1);
+        assert_eq!(report.log_bytes_scanned, good.len() as u64);
+        assert_eq!(read(&db, b"good"), Some(b"v".to_vec()));
+        assert_eq!(read(&db, b"inside"), None);
+    }
+
+    #[test]
+    fn recovery_does_not_depend_on_the_thread_count() {
+        // Three streams over shared keys, behind a one-slice checkpoint at
+        // epoch 3: covered transactions, overwrites, deletes and re-inserts
+        // across streams, and transactions beyond the horizon (epoch 8).
+        use crate::checkpoint::tests::{slice_bytes, write_one_slice_checkpoint};
+        let dir = scratch_dir("thread-count");
+        let keys: Vec<[u8; 2]> = (0..40u16).map(u16::to_be_bytes).collect();
+        let ckpt: Vec<(TableId, &[u8], Tid, &[u8])> = keys[..30]
+            .iter()
+            .enumerate()
+            .map(|(i, key)| (0, key.as_slice(), Tid::new(3, i as u64), b"ckpt".as_slice()))
+            .collect();
+        write_one_slice_checkpoint(&dir, 3, &slice_bytes(&ckpt), ckpt.len() as u64);
+        let streams: Vec<Vec<u8>> = (0..3u64)
+            .map(|stream| {
+                let mut blocks = Vec::new();
+                for (i, key) in keys.iter().enumerate() {
+                    let i = i as u64;
+                    let value = format!("s{stream}-{i}");
+                    for epoch in 2..=8 {
+                        // Which stream holds a key's newest write varies by key.
+                        let seq = 100 * i + 10 * ((stream + i) % 3) + epoch;
+                        let value = match (i + stream + epoch) % 4 {
+                            0 => None,
+                            _ => Some(value.as_bytes()),
+                        };
+                        blocks.push(txn_block(Tid::new(epoch, seq), 0, key, value));
+                    }
+                }
+                blocks.push(marker(7));
+                round(&blocks)
+            })
+            .collect();
+        write_segments(&dir, &streams);
+
+        let recover_with = |replay_threads: usize| {
+            let db = Database::open(SiloConfig::for_testing());
+            db.create_table("t").unwrap();
+            let r = recover_directory(&db, &dir, &RecoveryOptions { replay_threads }).unwrap();
+            let counts = [
+                r.durable_epoch,
+                r.replayed_txns,
+                r.replayed_writes,
+                r.skipped_txns,
+                r.covered_txns,
+                r.tombstones_reclaimed,
+            ];
+            (versions(&db), counts)
+        };
+        let one = recover_with(1);
+        assert_eq!(
+            one.1,
+            [7, 3 * 40 * 4, 3 * 40 * 4, 3 * 40, 3 * 40 * 2, one.1[5]]
+        );
+        assert!(one.1[5] > 0, "some key ends deleted");
+        assert!(!one.0.is_empty());
+        for threads in [2, 3, 4, 7] {
+            assert_eq!(recover_with(threads), one, "{threads} replay threads");
+        }
+    }
+
+    #[test]
     fn bare_block_outside_an_envelope_is_a_corrupt_tail() {
         // Only the logger's sealed rounds are replayed. A well-formed TXN
         // block sitting bare at the top level carries no checksum, so it is
@@ -804,14 +828,15 @@ mod tests {
     }
 
     /// The newer checkpoint of [`damaged_newer_checkpoint`] is complete by
-    /// its manifest and fails verification as `InvalidData`, so recovery
-    /// refuses it.
+    /// its manifest and fails slice verification as `InvalidData`, so
+    /// recovery refuses it.
     fn assert_recovery_refuses(name: &str, damage: impl Fn(&mut Vec<u8>)) {
         let dir = damaged_newer_checkpoint(name, damage);
-        let newest = crate::checkpoint::latest_checkpoint(&dir).expect("complete by manifest");
-        assert_eq!(newest.epoch, 5);
-        let err = crate::checkpoint::verify_checkpoint(&newest).unwrap_err();
+        let (epoch, newest) = crate::checkpoint::newest_checkpoint(&dir).expect("a manifest");
+        assert_eq!(epoch, 5);
+        let err = newest.unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().starts_with("checkpoint slice "), "{err}");
         assert_refused(&dir);
     }
 
@@ -833,7 +858,7 @@ mod tests {
     #[test]
     fn a_damaged_manifest_fails_recovery_instead_of_hiding_its_checkpoint() {
         // Each edit leaves a manifest that no longer describes its slices, so
-        // the checkpoint at epoch 5 is not complete by `latest_checkpoint`.
+        // reading the checkpoint at epoch 5 fails on its manifest.
         for (name, from, to) in [
             ("ckpt-manifest-epoch", "epoch 5", "epoch 7"),
             ("ckpt-manifest-length", "slice 0 ", "slice 0 1"),
@@ -843,7 +868,10 @@ mod tests {
             let manifest = dir.join("checkpoints/ckpt-0000000000000005/MANIFEST");
             let text = std::fs::read_to_string(&manifest).unwrap();
             std::fs::write(&manifest, text.replace(from, to)).unwrap();
-            assert_eq!(crate::checkpoint::latest_checkpoint(&dir).unwrap().epoch, 3);
+            let (epoch, newest) = crate::checkpoint::newest_checkpoint(&dir).unwrap();
+            let err = newest.unwrap_err();
+            assert_eq!(epoch, 5);
+            assert!(err.to_string().contains("manifest is damaged"), "{err}");
             assert_refused(&dir);
         }
     }

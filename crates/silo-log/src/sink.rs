@@ -32,6 +32,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::fault::{FaultKind, FaultPlan, FaultSite};
+use crate::record::{BlockRef, StreamDecoder};
 use crate::LogConfig;
 
 /// The category of a [`SinkError`].
@@ -499,13 +500,18 @@ fn scan_file_max_epoch(path: &Path) -> u64 {
     let Ok(file) = File::open(path) else {
         return u64::MAX;
     };
-    let mut decoder = crate::record::StreamDecoder::new_skipping(std::io::BufReader::new(file));
+    let mut decoder = StreamDecoder::new(std::io::BufReader::new(file));
     let mut max = 0u64;
     loop {
-        match decoder.next_block() {
-            Ok(Some(crate::record::Block::Txn(txn))) => max = max.max(txn.tid.epoch()),
-            Ok(Some(crate::record::Block::EpochMarker(e))) => max = max.max(e),
-            Ok(None) => return max,
+        let more = decoder.next_envelope_with(true, |block| {
+            max = max.max(match block {
+                BlockRef::Txn(tid, _) => tid.epoch(),
+                BlockRef::EpochMarker(epoch) => epoch,
+            })
+        });
+        match more {
+            Ok(true) => {}
+            Ok(false) => return max,
             Err(_) => return u64::MAX,
         }
     }

@@ -873,8 +873,9 @@ fn a_rotted_newest_checkpoint_fails_recovery_instead_of_losing_rows() {
         db.stop_epoch_advancer();
     }
 
-    let newest = latest_checkpoint(&dir).expect("complete checkpoint");
-    assert_eq!(newest.epoch, checkpoint);
+    let (epoch, newest) = checkpoint::newest_checkpoint(&dir).expect("complete checkpoint");
+    let newest = newest.expect("intact before the rot");
+    assert_eq!((epoch, newest.epoch), (checkpoint, checkpoint));
     let (slice, bytes, _) = &newest.slices[0];
     let mut rotted = std::fs::read(slice).unwrap();
     rotted[*bytes as usize / 2] ^= 0x10;
