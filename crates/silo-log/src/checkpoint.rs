@@ -882,8 +882,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn newest_checkpoint_picks_max_epoch() {
-        let root = scratch_dir("ckpt-newest");
+    fn latest_checkpoint_picks_max_epoch() {
+        let root = scratch_dir("ckpt-latest");
         for epoch in [7u64, 19, 12] {
             let dir = checkpoint_dir(&root, epoch);
             std::fs::create_dir_all(&dir).unwrap();
@@ -893,10 +893,33 @@ pub(crate) mod tests {
             )
             .unwrap();
         }
-        // An incomplete attempt (no manifest) is not a checkpoint.
-        std::fs::create_dir_all(checkpoint_dir(&root, 23)).unwrap();
         let (epoch, info) = newest(&root).expect("complete checkpoint");
         assert_eq!((epoch, info.map(|info| info.epoch)), (19, Ok(19)));
+    }
+
+    /// Removing the newest complete checkpoint each time yields the complete
+    /// ones newest first; an incomplete attempt is never among them.
+    #[test]
+    fn complete_checkpoints_lists_newest_first() {
+        let root = scratch_dir("ckpt-complete");
+        for epoch in [4u64, 9, 6] {
+            let dir = checkpoint_dir(&root, epoch);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(
+                dir.join(MANIFEST),
+                format!("{MANIFEST_HEADER}\nepoch {epoch}\nslices 0\nend\n"),
+            )
+            .unwrap();
+        }
+        // An incomplete attempt (no manifest) is not a checkpoint.
+        std::fs::create_dir_all(checkpoint_dir(&root, 11)).unwrap();
+        let mut epochs = Vec::new();
+        while let Some((epoch, info)) = newest(&root) {
+            assert_eq!(info.map(|info| info.epoch), Ok(epoch));
+            epochs.push(epoch);
+            std::fs::remove_dir_all(checkpoint_dir(&root, epoch)).unwrap();
+        }
+        assert_eq!(epochs, vec![9, 6, 4]);
     }
 
     /// The records of `slice`, read against a manifest that claims its
