@@ -47,7 +47,8 @@ pub enum BulkOutcome {
 /// in flight, and no other thread may concurrently `bulk_apply` the *same*
 /// `(table, key)` (distinct keys are fine — the index handles concurrent
 /// structural changes). A superseded record that no longer fits its new value
-/// is freed immediately, which is only sound under this contract.
+/// is released immediately (a slab record is kept for the next worker to
+/// register, any other is freed), which is only sound under this contract.
 pub unsafe fn bulk_apply(table: &Table, key: &[u8], tid: Tid, value: Option<&[u8]>) -> BulkOutcome {
     let tree = table.tree();
     loop {
@@ -63,7 +64,7 @@ pub unsafe fn bulk_apply(table: &Table, key: &[u8], tid: Tid, value: Option<&[u8
                     None => (&[][..], true),
                 };
                 let word = TidWord::new(tid, false, true, absent);
-                let record = Record::allocate(payload, word, 0);
+                let record = table.allocate_record(payload, word);
                 match tree.insert_if_absent(key, record as u64) {
                     silo_index::InsertOutcome::Inserted { .. } => {
                         return if absent {
@@ -80,7 +81,7 @@ pub unsafe fn bulk_apply(table: &Table, key: &[u8], tid: Tid, value: Option<&[u8
                         // structural change. Free the unpublished record and
                         // go through the existing-record path.
                         // SAFETY: never published; exclusively ours.
-                        unsafe { Record::free(record) };
+                        unsafe { table.release_record(record) };
                         continue;
                     }
                 }
@@ -105,15 +106,15 @@ pub unsafe fn bulk_apply(table: &Table, key: &[u8], tid: Tid, value: Option<&[u8
                     }
                     Some(value) => {
                         // The new value outgrew the record: install a fresh
-                        // record and free the old one (no snapshot reader can
-                        // need it during recovery).
+                        // record and release the old one (no snapshot reader
+                        // can need it during recovery).
                         let word = TidWord::new(tid, false, true, false);
-                        let fresh = Record::allocate(value, word, 0);
+                        let fresh = table.allocate_record(value, word);
                         let updated = tree.update_value(key, fresh as u64);
                         debug_assert!(updated, "recovered key vanished from the index");
                         // SAFETY: exclusivity contract — nothing else holds a
                         // pointer to the superseded record.
-                        unsafe { Record::free(record) };
+                        unsafe { table.release_record(record) };
                         return BulkOutcome::Updated;
                     }
                     None => {
@@ -135,7 +136,8 @@ pub unsafe fn bulk_apply(table: &Table, key: &[u8], tid: Tid, value: Option<&[u8
 
 /// Unhooks every *absent* record still reachable from `table`'s index — the
 /// tombstones recovery installs for deletes of unseen keys, plus present
-/// keys whose recovered final action was a delete — and frees the records.
+/// keys whose recovered final action was a delete — and releases the
+/// records (a slab record is kept for the next worker to register).
 /// Returns the number of keys reclaimed.
 ///
 /// During normal operation the garbage collector performs this cleanup
@@ -148,7 +150,7 @@ pub unsafe fn bulk_apply(table: &Table, key: &[u8], tid: Tid, value: Option<&[u8
 ///
 /// Recovery-mode exclusivity, as for [`bulk_apply`]: no transactional or
 /// concurrent bulk access to `table` may be in flight. Records and removed
-/// index entries are freed immediately, which is only sound under this
+/// index entries are released immediately, which is only sound under this
 /// contract.
 pub unsafe fn sweep_absent(table: &Table) -> u64 {
     const CHUNK: usize = 1024;
@@ -170,7 +172,7 @@ pub unsafe fn sweep_absent(table: &Table) -> u64 {
                     // the suffix or the record, so both free immediately.
                     drop(removed);
                     // SAFETY: unhooked above; exclusively ours.
-                    unsafe { Record::free(record) };
+                    unsafe { table.release_record(record) };
                     reclaimed += 1;
                 }
             }

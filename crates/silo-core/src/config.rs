@@ -46,10 +46,13 @@ pub struct SiloConfig {
     /// `MemSilo+GlobalTID`: draw commit TIDs from a single shared atomic
     /// counter instead of the decentralized per-worker rule (§5.2).
     pub global_tid: bool,
-    /// `+Allocator`: recycle record allocations through a per-worker,
-    /// size-classed pool refilled by that worker's garbage collector. This is
-    /// the laptop-scale stand-in for the paper's NUMA-aware superpage
-    /// allocator (see DESIGN.md §4).
+    /// `+Allocator`: carve records from the database's record slab — chunks
+    /// that grow from 64 KiB to 2 MiB huge pages, freed when the database
+    /// drops — through a private 64 KiB window per worker, and recycle them
+    /// through a per-worker, size-classed pool refilled by that worker's
+    /// garbage collector. This is the laptop-scale stand-in for the paper's
+    /// per-core allocator over 2 MB superpages (§4.8). Off, every record is
+    /// allocated and freed one by one by the global allocator.
     pub per_worker_pool: bool,
 }
 

@@ -7,11 +7,12 @@ use parking_lot::RwLock;
 use silo_check::HistoryRecorder;
 use silo_epoch::{EpochAdvancer, EpochManager};
 use silo_index::Tree;
-use silo_tid::{GlobalTidGenerator, Tid};
+use silo_tid::{GlobalTidGenerator, Tid, TidWord};
 
 use crate::config::SiloConfig;
 use crate::error::CatalogError;
-use crate::record::Record;
+use crate::gc::RecordSlab;
+use crate::record::{Record, RecordPtr};
 use crate::txn::WriteEntry;
 use crate::worker::Worker;
 
@@ -28,6 +29,9 @@ pub struct Table {
     id: TableId,
     name: String,
     tree: Tree,
+    /// The database's record slab under `+Allocator`, for the recovery
+    /// paths that install and release records without a worker.
+    records: Option<Arc<RecordSlab>>,
 }
 
 impl Table {
@@ -54,14 +58,51 @@ impl Table {
         self.tree.len()
     }
 
-    /// Frees every record reachable from the tree as the *latest* version.
+    /// A record holding `data` for a path without a worker (recovery):
+    /// carved from the record slab under `+Allocator` when a size class
+    /// fits, else made by the global allocator.
+    pub(crate) fn allocate_record(&self, data: &[u8], word: TidWord) -> *mut Record {
+        self.records
+            .as_ref()
+            .and_then(|slab| slab.allocate(data, word))
+            .unwrap_or_else(|| Record::allocate(data, word, 0))
+    }
+
+    /// Releases a record no thread can reach any more, on a path without a
+    /// worker (recovery): a slab record is kept for the next worker to
+    /// register, any other is freed.
+    ///
+    /// # Safety
+    ///
+    /// `record` must be a live record of this table that no thread can
+    /// reach, released once.
+    pub(crate) unsafe fn release_record(&self, record: *mut Record) {
+        // SAFETY: live per the caller's contract.
+        if unsafe { (*record).from_slab() } {
+            let slab = self
+                .records
+                .as_ref()
+                .expect("slab records exist only with a slab");
+            // SAFETY: unreachable per the caller's contract.
+            unsafe { slab.give_back(RecordPtr(record)) };
+        } else {
+            // SAFETY: as above, and not a slab record.
+            unsafe { Record::free(record) };
+        }
+    }
+
+    /// Frees every record reachable from the tree as the *latest* version
+    /// that came from the global allocator. Slab records need nothing: their
+    /// memory goes back with the record slab's chunks.
     ///
     /// Previous-version chain members are *not* followed: every superseded
     /// version was registered with some worker's garbage collector at the
     /// moment it was superseded, so it is either already freed (its pointer
     /// here would dangle) or owned by that worker's pending garbage list.
-    /// Walking the chain would double-free the former; skipping it at worst
-    /// leaks the latter (bounded by garbage pending at worker shutdown).
+    /// Walking the chain would double-free the former; skipping it leaks the
+    /// latter only when it came from the global allocator (without
+    /// `+Allocator`, or larger than every size class): a slab record pending
+    /// at worker shutdown goes back with the slab.
     ///
     /// # Safety
     ///
@@ -71,9 +112,10 @@ impl Table {
         let all = self.tree.scan(b"", None, None);
         for (_, value) in all.entries {
             let record = value as *mut Record;
-            if !record.is_null() {
-                // SAFETY: exclusive access per the caller's contract; head
-                // records are owned by the tree and freed exactly once here.
+            // SAFETY: exclusive access per the caller's contract; head
+            // records are owned by the tree and freed exactly once here.
+            if !record.is_null() && unsafe { !(*record).from_slab() } {
+                // SAFETY: as above.
                 unsafe { Record::free(record) };
             }
         }
@@ -189,6 +231,9 @@ pub struct Database {
     global_tid: GlobalTidGenerator,
     commit_hook: OnceLock<Arc<dyn CommitHook>>,
     history: OnceLock<Arc<HistoryRecorder>>,
+    /// Where records come from under `+Allocator` (`per_worker_pool`);
+    /// `None` leaves every record to the global allocator.
+    records: Option<Arc<RecordSlab>>,
 }
 
 impl std::fmt::Debug for Database {
@@ -209,6 +254,7 @@ impl Database {
         } else {
             None
         };
+        let records = config.per_worker_pool.then(Arc::default);
         Arc::new(Database {
             config,
             epochs,
@@ -218,6 +264,7 @@ impl Database {
             global_tid: GlobalTidGenerator::new(),
             commit_hook: OnceLock::new(),
             history: OnceLock::new(),
+            records,
         })
     }
 
@@ -234,6 +281,11 @@ impl Database {
     /// The epoch subsystem.
     pub fn epochs(&self) -> &Arc<EpochManager> {
         &self.epochs
+    }
+
+    /// The record slab under `+Allocator`.
+    pub(crate) fn record_slab(&self) -> Option<&Arc<RecordSlab>> {
+        self.records.as_ref()
     }
 
     /// The shared TID counter used when `config.global_tid` is set.
@@ -292,6 +344,7 @@ impl Database {
             id,
             name: name.to_string(),
             tree: Tree::new(),
+            records: self.records.clone(),
         }));
         by_name.insert(name.to_string(), id);
         Ok(id)
@@ -357,11 +410,10 @@ impl Database {
 impl Drop for Database {
     fn drop(&mut self) {
         self.stop_epoch_advancer();
-        // Free every record still referenced by the tables. Superseded
-        // versions that workers registered for reclamation but never freed
-        // are reachable through the latest versions' `prev` chains and are
-        // freed here too (workers hand orphaned garbage back on drop only if
-        // it is *not* reachable from the tree — see `Worker`).
+        // Free every record still referenced by the tables that came from
+        // the global allocator. Slab records, pending garbage and pooled
+        // records included, go back with the record slab's chunks once the
+        // tables (and `records`) drop.
         let tables = self.tables.get_mut();
         for table in tables.iter() {
             // SAFETY: `&mut self` in Drop guarantees exclusive access; all

@@ -15,14 +15,20 @@
 //! Each worker owns its lists, so registering garbage never writes shared
 //! memory; reclamation runs in the worker between transactions.
 //!
-//! The [`RecordPool`] implements the `+Allocator` knob of the factor analysis
-//! (Figure 11): reclaimed record allocations are recycled by the same worker
-//! instead of going back to the global allocator, standing in for the paper's
-//! NUMA-aware allocator (see DESIGN.md).
+//! The [`RecordPool`] and [`RecordSlab`] implement the `+Allocator` knob of
+//! the factor analysis (Figure 11), the paper's per-core allocator over 2 MB
+//! superpages (§4.8) at this repository's scale. Each database owns one
+//! record slab: a `silo_index::Slab` whose chunks grow from 64 KiB to 2 MiB
+//! huge pages. A worker carves the records it allocates from a private
+//! 64 KiB window of that slab, and its collector recycles reclaimed records
+//! into the worker's pool, never back to the global allocator. The slab's
+//! chunks go back all at once when the database drops.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
-use silo_index::RemovedEntry;
+use parking_lot::Mutex;
+use silo_index::{Bump, RemovedEntry, Slab};
 use silo_tid::TidWord;
 
 use crate::database::TableId;
@@ -105,37 +111,101 @@ impl GarbageList {
 }
 
 /// Size classes used by the per-worker record pool (bytes of data capacity).
-const POOL_CLASSES: &[usize] = &[16, 32, 64, 128, 256, 512, 1024];
-/// Maximum number of recycled allocations retained per class.
-const POOL_CLASS_LIMIT: usize = 4096;
+const POOL_CLASSES: [usize; 7] = [16, 32, 64, 128, 256, 512, 1024];
 
-/// A per-worker pool of recycled record allocations (`+Allocator`).
+/// One list of records per size class.
+type ClassLists = [Vec<RecordPtr>; POOL_CLASSES.len()];
+
+/// The smallest class holding `len` data bytes, if any does.
+fn class_index(len: usize) -> Option<usize> {
+    POOL_CLASSES.iter().position(|&c| len <= c)
+}
+
+/// The bytes a record of class `class` takes in a slab: whole cache lines,
+/// so the TID word and the data it guards start on a line of their own.
+fn slot_size(class: usize) -> usize {
+    Record::size_for(POOL_CLASSES[class]).next_multiple_of(Slab::ALIGN)
+}
+
+/// The database's record memory under `+Allocator`: the slab every record
+/// of a class capacity is carved from, and the spare records a dropped
+/// worker (or recovery) left, which the next registered worker takes over.
+/// The slab's chunks, and so every such record, are freed together when the
+/// last owner — the database and its tables — drops.
+#[derive(Debug, Default)]
+pub(crate) struct RecordSlab {
+    slab: Slab,
+    spare: Mutex<ClassLists>,
+}
+
+impl RecordSlab {
+    /// A record holding `data` for a caller without a worker (recovery),
+    /// carved from the slab under its lock. `None` when `data` is larger
+    /// than every class.
+    pub(crate) fn allocate(&self, data: &[u8], word: TidWord) -> Option<*mut Record> {
+        let class = class_index(data.len())?;
+        let raw = self.slab.alloc(slot_size(class));
+        // SAFETY: a fresh slab piece of `slot_size(class)` bytes, which the
+        // slab keeps valid as long as any record in it can be used.
+        Some(unsafe { Record::carve(raw, data, word, POOL_CLASSES[class]) })
+    }
+
+    /// Keeps a slab record that no one can reach any more for the next
+    /// worker to register.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` must be a slab record of this database that no thread can
+    /// reach (its reclamation epoch passed, or recovery owns the database).
+    pub(crate) unsafe fn give_back(&self, ptr: RecordPtr) {
+        // SAFETY: a live slab record per the caller's contract.
+        let cap = unsafe { (*ptr.0).capacity() };
+        let class = class_index(cap).expect("a slab record has a class capacity");
+        self.spare.lock()[class].push(ptr);
+    }
+}
+
+/// Bytes a worker takes from the record slab at a time: its private window.
+const WINDOW: usize = Slab::FIRST_CHUNK;
+
+/// A per-worker pool of recycled records (`+Allocator`): a list per size
+/// class, refilled by the worker's garbage collector, plus the worker's
+/// private window of the database's record slab, which a pool miss carves a
+/// fresh record from. Allocating a record therefore writes nothing shared
+/// except when the window runs out.
 #[derive(Debug)]
 pub(crate) struct RecordPool {
-    enabled: bool,
-    classes: Vec<Vec<RecordPtr>>,
+    /// The database's record slab; `None` without `+Allocator`, when every
+    /// record comes from the global allocator.
+    slab: Option<Arc<RecordSlab>>,
+    classes: ClassLists,
+    /// The free rest of the window this worker last took from the slab.
+    window: Bump,
     /// Allocations served from the pool.
     pub(crate) hits: u64,
-    /// Allocations that fell through to the global allocator.
+    /// Allocations carved from the slab or made by the global allocator.
     pub(crate) misses: u64,
 }
 
 impl RecordPool {
-    pub(crate) fn new(enabled: bool) -> Self {
+    /// A pool over `slab`'s records, starting with every spare record the
+    /// database holds.
+    pub(crate) fn new(slab: Option<Arc<RecordSlab>>) -> Self {
+        let classes = slab
+            .as_ref()
+            .map(|s| std::mem::take(&mut *s.spare.lock()))
+            .unwrap_or_default();
         RecordPool {
-            enabled,
-            classes: POOL_CLASSES.iter().map(|_| Vec::new()).collect(),
+            slab,
+            classes,
+            window: Bump::EMPTY,
             hits: 0,
             misses: 0,
         }
     }
 
-    fn class_index(len: usize) -> Option<usize> {
-        POOL_CLASSES.iter().position(|&c| len <= c)
-    }
-
     /// Allocates a record with the given data and TID word and a capacity of
-    /// at least `min_capacity`, recycling a pooled allocation when possible.
+    /// at least `min_capacity`, recycling a pooled record when possible.
     pub(crate) fn allocate(
         &mut self,
         data: &[u8],
@@ -143,43 +213,49 @@ impl RecordPool {
         min_capacity: usize,
     ) -> *mut Record {
         let needed = data.len().max(min_capacity);
-        if self.enabled {
-            if let Some(class) = Self::class_index(needed) {
-                if let Some(ptr) = self.classes[class].pop() {
-                    self.hits += 1;
-                    // SAFETY: pooled records were reclaimed (no other thread
-                    // can reach them) and belong to a class with capacity
-                    // ≥ needed ≥ data.len().
-                    unsafe { Record::reinit(ptr.0, data, word) };
-                    return ptr.0;
-                }
-                self.misses += 1;
-                return Record::allocate(data, word, POOL_CLASSES[class]);
+        if let (Some(slab), Some(class)) = (&self.slab, class_index(needed)) {
+            if let Some(ptr) = self.classes[class].pop() {
+                self.hits += 1;
+                // SAFETY: pooled records were reclaimed (no other thread
+                // can reach them) and belong to a class with capacity
+                // ≥ needed ≥ data.len().
+                unsafe { Record::reinit(ptr.0, data, word) };
+                return ptr.0;
             }
+            self.misses += 1;
+            let size = slot_size(class);
+            let raw = self.window.take(size).unwrap_or_else(|| {
+                self.window = Bump::new(slab.slab.alloc(WINDOW), WINDOW);
+                self.window
+                    .take(size)
+                    .expect("a window holds a record of any class")
+            });
+            // SAFETY: a fresh piece of the worker's window, `slot_size`
+            // bytes, which the slab keeps valid while the pool (holding an
+            // `Arc` to it) or any table of the database is alive.
+            return unsafe { Record::carve(raw, data, word, POOL_CLASSES[class]) };
         }
         self.misses += 1;
         Record::allocate(data, word, min_capacity)
     }
 
-    /// Returns a reclaimed record to the pool, or frees it when pooling is
-    /// disabled / the pool is full / the capacity does not match a class.
+    /// Returns a reclaimed record to the pool when it was carved from the
+    /// slab, and frees any other.
     ///
     /// # Safety
     ///
     /// The caller must guarantee the record is unreachable (its reclamation
     /// epoch has passed) and owned exclusively by this worker's GC.
     pub(crate) unsafe fn recycle(&mut self, ptr: RecordPtr) {
-        if self.enabled && !ptr.is_null() {
-            // SAFETY: exclusive ownership per the caller's contract.
-            let cap = unsafe { (*ptr.0).capacity() };
-            if let Some(class) = POOL_CLASSES.iter().position(|&c| c == cap) {
-                if self.classes[class].len() < POOL_CLASS_LIMIT {
-                    self.classes[class].push(ptr);
-                    return;
-                }
-            }
+        if ptr.is_null() {
+            return;
         }
-        if !ptr.is_null() {
+        // SAFETY: exclusive ownership per the caller's contract.
+        let rec = unsafe { &*ptr.0 };
+        if rec.from_slab() {
+            let class = class_index(rec.capacity()).expect("a slab record has a class capacity");
+            self.classes[class].push(ptr);
+        } else {
             // SAFETY: exclusive ownership per the caller's contract.
             unsafe { Record::free(ptr.0) };
         }
@@ -193,12 +269,13 @@ impl RecordPool {
 }
 
 impl Drop for RecordPool {
+    /// Hands the pooled records to the database for the next worker. Only
+    /// slab records are ever pooled, so there is nothing to free.
     fn drop(&mut self) {
-        for class in &mut self.classes {
-            for ptr in class.drain(..) {
-                // SAFETY: pooled records are unreachable by construction and
-                // owned by the pool.
-                unsafe { Record::free(ptr.0) };
+        if let Some(slab) = &self.slab {
+            let mut spare = slab.spare.lock();
+            for (mine, theirs) in self.classes.iter_mut().zip(spare.iter_mut()) {
+                theirs.append(mine);
             }
         }
     }
@@ -207,6 +284,9 @@ impl Drop for RecordPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bulk::{bulk_apply, sweep_absent};
+    use crate::config::SiloConfig;
+    use crate::database::Database;
     use silo_tid::Tid;
 
     fn word() -> TidWord {
@@ -283,9 +363,13 @@ mod tests {
         }
     }
 
+    fn slab_pool() -> RecordPool {
+        RecordPool::new(Some(Arc::default()))
+    }
+
     #[test]
     fn pool_recycles_matching_classes() {
-        let mut pool = RecordPool::new(true);
+        let mut pool = slab_pool();
         let r1 = pool.allocate(b"0123456789", word(), 0);
         // SAFETY: just allocated, not shared.
         assert_eq!(unsafe { (*r1).capacity() }, 16);
@@ -300,15 +384,18 @@ mod tests {
         // SAFETY: r2 is exclusively owned here.
         unsafe { (*r2).read_consistent(&mut out) };
         assert_eq!(out, b"abc");
-        // SAFETY: sole owner.
-        unsafe { Record::free(r2) };
     }
 
     #[test]
     fn pool_disabled_always_frees() {
-        let mut pool = RecordPool::new(false);
+        let mut pool = RecordPool::new(None);
         let r = pool.allocate(b"xyz", word(), 0);
         assert_eq!(pool.misses, 1);
+        // SAFETY: just allocated, not shared.
+        assert!(
+            !unsafe { (*r).from_slab() },
+            "Simple records come from the global allocator"
+        );
         // SAFETY: unreachable by anyone else.
         unsafe { pool.recycle(RecordPtr(r)) };
         assert_eq!(pool.pooled(), 0);
@@ -320,26 +407,134 @@ mod tests {
 
     #[test]
     fn oversized_allocations_bypass_the_pool() {
-        let mut pool = RecordPool::new(true);
+        let mut pool = slab_pool();
         let big = vec![7u8; 4096];
         let r = pool.allocate(&big, word(), 0);
         // SAFETY: just allocated.
         assert_eq!(unsafe { (*r).capacity() }, 4096);
-        // SAFETY: unreachable by anyone else; capacity matches no class, so
-        // recycle frees it.
+        // SAFETY: just allocated.
+        assert!(!unsafe { (*r).from_slab() });
+        // SAFETY: unreachable by anyone else; not a slab record, so recycle
+        // frees it.
         unsafe { pool.recycle(RecordPtr(r)) };
         assert_eq!(pool.pooled(), 0);
     }
 
+    /// A dropped pool's records go to the database's spare lists, which the
+    /// next pool takes whole; their memory is freed with the slab's chunks.
     #[test]
     fn pool_drop_frees_cached_records() {
-        let mut pool = RecordPool::new(true);
+        let slab: Arc<RecordSlab> = Arc::default();
+        let mut pool = RecordPool::new(Some(Arc::clone(&slab)));
         for i in 0..10u8 {
             let r = pool.allocate(&[i; 20], word(), 0);
             // SAFETY: unreachable by anyone else.
             unsafe { pool.recycle(RecordPtr(r)) };
         }
-        assert!(pool.pooled() >= 1);
-        drop(pool); // must not leak or double-free (checked by sanitizers/miri in CI)
+        assert_eq!(pool.pooled(), 1);
+        drop(pool);
+        assert_eq!(slab.spare.lock()[1].len(), 1);
+        let next = RecordPool::new(Some(Arc::clone(&slab)));
+        assert_eq!(next.pooled(), 1, "a new pool drains the spare lists");
+        assert_eq!(slab.spare.lock().iter().map(Vec::len).sum::<usize>(), 0);
+    }
+
+    /// Pool misses: every class is carved from the worker's window, cache
+    /// line aligned, and recycles back into the pool.
+    #[test]
+    fn pool_misses_carve_every_class_from_the_slab() {
+        let mut pool = slab_pool();
+        for (class, &cap) in POOL_CLASSES.iter().enumerate() {
+            let r = pool.allocate(&vec![class as u8; cap], word(), 0);
+            // SAFETY: just allocated, not shared.
+            let rec = unsafe { &*r };
+            assert!(rec.from_slab(), "class {cap}");
+            assert_eq!(rec.capacity(), cap);
+            assert_eq!(r as usize % Slab::ALIGN, 0);
+            // SAFETY: unreachable by anyone else.
+            unsafe { pool.recycle(RecordPtr(r)) };
+            assert_eq!(pool.classes[class].len(), 1);
+            assert_eq!(pool.allocate(b"", word(), cap), r, "recycled, class {cap}");
+            // SAFETY: as above.
+            unsafe { pool.recycle(RecordPtr(r)) };
+        }
+        assert_eq!(pool.pooled(), POOL_CLASSES.len());
+        assert_eq!(pool.misses, POOL_CLASSES.len() as u64);
+    }
+
+    /// Insert placeholders: sized for their value, carved from the slab,
+    /// and recycled into the pool when the insert finds its key taken.
+    #[test]
+    fn insert_placeholders_of_every_class_are_slab_records() {
+        let db = Database::open(SiloConfig::for_testing());
+        let t = db.create_table("t").unwrap();
+        let mut w = db.register_worker();
+        for (class, &cap) in POOL_CLASSES.iter().enumerate() {
+            let key = format!("k{class}");
+            let mut txn = w.begin();
+            txn.insert(t, key.as_bytes(), &vec![1; cap]).unwrap();
+            txn.commit().unwrap();
+            let rec = db.table(t).tree().get(key.as_bytes()).unwrap() as *const Record;
+            // SAFETY: the key's live record; no other worker runs.
+            let (from_slab, capacity) = unsafe { ((*rec).from_slab(), (*rec).capacity()) };
+            assert!(from_slab, "class {cap}");
+            assert_eq!(capacity, cap);
+
+            let mut txn = w.begin();
+            assert!(txn.insert(t, key.as_bytes(), &vec![2; cap]).is_err());
+            txn.abort();
+            assert_eq!(
+                w.pool.classes[class].len(),
+                1,
+                "placeholder recycled, class {cap}"
+            );
+        }
+    }
+
+    /// `bulk_apply` carves from the same slab; a record it releases waits in
+    /// the spare lists for the next worker.
+    #[test]
+    fn bulk_applied_records_of_every_class_return_to_a_pool() {
+        let db = Database::open(SiloConfig::for_testing());
+        let t = db.create_table("t").unwrap();
+        let table = db.table(t);
+        for (class, &cap) in POOL_CLASSES.iter().enumerate() {
+            let key = format!("k{class}");
+            // SAFETY: no transactions in flight, one thread.
+            unsafe { bulk_apply(&table, key.as_bytes(), Tid::new(2, 1), Some(&vec![1; cap])) };
+            let rec = table.tree().get(key.as_bytes()).unwrap() as *const Record;
+            // SAFETY: the key's live record.
+            let (from_slab, capacity) = unsafe { ((*rec).from_slab(), (*rec).capacity()) };
+            assert!(from_slab, "class {cap}");
+            assert_eq!(capacity, cap);
+            // SAFETY: as above.
+            unsafe { bulk_apply(&table, key.as_bytes(), Tid::new(3, 1), None) };
+        }
+        // SAFETY: as above.
+        assert_eq!(unsafe { sweep_absent(&table) }, POOL_CLASSES.len() as u64);
+        let w = db.register_worker();
+        for (pooled, cap) in w.pool.classes.iter().zip(POOL_CLASSES) {
+            assert_eq!(pooled.len(), 1, "class {cap}");
+        }
+    }
+
+    /// Without `+Allocator` (Fig. 11's Simple), records come from the global
+    /// allocator everywhere.
+    #[test]
+    fn simple_records_come_from_the_global_allocator() {
+        let db = Database::open(SiloConfig::for_testing().with_per_worker_pool(false));
+        let t = db.create_table("t").unwrap();
+        let table = db.table(t);
+        let mut w = db.register_worker();
+        let mut txn = w.begin();
+        txn.insert(t, b"txn", &[1; 16]).unwrap();
+        txn.commit().unwrap();
+        // SAFETY: no transactions in flight, one thread.
+        unsafe { bulk_apply(&table, b"bulk", Tid::new(9, 1), Some(&[1; 16])) };
+        for key in [&b"txn"[..], b"bulk"] {
+            let rec = table.tree().get(key).unwrap() as *const Record;
+            // SAFETY: the key's live record.
+            assert!(!unsafe { (*rec).from_slab() });
+        }
     }
 }

@@ -12,11 +12,17 @@
 //!   version, Silo overwrites the data in place (§4.5), which is the
 //!   `+Overwrites` factor of Figure 11.
 //!
-//! A record and its data buffer are **one** heap allocation: the header is
+//! A record and its data buffer are **one** piece of memory: the header is
 //! followed immediately by `cap` data bytes (the layout the paper's C++
 //! implementation uses). This halves allocator traffic per record, keeps the
 //! TID word and the data it guards on the same cache lines, and lets the
 //! per-worker pool recycle the whole record with a single pointer.
+//!
+//! A record comes either from the global allocator ([`Record::allocate`],
+//! freed by [`Record::free`]) or, under `+Allocator`, from its database's
+//! record slab (`Record::carve`). The record says which
+//! ([`Record::from_slab`]): a slab record is only ever recycled, and its
+//! memory goes back with the slab's chunks when the database drops.
 //!
 //! # Reading record data
 //!
@@ -32,6 +38,7 @@
 //! a freshly allocated record).
 
 use std::alloc::Layout;
+use std::ptr::NonNull;
 use std::sync::atomic::{fence, AtomicPtr, AtomicUsize, Ordering};
 
 use silo_tid::{AtomicTidWord, TidWord};
@@ -50,6 +57,8 @@ pub struct Record {
     len: AtomicUsize,
     cap: usize,
     buf: *mut u8,
+    /// Carved from a record slab: never freed on its own.
+    from_slab: bool,
 }
 
 // SAFETY: all mutable state is accessed through atomics or under the record
@@ -68,6 +77,11 @@ impl Record {
         Layout::from_size_align(header.size() + cap, header.align()).expect("record layout")
     }
 
+    /// The bytes a record with `cap` data bytes occupies.
+    pub(crate) fn size_for(cap: usize) -> usize {
+        Self::layout_for(cap).size()
+    }
+
     /// Allocates a record holding a copy of `data`, with capacity at least
     /// `max(data.len(), min_capacity)`, and the given initial TID word.
     /// Returns a leaked pointer; free with [`Record::free`].
@@ -76,21 +90,57 @@ impl Record {
         let layout = Self::layout_for(cap);
         // SAFETY: the layout has non-zero size (the header alone is not
         // empty).
-        let raw = unsafe { std::alloc::alloc(layout) };
-        if raw.is_null() {
-            std::alloc::handle_alloc_error(layout);
-        }
-        let ptr = raw as *mut Record;
-        // SAFETY: `raw` is a fresh allocation of `layout_for(cap)` bytes: big
-        // enough for the header plus `cap` data bytes right after it.
+        let raw = NonNull::new(unsafe { std::alloc::alloc(layout) })
+            .unwrap_or_else(|| std::alloc::handle_alloc_error(layout));
+        // SAFETY: `raw` is a fresh allocation of `layout_for(cap)` bytes.
+        unsafe { Self::init(raw, data, word, cap, false) }
+    }
+
+    /// Builds a record holding a copy of `data`, with capacity `cap`, in a
+    /// piece of a record slab. The record is never freed: it is recycled,
+    /// and its memory goes back when the slab drops.
+    ///
+    /// # Safety
+    ///
+    /// `raw` must be 8-byte aligned, hold `Record::size_for(cap)` bytes that
+    /// nothing else uses, and stay valid for as long as the record is used;
+    /// `data.len()` must not exceed `cap`.
+    pub(crate) unsafe fn carve(
+        raw: NonNull<u8>,
+        data: &[u8],
+        word: TidWord,
+        cap: usize,
+    ) -> *mut Record {
+        debug_assert!(data.len() <= cap);
+        // SAFETY: forwarded from the caller's contract.
+        unsafe { Self::init(raw, data, word, cap, true) }
+    }
+
+    /// Writes a fresh record header and `data` at `raw`.
+    ///
+    /// # Safety
+    ///
+    /// `raw` must be aligned for `Record` and hold `size_for(cap)` bytes
+    /// that nothing else uses; `data.len() <= cap`.
+    unsafe fn init(
+        raw: NonNull<u8>,
+        data: &[u8],
+        word: TidWord,
+        cap: usize,
+        from_slab: bool,
+    ) -> *mut Record {
+        let ptr = raw.as_ptr() as *mut Record;
+        // SAFETY: per the contract, big enough for the header plus `cap`
+        // data bytes right after it.
         unsafe {
-            let buf = raw.add(std::mem::size_of::<Record>());
+            let buf = raw.as_ptr().add(std::mem::size_of::<Record>());
             ptr.write(Record {
                 tid: AtomicTidWord::new(word),
                 prev: AtomicPtr::new(std::ptr::null_mut()),
                 len: AtomicUsize::new(data.len()),
                 cap,
                 buf,
+                from_slab,
             });
             if !data.is_empty() {
                 std::ptr::copy_nonoverlapping(data.as_ptr(), buf, data.len());
@@ -101,20 +151,31 @@ impl Record {
 
     /// Frees a record previously produced by [`Record::allocate`].
     ///
+    /// # Panics
+    ///
+    /// If the record was carved from a slab: such a record never goes back
+    /// to the global allocator.
+    ///
     /// # Safety
     ///
-    /// `ptr` must have come from [`Record::allocate`], must not have been
-    /// freed already, and no other thread may access it afterwards (callers
-    /// defer this through the epoch-based reclamation scheme).
+    /// `ptr` must point at a live record, must not have been freed already,
+    /// and no other thread may access it afterwards (callers defer this
+    /// through the epoch-based reclamation scheme).
     pub unsafe fn free(ptr: *mut Record) {
         debug_assert!(!ptr.is_null());
+        // SAFETY: a live record per the caller's contract.
+        let (cap, from_slab) = unsafe { ((*ptr).cap, (*ptr).from_slab) };
+        assert!(!from_slab, "a slab record reached the global allocator");
         // SAFETY: allocated by `allocate` with exactly this layout. No field
         // of `Record` owns heap memory (the data bytes live inside this same
         // allocation), so deallocating is all the cleanup there is.
-        unsafe {
-            let layout = Self::layout_for((*ptr).cap);
-            std::alloc::dealloc(ptr as *mut u8, layout);
-        }
+        unsafe { std::alloc::dealloc(ptr as *mut u8, Self::layout_for(cap)) };
+    }
+
+    /// Whether the record was carved from a record slab (`Record::carve`)
+    /// rather than allocated on its own.
+    pub fn from_slab(&self) -> bool {
+        self.from_slab
     }
 
     /// Re-initializes a recycled record allocation with new contents, for the

@@ -23,7 +23,9 @@ pub struct WorkerStats {
     pub gc_rounds: u64,
     /// Record allocations served from the per-worker pool.
     pub pool_hits: u64,
-    /// Record allocations that went to the global allocator.
+    /// Record allocations the pool could not serve: carved from the
+    /// worker's window of the record slab under `+Allocator`, else made by
+    /// the global allocator.
     pub pool_misses: u64,
     /// Arena chunks the worker's transaction context allocated (each is one
     /// global-allocator hit; steady state stops adding to this).
@@ -106,9 +108,11 @@ impl WorkerStats {
         }
     }
 
-    /// Global-allocator hits per committed transaction: record allocations
-    /// that missed the per-worker pool plus arena chunk allocations. Zero in
-    /// steady state once pools and arenas are warm.
+    /// Allocations per committed transaction: record allocations that
+    /// missed the per-worker pool plus arena chunk allocations. A miss is a
+    /// global-allocator hit without `+Allocator` and a carve from the
+    /// worker's slab window with it. Zero in steady state once pools and
+    /// arenas are warm.
     pub fn allocs_per_txn(&self) -> f64 {
         if self.commits == 0 {
             0.0

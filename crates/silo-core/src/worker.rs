@@ -64,7 +64,7 @@ impl std::fmt::Debug for Worker {
 impl Worker {
     pub(crate) fn new(db: Arc<Database>) -> Self {
         let epoch = db.epochs().register_worker();
-        let pool = RecordPool::new(db.config().per_worker_pool);
+        let pool = RecordPool::new(db.record_slab().cloned());
         let history = db
             .history_recorder()
             .map(|r| HistorySession::new(Arc::clone(r)));
@@ -406,9 +406,11 @@ impl Drop for Worker {
         // reachable through the live records' previous-version chains and
         // absent records are still referenced by the index, so the Database's
         // drop (which walks the trees) remains the single owner of anything
-        // still attached to the tree. Unattached items are leaked rather than
-        // risk a double free; in practice drivers run `collect_garbage` until
-        // quiescent before dropping workers.
+        // still attached to the tree. A pending slab record goes back with
+        // the database's record slab; one from the global allocator (no
+        // `+Allocator`, or larger than every size class) is leaked rather
+        // than risk a double free. The pool hands its records to the
+        // database as it drops.
         self.quiesce();
     }
 }

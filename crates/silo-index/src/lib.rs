@@ -25,6 +25,10 @@
 //! * **Prefetched descent.** The child (and next-layer root) is prefetched
 //!   before the parent's version re-check, overlapping memory latency with
 //!   validation.
+//! * **Nodes on superpages.** Every node and trie layer is carved, cache-line
+//!   aligned, from the tree's own [`Slab`], whose chunks grow to 2 MiB huge
+//!   pages: a descent through a large tree pays no TLB walk per node, and
+//!   the prefetch covers exactly the five lines a probe reads.
 //!
 //! The concurrency contract:
 //!
@@ -66,9 +70,9 @@
 //!   separator array mid-shift.
 //!
 //! Remaining simplifications vs. Masstree: nodes are never merged or freed
-//! before the tree drops, and empty trie layers are left in place after
-//! removals. Neither affects the concurrency-control behaviour the paper
-//! evaluates.
+//! before the tree drops (the slab then frees them all at once), and empty
+//! trie layers are left in place after removals. Neither affects the
+//! concurrency-control behaviour the paper evaluates.
 
 #![warn(missing_docs)]
 
@@ -78,11 +82,13 @@ use std::sync::Mutex;
 use silo_epoch::shared_write_audit;
 
 mod node;
+mod slab;
 
 pub use node::{
     keyslice, klen_class, prefetch_line, KeyBuf, Permutation, FANOUT, KLEN_LAYER, KLEN_SUFFIX,
     LEAF_WIDTH, NODE_LEAF_BIT, NODE_LOCK_BIT, NODE_VERSION_INC,
 };
+pub use slab::{Bump, Slab};
 
 use node::{prefetch, InnerNode, LeafNode, LeafSearch, NodeHeader};
 
@@ -515,9 +521,10 @@ struct Layer {
 }
 
 impl Layer {
-    fn new() -> Layer {
+    /// A layer whose root is a fresh, empty leaf placed in `slab`.
+    fn new(slab: &Slab) -> Layer {
         Layer {
-            root: AtomicPtr::new(LeafNode::allocate() as *mut NodeHeader),
+            root: AtomicPtr::new(LeafNode::allocate(slab) as *mut NodeHeader),
         }
     }
 
@@ -601,11 +608,15 @@ pub struct Tree {
     root: Layer,
     counters: Counters,
     retired: Mutex<Vec<RetiredSuffix>>,
+    /// Holds every leaf, interior node and trie layer of the tree. None is
+    /// freed before the tree drops, which frees them all with the slab.
+    nodes: Slab,
 }
 
 // SAFETY: all shared node state is accessed through atomics and the
 // version/lock protocol documented in `node.rs`; suffix buffers are
-// immutable and freed only with exclusive access or deferred by the caller.
+// immutable and freed only with exclusive access or deferred by the caller;
+// the node slab is itself `Sync`.
 unsafe impl Send for Tree {}
 // SAFETY: see above.
 unsafe impl Sync for Tree {}
@@ -709,10 +720,12 @@ fn concat_cmp(a0: &[u8], a1: &[u8], b: &[u8]) -> std::cmp::Ordering {
 impl Tree {
     /// Creates an empty tree.
     pub fn new() -> Self {
+        let nodes = Slab::new();
         Tree {
-            root: Layer::new(),
+            root: Layer::new(&nodes),
             counters: Counters::default(),
             retired: Mutex::new(Vec::new()),
+            nodes,
         }
     }
 
@@ -1255,7 +1268,7 @@ impl Tree {
                                 // value+klen rewrite under the leaf lock.
                                 let old_value = leaf_ref.value(slot);
                                 let (new_layer, created) =
-                                    build_layer_chain(sfx, old_value, &rem[8..], value);
+                                    build_layer_chain(&self.nodes, sfx, old_value, &rem[8..], value);
                                 // Capture the created leaves' versions while
                                 // the chain is still thread-private: once
                                 // `convert_to_layer` publishes it, a
@@ -1404,7 +1417,7 @@ impl Tree {
             LeafSearch::NotFound { rank } => rank,
             LeafSearch::Found { .. } => unreachable!("key was absent under the leaf lock"),
         };
-        let (mut sep, right_leaf) = leaf_ref.split(rank);
+        let (mut sep, right_leaf) = leaf_ref.split(rank, &self.nodes);
         shared_write_audit::note();
         self.counters.splits.fetch_add(1, Ordering::Relaxed);
         // SAFETY: split returns a live, locked right sibling.
@@ -1436,7 +1449,7 @@ impl Tree {
                 // which we just split. Grow a new root and publish it before
                 // any lock is released.
                 let (old_top, _) = chain[0];
-                let root = InnerNode::allocate();
+                let root = InnerNode::allocate(&self.nodes);
                 // SAFETY: freshly allocated root, exclusively owned until
                 // published via the store below.
                 unsafe {
@@ -1465,7 +1478,7 @@ impl Tree {
             }
             // The ancestor is full too: split it, insert the separator into
             // the correct half, and keep propagating the promoted slice.
-            let (promoted, anc_right) = anc_ref.split();
+            let (promoted, anc_right) = anc_ref.split(&self.nodes);
             shared_write_audit::note();
             self.counters.splits.fetch_add(1, Ordering::Relaxed);
             // SAFETY: split returns a live, locked right sibling.
@@ -1616,10 +1629,12 @@ impl Tree {
 
 /// Builds the chain of fresh trie layers holding two keys that share a
 /// slice: intermediate layers (one per additional shared 8-byte run) hold a
-/// single layer entry; the final layer holds both keys. Returns the first
-/// layer (to be published in the converted slot) and every created leaf, for
-/// [`NodeChange::Created`] reporting.
+/// single layer entry; the final layer holds both keys. Layers and leaves
+/// are placed in `slab`. Returns the first layer (to be published in the
+/// converted slot) and every created leaf, for [`NodeChange::Created`]
+/// reporting.
 fn build_layer_chain(
+    slab: &Slab,
     old_rem: &[u8],
     old_value: u64,
     new_rem: &[u8],
@@ -1627,7 +1642,7 @@ fn build_layer_chain(
 ) -> (*mut Layer, Vec<*const NodeHeader>) {
     debug_assert_ne!(old_rem, new_rem);
     let mut created = Vec::new();
-    let head = Box::into_raw(Box::new(Layer::new()));
+    let head = slab.place(Layer::new(slab));
     let mut cur: &Layer = {
         // SAFETY: just allocated, private until published by the caller.
         unsafe { &*head }
@@ -1645,7 +1660,7 @@ fn build_layer_chain(
             // Both keys continue identically through this slice too: add
             // another layer below.
             debug_assert_eq!(oc, KLEN_SUFFIX);
-            let next = Box::into_raw(Box::new(Layer::new()));
+            let next = slab.place(Layer::new(slab));
             let perm = leaf.permutation();
             leaf.insert_entry(perm, 0, os, KLEN_LAYER, std::ptr::null_mut(), next as u64);
             // SAFETY: as above.
@@ -1730,38 +1745,39 @@ unsafe fn walk_stats(root: *const NodeHeader, s: &mut IndexStats) {
     }
 }
 
-/// Frees a node subtree, including suffix buffers and sub-layer trees —
-/// iteratively (an explicit work stack, so adversarially deep trie chains
-/// cannot overflow the thread stack during drop).
+/// Frees the suffix buffers of a subtree and of every trie layer below it
+/// — iteratively (an explicit work stack, so adversarially deep trie chains
+/// cannot overflow the thread stack during drop). The nodes and layers
+/// themselves go with the tree's slab.
 ///
 /// # Safety
 ///
 /// Requires exclusive access to the whole tree (Tree::drop).
-unsafe fn free_subtree(root: *mut NodeHeader) {
+unsafe fn free_suffixes(root: *mut NodeHeader) {
     let mut stack: Vec<*mut NodeHeader> = vec![root];
     while let Some(node) = stack.pop() {
         if node.is_null() {
             continue;
         }
         // SAFETY: exclusive access per the caller's contract; every node and
-        // layer is reachable exactly once.
+        // layer is reachable exactly once, so each suffix is freed once.
         unsafe {
             if (*node).is_leaf() {
-                let leaf = Box::from_raw(node as *mut LeafNode);
+                let leaf = &*(node as *const LeafNode);
                 let perm = leaf.permutation();
                 for rank in 0..perm.count() {
                     let slot = perm.slot(rank);
                     match leaf.klen(slot) {
                         KLEN_SUFFIX => KeyBuf::free(leaf.suffix(slot)),
                         KLEN_LAYER => {
-                            let layer = Box::from_raw(leaf.value(slot) as *mut Layer);
+                            let layer = &*(leaf.value(slot) as *const Layer);
                             stack.push(layer.root.load(Ordering::Relaxed));
                         }
                         _ => {}
                     }
                 }
             } else {
-                let inner = Box::from_raw(node as *mut InnerNode);
+                let inner = &*(node as *const InnerNode);
                 let n = inner.nkeys().min(FANOUT);
                 for i in 0..=n {
                     stack.push(inner.child(i));
@@ -1775,7 +1791,7 @@ impl Drop for Tree {
     fn drop(&mut self) {
         let root = *self.root.root.get_mut();
         // SAFETY: `&mut self` guarantees exclusive access to the whole tree.
-        unsafe { free_subtree(root) };
+        unsafe { free_suffixes(root) };
         let retired = std::mem::take(
             self.retired
                 .get_mut()

@@ -66,6 +66,8 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, Ordering};
 
 use silo_epoch::shared_write_audit;
 
+use crate::slab::Slab;
+
 /// Maximum number of entries per leaf (limited by the 64-bit permutation
 /// word: 4 bits of count plus 15 slot indices).
 pub const LEAF_WIDTH: usize = 15;
@@ -97,7 +99,10 @@ pub const NODE_LEAF_BIT: u64 = 1 << 1;
 /// Increment applied to the version counter on each structural change.
 pub const NODE_VERSION_INC: u64 = 1 << 2;
 
-/// Prefetches the first cache lines of a node (or any object) into L1.
+/// Prefetches the five cache lines `[0, 320)` of a node into L1: a whole
+/// interior node, and the part of a leaf a probe reads (everything before
+/// `suffixes`). Nodes are cache-line aligned in their tree's slab, so five
+/// lines cover exactly that range.
 ///
 /// Descent knows the child it will visit one hop in advance; issuing the
 /// prefetch before validating the parent overlaps the memory latency with
@@ -119,6 +124,7 @@ pub fn prefetch<T>(ptr: *const T) {
             _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(64));
             _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(128));
             _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(192));
+            _mm_prefetch::<_MM_HINT_T0>(p.wrapping_add(256));
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -127,9 +133,14 @@ pub fn prefetch<T>(ptr: *const T) {
     }
 }
 
+// What `prefetch` covers: a leaf's probe set and a whole interior node.
+const _: () = assert!(
+    std::mem::offset_of!(LeafNode, suffixes) <= 320 && std::mem::size_of::<InnerNode>() <= 320
+);
+
 /// Prefetches a single cache line. For small objects reached through scan
-/// cursors (record headers behind value words, suffix buffers) the 4-line
-/// node prefetch of `prefetch` would cost four prefetch slots and pollute
+/// cursors (record headers behind value words, suffix buffers) the 5-line
+/// node prefetch of `prefetch` would cost five prefetch slots and pollute
 /// the L1 with lines the scan never touches.
 #[inline(always)]
 pub fn prefetch_line<T>(ptr: *const T) {
@@ -498,15 +509,16 @@ pub struct InnerNode {
 }
 
 impl InnerNode {
-    /// Allocates a new empty interior node and leaks it.
-    pub fn allocate() -> *mut InnerNode {
-        Box::into_raw(Box::new(InnerNode {
+    /// Places a new empty interior node in `slab`, which owns it from then
+    /// on.
+    pub fn allocate(slab: &Slab) -> *mut InnerNode {
+        slab.place(InnerNode {
             header: NodeHeader::new(false),
             permutation: AtomicU64::new(Permutation::empty().raw()),
             child0: AtomicPtr::new(std::ptr::null_mut()),
             keys: [const { AtomicU64::new(u64::MAX) }; FANOUT],
             rights: [const { AtomicPtr::new(std::ptr::null_mut()) }; FANOUT],
-        }))
+        })
     }
 
     /// The current separator permutation word.
@@ -665,12 +677,12 @@ impl InnerNode {
     /// Returns `(promoted_slice, right_sibling)`. The caller must hold this
     /// node's lock; the right sibling is returned locked so the caller can
     /// publish it before any other writer touches it.
-    pub fn split(&self) -> (u64, *mut InnerNode) {
+    pub fn split(&self, slab: &Slab) -> (u64, *mut InnerNode) {
         let perm = self.permutation();
         let n = perm.count();
         debug_assert_eq!(n, FANOUT);
         let mid = n / 2;
-        let right = InnerNode::allocate();
+        let right = InnerNode::allocate(slab);
         // SAFETY: freshly allocated, exclusively owned until published.
         let right_ref = unsafe { &*right };
         right_ref.header.lock();
@@ -770,9 +782,9 @@ pub struct LeafNode {
 }
 
 impl LeafNode {
-    /// Allocates a new empty leaf and leaks it.
-    pub fn allocate() -> *mut LeafNode {
-        Box::into_raw(Box::new(LeafNode {
+    /// Places a new empty leaf in `slab`, which owns it from then on.
+    pub fn allocate(slab: &Slab) -> *mut LeafNode {
+        slab.place(LeafNode {
             header: NodeHeader::new(true),
             permutation: AtomicU64::new(Permutation::empty().raw()),
             slices: [const { AtomicU64::new(0) }; LEAF_WIDTH],
@@ -781,7 +793,7 @@ impl LeafNode {
             next: AtomicPtr::new(std::ptr::null_mut()),
             values: [const { AtomicU64::new(0) }; LEAF_WIDTH],
             suffixes: [const { AtomicPtr::new(std::ptr::null_mut()) }; LEAF_WIDTH],
-        }))
+        })
     }
 
     /// The current permutation word.
@@ -952,7 +964,7 @@ impl LeafNode {
     ///
     /// Returns `(separator_slice, right_sibling)`; the separator equals the
     /// right sibling's first slice. The right sibling is returned locked.
-    pub fn split(&self, rank: usize) -> (u64, *mut LeafNode) {
+    pub fn split(&self, rank: usize, slab: &Slab) -> (u64, *mut LeafNode) {
         let perm = self.permutation();
         let n = perm.count();
         debug_assert_eq!(n, LEAF_WIDTH);
@@ -975,7 +987,7 @@ impl LeafNode {
             }
         }
         assert!(boundary > 0, "a full leaf always has a slice boundary");
-        let right = LeafNode::allocate();
+        let right = LeafNode::allocate(slab);
         // SAFETY: freshly allocated, exclusively owned until published.
         let right_ref = unsafe { &*right };
         right_ref.header.lock();
@@ -1128,7 +1140,8 @@ mod tests {
 
     #[test]
     fn leaf_insert_search_remove() {
-        let leaf_ptr = LeafNode::allocate();
+        let slab = Slab::new();
+        let leaf_ptr = LeafNode::allocate(&slab);
         // SAFETY: single-threaded exclusive access in this test.
         let leaf = unsafe { &*leaf_ptr };
         for (i, k) in [b"bb".as_ref(), b"dd", b"ff"].iter().enumerate() {
@@ -1170,13 +1183,12 @@ mod tests {
             LeafSearch::NotFound { rank: 1 }
         );
         assert_eq!(leaf.permutation().count(), 2);
-        // SAFETY: exclusive access; no suffixes were allocated.
-        unsafe { drop(Box::from_raw(leaf_ptr)) };
     }
 
     #[test]
     fn leaf_orders_same_slice_by_length_then_bucket() {
-        let leaf_ptr = LeafNode::allocate();
+        let slab = Slab::new();
+        let leaf_ptr = LeafNode::allocate(&slab);
         // SAFETY: single-threaded exclusive access in this test.
         let leaf = unsafe { &*leaf_ptr };
         // "a", "a\0\0" (3 bytes), and a long key sharing the slice.
@@ -1202,11 +1214,8 @@ mod tests {
         assert_eq!(leaf.value(perm.slot(1)), 0);
         assert_eq!(leaf.value(perm.slot(2)), 2);
         assert_eq!(leaf.klen(perm.slot(2)), KLEN_SUFFIX);
-        // SAFETY: exclusive access; free the one suffix then the leaf.
-        unsafe {
-            KeyBuf::free(leaf.suffix(perm.slot(2)));
-            drop(Box::from_raw(leaf_ptr));
-        }
+        // SAFETY: exclusive access; the leaf goes with the slab.
+        unsafe { KeyBuf::free(leaf.suffix(perm.slot(2))) };
     }
 
     #[test]
@@ -1235,7 +1244,8 @@ mod tests {
     /// that order, splits it for a key belonging at `rank`, checks the
     /// halves and returns how many entries stayed on the left.
     fn split_full_leaf(order: &[usize], rank: usize) -> usize {
-        let leaf_ptr = LeafNode::allocate();
+        let slab = Slab::new();
+        let leaf_ptr = LeafNode::allocate(&slab);
         // SAFETY: single-threaded exclusive access in this test.
         let leaf = unsafe { &*leaf_ptr };
         for &i in order {
@@ -1250,7 +1260,7 @@ mod tests {
         }
         assert!(leaf.is_full());
         leaf.header.lock();
-        let (sep, right_ptr) = leaf.split(rank);
+        let (sep, right_ptr) = leaf.split(rank, &slab);
         // SAFETY: right sibling freshly created by split.
         let right = unsafe { &*right_ptr };
         let left_n = leaf.permutation().count();
@@ -1269,17 +1279,13 @@ mod tests {
         }
         leaf.header.unlock_with_increment();
         right.header.unlock_with_increment();
-        // SAFETY: exclusive access; no suffixes in play.
-        unsafe {
-            drop(Box::from_raw(leaf_ptr));
-            drop(Box::from_raw(right_ptr));
-        }
         left_n
     }
 
     #[test]
     fn leaf_split_keeps_equal_slices_together() {
-        let leaf_ptr = LeafNode::allocate();
+        let slab = Slab::new();
+        let leaf_ptr = LeafNode::allocate(&slab);
         // SAFETY: single-threaded exclusive access in this test.
         let leaf = unsafe { &*leaf_ptr };
         // 10 entries share the all-zero slice (prefixes of zeros pad to the
@@ -1323,7 +1329,7 @@ mod tests {
         }
         assert!(leaf.is_full());
         leaf.header.lock();
-        let (sep, right_ptr) = leaf.split(0);
+        let (sep, right_ptr) = leaf.split(0, &slab);
         // SAFETY: right sibling freshly created by split.
         let right = unsafe { &*right_ptr };
         let shared_slice = keyslice(shared).0;
@@ -1336,45 +1342,35 @@ mod tests {
         leaf.header.unlock_with_increment();
         right.header.unlock_with_increment();
         // SAFETY: exclusive access; the one suffix is owned by the left leaf.
-        unsafe {
-            let perm = leaf.permutation();
-            KeyBuf::free(leaf.suffix(perm.slot(9)));
-            drop(Box::from_raw(leaf_ptr));
-            drop(Box::from_raw(right_ptr));
-        }
+        unsafe { KeyBuf::free(leaf.suffix(leaf.permutation().slot(9))) };
     }
 
     #[test]
     fn inner_route_and_insert_separator() {
-        let inner_ptr = InnerNode::allocate();
+        let slab = Slab::new();
+        let inner_ptr = InnerNode::allocate(&slab);
         // SAFETY: single-threaded exclusive access in this test.
         let inner = unsafe { &*inner_ptr };
-        let left = LeafNode::allocate();
-        let right = LeafNode::allocate();
+        let left = LeafNode::allocate(&slab);
+        let right = LeafNode::allocate(&slab);
         let (mm, _) = keyslice(b"mm");
         inner.init_root(mm, left as *mut NodeHeader, right as *mut NodeHeader);
         assert_eq!(inner.route(keyslice(b"aa").0), 0);
         assert_eq!(inner.route(mm), 1);
         assert_eq!(inner.route(keyslice(b"zz").0), 1);
-        let far_right = LeafNode::allocate();
+        let far_right = LeafNode::allocate(&slab);
         let (tt, _) = keyslice(b"tt");
         inner.insert_separator(1, tt, far_right as *mut NodeHeader);
         assert_eq!(inner.nkeys(), 2);
         assert_eq!(inner.route(keyslice(b"zz").0), 2);
         assert_eq!(inner.route(keyslice(b"nn").0), 1);
         assert_eq!(inner.child(2), far_right as *mut NodeHeader);
-        // SAFETY: exclusive teardown.
-        unsafe {
-            drop(Box::from_raw(left));
-            drop(Box::from_raw(right));
-            drop(Box::from_raw(far_right));
-            drop(Box::from_raw(inner_ptr));
-        }
     }
 
     #[test]
     fn leaf_search_finds_keys_by_slice_and_class() {
-        let leaf_ptr = LeafNode::allocate();
+        let slab = Slab::new();
+        let leaf_ptr = LeafNode::allocate(&slab);
         // SAFETY: single-threaded exclusive access in this test.
         let leaf = unsafe { &*leaf_ptr };
         // A mix of short, exact-slice and long keys, including shared slices,
@@ -1444,35 +1440,28 @@ mod tests {
             leaf.search(leaf.permutation(), slice, class),
             LeafSearch::NotFound { rank: 4 }
         );
-        // SAFETY: exclusive access; free the one suffix, then the leaf.
-        unsafe {
-            let (s, c) = keyslice(b"abcdefghZZ");
-            if let LeafSearch::Found { slot, .. } = leaf.search(leaf.permutation(), s, c) {
-                KeyBuf::free(leaf.suffix(slot));
-            }
-            drop(Box::from_raw(leaf_ptr));
+        // SAFETY: exclusive access; free the one suffix (the leaf goes
+        // with the slab).
+        let (s, c) = keyslice(b"abcdefghZZ");
+        if let LeafSearch::Found { slot, .. } = leaf.search(leaf.permutation(), s, c) {
+            unsafe { KeyBuf::free(leaf.suffix(slot)) };
         }
     }
 
     #[test]
     fn inner_insert_publishes_without_shifting_slots() {
-        let inner_ptr = InnerNode::allocate();
+        let slab = Slab::new();
+        let inner_ptr = InnerNode::allocate(&slab);
         // SAFETY: single-threaded exclusive access in this test.
         let inner = unsafe { &*inner_ptr };
-        let mut children: Vec<*mut LeafNode> = Vec::new();
-        let left = LeafNode::allocate();
-        children.push(left);
+        let left = LeafNode::allocate(&slab);
         // Insert separators in descending order so a shifting implementation
         // would move every existing slot each time.
         let seps: Vec<u64> = (0..FANOUT as u64).rev().map(|i| 100 + i * 10).collect();
-        inner.init_root(seps[0], left as *mut NodeHeader, {
-            let c = LeafNode::allocate();
-            children.push(c);
-            c as *mut NodeHeader
-        });
+        let right = LeafNode::allocate(&slab);
+        inner.init_root(seps[0], left as *mut NodeHeader, right as *mut NodeHeader);
         for &sep in &seps[1..] {
-            let c = LeafNode::allocate();
-            children.push(c);
+            let c = LeafNode::allocate(&slab);
             let idx = inner.route(sep);
             inner.insert_separator(idx, sep, c as *mut NodeHeader);
         }
@@ -1494,33 +1483,27 @@ mod tests {
         }
         assert_eq!(inner.route_at(perm, 0), 0);
         assert_eq!(inner.child_at(perm, 0), left as *mut NodeHeader);
-        // SAFETY: exclusive teardown.
-        unsafe {
-            for c in children {
-                drop(Box::from_raw(c));
-            }
-            drop(Box::from_raw(inner_ptr));
-        }
     }
 
     #[test]
     fn inner_split_partitions_children_by_rank() {
-        let inner_ptr = InnerNode::allocate();
+        let slab = Slab::new();
+        let inner_ptr = InnerNode::allocate(&slab);
         // SAFETY: single-threaded exclusive access in this test.
         let inner = unsafe { &*inner_ptr };
         let mut children = Vec::new();
-        let first = LeafNode::allocate();
+        let first = LeafNode::allocate(&slab);
         children.push(first);
         inner
             .child0
             .store(first as *mut NodeHeader, Ordering::Release);
         for i in 0..FANOUT {
-            let c = LeafNode::allocate();
+            let c = LeafNode::allocate(&slab);
             children.push(c);
             inner.insert_separator(i, 1000 + i as u64, c as *mut NodeHeader);
         }
         inner.header.lock();
-        let (promoted, right_ptr) = inner.split();
+        let (promoted, right_ptr) = inner.split(&slab);
         // SAFETY: right sibling freshly created by split.
         let right = unsafe { &*right_ptr };
         // children[i + 1] is the right child of separator 1000 + i.
@@ -1553,35 +1536,28 @@ mod tests {
         }
         inner.header.unlock_with_increment();
         right.header.unlock_with_increment();
-        // SAFETY: exclusive teardown.
-        unsafe {
-            for c in children {
-                drop(Box::from_raw(c));
-            }
-            drop(Box::from_raw(inner_ptr));
-            drop(Box::from_raw(right_ptr));
-        }
     }
 
     #[test]
     fn inner_split_promotes_middle_separator() {
-        let inner_ptr = InnerNode::allocate();
+        let slab = Slab::new();
+        let inner_ptr = InnerNode::allocate(&slab);
         // SAFETY: single-threaded exclusive access in this test.
         let inner = unsafe { &*inner_ptr };
         let mut children = Vec::new();
-        let first_child = LeafNode::allocate();
+        let first_child = LeafNode::allocate(&slab);
         children.push(first_child);
         inner
             .child0
             .store(first_child as *mut NodeHeader, Ordering::Release);
         for i in 0..FANOUT {
-            let child = LeafNode::allocate();
+            let child = LeafNode::allocate(&slab);
             children.push(child);
             inner.insert_separator(i, 1000 + i as u64, child as *mut NodeHeader);
         }
         assert!(inner.is_full());
         inner.header.lock();
-        let (promoted, right_ptr) = inner.split();
+        let (promoted, right_ptr) = inner.split(&slab);
         assert_eq!(promoted, 1000 + (FANOUT / 2) as u64);
         // SAFETY: right sibling freshly created by split.
         let right = unsafe { &*right_ptr };
@@ -1589,13 +1565,5 @@ mod tests {
         assert_eq!(right.nkeys(), FANOUT - FANOUT / 2 - 1);
         inner.header.unlock_with_increment();
         right.header.unlock_with_increment();
-        // SAFETY: exclusive teardown of everything allocated above.
-        unsafe {
-            for c in children {
-                drop(Box::from_raw(c));
-            }
-            drop(Box::from_raw(inner_ptr));
-            drop(Box::from_raw(right_ptr));
-        }
     }
 }

@@ -1136,7 +1136,8 @@ mod proptests {
             // distinct fake pointers, never dereferenced.
             let fake = |i: usize| ((i + 1) * 0x100) as *mut NodeHeader;
 
-            let inner_ptr = InnerNode::allocate();
+            let slab = crate::Slab::new();
+            let inner_ptr = InnerNode::allocate(&slab);
             // SAFETY: single-threaded exclusive access in this test.
             let inner = unsafe { &*inner_ptr };
             inner.init_root(seps[0], fake(0), fake(1));
@@ -1183,8 +1184,6 @@ mod proptests {
                     prop_assert_eq!(inner.route_at(*perm, p), expected);
                 }
             }
-            // SAFETY: exclusive teardown; children are fake pointers.
-            unsafe { drop(Box::from_raw(inner_ptr)) };
         }
     }
 }
