@@ -34,10 +34,16 @@
 //!
 //! * **Optimistic, write-free readers.** [`Tree::get`] and [`Tree::scan`]
 //!   never modify shared memory. They validate per-node versions after
-//!   reading and restart on interference. Every point operation — reads,
-//!   value replacement and removal — shares one optimistic descent and one
-//!   leaf probe (`LeafNode::search`); only the lock-crabbing insert and the
-//!   scan engine walk the tree their own way.
+//!   reading and restart on interference. Every operation descends through
+//!   `Layer::find_leaf`, and every point operation — reads, inserts, value
+//!   replacement and removal — shares one optimistic descent (`Tree::locate`)
+//!   and one leaf probe (`LeafNode::search`).
+//! * **Writers lock only what they change.** A write upgrades the leaf
+//!   `locate` found with a version-checked `try_upgrade_lock`; a split also
+//!   upgrades the full leaf's ancestors, bottom-up, against the versions the
+//!   descent routed under. A failed upgrade releases every lock and starts
+//!   over, so no writer waits on a lock, and an insert into a leaf with
+//!   room writes that leaf alone — not the layer root every reader loads.
 //! * **Version-tracked leaves for phantom protection.** Any change to a
 //!   leaf's key *membership* (insert, remove, split, suffix→layer
 //!   conversion) increments the leaf's version. [`Tree::get_tracked`] and
@@ -226,10 +232,13 @@ impl<T: Copy + std::fmt::Debug, const N: usize> std::fmt::Debug for InlineVec<T,
 /// full, so a layer this deep would need more than 8^14 leaves.
 const MAX_BTREE_DEPTH: usize = 16;
 
-/// A locked node (or one about to be unlocked) and its pre-lock version.
+/// A node and the version it was read (and, by a writer, locked) under.
 type LockedNode = (*const NodeHeader, u64);
 
-/// The locked descent path of one insert, root-most first.
+/// One descent path through a trie layer, root-most first: each node the
+/// descent passed and the version it routed under. A splitting insert
+/// appends the leaf and locks the bottom of the path against those
+/// versions.
 type LockedChain = InlineVec<LockedNode, MAX_BTREE_DEPTH>;
 
 /// [`NodeChange`]s a [`NodeChanges`] holds without allocating: a split that
@@ -531,9 +540,16 @@ impl Layer {
     /// Optimistically descends to the leaf of this layer that covers
     /// `slice`, returning the leaf and a stable version observed on the way
     /// down. The caller must re-validate the version after reading leaf
-    /// contents.
-    fn find_leaf(&self, slice: u64, counters: &Counters) -> (*const LeafNode, u64) {
+    /// contents. `path` receives every interior node passed, with the
+    /// version that validated the route through it (cleared on restart).
+    fn find_leaf(
+        &self,
+        slice: u64,
+        counters: &Counters,
+        path: &mut LockedChain,
+    ) -> (*const LeafNode, u64) {
         'restart: loop {
+            path.clear();
             let root = self.root.load(Ordering::Acquire);
             prefetch(root);
             // SAFETY: the root pointer always refers to a live node.
@@ -580,6 +596,7 @@ impl Layer {
                     counters.note_retry();
                     continue 'restart;
                 }
+                path.push((node, version));
                 node = child;
                 version = child_version;
             }
@@ -627,11 +644,13 @@ impl Default for Tree {
     }
 }
 
-/// The outcome of [`Tree::locate`]: the terminal leaf for a key (at
-/// whatever trie layer the descent ended) and the version under which the
-/// outcome was validated. `entry` is `Some((rank, slot, value))` when the
-/// key is present.
-struct Located {
+/// The outcome of [`Tree::locate`]: the terminal leaf for a key, the trie
+/// layer it belongs to and the key offset that layer is keyed on, and the
+/// version under which the outcome was validated. `entry` is
+/// `Some((rank, slot, value))` when the key is present.
+struct Located<'t> {
+    layer: &'t Layer,
+    offset: usize,
     leaf: *const LeafNode,
     version: u64,
     entry: Option<(usize, usize, u64)>,
@@ -778,7 +797,7 @@ impl Tree {
     /// whatever trie layer the descent ended — that such an insert must
     /// modify (adding an entry, or converting a suffix entry into a layer).
     pub fn get_tracked(&self, key: &[u8]) -> (Option<u64>, NodeRef, u64) {
-        let loc = self.locate(key);
+        let loc = self.locate(key, &mut LockedChain::new());
         (
             loc.entry.map(|(_, _, value)| value),
             NodeRef::from_ptr(loc.leaf as *const NodeHeader),
@@ -792,14 +811,15 @@ impl Tree {
     /// been validated under a single leaf version. Writes nothing shared
     /// (the paper's §3 rule); lock-taking callers upgrade afterwards with
     /// [`NodeHeader::try_upgrade_lock`], whose success proves the returned
-    /// rank/slot are still exact.
-    fn locate(&self, key: &[u8]) -> Located {
+    /// rank/slot are still exact. `path` ends holding the terminal layer's
+    /// descent path down to the leaf's parent (see `Layer::find_leaf`).
+    fn locate(&self, key: &[u8], path: &mut LockedChain) -> Located<'_> {
         let mut layer: &Layer = &self.root;
         let mut rem: &[u8] = key;
         'layer: loop {
             let (slice, class) = keyslice(rem);
             'retry: loop {
-                let (leaf_ptr, version) = layer.find_leaf(slice, &self.counters);
+                let (leaf_ptr, version) = layer.find_leaf(slice, &self.counters, path);
                 // SAFETY: leaves are never freed while the tree is alive.
                 let leaf = unsafe { &*leaf_ptr };
                 let entry = match leaf.search(leaf.permutation(), slice, class) {
@@ -851,6 +871,8 @@ impl Tree {
                     continue 'retry;
                 }
                 return Located {
+                    layer,
+                    offset: key.len() - rem.len(),
                     leaf: leaf_ptr,
                     version,
                     entry,
@@ -974,7 +996,8 @@ impl Tree {
         {
             let (start_slice, _) = keyslice(start);
             let mut frame = ScanFrame::new(
-                self.root.find_leaf(start_slice, &self.counters),
+                self.root
+                    .find_leaf(start_slice, &self.counters, &mut LockedChain::new()),
                 Some(0),
                 end.map(|_| 0),
             );
@@ -1151,7 +1174,7 @@ impl Tree {
                     };
                     let (sub_slice, _) = keyslice(sub_start_bytes);
                     let mut sub_frame = ScanFrame::new(
-                        sub_layer.find_leaf(sub_slice, &self.counters),
+                        sub_layer.find_leaf(sub_slice, &self.counters, &mut LockedChain::new()),
                         sub_start,
                         sub_end,
                     );
@@ -1163,7 +1186,7 @@ impl Tree {
     }
 
     // ------------------------------------------------------------------
-    // Write path (lock crabbing)
+    // Write path (the shared descent, then version-checked upgrades)
     // ------------------------------------------------------------------
 
     /// Inserts `key → value` if the key is not already present.
@@ -1172,218 +1195,120 @@ impl Tree {
     /// change of every node the insert touched — including nodes created by
     /// splits and the root leaves of trie layers created by suffix
     /// conversions — which the caller uses to update its node-set per §4.6.
+    ///
+    /// Descends through `Tree::locate` like every point operation and locks
+    /// only the nodes it changes: the leaf, upgraded against the version
+    /// `locate` validated, and for a split the full leaf's ancestors (see
+    /// `lock_split_path`). A failed upgrade releases every lock taken and
+    /// starts over; nothing is allocated until the last lock is held.
     pub fn insert_if_absent(&self, key: &[u8], value: u64) -> InsertOutcome {
-        let mut layer: &Layer = &self.root;
-        let mut rem: &[u8] = key;
-        'layer: loop {
+        let mut path = LockedChain::new();
+        loop {
+            let loc = self.locate(key, &mut path);
+            if let Some((_, _, value)) = loc.entry {
+                return InsertOutcome::Exists { value };
+            }
+            // SAFETY: leaves are never freed while the tree is alive.
+            let leaf = unsafe { &*loc.leaf };
+            if !leaf.header.try_upgrade_lock(loc.version) {
+                self.counters.note_retry();
+                continue;
+            }
+            // The upgrade proved the leaf unchanged since `locate`, so the
+            // probe under the lock sees what `locate` saw: the key is absent.
+            let leaf_hdr = loc.leaf as *const NodeHeader;
+            let rem = &key[loc.offset..];
             let (slice, class) = keyslice(rem);
-            'restart: loop {
-                // Chain of locked nodes: every node except the last is full;
-                // the first is either non-full or the layer root.
-                let mut chain = LockedChain::new();
-                let unlock_chain = |chain: &[LockedNode]| {
-                    for &(node, _) in chain.iter().rev() {
-                        // SAFETY: we locked these nodes below; they are live.
-                        unsafe { (*node).unlock() };
+            let perm = leaf.permutation();
+            let mut changes = NodeChanges::new();
+            match leaf.search(perm, slice, class) {
+                LeafSearch::Found { slot, .. } => {
+                    // An absent key matches only its slice's suffix bucket,
+                    // holding a different key: convert that entry into a
+                    // trie layer holding both (Masstree §4.6.3). The new
+                    // layers are built privately, then published with one
+                    // value+klen rewrite under the leaf lock.
+                    debug_assert_eq!(leaf.klen(slot), KLEN_SUFFIX);
+                    // SAFETY: read under the leaf lock.
+                    let sfx = unsafe { suffix_bytes(leaf.suffix(slot)) };
+                    let (new_layer, created) =
+                        build_layer_chain(&self.nodes, sfx, leaf.value(slot), &rem[8..], value);
+                    // Capture the created leaves' versions while the chain
+                    // is still thread-private: once `convert_to_layer`
+                    // publishes it, a concurrent insert could bump them, and
+                    // reporting the *post*-bump version would absorb that
+                    // concurrent membership change into the inserter's
+                    // node-set fix-up — an undetected phantom. (Split-created
+                    // nodes avoid this by staying locked until their version
+                    // is taken.)
+                    let created: Vec<(*const NodeHeader, u64)> = created
+                        .into_iter()
+                        // SAFETY: freshly created, never locked, still
+                        // private to this thread.
+                        .map(|leaf| (leaf, unsafe { (*leaf).stable_version() }))
+                        .collect();
+                    let displaced = leaf.convert_to_layer(slot, new_layer as u64);
+                    self.retire_suffix(displaced);
+                    shared_write_audit::note();
+                    self.counters
+                        .layer_creations
+                        .fetch_add(created.len() as u64, Ordering::Relaxed);
+                    // Membership below this leaf changed: bump its version so
+                    // node-sets that proved the new key absent (or scanned
+                    // the old suffix entry) fail validation.
+                    let new_version = leaf.header.unlock_with_increment();
+                    changes.push(NodeChange::Updated {
+                        node: NodeRef::from_ptr(leaf_hdr),
+                        old_version: loc.version,
+                        new_version,
+                    });
+                    for (created_leaf, version) in created {
+                        changes.push(NodeChange::Created {
+                            node: NodeRef::from_ptr(created_leaf),
+                            version,
+                            split_from: NodeRef::from_ptr(leaf_hdr),
+                        });
                     }
-                };
-
-                let root = layer.root.load(Ordering::Acquire);
-                // SAFETY: the root pointer always refers to a live node.
-                unsafe { (*root).lock() };
-                if layer.root.load(Ordering::Acquire) != root {
-                    // SAFETY: we hold the lock we are releasing.
-                    unsafe { (*root).unlock() };
-                    continue 'restart;
                 }
-                // SAFETY: lock held; reading the version under the lock.
-                let root_version = unsafe { (*root).version_raw() } & !NODE_LOCK_BIT;
-                chain.push((root as *const NodeHeader, root_version));
-
-                let mut node = root as *const NodeHeader;
-                // SAFETY: `node` is live and locked by us.
-                while unsafe { !(*node).is_leaf() } {
-                    // SAFETY: interior node, lock held.
-                    let inner_ref = unsafe { &*(node as *const InnerNode) };
-                    let idx = inner_ref.route(slice);
-                    let child = inner_ref.child(idx) as *const NodeHeader;
-                    debug_assert!(!child.is_null());
-                    prefetch(child);
-                    // SAFETY: children of a live, locked interior node are
-                    // live.
-                    unsafe { (*child).lock() };
-                    let child_version = unsafe { (*child).version_raw() } & !NODE_LOCK_BIT;
-                    let child_full = unsafe {
-                        if (*child).is_leaf() {
-                            (*(child as *const LeafNode)).is_full()
-                        } else {
-                            (*(child as *const InnerNode)).is_full()
-                        }
+                LeafSearch::NotFound { rank } if !leaf.is_full() => {
+                    leaf.insert_entry(perm, rank, slice, class, new_suffix(class, rem), value);
+                    let new_version = leaf.header.unlock_with_increment();
+                    changes.push(NodeChange::Updated {
+                        node: NodeRef::from_ptr(leaf_hdr),
+                        old_version: loc.version,
+                        new_version,
+                    });
+                }
+                LeafSearch::NotFound { .. } => {
+                    path.push((leaf_hdr, loc.version));
+                    let Some(top) = lock_split_path(&path) else {
+                        self.counters.note_retry();
+                        continue;
                     };
-                    if !child_full {
-                        // Child cannot split: release every ancestor.
-                        unlock_chain(&chain);
-                        chain.clear();
-                    }
-                    chain.push((child, child_version));
-                    node = child;
-                }
-
-                let leaf = node as *const LeafNode;
-                // SAFETY: leaf node, lock held.
-                let leaf_ref = unsafe { &*leaf };
-                let perm = leaf_ref.permutation();
-
-                match leaf_ref.search(perm, slice, class) {
-                    LeafSearch::Found { slot, .. } if class <= 8 => {
-                        let value = leaf_ref.value(slot);
-                        unlock_chain(&chain);
-                        return InsertOutcome::Exists { value };
-                    }
-                    LeafSearch::Found { slot, .. } => {
-                        // The slice's suffix/layer bucket is occupied.
-                        match leaf_ref.klen(slot) {
-                            KLEN_LAYER => {
-                                let next_layer = leaf_ref.value(slot) as *const Layer;
-                                unlock_chain(&chain);
-                                // SAFETY: read under the leaf lock; layers
-                                // are never freed while the tree is alive.
-                                layer = unsafe { &*next_layer };
-                                rem = &rem[8..];
-                                continue 'layer;
-                            }
-                            KLEN_SUFFIX => {
-                                let sp = leaf_ref.suffix(slot);
-                                // SAFETY: read under the leaf lock.
-                                let sfx = unsafe { suffix_bytes(sp) };
-                                if sfx == &rem[8..] {
-                                    let value = leaf_ref.value(slot);
-                                    unlock_chain(&chain);
-                                    return InsertOutcome::Exists { value };
-                                }
-                                // Two distinct keys share the slice: convert
-                                // the suffix entry into a trie layer holding
-                                // both (Masstree §4.6.3). The new layers are
-                                // built privately, then published with one
-                                // value+klen rewrite under the leaf lock.
-                                let old_value = leaf_ref.value(slot);
-                                let (new_layer, created) =
-                                    build_layer_chain(&self.nodes, sfx, old_value, &rem[8..], value);
-                                // Capture the created leaves' versions while
-                                // the chain is still thread-private: once
-                                // `convert_to_layer` publishes it, a
-                                // concurrent insert could bump them, and
-                                // reporting the *post*-bump version would
-                                // absorb that concurrent membership change
-                                // into the inserter's node-set fix-up — an
-                                // undetected phantom. (Split-created nodes
-                                // avoid this by staying locked until their
-                                // version is taken.)
-                                let created: Vec<(*const NodeHeader, u64)> = created
-                                    .into_iter()
-                                    // SAFETY: freshly created, never locked,
-                                    // still private to this thread.
-                                    .map(|leaf| (leaf, unsafe { (*leaf).stable_version() }))
-                                    .collect();
-                                let displaced =
-                                    leaf_ref.convert_to_layer(slot, new_layer as u64);
-                                self.retire_suffix(displaced);
-                                shared_write_audit::note();
-                                self.counters
-                                    .layer_creations
-                                    .fetch_add(created.len() as u64, Ordering::Relaxed);
-                                let (leaf_hdr, leaf_old_version) =
-                                    *chain.last().expect("chain contains the leaf");
-                                let mut changes = NodeChanges::new();
-                                // Membership below this leaf changed: bump
-                                // its version so node-sets that proved the
-                                // new key absent (or scanned the old suffix
-                                // entry) fail validation.
-                                let new_version =
-                                    // SAFETY: we hold the leaf lock.
-                                    unsafe { (*leaf_hdr).unlock_with_increment() };
-                                changes.push(NodeChange::Updated {
-                                    node: NodeRef::from_ptr(leaf_hdr),
-                                    old_version: leaf_old_version,
-                                    new_version,
-                                });
-                                for &(anc, _) in chain[..chain.len() - 1].iter().rev() {
-                                    // SAFETY: we hold these locks.
-                                    unsafe { (*anc).unlock() };
-                                }
-                                for (created_leaf, version) in created {
-                                    changes.push(NodeChange::Created {
-                                        node: NodeRef::from_ptr(created_leaf),
-                                        version,
-                                        split_from: NodeRef::from_ptr(leaf_hdr),
-                                    });
-                                }
-                                shared_write_audit::note();
-                                return InsertOutcome::Inserted {
-                                    node_changes: changes,
-                                };
-                            }
-                            other => unreachable!(
-                                "class-9 bucket holds suffix or layer under the leaf lock, saw klen {other}"
-                            ),
-                        }
-                    }
-                    LeafSearch::NotFound { rank } => {
-                        let suffix = if class == KLEN_SUFFIX {
-                            KeyBuf::allocate(&rem[8..])
-                        } else {
-                            std::ptr::null_mut()
-                        };
-                        let klen = class; // inline length, or KLEN_SUFFIX
-                        let mut changes = NodeChanges::new();
-                        if perm.count() < LEAF_WIDTH {
-                            let (_, old_version) = *chain.last().expect("chain contains the leaf");
-                            leaf_ref.insert_entry(perm, rank, slice, klen, suffix, value);
-                            let new_version = leaf_ref.header.unlock_with_increment();
-                            changes.push(NodeChange::Updated {
-                                node: NodeRef::from_ptr(node),
-                                old_version,
-                                new_version,
-                            });
-                            // Everything above the leaf (if anything) was
-                            // locked only because the leaf was full —
-                            // impossible here, so the chain is exactly
-                            // [leaf]. Defensive unlock anyway.
-                            debug_assert_eq!(chain.len(), 1);
-                            for &(anc, _) in chain.iter().rev().skip(1) {
-                                // SAFETY: we hold these locks.
-                                unsafe { (*anc).unlock() };
-                            }
-                            shared_write_audit::note();
-                            return InsertOutcome::Inserted {
-                                node_changes: changes,
-                            };
-                        }
-                        // Leaf is full: split and propagate up the locked
-                        // chain.
-                        self.insert_with_splits(
-                            layer,
-                            slice,
-                            klen,
-                            suffix,
-                            value,
-                            &chain,
-                            &mut changes,
-                        );
-                        shared_write_audit::note();
-                        return InsertOutcome::Inserted {
-                            node_changes: changes,
-                        };
-                    }
+                    self.insert_with_splits(
+                        loc.layer,
+                        slice,
+                        class,
+                        new_suffix(class, rem),
+                        value,
+                        &path[top..],
+                        &mut changes,
+                    );
                 }
             }
+            shared_write_audit::note();
+            return InsertOutcome::Inserted {
+                node_changes: changes,
+            };
         }
     }
 
     /// Splits the (full, locked) leaf at the end of `chain`, inserts the new
     /// entry, and propagates separator slices up through the locked
     /// ancestors, splitting them as needed and growing a new layer root if
-    /// the chain is exhausted.
+    /// the chain is exhausted. `chain` is the bottom of the insert's descent
+    /// path as `lock_split_path` locked it: every node but the first is
+    /// full, and the first has room or is the layer root.
     ///
     /// All locks are released only at the very end, *after* a possible new
     /// root has been published: a reader must never be able to observe an
@@ -1471,8 +1396,8 @@ impl Tree {
                 let idx = anc_ref.route(sep);
                 anc_ref.insert_separator(idx, sep, right_node as *mut NodeHeader);
                 updated.push((anc_hdr, anc_old_version));
-                // Any chain nodes above an unfilled ancestor were released
-                // during the descent; we are done propagating.
+                // The chain stops at the first ancestor with room; we are
+                // done propagating.
                 debug_assert_eq!(level, 0);
                 break;
             }
@@ -1536,7 +1461,7 @@ impl Tree {
     /// (record-level validation catches value conflicts instead).
     fn try_replace(&self, key: &[u8], value: u64) -> Option<u64> {
         loop {
-            let loc = self.locate(key);
+            let loc = self.locate(key, &mut LockedChain::new());
             let (_, slot, _) = loc.entry?;
             // SAFETY: leaves are never freed while the tree is alive.
             let leaf = unsafe { &*loc.leaf };
@@ -1584,7 +1509,7 @@ impl Tree {
     /// [`RemovedEntry`] for the reclamation contract on the suffix buffer.
     pub fn remove(&self, key: &[u8]) -> Option<RemovedEntry> {
         loop {
-            let loc = self.locate(key);
+            let loc = self.locate(key, &mut LockedChain::new());
             let (rank, _, _) = loc.entry?;
             // SAFETY: leaves are never freed while the tree is alive.
             let leaf = unsafe { &*loc.leaf };
@@ -1624,6 +1549,47 @@ impl Tree {
         unsafe { walk_stats(self.root.root.load(Ordering::Acquire), &mut stats) };
         stats.layers = stats.layer_entries + 1;
         stats
+    }
+}
+
+/// Locks, bottom-up, the ancestors a split of the full leaf at the end of
+/// `path` changes (the caller holds the leaf's lock): while the node below
+/// is full, its parent, upgraded against the version the descent routed
+/// under. An unchanged parent still has the node below as its child, and an
+/// unchanged path root is still the layer root: only a root split replaces
+/// the root, and that split bumps its version. Returns the index of the
+/// topmost node locked, which has room or is the layer root. If an upgrade
+/// fails, releases every lock on the path, the leaf's too, and returns
+/// `None`.
+fn lock_split_path(path: &[LockedNode]) -> Option<usize> {
+    let mut top = path.len() - 1;
+    while top > 0 {
+        let (parent, version) = path[top - 1];
+        // SAFETY: nodes are never freed while the tree is alive.
+        if !unsafe { (*parent).try_upgrade_lock(version) } {
+            for &(node, _) in &path[top..] {
+                // SAFETY: locked by this insert; live as above.
+                unsafe { (*node).unlock() };
+            }
+            return None;
+        }
+        top -= 1;
+        // SAFETY: every path node above the leaf is an interior node.
+        if !unsafe { (*(parent as *const InnerNode)).is_full() } {
+            break;
+        }
+    }
+    Some(top)
+}
+
+/// The out-of-line suffix stored for a key remainder of ordering class
+/// `class`: a fresh buffer holding the bytes past the slice of a long key,
+/// else none.
+fn new_suffix(class: u8, rem: &[u8]) -> *mut KeyBuf {
+    if class == KLEN_SUFFIX {
+        KeyBuf::allocate(&rem[8..])
+    } else {
+        std::ptr::null_mut()
     }
 }
 
@@ -1671,17 +1637,12 @@ fn build_layer_chain(
         }
         // The keys diverge here: store both entries, in slice order.
         let put = |slice: u64, class: u8, rem: &[u8], value: u64| {
-            let suffix = if class == KLEN_SUFFIX {
-                KeyBuf::allocate(&rem[8..])
-            } else {
-                std::ptr::null_mut()
-            };
             let perm = leaf.permutation();
             let rank = match leaf.search(perm, slice, class) {
                 LeafSearch::NotFound { rank } => rank,
                 LeafSearch::Found { .. } => unreachable!("keys diverge at this slice"),
             };
-            leaf.insert_entry(perm, rank, slice, class, suffix, value);
+            leaf.insert_entry(perm, rank, slice, class, new_suffix(class, rem), value);
         };
         put(os, oc, orem, old_value);
         put(ns, nc, nrem, new_value);

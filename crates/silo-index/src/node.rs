@@ -386,34 +386,19 @@ impl NodeHeader {
         self.version.load(Ordering::Relaxed) & NODE_LEAF_BIT != 0
     }
 
-    /// Acquires the node's write lock (spinning).
-    pub fn lock(&self) {
-        let mut spins = 0u32;
-        loop {
-            let v = self.version.load(Ordering::Relaxed);
-            if v & NODE_LOCK_BIT == 0
-                && self
-                    .version
-                    .compare_exchange_weak(
-                        v,
-                        v | NODE_LOCK_BIT,
-                        Ordering::Acquire,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-            {
-                // Every node mutation starts here: one audit note covers the
-                // whole locked section (reads-write-nothing rule, §3).
-                shared_write_audit::note();
-                return;
-            }
-            spins = spins.wrapping_add(1);
-            if spins % 128 == 0 {
-                std::thread::yield_now();
-            } else {
-                core::hint::spin_loop();
-            }
-        }
+    /// Locks a node no other thread can reach yet — a split's fresh right
+    /// sibling, before it is linked in — so a plain store does it: there is
+    /// nothing to wait for. Every other node lock is taken with
+    /// [`NodeHeader::try_upgrade_lock`].
+    pub fn lock_unpublished(&self) {
+        let v = self.version.load(Ordering::Relaxed);
+        debug_assert_eq!(v & NODE_LOCK_BIT, 0, "an unpublished node is unlocked");
+        // Relaxed: readers reach the node only through the pointer store
+        // (Release) that publishes it, which orders this store before it.
+        self.version.store(v | NODE_LOCK_BIT, Ordering::Relaxed);
+        // Every node mutation starts with a lock: one audit note covers the
+        // whole locked section (reads-write-nothing rule, §3).
+        shared_write_audit::note();
     }
 
     /// Attempts to atomically upgrade an optimistic read into the write lock:
@@ -432,7 +417,8 @@ impl NodeHeader {
             )
             .is_ok();
         if locked {
-            // See `lock()`: one audit note per acquired node lock.
+            // One audit note per acquired node lock, as in
+            // `lock_unpublished`.
             shared_write_audit::note();
         }
         locked
@@ -685,7 +671,7 @@ impl InnerNode {
         let right = InnerNode::allocate(slab);
         // SAFETY: freshly allocated, exclusively owned until published.
         let right_ref = unsafe { &*right };
-        right_ref.header.lock();
+        right_ref.header.lock_unpublished();
         let promoted = self.keys[perm.slot(mid)].load(Ordering::Relaxed);
         // The promoted separator's right child becomes the sibling's
         // leftmost child.
@@ -990,7 +976,7 @@ impl LeafNode {
         let right = LeafNode::allocate(slab);
         // SAFETY: freshly allocated, exclusively owned until published.
         let right_ref = unsafe { &*right };
-        right_ref.header.lock();
+        right_ref.header.lock_unpublished();
         let mut j = 0;
         for rank in boundary..n {
             let slot = perm.slot(rank);
@@ -1032,11 +1018,16 @@ mod tests {
         let h = NodeHeader::new(true);
         let v0 = h.stable_version();
         assert!(v0 & NODE_LEAF_BIT != 0);
-        h.lock();
+        assert!(h.try_upgrade_lock(h.stable_version()));
         assert!(h.version_raw() & NODE_LOCK_BIT != 0);
+        assert!(!h.try_upgrade_lock(v0), "a held lock cannot be taken again");
         let v1 = h.unlock_with_increment();
         assert_eq!(v1, v0 + NODE_VERSION_INC);
-        h.lock();
+        assert!(
+            !h.try_upgrade_lock(v0),
+            "a stale version cannot be upgraded"
+        );
+        assert!(h.try_upgrade_lock(h.stable_version()));
         h.unlock();
         assert_eq!(h.stable_version(), v1);
     }
@@ -1259,7 +1250,7 @@ mod tests {
             leaf.insert_entry(perm, at, slice, class, std::ptr::null_mut(), i as u64);
         }
         assert!(leaf.is_full());
-        leaf.header.lock();
+        assert!(leaf.header.try_upgrade_lock(leaf.header.stable_version()));
         let (sep, right_ptr) = leaf.split(rank, &slab);
         // SAFETY: right sibling freshly created by split.
         let right = unsafe { &*right_ptr };
@@ -1328,7 +1319,7 @@ mod tests {
             i += 1;
         }
         assert!(leaf.is_full());
-        leaf.header.lock();
+        assert!(leaf.header.try_upgrade_lock(leaf.header.stable_version()));
         let (sep, right_ptr) = leaf.split(0, &slab);
         // SAFETY: right sibling freshly created by split.
         let right = unsafe { &*right_ptr };
@@ -1502,7 +1493,7 @@ mod tests {
             children.push(c);
             inner.insert_separator(i, 1000 + i as u64, c as *mut NodeHeader);
         }
-        inner.header.lock();
+        assert!(inner.header.try_upgrade_lock(inner.header.stable_version()));
         let (promoted, right_ptr) = inner.split(&slab);
         // SAFETY: right sibling freshly created by split.
         let right = unsafe { &*right_ptr };
@@ -1556,7 +1547,7 @@ mod tests {
             inner.insert_separator(i, 1000 + i as u64, child as *mut NodeHeader);
         }
         assert!(inner.is_full());
-        inner.header.lock();
+        assert!(inner.header.try_upgrade_lock(inner.header.stable_version()));
         let (promoted, right_ptr) = inner.split(&slab);
         assert_eq!(promoted, 1000 + (FANOUT / 2) as u64);
         // SAFETY: right sibling freshly created by split.

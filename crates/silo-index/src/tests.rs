@@ -9,6 +9,16 @@ fn key(i: u64) -> Vec<u8> {
     format!("key{:08}", i).into_bytes()
 }
 
+/// Thread count for the concurrency tests: `SILO_TEST_THREADS` if set
+/// (oversubscribed stress runs raise it past the core count), else
+/// `default`.
+fn test_threads(default: u64) -> u64 {
+    std::env::var("SILO_TEST_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 #[test]
 fn empty_tree_lookups() {
     let t = Tree::new();
@@ -623,7 +633,7 @@ fn scattered_inserts_still_split_in_the_middle() {
 #[test]
 fn concurrent_disjoint_inserts() {
     let t = Arc::new(Tree::new());
-    let threads = 4;
+    let threads = test_threads(4);
     let per_thread = 3000u64;
     let mut handles = Vec::new();
     for tid in 0..threads {
@@ -652,7 +662,7 @@ fn concurrent_disjoint_inserts() {
 #[test]
 fn concurrent_inserts_of_same_keys_keep_first_value() {
     let t = Arc::new(Tree::new());
-    let threads = 4;
+    let threads = test_threads(4);
     let keys = 2000u64;
     let mut handles = Vec::new();
     for tid in 0..threads {
@@ -684,7 +694,7 @@ fn concurrent_inserts_of_same_keys_keep_first_value() {
 #[test]
 fn concurrent_layer_conversions() {
     let t = Arc::new(Tree::new());
-    let threads = 4u64;
+    let threads = test_threads(4);
     let buckets = 64u64;
     let mut handles = Vec::new();
     for tid in 0..threads {
@@ -719,7 +729,7 @@ fn concurrent_readers_during_inserts_see_only_valid_values() {
     let n = 5000u64;
 
     let mut readers = Vec::new();
-    for _ in 0..2 {
+    for _ in 0..test_threads(2) {
         let t = Arc::clone(&t);
         let stop = Arc::clone(&stop);
         readers.push(std::thread::spawn(move || {
@@ -776,7 +786,7 @@ fn concurrent_updates_and_reads() {
     }
     let stop = Arc::new(AtomicBool::new(false));
     let mut writers = Vec::new();
-    for w in 0..2 {
+    for w in 0..test_threads(2) {
         let t = Arc::clone(&t);
         let stop = Arc::clone(&stop);
         writers.push(std::thread::spawn(move || {
@@ -799,6 +809,95 @@ fn concurrent_updates_and_reads() {
     for w in writers {
         w.join().unwrap();
     }
+}
+
+/// Writers inserting interleaved keys (`key(i * writers + tid)`) contend on
+/// every leaf and on its parent, so their splits race: upgrading a full
+/// leaf's ancestors fails and the insert starts over. Readers running
+/// alongside may only see values that were inserted.
+#[test]
+fn concurrent_interleaved_inserts_split_shared_leaves() {
+    let t = Arc::new(Tree::new());
+    let writers = test_threads(4);
+    let per_writer = 50_000u64;
+    let n = writers * per_writer;
+    // Every key's value is its index plus this.
+    let base = 1_000_000u64;
+    let stop = Arc::new(AtomicBool::new(false));
+    // Everyone starts at once, so the writers' splits overlap.
+    let start = Arc::new(std::sync::Barrier::new(writers as usize + 2));
+    fn index_of(k: &[u8]) -> u64 {
+        String::from_utf8_lossy(&k[3..]).parse().unwrap()
+    }
+
+    let mut readers = Vec::new();
+    for r in 0..2u64 {
+        let t = Arc::clone(&t);
+        let stop = Arc::clone(&stop);
+        let start = Arc::clone(&start);
+        readers.push(std::thread::spawn(move || {
+            start.wait();
+            while !stop.load(AO::Relaxed) {
+                for i in (r..n).step_by(53) {
+                    let (v, leaf, version) = t.get_tracked(&key(i));
+                    if let Some(v) = v {
+                        assert_eq!(v, i + base, "reader saw a value never inserted");
+                    }
+                    assert_eq!(version & NODE_LOCK_BIT, 0);
+                    assert!(t.node_version(leaf) >= version, "versions only grow");
+                }
+                let r = t.scan(&key(r * n / 2), None, Some(200));
+                for pair in r.entries.windows(2) {
+                    assert!(pair[0].0 < pair[1].0, "scan results must be sorted");
+                }
+                for (k, v) in &r.entries {
+                    assert_eq!(*v, index_of(k) + base, "scan saw a value never inserted");
+                }
+            }
+        }));
+    }
+    let mut handles = Vec::new();
+    for tid in 0..writers {
+        let t = Arc::clone(&t);
+        let start = Arc::clone(&start);
+        handles.push(std::thread::spawn(move || {
+            start.wait();
+            for i in 0..per_writer {
+                let k = i * writers + tid;
+                assert!(
+                    matches!(
+                        t.insert_if_absent(&key(k), k + base),
+                        InsertOutcome::Inserted { .. }
+                    ),
+                    "key {k} has one writer and was absent"
+                );
+            }
+        }));
+    }
+    for h in handles {
+        h.join().unwrap();
+    }
+    stop.store(true, AO::Relaxed);
+    for r in readers {
+        r.join().unwrap();
+    }
+
+    for i in 0..n {
+        assert_eq!(t.get(&key(i)), Some(i + base));
+        assert!(matches!(
+            t.insert_if_absent(&key(i), 0),
+            InsertOutcome::Exists { value } if value == i + base
+        ));
+    }
+    let all = t.scan(b"", None, None);
+    assert_eq!(all.entries.len() as u64, n);
+    for (i, (k, v)) in all.entries.iter().enumerate() {
+        assert_eq!(k, &key(i as u64), "full scan is sorted and complete");
+        assert_eq!(*v, i as u64 + base);
+    }
+    let stats = t.stats();
+    assert_eq!(stats.entries, n);
+    assert!(stats.splits > 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -888,6 +987,47 @@ fn read_only_operations_write_nothing_shared() {
     );
 }
 
+/// An insert into a leaf with room writes that leaf and nothing above it:
+/// the same shared-write count in a one-leaf tree as in a tree four levels
+/// deep. A descent that locked its way down from the layer root would add a
+/// lock per level. (Like the test above, only a debug build counts.)
+#[test]
+fn non_splitting_insert_locks_only_its_leaf() {
+    use silo_epoch::shared_write_audit;
+
+    // The shared writes of one insert of `k`, which must not split.
+    let insert_writes = |t: &Tree, k: u64| {
+        let _ = shared_write_audit::take();
+        let outcome = t.insert_if_absent(&k.to_be_bytes(), k);
+        let writes = shared_write_audit::take();
+        match outcome {
+            InsertOutcome::Inserted { node_changes } => {
+                assert_eq!(node_changes.len(), 1, "no split: {node_changes:?}")
+            }
+            InsertOutcome::Exists { .. } => panic!("key {k} was absent"),
+        }
+        writes
+    };
+
+    let one_leaf = Tree::new();
+    one_leaf.insert_if_absent(&0u64.to_be_bytes(), 0);
+    assert_eq!(one_leaf.stats().max_btree_depth, 1);
+
+    // Ascending 8-byte keys: one trie layer, leaves left with room for one.
+    let deep = Tree::new();
+    for i in 0..20_000u64 {
+        deep.insert_if_absent(&(2 * i).to_be_bytes(), 2 * i);
+    }
+    assert!(deep.stats().max_btree_depth >= 3);
+
+    let shallow_writes = insert_writes(&one_leaf, 1);
+    let deep_writes = insert_writes(&deep, 2 * 10_000 + 1);
+    assert_eq!(
+        deep_writes, shallow_writes,
+        "an insert into a leaf with room must lock nothing above the leaf"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Interior-node permutation publish ordering
 // ---------------------------------------------------------------------------
@@ -908,7 +1048,7 @@ fn concurrent_readers_during_interior_splits_see_consistent_routing() {
     let enc = |i: u64| (i.reverse_bits() >> 48) ^ (i << 16);
 
     let mut readers = Vec::new();
-    for r in 0..2 {
+    for r in 0..test_threads(2) {
         let t = Arc::clone(&t);
         let stop = Arc::clone(&stop);
         readers.push(std::thread::spawn(move || {
