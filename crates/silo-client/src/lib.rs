@@ -33,15 +33,16 @@
 //! reset is answered from that memory when it is re-issued instead of being
 //! applied twice.
 //!
-//! * **Timeouts** — socket connect, read and write timeouts bound every
-//!   blocking call ([`ClientError::TimedOut`]).
-//! * **Retries** — a [`RetryPolicy`] (capped exponential backoff + jitter,
-//!   bounded attempts) retries `ServerBusy`, OCC `Aborted` outcomes, a dead
-//!   transport (re-dialing it and re-issuing the request under the same
-//!   token), and — after probing [`Session::health`] until the server
-//!   recovers — `DurabilityDegraded` sheds. The default [`ClientConfig`]
-//!   retries nothing: `ClientConfig::default().with_retry(RetryPolicy::default())`
-//!   turns retries on.
+//! * **Timeouts** — a 5 s connect timeout, a 30 s write timeout and the
+//!   configurable [`ClientConfig::read_timeout`] bound every blocking call
+//!   ([`ClientError::TimedOut`]).
+//! * **Retries** — up to [`ClientConfig::retries`] times, a session retries
+//!   `ServerBusy`, OCC `Aborted` outcomes and a dead transport (re-dialing
+//!   it and re-issuing the request under the same token) after a jittered
+//!   exponential backoff (2 ms doubling to 250 ms), and a
+//!   `DurabilityDegraded` shed after probing [`Session::health`] for up to
+//!   5 s until the server recovers. The default [`ClientConfig`] retries
+//!   nothing: `ClientConfig::default().with_retries(8)` turns retries on.
 //!
 //! A server shedding load surfaces as a typed [`ClientError::Server`] whose
 //! [`ErrorCode`] distinguishes `ServerBusy` (backlog — retry after backoff)
@@ -170,79 +171,17 @@ impl ClientError {
     }
 }
 
-/// How a [`Session`] retries typed sheds, OCC aborts (a `transact` retry
-/// re-runs the whole batch) and dead transports: capped exponential backoff
-/// with jitter and a bounded attempt budget.
-///
-/// Non-exhaustive with `with_*` builders. [`RetryPolicy::none`] (the
-/// [`ClientConfig`] default) disables retries entirely; every error
-/// surfaces on the first attempt.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct RetryPolicy {
-    /// Maximum retries after the first attempt (0 = never retry).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per retry.
-    pub initial_backoff: Duration,
-    /// Backoff cap.
-    pub max_backoff: Duration,
-    /// Randomize each backoff within `[backoff/2, backoff]` so synchronized
-    /// clients do not retry in lockstep.
-    pub jitter: bool,
-    /// On `DurabilityDegraded`, poll [`Session::health`] for up to this long
-    /// waiting for the server to report `Healthy` before retrying
-    /// (`Duration::ZERO` = retry on plain backoff instead).
-    pub wait_for_health: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 8,
-            initial_backoff: Duration::from_millis(2),
-            max_backoff: Duration::from_millis(250),
-            jitter: true,
-            wait_for_health: Duration::from_secs(5),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// No retries: every error surfaces on the first attempt.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy { max_retries: 0, ..RetryPolicy::default() }
-    }
-
-    /// Sets the retry budget.
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
-    /// Sets the initial backoff.
-    pub fn with_initial_backoff(mut self, backoff: Duration) -> Self {
-        self.initial_backoff = backoff;
-        self
-    }
-
-    /// Sets the backoff cap.
-    pub fn with_max_backoff(mut self, backoff: Duration) -> Self {
-        self.max_backoff = backoff;
-        self
-    }
-
-    /// Enables or disables backoff jitter.
-    pub fn with_jitter(mut self, jitter: bool) -> Self {
-        self.jitter = jitter;
-        self
-    }
-
-    /// Sets the health-recovery wait budget for `DurabilityDegraded`.
-    pub fn with_wait_for_health(mut self, budget: Duration) -> Self {
-        self.wait_for_health = budget;
-        self
-    }
-}
+/// TCP connect timeout for every dial.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+/// Socket write timeout.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+/// Backoff before a session's first retry; doubles per retry.
+const RETRY_BACKOFF: Duration = Duration::from_millis(2);
+/// Cap on a session's retry backoff.
+const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(250);
+/// How long a session polls [`Session::health`] for `Healthy` before it
+/// retries a `DurabilityDegraded` shed.
+const HEALTH_WAIT: Duration = Duration::from_secs(5);
 
 /// Configuration for [`Session::connect_with`] /
 /// [`Connection::connect_with`].
@@ -251,15 +190,13 @@ impl RetryPolicy {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ClientConfig {
-    /// TCP connect timeout (`Duration::ZERO` = the OS default).
-    pub connect_timeout: Duration,
     /// Socket read timeout: the longest a blocking receive may sit with no
     /// bytes arriving (`Duration::ZERO` disables).
     pub read_timeout: Duration,
-    /// Socket write timeout (`Duration::ZERO` disables).
-    pub write_timeout: Duration,
-    /// The retry policy for retryable outcomes and dead transports.
-    pub retry: RetryPolicy,
+    /// How many times a [`Session`] re-issues a request after a typed shed,
+    /// an OCC abort (a `transact` retry re-runs the whole batch) or a dead
+    /// transport (0 = every error surfaces on the first attempt).
+    pub retries: u32,
     /// Wire fault-injection plan spliced into every connection this config
     /// opens (`None` in production: one branch per I/O call).
     pub fault: Option<Arc<NetFaultPlan>>,
@@ -268,37 +205,23 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            connect_timeout: Duration::from_secs(5),
             read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(30),
-            retry: RetryPolicy::none(),
+            retries: 0,
             fault: None,
         }
     }
 }
 
 impl ClientConfig {
-    /// Sets the TCP connect timeout (`Duration::ZERO` = OS default).
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Self {
-        self.connect_timeout = timeout;
-        self
-    }
-
     /// Sets the socket read timeout (`Duration::ZERO` disables).
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = timeout;
         self
     }
 
-    /// Sets the socket write timeout (`Duration::ZERO` disables).
-    pub fn with_write_timeout(mut self, timeout: Duration) -> Self {
-        self.write_timeout = timeout;
-        self
-    }
-
-    /// Sets the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
+    /// Sets how many times a session retries one request.
+    pub fn with_retries(mut self, retries: u32) -> Self {
+        self.retries = retries;
         self
     }
 
@@ -341,7 +264,8 @@ impl Connection {
         Connection::connect_with(addr, &ClientConfig::default())
     }
 
-    /// Connects with explicit timeouts and (optionally) fault injection.
+    /// Connects with the config's read timeout and (optionally) fault
+    /// injection.
     /// Does *not* perform the handshake — [`Session`] owns that.
     pub fn connect_with(
         addr: impl ToSocketAddrs,
@@ -354,12 +278,7 @@ impl Connection {
     fn connect_addrs(addrs: &[SocketAddr], config: &ClientConfig) -> Result<Connection, ClientError> {
         let mut last_err: Option<std::io::Error> = None;
         for addr in addrs {
-            let dialed = if config.connect_timeout.is_zero() {
-                TcpStream::connect(addr)
-            } else {
-                TcpStream::connect_timeout(addr, config.connect_timeout)
-            };
-            match dialed {
+            match TcpStream::connect_timeout(addr, CONNECT_TIMEOUT) {
                 Ok(stream) => return Connection::from_stream(stream, config),
                 Err(e) => last_err = Some(e),
             }
@@ -374,9 +293,7 @@ impl Connection {
         if !config.read_timeout.is_zero() {
             stream.set_read_timeout(Some(config.read_timeout))?;
         }
-        if !config.write_timeout.is_zero() {
-            stream.set_write_timeout(Some(config.write_timeout))?;
-        }
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         let read_half = FaultStream::new(stream.try_clone()?, config.fault.clone())
             .with_socket(stream.try_clone()?);
         let write_half = FaultStream::new(stream.try_clone()?, config.fault.clone())
@@ -505,9 +422,9 @@ fn derive_lineage() -> u64 {
 /// is one transaction against the server, synchronous and in the same
 /// vocabulary (`get`/`put`/`insert`/`delete`/`scan`/`transact`).
 ///
-/// Every write carries a request token, so with a [`RetryPolicy`] the
-/// session re-issues a write whose ack was lost without applying it twice
-/// (see the crate docs).
+/// Every write carries a request token, so with [`ClientConfig::retries`]
+/// set the session re-issues a write whose ack was lost without applying it
+/// twice (see the crate docs).
 ///
 /// For throughput, use [`Session::connection`]-level pipelining: issue a
 /// burst of `send`s, then drain with `recv`.
@@ -689,24 +606,22 @@ impl Session {
         } else {
             req
         };
-        let policy = self.config.retry.clone();
         let mut attempt: u32 = 0;
-        let mut backoff = policy.initial_backoff.max(Duration::from_millis(1));
+        let mut backoff = RETRY_BACKOFF;
         loop {
             let err = match self.try_call(&req) {
                 Ok(resp) => return Ok(resp),
                 Err(err) => err,
             };
-            if !(err.is_transport() || err.is_retryable()) || attempt >= policy.max_retries {
+            if !(err.is_transport() || err.is_retryable()) || attempt >= self.config.retries {
                 return Err(err);
             }
             attempt += 1;
             self.stats.retries += 1;
-            let degraded = err.server_code() == Some(ErrorCode::DurabilityDegraded);
-            if degraded && !policy.wait_for_health.is_zero() {
-                self.await_health(policy.wait_for_health);
+            if err.server_code() == Some(ErrorCode::DurabilityDegraded) {
+                self.await_health();
             } else {
-                self.sleep_backoff(&mut backoff, &policy);
+                self.sleep_backoff(&mut backoff);
             }
         }
     }
@@ -741,10 +656,11 @@ impl Session {
         Ok(())
     }
 
-    /// Polls the server's health until it reports `Healthy` or the budget
-    /// runs out (used before retrying a `DurabilityDegraded` shed).
-    fn await_health(&mut self, budget: Duration) {
-        let deadline = Instant::now() + budget;
+    /// Polls the server's health until it reports `Healthy` or
+    /// `HEALTH_WAIT` runs out (used before retrying a `DurabilityDegraded`
+    /// shed).
+    fn await_health(&mut self) {
+        let deadline = Instant::now() + HEALTH_WAIT;
         loop {
             if let Ok(Response::Health { health: HealthStatus::Healthy, .. }) =
                 self.try_call(&Request::Health)
@@ -758,17 +674,14 @@ impl Session {
         }
     }
 
-    fn sleep_backoff(&mut self, backoff: &mut Duration, policy: &RetryPolicy) {
-        let mut sleep = *backoff;
-        if policy.jitter {
-            // Jitter within [backoff/2, backoff].
-            let r = xorshift(&mut self.rng);
-            let half = sleep / 2;
-            let span_micros = half.as_micros().max(1) as u64;
-            sleep = half + Duration::from_micros(r % span_micros);
-        }
-        std::thread::sleep(sleep);
-        *backoff = (*backoff * 2).min(policy.max_backoff.max(policy.initial_backoff));
+    /// Sleeps a jittered `backoff` (within `[backoff/2, backoff]`, so
+    /// synchronized clients do not retry in lockstep), then doubles it up
+    /// to `RETRY_BACKOFF_CAP`.
+    fn sleep_backoff(&mut self, backoff: &mut Duration) {
+        let half = *backoff / 2;
+        let r = xorshift(&mut self.rng);
+        std::thread::sleep(half + Duration::from_micros(r % half.as_micros().max(1) as u64));
+        *backoff = (*backoff * 2).min(RETRY_BACKOFF_CAP);
     }
 }
 

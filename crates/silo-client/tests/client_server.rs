@@ -9,7 +9,7 @@ use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use silo_client::{
-    ClientConfig, ClientError, Connection, ErrorCode, HealthStatus, RetryPolicy, Session,
+    ClientConfig, ClientError, Connection, ErrorCode, HealthStatus, Session,
     TxnBuilder,
 };
 use silo_core::{Database, EpochConfig, SiloConfig};
@@ -150,19 +150,10 @@ fn pipelined_burst_drains_in_order() {
     );
 }
 
-/// A retry policy tuned for tests: fast, deterministic backoff.
-fn fast_retry(max_retries: u32) -> RetryPolicy {
-    RetryPolicy::default()
-        .with_max_retries(max_retries)
-        .with_initial_backoff(Duration::from_millis(1))
-        .with_max_backoff(Duration::from_millis(5))
-        .with_jitter(false)
-}
-
 #[test]
 fn resilient_session_is_inert_on_a_healthy_server() {
     let (_dir, _db, _logger, mut server) = start_durable_server();
-    let config = ClientConfig::default().with_retry(RetryPolicy::default());
+    let config = ClientConfig::default().with_retries(8);
     let mut session = Session::connect_with(server.local_addr(), config).unwrap();
     assert!(session.tokens_negotiated());
     let kv = session.open_table("kv").unwrap();
@@ -180,7 +171,7 @@ fn resilient_session_is_inert_on_a_healthy_server() {
 #[test]
 fn deterministic_aborts_burn_the_retry_budget_then_surface() {
     let (_dir, _db, _logger, server) = start_durable_server();
-    let config = ClientConfig::default().with_retry(fast_retry(2));
+    let config = ClientConfig::default().with_retries(2);
     let mut session = Session::connect_with(server.local_addr(), config).unwrap();
     let kv = session.open_table("kv").unwrap();
     session.insert(kv, b"dup", b"1").unwrap();
@@ -202,7 +193,7 @@ fn lost_ack_is_replayed_from_the_token_window_exactly_once() {
         NetFaultPlan::new().fail_at(NetFaultSite::Read, 3, NetFaultKind::Reset),
     );
     let config = ClientConfig::default()
-        .with_retry(fast_retry(4))
+        .with_retries(4)
         .with_fault(Arc::clone(&fault));
     let mut session = Session::connect_with(server.local_addr(), config).unwrap();
     let kv = session.open_table("kv").unwrap();
@@ -227,7 +218,7 @@ fn torn_request_is_resent_fresh_after_reconnecting() {
         NetFaultPlan::new().fail_at(NetFaultSite::Write, 3, NetFaultKind::Torn),
     );
     let config = ClientConfig::default()
-        .with_retry(fast_retry(4))
+        .with_retries(4)
         .with_fault(Arc::clone(&fault));
     let mut session = Session::connect_with(server.local_addr(), config).unwrap();
     let kv = session.open_table("kv").unwrap();
@@ -249,7 +240,7 @@ fn reads_ride_through_connection_resets_transparently() {
         NetFaultPlan::new().fail_at(NetFaultSite::Read, 3, NetFaultKind::Reset),
     );
     let config = ClientConfig::default()
-        .with_retry(fast_retry(4))
+        .with_retries(4)
         .with_fault(Arc::clone(&fault));
     let mut session = Session::connect_with(server.local_addr(), config).unwrap();
     let kv = session.open_table("kv").unwrap();

@@ -268,11 +268,6 @@ impl Database {
         })
     }
 
-    /// Opens a database with the default ("MemSilo") configuration.
-    pub fn open_default() -> Arc<Database> {
-        Self::open(SiloConfig::default())
-    }
-
     /// The engine configuration.
     pub fn config(&self) -> &SiloConfig {
         &self.config

@@ -107,7 +107,7 @@ mod tests {
 
     #[test]
     fn drop_stops_the_thread() {
-        let m = EpochManager::with_defaults();
+        let m = EpochManager::new(EpochConfig::default());
         let adv = EpochAdvancer::spawn(Arc::clone(&m));
         drop(adv); // must not hang
     }

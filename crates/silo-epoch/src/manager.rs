@@ -121,11 +121,6 @@ impl EpochManager {
         })
     }
 
-    /// Creates an epoch manager with the paper's default configuration.
-    pub fn with_defaults() -> Arc<Self> {
-        Self::new(EpochConfig::default())
-    }
-
     /// The configuration this manager was created with.
     pub fn config(&self) -> &EpochConfig {
         &self.config

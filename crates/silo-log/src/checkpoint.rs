@@ -72,7 +72,7 @@ use std::time::{Duration, Instant};
 
 use silo_core::{CommitWrite, Database, TableId, Tid, Worker};
 
-use crate::fault::{FaultPlan, FaultSite, InjectedCrash};
+use crate::fault::{FaultSite, InjectedCrash};
 use crate::record::{self, BlockRef, DecodeError, StreamDecoder};
 use crate::{lock, SiloLogger};
 
@@ -87,12 +87,18 @@ const SLICE_FRAME: usize = 64 * 1024;
 /// How long a checkpoint waits for its epoch to become durable before it is
 /// abandoned.
 const DURABLE_TIMEOUT: Duration = Duration::from_secs(30);
+/// Index keys scanned per chunk while walking a table: bounds memory and the
+/// epoch-pin granularity of the walk, and the pacer sleeps between chunks.
+const WALK_CHUNK: usize = 1024;
 
-/// An `io::Error` carrying an injected checkpoint crash, so `run_once` can
-/// abort *without cleanup* — simulating `kill -9` at a protocol-critical
-/// instant.
-fn injected_crash(site: FaultSite) -> std::io::Error {
-    std::io::Error::other(InjectedCrash(site))
+/// Fails with an `io::Error` carrying an injected crash when the logger's
+/// fault plan schedules one at `site`, so `run_once` aborts *without
+/// cleanup* — simulating `kill -9` at a protocol-critical instant.
+fn crash_point(shared: &CheckpointerShared, site: FaultSite) -> std::io::Result<()> {
+    match &shared.logger.config().fault {
+        Some(plan) if plan.crash_at(site) => Err(std::io::Error::other(InjectedCrash(site))),
+        _ => Ok(()),
+    }
 }
 
 /// Checkpointer configuration.
@@ -104,18 +110,12 @@ pub struct CheckpointConfig {
     pub interval: Duration,
     /// Number of parallel slice-writer threads.
     pub writers: usize,
-    /// Index keys scanned per chunk while walking a table (bounds memory and
-    /// the epoch-pin granularity of the walk).
-    pub chunk: usize,
     /// Rate limit for the table walk, in serialized bytes per second summed
     /// across all writer threads (0 = unthrottled). On machines where the
     /// walk competes with workers for CPU, pacing keeps the checkpoint from
     /// starving commit throughput — at the cost of a longer walk, so budget
     /// it well above `database size / checkpoint interval`.
     pub max_walk_bytes_per_sec: u64,
-    /// Fault-injection plan scheduling crashes at the checkpointer's
-    /// protocol-critical points; `None` (the default) costs nothing.
-    pub fault: Option<Arc<FaultPlan>>,
 }
 
 impl CheckpointConfig {
@@ -126,9 +126,7 @@ impl CheckpointConfig {
             root: root.into(),
             interval: Duration::from_secs(10),
             writers: 2,
-            chunk: 1024,
             max_walk_bytes_per_sec: 0,
-            fault: None,
         }
     }
 }
@@ -436,7 +434,6 @@ fn walk(shared: &CheckpointerShared, last_epoch: u64) -> std::io::Result<Option<
     let writers = shared.config.writers.clamp(1, tables.len().max(1));
     let mut walkers: Vec<Worker> = (0..writers).map(|_| shared.db.register_worker()).collect();
     let next_table = AtomicUsize::new(0);
-    let chunk = shared.config.chunk;
     // One pacer shared by every writer: the configured rate is a global
     // budget for the whole walk, not per-thread.
     let pacer = match shared.config.max_walk_bytes_per_sec {
@@ -451,21 +448,16 @@ fn walk(shared: &CheckpointerShared, last_epoch: u64) -> std::io::Result<Option<
             let next_table = &next_table;
             let pacer = pacer.as_ref();
             let path = slice_path(&dir, w);
-            let fault = shared.config.fault.as_ref();
             handles.push(scope.spawn(move || -> std::io::Result<(u64, u64)> {
                 let file = std::fs::File::create(&path)?;
                 let mut slice = SliceWriter::new(BufWriter::new(file));
                 loop {
                     let i = next_table.fetch_add(1, Ordering::Relaxed);
                     let Some(&table) = tables.get(i) else { break };
-                    if let Some(plan) = fault {
-                        if plan.crash_at(FaultSite::CkptSlice) {
-                            return Err(injected_crash(FaultSite::CkptSlice));
-                        }
-                    }
+                    crash_point(shared, FaultSite::CkptSlice)?;
                     let mut snap = worker.begin_snapshot_at(ce);
                     let mut io_err: Option<std::io::Error> = None;
-                    snap.scan_versions(table, chunk, pacer, |key, tid, value| {
+                    snap.scan_versions(table, WALK_CHUNK, pacer, |key, tid, value| {
                         if io_err.is_some() {
                             return;
                         }
@@ -543,11 +535,7 @@ fn publish(
         return Ok(None);
     }
 
-    if let Some(plan) = &shared.config.fault {
-        if plan.crash_at(FaultSite::CkptBeforeManifest) {
-            return Err(injected_crash(FaultSite::CkptBeforeManifest));
-        }
-    }
+    crash_point(shared, FaultSite::CkptBeforeManifest)?;
 
     // Manifest written via temp file + rename: its presence is the atomic
     // "checkpoint complete" bit.
@@ -565,20 +553,12 @@ fn publish(
         f.sync_data()?;
     }
     std::fs::rename(&tmp, dir.join(MANIFEST))?;
-    if let Some(plan) = &shared.config.fault {
-        if plan.crash_at(FaultSite::CkptAfterManifest) {
-            return Err(injected_crash(FaultSite::CkptAfterManifest));
-        }
-    }
+    crash_point(shared, FaultSite::CkptAfterManifest)?;
     if let Ok(d) = std::fs::File::open(&dir) {
         let _ = d.sync_all();
     }
 
-    if let Some(plan) = &shared.config.fault {
-        if plan.crash_at(FaultSite::CkptBeforeTruncate) {
-            return Err(injected_crash(FaultSite::CkptBeforeTruncate));
-        }
-    }
+    crash_point(shared, FaultSite::CkptBeforeTruncate)?;
 
     // The checkpoint is durable: logs covering epochs ≤ ce are redundant.
     shared.logger.truncate_logs(ce);

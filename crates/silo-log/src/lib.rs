@@ -138,12 +138,6 @@ pub struct LogConfig {
     /// bytes. Smaller segments let checkpoints truncate the log at a finer
     /// grain; each rotation costs one fsync.
     pub segment_bytes: u64,
-    /// Initial backoff after a transient sink error; doubles per consecutive
-    /// retry (capped at 64× this value).
-    pub retry_backoff: Duration,
-    /// Total backoff a logger may accumulate for one operation before it
-    /// gives up, marks itself failed, and freezes its durable epoch.
-    pub retry_budget: Duration,
     /// Durable-epoch lag (global epoch − durable epoch) beyond which
     /// [`SiloLogger::durability_health`] reports
     /// [`DurabilityHealth::Degraded`] — the backpressure watermark a stalled
@@ -166,8 +160,6 @@ impl LogConfig {
             buffer_capacity: 64 * 1024,
             pool_buffers: 16,
             segment_bytes: 64 << 20,
-            retry_backoff: Duration::from_micros(500),
-            retry_budget: Duration::from_secs(2),
             max_durable_lag_epochs: 128,
             fault: None,
         }
@@ -206,18 +198,6 @@ impl LogConfig {
     /// Sets the segment rotation threshold.
     pub fn with_segment_bytes(mut self, bytes: u64) -> Self {
         self.segment_bytes = bytes;
-        self
-    }
-
-    /// Sets the initial retry backoff after a transient sink error.
-    pub fn with_retry_backoff(mut self, backoff: Duration) -> Self {
-        self.retry_backoff = backoff;
-        self
-    }
-
-    /// Sets the total retry budget before a logger fails permanently.
-    pub fn with_retry_budget(mut self, budget: Duration) -> Self {
-        self.retry_budget = budget;
         self
     }
 
@@ -971,23 +951,30 @@ struct Compressor {
     heads: Vec<usize>,
 }
 
+/// Backoff after the first transient sink error; doubles per consecutive
+/// retry, capped at 64× this value.
+const RETRY_BACKOFF: Duration = Duration::from_micros(500);
+/// Total backoff a logger may sleep for one operation before it gives up,
+/// marks itself failed, and freezes its durable epoch.
+const RETRY_BUDGET: Duration = Duration::from_secs(2);
+
 /// Retries `op` after transient failures with capped exponential backoff.
 ///
-/// The backoff starts at [`LogConfig::retry_backoff`], doubles per
-/// consecutive failure (capped at 64×), and the total sleep is bounded by
-/// [`LogConfig::retry_budget`]. A permanent error, or a transient one that
-/// outlives the budget, is returned to the caller — which fails the logger.
+/// The backoff starts at `RETRY_BACKOFF`, doubles per consecutive failure
+/// (capped at 64×), and the total sleep is bounded by `RETRY_BUDGET`. A
+/// permanent error, or a transient one that outlives the budget, is returned
+/// to the caller — which fails the logger.
 fn with_retry(
     shared: &LoggerShared,
     mut op: impl FnMut() -> Result<(), SinkError>,
 ) -> Result<(), SinkError> {
-    let mut backoff = shared.config.retry_backoff.max(Duration::from_micros(1));
+    let mut backoff = RETRY_BACKOFF;
     let cap = backoff * 64;
     let mut slept = Duration::ZERO;
     loop {
         match op() {
             Ok(()) => return Ok(()),
-            Err(e) if e.is_transient() && slept < shared.config.retry_budget => {
+            Err(e) if e.is_transient() && slept < RETRY_BUDGET => {
                 shared.counters.retries.fetch_add(1, Ordering::Relaxed);
                 shared
                     .counters

@@ -91,7 +91,6 @@ fn a_listener_hears_a_permanent_logger_failure() {
     let dir = scratch_dir("listener-failure");
     let (db, logger, t, probe) = listened_db(LogConfig {
         fault: Some(plan),
-        retry_budget: Duration::from_millis(50),
         ..LogConfig::to_directory(&*dir, 1)
     });
     commit_and_close_epoch(&db, t);

@@ -616,7 +616,6 @@ fn checkpoint_truncates_log_and_recovery_replays_only_the_tail() {
             CheckpointConfig {
                 interval: Duration::from_secs(3600), // only explicit run_now
                 writers: 2,
-                chunk: 64,
                 ..CheckpointConfig::new(&*dir)
             },
         );
@@ -713,9 +712,9 @@ fn paced_checkpoint_is_throttled_but_complete() {
     let t = db.create_table("t").unwrap();
     let mut w = db.register_worker();
     let mut last = silo_core::Tid::ZERO;
-    for i in 0..300u32 {
+    for i in 0..4000u32 {
         let mut txn = w.begin();
-        txn.write(t, format!("k{i:03}").as_bytes(), &[b'x'; 64])
+        txn.write(t, format!("k{i:04}").as_bytes(), &[b'x'; 64])
             .unwrap();
         last = txn.commit().unwrap();
     }
@@ -732,16 +731,17 @@ fn paced_checkpoint_is_throttled_but_complete() {
         std::thread::sleep(Duration::from_millis(2));
     }
 
-    // ~25 KB of slice data at 100 KB/s: the walk alone must take ≥ 200 ms
-    // (the unpaced walk finishes in single-digit milliseconds).
+    // The pacer sleeps only between the walk's 1024-key chunks, so the table
+    // spans four: ~380 KB of slice data at 1 MB/s, and sleeping off the
+    // first three chunks' ~290 KB alone takes ~290 ms (the unpaced walk
+    // finishes in milliseconds).
     let ckpt = Checkpointer::spawn(
         Arc::clone(&db),
         Arc::clone(&logger),
         CheckpointConfig {
             interval: Duration::from_secs(3600),
             writers: 2,
-            chunk: 32,
-            max_walk_bytes_per_sec: 100_000,
+            max_walk_bytes_per_sec: 1_000_000,
             ..CheckpointConfig::new(&*dir)
         },
     );
@@ -754,7 +754,7 @@ fn paced_checkpoint_is_throttled_but_complete() {
     );
     let stats = ckpt.stats();
     assert_eq!(stats.completed, 1);
-    assert_eq!(stats.last_records, 300);
+    assert_eq!(stats.last_records, 4000);
 
     // The paced checkpoint is just as usable: recover from it.
     let expected = full_scan(&db, t);
@@ -765,6 +765,72 @@ fn paced_checkpoint_is_throttled_but_complete() {
     let t2 = db2.create_table("t").unwrap();
     let report = recover_directory(&db2, &dir, &RecoveryOptions::default()).unwrap();
     assert_eq!(report.checkpoint_epoch, epoch);
+    assert_eq!(full_scan(&db2, t2), expected);
+}
+
+#[test]
+fn checkpoint_crash_sites_fire_from_the_loggers_fault_plan() {
+    // One fault plan per durability root: the plan installed on the
+    // `LogConfig` alone also schedules the checkpointer's crash points.
+    let plan =
+        Arc::new(FaultPlan::new().fail_at(FaultSite::CkptBeforeManifest, 1, FaultKind::Crash));
+    let dir = scratch_dir("ckpt-crash-plan");
+    let (db, logger) = logged_db(LogConfig {
+        fault: Some(Arc::clone(&plan)),
+        ..LogConfig::to_directory(&*dir, 1)
+    });
+    let t = db.create_table("t").unwrap();
+    let mut w = db.register_worker();
+    let mut last = silo_core::Tid::ZERO;
+    for i in 0..100u32 {
+        let mut txn = w.begin();
+        txn.write(t, format!("k{i:03}").as_bytes(), b"v").unwrap();
+        last = txn.commit().unwrap();
+    }
+    drop(w);
+    assert!(logger
+        .wait_for_durable(last.epoch(), Duration::from_secs(10))
+        .is_durable());
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while db.epochs().global_snapshot_epoch() <= last.epoch() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "snapshot epoch stalled"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    let ckpt = Checkpointer::spawn(
+        Arc::clone(&db),
+        Arc::clone(&logger),
+        CheckpointConfig {
+            interval: Duration::from_secs(3600),
+            ..CheckpointConfig::new(&*dir)
+        },
+    );
+    let err = ckpt
+        .run_now()
+        .expect_err("the crash before the manifest fires");
+    assert!(fault::is_injected_crash(&err), "{err}");
+    // The walk's slices stay behind, as after a `kill -9`, but no manifest
+    // marks the checkpoint complete.
+    let attempts: Vec<PathBuf> = std::fs::read_dir(dir.join("checkpoints"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    assert_eq!(attempts.len(), 1, "{attempts:?}");
+    assert!(!attempts[0].join("MANIFEST").exists());
+
+    let expected = full_scan(&db, t);
+    ckpt.shutdown();
+    logger.shutdown();
+    db.stop_epoch_advancer();
+    // Recovery ignores the incomplete attempt and replays the whole log.
+    let db2 = Database::open(SiloConfig::for_testing());
+    let t2 = db2.create_table("t").unwrap();
+    let report = recover_directory(&db2, &dir, &RecoveryOptions::default()).unwrap();
+    assert_eq!(report.checkpoint_epoch, 0);
+    assert_eq!(report.replayed_txns, 100);
     assert_eq!(full_scan(&db2, t2), expected);
 }
 
@@ -910,7 +976,6 @@ fn transient_faults_are_retried_and_commits_stay_durable() {
     let dir = scratch_dir("transient");
     let (db, logger) = logged_db(LogConfig {
         fault: Some(Arc::clone(&plan)),
-        retry_backoff: Duration::from_micros(50),
         ..LogConfig::to_directory(&*dir, 1)
     });
     let t = db.create_table("t").unwrap();
@@ -978,7 +1043,6 @@ fn failed_syncs_reopen_the_segment_before_retrying() {
         );
         let (db, logger) = logged_db(LogConfig {
             fault: Some(Arc::clone(&plan)),
-            retry_backoff: Duration::from_micros(50),
             ..LogConfig::to_directory(&*dir, 1)
         });
         let t = db.create_table("t").unwrap();
@@ -1024,7 +1088,6 @@ fn a_permanent_fault_degrades_the_logger_instead_of_aborting() {
     let dir = scratch_dir("permanent");
     let (db, logger) = logged_db(LogConfig {
         fault: Some(plan),
-        retry_budget: Duration::from_millis(50),
         ..LogConfig::to_directory(&*dir, 1)
     });
     let t = db.create_table("t").unwrap();
@@ -1072,7 +1135,6 @@ fn publishes_into_a_closed_inbox_drop_their_records() {
         let (db, logger) = logged_db(LogConfig {
             buffer_capacity: 256,
             fault: failed.then(|| Arc::new(plan)),
-            retry_budget: Duration::from_millis(50),
             ..LogConfig::to_directory(&*dir, 1)
         });
         let t = db.create_table("t").unwrap();

@@ -127,9 +127,7 @@ fn run_case(profile: &str, seed: u64) -> PathBuf {
         let logger = SiloLogger::install(
             LogConfig::to_directory(&dir, 2)
                 .with_segment_bytes(16 * 1024)
-                .with_fault(Arc::clone(&plan))
-                .with_retry_backoff(Duration::from_micros(100))
-                .with_retry_budget(Duration::from_millis(250)),
+                .with_fault(Arc::clone(&plan)),
             &db,
         )
         .expect("install logger");
@@ -140,8 +138,6 @@ fn run_case(profile: &str, seed: u64) -> PathBuf {
             CheckpointConfig {
                 interval: Duration::from_secs(3600), // only explicit run_now
                 writers: 2,
-                chunk: 64,
-                fault: Some(Arc::clone(&plan)),
                 ..CheckpointConfig::new(&dir)
             },
         );
@@ -333,7 +329,6 @@ mod bit_flips {
                 CheckpointConfig {
                     interval: Duration::from_secs(3600),
                     writers: 2,
-                    chunk: 64,
                     ..CheckpointConfig::new(&dir)
                 },
             );

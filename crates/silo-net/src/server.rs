@@ -85,6 +85,11 @@ const TOKEN_WINDOW: usize = 128;
 
 /// Configuration for [`Server::start`].
 ///
+/// A frame whose announced payload exceeds [`DEFAULT_MAX_FRAME_BYTES`]
+/// (16 MiB, the bound the client reads with) is answered with a `BadRequest`
+/// error and its connection is closed: the stream can no longer be trusted
+/// to be frame-aligned.
+///
 /// Non-exhaustive with builder-style `with_*` methods, so new server knobs
 /// never break downstream constructors:
 ///
@@ -108,10 +113,6 @@ pub struct ServerConfig {
     /// Maximum concurrent connections; connections beyond this are answered
     /// with a `ServerBusy` frame and dropped without being served.
     pub max_connections: usize,
-    /// Maximum accepted frame payload, in bytes. Oversized frames are
-    /// answered with a `BadRequest` error and the connection is closed
-    /// (the stream can no longer be trusted to be frame-aligned).
-    pub max_frame_bytes: usize,
     /// Per-frame read deadline: once a frame's first byte arrives, the rest
     /// must follow within this budget or the connection is dropped
     /// (slow-loris defense). `Duration::ZERO` disables it.
@@ -130,7 +131,6 @@ impl Default for ServerConfig {
             listen: "127.0.0.1:0".to_string(),
             workers: 2,
             max_connections: 1024,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             read_timeout: Duration::from_secs(30),
             idle_timeout: Duration::from_secs(300),
             fault: None,
@@ -154,12 +154,6 @@ impl ServerConfig {
     /// Sets the maximum number of concurrent connections.
     pub fn with_max_connections(mut self, max: usize) -> Self {
         self.max_connections = max.max(1);
-        self
-    }
-
-    /// Sets the maximum accepted frame payload size.
-    pub fn with_max_frame_bytes(mut self, bytes: usize) -> Self {
-        self.max_frame_bytes = bytes;
         self
     }
 
@@ -618,7 +612,7 @@ impl Conn {
         let mut pos = 0;
         while self.reading {
             let (payload, used) =
-                match protocol::split_frame(&self.rbuf[pos..], shared.config.max_frame_bytes) {
+                match protocol::split_frame(&self.rbuf[pos..], DEFAULT_MAX_FRAME_BYTES) {
                     Ok(Some(frame)) => frame,
                     Ok(None) => break,
                     Err(oversized) => {

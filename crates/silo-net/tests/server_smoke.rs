@@ -14,7 +14,7 @@ use silo_core::{Database, EpochConfig, SiloConfig};
 use silo_log::{LogConfig, SiloLogger};
 use silo_net::protocol::{
     decode_response, encode_request, read_frame, write_frame, ErrorCode, Request, Response, TxnOp,
-    PROTOCOL_VERSION,
+    DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use silo_net::{Server, ServerConfig};
 
@@ -147,11 +147,11 @@ fn torn_stream_is_dropped_without_harming_the_server() {
 #[test]
 fn oversized_frame_gets_typed_error_then_close() {
     let db = Database::open(SiloConfig::for_testing());
-    let server =
-        Server::start(db, None, ServerConfig::default().with_max_frame_bytes(1024)).unwrap();
+    let server = Server::start(db, None, ServerConfig::default()).unwrap();
     let mut c = TcpStream::connect(server.local_addr()).unwrap();
-    // Header announcing 1 MiB against a 1 KiB limit.
-    c.write_all(&(1u32 << 20).to_le_bytes()).unwrap();
+    // A header announcing one byte past the bound, with no payload behind
+    // it: the server must reject the length before waiting for the bytes.
+    c.write_all(&(DEFAULT_MAX_FRAME_BYTES as u32 + 1).to_le_bytes()).unwrap();
     c.flush().unwrap();
     let mut buf = Vec::new();
     assert!(read_frame(&mut c, &mut buf, 1 << 20).unwrap());

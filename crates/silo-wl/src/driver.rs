@@ -27,6 +27,9 @@ use rand::SeedableRng;
 use silo_core::{Database, Worker, WorkerStats};
 use silo_log::{CheckpointStats, Checkpointer, LoggerStats, SiloLogger};
 
+/// Random seed base: worker thread `i` seeds its generator with `SEED + i`.
+const SEED: u64 = 0xC0FFEE;
+
 /// A workload: produces one transaction per call against the given worker.
 ///
 /// Implementations decide the transaction type (e.g. the TPC-C mix) using the
@@ -40,9 +43,9 @@ pub trait Workload: Send + Sync {
     fn setup_thread(&self, _worker: &mut Worker, _thread_index: usize) {}
 }
 
-/// Options for one driver run: thread count, duration, seeding, latency
-/// sampling, and the durability attachments (logger, checkpointer) that the
-/// run should sample and report on.
+/// Options for one driver run: thread count, duration, latency sampling,
+/// and the durability attachments (logger, checkpointer) that the run should
+/// sample and report on.
 ///
 /// This is the single entry point for both MemSilo-style and persistent
 /// runs — what used to be the `run_workload`/`run_workload_durable` pair is
@@ -72,8 +75,6 @@ pub struct RunOptions {
     pub threads: usize,
     /// Measured run duration.
     pub duration: Duration,
-    /// Random seed base (thread `i` uses `seed + i`).
-    pub seed: u64,
     /// Sample 1-in-N committed transactions for durable-latency measurement
     /// (0 disables sampling even when a logger is present).
     pub latency_sample_every: u64,
@@ -93,7 +94,6 @@ impl Default for RunOptions {
         RunOptions {
             threads: 1,
             duration: Duration::from_secs(1),
-            seed: 0xC0FFEE,
             latency_sample_every: 64,
             logger: None,
             checkpointer: None,
@@ -106,7 +106,6 @@ impl std::fmt::Debug for RunOptions {
         f.debug_struct("RunOptions")
             .field("threads", &self.threads)
             .field("duration", &self.duration)
-            .field("seed", &self.seed)
             .field("latency_sample_every", &self.latency_sample_every)
             .field("logger", &self.logger.is_some())
             .field("checkpointer", &self.checkpointer.is_some())
@@ -124,12 +123,6 @@ impl RunOptions {
     /// Sets the measured run duration.
     pub fn with_duration(mut self, duration: Duration) -> Self {
         self.duration = duration;
-        self
-    }
-
-    /// Sets the random seed base.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -295,7 +288,7 @@ pub fn run_workload(
         let barrier = Arc::clone(&start_barrier);
         let sample_tx = sample_tx.clone();
         let sample_every = config.latency_sample_every.max(1);
-        let seed = config.seed + thread_index as u64;
+        let seed = SEED + thread_index as u64;
         handles.push(std::thread::spawn(move || {
             let mut worker = db.register_worker();
             let mut rng = SmallRng::seed_from_u64(seed);

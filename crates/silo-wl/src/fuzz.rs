@@ -70,16 +70,6 @@ impl Default for FuzzConfig {
     }
 }
 
-impl FuzzConfig {
-    /// A config for `seed` with everything else at the defaults.
-    pub fn for_seed(seed: u64) -> Self {
-        FuzzConfig {
-            seed,
-            ..FuzzConfig::default()
-        }
-    }
-}
-
 /// Statistics from a fuzz run whose history checked out.
 #[derive(Debug)]
 pub struct FuzzOutcome {

@@ -102,7 +102,7 @@ pub use silo_check::{
     check_serializability, CheckReport, HistoryRecorder, SessionHistory, Violation,
 };
 pub use silo_client::{
-    ClientConfig, ClientError, ClientStats, Connection, RetryPolicy, ServerError, TxnBuilder,
+    ClientConfig, ClientError, ClientStats, Connection, ServerError, TxnBuilder,
 };
 pub use silo_log::{
     DurableWait, FaultKind, FaultPlan, FaultSite, LogConfig, LogMode, RecoveryError, SiloLogger,

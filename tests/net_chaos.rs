@@ -30,7 +30,7 @@ use silo::log::{recover_directory, RecoveryOptions};
 use silo::net::{Server, ServerConfig};
 use silo::{
     ClientConfig, ClientError, Database, EpochConfig, ErrorCode, FaultKind, FaultPlan, FaultSite,
-    HistoryRecorder, LogConfig, NetFaultPlan, RetryPolicy, SiloConfig, SiloLogger,
+    HistoryRecorder, LogConfig, NetFaultPlan, SiloConfig, SiloLogger,
 };
 
 const INSERTS_PER_SESSION: usize = 40;
@@ -51,14 +51,6 @@ fn fast_epoch_config() -> SiloConfig {
             ..EpochConfig::default()
         })
         .with_spawn_epoch_advancer(true)
-}
-
-fn chaos_retry() -> RetryPolicy {
-    RetryPolicy::default()
-        .with_max_retries(6)
-        .with_initial_backoff(Duration::from_millis(1))
-        .with_max_backoff(Duration::from_millis(20))
-        .with_wait_for_health(Duration::from_secs(10))
 }
 
 /// One full chaos run: fleet → faults → degraded window → kill → recovery.
@@ -116,7 +108,7 @@ fn run_scenario(seed: u64, sessions: usize) {
             ));
             std::thread::spawn(move || {
                 let config = ClientConfig::default()
-                    .with_retry(chaos_retry())
+                    .with_retries(6)
                     .with_read_timeout(Duration::from_secs(5))
                     .with_fault(client_plan);
                 // The eager dial itself runs under injected faults: allow a
