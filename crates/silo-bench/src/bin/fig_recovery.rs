@@ -6,8 +6,8 @@
 //!   TPC-C with a periodic checkpointer, stop, then rebuild a fresh database
 //!   from the checkpoint + log tail and report checkpoint write rate, log
 //!   tail size vs. total log bytes written, and restart-to-ready time.
-//! * `fig_recovery run <dir>` — run persistent TPC-C against `<dir>`
-//!   indefinitely (until killed), printing a `BENCH_JSON` status row with the
+//! * `fig_recovery run <dir>` — run persistent TPC-C against `<dir>` until
+//!   killed (or for `RUN_CAP`, 600 s), printing a `BENCH_JSON` status row with the
 //!   current durable epoch a few times per second. The crash-recovery CI gate
 //!   `SIGKILL`s this process mid-run.
 //! * `fig_recovery recover <dir>` — recover a fresh database from `<dir>`,
@@ -41,6 +41,9 @@ use silo_log::{
 use silo_wl::driver::run_workload;
 use silo_wl::tpcc::check::check_consistency;
 use silo_wl::tpcc::{load, TpccConfig, TpccTables, TpccWorkload};
+
+/// How long `run` lasts when nothing kills it first.
+const RUN_CAP: Duration = Duration::from_secs(600);
 
 fn checkpoint_interval() -> Duration {
     Duration::from_millis(env_u64("SILO_BENCH_CKPT_MS", 1000))
@@ -165,7 +168,7 @@ fn mode_run(dir: &Path) {
         run_options(threads)
             // Run effectively forever; the CI gate kills the process long
             // before this, and a stand-alone invocation still terminates.
-            .with_duration(Duration::from_secs(env_u64("SILO_BENCH_RUN_CAP_SECONDS", 600)))
+            .with_duration(RUN_CAP)
             .with_logger(Arc::clone(&logger))
             .with_checkpointer(Arc::clone(&checkpointer)),
     );

@@ -9,22 +9,19 @@
 //!
 //! | Variable | Meaning | Default |
 //! |---|---|---|
-//! | `SILO_FUZZ_SEEDS` | number of seeds to sweep | 16 |
-//! | `SILO_FUZZ_SEED_BASE` | first seed of the sweep | 1 |
+//! | `SILO_FUZZ_SEEDS` | number of seeds to sweep, from seed 1 | 16 |
 //! | `SILO_FUZZ_SEED` | replay exactly this one seed | unset |
 //! | `SILO_FUZZ_THREADS` | comma-separated thread counts | `1,2,4` |
 //! | `SILO_FUZZ_TXNS` | transactions per session | 300 |
-//! | `SILO_FUZZ_KEYS` | key-space size | 32 |
-//! | `SILO_FUZZ_HOT_KEYS` | hot-subset size | 4 |
-//! | `SILO_FUZZ_HOT_BIAS` | probability of a hot access | 0.6 |
-//! | `SILO_FUZZ_MAX_OPS` | max operations per transaction | 4 |
-//! | `SILO_FUZZ_ABORTS` | injected abort probability | 0.05 |
 //! | `SILO_FUZZ_HISTORY_DIR` | where to dump failing histories | unset |
+//!
+//! Every other knob of the scenario (key space, hot set and bias, operations
+//! per transaction, injected aborts) is `FuzzConfig::default()`'s.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use silo_bench::{env_f64, env_u64};
+use silo_bench::env_u64;
 use silo_wl::fuzz::{run_fuzz, FuzzConfig, FuzzFailure};
 
 fn thread_counts() -> Vec<usize> {
@@ -46,9 +43,7 @@ fn seeds() -> Vec<u64> {
         let seed = seed.parse().expect("SILO_FUZZ_SEED must be an integer");
         return vec![seed];
     }
-    let base = env_u64("SILO_FUZZ_SEED_BASE", 1);
-    let count = env_u64("SILO_FUZZ_SEEDS", 16);
-    (0..count).map(|i| base + i).collect()
+    (1..=env_u64("SILO_FUZZ_SEEDS", 16)).collect()
 }
 
 fn config_for(seed: u64, threads: usize) -> FuzzConfig {
@@ -56,11 +51,7 @@ fn config_for(seed: u64, threads: usize) -> FuzzConfig {
         seed,
         threads,
         txns_per_session: env_u64("SILO_FUZZ_TXNS", 300) as usize,
-        keys: env_u64("SILO_FUZZ_KEYS", 32),
-        hot_keys: env_u64("SILO_FUZZ_HOT_KEYS", 4),
-        hot_bias: env_f64("SILO_FUZZ_HOT_BIAS", 0.6),
-        max_txn_ops: env_u64("SILO_FUZZ_MAX_OPS", 4).max(1) as usize,
-        abort_probability: env_f64("SILO_FUZZ_ABORTS", 0.05),
+        ..FuzzConfig::default()
     }
 }
 

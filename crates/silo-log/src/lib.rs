@@ -235,9 +235,10 @@ impl DurableWait {
     }
 }
 
-/// A snapshot of the logging subsystem's counters (see
-/// [`SiloLogger::stats`]). All values are cumulative since the logger was
-/// created.
+/// The logging subsystem's counters (see [`SiloLogger::stats`]). All values
+/// are cumulative since the logger was created. The live counters are this
+/// struct under one lock, and counters one event moves together move under
+/// one hold, so a snapshot never shows half an event.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LoggerStats {
     /// Buffers handed from workers to logger threads (including steals).
@@ -333,33 +334,6 @@ impl std::fmt::Display for LoggerStats {
     }
 }
 
-/// Cumulative counters, updated by workers and logger threads. The phase
-/// times and durable advances are written by logger threads only.
-#[derive(Default)]
-struct Counters {
-    buffers_published: AtomicU64,
-    steal_publishes: AtomicU64,
-    pool_hits: AtomicU64,
-    pool_misses: AtomicU64,
-    sync_calls: AtomicU64,
-    bytes_published: AtomicU64,
-    bytes_written: AtomicU64,
-    segments_rotated: AtomicU64,
-    segments_deleted: AtomicU64,
-    bytes_truncated: AtomicU64,
-    retries: AtomicU64,
-    sync_reopens: AtomicU64,
-    backoff_micros: AtomicU64,
-    logger_failures: AtomicU64,
-    truncate_failures: AtomicU64,
-    checksum_blocks: AtomicU64,
-    seal_ns: AtomicU64,
-    append_ns: AtomicU64,
-    sync_ns: AtomicU64,
-    durable_advances: AtomicU64,
-    durable_advance_ns: AtomicU64,
-}
-
 /// The recycled buffer pool (paper §4.10: "it recycles [the buffers] to
 /// workers" after flushing). Buffers are allocated with twice the publish
 /// watermark so that the record whose append crosses the watermark never
@@ -389,14 +363,14 @@ impl BufferPool {
     }
 
     /// Takes a recycled buffer, or allocates one when the pool is dry.
-    fn take(&self, counters: &Counters) -> Vec<u8> {
+    fn take(&self, stats: &mut LoggerStats) -> Vec<u8> {
         match self.free.lock().pop() {
             Some(buf) => {
-                counters.pool_hits.fetch_add(1, Ordering::Relaxed);
+                stats.pool_hits += 1;
                 buf
             }
             None => {
-                counters.pool_misses.fetch_add(1, Ordering::Relaxed);
+                stats.pool_misses += 1;
                 Vec::with_capacity(self.alloc_capacity)
             }
         }
@@ -485,7 +459,8 @@ struct LoggerShared {
     workers: Vec<WorkerLogState>,
     inboxes: Vec<Inbox>,
     pool: BufferPool,
-    counters: Counters,
+    /// The counters; `faults_injected` stays 0 here (the fault plan counts).
+    stats: StdMutex<LoggerStats>,
     /// Per-logger local durable epochs `d_l`.
     durable_epochs: Vec<CachePadded<AtomicU64>>,
     /// Cached global durable epoch `D = min d_l`, guarded so waiters can park
@@ -531,13 +506,10 @@ impl LoggerShared {
             queue.push((epoch, std::mem::take(buffer)));
         }
         inbox.cv.notify_one();
-        *buffer = self.pool.take(&self.counters);
-        self.counters
-            .bytes_published
-            .fetch_add(bytes, Ordering::Relaxed);
-        self.counters
-            .buffers_published
-            .fetch_add(1, Ordering::Relaxed);
+        let mut stats = lock(&self.stats);
+        *buffer = self.pool.take(&mut stats);
+        stats.bytes_published += bytes;
+        stats.buffers_published += 1;
     }
 
     /// Whether some logger takes no more buffers, so `D` can no longer reach
@@ -632,7 +604,7 @@ impl SiloLogger {
             config,
             workers: (0..MAX_WORKERS).map(|_| WorkerLogState::new()).collect(),
             inboxes: (0..num_loggers).map(|_| Inbox::new(inbox_depth)).collect(),
-            counters: Counters::default(),
+            stats: StdMutex::default(),
             durable_epochs: (0..num_loggers)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
@@ -795,7 +767,7 @@ impl SiloLogger {
     ///   or backlogged device). Callers should shed or slow down.
     /// * [`DurabilityHealth::Healthy`] — otherwise.
     pub fn durability_health(&self) -> DurabilityHealth {
-        if self.shared.counters.logger_failures.load(Ordering::Acquire) > 0 {
+        if lock(&self.shared.stats).logger_failures > 0 {
             return DurabilityHealth::Failed;
         }
         let lag = self
@@ -814,42 +786,13 @@ impl SiloLogger {
         tid.epoch() <= self.durable_epoch()
     }
 
-    /// Total bytes published to logger threads so far.
-    pub fn bytes_published(&self) -> u64 {
-        self.shared.counters.bytes_published.load(Ordering::Relaxed)
-    }
-
-    /// A snapshot of the subsystem's counters.
+    /// A snapshot of the subsystem's counters, taken under one lock hold:
+    /// every event it shows is counted in full.
     pub fn stats(&self) -> LoggerStats {
-        let c = &self.shared.counters;
+        let plan = self.shared.config.fault.as_ref();
         LoggerStats {
-            buffers_published: c.buffers_published.load(Ordering::Relaxed),
-            steal_publishes: c.steal_publishes.load(Ordering::Relaxed),
-            pool_hits: c.pool_hits.load(Ordering::Relaxed),
-            pool_misses: c.pool_misses.load(Ordering::Relaxed),
-            sync_calls: c.sync_calls.load(Ordering::Relaxed),
-            bytes_published: c.bytes_published.load(Ordering::Relaxed),
-            bytes_written: c.bytes_written.load(Ordering::Relaxed),
-            segments_rotated: c.segments_rotated.load(Ordering::Relaxed),
-            segments_deleted: c.segments_deleted.load(Ordering::Relaxed),
-            bytes_truncated: c.bytes_truncated.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
-            sync_reopens: c.sync_reopens.load(Ordering::Relaxed),
-            backoff_micros: c.backoff_micros.load(Ordering::Relaxed),
-            logger_failures: c.logger_failures.load(Ordering::Relaxed),
-            truncate_failures: c.truncate_failures.load(Ordering::Relaxed),
-            checksum_blocks: c.checksum_blocks.load(Ordering::Relaxed),
-            seal_ns: c.seal_ns.load(Ordering::Relaxed),
-            append_ns: c.append_ns.load(Ordering::Relaxed),
-            sync_ns: c.sync_ns.load(Ordering::Relaxed),
-            durable_advances: c.durable_advances.load(Ordering::Relaxed),
-            durable_advance_ns: c.durable_advance_ns.load(Ordering::Relaxed),
-            faults_injected: self
-                .shared
-                .config
-                .fault
-                .as_ref()
-                .map_or(0, |plan| plan.injected()),
+            faults_injected: plan.map_or(0, |plan| plan.injected()),
+            ..lock(&self.shared.stats).clone()
         }
     }
 
@@ -975,11 +918,11 @@ fn with_retry(
         match op() {
             Ok(()) => return Ok(()),
             Err(e) if e.is_transient() && slept < RETRY_BUDGET => {
-                shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .counters
-                    .backoff_micros
-                    .fetch_add(backoff.as_micros() as u64, Ordering::Relaxed);
+                {
+                    let mut stats = lock(&shared.stats);
+                    stats.retries += 1;
+                    stats.backoff_micros += backoff.as_micros() as u64;
+                }
                 std::thread::sleep(backoff);
                 slept += backoff;
                 backoff = (backoff * 2).min(cap);
@@ -1000,8 +943,12 @@ fn with_retry(
 /// discards the unsynced tail, re-appends the round, and syncs the fresh
 /// descriptor.
 ///
-/// The time of a round that succeeds is counted in `append_ns` and `sync_ns`.
-fn write_round(shared: &LoggerShared, sink: &mut FileSink, round: &[u8]) -> Result<(), SinkError> {
+/// Returns the nanoseconds the round spent appending and syncing.
+fn write_round(
+    shared: &LoggerShared,
+    sink: &mut FileSink,
+    round: &[u8],
+) -> Result<(u64, u64), SinkError> {
     let started = Instant::now();
     with_retry(shared, || sink.append(round))?;
     let appended = Instant::now();
@@ -1009,28 +956,25 @@ fn write_round(shared: &LoggerShared, sink: &mut FileSink, round: &[u8]) -> Resu
     with_retry(shared, || {
         if std::mem::replace(&mut retry, true) {
             sink.reopen()?;
-            shared.counters.sync_reopens.fetch_add(1, Ordering::Relaxed);
+            lock(&shared.stats).sync_reopens += 1;
             // The reopen dropped the round along with the rest of the
             // unsynced tail; put it back before syncing again.
             with_retry(shared, || sink.append(round))?;
         }
         sink.sync()
     })?;
-    let counters = &shared.counters;
-    counters
-        .append_ns
-        .fetch_add((appended - started).as_nanos() as u64, Ordering::Relaxed);
-    counters
-        .sync_ns
-        .fetch_add(appended.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    Ok(())
+    Ok((
+        (appended - started).as_nanos() as u64,
+        appended.elapsed().as_nanos() as u64,
+    ))
 }
 
 /// Writes one CRC-sealed round: `fill` appends its blocks to the cleared
 /// `round` buffer and returns the largest epoch they carry (which bounds the
 /// segment's contents), then the envelope is sealed, appended and synced. Once it has
-/// reached the sink it is counted in `checksum_blocks`, `seal_ns` and
-/// `bytes_written`. An empty envelope writes nothing and returns `false`.
+/// reached the sink it is counted in `checksum_blocks`, `bytes_written` and
+/// the phase times, under one lock hold. An empty envelope writes nothing and
+/// returns `false`.
 fn write_sealed_round(
     shared: &LoggerShared,
     sink: &mut FileSink,
@@ -1046,13 +990,13 @@ fn write_sealed_round(
     }
     let seal_ns = sealing.elapsed().as_nanos() as u64;
     sink.observe_epoch(max_epoch);
-    write_round(shared, sink, round)?;
-    let counters = &shared.counters;
-    counters.checksum_blocks.fetch_add(1, Ordering::Relaxed);
-    counters.seal_ns.fetch_add(seal_ns, Ordering::Relaxed);
-    counters
-        .bytes_written
-        .fetch_add(round.len() as u64, Ordering::Relaxed);
+    let (append_ns, sync_ns) = write_round(shared, sink, round)?;
+    let mut stats = lock(&shared.stats);
+    stats.checksum_blocks += 1;
+    stats.seal_ns += seal_ns;
+    stats.append_ns += append_ns;
+    stats.sync_ns += sync_ns;
+    stats.bytes_written += round.len() as u64;
     Ok(true)
 }
 
@@ -1077,10 +1021,7 @@ fn logger_thread(
     queued
         .into_iter()
         .for_each(|(_, bytes)| shared.pool.put(bytes));
-    shared
-        .counters
-        .logger_failures
-        .fetch_add(1, Ordering::Release);
+    lock(&shared.stats).logger_failures += 1;
     shared.notify_durable(lock(&shared.durable));
 }
 
@@ -1197,10 +1138,7 @@ fn logger_loop(
             if (1..floor).contains(&pending) {
                 shared.publish(wid, &mut buffer, pending);
                 state.pending_epoch.store(0, Ordering::Release);
-                shared
-                    .counters
-                    .steal_publishes
-                    .fetch_add(1, Ordering::Relaxed);
+                lock(&shared.stats).steal_publishes += 1;
             }
         }
         let local_durable = floor.saturating_sub(1);
@@ -1226,17 +1164,15 @@ fn logger_loop(
             max_epoch.max(local_durable)
         })?;
         if wrote {
-            shared.counters.sync_calls.fetch_add(1, Ordering::Relaxed);
+            let mut stats = lock(&shared.stats);
+            stats.sync_calls += 1;
             if local_durable > prev {
                 my_durable.store(local_durable, Ordering::Release);
-                let since_advance = shared
+                stats.durable_advances += 1;
+                stats.durable_advance_ns += shared
                     .now_ns()
                     .saturating_sub(shared.advanced_at_ns.load(Ordering::Relaxed));
-                let counters = &shared.counters;
-                counters.durable_advances.fetch_add(1, Ordering::Relaxed);
-                counters
-                    .durable_advance_ns
-                    .fetch_add(since_advance, Ordering::Relaxed);
+                drop(stats);
                 // Signal waiters when the *global* durable epoch moved. The
                 // min over the per-logger atomics is recomputed *inside* the
                 // mutex: each logger stores its slot before locking, so the
@@ -1263,10 +1199,7 @@ fn logger_loop(
         if trunc > last_truncated || sink.should_rotate() {
             match sink.rotate() {
                 Ok(true) => {
-                    shared
-                        .counters
-                        .segments_rotated
-                        .fetch_add(1, Ordering::Relaxed);
+                    lock(&shared.stats).segments_rotated += 1;
                     write_sealed_round(shared, sink, &mut round, |round| {
                         let d = my_durable.load(Ordering::Acquire);
                         encode_epoch_marker(round, d);
@@ -1283,19 +1216,13 @@ fn logger_loop(
             }
             if trunc > last_truncated {
                 let outcome = sink.truncate_obsolete(trunc);
-                shared
-                    .counters
-                    .segments_deleted
-                    .fetch_add(outcome.segments_deleted, Ordering::Relaxed);
-                shared
-                    .counters
-                    .bytes_truncated
-                    .fetch_add(outcome.bytes_deleted, Ordering::Relaxed);
+                {
+                    let mut stats = lock(&shared.stats);
+                    stats.segments_deleted += outcome.segments_deleted;
+                    stats.bytes_truncated += outcome.bytes_deleted;
+                    stats.truncate_failures += outcome.delete_failures;
+                }
                 if outcome.delete_failures > 0 {
-                    shared
-                        .counters
-                        .truncate_failures
-                        .fetch_add(outcome.delete_failures, Ordering::Relaxed);
                     eprintln!(
                         "silo-logger-{logger_index}: {} segment deletion(s) failed during truncation to epoch {trunc}; will retry",
                         outcome.delete_failures
@@ -1316,7 +1243,7 @@ fn logger_loop(
             if write_sealed_round(shared, sink, &mut round, |round| {
                 coalesce(round, &mut drained, &mut compressor)
             })? {
-                shared.counters.sync_calls.fetch_add(1, Ordering::Relaxed);
+                lock(&shared.stats).sync_calls += 1;
             }
             return Ok(());
         }

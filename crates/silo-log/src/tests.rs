@@ -137,7 +137,7 @@ fn committed_transactions_become_durable() {
         logger.durable_epoch()
     );
     assert!(logger.is_durable(last_tid));
-    assert!(logger.bytes_published() > 0);
+    assert!(logger.stats().bytes_published > 0);
     db.stop_epoch_advancer();
 }
 
@@ -261,7 +261,7 @@ fn small_records_mode_logs_less_but_recovers_nothing_useful() {
         .wait_for_durable(last.epoch(), Duration::from_secs(5))
         .is_durable());
     logger.shutdown();
-    let small_bytes = logger.bytes_published();
+    let small_bytes = logger.stats().bytes_published;
     db.stop_epoch_advancer();
 
     let full_dir = scratch_dir("full-recs");
@@ -284,7 +284,7 @@ fn small_records_mode_logs_less_but_recovers_nothing_useful() {
         .wait_for_durable(last.epoch(), Duration::from_secs(5))
         .is_durable());
     logger_full.shutdown();
-    let full_bytes = logger_full.bytes_published();
+    let full_bytes = logger_full.stats().bytes_published;
     db_full.stop_epoch_advancer();
 
     assert!(
@@ -553,6 +553,58 @@ fn pool_survives_finish_steal_and_shutdown_races() {
     let (_, report) = recovered("t", &dir);
     assert_eq!(report.corrupt_log_tails, 0);
     db.stop_epoch_advancer();
+}
+
+#[test]
+fn stats_snapshots_are_consistent_under_concurrent_publishes() {
+    // A one-byte watermark makes every commit publish, so two writers move
+    // the publish counters as fast as they can while a reader snapshots
+    // them. A publish counts its buffer and its pool draw together, and a
+    // snapshot must never show one without the other.
+    let dir = scratch_dir("stats-snapshots");
+    let (db, logger) = logged_db(LogConfig {
+        buffer_capacity: 1,
+        ..LogConfig::to_directory(&*dir, 2)
+    });
+    let t = db.create_table("t").unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let writers: Vec<_> = (0..2u64)
+        .map(|thread| {
+            let (db, stop) = (Arc::clone(&db), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut w = db.register_worker();
+                for i in 0u64.. {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let key = format!("w{thread}k{}", i % 64);
+                    let mut txn = w.begin();
+                    // An OCC abort in the write skips this commit.
+                    if txn.write(t, key.as_bytes(), b"v").is_ok() {
+                        let _ = txn.commit();
+                    }
+                }
+            })
+        })
+        .collect();
+
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let (mut snapshots, mut torn) = (0u64, 0u64);
+    while Instant::now() < deadline {
+        let stats = logger.stats();
+        snapshots += 1;
+        torn += u64::from(stats.pool_hits + stats.pool_misses != stats.buffers_published);
+    }
+    stop.store(true, Ordering::Relaxed);
+    for writer in writers {
+        writer.join().expect("writer panicked");
+    }
+    logger.shutdown();
+    db.stop_epoch_advancer();
+
+    assert!(snapshots > 1_000, "only {snapshots} snapshots in 1 s");
+    assert!(logger.stats().buffers_published > 0, "no commit published");
+    assert_eq!(torn, 0, "{torn} of {snapshots} snapshots were torn");
 }
 
 // ---------------------------------------------------------------------------

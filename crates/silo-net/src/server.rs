@@ -53,8 +53,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::raw::{c_int, c_short, c_ulong};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use silo_core::{AdvanceListener, Database, DurabilityHealth, Session};
@@ -176,7 +176,8 @@ impl ServerConfig {
     }
 }
 
-/// A snapshot of the server's counters (see [`Server::stats`]).
+/// The server's counters (see [`Server::stats`]). The live counters are this
+/// struct under one lock.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServerStats {
     /// Connections accepted and served.
@@ -212,49 +213,6 @@ pub struct ServerStats {
     /// Tokenized writes answered from the replay window instead of being
     /// re-applied.
     pub token_replays: u64,
-}
-
-#[derive(Default)]
-struct StatsInner {
-    connections_accepted: AtomicU64,
-    connections_rejected: AtomicU64,
-    requests: AtomicU64,
-    protocol_errors: AtomicU64,
-    txns_committed: AtomicU64,
-    txns_aborted: AtomicU64,
-    writes_acked: AtomicU64,
-    writes_shed_busy: AtomicU64,
-    writes_shed_degraded: AtomicU64,
-    connections_reset: AtomicU64,
-    disconnects: AtomicU64,
-    read_timeouts: AtomicU64,
-    idle_closed: AtomicU64,
-    token_replays: AtomicU64,
-}
-
-impl StatsInner {
-    fn snapshot(&self) -> ServerStats {
-        ServerStats {
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_rejected: self.connections_rejected.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            txns_committed: self.txns_committed.load(Ordering::Relaxed),
-            txns_aborted: self.txns_aborted.load(Ordering::Relaxed),
-            writes_acked: self.writes_acked.load(Ordering::Relaxed),
-            writes_shed_busy: self.writes_shed_busy.load(Ordering::Relaxed),
-            writes_shed_degraded: self.writes_shed_degraded.load(Ordering::Relaxed),
-            connections_reset: self.connections_reset.load(Ordering::Relaxed),
-            disconnects: self.disconnects.load(Ordering::Relaxed),
-            read_timeouts: self.read_timeouts.load(Ordering::Relaxed),
-            idle_closed: self.idle_closed.load(Ordering::Relaxed),
-            token_replays: self.token_replays.load(Ordering::Relaxed),
-        }
-    }
-}
-
-fn bump(counter: &AtomicU64) {
-    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 /// A reply in a connection's out-queue, or the remembered outcome of a
@@ -330,7 +288,7 @@ struct Shared {
     db: Arc<Database>,
     logger: Option<Arc<SiloLogger>>,
     config: ServerConfig,
-    stats: StatsInner,
+    stats: Mutex<ServerStats>,
     stop: AtomicBool,
     /// The write ends of the workers' wake sockets (non-blocking).
     wakers: Vec<UnixStream>,
@@ -342,6 +300,11 @@ struct Shared {
 }
 
 impl Shared {
+    /// The live counters, locked.
+    fn stats(&self) -> MutexGuard<'_, ServerStats> {
+        self.stats.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Makes worker `index`'s `poll` return. A socket too full to take the
     /// byte already holds a wake the worker has not consumed.
     fn wake(&self, index: usize) {
@@ -401,7 +364,7 @@ impl Server {
             db,
             logger,
             config,
-            stats: StatsInner::default(),
+            stats: Mutex::default(),
             stop: AtomicBool::new(false),
             wakers,
             arrivals: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
@@ -437,7 +400,7 @@ impl Server {
 
     /// A snapshot of the server's counters.
     pub fn stats(&self) -> ServerStats {
-        self.shared.stats.snapshot()
+        *self.shared.stats()
     }
 
     /// Stops accepting, answers the requests already received, resolves
@@ -561,7 +524,7 @@ impl Conn {
     }
 
     fn push(&mut self, shared: &Shared, out: Outgoing) {
-        bump(&shared.stats.requests);
+        shared.stats().requests += 1;
         self.out.push_back(out);
     }
 
@@ -575,7 +538,7 @@ impl Conn {
     /// unless it had already ended its reading some other way.
     fn kill(&mut self, shared: &Shared) {
         if self.reading {
-            bump(&shared.stats.connections_reset);
+            shared.stats().connections_reset += 1;
         }
         self.reading = false;
         self.dead = true;
@@ -616,7 +579,7 @@ impl Conn {
                     Ok(Some(frame)) => frame,
                     Ok(None) => break,
                     Err(oversized) => {
-                        bump(&shared.stats.protocol_errors);
+                        shared.stats().protocol_errors += 1;
                         self.refuse(shared, oversized.to_string());
                         break;
                     }
@@ -627,14 +590,14 @@ impl Conn {
             self.frame_start = None;
             let out = match decoded {
                 Ok(req) if req.is_write() && self.out.len() >= BACKLOG_LIMIT => {
-                    bump(&shared.stats.writes_shed_busy);
+                    shared.stats().writes_shed_busy += 1;
                     reply_err(ErrorCode::ServerBusy, "reply backlog over its limit".to_string())
                 }
                 Ok(req) => handle_request(shared, session, &mut self.lineage, req, health),
                 // Framing is still intact after a payload-level decode error,
                 // so answer and keep the connection.
                 Err(e) => {
-                    bump(&shared.stats.protocol_errors);
+                    shared.stats().protocol_errors += 1;
                     reply_err(ErrorCode::BadRequest, e.to_string())
                 }
             };
@@ -649,11 +612,12 @@ impl Conn {
         if eof && self.reading {
             self.reading = false;
             if self.rbuf.is_empty() {
-                bump(&shared.stats.disconnects);
+                shared.stats().disconnects += 1;
             } else {
                 // A crashed peer: nothing sensible to answer.
-                bump(&shared.stats.protocol_errors);
-                bump(&shared.stats.connections_reset);
+                let mut stats = shared.stats();
+                stats.protocol_errors += 1;
+                stats.connections_reset += 1;
             }
         }
     }
@@ -662,11 +626,11 @@ impl Conn {
     fn expire_reads(&mut self, shared: &Shared, now: Instant) {
         match self.read_deadline(&shared.config) {
             Some((at, true)) if now >= at => {
-                bump(&shared.stats.read_timeouts);
+                shared.stats().read_timeouts += 1;
                 self.refuse(shared, "frame read deadline exceeded".to_string());
             }
             Some((at, false)) if now >= at => {
-                bump(&shared.stats.idle_closed);
+                shared.stats().idle_closed += 1;
                 self.reading = false;
             }
             _ => {}
@@ -688,11 +652,11 @@ impl Conn {
             }
             let mut resp = self.out.pop_front().expect("a reply is queued").resp;
             match ack {
-                Some(DurableWait::Durable) => bump(&shared.stats.writes_acked),
+                Some(DurableWait::Durable) => shared.stats().writes_acked += 1,
                 Some(_) => {
                     // Never send a false ack: the write committed in memory
                     // but its durability can no longer be guaranteed.
-                    bump(&shared.stats.writes_shed_degraded);
+                    shared.stats().writes_shed_degraded += 1;
                     resp = Response::Error {
                         code: ErrorCode::DurabilityDegraded,
                         detail: "durability failed before the write's epoch became durable"
@@ -767,16 +731,16 @@ fn accept_all(
             Err(_) => return Some(now + ACCEPT_BACKOFF),
         };
         if shared.active_conns.load(Ordering::Acquire) >= shared.config.max_connections {
-            bump(&shared.stats.connections_rejected);
+            shared.stats().connections_rejected += 1;
             reject_connection(stream);
             continue;
         }
         let Ok(conn) = Conn::new(stream, shared.config.fault.clone()) else {
             // Accepted but could not be set up: nothing to do but drop it.
-            bump(&shared.stats.connections_rejected);
+            shared.stats().connections_rejected += 1;
             continue;
         };
-        bump(&shared.stats.connections_accepted);
+        shared.stats().connections_accepted += 1;
         shared.active_conns.fetch_add(1, Ordering::AcqRel);
         let owner = (*next_id % shared.wakers.len() as u64) as usize;
         *next_id += 1;
@@ -932,7 +896,7 @@ fn handle_request(
             // outcome, not a fresh rejection — the stored durable epoch
             // still gates the ack on actual durability.
             if let Some(stored) = window.lock().unwrap_or_else(|e| e.into_inner()).lookup(token) {
-                bump(&shared.stats.token_replays);
+                shared.stats().token_replays += 1;
                 return stored;
             }
             let out = shed_or_execute(shared, session, &req, health);
@@ -957,7 +921,7 @@ fn shed_or_execute(
 ) -> Outgoing {
     let degraded = !matches!(health, DurabilityHealth::Healthy) && shared.logger.is_some();
     if degraded && req.is_write() {
-        bump(&shared.stats.writes_shed_degraded);
+        shared.stats().writes_shed_degraded += 1;
         return reply_err(
             ErrorCode::DurabilityDegraded,
             format!(
@@ -1050,7 +1014,7 @@ fn execute(shared: &Shared, session: &mut Session, req: &Request) -> Outgoing {
     };
     match committed {
         Ok((resp, wrote)) => {
-            bump(&shared.stats.txns_committed);
+            shared.stats().txns_committed += 1;
             // A logged write's reply waits in the out-queue for its epoch.
             let durable_epoch = match (wrote, &shared.logger) {
                 (Some(tid), Some(_)) => tid.epoch(),
@@ -1059,7 +1023,7 @@ fn execute(shared: &Shared, session: &mut Session, req: &Request) -> Outgoing {
             Outgoing { durable_epoch, resp }
         }
         Err(abort) => {
-            bump(&shared.stats.txns_aborted);
+            shared.stats().txns_aborted += 1;
             reply_err(ErrorCode::Aborted, abort.0.to_string())
         }
     }

@@ -539,16 +539,6 @@ fn load_warehouse(
 // Workload
 // ---------------------------------------------------------------------------
 
-/// Per-run outcome counters for each transaction type.
-#[derive(Debug, Default, Clone)]
-pub struct TpccCounters {
-    /// Committed transactions per kind.
-    pub committed: [u64; 5],
-    /// Aborted transactions per kind (includes the 1% intentional new-order
-    /// rollbacks).
-    pub aborted: [u64; 5],
-}
-
 /// The TPC-C workload: picks a transaction from the mix and runs it against
 /// the thread's home warehouse.
 pub struct TpccWorkload {
