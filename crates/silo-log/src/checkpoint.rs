@@ -72,7 +72,7 @@ use std::time::{Duration, Instant};
 
 use silo_core::{CommitWrite, Database, TableId, Tid, Worker};
 
-use crate::fault::{FaultSite, InjectedCrash};
+use crate::fault::{FaultKind, FaultSite, InjectedCrash};
 use crate::record::{self, BlockRef, DecodeError, StreamDecoder};
 use crate::{lock, SiloLogger};
 
@@ -96,7 +96,9 @@ const WALK_CHUNK: usize = 1024;
 /// cleanup* — simulating `kill -9` at a protocol-critical instant.
 fn crash_point(shared: &CheckpointerShared, site: FaultSite) -> std::io::Result<()> {
     match &shared.logger.config().fault {
-        Some(plan) if plan.crash_at(site) => Err(std::io::Error::other(InjectedCrash(site))),
+        Some(plan) if plan.next_fault(site) == Some(FaultKind::Crash) => {
+            Err(std::io::Error::other(InjectedCrash(site)))
+        }
         _ => Ok(()),
     }
 }

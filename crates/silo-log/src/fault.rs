@@ -1,19 +1,17 @@
 //! Deterministic fault injection for the durability pipeline.
 //!
-//! A [`FaultPlan`] is a seeded failpoint registry: it schedules faults (by
-//! kind) at specific operation counts of specific [`FaultSite`]s, on the
-//! generic [`Schedule`] core that `silo-net`'s wire faults share. A plan
-//! configured through [`crate::LogConfig::fault`] is consulted inside the
-//! log sink's append, sync and rotate, and at the checkpointer's crash
-//! points; without one, each of those calls costs one `Option` check.
+//! A [`FaultPlan`] is a [`Schedule`] of faults (by kind) at specific
+//! operation counts of specific [`FaultSite`]s; the same generic core carries
+//! `silo-net`'s wire faults. A plan configured through
+//! [`crate::LogConfig::fault`] is consulted inside the log sink's append,
+//! sync and rotate, and at the checkpointer's crash points; without one, each
+//! of those calls costs one `Option` check.
 //!
-//! Plans are either built explicitly ([`FaultPlan::new`] + [`FaultPlan::fail_at`],
-//! for unit tests that need one precise fault) or derived from a seed
-//! ([`FaultPlan::from_seed`] / [`FaultPlan::profile`], for the fault-matrix
-//! suite: the same seed always yields the same schedule, so every CI failure
-//! is reproducible from the printed seed alone).
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Plans are either built explicitly ([`Schedule::new`] +
+//! [`Schedule::fail_at`], for tests that need one precise fault) or derived
+//! from a seed by [`FaultPlan::profile`], for the fault-matrix suite: the
+//! same seed always yields the same schedule, so every CI failure is
+//! reproducible from the printed seed alone.
 
 use parking_lot::Mutex;
 
@@ -27,12 +25,6 @@ pub fn xorshift(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
-/// The PRNG state named profiles start from, decorrelated from the state
-/// [`Schedule::from_seed`] uses for the same seed.
-pub fn profile_state(seed: u64) -> u64 {
-    seed ^ 0x9E37_79B9_7F4A_7C15 | 1
-}
-
 #[derive(Debug)]
 struct State<S, K> {
     /// Operations counted so far, per site seen.
@@ -40,30 +32,34 @@ struct State<S, K> {
     /// Faults not fired yet: `(site, at, kind)` fires on the `at`-th
     /// operation at `site` (1-based).
     pending: Vec<(S, u64, K)>,
+    /// Faults fired so far.
+    injected: u64,
 }
 
 /// A deterministic schedule of faults of kind `K` at operation counts of
-/// sites `S` — the failpoint core shared by [`FaultPlan`] and `silo-net`'s
+/// sites `S` — the failpoint core of [`FaultPlan`] and `silo-net`'s
 /// wire-fault plan. Every user of one schedule counts into the same per-site
 /// operation counters.
 #[derive(Debug)]
 pub struct Schedule<S, K> {
-    seed: u64,
     state: Mutex<State<S, K>>,
-    injected: AtomicU64,
+}
+
+impl<S: Copy + PartialEq, K> Default for Schedule<S, K> {
+    fn default() -> Self {
+        Schedule::new()
+    }
 }
 
 impl<S: Copy + PartialEq, K> Schedule<S, K> {
-    /// An empty schedule remembering the `seed` it will be filled from (0
-    /// for explicitly built plans).
-    pub fn new(seed: u64) -> Self {
+    /// An empty schedule (add faults with [`Schedule::fail_at`]).
+    pub fn new() -> Self {
         Schedule {
-            seed,
             state: Mutex::new(State {
                 ops: Vec::new(),
                 pending: Vec::new(),
+                injected: 0,
             }),
-            injected: AtomicU64::new(0),
         }
     }
 
@@ -71,23 +67,6 @@ impl<S: Copy + PartialEq, K> Schedule<S, K> {
     pub fn fail_at(self, site: S, nth: u64, kind: K) -> Self {
         self.state.lock().pending.push((site, nth.max(1), kind));
         self
-    }
-
-    /// A random mixed schedule derived from `seed`: one to four faults, each
-    /// `(site, nth, kind)` drawn by `draw` from the PRNG state.
-    pub fn from_seed(seed: u64, mut draw: impl FnMut(&mut u64) -> (S, u64, K)) -> Self {
-        let mut state = seed | 1;
-        let mut schedule = Schedule::new(seed);
-        for _ in 0..1 + (xorshift(&mut state) % 4) {
-            let (site, nth, kind) = draw(&mut state);
-            schedule = schedule.fail_at(site, nth, kind);
-        }
-        schedule
-    }
-
-    /// The seed the schedule was derived from (0 for explicitly built ones).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Counts one operation at `site` and returns the fault scheduled for it,
@@ -108,17 +87,17 @@ impl<S: Copy + PartialEq, K> Schedule<S, K> {
             .pending
             .iter()
             .position(|(s, at, _)| *s == site && *at == count)?;
-        self.injected.fetch_add(1, Ordering::Relaxed);
+        state.injected += 1;
         Some(state.pending.swap_remove(hit).2)
     }
 
     /// Total faults injected so far.
     pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
+        self.state.lock().injected
     }
 
-    /// Whether every scheduled fault has fired (chaos harnesses drive load
-    /// until the schedule is exhausted so no fault goes untested).
+    /// Whether every scheduled fault has fired (a test that expects its
+    /// whole schedule to be reached asserts this).
     pub fn exhausted(&self) -> bool {
         self.state.lock().pending.is_empty()
     }
@@ -147,6 +126,15 @@ pub enum FaultSite {
 }
 
 /// What kind of failure to inject.
+///
+/// Each site carries out only some kinds, and ignores a scheduled fault of
+/// any other kind (the operation still counts):
+///
+/// | site | kinds carried out |
+/// |---|---|
+/// | `Append` | `Transient`, `Permanent`, `NoSpace`, `SyncStall`, `ShortWrite`, `BitFlip` |
+/// | `Sync`, `Rotate` | `Transient`, `Permanent`, `NoSpace`, `SyncStall` |
+/// | the `Ckpt*` crash points | `Crash` |
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultKind {
     /// A transient I/O error: the operation fails without side effects and a
@@ -179,64 +167,10 @@ pub enum FaultKind {
 }
 
 /// A deterministic schedule of durability faults, shared by every sink and
-/// the checkpointer of one logging subsystem. Dereferences to its
-/// [`Schedule`] for [`Schedule::next_fault`], [`Schedule::injected`] and
-/// [`Schedule::seed`].
-#[derive(Debug)]
-pub struct FaultPlan {
-    schedule: Schedule<FaultSite, FaultKind>,
-    crashes: AtomicU64,
-}
-
-impl std::ops::Deref for FaultPlan {
-    type Target = Schedule<FaultSite, FaultKind>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.schedule
-    }
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan::new()
-    }
-}
+/// the checkpointer of one logging subsystem.
+pub type FaultPlan = Schedule<FaultSite, FaultKind>;
 
 impl FaultPlan {
-    fn on(schedule: Schedule<FaultSite, FaultKind>) -> FaultPlan {
-        FaultPlan {
-            schedule,
-            crashes: AtomicU64::new(0),
-        }
-    }
-
-    /// An empty plan (schedule faults with [`FaultPlan::fail_at`]).
-    pub fn new() -> FaultPlan {
-        Self::on(Schedule::new(0))
-    }
-
-    /// Schedules `kind` to fire on the `nth` operation (1-based) at `site`.
-    pub fn fail_at(mut self, site: FaultSite, nth: u64, kind: FaultKind) -> FaultPlan {
-        self.schedule = self.schedule.fail_at(site, nth, kind);
-        self
-    }
-
-    /// A random mixed schedule derived from `seed`: a handful of faults of
-    /// random kinds at random early operation counts.
-    pub fn from_seed(seed: u64) -> FaultPlan {
-        Self::on(Schedule::from_seed(seed, |state| {
-            let site = match xorshift(state) % 5 {
-                0 => FaultSite::Append,
-                1 => FaultSite::Sync,
-                2 => FaultSite::Rotate,
-                3 => FaultSite::CkptSlice,
-                _ => FaultSite::CkptBeforeManifest,
-            };
-            let at = 1 + (xorshift(state) % 24);
-            (site, at, Self::random_kind(state, site))
-        }))
-    }
-
     /// A schedule of one fault *family* (so tests can assert family-specific
     /// invariants) with seed-determined positions:
     ///
@@ -250,8 +184,8 @@ impl FaultPlan {
     /// | `stall` | sync stalls |
     /// | `crash` | one checkpointer crash point |
     pub fn profile(profile: &str, seed: u64) -> FaultPlan {
-        let mut state = profile_state(seed);
-        let mut plan = Self::on(Schedule::new(seed));
+        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15 | 1;
+        let mut plan = FaultPlan::new();
         let pick = |state: &mut u64, range: u64| 1 + (xorshift(state) % range);
         match profile {
             "transient" => {
@@ -322,42 +256,6 @@ impl FaultPlan {
         }
         plan
     }
-
-    fn random_kind(state: &mut u64, site: FaultSite) -> FaultKind {
-        match site {
-            FaultSite::CkptSlice
-            | FaultSite::CkptBeforeManifest
-            | FaultSite::CkptAfterManifest
-            | FaultSite::CkptBeforeTruncate => FaultKind::Crash,
-            _ => match xorshift(state) % 6 {
-                0 => FaultKind::Transient,
-                1 => FaultKind::Permanent,
-                2 => FaultKind::NoSpace,
-                3 => FaultKind::ShortWrite,
-                4 => FaultKind::BitFlip {
-                    bit: xorshift(state),
-                },
-                _ => FaultKind::SyncStall {
-                    millis: 1 + xorshift(state) % 20,
-                },
-            },
-        }
-    }
-
-    /// Counts one operation at a crash-point `site` and reports whether an
-    /// injected crash is scheduled there.
-    pub fn crash_at(&self, site: FaultSite) -> bool {
-        let crash = matches!(self.next_fault(site), Some(FaultKind::Crash));
-        if crash {
-            self.crashes.fetch_add(1, Ordering::Relaxed);
-        }
-        crash
-    }
-
-    /// Injected crash points fired so far.
-    pub fn crashes(&self) -> u64 {
-        self.crashes.load(Ordering::Relaxed)
-    }
 }
 
 /// The error payload of an injected checkpoint crash, so callers can tell an
@@ -410,15 +308,6 @@ mod tests {
 
     #[test]
     fn seeded_plans_are_deterministic() {
-        for seed in [1u64, 7, 0xDEAD_BEEF] {
-            let a = FaultPlan::from_seed(seed);
-            let b = FaultPlan::from_seed(seed);
-            assert_eq!(
-                format!("{a:?}"),
-                format!("{b:?}"),
-                "seed {seed} must reproduce its schedule"
-            );
-        }
         for profile in [
             "transient",
             "permanent",
@@ -437,13 +326,5 @@ mod tests {
             );
             assert!(!a.exhausted(), "profile {profile} schedules something");
         }
-    }
-
-    #[test]
-    fn crash_points_report_through_crash_at() {
-        let plan = FaultPlan::new().fail_at(FaultSite::CkptBeforeManifest, 1, FaultKind::Crash);
-        assert!(plan.crash_at(FaultSite::CkptBeforeManifest));
-        assert!(!plan.crash_at(FaultSite::CkptBeforeManifest));
-        assert_eq!(plan.crashes(), 1);
     }
 }

@@ -296,9 +296,9 @@ impl FileSink {
 
     /// Counts one operation at `site` against the fault plan, if any. An
     /// injected error (transient, permanent, `ENOSPC`) is returned before the
-    /// operation touches the file, a stall is slept through, and a fault the
-    /// operation carries out itself (a torn write, a bit flip, a crash point
-    /// it ignores) is handed back.
+    /// operation touches the file, a stall is slept through, and any other
+    /// kind is handed back: `append` carries out a torn write or a bit flip,
+    /// and every other kind is ignored.
     fn inject(&self, site: FaultSite, op: &'static str) -> Result<Option<FaultKind>, SinkError> {
         let Some(plan) = &self.fault else {
             return Ok(None);
@@ -369,9 +369,7 @@ impl FileSink {
 
     /// Makes previously appended data stable (`fdatasync` when fsync is on).
     pub fn sync(&mut self) -> Result<(), SinkError> {
-        if let Some(FaultKind::ShortWrite) = self.inject(FaultSite::Sync, "sync")? {
-            return Err(SinkError::injected("sync", false));
-        }
+        self.inject(FaultSite::Sync, "sync")?;
         self.file.flush().map_err(|e| SinkError::io("sync", &e))?;
         if self.fsync {
             self.file
@@ -398,9 +396,7 @@ impl FileSink {
     /// rotation failure leaves the current segment writable, so the caller
     /// can simply keep appending and retry the rotation later.
     pub fn rotate(&mut self) -> Result<bool, SinkError> {
-        if let Some(FaultKind::ShortWrite) = self.inject(FaultSite::Rotate, "rotate")? {
-            return Err(SinkError::injected("rotate", false));
-        }
+        self.inject(FaultSite::Rotate, "rotate")?;
         if self.file_len == 0 {
             // Nothing in the current segment; rotation would only litter.
             return Ok(false);

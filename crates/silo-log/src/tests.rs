@@ -864,6 +864,10 @@ fn checkpoint_crash_sites_fire_from_the_loggers_fault_plan() {
         .run_now()
         .expect_err("the crash before the manifest fires");
     assert!(fault::is_injected_crash(&err), "{err}");
+    // The crash point fired once and is counted like any other fault.
+    assert!(plan.exhausted());
+    assert_eq!(plan.injected(), 1);
+    assert_eq!(logger.stats().faults_injected, 1);
     // The walk's slices stay behind, as after a `kill -9`, but no manifest
     // marks the checkpoint complete.
     let attempts: Vec<PathBuf> = std::fs::read_dir(dir.join("checkpoints"))

@@ -12,10 +12,10 @@
 //! else — no extra copies, no extra syscalls.
 //!
 //! Plans are either built explicitly ([`NetFaultPlan::fail_at`], for unit
-//! tests that need one precise fault) or derived from a seed
-//! ([`NetFaultPlan::from_seed`] / [`NetFaultPlan::profile`], for the chaos
-//! suite: the same seed always reproduces the same schedule, so a CI failure
-//! replays from the printed seed alone).
+//! tests that need one precise fault) or derived from a seed by
+//! [`NetFaultPlan::from_seed`], for the chaos suite: the same seed always
+//! reproduces the same schedule, so a CI failure replays from the printed
+//! seed alone.
 //!
 //! # Fault semantics
 //!
@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use silo_log::fault::{profile_state, Schedule};
+use silo_log::fault::Schedule;
 
 pub use silo_log::fault::xorshift;
 
@@ -89,8 +89,9 @@ pub enum NetFaultKind {
 /// of one endpoint (all its connections count into the same per-site
 /// counters, exactly like `FaultPlan` is shared by every sink of one logging
 /// subsystem). Dereferences to its [`Schedule`] for
-/// [`Schedule::next_fault`], [`Schedule::injected`], [`Schedule::exhausted`]
-/// and [`Schedule::seed`].
+/// [`Schedule::next_fault`], [`Schedule::injected`] and
+/// [`Schedule::exhausted`]. A newtype rather than an alias, so that it can
+/// carry its own seeded constructor.
 #[derive(Debug)]
 pub struct NetFaultPlan(Schedule<NetFaultSite, NetFaultKind>);
 
@@ -111,7 +112,7 @@ impl Default for NetFaultPlan {
 impl NetFaultPlan {
     /// An empty plan (schedule faults with [`NetFaultPlan::fail_at`]).
     pub fn new() -> NetFaultPlan {
-        NetFaultPlan(Schedule::new(0))
+        NetFaultPlan(Schedule::new())
     }
 
     /// Schedules `kind` to fire on the `nth` operation (1-based) at `site`.
@@ -119,66 +120,21 @@ impl NetFaultPlan {
         NetFaultPlan(self.0.fail_at(site, nth, kind))
     }
 
-    /// A random mixed schedule derived from `seed`: a handful of faults of
+    /// A random mixed schedule derived from `seed`: one to four faults of
     /// random kinds at random early operation counts.
     pub fn from_seed(seed: u64) -> NetFaultPlan {
-        NetFaultPlan(Schedule::from_seed(seed, |state| {
-            let site = if xorshift(state) % 2 == 0 {
+        let mut state = seed | 1;
+        let mut schedule = Schedule::new();
+        for _ in 0..1 + (xorshift(&mut state) % 4) {
+            let site = if xorshift(&mut state) % 2 == 0 {
                 NetFaultSite::Read
             } else {
                 NetFaultSite::Write
             };
-            let at = 1 + (xorshift(state) % 48);
-            (site, at, Self::random_kind(state))
-        }))
-    }
-
-    /// A schedule of one fault *family* with seed-determined positions:
-    ///
-    /// | profile | injected faults |
-    /// |---|---|
-    /// | `reset` | one connection reset on a random site |
-    /// | `torn` | one torn transfer on a random site |
-    /// | `stall` | a couple of multi-millisecond stalls |
-    /// | `loris` | a run of one-byte dribbles on the write site |
-    /// | `corrupt` | one detectable frame-header corruption |
-    pub fn profile(profile: &str, seed: u64) -> NetFaultPlan {
-        let mut state = profile_state(seed);
-        let mut plan = NetFaultPlan(Schedule::new(seed));
-        let mut pick = |range: u64| 1 + (xorshift(&mut state) % range);
-        let site = if pick(2) == 1 {
-            NetFaultSite::Read
-        } else {
-            NetFaultSite::Write
-        };
-        match profile {
-            "reset" => {
-                plan = plan.fail_at(site, pick(24), NetFaultKind::Reset);
-            }
-            "torn" => {
-                plan = plan.fail_at(site, pick(24), NetFaultKind::Torn);
-            }
-            "stall" => {
-                plan = plan
-                    .fail_at(site, pick(16), NetFaultKind::Stall { millis: 5 + pick(40) })
-                    .fail_at(site, 16 + pick(16), NetFaultKind::Stall { millis: 5 + pick(40) });
-            }
-            "loris" => {
-                let start = pick(12);
-                for i in 0..3 + pick(4) {
-                    plan = plan.fail_at(
-                        NetFaultSite::Write,
-                        start + i,
-                        NetFaultKind::Loris { millis: 1 + pick(5) },
-                    );
-                }
-            }
-            "corrupt" => {
-                plan = plan.fail_at(site, pick(24), NetFaultKind::CorruptFrame { bit: pick(1 << 20) });
-            }
-            other => panic!("unknown net fault profile {other:?}"),
+            let at = 1 + (xorshift(&mut state) % 48);
+            schedule = schedule.fail_at(site, at, Self::random_kind(&mut state));
         }
-        plan
+        NetFaultPlan(schedule)
     }
 
     fn random_kind(state: &mut u64) -> NetFaultKind {
@@ -402,16 +358,6 @@ mod tests {
             let a = NetFaultPlan::from_seed(seed);
             let b = NetFaultPlan::from_seed(seed);
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "seed {seed} must reproduce its schedule");
-        }
-        for profile in ["reset", "torn", "stall", "loris", "corrupt"] {
-            let a = NetFaultPlan::profile(profile, 42);
-            let b = NetFaultPlan::profile(profile, 42);
-            assert_eq!(
-                format!("{a:?}"),
-                format!("{b:?}"),
-                "profile {profile} must be deterministic"
-            );
-            assert!(!a.exhausted(), "profile {profile} schedules something");
         }
     }
 

@@ -234,6 +234,9 @@ fn run_scenario(seed: u64, sessions: usize) {
         server_plan.injected(),
         log_plan.injected(),
     );
+    // A seed whose schedule never fires tests nothing.
+    assert!(server_plan.injected() >= 1, "seed {seed:#x}: no server wire fault fired");
+    assert!(log_plan.injected() >= 1, "seed {seed:#x}: no log fault fired");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
