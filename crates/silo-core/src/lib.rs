@@ -66,7 +66,7 @@ pub mod stats;
 pub mod txn;
 pub mod worker;
 
-pub use bulk::{bulk_apply, sweep_absent, BulkOutcome};
+pub use bulk::{bulk_apply, bulk_load, sweep_absent, BulkOutcome, TableLoad};
 pub use config::SiloConfig;
 pub use database::{
     CommitHook, CommitWrite, CommitWrites, Database, DurabilityHealth, Table, TableId,
@@ -74,7 +74,7 @@ pub use database::{
 pub use error::{Abort, AbortReason, CatalogError};
 pub use silo_check::{check_serializability, CheckReport, HistoryRecorder, SessionHistory};
 pub use silo_epoch::{AdvanceListener, EpochConfig, EpochManager, MAX_WORKERS};
-pub use silo_index::IndexStats;
+pub use silo_index::{BulkLoadError, IndexStats};
 pub use silo_tid::{Tid, TidWord};
 pub use session::Session;
 pub use snapshot::{SnapshotTxn, WalkPacer};

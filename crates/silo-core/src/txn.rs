@@ -172,6 +172,11 @@ impl TxnContext {
         self.arena.reset();
     }
 
+    /// Copies `bytes` into the arena, valid until the next [`TxnContext::reset`].
+    pub(crate) fn copy_in(&mut self, bytes: &[u8]) -> ArenaSlice {
+        self.arena.alloc(bytes)
+    }
+
     /// Cumulative global-allocator hits made by the arena (stats).
     pub(crate) fn arena_chunk_allocs(&self) -> u64 {
         self.arena.chunk_allocs

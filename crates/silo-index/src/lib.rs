@@ -29,6 +29,10 @@
 //!   aligned, from the tree's own [`Slab`], whose chunks grow to 2 MiB huge
 //!   pages: a descent through a large tree pays no TLB walk per node, and
 //!   the prefetch covers exactly the five lines a probe reads.
+//! * **Bulk build.** [`Tree::bulk_load`] builds an empty tree bottom-up from
+//!   keys in ascending order — full leaves, interior levels from each leaf's
+//!   first slice, next-layer trees for shared slices — and publishes it with
+//!   one root-pointer store.
 //!
 //! The concurrency contract:
 //!
@@ -87,9 +91,11 @@ use std::sync::Mutex;
 
 use silo_epoch::shared_write_audit;
 
+mod bulk;
 mod node;
 mod slab;
 
+pub use bulk::{BulkLoad, BulkLoadError};
 pub use node::{
     keyslice, klen_class, prefetch_line, KeyBuf, Permutation, FANOUT, KLEN_LAYER, KLEN_SUFFIX,
     LEAF_WIDTH, NODE_LEAF_BIT, NODE_LOCK_BIT, NODE_VERSION_INC,
@@ -982,6 +988,20 @@ impl Tree {
         start: &[u8],
         end: Option<&[u8]>,
         limit: Option<usize>,
+        visit: impl FnMut(&[u8], u64),
+    ) {
+        self.scan_layer(&self.root, scratch, start, end, limit, visit);
+    }
+
+    /// [`Tree::scan_with`] over the trie rooted at `root`: this tree's root
+    /// layer, or a tree a bulk load has built but not yet published.
+    fn scan_layer(
+        &self,
+        root: &Layer,
+        scratch: &mut ScanScratch,
+        start: &[u8],
+        end: Option<&[u8]>,
+        limit: Option<usize>,
         mut visit: impl FnMut(&[u8], u64),
     ) {
         let ScanScratch { frames, key, nodes } = scratch;
@@ -996,8 +1016,7 @@ impl Tree {
         {
             let (start_slice, _) = keyslice(start);
             let mut frame = ScanFrame::new(
-                self.root
-                    .find_leaf(start_slice, &self.counters, &mut LockedChain::new()),
+                root.find_leaf(start_slice, &self.counters, &mut LockedChain::new()),
                 Some(0),
                 end.map(|_| 0),
             );
@@ -1486,9 +1505,8 @@ impl Tree {
     }
 
     /// Inserts or overwrites `key → value`, returning the previous value if
-    /// the key was present. Intended for loaders and for the
-    /// non-transactional Key-Value baseline (§5.2), not for the commit
-    /// protocol.
+    /// the key was present. Intended for the non-transactional Key-Value
+    /// baseline (§5.2), not for the commit protocol.
     pub fn upsert(&self, key: &[u8], value: u64) -> Option<u64> {
         loop {
             if let Some(old) = self.try_replace(key, value) {
@@ -1706,15 +1724,17 @@ unsafe fn walk_stats(root: *const NodeHeader, s: &mut IndexStats) {
     }
 }
 
-/// Frees the suffix buffers of a subtree and of every trie layer below it
-/// — iteratively (an explicit work stack, so adversarially deep trie chains
-/// cannot overflow the thread stack during drop). The nodes and layers
-/// themselves go with the tree's slab.
+/// Frees the suffix buffers of a subtree and of every trie layer below it,
+/// and hands `on_value` the value of every key entry — iteratively (an
+/// explicit work stack, so adversarially deep trie chains cannot overflow
+/// the thread stack during drop). The nodes and layers themselves go with
+/// the tree's slab.
 ///
 /// # Safety
 ///
-/// Requires exclusive access to the whole tree (Tree::drop).
-unsafe fn free_suffixes(root: *mut NodeHeader) {
+/// Requires exclusive access to the whole subtree: the tree drops, or a bulk
+/// load built it and never published it.
+unsafe fn release_subtree(root: *mut NodeHeader, on_value: &mut dyn FnMut(u64)) {
     let mut stack: Vec<*mut NodeHeader> = vec![root];
     while let Some(node) = stack.pop() {
         if node.is_null() {
@@ -1729,12 +1749,16 @@ unsafe fn free_suffixes(root: *mut NodeHeader) {
                 for rank in 0..perm.count() {
                     let slot = perm.slot(rank);
                     match leaf.klen(slot) {
-                        KLEN_SUFFIX => KeyBuf::free(leaf.suffix(slot)),
                         KLEN_LAYER => {
                             let layer = &*(leaf.value(slot) as *const Layer);
                             stack.push(layer.root.load(Ordering::Relaxed));
                         }
-                        _ => {}
+                        klen => {
+                            if klen == KLEN_SUFFIX {
+                                KeyBuf::free(leaf.suffix(slot));
+                            }
+                            on_value(leaf.value(slot));
+                        }
                     }
                 }
             } else {
@@ -1752,7 +1776,7 @@ impl Drop for Tree {
     fn drop(&mut self) {
         let root = *self.root.root.get_mut();
         // SAFETY: `&mut self` guarantees exclusive access to the whole tree.
-        unsafe { free_suffixes(root) };
+        unsafe { release_subtree(root, &mut |_| {}) };
         let retired = std::mem::take(
             self.retired
                 .get_mut()

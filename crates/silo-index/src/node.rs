@@ -656,6 +656,27 @@ impl InnerNode {
         self.nkeys() >= FANOUT
     }
 
+    /// Sets the leftmost child of a node no other thread can reach yet.
+    pub(crate) fn set_child0_unpublished(&self, child: *mut NodeHeader) {
+        self.child0.store(child, Ordering::Relaxed);
+    }
+
+    /// Writes separator `slot` and its right child into a node no other
+    /// thread can reach yet; [`InnerNode::seal_unpublished`] makes the first
+    /// slots count.
+    pub(crate) fn write_unpublished(&self, slot: usize, slice: u64, right: *mut NodeHeader) {
+        self.keys[slot].store(slice, Ordering::Relaxed);
+        self.rights[slot].store(right, Ordering::Relaxed);
+    }
+
+    /// Makes the first `count` separator slots of a node no other thread can
+    /// reach yet its separators, in slot order: an identity permutation, as
+    /// a split leaves.
+    pub(crate) fn seal_unpublished(&self, count: usize) {
+        self.permutation
+            .store(Permutation::identity(count).raw(), Ordering::Relaxed);
+    }
+
     /// Splits this (full, locked) node: the upper half of the separators and
     /// children move to a freshly allocated right sibling, and the middle
     /// separator is *promoted* (returned) for insertion into the parent.
@@ -928,6 +949,34 @@ impl LeafNode {
     /// Whether inserting one more entry would overflow the leaf.
     pub fn is_full(&self) -> bool {
         self.permutation().count() >= LEAF_WIDTH
+    }
+
+    /// Writes entry `slot` of a leaf no other thread can reach yet;
+    /// [`LeafNode::seal_unpublished`] makes the first slots count.
+    pub(crate) fn write_unpublished(
+        &self,
+        slot: usize,
+        slice: u64,
+        klen: u8,
+        suffix: *mut KeyBuf,
+        value: u64,
+    ) {
+        self.slices[slot].store(slice, Ordering::Relaxed);
+        self.klens[slot].store(klen, Ordering::Relaxed);
+        self.suffixes[slot].store(suffix, Ordering::Relaxed);
+        self.values[slot].store(value, Ordering::Relaxed);
+    }
+
+    /// Makes the first `count` slots of a leaf no other thread can reach yet
+    /// its entries, in slot order, and links `next` as its right sibling.
+    /// The leaf then looks as if its keys had been inserted in order: the
+    /// last one is its last insert, so an append after it splits where
+    /// [`LeafNode::split`] splits an ordered run.
+    pub(crate) fn seal_unpublished(&self, count: usize, next: *mut LeafNode) {
+        debug_assert!(count > 0 && count <= LEAF_WIDTH);
+        self.last_insert.store(count as u8 - 1, Ordering::Relaxed);
+        self.next.store(next, Ordering::Relaxed);
+        self.set_permutation(Permutation::identity(count));
     }
 
     /// Splits this (full, locked) leaf at a slice boundary: the upper ranks

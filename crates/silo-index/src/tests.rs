@@ -1083,6 +1083,162 @@ fn concurrent_readers_during_interior_splits_see_consistent_routing() {
 // ---------------------------------------------------------------------------
 // Property-based model tests
 // ---------------------------------------------------------------------------
+// Bulk load
+// ---------------------------------------------------------------------------
+
+/// Bulk-builds a tree from sorted `keys`, each valued by its index.
+fn bulk_built(keys: &[Vec<u8>]) -> Tree {
+    let tree = Tree::new();
+    let mut load = tree.bulk_load(|_| panic!("nothing is discarded")).unwrap();
+    for (i, k) in keys.iter().enumerate() {
+        load.push(k, i as u64).unwrap();
+    }
+    load.publish().unwrap();
+    tree
+}
+
+#[test]
+fn bulk_load_fills_leaves_and_interior_nodes() {
+    let n = 10_000u64;
+    let keys: Vec<Vec<u8>> = (0..n).map(|i| (i * 3).to_be_bytes().to_vec()).collect();
+    let tree = bulk_built(&keys);
+    for (i, k) in keys.iter().enumerate() {
+        assert_eq!(tree.get(k), Some(i as u64));
+        assert_eq!(tree.get(&(i as u64 * 3 + 1).to_be_bytes()), None);
+    }
+    let stats = tree.stats();
+    assert_eq!(stats.entries, n);
+    assert_eq!(
+        stats.leaves,
+        n.div_ceil(LEAF_WIDTH as u64),
+        "leaves are full"
+    );
+    // 667 leaves under full 16-way interior nodes: 42, then 3, then a root.
+    assert_eq!(stats.max_btree_depth, 4);
+    assert_eq!(stats.inners, 42 + 3 + 1);
+    assert_eq!(stats.splits, 0);
+    let all = tree.scan(b"", None, None);
+    assert_eq!(all.entries.len(), n as usize);
+    // A reverse walk of the `next` links is what a scan follows: every leaf
+    // was visited once, in order.
+    assert_eq!(all.nodes.len() as u64, stats.leaves);
+
+    // Appending past the last key splits the full last leaf in order, as
+    // after in-order inserts: the left leaf stays full.
+    let before = tree.stats().leaves;
+    for i in n..n + 15 {
+        assert!(matches!(
+            tree.insert_if_absent(&(i * 3).to_be_bytes(), i),
+            InsertOutcome::Inserted { .. }
+        ));
+    }
+    assert_eq!(tree.stats().leaves, before + 1);
+}
+
+#[test]
+fn bulk_load_keeps_a_slice_in_one_leaf_and_builds_layers() {
+    // Fourteen one-slice keys, then a slice with inline entries of several
+    // lengths, one suffix key and a layer of many longer keys: the slice's
+    // ten entries do not fit after the fourteen, so they open a new leaf.
+    let mut keys: Vec<Vec<u8>> = (0..14u8).map(|i| vec![b'a', i]).collect();
+    let b_slice = *b"b\0\0\0\0\0\0\0";
+    for len in 1..=8 {
+        keys.push(b_slice[..len].to_vec());
+    }
+    for i in 0..40u8 {
+        keys.push([b_slice.as_slice(), b"LAYER---", &[i]].concat());
+    }
+    keys.push(b"c".repeat(9));
+    keys.sort();
+    let tree = bulk_built(&keys);
+    for (i, k) in keys.iter().enumerate() {
+        assert_eq!(tree.get(k), Some(i as u64), "{k:?}");
+    }
+    let (_, first, _) = tree.get_tracked(b"b");
+    assert_eq!(tree.get_tracked(&b_slice).1, first, "one slice, one leaf");
+    assert_ne!(tree.get_tracked(b"a\x0d").1, first);
+    let stats = tree.stats();
+    assert_eq!(stats.leaves, 2 + 1 + 3, "two root-layer leaves, one, three");
+    assert_eq!(stats.layers, 3);
+    assert_eq!(stats.suffix_entries, 1);
+    let all = tree.scan(b"", None, None);
+    let expected: Vec<(Vec<u8>, u64)> = keys.iter().cloned().zip(0..).collect();
+    assert_eq!(all.entries, expected);
+}
+
+#[test]
+fn bulk_load_refuses_unsorted_repeated_and_non_empty() {
+    let discarded = std::cell::RefCell::new(Vec::new());
+    let tree = Tree::new();
+    {
+        let mut load = tree.bulk_load(|v| discarded.borrow_mut().push(v)).unwrap();
+        load.push(b"b", 1).unwrap();
+        load.push(b"bbbbbbbbb-suffix", 2).unwrap();
+        assert_eq!(load.push(b"a", 3), Err(BulkLoadError::Unsorted));
+        assert_eq!(
+            load.push(b"bbbbbbbbb-suffix", 4),
+            Err(BulkLoadError::Repeated)
+        );
+    }
+    discarded.borrow_mut().sort();
+    assert_eq!(
+        *discarded.borrow(),
+        vec![1, 2, 3, 4],
+        "every value comes back"
+    );
+    assert!(tree.is_empty());
+
+    tree.insert_if_absent(b"k", 9);
+    assert_eq!(tree.bulk_load(|_| {}).err(), Some(BulkLoadError::NotEmpty));
+}
+
+#[test]
+fn bulk_publish_is_refused_after_a_concurrent_insert() {
+    let discarded = std::cell::RefCell::new(Vec::new());
+    let tree = Tree::new();
+    let mut load = tree.bulk_load(|v| discarded.borrow_mut().push(v)).unwrap();
+    for i in 0..100u64 {
+        load.push(&i.to_be_bytes(), i).unwrap();
+    }
+    tree.insert_if_absent(b"intruder", 7);
+    assert_eq!(load.publish(), Err(BulkLoadError::NotEmpty));
+    assert_eq!(discarded.borrow().len(), 100);
+    assert_eq!(tree.len(), 1);
+    assert_eq!(tree.get(b"intruder"), Some(7));
+}
+
+#[test]
+fn bulk_publish_invalidates_the_empty_root_and_shows_all_or_nothing() {
+    let tree = Tree::new();
+    let (value, leaf, version) = tree.get_tracked(b"k005");
+    assert_eq!(value, None);
+    let mut load = tree.bulk_load(|_| {}).unwrap();
+    for i in 0..50u64 {
+        load.push(&key(i), i).unwrap();
+    }
+    assert!(
+        tree.scan(b"", None, None).entries.is_empty(),
+        "nothing before the publish"
+    );
+    let mut seen = Vec::new();
+    let mut visit = |k: &[u8], v: u64| {
+        // Still locked: readers of the empty tree wait for the publish.
+        seen.push((k.to_vec(), v));
+    };
+    load.publish_visiting(&mut visit).unwrap();
+    let expected: Vec<(Vec<u8>, u64)> = (0..50).map(|i| (key(i), i)).collect();
+    assert_eq!(seen, expected, "the publish visits every entry in order");
+    assert_ne!(tree.node_version(leaf), version, "the absence proof fails");
+    assert_eq!(tree.scan(b"", None, None).entries, expected);
+
+    // Nothing pushed: nothing published, nothing invalidated.
+    let empty = Tree::new();
+    let (_, leaf, version) = empty.get_tracked(b"k");
+    empty.bulk_load(|_| {}).unwrap().publish().unwrap();
+    assert_eq!(empty.node_version(leaf), version);
+}
+
+// ---------------------------------------------------------------------------
 
 mod proptests {
     use super::*;
@@ -1221,8 +1377,121 @@ mod proptests {
         Ok(())
     }
 
+    /// Keys of 0–40 bytes, many sharing 8- and 16-byte prefixes, so that
+    /// one slice holds inline entries of several lengths, suffix entries and
+    /// next-layer trees.
+    fn arb_bulk_key() -> impl Strategy<Value = Vec<u8>> {
+        let prefix = prop::sample::select(vec![
+            Vec::new(),
+            b"AAAAAAAA".to_vec(),
+            b"BBBBBBBB".to_vec(),
+            b"AAAAAAAABBBBBBBB".to_vec(),
+            b"AAAAAAAACCCCCCCC".to_vec(),
+            b"AAAAAAAABBBBBBBBCCCCCCCC".to_vec(),
+            b"AAAAAAAABBBBBBBBCCCCCCCCDDDDDDDD".to_vec(),
+        ]);
+        (
+            prefix,
+            vec(prop::sample::select(vec![0u8, 1, 65, 66, 255]), 0..9),
+        )
+            .prop_map(|(mut p, tail)| {
+                p.extend(tail);
+                p
+            })
+    }
+
+    /// A scan's start, end and limit.
+    type Scan = (Vec<u8>, Option<Vec<u8>>, Option<usize>);
+
+    /// Asserts that `a` and `b` answer a lookup of every key in `probes` and
+    /// a scan over each of `scans` identically.
+    fn same_answers(
+        a: &Tree,
+        b: &Tree,
+        probes: &[Vec<u8>],
+        scans: &[Scan],
+    ) -> Result<(), TestCaseError> {
+        for k in probes {
+            prop_assert_eq!(a.get(k), b.get(k));
+        }
+        for (start, end, limit) in scans {
+            if end.as_ref().is_some_and(|e| e < start) {
+                continue;
+            }
+            let (ra, rb) = (
+                a.scan(start, end.as_deref(), *limit),
+                b.scan(start, end.as_deref(), *limit),
+            );
+            prop_assert_eq!(ra.entries, rb.entries);
+        }
+        prop_assert_eq!(a.len(), b.len());
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A bulk-built tree answers gets, scans, inserts, removes and
+        /// node-set validation exactly like one built by inserts.
+        #[test]
+        fn prop_bulk_load_matches_inserts(
+            raw in vec(arb_bulk_key(), 0..400),
+            probes in vec(arb_bulk_key(), 0..60),
+            scans in vec(
+                (
+                    arb_bulk_key(),
+                    proptest::option::of(arb_bulk_key()),
+                    proptest::option::of(0usize..40)
+                ),
+                0..12
+            ),
+            later in vec((arb_bulk_key(), any::<bool>()), 0..120),
+        ) {
+            let mut keys = raw;
+            keys.sort();
+            keys.dedup();
+            let bulk = bulk_built(&keys);
+            let inserted = Tree::new();
+            for (i, k) in keys.iter().enumerate() {
+                inserted.insert_if_absent(k, i as u64);
+            }
+            let mut all_probes = probes.clone();
+            all_probes.extend(keys.iter().cloned());
+            same_answers(&bulk, &inserted, &all_probes, &scans)?;
+
+            for (i, (k, insert)) in later.iter().enumerate() {
+                let value = 1_000_000 + i as u64;
+                if *insert {
+                    let (present, leaf, version) = bulk.get_tracked(k);
+                    let a = bulk.insert_if_absent(k, value);
+                    let b = inserted.insert_if_absent(k, value);
+                    match (a, b) {
+                        (InsertOutcome::Inserted { .. }, InsertOutcome::Inserted { .. }) => {
+                            prop_assert!(present.is_none());
+                            prop_assert_ne!(
+                                bulk.node_version(leaf),
+                                version,
+                                "an insert must invalidate the absence proof"
+                            );
+                        }
+                        (InsertOutcome::Exists { value: va }, InsertOutcome::Exists { value: vb }) => {
+                            prop_assert_eq!(va, vb);
+                        }
+                        _ => return Err(TestCaseError::fail("insert outcomes differ")),
+                    }
+                } else {
+                    prop_assert_eq!(
+                        bulk.remove(k).map(|r| r.value),
+                        inserted.remove(k).map(|r| r.value)
+                    );
+                }
+            }
+            let mut final_probes = all_probes;
+            final_probes.extend(later.into_iter().map(|(k, _)| k));
+            same_answers(&bulk, &inserted, &final_probes, &scans)?;
+            let (ra, rb) = (bulk.scan(b"", None, None), inserted.scan(b"", None, None));
+            prop_assert_eq!(ra.entries, rb.entries);
+        }
 
         #[test]
         fn prop_tree_matches_btreemap_model(ops in vec(arb_op(arb_key), 1..400)) {

@@ -55,7 +55,8 @@
 //!    `writers` threads via [`silo_core::SnapshotTxn::scan_versions`] — a
 //!    consistent cut that runs concurrently with commits and never blocks
 //!    them, read through the same validated version read as every other
-//!    snapshot read.
+//!    snapshot read. A table goes whole, in key order, into one slice, and
+//!    recovery builds it bottom-up from that run.
 //! 2. fsync the slices, wait until the durable epoch reaches `ce`, then write
 //!    `MANIFEST` (via a temp file + rename). Waiting first guarantees that
 //!    any crash after the manifest exists recovers a durable horizon `≥ ce`.
@@ -70,7 +71,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use silo_core::{CommitWrite, Database, TableId, Tid, Worker};
+use silo_core::{BulkLoadError, CommitWrite, Database, Table, TableId, TableLoad, Tid, Worker};
 
 use crate::fault::{FaultKind, FaultSite, InjectedCrash};
 use crate::record::{self, BlockRef, DecodeError, StreamDecoder};
@@ -402,6 +403,9 @@ fn run_once(shared: &CheckpointerShared) -> std::io::Result<Option<u64>> {
 
 /// Step 1: writes and syncs the slices of a consistent snapshot. `None` means
 /// the snapshot epoch has not moved since the last complete checkpoint.
+///
+/// Each table is walked whole, in key order, by one writer into its slice:
+/// the one sorted run that recovery builds the table from.
 ///
 /// The walk's workers live for this attempt only. Dropping them on return,
 /// however the walk ended, frees their slots and leaves none of them inside
@@ -751,12 +755,20 @@ fn read_slice<E: From<std::io::Error>>(
 
 /// Loads a checkpoint into `db` with up to `threads` concurrent slice
 /// loaders. The database's tables must already be recreated (with the same
-/// ids as before the crash). Returns `(records, bytes)` loaded.
+/// ids as before the crash) and be empty. A slice holds each of its tables
+/// as one run in key order (see `walk`), and each run is built bottom-up
+/// into its empty table by [`silo_core::bulk_load`]. Returns
+/// `(records, bytes)` loaded.
 pub(crate) fn load_checkpoint(
     db: &Arc<Database>,
     info: &CheckpointInfo,
     threads: usize,
 ) -> Result<(u64, u64), crate::RecoveryError> {
+    let tables: Vec<(TableId, Arc<Table>)> = db
+        .table_ids()
+        .into_iter()
+        .map(|id| (id, db.table(id)))
+        .collect();
     let threads = threads.clamp(1, info.slices.len().max(1));
     let next_slice = AtomicUsize::new(0);
     let loaded = crate::recovery::in_parallel(threads, |_| {
@@ -765,22 +777,32 @@ pub(crate) fn load_checkpoint(
             info.slices.get(next_slice.fetch_add(1, Ordering::Relaxed))
         {
             let file = std::fs::File::open(path)?;
+            let mut run: Option<(TableId, TableLoad<'_>)> = None;
             read_slice(
                 file,
                 *slice_bytes,
                 *slice_records,
                 |tid, table, key, value| {
-                    let table = crate::recovery::recovery_table(db, table)?;
-                    // SAFETY: recovery-mode exclusivity — no transactions run
-                    // during recovery, and checkpoint slices never repeat a key
-                    // (each key is scanned exactly once), so no two loaders
-                    // touch the same key.
-                    unsafe {
-                        silo_core::bulk_apply(&table, key, tid, Some(value));
+                    if run.as_ref().map(|(id, _)| *id) != Some(table) {
+                        if let Some((id, load)) = run.take() {
+                            load.publish().map_err(|e| run_error(id, e))?;
+                        }
+                        let Some((_, target)) = tables.iter().find(|(id, _)| *id == table) else {
+                            return Err(crate::recovery::unknown_table(table));
+                        };
+                        // SAFETY: recovery-mode exclusivity — no transactions
+                        // run during recovery.
+                        let load = unsafe { silo_core::bulk_load(target) }
+                            .map_err(|e| run_error(table, e))?;
+                        run = Some((table, load));
                     }
-                    Ok::<(), crate::RecoveryError>(())
+                    let (_, load) = run.as_mut().expect("a run is open");
+                    load.push(key, tid, value).map_err(|e| run_error(table, e))
                 },
             )?;
+            if let Some((id, load)) = run {
+                load.publish().map_err(|e| run_error(id, e))?;
+            }
             records += slice_records;
             bytes += slice_bytes;
         }
@@ -789,6 +811,16 @@ pub(crate) fn load_checkpoint(
     Ok(loaded
         .into_iter()
         .fold((0, 0), |(r, b), (records, bytes)| (r + records, b + bytes)))
+}
+
+/// The recovery error for a checkpoint run of `table` its bulk load refused.
+fn run_error(table: TableId, error: BulkLoadError) -> crate::RecoveryError {
+    crate::RecoveryError::Apply(match error {
+        BulkLoadError::NotEmpty => {
+            format!("table {table} is not empty: recovery needs empty tables, one run each")
+        }
+        error => format!("checkpoint run of table {table}: {error}"),
+    })
 }
 
 #[cfg(test)]

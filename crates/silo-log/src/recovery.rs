@@ -9,9 +9,11 @@
 //! surviving log segments, and replay exactly the transactions with
 //! `ce < epoch(tid) ≤ D` — the log *tail*.
 //!
-//! Replay has the checkpoint load's shape: `replay_threads` appliers each
-//! read every log stream themselves and apply only the writes of their own
-//! key shard, straight from the decoder's buffer. No two appliers touch one
+//! The checkpoint holds each table as one run in key order, so its slices
+//! load in parallel and each run builds its empty table's index bottom-up
+//! ([`silo_core::bulk_load`]). Replay runs `replay_threads` appliers that
+//! each read every log stream themselves and apply only the writes of their
+//! own key shard, straight from the decoder's buffer. No two appliers touch one
 //! key, and [`silo_core::bulk_apply`] resolves each key by TID, so records of
 //! the same key end at the largest TID no matter which stream they came from
 //! or in which order. Nothing is ever loaded whole-file into memory.
@@ -239,11 +241,14 @@ pub(crate) fn recovery_table(
     db: &Database,
     id: TableId,
 ) -> Result<Arc<silo_core::Table>, RecoveryError> {
-    db.try_table(id).ok_or_else(|| {
-        RecoveryError::Apply(format!(
-            "table id {id} does not exist; recreate the schema before recovery"
-        ))
-    })
+    db.try_table(id).ok_or_else(|| unknown_table(id))
+}
+
+/// The error for a recovered write to a table the schema does not have.
+pub(crate) fn unknown_table(id: TableId) -> RecoveryError {
+    RecoveryError::Apply(format!(
+        "table id {id} does not exist; recreate the schema before recovery"
+    ))
 }
 
 fn shard_of(table: TableId, key: &[u8], shards: usize) -> usize {

@@ -621,6 +621,73 @@ fn full_scan(db: &Arc<Database>, table: silo_core::TableId) -> Vec<(Vec<u8>, Vec
 }
 
 #[test]
+fn a_logged_load_recovers_to_an_identical_table() {
+    let dir = scratch_dir("logged-load");
+    let (expected, loaded) = {
+        let (db, logger) = logged_db(LogConfig::to_directory(&*dir, 2));
+        let t = db.create_table("t").unwrap();
+        let loaded = db.create_table("loaded").unwrap();
+        let rows: Vec<(Vec<u8>, Vec<u8>)> = (0..1_300u32)
+            .map(|i| {
+                (
+                    format!("row{i:05}").into_bytes(),
+                    vec![i as u8; 1 + i as usize % 90],
+                )
+            })
+            .collect();
+        let mut w = db.register_worker();
+        w.load(loaded, rows.iter().map(|(k, v)| (k, v))).unwrap();
+        let mut txn = w.begin();
+        txn.write(t, b"after", b"the load").unwrap();
+        let last = txn.commit().unwrap();
+        drop(w);
+        assert!(logger
+            .wait_for_durable(last.epoch(), Duration::from_secs(10))
+            .is_durable());
+        let expected = full_scan(&db, loaded);
+        assert_eq!(expected, rows);
+        logger.shutdown();
+        db.stop_epoch_advancer();
+        (expected, loaded)
+    };
+    let db2 = Database::open(SiloConfig::for_testing());
+    db2.create_table("t").unwrap();
+    assert_eq!(db2.create_table("loaded").unwrap(), loaded);
+    let report = recover_directory(&db2, &dir, &RecoveryOptions::default()).unwrap();
+    assert_eq!(
+        report.replayed_txns,
+        3 + 1,
+        "three batches of at most 512 rows"
+    );
+    assert_eq!(full_scan(&db2, loaded), expected);
+}
+
+#[test]
+fn a_table_in_two_checkpoint_runs_is_a_recovery_error() {
+    use crate::checkpoint::tests::{slice_bytes, write_one_slice_checkpoint};
+    let tid = silo_core::Tid::new(2, 1);
+    let recover = |records: &[(silo_core::TableId, &[u8], silo_core::Tid, &[u8])]| {
+        let dir = scratch_dir("two-runs");
+        write_one_slice_checkpoint(&dir, 3, &slice_bytes(records), records.len() as u64);
+        let db = Database::open(SiloConfig::for_testing());
+        db.create_table("a").unwrap();
+        db.create_table("b").unwrap();
+        match recover_directory(&db, &dir, &RecoveryOptions::default()) {
+            Err(RecoveryError::Apply(why)) => why,
+            other => panic!("expected an apply error, got {other:?}"),
+        }
+    };
+    let why = recover(&[
+        (0, b"k1", tid, b"v"),
+        (1, b"k1", tid, b"v"),
+        (0, b"k2", tid, b"v"),
+    ]);
+    assert!(why.contains("one run each"), "{why}");
+    let why = recover(&[(0, b"k2", tid, b"v"), (0, b"k1", tid, b"v")]);
+    assert!(why.contains("sorts below"), "{why}");
+}
+
+#[test]
 fn checkpoint_truncates_log_and_recovery_replays_only_the_tail() {
     let dir = scratch_dir("ckpt-e2e");
     let expected;

@@ -21,6 +21,8 @@ pub mod txns;
 
 use std::sync::Arc;
 
+use std::io::Write;
+
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -307,172 +309,250 @@ pub fn random_last_name(rng: &mut SmallRng) -> [u8; 16] {
     last_name_padded(nurand(rng, 255, NURAND_C_C_LAST, 0, 999))
 }
 
-/// A random alphanumeric string with length in `[min, max]`.
-pub fn random_string(rng: &mut SmallRng, min: usize, max: usize) -> String {
+/// Appends a random lowercase string with length in `[min, max]` to `out`.
+pub fn random_string_into(out: &mut Vec<u8>, rng: &mut SmallRng, min: usize, max: usize) {
     let len = rng.gen_range(min..=max);
-    (0..len)
-        .map(|_| (b'a' + rng.gen_range(0..26u8)) as char)
-        .collect()
+    out.extend((0..len).map(|_| b'a' + rng.gen_range(0..26u8)));
 }
 
 // ---------------------------------------------------------------------------
 // Loader (TPC-C clause 4.3.3, scaled)
 // ---------------------------------------------------------------------------
 
+/// One table's generated rows: each row's key and encoded value back to
+/// back in one buffer, with the row's `(start, key end, end)` offsets.
+#[derive(Debug, Clone, Default)]
+struct Rows {
+    bytes: Vec<u8>,
+    spans: Vec<[usize; 3]>,
+}
+
+impl Rows {
+    /// Starts a row under `key` with a zeroed value head of `head` bytes,
+    /// and returns the head for the caller to fill.
+    fn row(&mut self, key: &[u8], head: usize) -> &mut [u8] {
+        self.close();
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(key);
+        self.spans.push([start, self.bytes.len(), 0]);
+        let at = self.bytes.len();
+        self.bytes.resize(at + head, 0);
+        &mut self.bytes[at..]
+    }
+
+    /// Appends a length-prefixed string to the open row, written by `fill`.
+    fn string(&mut self, fill: impl FnOnce(&mut Vec<u8>)) {
+        let at = self.bytes.len();
+        self.bytes.extend_from_slice(&[0, 0]);
+        fill(&mut self.bytes);
+        let len = self.bytes.len() - at - 2;
+        self.bytes[at..at + 2].copy_from_slice(&schema::string_prefix(len));
+    }
+
+    /// Records where the open row ends.
+    fn close(&mut self) {
+        if let Some(span) = self.spans.last_mut() {
+            span[2] = self.bytes.len();
+        }
+    }
+
+    /// The rows in key order.
+    fn sorted(&mut self) -> impl Iterator<Item = (&[u8], &[u8])> {
+        self.close();
+        let bytes = &self.bytes;
+        self.spans
+            .sort_unstable_by(|a, b| bytes[a[0]..a[1]].cmp(&bytes[b[0]..b[1]]));
+        self.spans
+            .iter()
+            .map(move |&[start, key_end, end]| (&bytes[start..key_end], &bytes[key_end..end]))
+    }
+}
+
+/// One ORDER-LINE row: key and value, the value being all fixed-width head.
+type OrderLine = ([u8; 16], [u8; OrderLineRow::HEAD]);
+
 /// Loads the initial TPC-C population. Returns the created [`TpccTables`].
+///
+/// One RNG generates every row, in the order of the spec's loader, and up to
+/// as many threads as the machine runs at once build the tables bottom-up
+/// with [`Worker::load`] meanwhile. ORDER-LINE, the largest table, comes out
+/// of the generator in key order and is built as its rows arrive. Every
+/// other table is written into a buffer and handed over, to be sorted and
+/// built, once its last row is written: ITEM first, the rest by size,
+/// largest first.
 pub fn load(db: &Arc<Database>, config: &TpccConfig) -> TpccTables {
     use rand::SeedableRng;
+    use std::sync::mpsc::channel;
     let tables = TpccTables::create(db, config);
-    let mut worker = db.register_worker();
-    let mut rng = SmallRng::seed_from_u64(0x51C0_7ABE);
-
-    // ITEM (global).
-    {
-        let mut txn = worker.begin();
-        let mut in_txn = 0;
-        for i in 1..=config.items {
-            let item = ItemRow {
-                name: format!("item-{i}"),
-                price_cents: rng.gen_range(100..=10_000),
-                data: if rng.gen_bool(0.1) {
-                    format!(
-                        "{}ORIGINAL{}",
-                        random_string(&mut rng, 4, 10),
-                        random_string(&mut rng, 4, 10)
-                    )
-                } else {
-                    random_string(&mut rng, 26, 50)
-                },
-            };
-            match config.split {
-                TableSplit::Shared => {
-                    txn.write(tables.item_table(1), &item_key(i), &item.encode())
-                        .expect("load item");
-                }
-                TableSplit::PerWarehouse => {
-                    for w in 1..=config.warehouses {
-                        txn.write(tables.item_table(w), &item_key(i), &item.encode())
-                            .expect("load item");
+    let threads = std::thread::available_parallelism()
+        .map_or(1, usize::from)
+        .min(tables.ids.len());
+    let (handover, queue) = channel::<(TableId, Rows)>();
+    let queue = &std::sync::Mutex::new(queue);
+    let (lines_out, lines_in) = channel::<(TableId, Vec<OrderLine>)>();
+    let mut lines_in = Some(lines_in);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            let lines = lines_in.take();
+            scope.spawn(move || {
+                let mut worker = db.register_worker();
+                if let Some(lines) = lines {
+                    let mut chunks = lines.iter().peekable();
+                    while let Some(&(table, _)) = chunks.peek() {
+                        let rows = std::iter::from_fn(|| chunks.next_if(|(t, _)| *t == table))
+                            .flat_map(|(_, chunk)| chunk);
+                        worker.load(table, rows).expect("load table");
+                        worker.quiesce();
                     }
                 }
-            }
-            in_txn += 1;
-            if in_txn >= 512 {
-                txn.commit().expect("load commit");
-                txn = worker.begin();
-                in_txn = 0;
-            }
+                loop {
+                    let next = queue.lock().expect("load queue").recv();
+                    let Ok((table, mut rows)) = next else { break };
+                    worker.load(table, rows.sorted()).expect("load table");
+                    worker.quiesce();
+                }
+            });
         }
-        txn.commit().expect("load commit");
-    }
 
-    for w in 1..=config.warehouses {
-        load_warehouse(&mut worker, &tables, config, w, &mut rng);
-    }
-    drop(worker);
+        let mut rows: Vec<Rows> = vec![Rows::default(); tables.ids.len()];
+        let at = |id: TableId| {
+            tables
+                .ids
+                .iter()
+                .position(|&t| t == id)
+                .expect("tpcc table")
+        };
+        let mut rng = SmallRng::seed_from_u64(0x51C0_7ABE);
+
+        // ITEM (global; copied to every warehouse in the per-warehouse split).
+        let per_warehouse = |table: TpccTable| -> Vec<TableId> {
+            let mut ids: Vec<TableId> = (1..=config.warehouses)
+                .map(|w| tables.id(table, w))
+                .collect();
+            ids.dedup();
+            ids
+        };
+        let item_tables = per_warehouse(TpccTable::Item);
+        let mut items = Rows::default();
+        for i in 1..=config.items {
+            let head = items.row(&item_key(i), ItemRow::HEAD);
+            ItemRow::PRICE_CENTS.set(head, rng.gen_range(100..=10_000));
+            items.string(|out| write!(out, "item-{i}").expect("write to a Vec"));
+            items.string(|out| {
+                if rng.gen_bool(0.1) {
+                    random_string_into(out, &mut rng, 4, 10);
+                    out.extend_from_slice(b"ORIGINAL");
+                    random_string_into(out, &mut rng, 4, 10);
+                } else {
+                    random_string_into(out, &mut rng, 26, 50);
+                }
+            });
+        }
+        for &table in &item_tables[1..] {
+            handover.send((table, items.clone())).expect("loaders run");
+        }
+        handover.send((item_tables[0], items)).expect("loaders run");
+
+        for w in 1..=config.warehouses {
+            load_warehouse(
+                &mut rows,
+                (&lines_out, tables.id(TpccTable::OrderLine, w)),
+                config,
+                w,
+                &mut rng,
+                |t| at(tables.id(t, w)),
+            );
+        }
+        drop(lines_out);
+        let line_tables = per_warehouse(TpccTable::OrderLine);
+        let mut rest: Vec<(TableId, Rows)> = tables
+            .ids
+            .iter()
+            .copied()
+            .zip(rows)
+            .filter(|(id, _)| !item_tables.contains(id) && !line_tables.contains(id))
+            .collect();
+        rest.sort_by_key(|(_, rows)| std::cmp::Reverse(rows.spans.len()));
+        for table in rest {
+            handover.send(table).expect("loaders run");
+        }
+        drop(handover);
+    });
     tables
 }
 
+/// Generates warehouse `w`'s rows; `slot` names the buffer in `rows` of each
+/// table, and ORDER-LINE's rows go to `lines_out` a district at a time.
 fn load_warehouse(
-    worker: &mut Worker,
-    tables: &TpccTables,
+    rows: &mut [Rows],
+    (lines_out, lines): (&std::sync::mpsc::Sender<(TableId, Vec<OrderLine>)>, TableId),
     config: &TpccConfig,
     w: u32,
     rng: &mut SmallRng,
+    slot: impl FnMut(TpccTable) -> usize,
 ) {
-    let mut txn = worker.begin();
-    let mut in_txn = 0usize;
-    macro_rules! put {
-        ($table:expr, $key:expr, $value:expr) => {{
-            txn.write($table, &$key, &$value).expect("load write");
-            in_txn += 1;
-            if in_txn >= 512 {
-                txn.commit().expect("load commit");
-                txn = worker.begin();
-                in_txn = 0;
-            }
-        }};
-    }
-
-    let warehouse = WarehouseRow {
-        name: format!("wh-{w}"),
-        tax_bp: rng.gen_range(0..=2000),
-        ytd_cents: 30_000_000,
-    };
-    put!(
-        tables.id(TpccTable::Warehouse, w),
-        warehouse_key(w),
-        warehouse.encode()
-    );
+    let [warehouse, stock, district, customer, names, history, new_order, order, by_customer] = [
+        TpccTable::Warehouse,
+        TpccTable::Stock,
+        TpccTable::District,
+        TpccTable::Customer,
+        TpccTable::CustomerNameIndex,
+        TpccTable::History,
+        TpccTable::NewOrder,
+        TpccTable::Order,
+        TpccTable::OrderCustomerIndex,
+    ]
+    .map(slot);
+    let head = rows[warehouse].row(&warehouse_key(w), WarehouseRow::HEAD);
+    WarehouseRow::TAX_BP.set(head, rng.gen_range(0..=2000));
+    WarehouseRow::YTD_CENTS.set(head, 30_000_000);
+    rows[warehouse].string(|out| write!(out, "wh-{w}").expect("write to a Vec"));
 
     // STOCK for every item.
     for i in 1..=config.items {
-        let stock = StockRow {
-            quantity: rng.gen_range(10..=100),
-            ytd: 0,
-            order_cnt: 0,
-            remote_cnt: 0,
-            dist_info: [b's'; 24],
-            data: random_string(rng, 26, 50),
-        };
-        put!(
-            tables.id(TpccTable::Stock, w),
-            stock_key(w, i),
-            stock.encode()
-        );
+        let head = rows[stock].row(&stock_key_array(w, i), StockRow::HEAD);
+        StockRow::QUANTITY.set(head, rng.gen_range(10..=100));
+        StockRow::DIST_INFO.set(head, [b's'; 24]);
+        rows[stock].string(|out| random_string_into(out, rng, 26, 50));
     }
 
     for d in 1..=config.districts_per_warehouse {
-        let district = DistrictRow {
-            name: format!("dist-{w}-{d}"),
-            tax_bp: rng.gen_range(0..=2000),
-            ytd_cents: 3_000_000,
-            next_o_id: config.initial_orders_per_district + 1,
-        };
-        put!(
-            tables.id(TpccTable::District, w),
-            district_key(w, d),
-            district.encode()
-        );
+        let head = rows[district].row(&district_key(w, d), DistrictRow::HEAD);
+        DistrictRow::TAX_BP.set(head, rng.gen_range(0..=2000));
+        DistrictRow::YTD_CENTS.set(head, 3_000_000);
+        DistrictRow::NEXT_O_ID.set(head, config.initial_orders_per_district + 1);
+        rows[district].string(|out| write!(out, "dist-{w}-{d}").expect("write to a Vec"));
 
         // Customers and the last-name index.
         for c in 1..=config.customers_per_district {
             let last = if c <= config.customers_per_district.min(1000) {
-                last_name(c - 1)
+                last_name_padded(c - 1)
             } else {
-                name_string(&random_last_name(rng))
+                random_last_name(rng)
             };
-            let customer = CustomerRow {
-                first: random_string(rng, 8, 16),
-                last: last.clone(),
-                balance_cents: -10_00,
-                ytd_payment_cents: 10_00,
-                payment_cnt: 1,
-                delivery_cnt: 0,
-                discount_bp: rng.gen_range(0..=5000),
-                credit: if rng.gen_bool(0.10) { *b"BC" } else { *b"GC" },
-                data: random_string(rng, 50, 100),
-            };
-            put!(
-                tables.id(TpccTable::Customer, w),
-                customer_key(w, d, c),
-                customer.encode()
-            );
-            put!(
-                tables.id(TpccTable::CustomerNameIndex, w),
-                customer_name_key(w, d, last.as_bytes(), c),
-                c.to_le_bytes()
-            );
-            let history = HistoryRow {
-                amount_cents: 10_00,
-                date: 0,
-                data: random_string(rng, 12, 24),
-            };
-            put!(
-                tables.id(TpccTable::History, w),
-                history_key(w, d, c, c as u64),
-                history.encode()
-            );
+            let last = &last[..last.iter().position(|&b| b == 0).unwrap_or(16)];
+            // The first name is drawn before the head's columns.
+            let mut first = [0u8; 16];
+            let first_len = rng.gen_range(8..=16);
+            for b in &mut first[..first_len] {
+                *b = b'a' + rng.gen_range(0..26u8);
+            }
+            let head = rows[customer].row(&customer_key(w, d, c), CustomerRow::HEAD);
+            CustomerRow::BALANCE_CENTS.set(head, -10_00);
+            CustomerRow::YTD_PAYMENT_CENTS.set(head, 10_00);
+            CustomerRow::PAYMENT_CNT.set(head, 1);
+            CustomerRow::DISCOUNT_BP.set(head, rng.gen_range(0..=5000));
+            CustomerRow::CREDIT.set(head, if rng.gen_bool(0.10) { *b"BC" } else { *b"GC" });
+            rows[customer].string(|out| out.extend_from_slice(&first[..first_len]));
+            rows[customer].string(|out| out.extend_from_slice(last));
+            rows[customer].string(|out| random_string_into(out, rng, 50, 100));
+
+            rows[names]
+                .row(&customer_name_key(w, d, last, c), 4)
+                .copy_from_slice(&c.to_le_bytes());
+            let head = rows[history].row(&history_key(w, d, c, c as u64), HistoryRow::HEAD);
+            HistoryRow::AMOUNT_CENTS.set(head, 10_00);
+            rows[history].string(|out| random_string_into(out, rng, 12, 24));
         }
 
         // Initial orders: customers in a random permutation; the last third
@@ -483,56 +563,41 @@ fn load_warehouse(
             let j = rng.gen_range(0..=i);
             customer_perm.swap(i, j);
         }
+        let mut chunk: Vec<OrderLine> = Vec::with_capacity(n_orders as usize * 10);
         for o in 1..=n_orders {
             let c_id = customer_perm[(o as usize - 1) % customer_perm.len()];
             let ol_cnt = rng.gen_range(5..=15u32);
             let delivered = o <= n_orders - n_orders / 3;
-            let order = OrderRow {
-                c_id,
-                entry_d: o as u64,
-                carrier_id: if delivered { rng.gen_range(1..=10) } else { 0 },
-                ol_cnt,
-                all_local: true,
-            };
-            put!(
-                tables.id(TpccTable::Order, w),
-                order_key(w, d, o),
-                order.encode()
-            );
-            put!(
-                tables.id(TpccTable::OrderCustomerIndex, w),
-                order_customer_key(w, d, c_id, o),
-                o.to_le_bytes()
-            );
+            let head = rows[order].row(&order_key(w, d, o), OrderRow::HEAD);
+            OrderRow::C_ID.set(head, c_id);
+            OrderRow::ENTRY_D.set(head, o as u64);
+            OrderRow::CARRIER_ID.set(head, if delivered { rng.gen_range(1..=10) } else { 0 });
+            OrderRow::OL_CNT.set(head, ol_cnt);
+            OrderRow::ALL_LOCAL.set(head, true);
+            rows[by_customer]
+                .row(&order_customer_key(w, d, c_id, o), 4)
+                .copy_from_slice(&o.to_le_bytes());
             if !delivered {
-                put!(
-                    tables.id(TpccTable::NewOrder, w),
-                    new_order_key(w, d, o),
-                    Vec::new()
-                );
+                rows[new_order].row(&new_order_key(w, d, o), 0);
             }
             for ol in 1..=ol_cnt {
-                let line = OrderLineRow {
-                    i_id: rng.gen_range(1..=config.items),
-                    supply_w_id: w,
-                    delivery_d: if delivered { o as u64 } else { 0 },
-                    quantity: 5,
-                    amount_cents: if delivered {
-                        0
-                    } else {
-                        rng.gen_range(1..=999_999)
-                    },
-                    dist_info: [b'd'; 24],
+                let mut head = [0u8; OrderLineRow::HEAD];
+                OrderLineRow::I_ID.set(&mut head, rng.gen_range(1..=config.items));
+                OrderLineRow::SUPPLY_W_ID.set(&mut head, w);
+                OrderLineRow::DELIVERY_D.set(&mut head, if delivered { o as u64 } else { 0 });
+                OrderLineRow::QUANTITY.set(&mut head, 5);
+                let amount = if delivered {
+                    0
+                } else {
+                    rng.gen_range(1..=999_999)
                 };
-                put!(
-                    tables.id(TpccTable::OrderLine, w),
-                    order_line_key(w, d, o, ol),
-                    line.encode()
-                );
+                OrderLineRow::AMOUNT_CENTS.set(&mut head, amount);
+                OrderLineRow::DIST_INFO.set(&mut head, [b'd'; 24]);
+                chunk.push((order_line_key(w, d, o, ol), head));
             }
         }
+        lines_out.send((lines, chunk)).expect("loaders run");
     }
-    txn.commit().expect("load commit");
 }
 
 // ---------------------------------------------------------------------------

@@ -59,6 +59,60 @@ fn loader_populates_all_tables() {
     db.stop_epoch_advancer();
 }
 
+/// FNV-1a 64 over every row of `db` — tables in id order, rows in key
+/// order, each row's key bytes then its value bytes — and the row count.
+fn population_hash(db: &Arc<Database>) -> (u64, usize) {
+    let mut ids = db.table_ids();
+    ids.sort_unstable();
+    let mut worker = db.register_worker();
+    let (mut hash, mut rows) = (0xcbf2_9ce4_8422_2325u64, 0);
+    for t in ids {
+        let mut txn = worker.begin();
+        for (key, value) in txn.scan(t, b"", None, None).unwrap() {
+            for &b in key.iter().chain(&value) {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+            rows += 1;
+        }
+        txn.commit().unwrap();
+    }
+    (hash, rows)
+}
+
+#[test]
+fn loader_population_is_unchanged() {
+    for (cfg, expected) in [
+        (TpccConfig::tiny(), (0x4f70_342a_710b_d010, 1_360)),
+        (TpccConfig::scaled(2, 0.05), (0xa3e1_e8cd_779b_f0db, 61_063)),
+        (
+            TpccConfig {
+                split: TableSplit::PerWarehouse,
+                ..TpccConfig::tiny()
+            },
+            (0x98f1_5cea_3a6a_3117, 1_410),
+        ),
+    ] {
+        let db = tpcc_db();
+        load(&db, &cfg);
+        let got = population_hash(&db);
+        db.stop_epoch_advancer();
+        assert_eq!(got, expected, "{cfg:?}: got {:#x}", got.0);
+    }
+}
+
+#[test]
+fn loaded_index_is_no_wider_or_deeper_than_inserts_built_it() {
+    // Inserting the same population in 512-row transactions left 4 835
+    // leaves, and no table deeper than four levels.
+    let db = tpcc_db();
+    load(&db, &TpccConfig::scaled(2, 0.05));
+    let stats = db.index_stats();
+    db.stop_epoch_advancer();
+    assert_eq!(stats.entries, 61_063);
+    assert!(stats.leaves <= 4_835, "{stats:?}");
+    assert!(stats.max_btree_depth <= 4, "{stats:?}");
+}
+
 #[test]
 fn per_warehouse_split_separates_tables() {
     let db = tpcc_db();

@@ -61,24 +61,17 @@ pub fn ycsb_value(i: u64, size: usize) -> Vec<u8> {
     v
 }
 
-/// Loads the YCSB table into a Silo database, returning the table id.
+/// Loads the YCSB table, which must be new or empty, into a Silo database
+/// with [`Worker::load`], returning the table id.
 pub fn load_silo(db: &Arc<Database>, config: &YcsbConfig) -> TableId {
     let table = db
         .table_id("ycsb")
         .or_else(|_| db.create_table("ycsb"))
         .expect("create ycsb table");
-    let mut worker = db.register_worker();
-    let mut i = 0u64;
-    while i < config.keys {
-        let mut txn = worker.begin();
-        let end = (i + 1024).min(config.keys);
-        while i < end {
-            txn.write(table, &ycsb_key(i), &ycsb_value(i, config.record_size))
-                .expect("load write");
-            i += 1;
-        }
-        txn.commit().expect("load commit");
-    }
+    let rows = (0..config.keys).map(|i| (ycsb_key(i), ycsb_value(i, config.record_size)));
+    db.register_worker()
+        .load(table, rows)
+        .expect("load ycsb table");
     table
 }
 

@@ -157,11 +157,17 @@ fn run_scenario(seed: u64, sessions: usize) {
         })
         .collect();
 
-    // Kill the server once the fleet is about halfway through — while
-    // connections are live, tokens are in flight, and (early in the run)
-    // the durability stalls may still be burning.
+    // Kill the server once the fleet is about halfway through and the
+    // server's schedule has fired — while connections are live, tokens are
+    // in flight, and (early in the run) the durability stalls may still be
+    // burning. A schedule whose fault sits past the halfway point holds the
+    // kill back until it fires, or until every insert has finished.
     let deadline = Instant::now() + Duration::from_secs(120);
-    while progress.load(Ordering::Relaxed) < total_ops / 2 {
+    loop {
+        let done = progress.load(Ordering::Relaxed);
+        if done >= total_ops || (done >= total_ops / 2 && server_plan.injected() >= 1) {
+            break;
+        }
         assert!(Instant::now() < deadline, "fleet stalled before the kill point");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -240,10 +246,27 @@ fn run_scenario(seed: u64, sessions: usize) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A seed as `SILO_NET_FAULT_SEED` gives it: decimal, or hex after `0x`.
+fn parse_seed(s: &str) -> Option<u64> {
+    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
+    }
+}
+
+#[test]
+fn seed_parses_as_decimal_or_hex() {
+    assert_eq!(parse_seed("12648430"), Some(0xC0FFEE));
+    assert_eq!(parse_seed("0xC0FFEE"), Some(12648430));
+    assert_eq!(parse_seed("0xc0ffee"), Some(12648430));
+    assert_eq!(parse_seed("C0FFEE"), None);
+    assert_eq!(parse_seed("0x"), None);
+}
+
 #[test]
 fn seeded_fleet_survives_wire_faults_durability_stalls_and_a_kill() {
     let seeds: Vec<u64> = match std::env::var("SILO_NET_FAULT_SEED") {
-        Ok(s) => vec![s.parse().expect("SILO_NET_FAULT_SEED must be a u64")],
+        Ok(s) => vec![parse_seed(&s).expect("SILO_NET_FAULT_SEED must be a u64, decimal or 0x-hex")],
         Err(_) => vec![0xC0FFEE, 7, 42],
     };
     let sessions: usize = std::env::var("SILO_NET_CHAOS_SESSIONS")
@@ -253,7 +276,7 @@ fn seeded_fleet_survives_wire_faults_durability_stalls_and_a_kill() {
     for seed in seeds {
         if let Err(panic) = catch_unwind(AssertUnwindSafe(|| run_scenario(seed, sessions))) {
             eprintln!(
-                "chaos run failed; replay with:\n  SILO_NET_FAULT_SEED={seed} \
+                "chaos run failed; replay with:\n  SILO_NET_FAULT_SEED={seed:#x} \
                  SILO_NET_CHAOS_SESSIONS={sessions} cargo test --test net_chaos"
             );
             resume_unwind(panic);
