@@ -226,7 +226,7 @@ fn recover_and_verify(dir: &Path, min_epoch: u64, total_log_bytes: Option<u64>) 
     );
 
     println!(
-        "# recovered: ckpt epoch {} ({} records, {} B in {:.1} ms), horizon {}, replayed {} txns / {} writes ({} B tail over {} files, {} covered by ckpt) in {:.1} ms, {} tombstones swept; consistency: {} districts / {} orders OK; post-recovery commits: {}",
+        "# recovered: ckpt epoch {} ({} records, {} B in {:.1} ms), horizon {}, replayed {} txns / {} writes ({} B tail over {} files, {} covered by ckpt) in {:.1} ms, {} tombstones swept in {:.1} ms; consistency: {} districts / {} orders OK; post-recovery commits: {}",
         report.checkpoint_epoch,
         report.checkpoint_records,
         report.checkpoint_bytes,
@@ -239,12 +239,13 @@ fn recover_and_verify(dir: &Path, min_epoch: u64, total_log_bytes: Option<u64>) 
         report.covered_txns,
         report.replay_micros as f64 / 1e3,
         report.tombstones_reclaimed,
+        report.sweep_micros as f64 / 1e3,
         summary.districts,
         summary.orders,
         post.committed,
     );
     println!(
-        "BENCH_JSON {{\"bench\":\"fig_recovery\",\"series\":\"recover\",\"ckpt_epoch\":{},\"corrupt_log_tails\":{},\"ckpt_records\":{},\"ckpt_bytes\":{},\"ckpt_micros\":{},\"durable_epoch\":{},\"replayed_txns\":{},\"replayed_writes\":{},\"skipped_txns\":{},\"covered_txns\":{},\"log_tail_bytes\":{},\"log_files\":{},\"replay_micros\":{},\"tombstones_reclaimed\":{},\"restart_us\":{},\"districts_checked\":{},\"post_recovery_committed\":{}}}",
+        "BENCH_JSON {{\"bench\":\"fig_recovery\",\"series\":\"recover\",\"ckpt_epoch\":{},\"corrupt_log_tails\":{},\"ckpt_records\":{},\"ckpt_bytes\":{},\"ckpt_micros\":{},\"durable_epoch\":{},\"replayed_txns\":{},\"replayed_writes\":{},\"skipped_txns\":{},\"covered_txns\":{},\"log_tail_bytes\":{},\"log_files\":{},\"replay_micros\":{},\"tombstones_reclaimed\":{},\"sweep_micros\":{},\"restart_us\":{},\"districts_checked\":{},\"post_recovery_committed\":{}}}",
         report.checkpoint_epoch,
         report.corrupt_log_tails,
         report.checkpoint_records,
@@ -259,6 +260,7 @@ fn recover_and_verify(dir: &Path, min_epoch: u64, total_log_bytes: Option<u64>) 
         report.log_files,
         report.replay_micros,
         report.tombstones_reclaimed,
+        report.sweep_micros,
         restart_us,
         summary.districts,
         post.committed,

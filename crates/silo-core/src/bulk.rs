@@ -18,6 +18,13 @@
 //! recovery pipeline shards log records by key hash to guarantee this), and
 //! no transactional workers run until recovery completes.
 //!
+//! A replayed delete leaves an absent record hooked in the index: it must
+//! beat any smaller-TID write of its key still to come. Once every write is
+//! applied, the caller hands the keys [`bulk_apply`] reported
+//! [`BulkOutcome::Tombstoned`] or [`BulkOutcome::Deleted`] to
+//! [`reclaim_absent`], which unhooks and frees those still absent; no other
+//! key of the table is visited.
+//!
 //! [`Worker::load`] fills a table no transaction has touched yet on a
 //! running database — a workload's initial population — with the same
 //! bottom-up build, under a TID of the worker's epoch, and logs it.
@@ -264,8 +271,8 @@ pub unsafe fn bulk_apply(table: &Table, key: &[u8], tid: Tid, value: Option<&[u8
                         // Delete: mark the record absent, as the engine's own
                         // delete path does. No `Garbage::Unhook` is registered
                         // (recovery runs without the worker/GC machinery); the
-                        // post-replay [`sweep_absent`] pass unhooks and frees
-                        // whatever stays absent once all streams are applied.
+                        // caller passes the key to [`reclaim_absent`] once all
+                        // streams are applied, which frees it if it stays absent.
                         rec.tid().lock();
                         rec.tid()
                             .store_and_unlock(TidWord::new(tid, false, true, true));
@@ -277,17 +284,18 @@ pub unsafe fn bulk_apply(table: &Table, key: &[u8], tid: Tid, value: Option<&[u8
     }
 }
 
-/// Unhooks every *absent* record still reachable from `table`'s index — the
-/// tombstones recovery installs for deletes of unseen keys, plus present
-/// keys whose recovered final action was a delete — and releases the
-/// records (a slab record is kept for the next worker to register).
-/// Returns the number of keys reclaimed.
+/// Unhooks each of `keys` whose record in `table` is still latest and
+/// *absent* — a tombstone replay installed for a delete of an unseen key, or
+/// a key whose recovered final action was a delete — and releases the record
+/// (a slab record is kept for the next worker to register). A key that is
+/// missing or present is left alone. Returns the number of keys reclaimed.
 ///
 /// During normal operation the garbage collector performs this cleanup
 /// lazily (a touching write revives or supersedes the record); after
-/// recovery there are no workers yet, so without this sweep a tombstone
-/// would stay hooked until some future write happens to touch its key.
-/// The index walk is chunked so memory stays bounded on large tables.
+/// recovery there are no workers yet, so without this a tombstone would stay
+/// hooked until some future write happens to touch its key. Recovery passes
+/// the keys its [`bulk_apply`] calls left [`BulkOutcome::Tombstoned`] or
+/// [`BulkOutcome::Deleted`], so nothing else of the table is visited.
 ///
 /// # Safety
 ///
@@ -295,37 +303,32 @@ pub unsafe fn bulk_apply(table: &Table, key: &[u8], tid: Tid, value: Option<&[u8
 /// concurrent bulk access to `table` may be in flight. Records and removed
 /// index entries are released immediately, which is only sound under this
 /// contract.
-pub unsafe fn sweep_absent(table: &Table) -> u64 {
-    const CHUNK: usize = 1024;
+pub unsafe fn reclaim_absent(
+    table: &Table,
+    keys: impl IntoIterator<Item = impl AsRef<[u8]>>,
+) -> u64 {
     let tree = table.tree();
     let mut reclaimed = 0u64;
-    let mut start: Vec<u8> = Vec::new();
-    loop {
-        let result = tree.scan(&start, None, Some(CHUNK));
-        let n = result.entries.len();
-        for (key, value) in result.entries {
-            let record = value as *mut Record;
-            // SAFETY: exclusivity contract — the record is alive and no one
-            // else can free it.
-            let word = unsafe { (*record).tid().load() };
-            if word.is_latest() && word.is_absent() {
-                if let Some(removed) = tree.remove(&key) {
-                    debug_assert_eq!(removed.value, value);
-                    // Exclusive access: no concurrent reader can still hold
-                    // the suffix or the record, so both free immediately.
-                    drop(removed);
-                    // SAFETY: unhooked above; exclusively ours.
-                    unsafe { table.release_record(record) };
-                    reclaimed += 1;
-                }
+    for key in keys {
+        let key = key.as_ref();
+        let Some(value) = tree.get(key) else { continue };
+        let record = value as *mut Record;
+        // SAFETY: exclusivity contract — the record is alive and no one else
+        // can free it.
+        let word = unsafe { (*record).tid().load() };
+        if word.is_latest() && word.is_absent() {
+            if let Some(removed) = tree.remove(key) {
+                debug_assert_eq!(removed.value, value);
+                // Exclusive access: no concurrent reader can still hold the
+                // suffix or the record, so both free immediately.
+                drop(removed);
+                // SAFETY: unhooked above; exclusively ours.
+                unsafe { table.release_record(record) };
+                reclaimed += 1;
             }
-            start = key;
         }
-        if n < CHUNK {
-            return reclaimed;
-        }
-        start.push(0);
     }
+    reclaimed
 }
 
 #[cfg(test)]
@@ -460,7 +463,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_absent_reclaims_tombstones_and_deleted_keys() {
+    fn reclaim_absent_reclaims_tombstones_and_deleted_keys() {
         let db = Database::open(SiloConfig::for_testing());
         let t = db.create_table("t").unwrap();
         let table = db.table(t);
@@ -473,7 +476,9 @@ mod tests {
             bulk_apply(&table, b"gone", Tid::new(2, 2), Some(b"v"));
             bulk_apply(&table, b"gone", Tid::new(3, 2), None);
             assert_eq!(table.tree().len(), 3, "absent records stay hooked");
-            assert_eq!(sweep_absent(&table), 2);
+            // A present, a repeated and a missing key are passed over.
+            let keys = ["alive", "ghost", "gone", "ghost", "never"];
+            assert_eq!(reclaim_absent(&table, keys), 2);
         }
         assert_eq!(table.tree().len(), 1);
         let mut w = db.register_worker();
@@ -481,7 +486,7 @@ mod tests {
         assert_eq!(txn.read(t, b"alive").unwrap(), Some(b"v".to_vec()));
         assert_eq!(txn.read(t, b"ghost").unwrap(), None);
         assert_eq!(txn.read(t, b"gone").unwrap(), None);
-        // The swept keys are fully usable again.
+        // The reclaimed keys are fully usable again.
         txn.insert(t, b"gone", b"back").unwrap();
         txn.commit().unwrap();
     }

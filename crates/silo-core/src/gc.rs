@@ -284,7 +284,7 @@ impl Drop for RecordPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bulk::{bulk_apply, sweep_absent};
+    use crate::bulk::{bulk_apply, reclaim_absent};
     use crate::config::SiloConfig;
     use crate::database::Database;
     use silo_tid::Tid;
@@ -510,8 +510,12 @@ mod tests {
             // SAFETY: as above.
             unsafe { bulk_apply(&table, key.as_bytes(), Tid::new(3, 1), None) };
         }
+        let keys = (0..POOL_CLASSES.len()).map(|class| format!("k{class}"));
         // SAFETY: as above.
-        assert_eq!(unsafe { sweep_absent(&table) }, POOL_CLASSES.len() as u64);
+        assert_eq!(
+            unsafe { reclaim_absent(&table, keys) },
+            POOL_CLASSES.len() as u64
+        );
         let w = db.register_worker();
         for (pooled, cap) in w.pool.classes.iter().zip(POOL_CLASSES) {
             assert_eq!(pooled.len(), 1, "class {cap}");

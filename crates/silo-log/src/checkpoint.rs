@@ -29,8 +29,8 @@
 //!
 //! Unlike a log stream, a slice is **strict**. It was fsynced before its
 //! manifest was written, so it is either whole or damaged; it has no torn
-//! tail to tolerate. [`verify_checkpoint`] rejects a slice with
-//! `io::ErrorKind::InvalidData` when:
+//! tail to tolerate. Recovery reads each slice once, as it loads it, and
+//! rejects it with `io::ErrorKind::InvalidData` when:
 //!
 //! * the decoder returns an error (a failed CRC, a bad tag);
 //! * the decoder stops short of the slice's byte count in the manifest. It
@@ -44,7 +44,9 @@
 //! make it unparsable, name another epoch than its directory, or claim
 //! another length than a slice has. Recovery reads the newest checkpoint
 //! with a manifest and fails with [`crate::RecoveryError::Checkpoint`] on
-//! any of this rather than load silently corrupt state, or none. It has
+//! any of this rather than load silently corrupt state, or none. The load is
+//! all or nothing: every table's run is held unpublished until every slice
+//! has passed, so a slice that fails leaves all tables empty. Recovery has
 //! nothing to fall back to: the log before the checkpoint epoch is
 //! truncated, and the checkpointer keeps only the newest complete
 //! checkpoint.
@@ -67,7 +69,7 @@
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
+use std::sync::{Arc, Barrier, Condvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -75,7 +77,7 @@ use silo_core::{BulkLoadError, CommitWrite, Database, Table, TableId, TableLoad,
 
 use crate::fault::{FaultKind, FaultSite, InjectedCrash};
 use crate::record::{self, BlockRef, DecodeError, StreamDecoder};
-use crate::{lock, SiloLogger};
+use crate::{lock, RecoveryError, SiloLogger};
 
 /// Name of the per-checkpoint completeness marker / metadata file.
 const MANIFEST: &str = "MANIFEST";
@@ -596,26 +598,12 @@ fn publish(
 
 /// A complete checkpoint found on disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointInfo {
+pub(crate) struct CheckpointInfo {
     /// The checkpoint epoch: every transaction with epoch `≤` this value is
     /// reflected in the checkpoint.
-    pub epoch: u64,
-    /// The checkpoint directory.
-    pub dir: PathBuf,
+    pub(crate) epoch: u64,
     /// Per-slice `(path, bytes, records)` as recorded by the manifest.
-    pub slices: Vec<(PathBuf, u64, u64)>,
-}
-
-impl CheckpointInfo {
-    /// Total bytes across all slices.
-    pub fn bytes(&self) -> u64 {
-        self.slices.iter().map(|(_, b, _)| *b).sum()
-    }
-
-    /// Total records across all slices.
-    pub fn records(&self) -> u64 {
-        self.slices.iter().map(|(_, _, r)| *r).sum()
-    }
+    pub(crate) slices: Vec<(PathBuf, u64, u64)>,
 }
 
 fn read_manifest(dir: &Path) -> Option<CheckpointInfo> {
@@ -643,11 +631,7 @@ fn read_manifest(dir: &Path) -> Option<CheckpointInfo> {
                     return None;
                 }
             }
-            return Some(CheckpointInfo {
-                epoch,
-                dir: dir.to_path_buf(),
-                slices,
-            });
+            return Some(CheckpointInfo { epoch, slices });
         }
         let rest = line.strip_prefix("slice ")?;
         let mut parts = rest.split(' ');
@@ -659,10 +643,10 @@ fn read_manifest(dir: &Path) -> Option<CheckpointInfo> {
     None
 }
 
-/// The newest checkpoint under `root` that has a manifest, with its epoch,
-/// read and verified. The manifest's rename is what makes a checkpoint
-/// complete, so after it only damage can make the manifest unreadable or a
-/// slice fail [`verify_checkpoint`]; either is an `InvalidData` error.
+/// The newest checkpoint under `root` that has a manifest, with its epoch.
+/// Only the manifest is read here; [`load_checkpoint`] holds each slice to
+/// it. The manifest's rename is what makes a checkpoint complete, so after it
+/// only damage can make the manifest unreadable: an `InvalidData` error.
 pub(crate) fn newest_checkpoint(root: &Path) -> Option<(u64, std::io::Result<CheckpointInfo>)> {
     let (epoch, dir) = checkpoint_dirs(root)
         .into_iter()
@@ -674,24 +658,7 @@ pub(crate) fn newest_checkpoint(root: &Path) -> Option<(u64, std::io::Result<Che
             "checkpoint manifest is damaged or disagrees with its slices",
         )
     });
-    Some((
-        epoch,
-        info.and_then(|info| verify_checkpoint(&info).map(|()| info)),
-    ))
-}
-
-/// Reads every slice of `info` end to end without applying anything, holding
-/// each to the strict rules of the module docs. A damaged slice surfaces as
-/// an `InvalidData` error, so recovery fails before it loads anything
-/// instead of loading silently-corrupted state.
-pub fn verify_checkpoint(info: &CheckpointInfo) -> std::io::Result<()> {
-    for (path, bytes, records) in &info.slices {
-        let file = std::fs::File::open(path)?;
-        read_slice(file, *bytes, *records, |_, _, _, _| {
-            Ok::<(), std::io::Error>(())
-        })?;
-    }
-    Ok(())
+    Some((epoch, info))
 }
 
 /// Streams the records of one slice, whose manifest claims `bytes` and
@@ -757,65 +724,103 @@ fn read_slice<E: From<std::io::Error>>(
 /// loaders. The database's tables must already be recreated (with the same
 /// ids as before the crash) and be empty. A slice holds each of its tables
 /// as one run in key order (see `walk`), and each run is built bottom-up
-/// into its empty table by [`silo_core::bulk_load`]. Returns
-/// `(records, bytes)` loaded.
+/// into its empty table by [`silo_core::bulk_load`].
+///
+/// This is the one read of the slices, so it is all or nothing. Every run is
+/// held unpublished until all loaders have read their slices through the
+/// strict checks of [`read_slice`], and is published only if none failed:
+/// on success every slice held exactly what the manifest claims. A
+/// damaged or unreadable slice is [`RecoveryError::Checkpoint`], and a table
+/// met in two runs is [`RecoveryError::Apply`]; either way every load is
+/// dropped, its records released, and every table stays empty.
 pub(crate) fn load_checkpoint(
     db: &Arc<Database>,
     info: &CheckpointInfo,
     threads: usize,
-) -> Result<(u64, u64), crate::RecoveryError> {
-    let tables: Vec<(TableId, Arc<Table>)> = db
+) -> Result<(), RecoveryError> {
+    // Each table with whether a run has claimed it yet.
+    let tables: Vec<(TableId, Arc<Table>, AtomicBool)> = db
         .table_ids()
         .into_iter()
-        .map(|id| (id, db.table(id)))
+        .map(|id| (id, db.table(id), AtomicBool::new(false)))
         .collect();
     let threads = threads.clamp(1, info.slices.len().max(1));
     let next_slice = AtomicUsize::new(0);
-    let loaded = crate::recovery::in_parallel(threads, |_| {
-        let (mut records, mut bytes) = (0, 0);
-        while let Some((path, slice_bytes, slice_records)) =
-            info.slices.get(next_slice.fetch_add(1, Ordering::Relaxed))
-        {
-            let file = std::fs::File::open(path)?;
-            let mut run: Option<(TableId, TableLoad<'_>)> = None;
-            read_slice(
-                file,
-                *slice_bytes,
-                *slice_records,
-                |tid, table, key, value| {
-                    if run.as_ref().map(|(id, _)| *id) != Some(table) {
-                        if let Some((id, load)) = run.take() {
-                            load.publish().map_err(|e| run_error(id, e))?;
-                        }
-                        let Some((_, target)) = tables.iter().find(|(id, _)| *id == table) else {
-                            return Err(crate::recovery::unknown_table(table));
-                        };
-                        // SAFETY: recovery-mode exclusivity — no transactions
-                        // run during recovery.
-                        let load = unsafe { silo_core::bulk_load(target) }
-                            .map_err(|e| run_error(table, e))?;
-                        run = Some((table, load));
-                    }
-                    let (_, load) = run.as_mut().expect("a run is open");
-                    load.push(key, tid, value).map_err(|e| run_error(table, e))
-                },
-            )?;
-            if let Some((id, load)) = run {
+    let failed = AtomicBool::new(false);
+    // A `TableLoad` cannot leave its thread, so each loader publishes its
+    // own runs, once every loader is past this barrier. A loader that
+    // panics still reaches it, so the others do not wait forever.
+    let all_read = Barrier::new(threads);
+    crate::recovery::in_parallel(threads, |_| {
+        let mut runs = Vec::new();
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            load_slices(&tables, info, &next_slice, &mut runs)
+        }));
+        failed.fetch_or(!matches!(read, Ok(Ok(()))), Ordering::Relaxed);
+        all_read.wait();
+        read.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+        if !failed.load(Ordering::Relaxed) {
+            for (id, load) in runs {
                 load.publish().map_err(|e| run_error(id, e))?;
             }
-            records += slice_records;
-            bytes += slice_bytes;
         }
-        Ok::<_, crate::RecoveryError>((records, bytes))
+        Ok(())
+    })
+    .map_err(|e| match e {
+        // Only reading a slice fails with an I/O error.
+        RecoveryError::Io(error) => RecoveryError::Checkpoint {
+            epoch: info.epoch,
+            error,
+        },
+        e => e,
     })?;
-    Ok(loaded
-        .into_iter()
-        .fold((0, 0), |(r, b), (records, bytes)| (r + records, b + bytes)))
+    Ok(())
+}
+
+/// One loader of [`load_checkpoint`]: takes slices off the shared queue
+/// until none is left, and reads each into a new run in `runs` per table it
+/// holds.
+fn load_slices<'t>(
+    tables: &'t [(TableId, Arc<Table>, AtomicBool)],
+    info: &CheckpointInfo,
+    next_slice: &AtomicUsize,
+    runs: &mut Vec<(TableId, TableLoad<'t>)>,
+) -> Result<(), RecoveryError> {
+    while let Some((path, slice_bytes, slice_records)) =
+        info.slices.get(next_slice.fetch_add(1, Ordering::Relaxed))
+    {
+        let file = std::fs::File::open(path)?;
+        let first_run = runs.len();
+        read_slice(
+            file,
+            *slice_bytes,
+            *slice_records,
+            |tid, table, key, value| {
+                if runs[first_run..].last().map(|(id, _)| *id) != Some(table) {
+                    let Some((_, target, claimed)) = tables.iter().find(|(id, ..)| *id == table)
+                    else {
+                        return Err(crate::recovery::unknown_table(table));
+                    };
+                    if claimed.swap(true, Ordering::Relaxed) {
+                        return Err(run_error(table, BulkLoadError::NotEmpty));
+                    }
+                    // SAFETY: recovery-mode exclusivity — no transactions run
+                    // during recovery.
+                    let load =
+                        unsafe { silo_core::bulk_load(target) }.map_err(|e| run_error(table, e))?;
+                    runs.push((table, load));
+                }
+                let (_, load) = runs.last_mut().expect("a run is open");
+                load.push(key, tid, value).map_err(|e| run_error(table, e))
+            },
+        )?;
+    }
+    Ok(())
 }
 
 /// The recovery error for a checkpoint run of `table` its bulk load refused.
-fn run_error(table: TableId, error: BulkLoadError) -> crate::RecoveryError {
-    crate::RecoveryError::Apply(match error {
+fn run_error(table: TableId, error: BulkLoadError) -> RecoveryError {
+    RecoveryError::Apply(match error {
         BulkLoadError::NotEmpty => {
             format!("table {table} is not empty: recovery needs empty tables, one run each")
         }
@@ -837,20 +842,21 @@ pub(crate) mod tests {
         slice.finish().unwrap().0
     }
 
-    /// Writes a one-slice checkpoint at `epoch` under the durability root
-    /// `root`, whose manifest claims `slice`'s length and `records` records.
-    pub(crate) fn write_one_slice_checkpoint(root: &Path, epoch: u64, slice: &[u8], records: u64) {
+    /// Writes a checkpoint at `epoch` under the durability root `root`, one
+    /// slice per `(slice, records)`, whose manifest claims each slice's
+    /// length and its `records` records.
+    pub(crate) fn write_checkpoint(root: &Path, epoch: u64, slices: &[(&[u8], u64)]) {
         let dir = checkpoint_dir(root, epoch);
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(slice_path(&dir, 0), slice).unwrap();
-        std::fs::write(
-            dir.join(MANIFEST),
-            format!(
-                "{MANIFEST_HEADER}\nepoch {epoch}\nslices 1\nslice 0 {} {records}\nend\n",
-                slice.len()
-            ),
-        )
-        .unwrap();
+        let mut manifest = format!(
+            "{MANIFEST_HEADER}\nepoch {epoch}\nslices {}\n",
+            slices.len()
+        );
+        for (i, (slice, records)) in slices.iter().enumerate() {
+            std::fs::write(slice_path(&dir, i), slice).unwrap();
+            manifest.push_str(&format!("slice {i} {} {records}\n", slice.len()));
+        }
+        std::fs::write(dir.join(MANIFEST), manifest + "end\n").unwrap();
     }
 
     /// The newest checkpoint under `root` with a manifest: its epoch, and
@@ -881,8 +887,7 @@ pub(crate) mod tests {
         let (epoch, info) = newest(&root).expect("complete checkpoint");
         let info = info.unwrap();
         assert_eq!((epoch, info.epoch), (42, 42));
-        assert_eq!(info.bytes(), slice.len() as u64);
-        assert_eq!(info.records(), 3);
+        assert_eq!(info.slices, [(slice_path(&dir, 0), slice.len() as u64, 3)]);
 
         // A slice shorter than the manifest claims invalidates the checkpoint.
         std::fs::write(slice_path(&dir, 0), &slice[..4]).unwrap();
@@ -1052,23 +1057,5 @@ pub(crate) mod tests {
             let err = read_all(&slice, records).expect_err(what);
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
         }
-    }
-
-    #[test]
-    fn verify_checkpoint_flags_a_corrupt_slice() {
-        let root = scratch_dir("ckpt-verify");
-        let mut slice = slice_bytes(&[(1, b"key", Tid::from_raw(11), b"value")]);
-        write_one_slice_checkpoint(&root, 5, &slice, 1);
-        let (_, info) = newest_checkpoint(&root).expect("complete checkpoint");
-        let info = info.expect("intact slices verify");
-        verify_checkpoint(&info).expect("intact slices verify");
-
-        // Flip one payload bit (keeping the length, so the manifest check
-        // still passes) — verification must now fail.
-        let last = slice.len() - 1;
-        slice[last] ^= 0x01;
-        std::fs::write(slice_path(&info.dir, 0), &slice).unwrap();
-        let err = verify_checkpoint(&info).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 }

@@ -58,9 +58,7 @@ pub mod record;
 mod recovery;
 mod sink;
 
-pub use checkpoint::{
-    verify_checkpoint, CheckpointConfig, CheckpointInfo, CheckpointStats, Checkpointer,
-};
+pub use checkpoint::{CheckpointConfig, CheckpointStats, Checkpointer};
 pub use fault::{FaultKind, FaultPlan, FaultSite};
 pub use recovery::{recover_directory, RecoveryError, RecoveryOptions, RecoveryReport};
 pub use sink::{SinkError, SinkErrorKind};

@@ -11,12 +11,17 @@
 //!
 //! The checkpoint holds each table as one run in key order, so its slices
 //! load in parallel and each run builds its empty table's index bottom-up
-//! ([`silo_core::bulk_load`]). Replay runs `replay_threads` appliers that
-//! each read every log stream themselves and apply only the writes of their
-//! own key shard, straight from the decoder's buffer. No two appliers touch one
-//! key, and [`silo_core::bulk_apply`] resolves each key by TID, so records of
-//! the same key end at the largest TID no matter which stream they came from
-//! or in which order. Nothing is ever loaded whole-file into memory.
+//! ([`silo_core::bulk_load`]). Each slice is read once: the strict checks run
+//! as it loads, and no table is published until every slice has passed.
+//! Replay runs `replay_threads` appliers that each read every log stream
+//! themselves and apply only the writes of their own key shard, straight
+//! from the decoder's buffer. No two appliers touch one key, and
+//! [`silo_core::bulk_apply`] resolves each key by TID, so records of the same
+//! key end at the largest TID no matter which stream they came from or in
+//! which order. Each applier notes the keys it leaves absent, and only those
+//! are visited to reclaim the absent records replay leaves behind
+//! ([`silo_core::reclaim_absent`]). Nothing is ever loaded whole-file into
+//! memory.
 //!
 //! There is one entry point: [`recover_directory`] runs this over the
 //! segment files of a durability root, after restoring the checkpoint there.
@@ -28,7 +33,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use silo_core::{Database, TableId};
+use silo_core::{BulkOutcome, Database, TableId};
 
 use crate::record::{BlockRef, DecodeError, StreamDecoder};
 use crate::sink::parse_segment_name;
@@ -231,6 +236,9 @@ pub struct RecoveryReport {
     /// Absent records (delete tombstones, superseded deleted keys) unhooked
     /// and freed by the post-replay sweep.
     pub tombstones_reclaimed: u64,
+    /// Wall-clock microseconds of the post-replay sweep, which visits only
+    /// the keys replay left absent.
+    pub sweep_micros: u64,
     /// Log streams whose tail was malformed (failed checksum, bad tag) and
     /// treated as the torn tail of §4.10 — ignored past the last good block.
     pub corrupt_log_tails: u64,
@@ -271,8 +279,9 @@ fn shard_of(table: TableId, key: &[u8], shards: usize) -> usize {
 /// [`TableId`]s as before the crash) and no concurrent transactional access.
 ///
 /// A newest checkpoint whose manifest or slices are damaged (see
-/// [`crate::verify_checkpoint`]) is [`RecoveryError::Checkpoint`], returned
-/// before anything is loaded.
+/// [`crate::checkpoint`]) is [`RecoveryError::Checkpoint`], returned with
+/// nothing loaded: each slice is checked as it is read, and no table is
+/// published until every slice has passed.
 ///
 /// The horizon is the minimum over **all** streams found under `dir` —
 /// including streams of logger indices a previous run used but a
@@ -289,15 +298,16 @@ pub fn recover_directory(
     let threads = options.replay_threads.max(1);
     let mut report = RecoveryReport::default();
 
-    // The newest checkpoint, verified before anything is loaded. An older
-    // one is no fallback: the log before the newest is truncated.
+    // The newest checkpoint, read once: nothing of it is published unless
+    // every slice passes. An older one is no fallback: the log before the
+    // newest is truncated.
     let ckpt_start = Instant::now();
     if let Some((epoch, info)) = crate::checkpoint::newest_checkpoint(dir) {
         let info = info.map_err(|error| RecoveryError::Checkpoint { epoch, error })?;
-        let (records, bytes) = crate::checkpoint::load_checkpoint(db, &info, threads)?;
+        crate::checkpoint::load_checkpoint(db, &info, threads)?;
         report.checkpoint_epoch = info.epoch;
-        report.checkpoint_records = records;
-        report.checkpoint_bytes = bytes;
+        report.checkpoint_records = info.slices.iter().map(|(_, _, records)| records).sum();
+        report.checkpoint_bytes = info.slices.iter().map(|(_, bytes, _)| bytes).sum();
         report.checkpoint_micros = ckpt_start.elapsed().as_micros() as u64;
     }
     let ce = report.checkpoint_epoch;
@@ -328,6 +338,7 @@ pub fn recover_directory(
     let shards = in_parallel(threads, |shard| {
         replay_shard(db, &streams, shard, threads, ce, durable_epoch)
     })?;
+    let (shards, absent): (Vec<RecoveryReport>, Vec<_>) = shards.into_iter().unzip();
     // Every shard reads every transaction and byte; each applies its own writes.
     report.replayed_writes = shards.iter().map(|shard| shard.replayed_writes).sum();
     report.replayed_txns = shards[0].replayed_txns;
@@ -339,21 +350,26 @@ pub fn recover_directory(
     // Reclaim tombstones. Replay installs absent records (delete tombstones
     // for unseen keys; final deletes of checkpointed keys) that would
     // otherwise stay hooked in the index until a future write happens to
-    // touch them. Recovery still holds exclusive access, so they can be
-    // unhooked and freed directly, one table per thread.
+    // touch them. Replay noted every key it left absent; recovery still holds
+    // exclusive access, so those still absent are unhooked and freed
+    // directly, one table per thread.
+    let sweep_start = Instant::now();
     let table_ids = db.table_ids();
     let next = AtomicUsize::new(0);
     let swept = in_parallel(threads.min(table_ids.len().max(1)), |_| {
         let mut reclaimed = 0;
         while let Some(&table) = table_ids.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let keys = absent.iter().flatten();
+            let keys = keys.filter_map(|(id, key)| (*id == table).then_some(key));
             // SAFETY: recovery-mode exclusivity — replay finished and no
             // transactional workers run yet; each table is swept by exactly
             // one thread.
-            reclaimed += unsafe { silo_core::sweep_absent(&db.table(table)) };
+            reclaimed += unsafe { silo_core::reclaim_absent(&db.table(table), keys) };
         }
         Ok::<u64, RecoveryError>(reclaimed)
     })?;
     report.tombstones_reclaimed = swept.iter().sum();
+    report.sweep_micros = sweep_start.elapsed().as_micros() as u64;
 
     // Fast-forward the epochs past everything recovered, far enough that the
     // next snapshot epoch covers the whole recovered state (§4.9:
@@ -368,7 +384,8 @@ pub fn recover_directory(
 /// Replay thread `shard` of `shards`: reads every stream and applies the
 /// writes of tail transactions (`ce < epoch ≤ durable_epoch`) whose key
 /// falls in its shard, straight from the decoder's buffer. Its report counts
-/// the writes it applied, and every transaction and byte it read.
+/// the writes it applied, and every transaction and byte it read; beside it
+/// come the keys a write left absent.
 fn replay_shard(
     db: &Arc<Database>,
     streams: &[Vec<PathBuf>],
@@ -376,8 +393,9 @@ fn replay_shard(
     shards: usize,
     ce: u64,
     durable_epoch: u64,
-) -> Result<RecoveryReport, RecoveryError> {
+) -> Result<(RecoveryReport, Vec<(TableId, Vec<u8>)>), RecoveryError> {
     let mut tally = RecoveryReport::default();
+    let mut absent = Vec::new();
     let mut failed = None;
     for paths in streams {
         // The pre-scan counted corruption; replay stops where it stopped.
@@ -395,11 +413,11 @@ fn replay_shard(
                 return;
             }
             tally.replayed_txns += 1;
-            for (table, key, value) in writes {
-                if failed.is_some() || shard_of(table, key, shards) != shard {
+            for (id, key, value) in writes {
+                if failed.is_some() || shard_of(id, key, shards) != shard {
                     continue;
                 }
-                let table = match recovery_table(db, table) {
+                let table = match recovery_table(db, id) {
                     Ok(table) => table,
                     Err(e) => {
                         failed = Some(e);
@@ -409,8 +427,9 @@ fn replay_shard(
                 // SAFETY: recovery-mode exclusivity — no transactions run
                 // during recovery, and sharding by key hash means no other
                 // replay thread ever touches this key.
-                unsafe {
-                    silo_core::bulk_apply(&table, key, tid, value);
+                let outcome = unsafe { silo_core::bulk_apply(&table, key, tid, value) };
+                if matches!(outcome, BulkOutcome::Tombstoned | BulkOutcome::Deleted) {
+                    absent.push((id, key.to_vec()));
                 }
                 tally.replayed_writes += 1;
             }
@@ -419,7 +438,7 @@ fn replay_shard(
     }
     match failed {
         Some(e) => Err(e),
-        None => Ok(tally),
+        None => Ok((tally, absent)),
     }
 }
 
@@ -427,7 +446,9 @@ fn replay_shard(
 mod tests {
     use super::*;
     use crate::record::{begin_sealed, encode_epoch_marker, encode_txn, seal};
-    use crate::tests::{as_writes, scratch_dir, sealed, write_segments, ScratchDir};
+    use crate::tests::{
+        as_writes, assert_no_absent_record, scratch_dir, sealed, write_segments, ScratchDir,
+    };
     use silo_core::{SiloConfig, Tid};
 
     fn txn_block(tid: Tid, table: TableId, key: &[u8], value: Option<&[u8]>) -> Vec<u8> {
@@ -733,7 +754,7 @@ mod tests {
         // Three streams over shared keys, behind a one-slice checkpoint at
         // epoch 3: covered transactions, overwrites, deletes and re-inserts
         // across streams, and transactions beyond the horizon (epoch 8).
-        use crate::checkpoint::tests::{slice_bytes, write_one_slice_checkpoint};
+        use crate::checkpoint::tests::{slice_bytes, write_checkpoint};
         let dir = scratch_dir("thread-count");
         let keys: Vec<[u8; 2]> = (0..40u16).map(u16::to_be_bytes).collect();
         let ckpt: Vec<(TableId, &[u8], Tid, &[u8])> = keys[..30]
@@ -741,7 +762,7 @@ mod tests {
             .enumerate()
             .map(|(i, key)| (0, key.as_slice(), Tid::new(3, i as u64), b"ckpt".as_slice()))
             .collect();
-        write_one_slice_checkpoint(&dir, 3, &slice_bytes(&ckpt), ckpt.len() as u64);
+        write_checkpoint(&dir, 3, &[(&slice_bytes(&ckpt), ckpt.len() as u64)]);
         let streams: Vec<Vec<u8>> = (0..3u64)
             .map(|stream| {
                 let mut blocks = Vec::new();
@@ -768,6 +789,7 @@ mod tests {
             let db = Database::open(SiloConfig::for_testing());
             db.create_table("t").unwrap();
             let r = recover_directory(&db, &dir, &RecoveryOptions { replay_threads }).unwrap();
+            assert_no_absent_record(&db);
             let counts = [
                 r.durable_epoch,
                 r.replayed_txns,
@@ -822,42 +844,39 @@ mod tests {
     /// Its manifest claims the mangled slice's length and both records, so
     /// only the slice's contents can give the damage away.
     fn damaged_newer_checkpoint(name: &str, damage: impl Fn(&mut Vec<u8>)) -> ScratchDir {
-        use crate::checkpoint::tests::{slice_bytes, write_one_slice_checkpoint};
+        use crate::checkpoint::tests::{slice_bytes, write_checkpoint};
         let dir = scratch_dir(name);
         let good = slice_bytes(&[(0, b"k", Tid::new(3, 1), b"good")]);
-        write_one_slice_checkpoint(&dir, 3, &good, 1);
+        write_checkpoint(&dir, 3, &[(&good, 1)]);
         let mut newer = slice_bytes(&evil());
         damage(&mut newer);
-        write_one_slice_checkpoint(&dir, 5, &newer, evil().len() as u64);
+        write_checkpoint(&dir, 5, &[(&newer, evil().len() as u64)]);
         dir
     }
 
     /// The newer checkpoint of [`damaged_newer_checkpoint`] is complete by
-    /// its manifest and fails slice verification as `InvalidData`, so
+    /// its manifest and fails its slice's checks as `InvalidData`, so
     /// recovery refuses it.
     fn assert_recovery_refuses(name: &str, damage: impl Fn(&mut Vec<u8>)) {
         let dir = damaged_newer_checkpoint(name, damage);
-        let (epoch, newest) = crate::checkpoint::newest_checkpoint(&dir).expect("a manifest");
-        assert_eq!(epoch, 5);
-        let err = newest.unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        let err = assert_refused(&dir);
         assert!(err.to_string().starts_with("checkpoint slice "), "{err}");
-        assert_refused(&dir);
     }
 
     /// Recovery from `dir` fails on the checkpoint at epoch 5 as
     /// `InvalidData` and loads nothing — not even the intact one at epoch 3,
-    /// which the log behind the newer one no longer extends.
-    fn assert_refused(dir: &Path) {
+    /// which the log behind the newer one no longer extends. Returns the
+    /// error inside the `RecoveryError::Checkpoint`.
+    fn assert_refused(dir: &Path) -> std::io::Error {
         let db = Database::open(SiloConfig::for_testing());
         db.create_table("t").unwrap();
-        match recover_directory(&db, dir, &RecoveryOptions::default()) {
-            Err(RecoveryError::Checkpoint { epoch: 5, error }) => {
-                assert_eq!(error.kind(), std::io::ErrorKind::InvalidData, "{error}")
-            }
+        let error = match recover_directory(&db, dir, &RecoveryOptions::default()) {
+            Err(RecoveryError::Checkpoint { epoch: 5, error }) => error,
             other => panic!("recovery from a damaged checkpoint returned {other:?}"),
-        }
+        };
+        assert_eq!(error.kind(), std::io::ErrorKind::InvalidData, "{error}");
         assert_eq!(db.table(0).approximate_len(), 0, "nothing is loaded");
+        error
     }
 
     #[test]
@@ -920,5 +939,72 @@ mod tests {
                 txn_block(x_tid, 0, x, Some(x_value)),
             ]);
         });
+    }
+
+    /// A checkpoint of three slices, one table each, whose middle slice is
+    /// damaged: the other two read cleanly, but recovery publishes neither,
+    /// whichever loader reads which slice and in what order.
+    #[test]
+    fn a_failed_slice_publishes_nothing() {
+        use crate::checkpoint::tests::{slice_bytes, write_checkpoint};
+        let dir = scratch_dir("ckpt-all-or-nothing");
+        // Several envelopes per slice, so the damaged one loads a prefix.
+        let value = [7u8; 100];
+        let keys: Vec<[u8; 4]> = (0..2_000u32).map(u32::to_be_bytes).collect();
+        let mut slices: Vec<Vec<u8>> = (0..3)
+            .map(|table| {
+                let records: Vec<(TableId, &[u8], Tid, &[u8])> = keys
+                    .iter()
+                    .map(|key| (table, key.as_slice(), Tid::new(3, 1), value.as_slice()))
+                    .collect();
+                slice_bytes(&records)
+            })
+            .collect();
+        let middle = slices[1].len() / 2;
+        slices[1][middle] ^= 0x01;
+        let manifest: Vec<(&[u8], u64)> = slices
+            .iter()
+            .map(|slice| (slice.as_slice(), keys.len() as u64))
+            .collect();
+        write_checkpoint(&dir, 3, &manifest);
+
+        for replay_threads in [1, 3] {
+            let db = Database::open(SiloConfig::for_testing());
+            let tables: Vec<TableId> = ["a", "b", "c"]
+                .iter()
+                .map(|name| db.create_table(name).unwrap())
+                .collect();
+            match recover_directory(&db, &dir, &RecoveryOptions { replay_threads }) {
+                Err(RecoveryError::Checkpoint { epoch: 3, error }) => {
+                    assert_eq!(error.kind(), std::io::ErrorKind::InvalidData, "{error}")
+                }
+                other => panic!("{replay_threads} loaders: a damaged slice returned {other:?}"),
+            }
+            let mut w = db.register_worker();
+            for t in tables {
+                assert_eq!(db.table(t).approximate_len(), 0, "{replay_threads} loaders");
+                let mut txn = w.begin();
+                assert_eq!(txn.scan(t, b"", None, None).unwrap(), Vec::new());
+                txn.commit().unwrap();
+            }
+        }
+    }
+
+    /// A tail delete of an unseen key leaves a tombstone on its shard, and a
+    /// larger-TID insert of the same key revives it: the key stays and is not
+    /// counted as reclaimed.
+    #[test]
+    fn a_revived_tombstone_is_not_reclaimed() {
+        let s = round(&[
+            txn_block(Tid::new(2, 5), 0, b"r", None),
+            txn_block(Tid::new(3, 1), 0, b"r", Some(b"back")),
+            txn_block(Tid::new(2, 6), 0, b"d", None),
+            marker(3),
+        ]);
+        let (db, report) = recover(&[s]);
+        assert_eq!(read(&db, b"r"), Some(b"back".to_vec()));
+        assert_eq!(report.tombstones_reclaimed, 1, "only `d` is reclaimed");
+        assert_eq!(db.table(0).approximate_len(), 1);
+        assert_no_absent_record(&db);
     }
 }

@@ -96,6 +96,22 @@ pub(crate) fn recovered(name: &str, dir: &std::path::Path) -> (Arc<Database>, Re
     (db, report)
 }
 
+/// Fails unless every table of `db` is free of records that are latest and
+/// absent: recovery must reclaim every tombstone replay left.
+pub(crate) fn assert_no_absent_record(db: &Database) {
+    for id in db.table_ids() {
+        for (key, value) in db.table(id).tree().scan(b"", None, None).entries {
+            // SAFETY: the table's records live as long as the database, and
+            // no transaction runs.
+            let word = unsafe { (*(value as *const silo_core::record::Record)).tid().load() };
+            assert!(
+                !(word.is_latest() && word.is_absent()),
+                "table {id} key {key:?}: an absent record survived recovery"
+            );
+        }
+    }
+}
+
 fn logged_db(log_config: LogConfig) -> (Arc<Database>, Arc<SiloLogger>) {
     let db = Database::open(
         SiloConfig::for_testing()
@@ -664,11 +680,11 @@ fn a_logged_load_recovers_to_an_identical_table() {
 
 #[test]
 fn a_table_in_two_checkpoint_runs_is_a_recovery_error() {
-    use crate::checkpoint::tests::{slice_bytes, write_one_slice_checkpoint};
+    use crate::checkpoint::tests::{slice_bytes, write_checkpoint};
     let tid = silo_core::Tid::new(2, 1);
     let recover = |records: &[(silo_core::TableId, &[u8], silo_core::Tid, &[u8])]| {
         let dir = scratch_dir("two-runs");
-        write_one_slice_checkpoint(&dir, 3, &slice_bytes(records), records.len() as u64);
+        write_checkpoint(&dir, 3, &[(&slice_bytes(records), records.len() as u64)]);
         let db = Database::open(SiloConfig::for_testing());
         db.create_table("a").unwrap();
         db.create_table("b").unwrap();
@@ -814,6 +830,7 @@ fn checkpoint_truncates_log_and_recovery_replays_only_the_tail() {
         expected.len(),
         "no absent records may stay hooked after recovery"
     );
+    assert_no_absent_record(&db2);
 
     // Post-recovery, the epochs are past the recovered horizon: new commits
     // get TIDs that sort after everything recovered.
@@ -1485,7 +1502,7 @@ mod checkpoint_equivalence {
     /// Writes a checkpoint at `ce` holding `state` (key -> (tid, value)) in
     /// the on-disk slice + manifest format.
     fn write_checkpoint(dir: &std::path::Path, ce: u64, state: &HashMap<u8, (Tid, Vec<u8>)>) {
-        use crate::checkpoint::tests::{slice_bytes, write_one_slice_checkpoint};
+        use crate::checkpoint::tests::{slice_bytes, write_checkpoint as write_slices};
         let mut keys: Vec<(Vec<u8>, &(Tid, Vec<u8>))> =
             state.iter().map(|(k, v)| (key_bytes(*k), v)).collect();
         keys.sort();
@@ -1493,7 +1510,7 @@ mod checkpoint_equivalence {
             .iter()
             .map(|(key, (tid, value))| (0, key.as_slice(), *tid, value.as_slice()))
             .collect();
-        write_one_slice_checkpoint(dir, ce, &slice_bytes(&records), records.len() as u64);
+        write_slices(dir, ce, &[(&slice_bytes(&records), records.len() as u64)]);
     }
 
     /// Recovers `dir` into a fresh database and returns the full table scan.
