@@ -24,7 +24,7 @@
 //! | `SILO_BENCH_CKPT_MS` | checkpoint interval (ms) | 1000 |
 //! | `SILO_BENCH_CKPT_BYTES_PER_SEC` | checkpoint walk rate limit (0 = off) | 0 |
 //! | `SILO_BENCH_SEGMENT_BYTES` | log segment rotation threshold | 4 MiB |
-//! | `SILO_RECOVERY_THREADS` | checkpoint-load threads; replay threads, each reading every log stream and applying its own key shard | 4 |
+//! | `SILO_RECOVERY_THREADS` | threads that sort each table's log tail, then build tables from checkpoint runs merged with their tail (the log is decoded by one thread per stream) | 4 |
 //! | `SILO_RECOVERY_MIN_EPOCH` | recovered horizon must reach this | 0 |
 //! | `SILO_RECOVERY_TOTAL_LOG_BYTES` | total bytes the run logged | unset |
 //! | `SILO_RECOVERY_MAX_TAIL_FRACTION` | max tail/total ratio | 0.5 |
@@ -226,7 +226,7 @@ fn recover_and_verify(dir: &Path, min_epoch: u64, total_log_bytes: Option<u64>) 
     );
 
     println!(
-        "# recovered: ckpt epoch {} ({} records, {} B in {:.1} ms), horizon {}, replayed {} txns / {} writes ({} B tail over {} files, {} covered by ckpt) in {:.1} ms, {} tombstones swept in {:.1} ms; consistency: {} districts / {} orders OK; post-recovery commits: {}",
+        "# recovered: ckpt epoch {} ({} records, {} B, tables built in {:.1} ms), horizon {}, replayed {} txns / {} writes ({} B tail over {} files, {} covered by ckpt) read and sorted in {:.1} ms; consistency: {} districts / {} orders OK; post-recovery commits: {}",
         report.checkpoint_epoch,
         report.checkpoint_records,
         report.checkpoint_bytes,
@@ -238,14 +238,12 @@ fn recover_and_verify(dir: &Path, min_epoch: u64, total_log_bytes: Option<u64>) 
         report.log_files,
         report.covered_txns,
         report.replay_micros as f64 / 1e3,
-        report.tombstones_reclaimed,
-        report.sweep_micros as f64 / 1e3,
         summary.districts,
         summary.orders,
         post.committed,
     );
     println!(
-        "BENCH_JSON {{\"bench\":\"fig_recovery\",\"series\":\"recover\",\"ckpt_epoch\":{},\"corrupt_log_tails\":{},\"ckpt_records\":{},\"ckpt_bytes\":{},\"ckpt_micros\":{},\"durable_epoch\":{},\"replayed_txns\":{},\"replayed_writes\":{},\"skipped_txns\":{},\"covered_txns\":{},\"log_tail_bytes\":{},\"log_files\":{},\"replay_micros\":{},\"tombstones_reclaimed\":{},\"sweep_micros\":{},\"restart_us\":{},\"districts_checked\":{},\"post_recovery_committed\":{}}}",
+        "BENCH_JSON {{\"bench\":\"fig_recovery\",\"series\":\"recover\",\"ckpt_epoch\":{},\"corrupt_log_tails\":{},\"ckpt_records\":{},\"ckpt_bytes\":{},\"ckpt_micros\":{},\"durable_epoch\":{},\"replayed_txns\":{},\"replayed_writes\":{},\"skipped_txns\":{},\"covered_txns\":{},\"log_tail_bytes\":{},\"log_files\":{},\"replay_micros\":{},\"restart_us\":{},\"districts_checked\":{},\"post_recovery_committed\":{}}}",
         report.checkpoint_epoch,
         report.corrupt_log_tails,
         report.checkpoint_records,
@@ -259,8 +257,6 @@ fn recover_and_verify(dir: &Path, min_epoch: u64, total_log_bytes: Option<u64>) 
         report.log_bytes_scanned,
         report.log_files,
         report.replay_micros,
-        report.tombstones_reclaimed,
-        report.sweep_micros,
         restart_us,
         summary.districts,
         post.committed,

@@ -284,7 +284,7 @@ impl Drop for RecordPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bulk::{bulk_apply, reclaim_absent};
+    use crate::bulk::bulk_load;
     use crate::config::SiloConfig;
     use crate::database::Database;
     use silo_tid::Tid;
@@ -491,52 +491,24 @@ mod tests {
         }
     }
 
-    /// `bulk_apply` carves from the same slab; a record it releases waits in
-    /// the spare lists for the next worker.
-    #[test]
-    fn bulk_applied_records_of_every_class_return_to_a_pool() {
-        let db = Database::open(SiloConfig::for_testing());
-        let t = db.create_table("t").unwrap();
-        let table = db.table(t);
-        for (class, &cap) in POOL_CLASSES.iter().enumerate() {
-            let key = format!("k{class}");
-            // SAFETY: no transactions in flight, one thread.
-            unsafe { bulk_apply(&table, key.as_bytes(), Tid::new(2, 1), Some(&vec![1; cap])) };
-            let rec = table.tree().get(key.as_bytes()).unwrap() as *const Record;
-            // SAFETY: the key's live record.
-            let (from_slab, capacity) = unsafe { ((*rec).from_slab(), (*rec).capacity()) };
-            assert!(from_slab, "class {cap}");
-            assert_eq!(capacity, cap);
-            // SAFETY: as above.
-            unsafe { bulk_apply(&table, key.as_bytes(), Tid::new(3, 1), None) };
-        }
-        let keys = (0..POOL_CLASSES.len()).map(|class| format!("k{class}"));
-        // SAFETY: as above.
-        assert_eq!(
-            unsafe { reclaim_absent(&table, keys) },
-            POOL_CLASSES.len() as u64
-        );
-        let w = db.register_worker();
-        for (pooled, cap) in w.pool.classes.iter().zip(POOL_CLASSES) {
-            assert_eq!(pooled.len(), 1, "class {cap}");
-        }
-    }
-
     /// Without `+Allocator` (Fig. 11's Simple), records come from the global
     /// allocator everywhere.
     #[test]
     fn simple_records_come_from_the_global_allocator() {
         let db = Database::open(SiloConfig::for_testing().with_per_worker_pool(false));
         let t = db.create_table("t").unwrap();
-        let table = db.table(t);
+        let loaded = db.create_table("loaded").unwrap();
         let mut w = db.register_worker();
         let mut txn = w.begin();
-        txn.insert(t, b"txn", &[1; 16]).unwrap();
+        txn.insert(t, b"key", &[1; 16]).unwrap();
         txn.commit().unwrap();
+        let table = db.table(loaded);
         // SAFETY: no transactions in flight, one thread.
-        unsafe { bulk_apply(&table, b"bulk", Tid::new(9, 1), Some(&[1; 16])) };
-        for key in [&b"txn"[..], b"bulk"] {
-            let rec = table.tree().get(key).unwrap() as *const Record;
+        let mut load = unsafe { bulk_load(&table) }.unwrap();
+        load.push(b"key", Tid::new(9, 1), &[1; 16]).unwrap();
+        load.publish().unwrap();
+        for t in [t, loaded] {
+            let rec = db.table(t).tree().get(b"key").unwrap() as *const Record;
             // SAFETY: the key's live record.
             assert!(!unsafe { (*rec).from_slab() });
         }

@@ -66,7 +66,7 @@ pub mod stats;
 pub mod txn;
 pub mod worker;
 
-pub use bulk::{bulk_apply, bulk_load, reclaim_absent, BulkOutcome, TableLoad};
+pub use bulk::{bulk_load, TableLoad};
 pub use config::SiloConfig;
 pub use database::{
     CommitHook, CommitWrite, CommitWrites, Database, DurabilityHealth, Table, TableId,

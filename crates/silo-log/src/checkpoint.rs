@@ -73,10 +73,11 @@ use std::sync::{Arc, Barrier, Condvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use silo_core::{BulkLoadError, CommitWrite, Database, Table, TableId, TableLoad, Tid, Worker};
+use silo_core::{CommitWrite, Database, Table, TableId, TableLoad, Tid, Worker};
 
 use crate::fault::{FaultKind, FaultSite, InjectedCrash};
 use crate::record::{self, BlockRef, DecodeError, StreamDecoder};
+use crate::recovery::{run_error, Run, Tail};
 use crate::{lock, RecoveryError, SiloLogger};
 
 /// Name of the per-checkpoint completeness marker / metadata file.
@@ -644,7 +645,7 @@ fn read_manifest(dir: &Path) -> Option<CheckpointInfo> {
 }
 
 /// The newest checkpoint under `root` that has a manifest, with its epoch.
-/// Only the manifest is read here; [`load_checkpoint`] holds each slice to
+/// Only the manifest is read here; [`build_tables`] holds each slice to
 /// it. The manifest's rename is what makes a checkpoint complete, so after it
 /// only damage can make the manifest unreadable: an `InvalidData` error.
 pub(crate) fn newest_checkpoint(root: &Path) -> Option<(u64, std::io::Result<CheckpointInfo>)> {
@@ -720,22 +721,24 @@ fn read_slice<E: From<std::io::Error>>(
     Ok(())
 }
 
-/// Loads a checkpoint into `db` with up to `threads` concurrent slice
-/// loaders. The database's tables must already be recreated (with the same
-/// ids as before the crash) and be empty. A slice holds each of its tables
-/// as one run in key order (see `walk`), and each run is built bottom-up
-/// into its empty table by [`silo_core::bulk_load`].
+/// Builds every table of `db` bottom-up with up to `threads` loaders: each
+/// table the `checkpoint` holds from its run merged with its log tail (see
+/// [`Run`]), then each other table the `tails` write from its tail alone.
+/// The tables must already be recreated (with the same ids as before the
+/// crash) and be empty. A slice holds each of its tables as one run in key
+/// order (see `walk`).
 ///
 /// This is the one read of the slices, so it is all or nothing. Every run is
 /// held unpublished until all loaders have read their slices through the
 /// strict checks of [`read_slice`], and is published only if none failed:
-/// on success every slice held exactly what the manifest claims. A
-/// damaged or unreadable slice is [`RecoveryError::Checkpoint`], and a table
-/// met in two runs is [`RecoveryError::Apply`]; either way every load is
-/// dropped, its records released, and every table stays empty.
-pub(crate) fn load_checkpoint(
+/// on success every slice held exactly what the manifest claims. A damaged
+/// or unreadable slice is [`RecoveryError::Checkpoint`], and a table met in
+/// two runs is [`RecoveryError::Apply`]; either way every load is dropped,
+/// its records released, and every table stays empty.
+pub(crate) fn build_tables(
     db: &Arc<Database>,
-    info: &CheckpointInfo,
+    checkpoint: Option<&CheckpointInfo>,
+    tail: &Tail,
     threads: usize,
 ) -> Result<(), RecoveryError> {
     // Each table with whether a run has claimed it yet.
@@ -744,7 +747,8 @@ pub(crate) fn load_checkpoint(
         .into_iter()
         .map(|id| (id, db.table(id), AtomicBool::new(false)))
         .collect();
-    let threads = threads.clamp(1, info.slices.len().max(1));
+    let slices = checkpoint.map_or(&[][..], |info| &info.slices);
+    let threads = threads.clamp(1, slices.len().max(1));
     let next_slice = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
     // A `TableLoad` cannot leave its thread, so each loader publishes its
@@ -754,7 +758,7 @@ pub(crate) fn load_checkpoint(
     crate::recovery::in_parallel(threads, |_| {
         let mut runs = Vec::new();
         let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            load_slices(&tables, info, &next_slice, &mut runs)
+            load_slices(&tables, tail, slices, &next_slice, &mut runs)
         }));
         failed.fetch_or(!matches!(read, Ok(Ok(()))), Ordering::Relaxed);
         all_read.wait();
@@ -766,66 +770,60 @@ pub(crate) fn load_checkpoint(
         }
         Ok(())
     })
-    .map_err(|e| match e {
+    .map_err(|e| match (e, checkpoint) {
         // Only reading a slice fails with an I/O error.
-        RecoveryError::Io(error) => RecoveryError::Checkpoint {
+        (RecoveryError::Io(error), Some(info)) => RecoveryError::Checkpoint {
             epoch: info.epoch,
             error,
         },
-        e => e,
+        (e, _) => e,
     })?;
+
+    // The tables no run claimed, from their tail alone.
+    for (id, _, claimed) in &tables {
+        if !claimed.load(Ordering::Relaxed) {
+            let (id, load) = Run::start(&tables, tail, *id)?.finish()?;
+            load.publish().map_err(|e| run_error(id, e))?;
+        }
+    }
     Ok(())
 }
 
-/// One loader of [`load_checkpoint`]: takes slices off the shared queue
-/// until none is left, and reads each into a new run in `runs` per table it
+/// One loader of [`build_tables`]: takes slices off the shared queue until
+/// none is left, and reads each into a finished run in `runs` per table it
 /// holds.
 fn load_slices<'t>(
     tables: &'t [(TableId, Arc<Table>, AtomicBool)],
-    info: &CheckpointInfo,
+    tail: &'t Tail,
+    slices: &[(PathBuf, u64, u64)],
     next_slice: &AtomicUsize,
     runs: &mut Vec<(TableId, TableLoad<'t>)>,
 ) -> Result<(), RecoveryError> {
     while let Some((path, slice_bytes, slice_records)) =
-        info.slices.get(next_slice.fetch_add(1, Ordering::Relaxed))
+        slices.get(next_slice.fetch_add(1, Ordering::Relaxed))
     {
         let file = std::fs::File::open(path)?;
-        let first_run = runs.len();
+        let mut open: Option<Run<'t>> = None;
         read_slice(
             file,
             *slice_bytes,
             *slice_records,
             |tid, table, key, value| {
-                if runs[first_run..].last().map(|(id, _)| *id) != Some(table) {
-                    let Some((_, target, claimed)) = tables.iter().find(|(id, ..)| *id == table)
-                    else {
-                        return Err(crate::recovery::unknown_table(table));
-                    };
-                    if claimed.swap(true, Ordering::Relaxed) {
-                        return Err(run_error(table, BulkLoadError::NotEmpty));
+                if open.as_ref().map(|run| run.table) != Some(table) {
+                    if let Some(run) = open.replace(Run::start(tables, tail, table)?) {
+                        runs.push(run.finish()?);
                     }
-                    // SAFETY: recovery-mode exclusivity — no transactions run
-                    // during recovery.
-                    let load =
-                        unsafe { silo_core::bulk_load(target) }.map_err(|e| run_error(table, e))?;
-                    runs.push((table, load));
                 }
-                let (_, load) = runs.last_mut().expect("a run is open");
-                load.push(key, tid, value).map_err(|e| run_error(table, e))
+                open.as_mut()
+                    .expect("a run is open")
+                    .push(Some((key, tid, value)))
             },
         )?;
+        if let Some(run) = open {
+            runs.push(run.finish()?);
+        }
     }
     Ok(())
-}
-
-/// The recovery error for a checkpoint run of `table` its bulk load refused.
-fn run_error(table: TableId, error: BulkLoadError) -> RecoveryError {
-    RecoveryError::Apply(match error {
-        BulkLoadError::NotEmpty => {
-            format!("table {table} is not empty: recovery needs empty tables, one run each")
-        }
-        error => format!("checkpoint run of table {table}: {error}"),
-    })
 }
 
 #[cfg(test)]

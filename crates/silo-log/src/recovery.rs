@@ -9,31 +9,41 @@
 //! surviving log segments, and replay exactly the transactions with
 //! `ce < epoch(tid) ≤ D` — the log *tail*.
 //!
-//! The checkpoint holds each table as one run in key order, so its slices
-//! load in parallel and each run builds its empty table's index bottom-up
-//! ([`silo_core::bulk_load`]). Each slice is read once: the strict checks run
-//! as it loads, and no table is published until every slice has passed.
-//! Replay runs `replay_threads` appliers that each read every log stream
-//! themselves and apply only the writes of their own key shard, straight
-//! from the decoder's buffer. No two appliers touch one key, and
-//! [`silo_core::bulk_apply`] resolves each key by TID, so records of the same
-//! key end at the largest TID no matter which stream they came from or in
-//! which order. Each applier notes the keys it leaves absent, and only those
-//! are visited to reclaim the absent records replay leaves behind
-//! ([`silo_core::reclaim_absent`]). Nothing is ever loaded whole-file into
-//! memory.
+//! Every table is built once, bottom-up, by merging sorted runs (the shape
+//! of MPSM: sort each run on its own, then merge instead of installing by
+//! random access):
+//!
+//! 1. After the horizon pre-scan, one thread per log stream decodes that
+//!    stream once, keeping each tail write's key and value in the stream's
+//!    arena and an index entry in its table's list ([`Tail`]).
+//! 2. Each table's list, all streams together, is sorted by (key, TID)
+//!    keeping only each key's largest TID, `replay_threads` tables at a
+//!    time.
+//! 3. The checkpoint holds each table as one run in key order. Each table's
+//!    run is merged with its sorted tail into one [`silo_core::bulk_load`]
+//!    ([`Run`]): a tail value replaces the row, a tail delete drops it, a
+//!    key only the tail holds is inserted unless its last write is a
+//!    delete, and a table the checkpoint does not hold is built from its
+//!    tail alone.
+//!
+//! Records keep their original TIDs, and no absent record is ever built.
+//! Each slice is read once, with its strict checks, and no table is
+//! published until every slice has passed. The tail is held in memory while
+//! the tables build; the checkpoint cadence bounds it.
 //!
 //! There is one entry point: [`recover_directory`] runs this over the
-//! segment files of a durability root, after restoring the checkpoint there.
+//! checkpoint and segment files of a durability root.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use silo_core::{BulkOutcome, Database, TableId};
+use parking_lot::Mutex;
+use silo_core::{BulkLoadError, Database, Table, TableId, TableLoad, Tid};
 
 use crate::record::{BlockRef, DecodeError, StreamDecoder};
 use crate::sink::parse_segment_name;
@@ -189,9 +199,10 @@ impl std::io::Read for ChainedFiles<'_> {
 /// Knobs for [`recover_directory`].
 #[derive(Debug, Clone)]
 pub struct RecoveryOptions {
-    /// Worker threads used both to load checkpoint slices and to replay the
-    /// log: each replay thread reads every log stream and applies one key
-    /// shard of it.
+    /// Threads that sort the tables' log tails, then read checkpoint slices
+    /// and build the tables, each from its checkpoint run merged with its
+    /// tail. The log itself is decoded by one thread per log stream,
+    /// whatever this is.
     pub replay_threads: usize,
 }
 
@@ -212,14 +223,15 @@ pub struct RecoveryReport {
     pub checkpoint_records: u64,
     /// Checkpoint bytes read.
     pub checkpoint_bytes: u64,
-    /// Wall-clock microseconds loading the checkpoint.
+    /// Wall-clock microseconds building the tables: reading the checkpoint
+    /// slices and merging the log tail into them.
     pub checkpoint_micros: u64,
     /// The recovered durable horizon `D`: every transaction with
     /// `epoch ≤ D` is restored; nothing newer is.
     pub durable_epoch: u64,
     /// Log-tail transactions replayed (`checkpoint_epoch < epoch ≤ D`).
     pub replayed_txns: u64,
-    /// Individual writes applied during replay.
+    /// Writes of the replayed transactions.
     pub replayed_writes: u64,
     /// Transactions skipped because their epoch was beyond the horizon.
     pub skipped_txns: u64,
@@ -230,26 +242,12 @@ pub struct RecoveryReport {
     pub log_bytes_scanned: u64,
     /// Number of surviving log files scanned.
     pub log_files: u64,
-    /// Wall-clock microseconds replaying the log tail (includes the horizon
-    /// pre-scan).
+    /// Wall-clock microseconds reading the log tail: the horizon pre-scan,
+    /// the decode and the sort.
     pub replay_micros: u64,
-    /// Absent records (delete tombstones, superseded deleted keys) unhooked
-    /// and freed by the post-replay sweep.
-    pub tombstones_reclaimed: u64,
-    /// Wall-clock microseconds of the post-replay sweep, which visits only
-    /// the keys replay left absent.
-    pub sweep_micros: u64,
     /// Log streams whose tail was malformed (failed checksum, bad tag) and
     /// treated as the torn tail of §4.10 — ignored past the last good block.
     pub corrupt_log_tails: u64,
-}
-
-/// The table a recovered write applies to.
-pub(crate) fn recovery_table(
-    db: &Database,
-    id: TableId,
-) -> Result<Arc<silo_core::Table>, RecoveryError> {
-    db.try_table(id).ok_or_else(|| unknown_table(id))
 }
 
 /// The error for a recovered write to a table the schema does not have.
@@ -259,24 +257,17 @@ pub(crate) fn unknown_table(id: TableId) -> RecoveryError {
     ))
 }
 
-fn shard_of(table: TableId, key: &[u8], shards: usize) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    table.hash(&mut hasher);
-    key.hash(&mut hasher);
-    (hasher.finish() % shards as u64) as usize
-}
-
-/// Full crash recovery from a durability root directory: restores the latest
-/// complete checkpoint (slices loaded concurrently), then replays the log
-/// tail — `replay_threads` appliers, each reading every logger stream and
-/// applying the writes of its own key shard, with TID-based conflict
-/// resolution — and finally fast-forwards the epoch manager past the
-/// recovered horizon so post-recovery commits (and their log records) sort
-/// after everything recovered.
+/// Full crash recovery from a durability root directory: reads the log
+/// tail of the latest complete checkpoint (one thread per logger stream),
+/// sorts each table's tail, builds every table from its checkpoint run
+/// merged with its tail on `replay_threads` threads, and finally
+/// fast-forwards the epoch manager past the recovered horizon so
+/// post-recovery commits (and their log records) sort after everything
+/// recovered.
 ///
 /// The database must be freshly opened with its tables recreated (same
-/// [`TableId`]s as before the crash) and no concurrent transactional access.
+/// [`TableId`]s as before the crash), empty, and with no concurrent
+/// transactional access.
 ///
 /// A newest checkpoint whose manifest or slices are damaged (see
 /// [`crate::checkpoint`]) is [`RecoveryError::Checkpoint`], returned with
@@ -295,25 +286,22 @@ pub fn recover_directory(
     dir: &Path,
     options: &RecoveryOptions,
 ) -> Result<RecoveryReport, RecoveryError> {
-    let threads = options.replay_threads.max(1);
     let mut report = RecoveryReport::default();
 
-    // The newest checkpoint, read once: nothing of it is published unless
-    // every slice passes. An older one is no fallback: the log before the
-    // newest is truncated.
-    let ckpt_start = Instant::now();
-    if let Some((epoch, info)) = crate::checkpoint::newest_checkpoint(dir) {
-        let info = info.map_err(|error| RecoveryError::Checkpoint { epoch, error })?;
-        crate::checkpoint::load_checkpoint(db, &info, threads)?;
+    // The newest checkpoint's manifest. An older one is no fallback: the log
+    // before the newest is truncated.
+    let checkpoint = crate::checkpoint::newest_checkpoint(dir)
+        .map(|(epoch, info)| info.map_err(|error| RecoveryError::Checkpoint { epoch, error }))
+        .transpose()?;
+    if let Some(info) = &checkpoint {
         report.checkpoint_epoch = info.epoch;
         report.checkpoint_records = info.slices.iter().map(|(_, _, records)| records).sum();
         report.checkpoint_bytes = info.slices.iter().map(|(_, bytes, _)| bytes).sum();
-        report.checkpoint_micros = ckpt_start.elapsed().as_micros() as u64;
     }
     let ce = report.checkpoint_epoch;
 
-    // The log tail: each stream is read twice, by the horizon pre-scan (one
-    // thread per stream), then by every replay thread.
+    // The log tail: each stream is read twice, by the horizon pre-scan, then
+    // by its decode, one thread per stream each time.
     let streams = log_streams(dir)?;
     report.log_files = streams.iter().map(|paths| paths.len() as u64).sum();
     let replay_start = Instant::now();
@@ -335,41 +323,31 @@ pub fn recover_directory(
         .max(ce);
     report.durable_epoch = durable_epoch;
 
-    let shards = in_parallel(threads, |shard| {
-        replay_shard(db, &streams, shard, threads, ce, durable_epoch)
+    let tables = db.table_ids().len();
+    let decoded = in_parallel(streams.len(), |s| {
+        decode_tail(&streams[s], s, tables, ce, durable_epoch)
     })?;
-    let (shards, absent): (Vec<RecoveryReport>, Vec<_>) = shards.into_iter().unzip();
-    // Every shard reads every transaction and byte; each applies its own writes.
-    report.replayed_writes = shards.iter().map(|shard| shard.replayed_writes).sum();
-    report.replayed_txns = shards[0].replayed_txns;
-    report.skipped_txns = shards[0].skipped_txns;
-    report.covered_txns = shards[0].covered_txns;
-    report.log_bytes_scanned = shards[0].log_bytes_scanned;
+    let mut tail = Tail::default();
+    tail.tables.resize_with(tables, Vec::new);
+    for (tally, arena, by_table) in decoded {
+        report.replayed_txns += tally.replayed_txns;
+        report.replayed_writes += tally.replayed_writes;
+        report.skipped_txns += tally.skipped_txns;
+        report.covered_txns += tally.covered_txns;
+        report.log_bytes_scanned += tally.log_bytes_scanned;
+        tail.arenas.push(arena);
+        for (all, writes) in tail.tables.iter_mut().zip(by_table) {
+            all.extend(writes);
+        }
+    }
+    tail.sort(options.replay_threads);
     report.replay_micros = replay_start.elapsed().as_micros() as u64;
 
-    // Reclaim tombstones. Replay installs absent records (delete tombstones
-    // for unseen keys; final deletes of checkpointed keys) that would
-    // otherwise stay hooked in the index until a future write happens to
-    // touch them. Replay noted every key it left absent; recovery still holds
-    // exclusive access, so those still absent are unhooked and freed
-    // directly, one table per thread.
-    let sweep_start = Instant::now();
-    let table_ids = db.table_ids();
-    let next = AtomicUsize::new(0);
-    let swept = in_parallel(threads.min(table_ids.len().max(1)), |_| {
-        let mut reclaimed = 0;
-        while let Some(&table) = table_ids.get(next.fetch_add(1, Ordering::Relaxed)) {
-            let keys = absent.iter().flatten();
-            let keys = keys.filter_map(|(id, key)| (*id == table).then_some(key));
-            // SAFETY: recovery-mode exclusivity — replay finished and no
-            // transactional workers run yet; each table is swept by exactly
-            // one thread.
-            reclaimed += unsafe { silo_core::reclaim_absent(&db.table(table), keys) };
-        }
-        Ok::<u64, RecoveryError>(reclaimed)
-    })?;
-    report.tombstones_reclaimed = swept.iter().sum();
-    report.sweep_micros = sweep_start.elapsed().as_micros() as u64;
+    // The one install path: every table built bottom-up, published only
+    // once every slice has passed.
+    let build_start = Instant::now();
+    crate::checkpoint::build_tables(db, checkpoint.as_ref(), &tail, options.replay_threads)?;
+    report.checkpoint_micros = build_start.elapsed().as_micros() as u64;
 
     // Fast-forward the epochs past everything recovered, far enough that the
     // next snapshot epoch covers the whole recovered state (§4.9:
@@ -381,65 +359,223 @@ pub fn recover_directory(
     Ok(report)
 }
 
-/// Replay thread `shard` of `shards`: reads every stream and applies the
-/// writes of tail transactions (`ce < epoch ≤ durable_epoch`) whose key
-/// falls in its shard, straight from the decoder's buffer. Its report counts
-/// the writes it applied, and every transaction and byte it read; beside it
-/// come the keys a write left absent.
-fn replay_shard(
-    db: &Arc<Database>,
-    streams: &[Vec<PathBuf>],
-    shard: usize,
-    shards: usize,
+/// Decodes stream `stream` once: keeps the writes of its tail transactions
+/// (`ce < epoch ≤ durable_epoch`), their keys and values in one arena, each
+/// in its table's list. A write to a table id not below `tables` is an
+/// error. The report counts what the stream held.
+fn decode_tail(
+    paths: &[PathBuf],
+    stream: usize,
+    tables: usize,
     ce: u64,
     durable_epoch: u64,
-) -> Result<(RecoveryReport, Vec<(TableId, Vec<u8>)>), RecoveryError> {
+) -> Result<(RecoveryReport, Vec<u8>, Vec<Vec<TailWrite>>), RecoveryError> {
     let mut tally = RecoveryReport::default();
-    let mut absent = Vec::new();
-    let mut failed = None;
-    for paths in streams {
-        // The pre-scan counted corruption; replay stops where it stopped.
-        let (bytes, _) = walk_stream(paths, |block| {
-            let BlockRef::Txn(tid, writes) = block else {
-                return;
-            };
-            let epoch = tid.epoch();
-            if epoch <= ce {
-                tally.covered_txns += 1;
-                return;
-            }
-            if epoch > durable_epoch {
-                tally.skipped_txns += 1;
-                return;
-            }
+    let mut arena = Vec::new();
+    let mut by_table = vec![Vec::new(); tables];
+    let mut unknown = None;
+    // The pre-scan counted corruption; the decode stops where it stopped.
+    let (bytes, _) = walk_stream(paths, |block| {
+        let BlockRef::Txn(tid, writes) = block else {
+            return;
+        };
+        let epoch = tid.epoch();
+        if epoch <= ce {
+            tally.covered_txns += 1;
+        } else if epoch > durable_epoch {
+            tally.skipped_txns += 1;
+        } else {
             tally.replayed_txns += 1;
-            for (id, key, value) in writes {
-                if failed.is_some() || shard_of(id, key, shards) != shard {
+            for (table, key, value) in writes {
+                let Some(writes) = by_table.get_mut(table as usize) else {
+                    unknown.get_or_insert(table);
                     continue;
-                }
-                let table = match recovery_table(db, id) {
-                    Ok(table) => table,
-                    Err(e) => {
-                        failed = Some(e);
-                        continue;
-                    }
                 };
-                // SAFETY: recovery-mode exclusivity — no transactions run
-                // during recovery, and sharding by key hash means no other
-                // replay thread ever touches this key.
-                let outcome = unsafe { silo_core::bulk_apply(&table, key, tid, value) };
-                if matches!(outcome, BulkOutcome::Tombstoned | BulkOutcome::Deleted) {
-                    absent.push((id, key.to_vec()));
-                }
+                writes.push(TailWrite::new(stream, &mut arena, tid, key, value));
                 tally.replayed_writes += 1;
             }
-        })?;
-        tally.log_bytes_scanned += bytes;
+        }
+    })?;
+    if let Some(table) = unknown {
+        return Err(unknown_table(table));
     }
-    match failed {
-        Some(e) => Err(e),
-        None => Ok((tally, absent)),
+    tally.log_bytes_scanned = bytes;
+    Ok((tally, arena, by_table))
+}
+
+/// Key bytes a [`TailWrite`] holds inline, so that the sort compares most
+/// keys without reading an arena.
+const PREFIX: usize = 16;
+
+/// One write of the log tail, its key and value in its stream's arena.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TailWrite {
+    /// The key's first [`PREFIX`] bytes, zero-padded, big-endian: ordering
+    /// these orders the keys, and keys no longer than `PREFIX` are equal
+    /// when these and their lengths are.
+    prefix: u128,
+    tid: Tid,
+    stream: u32,
+    /// Where the key starts in the arena; the value follows it.
+    at: usize,
+    key_len: u32,
+    /// The value's length, or `None` for a delete.
+    value_len: Option<u32>,
+}
+
+impl TailWrite {
+    /// The write of `key` and `value` at `tid`, both appended to `arena`.
+    fn new(stream: usize, arena: &mut Vec<u8>, tid: Tid, key: &[u8], value: Option<&[u8]>) -> Self {
+        let at = arena.len();
+        arena.extend_from_slice(key);
+        arena.extend_from_slice(value.unwrap_or_default());
+        let mut prefix = [0; PREFIX];
+        let inline = key.len().min(PREFIX);
+        prefix[..inline].copy_from_slice(&key[..inline]);
+        TailWrite {
+            prefix: u128::from_be_bytes(prefix),
+            tid,
+            stream: stream as u32,
+            at,
+            key_len: key.len() as u32,
+            value_len: value.map(|value| value.len() as u32),
+        }
     }
+}
+
+/// The log tail: the keys and values of its writes, in one arena per
+/// stream, and per table its writes, each key once, at its largest TID, in
+/// key order.
+#[derive(Debug, Default)]
+pub(crate) struct Tail {
+    arenas: Vec<Vec<u8>>,
+    tables: Vec<Vec<TailWrite>>,
+}
+
+impl Tail {
+    fn key(&self, write: &TailWrite) -> &[u8] {
+        &self.arenas[write.stream as usize][write.at..][..write.key_len as usize]
+    }
+
+    fn value(&self, write: &TailWrite) -> Option<&[u8]> {
+        let arena = &self.arenas[write.stream as usize][write.at + write.key_len as usize..];
+        write.value_len.map(|len| &arena[..len as usize])
+    }
+
+    /// Orders two writes of one table by key.
+    fn order(&self, a: &TailWrite, b: &TailWrite) -> Ordering {
+        a.prefix.cmp(&b.prefix).then_with(|| {
+            if a.key_len.max(b.key_len) as usize <= PREFIX {
+                // Equal zero-padded prefixes: the shorter key is a prefix of
+                // the longer one.
+                a.key_len.cmp(&b.key_len)
+            } else {
+                self.key(a).cmp(self.key(b))
+            }
+        })
+    }
+
+    /// Sorts each table's writes by (key, TID descending) and keeps the
+    /// first of each key, its largest TID: one table at a time on each of
+    /// `threads` threads.
+    fn sort(&mut self, threads: usize) {
+        let tables: Vec<_> = std::mem::take(&mut self.tables)
+            .into_iter()
+            .map(Mutex::new)
+            .collect();
+        let next = AtomicUsize::new(0);
+        let sorted = in_parallel(threads.clamp(1, tables.len().max(1)), |_| {
+            while let Some(writes) = tables.get(next.fetch_add(1, AtomicOrdering::Relaxed)) {
+                let mut writes = writes.lock();
+                writes.sort_unstable_by(|a, b| self.order(a, b).then(b.tid.cmp(&a.tid)));
+                writes.dedup_by(|later, first| self.order(later, first) == Ordering::Equal);
+            }
+            Ok::<_, ()>(())
+        });
+        sorted.expect("sorting fails nothing");
+        self.tables = tables.into_iter().map(Mutex::into_inner).collect();
+    }
+}
+
+/// One table being built bottom-up: its checkpoint run, if it has one,
+/// merged with its tail. Every tail write is newer than every checkpoint row
+/// (its epoch is past the checkpoint's), so the tail wins each key both
+/// hold.
+pub(crate) struct Run<'t> {
+    pub(crate) table: TableId,
+    load: TableLoad<'t>,
+    tail: &'t Tail,
+    /// The table's tail writes not pushed yet.
+    writes: &'t [TailWrite],
+}
+
+impl<'t> Run<'t> {
+    /// Claims the empty `table` of `tables` and starts its build.
+    pub(crate) fn start(
+        tables: &'t [(TableId, Arc<Table>, AtomicBool)],
+        tail: &'t Tail,
+        table: TableId,
+    ) -> Result<Self, RecoveryError> {
+        let Some((_, target, claimed)) = tables.iter().find(|(id, ..)| *id == table) else {
+            return Err(unknown_table(table));
+        };
+        if claimed.swap(true, AtomicOrdering::Relaxed) {
+            return Err(run_error(table, BulkLoadError::NotEmpty));
+        }
+        // SAFETY: recovery-mode exclusivity — no transactions run during
+        // recovery.
+        let load = unsafe { silo_core::bulk_load(target) }.map_err(|e| run_error(table, e))?;
+        Ok(Run {
+            table,
+            load,
+            tail,
+            writes: &tail.tables[table as usize],
+        })
+    }
+
+    /// Pushes, in key order, the tail keys up to the checkpoint row `row`'s
+    /// key (every key left if there is no `row`), none whose last write
+    /// deletes it; then `row`, unless the tail wrote its key.
+    pub(crate) fn push(&mut self, row: Option<(&[u8], Tid, &[u8])>) -> Result<(), RecoveryError> {
+        let upto = row.map(|(key, ..)| key);
+        while let Some(write) = self.writes.first() {
+            let key = self.tail.key(write);
+            if upto.is_some_and(|upto| key > upto) {
+                break;
+            }
+            self.writes = &self.writes[1..];
+            if let Some(value) = self.tail.value(write) {
+                self.load
+                    .push(key, write.tid, value)
+                    .map_err(|e| run_error(self.table, e))?;
+            }
+            if upto == Some(key) {
+                return Ok(());
+            }
+        }
+        match row {
+            Some((key, tid, value)) => self.load.push(key, tid, value),
+            None => Ok(()),
+        }
+        .map_err(|e| run_error(self.table, e))
+    }
+
+    /// Pushes the tail keys above the last checkpoint row, and returns the
+    /// unpublished load.
+    pub(crate) fn finish(mut self) -> Result<(TableId, TableLoad<'t>), RecoveryError> {
+        self.push(None)?;
+        Ok((self.table, self.load))
+    }
+}
+
+/// The recovery error for a run of `table` its bulk load refused.
+pub(crate) fn run_error(table: TableId, error: BulkLoadError) -> RecoveryError {
+    RecoveryError::Apply(match error {
+        BulkLoadError::NotEmpty => {
+            format!("table {table} is not empty: recovery needs empty tables, one run each")
+        }
+        error => format!("checkpoint run of table {table}: {error}"),
+    })
 }
 
 #[cfg(test)]
@@ -545,7 +681,6 @@ mod tests {
         assert_eq!(report.replayed_txns, 5);
         assert_eq!(read(&db, b"k"), None, "the delete is the newest action");
         assert_eq!(read(&db, b"j"), Some(b"j-new".to_vec()));
-        assert_eq!(report.tombstones_reclaimed, 1);
         assert_eq!(db.table(0).approximate_len(), 1);
     }
 
@@ -796,16 +931,12 @@ mod tests {
                 r.replayed_writes,
                 r.skipped_txns,
                 r.covered_txns,
-                r.tombstones_reclaimed,
             ];
             (versions(&db), counts)
         };
         let one = recover_with(1);
-        assert_eq!(
-            one.1,
-            [7, 3 * 40 * 4, 3 * 40 * 4, 3 * 40, 3 * 40 * 2, one.1[5]]
-        );
-        assert!(one.1[5] > 0, "some key ends deleted");
+        assert_eq!(one.1, [7, 3 * 40 * 4, 3 * 40 * 4, 3 * 40, 3 * 40 * 2]);
+        assert!(one.0.len() < keys.len(), "some key ends deleted");
         assert!(!one.0.is_empty());
         for threads in [2, 3, 4, 7] {
             assert_eq!(recover_with(threads), one, "{threads} replay threads");
@@ -990,9 +1121,8 @@ mod tests {
         }
     }
 
-    /// A tail delete of an unseen key leaves a tombstone on its shard, and a
-    /// larger-TID insert of the same key revives it: the key stays and is not
-    /// counted as reclaimed.
+    /// A tail delete of a key nothing else holds builds nothing, and a
+    /// larger-TID insert of the same key revives it: the key stays.
     #[test]
     fn a_revived_tombstone_is_not_reclaimed() {
         let s = round(&[
@@ -1001,10 +1131,202 @@ mod tests {
             txn_block(Tid::new(2, 6), 0, b"d", None),
             marker(3),
         ]);
-        let (db, report) = recover(&[s]);
+        let (db, _) = recover(&[s]);
         assert_eq!(read(&db, b"r"), Some(b"back".to_vec()));
-        assert_eq!(report.tombstones_reclaimed, 1, "only `d` is reclaimed");
-        assert_eq!(db.table(0).approximate_len(), 1);
+        assert_eq!(db.table(0).approximate_len(), 1, "only `r` is built");
         assert_no_absent_record(&db);
+    }
+
+    /// A durability root holding a checkpoint at epoch 3 of `rows` in table
+    /// 0 and one log stream of `blocks`, recovered into a fresh database.
+    fn recover_checkpoint_and_tail(
+        rows: &[(&[u8], &[u8])],
+        blocks: &[Vec<u8>],
+    ) -> (Arc<Database>, RecoveryReport) {
+        use crate::checkpoint::tests::{slice_bytes, write_checkpoint};
+        let dir = scratch_dir("ckpt-and-tail");
+        let records: Vec<(TableId, &[u8], Tid, &[u8])> = rows
+            .iter()
+            .map(|&(key, value)| (0, key, Tid::new(3, 1), value))
+            .collect();
+        write_checkpoint(&dir, 3, &[(&slice_bytes(&records), records.len() as u64)]);
+        write_segments(&dir, &[round(blocks)]);
+        crate::tests::recovered("t", &dir)
+    }
+
+    #[test]
+    fn a_tail_only_key_whose_last_write_is_a_delete_is_never_built() {
+        let (db, report) = recover_checkpoint_and_tail(
+            &[(b"m", b"ckpt")],
+            &[
+                txn_block(Tid::new(4, 1), 0, b"a", Some(b"short-lived")),
+                txn_block(Tid::new(4, 2), 0, b"a", None),
+                txn_block(Tid::new(4, 3), 0, b"z", None),
+                txn_block(Tid::new(5, 1), 0, b"b", Some(b"v")),
+                txn_block(Tid::new(5, 2), 0, b"b", None),
+                marker(5),
+            ],
+        );
+        assert_eq!(report.replayed_writes, 5);
+        let table = db.table(0);
+        for key in [&b"a"[..], b"b", b"z"] {
+            assert!(table.tree().get(key).is_none(), "{key:?} was built");
+        }
+        assert_eq!(
+            versions(&db),
+            [(b"m".to_vec(), Tid::new(3, 1), b"ckpt".to_vec())]
+        );
+    }
+
+    #[test]
+    fn a_checkpoint_row_deleted_in_the_tail_is_gone() {
+        let (db, _) = recover_checkpoint_and_tail(
+            &[(b"a", b"1"), (b"b", b"2"), (b"c", b"3")],
+            &[
+                txn_block(Tid::new(4, 1), 0, b"b", None),
+                txn_block(Tid::new(4, 2), 0, b"c", Some(b"tail")),
+                marker(4),
+            ],
+        );
+        assert!(db.table(0).tree().get(b"b").is_none());
+        assert_eq!(
+            versions(&db),
+            [
+                (b"a".to_vec(), Tid::new(3, 1), b"1".to_vec()),
+                (b"c".to_vec(), Tid::new(4, 2), b"tail".to_vec()),
+            ]
+        );
+        assert_no_absent_record(&db);
+    }
+
+    #[test]
+    fn the_larger_tid_wins_a_key_in_two_streams_in_either_order() {
+        let newer = round(&[
+            txn_block(Tid::new(3, 5), 0, b"k", Some(b"newer")),
+            txn_block(Tid::new(3, 6), 0, b"gone", None),
+            marker(4),
+        ]);
+        let older = round(&[
+            txn_block(Tid::new(3, 2), 0, b"k", Some(b"older")),
+            txn_block(Tid::new(3, 1), 0, b"gone", Some(b"older")),
+            marker(4),
+        ]);
+        for streams in [[newer.clone(), older.clone()], [older, newer]] {
+            let (db, _) = recover(&streams);
+            assert_eq!(
+                versions(&db),
+                [(b"k".to_vec(), Tid::new(3, 5), b"newer".to_vec())]
+            );
+            assert_no_absent_record(&db);
+        }
+    }
+
+    /// Keys that share their first 16 bytes, the part the sort compares
+    /// inline, or differ only by trailing zero bytes, still sort and merge
+    /// by all of their bytes.
+    #[test]
+    fn keys_alike_in_their_first_bytes_sort_by_all_of_them() {
+        let keys: [&[u8]; 5] = [
+            b"0123456789abcde",
+            b"0123456789abcde\0",
+            b"0123456789abcdef",
+            b"0123456789abcdef\0",
+            b"0123456789abcdefa",
+        ];
+        // Each key twice in each stream, in reverse key order; the newest
+        // write of even keys is in the second stream.
+        let stream = |s: u64| {
+            let mut blocks = Vec::new();
+            for (i, key) in keys.iter().enumerate().rev() {
+                for seq in [1, 2] {
+                    let newest = (i as u64 + s) % 2 * 10;
+                    let tid = Tid::new(3, 100 * i as u64 + newest + seq);
+                    blocks.push(txn_block(tid, 0, key, Some(format!("{tid:?}").as_bytes())));
+                }
+            }
+            blocks.push(marker(3));
+            round(&blocks)
+        };
+        let (db, _) = recover(&[stream(0), stream(1)]);
+        let expected: Vec<(Vec<u8>, Tid, Vec<u8>)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| {
+                let tid = Tid::new(3, 100 * i as u64 + 12);
+                (key.to_vec(), tid, format!("{tid:?}").into_bytes())
+            })
+            .collect();
+        assert_eq!(versions(&db), expected);
+    }
+
+    /// Records of every size class are carved from the record slab, whether
+    /// from the checkpoint or the tail; a build that is dropped because a
+    /// slice failed hands each to the next worker's pool.
+    #[test]
+    fn recovered_records_of_every_class_come_from_the_slab_and_return_to_a_pool() {
+        use crate::checkpoint::tests::{slice_bytes, write_checkpoint};
+        const CLASSES: [usize; 7] = [16, 32, 64, 128, 256, 512, 1024];
+        let values: Vec<Vec<u8>> = CLASSES.iter().map(|&cap| vec![1; cap]).collect();
+        let keys: Vec<[u8; 1]> = (0..=CLASSES.len() as u8).map(|i| [i]).collect();
+        // Even classes come from the checkpoint, odd ones from the tail. The
+        // last key's checkpoint row is replaced by a tail value of the
+        // largest class.
+        let last = CLASSES.len();
+        let records = |table: TableId| -> Vec<(TableId, &[u8], Tid, &[u8])> {
+            (0..CLASSES.len())
+                .step_by(2)
+                .map(|i| (table, keys[i].as_slice(), Tid::new(3, 1), &values[i][..]))
+                .chain([(table, &keys[last][..], Tid::new(3, 1), &values[0][..])])
+                .collect()
+        };
+        let mut tail: Vec<Vec<u8>> = (1..CLASSES.len())
+            .step_by(2)
+            .map(|i| txn_block(Tid::new(4, i as u64), 0, &keys[i], Some(&values[i])))
+            .collect();
+        tail.push(txn_block(
+            Tid::new(4, 9),
+            0,
+            &keys[last],
+            Some(&values[last - 1]),
+        ));
+        tail.push(marker(4));
+        let recover_into = |slices: &[(&[u8], u64)]| {
+            let dir = scratch_dir("slab-classes");
+            write_checkpoint(&dir, 3, slices);
+            write_segments(&dir, &[round(&tail)]);
+            let db = Database::open(SiloConfig::for_testing());
+            db.create_table("t").unwrap();
+            db.create_table("u").unwrap();
+            let result = recover_directory(&db, &dir, &RecoveryOptions::default());
+            (db, result)
+        };
+
+        let good = slice_bytes(&records(0));
+        let (db, result) = recover_into(&[(&good, 5)]);
+        result.unwrap();
+        let table = db.table(0);
+        for (i, key) in keys.iter().enumerate() {
+            let cap = CLASSES[i.min(last - 1)];
+            let rec = table.tree().get(key).unwrap() as *const silo_core::record::Record;
+            // SAFETY: the key's live record; no transaction runs.
+            let (from_slab, capacity) = unsafe { ((*rec).from_slab(), (*rec).capacity()) };
+            assert!(from_slab, "class {cap}");
+            assert_eq!(capacity, cap);
+        }
+
+        // The same build, dropped because table `u`'s slice is damaged.
+        let mut rotted = slice_bytes(&records(1));
+        let middle = rotted.len() / 2;
+        rotted[middle] ^= 0x01;
+        let (db, result) = recover_into(&[(&good, 5), (&rotted, 5)]);
+        assert!(matches!(result, Err(RecoveryError::Checkpoint { .. })));
+        let mut w = db.register_worker();
+        let mut txn = w.begin();
+        for (key, value) in keys.iter().zip(&values) {
+            txn.insert(0, key, value).unwrap();
+        }
+        txn.commit().unwrap();
+        assert_eq!(w.stats().pool_misses, 0, "every class came from the pool");
+        assert_eq!(w.stats().pool_hits, CLASSES.len() as u64);
     }
 }

@@ -97,7 +97,7 @@ pub(crate) fn recovered(name: &str, dir: &std::path::Path) -> (Arc<Database>, Re
 }
 
 /// Fails unless every table of `db` is free of records that are latest and
-/// absent: recovery must reclaim every tombstone replay left.
+/// absent: recovery builds no record for a key whose last write deletes it.
 pub(crate) fn assert_no_absent_record(db: &Database) {
     for id in db.table_ids() {
         for (key, value) in db.table(id).tree().scan(b"", None, None).entries {
@@ -818,12 +818,11 @@ fn checkpoint_truncates_log_and_recovery_replays_only_the_tail() {
     );
     assert_eq!(full_scan(&db2, t2), expected);
 
-    // The tail's delete of a checkpointed key left an absent record that the
-    // post-replay sweep must have unhooked: the index holds exactly the live
-    // keys, not live keys + tombstones.
+    // The tail's delete of a checkpointed key dropped its row from the
+    // build: the index holds exactly the live keys, and no absent record.
     assert!(
-        report.tombstones_reclaimed >= 1,
-        "the ka299 delete tombstone must be swept: {report:?}"
+        db2.table(t2).tree().get(b"ka299").is_none(),
+        "the ka299 row deleted in the tail was built: {report:?}"
     );
     assert_eq!(
         db2.table(t2).approximate_len(),

@@ -75,14 +75,14 @@ fn main() {
     );
     let report = recover_directory(&db2, &dir, &RecoveryOptions::default()).expect("recovery");
     println!(
-        "recovered to durable epoch {}: {} transactions ({} writes) replayed in {} µs, \
-         {} beyond the horizon skipped, {} delete tombstones swept",
+        "recovered to durable epoch {}: {} transactions ({} writes) read and sorted in {} µs, \
+         {} beyond the horizon skipped, table built in {} µs",
         report.durable_epoch,
         report.replayed_txns,
         report.replayed_writes,
         report.replay_micros,
         report.skipped_txns,
-        report.tombstones_reclaimed
+        report.checkpoint_micros
     );
 
     let mut worker = db2.register_worker();
