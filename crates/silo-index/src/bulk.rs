@@ -19,8 +19,8 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 
 use crate::node::{InnerNode, LeafNode, NodeHeader};
 use crate::{
-    keyslice, release_subtree, InlineVec, KeyBuf, Layer, ScanScratch, Slab, Tree, FANOUT,
-    KLEN_LAYER, KLEN_SUFFIX, LEAF_WIDTH, NODE_LEAF_BIT,
+    keyslice, release_subtree, InlineVec, KeyBuf, Layer, ScanScratch, Slab, Tree, KLEN_LAYER,
+    KLEN_SUFFIX, LEAF_WIDTH, NODE_LEAF_BIT,
 };
 
 /// Why a bulk load was refused. Nothing of it was published.
@@ -81,7 +81,7 @@ struct LayerBuild {
     pending: Vec<u8>,
     leaf: *mut LeafNode,
     filled: usize,
-    inners: Vec<(*mut InnerNode, usize)>,
+    inners: Vec<*mut InnerNode>,
 }
 
 impl Default for LayerBuild {
@@ -203,46 +203,37 @@ impl LayerBuild {
                 let node = InnerNode::allocate(slab);
                 // SAFETY: just allocated, unpublished.
                 unsafe { (*node).set_child0_unpublished(left) };
-                self.inners.push((node, 0));
+                self.inners.push(node);
             }
-            let (node, count) = &mut self.inners[level];
+            let node = &mut self.inners[level];
             // SAFETY: allocated by this build and unpublished.
             let inner = unsafe { &**node };
-            if *count < FANOUT {
-                inner.write_unpublished(*count, sep, right);
-                *count += 1;
+            if !inner.is_full() {
+                inner.append_unpublished(sep, right);
                 return;
             }
-            // The node is full: close it, start its right sibling with
-            // `right` as first child, and promote `sep` to the level above.
-            inner.seal_unpublished(FANOUT);
+            // The node is full: start its right sibling with `right` as
+            // first child, and promote `sep` to the level above.
             let fresh = InnerNode::allocate(slab);
             // SAFETY: just allocated, unpublished.
             unsafe { (*fresh).set_child0_unpublished(right) };
             left = *node as *mut NodeHeader;
             right = fresh as *mut NodeHeader;
             *node = fresh;
-            *count = 0;
         }
     }
 
-    /// Places what is left, closes every node, and returns the layer's root
+    /// Places what is left, closes the last leaf, and returns the layer's root
     /// (null if no key was added). Leaves the build empty for reuse.
     fn finish(&mut self, slab: &Slab) -> *mut NodeHeader {
         self.place_slice(slab);
         if self.leaf.is_null() {
             return std::ptr::null_mut();
         }
-        // SAFETY: every node below was allocated by this build and is
-        // unpublished.
-        unsafe {
-            (*self.leaf).seal_unpublished(self.filled, std::ptr::null_mut());
-            for &(node, count) in &self.inners {
-                (*node).seal_unpublished(count);
-            }
-        }
+        // SAFETY: the leaf was allocated by this build and is unpublished.
+        unsafe { (*self.leaf).seal_unpublished(self.filled, std::ptr::null_mut()) };
         let root = match self.inners.last() {
-            Some(&(node, _)) => node as *mut NodeHeader,
+            Some(&node) => node as *mut NodeHeader,
             None => self.leaf as *mut NodeHeader,
         };
         self.leaf = std::ptr::null_mut();
@@ -414,8 +405,8 @@ impl Tree {
     /// in strictly ascending key order (see [`BulkLoad`]); readers see
     /// nothing of it until [`BulkLoad::publish`].
     ///
-    /// Leaves are filled to [`LEAF_WIDTH`] and interior nodes to [`FANOUT`]
-    /// separators, every node from the tree's slab, with identity
+    /// Leaves are filled to [`LEAF_WIDTH`] and interior nodes to [`FANOUT`](crate::FANOUT)
+    /// separators, every node from the tree's slab, the leaves with identity
     /// permutations and `next` links as in-order inserts would leave them.
     /// No key is descended to and nothing is locked until the publish.
     ///

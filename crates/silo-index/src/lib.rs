@@ -16,7 +16,9 @@
 //!   fixed slots ordered by a packed 64-bit permutation word; an insert
 //!   writes one free slot and publishes a new permutation with a single
 //!   atomic store instead of shifting arrays under the lock, which also
-//!   shrinks the window in which concurrent readers must retry.
+//!   shrinks the window in which concurrent readers must retry. Interior
+//!   nodes are sorted arrays, as in Masstree: they change once per leaf
+//!   split, and a shift there is covered by the node's version increment.
 //! * **A trie of trees.** When two keys share a slice but differ later, the
 //!   shared slice's entry becomes a pointer to a *next-layer* B+-tree keyed
 //!   on the next 8 bytes. Long composite keys (TPC-C district/order-line)
@@ -66,7 +68,7 @@
 //!   stores a pointer to the record header there, and updates it only when a
 //!   record is superseded by a new version (not on in-place overwrites).
 //!
-//! Two multicore-readiness rules are enforced on top (paper §3):
+//! One multicore-readiness rule is enforced on top (paper §3):
 //!
 //! * **Reads write nothing shared.** The read path performs no store to any
 //!   cache line another thread reads. Even the reader-retry statistic is
@@ -74,10 +76,6 @@
 //!   [`Tree::stats`]), so a retrying reader bumps a line it owns instead of
 //!   bouncing a tree-global counter. The invariant is pinned by tests via
 //!   [`silo_epoch::shared_write_audit`].
-//! * **Permutation-ordered interior nodes**, like the leaves. An interior
-//!   insert writes one free key/child slot and publishes with a single
-//!   atomic permutation store, so descending readers never observe a
-//!   separator array mid-shift.
 //!
 //! Remaining simplifications vs. Masstree: nodes are never merged or freed
 //! before the tree drops (the slab then frees them all at once), and empty
@@ -577,15 +575,10 @@ impl Layer {
                 }
                 // SAFETY: the LEAF bit told us this is an interior node.
                 let inner_ref = unsafe { &*(node as *const InnerNode) };
-                // Route and fetch the child under ONE permutation snapshot:
-                // a concurrent insert publishing a new permutation between
-                // the two calls could otherwise pair a rank from the old
-                // ordering with a child from the new one. (Any remaining
-                // inconsistency with the key/child slots themselves is
-                // caught by the version re-check below.)
-                let perm = inner_ref.permutation();
-                let idx = inner_ref.route_at(perm, slice);
-                let child = inner_ref.child_at(perm, idx);
+                // A route that overlapped a separator insert may pair a
+                // rank with the wrong child: the version re-check below
+                // discards it.
+                let child = inner_ref.child(inner_ref.route(slice));
                 // Start pulling the child in while we validate the routing
                 // decision against the version we held.
                 prefetch(child);
@@ -1715,7 +1708,7 @@ unsafe fn walk_stats(root: *const NodeHeader, s: &mut IndexStats) {
             s.inners += 1;
             // SAFETY: interior node.
             let inner = unsafe { &*(node as *const InnerNode) };
-            let n = inner.nkeys().min(FANOUT);
+            let n = inner.nkeys();
             for i in 0..=n {
                 // SAFETY: children in [0, nkeys] are live.
                 stack.push((inner.child(i), btree_level + 1, trie_depth));
@@ -1763,7 +1756,7 @@ unsafe fn release_subtree(root: *mut NodeHeader, on_value: &mut dyn FnMut(u64)) 
                 }
             } else {
                 let inner = &*(node as *const InnerNode);
-                let n = inner.nkeys().min(FANOUT);
+                let n = inner.nkeys();
                 for i in 0..=n {
                     stack.push(inner.child(i));
                 }

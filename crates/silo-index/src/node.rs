@@ -52,17 +52,17 @@
 //! retry. Freed slots go to the back of the free list so they are reused as
 //! late as possible.
 //!
-//! Interior nodes use the same permutation word for their separator slices
-//! (since PR 6): installing a separator writes one key slot and one child
-//! slot and publishes a new permutation with a single store, instead of
-//! shifting up to 15 keys and 16 children while readers spin on the locked
-//! version — the writer-side version-bump window shrinks to two stores.
+//! Interior nodes are plain sorted arrays, as in Masstree: a separator
+//! insert shifts the arrays under the node lock, and the version increment
+//! on unlock sends any reader that routed through the node meanwhile back
+//! to retry. Interior inserts come once per leaf split, so one routing loop
+//! is worth more than the shorter retry window a permutation would buy.
 //!
 //! Every leaf probe — optimistic point lookups, lock-holding inserts and
 //! splits alike — is [`LeafNode::search`]: a walk of the permutation in key
 //! order that stops at the first slot at or past the probe.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 use silo_epoch::shared_write_audit;
 
@@ -232,13 +232,6 @@ impl KeyBuf {
 pub struct Permutation(u64);
 
 impl Permutation {
-    /// The nibble list of every identity permutation (`slot(p) == p` for all
-    /// 15 positions), i.e. `raw() >> 4` of [`Permutation::empty`] and of
-    /// [`Permutation::identity`] for any count. Comparing a permutation's
-    /// shifted word against this constant is a one-instruction test for
-    /// "rank order equals physical slot order over the dense prefix".
-    pub const IDENTITY_TAIL: u64 = 0x0EDC_BA98_7654_3210;
-
     /// The empty permutation: no active entries, free list `0, 1, …, 14`.
     pub fn empty() -> Permutation {
         let mut word = 0u64;
@@ -447,51 +440,28 @@ impl NodeHeader {
 // Interior nodes
 // ---------------------------------------------------------------------------
 
-/// An interior (routing) node: up to [`FANOUT`] separator keyslices — stored
-/// inline as `u64`s in fixed slots, so routing is pure register compares —
-/// ordered by a packed [`Permutation`] word, plus `nkeys + 1` children.
+/// An interior (routing) node, as in Masstree: `nkeys` separator keyslices
+/// in ascending order, stored inline as `u64`s so routing is pure register
+/// compares, and `nkeys + 1` children. `children[i]` covers the slices from
+/// `keys[i - 1]` (inclusive) up to `keys[i]` (exclusive).
 ///
-/// In rank order, the child *before* the rank-0 separator is `child0`; the
-/// child *after* the rank-`i` separator is `rights[perm.slot(i)]` (each key
-/// slot carries its right child in the matching child slot). Installing a
-/// separator therefore writes one key slot and one child slot and publishes
-/// a new permutation with a **single atomic store** — optimistic readers see
-/// either the old or the new routing table, never a mid-shift state, and the
-/// writer's version-bump window shrinks from a 15-element array shift to two
-/// stores. (The version still bumps: a reader that routed by the old table
-/// must retry, because the old left child no longer covers the split-off
-/// range.)
-/// Dense-slot invariant: the active key slots are exactly `0..nkeys`.
-/// Separators are never removed individually, [`Permutation::insert_at`]
-/// hands out free slots in ascending order (every interior permutation
-/// descends from `empty()`/`identity()`, whose free regions list `n..14`
-/// in order), and [`InnerNode::split`] compacts the surviving lower half
-/// back into slots `0..mid`. [`InnerNode::route_at`] relies on this to
-/// route by *counting* over the dense prefix instead of chasing
-/// permutation nibbles — see its docs. As a debugging aid the free tail
-/// `nkeys..` additionally always holds `u64::MAX`.
+/// `IndexStats` reads interior nodes without a version check, so every
+/// child slot `0..=nkeys` holds a live node at every instant: a writer
+/// fills a slot before the `Release` store of `nkeys` that covers it, a
+/// shift only copies one live child over another, and a split leaves the
+/// slots it vacates as they were.
 #[repr(C)]
 pub struct InnerNode {
     /// Version word (see [`NodeHeader`]).
     pub header: NodeHeader,
-    /// Separator ordering, same packed format as leaf permutations.
-    permutation: AtomicU64,
-    /// Separator keyslices. Directly after the header words so the first
-    /// cache line holds the version, the permutation, and the first six
-    /// separators — the whole hot read set of a sorted-scan route.
+    /// Number of separators.
+    nkeys: AtomicUsize,
+    /// Separator keyslices, ascending over `0..nkeys`. Directly after the
+    /// header words so the first cache line holds the version, `nkeys` and
+    /// the first six separators.
     keys: [AtomicU64; FANOUT],
-    /// The leftmost child: covers slices below the rank-0 separator.
-    ///
-    /// `child0` is deliberately laid out immediately before `rights`
-    /// (`repr(C)`, both 8-aligned, no padding), so the two form one
-    /// contiguous 16-pointer array: routing index `idx` maps to the pointer
-    /// at `(&child0).add(idx)`. [`InnerNode::child_at`] indexes that way on
-    /// the identity-permutation fast path, exactly like a shifting design's
-    /// `children[idx]` — no branch on `idx == 0`, no nibble extraction.
-    child0: AtomicPtr<NodeHeader>,
-    /// `rights[s]` is the child to the right of the separator in key slot
-    /// `s` (covers slices `≥ keys[s]` up to the next separator).
-    rights: [AtomicPtr<NodeHeader>; FANOUT],
+    /// Children, live over `0..=nkeys`.
+    children: [AtomicPtr<NodeHeader>; FANOUT + 1],
 }
 
 impl InnerNode {
@@ -500,155 +470,75 @@ impl InnerNode {
     pub fn allocate(slab: &Slab) -> *mut InnerNode {
         slab.place(InnerNode {
             header: NodeHeader::new(false),
-            permutation: AtomicU64::new(Permutation::empty().raw()),
-            child0: AtomicPtr::new(std::ptr::null_mut()),
-            keys: [const { AtomicU64::new(u64::MAX) }; FANOUT],
-            rights: [const { AtomicPtr::new(std::ptr::null_mut()) }; FANOUT],
+            nkeys: AtomicUsize::new(0),
+            keys: [const { AtomicU64::new(0) }; FANOUT],
+            children: [const { AtomicPtr::new(std::ptr::null_mut()) }; FANOUT + 1],
         })
-    }
-
-    /// The current separator permutation word.
-    #[inline(always)]
-    pub fn permutation(&self) -> Permutation {
-        Permutation::from_raw(self.permutation.load(Ordering::Acquire))
     }
 
     /// Number of separator slices currently in the node.
     #[inline(always)]
     pub fn nkeys(&self) -> usize {
-        self.permutation().count()
+        self.nkeys.load(Ordering::Acquire)
     }
 
-    /// The child pointer at routing index `idx` (0 = leftmost) under a fresh
-    /// permutation snapshot. Prefer [`InnerNode::child_at`] when the caller
-    /// already holds a snapshot from [`InnerNode::route_at`].
+    /// The separator at index `idx`.
+    #[cfg(test)]
+    pub(crate) fn key(&self, idx: usize) -> u64 {
+        self.keys[idx].load(Ordering::Acquire)
+    }
+
+    /// The child pointer at routing index `idx` (0 = leftmost).
     #[inline(always)]
     pub fn child(&self, idx: usize) -> *mut NodeHeader {
-        self.child_at(self.permutation(), idx)
+        self.children[idx].load(Ordering::Acquire)
     }
 
-    /// The child pointer at routing index `idx` under the permutation
-    /// snapshot `perm`.
+    /// Finds the routing index of the child that covers `slice`: the number
+    /// of separators `≤ slice`.
     ///
-    /// When `perm` is an identity permutation (always true after a
-    /// sequential build or a split, see [`Permutation::IDENTITY_TAIL`]),
-    /// slot `idx - 1` *is* `idx - 1`, and `child0`/`rights` are contiguous —
-    /// so the child is a single indexed load off the routing index. That
-    /// keeps the descent's serialized child-address chain as short as a
-    /// plain sorted-array `children[idx]` fetch: no nibble extraction, no
-    /// `idx == 0` branch. The compiler CSEs the identity test with the one
-    /// in [`InnerNode::route_at`] when both run on the same snapshot.
-    #[inline(always)]
-    pub fn child_at(&self, perm: Permutation, idx: usize) -> *mut NodeHeader {
-        if perm.raw() >> 4 == Permutation::IDENTITY_TAIL {
-            debug_assert!(idx <= FANOUT);
-            // SAFETY: `child0` and `rights` are adjacent `repr(C)` fields of
-            // the same type with no padding between them (both 8-byte
-            // aligned), forming 16 contiguous `AtomicPtr`s; `idx` is a
-            // routing index, bounded by the permutation count (≤ 15).
-            let base = &raw const self.child0;
-            return unsafe { (*base.add(idx)).load(Ordering::Acquire) };
-        }
-        if idx == 0 {
-            self.child0.load(Ordering::Acquire)
-        } else {
-            self.rights[perm.slot(idx - 1)].load(Ordering::Acquire)
-        }
-    }
-
-    /// Finds the routing index of the child that covers `slice` under a
-    /// fresh permutation snapshot.
+    /// Works both under the node lock and optimistically; in the latter
+    /// case a route that overlapped a writer may be torn, and the descent's
+    /// version re-check (`Layer::find_leaf`) discards it.
+    ///
+    /// The scan exits at the first separator `> slice`: a branch the CPU
+    /// can predict past to start the child load, where a branchless count
+    /// makes the child address wait for every compare. Neither form wins
+    /// every workload on a 2-vCPU box: the count measured faster on YCSB
+    /// reads and slower on TPC-C.
     #[inline(always)]
     pub fn route(&self, slice: u64) -> usize {
-        self.route_at(self.permutation(), slice)
-    }
-
-    /// Finds the routing index of the child that covers `slice` under the
-    /// permutation snapshot `perm`.
-    ///
-    /// Works both under the node lock and optimistically (in the latter case
-    /// the result is only meaningful if the version validates afterwards).
-    ///
-    /// The scan walks separators in rank order and exits at the first one
-    /// `> slice`. The early exit is deliberately a *predictable branch*
-    /// rather than a branchless count: descents serialize on the routed
-    /// child address, and a branchy exit lets the CPU speculate the child
-    /// load several levels deep (memory-level parallelism a `cmp/sbb`
-    /// accumulator chain forfeits — measured ~10% on value-chasing reads).
-    ///
-    /// Fast path: a node whose permutation is the *identity* (rank `r` in
-    /// slot `r` — one register compare against [`Permutation::IDENTITY_TAIL`])
-    /// is physically sorted over its dense prefix, so the scan indexes
-    /// `keys[idx]` directly with zero per-step permutation work — exactly
-    /// the sorted-array loop of a shifting design, without the shifting.
-    /// Freshly split nodes (compaction rebuilds rank order — see
-    /// [`InnerNode::split`]) and nodes only ever appended to on the right
-    /// (sequential loads, monotonic workloads) keep identity permutations,
-    /// so this is the overwhelmingly common case. Mid-rank inserts break
-    /// identity until the next split and take the counting fallback.
-    ///
-    /// Fallback: for a non-identity permutation, the dense-slot invariant
-    /// (active slots are exactly `0..n`, in *some* order) means the routing
-    /// index is simply the number of active separators `≤ slice` — so the
-    /// fallback counts over `keys[0..n]` without touching the permutation
-    /// word at all. That compiles to a short `cmp/sbb` accumulator over
-    /// adjacent slots instead of a serial nibble-extract chain
-    /// (`shr %cl` + dependent gather per rank), which matters on
-    /// insert-heavy workloads (e.g. TPC-C) where interleaved key ranges
-    /// keep interior permutations out of identity form between splits.
-    ///
-    /// Under a *stale* permutation snapshot the result is still exact for
-    /// that snapshot's separator set: the scan only reads slots the
-    /// snapshot references, and slots are never rewritten outside a split.
-    /// A reader can still race a splitting writer mid-compaction and see
-    /// torn slices — the same torn-route hazard the optimistic protocol
-    /// already handles: interior writers hold the node lock and unlock with
-    /// a version increment, so the descent's version re-check
-    /// (`Layer::find_leaf`) discards any route that overlapped a writer.
-    #[inline(always)]
-    pub fn route_at(&self, perm: Permutation, slice: u64) -> usize {
-        let n = perm.count();
-        let mut idx = 0usize;
-        if perm.raw() >> 4 == Permutation::IDENTITY_TAIL {
-            while idx < n && slice >= self.keys[idx].load(Ordering::Acquire) {
-                idx += 1;
-            }
-            return idx;
-        }
-        // Dense-slot invariant: counting matches over the unordered dense
-        // prefix yields the rank directly. A torn read under a racing
-        // writer can only produce a route the version re-check throws away.
-        for slot in 0..n {
-            idx += usize::from(slice >= self.keys[slot].load(Ordering::Acquire));
-        }
-        idx
+        let keys = &self.keys[..self.nkeys()];
+        keys.iter()
+            .position(|k| slice < k.load(Ordering::Acquire))
+            .unwrap_or(keys.len())
     }
 
     /// Inserts separator `slice` with right child `right` at rank `rank`
-    /// (the routing index returned by [`InnerNode::route`] for `slice`).
-    /// Writes one free key slot and its child slot, then publishes the new
-    /// permutation with a single store. Caller must hold the node lock and
-    /// guarantee the node is not full.
+    /// (the routing index returned by [`InnerNode::route`] for `slice`),
+    /// shifting the separators and children above it one slot right.
+    /// Caller must hold the node lock and guarantee the node is not full;
+    /// the unlock's version increment sends readers that routed through the
+    /// node meanwhile back to retry.
     pub fn insert_separator(&self, rank: usize, slice: u64, right: *mut NodeHeader) {
-        let perm = self.permutation();
-        debug_assert!(perm.count() < FANOUT && rank <= perm.count());
-        let (new_perm, slot) = perm.insert_at(rank);
-        self.keys[slot].store(slice, Ordering::Release);
-        self.rights[slot].store(right, Ordering::Release);
-        // The permutation store publishes the separator: readers that see
-        // the new word also see the slot contents (release/acquire pairing
-        // on the word).
-        self.permutation.store(new_perm.raw(), Ordering::Release);
+        let n = self.nkeys();
+        debug_assert!(n < FANOUT && rank <= n);
+        // Right to left, so each child slot is overwritten by a live child
+        // and slot `n + 1` is filled before `nkeys` covers it.
+        for i in (rank..n).rev() {
+            self.keys[i + 1].store(self.keys[i].load(Ordering::Relaxed), Ordering::Release);
+            self.children[i + 2].store(self.child(i + 1), Ordering::Release);
+        }
+        self.keys[rank].store(slice, Ordering::Release);
+        self.children[rank + 1].store(right, Ordering::Release);
+        self.nkeys.store(n + 1, Ordering::Release);
     }
 
     /// Initializes a fresh root with a single separator and two children.
     /// Caller owns the node exclusively.
     pub fn init_root(&self, slice: u64, left: *mut NodeHeader, right: *mut NodeHeader) {
-        let (perm, slot) = Permutation::empty().insert_at(0);
-        self.keys[slot].store(slice, Ordering::Release);
-        self.child0.store(left, Ordering::Release);
-        self.rights[slot].store(right, Ordering::Release);
-        self.permutation.store(perm.raw(), Ordering::Release);
+        self.set_child0_unpublished(left);
+        self.append_unpublished(slice, right);
     }
 
     /// Whether inserting one more separator would overflow the node.
@@ -658,87 +548,45 @@ impl InnerNode {
 
     /// Sets the leftmost child of a node no other thread can reach yet.
     pub(crate) fn set_child0_unpublished(&self, child: *mut NodeHeader) {
-        self.child0.store(child, Ordering::Relaxed);
+        self.children[0].store(child, Ordering::Relaxed);
     }
 
-    /// Writes separator `slot` and its right child into a node no other
-    /// thread can reach yet; [`InnerNode::seal_unpublished`] makes the first
-    /// slots count.
-    pub(crate) fn write_unpublished(&self, slot: usize, slice: u64, right: *mut NodeHeader) {
-        self.keys[slot].store(slice, Ordering::Relaxed);
-        self.rights[slot].store(right, Ordering::Relaxed);
-    }
-
-    /// Makes the first `count` separator slots of a node no other thread can
-    /// reach yet its separators, in slot order: an identity permutation, as
-    /// a split leaves.
-    pub(crate) fn seal_unpublished(&self, count: usize) {
-        self.permutation
-            .store(Permutation::identity(count).raw(), Ordering::Relaxed);
+    /// Appends separator `slice`, with `right` the child after it, to a
+    /// node no other thread can reach yet. The node must not be full.
+    /// Relaxed stores suffice: readers reach the node only through the
+    /// `Release` store of a pointer to it that publishes it.
+    pub(crate) fn append_unpublished(&self, slice: u64, right: *mut NodeHeader) {
+        let n = self.nkeys.load(Ordering::Relaxed);
+        self.keys[n].store(slice, Ordering::Relaxed);
+        self.children[n + 1].store(right, Ordering::Relaxed);
+        self.nkeys.store(n + 1, Ordering::Relaxed);
     }
 
     /// Splits this (full, locked) node: the upper half of the separators and
     /// children move to a freshly allocated right sibling, and the middle
     /// separator is *promoted* (returned) for insertion into the parent.
+    /// The slots the move vacates keep their contents, so a reader that
+    /// still sees the old `nkeys` reaches only live children.
     ///
     /// Returns `(promoted_slice, right_sibling)`. The caller must hold this
     /// node's lock; the right sibling is returned locked so the caller can
     /// publish it before any other writer touches it.
     pub fn split(&self, slab: &Slab) -> (u64, *mut InnerNode) {
-        let perm = self.permutation();
-        let n = perm.count();
+        let n = self.nkeys();
         debug_assert_eq!(n, FANOUT);
         let mid = n / 2;
         let right = InnerNode::allocate(slab);
         // SAFETY: freshly allocated, exclusively owned until published.
         let right_ref = unsafe { &*right };
         right_ref.header.lock_unpublished();
-        let promoted = self.keys[perm.slot(mid)].load(Ordering::Relaxed);
         // The promoted separator's right child becomes the sibling's
         // leftmost child.
-        right_ref.child0.store(
-            self.rights[perm.slot(mid)].load(Ordering::Relaxed),
-            Ordering::Release,
-        );
-        let mut j = 0;
-        for rank in (mid + 1)..n {
-            let slot = perm.slot(rank);
-            right_ref.keys[j].store(self.keys[slot].load(Ordering::Relaxed), Ordering::Release);
-            right_ref.rights[j].store(self.rights[slot].load(Ordering::Relaxed), Ordering::Release);
-            j += 1;
+        right_ref.set_child0_unpublished(self.child(mid + 1));
+        for i in mid + 1..n {
+            right_ref.append_unpublished(self.keys[i].load(Ordering::Relaxed), self.child(i + 1));
         }
-        right_ref
-            .permutation
-            .store(Permutation::identity(j).raw(), Ordering::Release);
-        // Compact the surviving lower half into slots `0..mid` in rank
-        // order, restoring the dense-slots invariant `route_at` counts on
-        // (a plain truncate would leave the survivors scattered). We hold
-        // the lock and will unlock with a version increment, so readers
-        // racing the rewrite are discarded by their version re-check like
-        // any other torn route.
-        let mut low_keys = [0u64; FANOUT];
-        let mut low_rights = [std::ptr::null_mut(); FANOUT];
-        for (rank, (k, r)) in low_keys
-            .iter_mut()
-            .zip(&mut low_rights)
-            .enumerate()
-            .take(mid)
-        {
-            let slot = perm.slot(rank);
-            *k = self.keys[slot].load(Ordering::Relaxed);
-            *r = self.rights[slot].load(Ordering::Relaxed);
-        }
-        for (slot, (k, r)) in low_keys.iter().zip(&low_rights).enumerate().take(mid) {
-            self.keys[slot].store(*k, Ordering::Release);
-            self.rights[slot].store(*r, Ordering::Release);
-        }
-        // Re-poison the freed tail so free slots keep holding `u64::MAX`.
-        for slot in mid..FANOUT {
-            self.keys[slot].store(u64::MAX, Ordering::Release);
-        }
-        self.permutation
-            .store(Permutation::identity(mid).raw(), Ordering::Release);
-        (promoted, right)
+        self.nkeys.store(mid, Ordering::Release);
+        (self.keys[mid].load(Ordering::Relaxed), right)
     }
 }
 
@@ -1111,26 +959,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_tail_matches_constructors() {
-        assert_eq!(Permutation::empty().raw() >> 4, Permutation::IDENTITY_TAIL);
-        for n in 0..=LEAF_WIDTH {
-            assert_eq!(
-                Permutation::identity(n).raw() >> 4,
-                Permutation::IDENTITY_TAIL
-            );
-        }
-        // Rightmost appends preserve the identity tail; a mid-rank insert
-        // breaks it (and with it the sorted-scan fast path in `route_at`).
-        let mut perm = Permutation::empty();
-        for rank in 0..4 {
-            perm = perm.insert_at(rank).0;
-            assert_eq!(perm.raw() >> 4, Permutation::IDENTITY_TAIL);
-        }
-        let (mid, _) = perm.insert_at(2);
-        assert_ne!(mid.raw() >> 4, Permutation::IDENTITY_TAIL);
-    }
-
-    #[test]
     fn permutation_insert_remove_roundtrip() {
         let mut perm = Permutation::empty();
         assert_eq!(perm.count(), 0);
@@ -1489,14 +1317,14 @@ mod tests {
     }
 
     #[test]
-    fn inner_insert_publishes_without_shifting_slots() {
+    fn inner_descending_inserts_route_in_key_order() {
         let slab = Slab::new();
         let inner_ptr = InnerNode::allocate(&slab);
         // SAFETY: single-threaded exclusive access in this test.
         let inner = unsafe { &*inner_ptr };
         let left = LeafNode::allocate(&slab);
-        // Insert separators in descending order so a shifting implementation
-        // would move every existing slot each time.
+        // Insert separators in descending order, so every insert shifts
+        // every separator and child already there.
         let seps: Vec<u64> = (0..FANOUT as u64).rev().map(|i| 100 + i * 10).collect();
         let right = LeafNode::allocate(&slab);
         inner.init_root(seps[0], left as *mut NodeHeader, right as *mut NodeHeader);
@@ -1506,23 +1334,19 @@ mod tests {
             inner.insert_separator(idx, sep, c as *mut NodeHeader);
         }
         assert!(inner.is_full());
-        // Routing walks the separators in sorted order even though they were
-        // written to slots in insertion order.
-        let perm = inner.permutation();
-        let mut prev = 0;
-        for rank in 0..perm.count() {
-            let key = inner.keys[perm.slot(rank)].load(Ordering::Relaxed);
-            assert!(key > prev, "separators must be sorted in rank order");
-            prev = key;
+        for i in 1..FANOUT {
+            assert!(inner.key(i - 1) < inner.key(i), "separators ascend");
         }
         for &sep in &seps {
-            let idx = inner.route_at(perm, sep);
+            let idx = inner.route(sep);
             assert!(idx > 0);
-            assert_eq!(inner.keys[perm.slot(idx - 1)].load(Ordering::Relaxed), sep);
-            assert!(!inner.child_at(perm, idx).is_null());
+            assert_eq!(inner.key(idx - 1), sep);
+            assert!(!inner.child(idx).is_null());
         }
-        assert_eq!(inner.route_at(perm, 0), 0);
-        assert_eq!(inner.child_at(perm, 0), left as *mut NodeHeader);
+        assert_eq!(inner.route(0), 0);
+        assert_eq!(inner.child(0), left as *mut NodeHeader);
+        // The first separator inserted is the largest: its child is last.
+        assert_eq!(inner.child(FANOUT), right as *mut NodeHeader);
     }
 
     #[test]
@@ -1534,9 +1358,7 @@ mod tests {
         let mut children = Vec::new();
         let first = LeafNode::allocate(&slab);
         children.push(first);
-        inner
-            .child0
-            .store(first as *mut NodeHeader, Ordering::Release);
+        inner.set_child0_unpublished(first as *mut NodeHeader);
         for i in 0..FANOUT {
             let c = LeafNode::allocate(&slab);
             children.push(c);
@@ -1548,29 +1370,21 @@ mod tests {
         let right = unsafe { &*right_ptr };
         // children[i + 1] is the right child of separator 1000 + i.
         // Left keeps child0 + children of separators below the promoted one.
-        let lperm = inner.permutation();
-        assert_eq!(inner.child_at(lperm, 0), first as *mut NodeHeader);
-        for rank in 0..lperm.count() {
-            assert_eq!(
-                inner.child_at(lperm, rank + 1),
-                children[rank + 1] as *mut NodeHeader
-            );
+        assert_eq!(inner.child(0), first as *mut NodeHeader);
+        for rank in 0..inner.nkeys() {
+            assert_eq!(inner.child(rank + 1), children[rank + 1] as *mut NodeHeader);
         }
         // Right's child0 is the promoted separator's right child, then the
         // children of every separator above it.
         let promoted_idx = (promoted - 1000) as usize;
-        let rperm = right.permutation();
         assert_eq!(
-            right.child_at(rperm, 0),
+            right.child(0),
             children[promoted_idx + 1] as *mut NodeHeader
         );
-        for rank in 0..rperm.count() {
+        for rank in 0..right.nkeys() {
+            assert_eq!(right.key(rank), 1000 + (promoted_idx + 1 + rank) as u64);
             assert_eq!(
-                right.keys[rperm.slot(rank)].load(Ordering::Relaxed),
-                1000 + (promoted_idx + 1 + rank) as u64
-            );
-            assert_eq!(
-                right.child_at(rperm, rank + 1),
+                right.child(rank + 1),
                 children[promoted_idx + 2 + rank] as *mut NodeHeader
             );
         }
@@ -1587,9 +1401,7 @@ mod tests {
         let mut children = Vec::new();
         let first_child = LeafNode::allocate(&slab);
         children.push(first_child);
-        inner
-            .child0
-            .store(first_child as *mut NodeHeader, Ordering::Release);
+        inner.set_child0_unpublished(first_child as *mut NodeHeader);
         for i in 0..FANOUT {
             let child = LeafNode::allocate(&slab);
             children.push(child);

@@ -19,6 +19,70 @@ fn test_threads(default: u64) -> u64 {
         .unwrap_or(default)
 }
 
+/// Walks a quiescent tree and asserts the interior structure of every trie
+/// layer: an interior node holds at most `FANOUT` separators, strictly
+/// ascending, and a non-null child in every slot `0..=nkeys`; every
+/// separator and every leaf key below a child lies within the bounds the
+/// separators above give that child (`children[i]` covers `keys[i - 1]`
+/// inclusive to `keys[i]` exclusive).
+fn audit_interior(tree: &Tree) {
+    // (node, lower bound, upper bound or none): the bounds of one layer.
+    let mut stack: Vec<(*const NodeHeader, u64, Option<u64>)> =
+        vec![(tree.root.root.load(AO::Acquire), 0, None)];
+    while let Some((node, lo, hi)) = stack.pop() {
+        assert!(!node.is_null(), "a layer root is null");
+        let within = |s: u64| s >= lo && hi.map_or(true, |h| s < h);
+        // SAFETY: the tree is quiescent and frees no node while it lives.
+        if unsafe { (*node).is_leaf() } {
+            // SAFETY: LEAF bit checked.
+            let leaf = unsafe { &*(node as *const LeafNode) };
+            let perm = leaf.permutation();
+            for rank in 0..perm.count() {
+                let slot = perm.slot(rank);
+                let slice = leaf.slice(slot);
+                assert!(
+                    within(slice),
+                    "leaf {node:?}: slice {slice:#x} outside [{lo:#x}, {hi:?})"
+                );
+                if leaf.klen(slot) == KLEN_LAYER {
+                    // SAFETY: layer entries point at live layers.
+                    let sub =
+                        unsafe { (*(leaf.value(slot) as *const Layer)).root.load(AO::Acquire) };
+                    stack.push((sub, 0, None));
+                }
+            }
+            continue;
+        }
+        // SAFETY: LEAF bit clear.
+        let inner = unsafe { &*(node as *const InnerNode) };
+        let n = inner.nkeys();
+        assert!(n <= FANOUT, "inner {node:?}: {n} separators");
+        let keys: Vec<u64> = (0..n).map(|i| inner.key(i)).collect();
+        for pair in keys.windows(2) {
+            assert!(
+                pair[0] < pair[1],
+                "inner {node:?}: separators {keys:x?} do not ascend"
+            );
+        }
+        for &k in &keys {
+            assert!(
+                within(k),
+                "inner {node:?}: separator {k:#x} outside [{lo:#x}, {hi:?})"
+            );
+        }
+        for i in 0..=n {
+            let child = inner.child(i);
+            assert!(
+                !child.is_null(),
+                "inner {node:?}: child {i} of {n} separators is null"
+            );
+            let child_lo = if i == 0 { lo } else { keys[i - 1] };
+            let child_hi = if i == n { hi } else { Some(keys[i]) };
+            stack.push((child, child_lo, child_hi));
+        }
+    }
+}
+
 #[test]
 fn empty_tree_lookups() {
     let t = Tree::new();
@@ -651,6 +715,7 @@ fn concurrent_disjoint_inserts() {
     for h in handles {
         h.join().unwrap();
     }
+    audit_interior(&t);
     assert_eq!(t.len(), (threads * per_thread) as usize);
     for i in 0..threads * per_thread {
         assert_eq!(t.get(&key(i)), Some(i));
@@ -682,6 +747,7 @@ fn concurrent_inserts_of_same_keys_keep_first_value() {
     }
     let total_wins: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
     assert_eq!(total_wins, keys, "each key must be inserted exactly once");
+    audit_interior(&t);
     assert_eq!(t.len(), keys as usize);
     for i in 0..keys {
         let v = t.get(&key(i)).unwrap();
@@ -710,6 +776,7 @@ fn concurrent_layer_conversions() {
     for h in handles {
         h.join().unwrap();
     }
+    audit_interior(&t);
     assert_eq!(t.len(), (threads * buckets) as usize);
     for tid in 0..threads {
         for b in 0..buckets {
@@ -773,6 +840,7 @@ fn concurrent_readers_during_inserts_see_only_valid_values() {
         r.join().unwrap();
     }
     scanner.join().unwrap();
+    audit_interior(&t);
     for i in 0..n {
         assert_eq!(t.get(&key(i)), Some(i + 1000));
     }
@@ -881,6 +949,7 @@ fn concurrent_interleaved_inserts_split_shared_leaves() {
     for r in readers {
         r.join().unwrap();
     }
+    audit_interior(&t);
 
     for i in 0..n {
         assert_eq!(t.get(&key(i)), Some(i + base));
@@ -1071,6 +1140,7 @@ fn concurrent_readers_during_interior_splits_see_consistent_routing() {
     for r in readers {
         r.join().unwrap();
     }
+    audit_interior(&t);
     assert!(
         t.stats().inners > 1,
         "workload must have split interior nodes"
@@ -1374,6 +1444,7 @@ mod proptests {
         let r = tree.scan(b"", None, None);
         let expected: Vec<(Vec<u8>, u64)> = model.iter().map(|(k, v)| (k.clone(), *v)).collect();
         prop_assert_eq!(r.entries, expected);
+        audit_interior(&tree);
         Ok(())
     }
 
@@ -1428,6 +1499,37 @@ mod proptests {
         Ok(())
     }
 
+    /// The key range the interior-node model test draws separators from.
+    const SPAN: u64 = 1 << 40;
+
+    /// A separator strictly between the model's separators at ranks
+    /// `rank - 1` and `rank` (the range's ends past either edge).
+    fn between(model: &[(u64, *mut NodeHeader)], rank: usize) -> u64 {
+        let lo = if rank == 0 { 0 } else { model[rank - 1].0 };
+        let hi = model.get(rank).map_or(SPAN, |&(s, _)| s);
+        lo + (hi - lo) / 2
+    }
+
+    /// Asserts that `node` holds exactly `model`'s separators, with
+    /// `child0` first, and routes each probe, and each separator and its
+    /// neighbours, to the child the sorted model names.
+    fn check_inner(
+        node: &InnerNode,
+        child0: *mut NodeHeader,
+        model: &[(u64, *mut NodeHeader)],
+        probes: &[u64],
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(node.nkeys(), model.len());
+        let edges = model.iter().flat_map(|&(s, _)| [s - 1, s, s + 1]);
+        for p in probes.iter().copied().chain(edges) {
+            let idx = model.iter().filter(|&&(s, _)| s <= p).count();
+            let child = if idx == 0 { child0 } else { model[idx - 1].1 };
+            prop_assert_eq!(node.route(p), idx, "route of {:#x}", p);
+            prop_assert_eq!(node.child(idx), child, "child {} for {:#x}", idx, p);
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1455,6 +1557,8 @@ mod proptests {
             for (i, k) in keys.iter().enumerate() {
                 inserted.insert_if_absent(k, i as u64);
             }
+            audit_interior(&bulk);
+            audit_interior(&inserted);
             let mut all_probes = probes.clone();
             all_probes.extend(keys.iter().cloned());
             same_answers(&bulk, &inserted, &all_probes, &scans)?;
@@ -1491,6 +1595,8 @@ mod proptests {
             same_answers(&bulk, &inserted, &final_probes, &scans)?;
             let (ra, rb) = (bulk.scan(b"", None, None), inserted.scan(b"", None, None));
             prop_assert_eq!(ra.entries, rb.entries);
+            audit_interior(&bulk);
+            audit_interior(&inserted);
         }
 
         #[test]
@@ -1516,83 +1622,72 @@ mod proptests {
             for (k, v) in &model {
                 prop_assert_eq!(tree.get(k), Some(*v));
             }
+            audit_interior(&tree);
         }
 
-        /// Interior permutation publish ordering, model-checked against the
-        /// contract the optimistic descent relies on:
-        ///
-        /// * under the **current** permutation, routing and the chosen child
-        ///   are exact after every insert (a slot-shifting implementation
-        ///   breaks this mid-shift);
-        /// * under any **stale** snapshot, the child table is frozen — every
-        ///   routing index that was valid for the snapshot still maps to
-        ///   exactly the child it was published with (later inserts only
-        ///   touch free slots), and `route_at` stays within the snapshot's
-        ///   bounds. Stale routes may be *imprecise* (the counting scan sees
-        ///   newer separators) — that is the torn-route case the version
-        ///   re-check discards — but they can never reach a child pointer
-        ///   the snapshot never published.
+        /// An interior node routes exactly like a sorted model through
+        /// separator inserts at both edges and at mid ranks until it is full,
+        /// through its split, and through one more insert into the half the
+        /// next separator belongs to, as a tree split makes.
         #[test]
-        fn prop_inner_permutation_snapshots_survive_later_inserts(
-            raw_seps in vec(1u64..1_000_000, 2..=crate::node::FANOUT),
-            probes in vec(0u64..1_001_000, 0..24),
+        fn prop_inner_routes_match_a_sorted_model(
+            steps in vec((0u8..3, any::<usize>()), FANOUT - 1),
+            probes in vec(0u64..SPAN + 2, 0..24),
+            next in any::<usize>(),
         ) {
-            use crate::node::{InnerNode, NodeHeader};
-
-            let mut seen = std::collections::HashSet::new();
-            let seps: Vec<u64> = raw_seps.into_iter().filter(|s| seen.insert(*s)).collect();
-            // Children are opaque identities to route_at/child_at: use
-            // distinct fake pointers, never dereferenced.
+            // Children are opaque identities to `route`/`child`: distinct
+            // fake pointers, never dereferenced.
             let fake = |i: usize| ((i + 1) * 0x100) as *mut NodeHeader;
-
             let slab = crate::Slab::new();
-            let inner_ptr = InnerNode::allocate(&slab);
+            let node_ptr = InnerNode::allocate(&slab);
             // SAFETY: single-threaded exclusive access in this test.
-            let inner = unsafe { &*inner_ptr };
-            inner.init_root(seps[0], fake(0), fake(1));
-
-            // (permutation snapshot, sorted separator model at that time).
-            let mut model: Vec<(u64, *mut NodeHeader)> = vec![(seps[0], fake(1))];
-            let mut snapshots = vec![(inner.permutation(), model.clone())];
-            for (j, &sep) in seps.iter().enumerate().skip(1) {
-                let idx = inner.route(sep);
-                inner.insert_separator(idx, sep, fake(j + 1));
-                model.push((sep, fake(j + 1)));
-                model.sort_by_key(|&(s, _)| s);
-                snapshots.push((inner.permutation(), model.clone()));
-            }
-
-            // Exactness under the current permutation.
-            let (cur_perm, cur_model) = snapshots.last().unwrap();
-            let cur_probes = cur_model
-                .iter()
-                .flat_map(|&(s, _)| [s.saturating_sub(1), s, s + 1]);
-            for p in probes.iter().copied().chain(cur_probes) {
-                let expected_idx = cur_model.iter().filter(|&&(s, _)| s <= p).count();
-                let expected_child = if expected_idx == 0 {
-                    fake(0)
-                } else {
-                    cur_model[expected_idx - 1].1
+            let node = unsafe { &*node_ptr };
+            node.init_root(SPAN / 2, fake(0), fake(1));
+            let mut model = vec![(SPAN / 2, fake(1))];
+            check_inner(node, fake(0), &model, &probes)?;
+            for (j, &(edge, pick)) in steps.iter().enumerate() {
+                let rank = match edge {
+                    0 => 0,
+                    1 => model.len(),
+                    _ => pick % (model.len() + 1),
                 };
-                prop_assert_eq!(inner.route_at(*cur_perm, p), expected_idx);
-                prop_assert_eq!(inner.child_at(*cur_perm, expected_idx), expected_child);
+                let sep = between(&model, rank);
+                prop_assert_eq!(node.route(sep), rank);
+                node.insert_separator(rank, sep, fake(j + 2));
+                model.insert(rank, (sep, fake(j + 2)));
+                check_inner(node, fake(0), &model, &probes)?;
             }
+            prop_assert!(node.is_full());
 
-            // Stale snapshots: frozen child table, bounded routes.
-            for (perm, model) in &snapshots {
-                for idx in 0..=model.len() {
-                    let expected_child = if idx == 0 { fake(0) } else { model[idx - 1].1 };
-                    prop_assert_eq!(inner.child_at(*perm, idx), expected_child);
-                }
-                for p in probes.iter().copied() {
-                    // Later inserts only append at slots >= the snapshot's
-                    // count, which the bounded counting scan never reads —
-                    // so a stale snapshot routes *exactly* per its own
-                    // separator set.
-                    let expected = model.iter().filter(|&&(s, _)| s <= p).count();
-                    prop_assert_eq!(inner.route_at(*perm, p), expected);
-                }
-            }
+            prop_assert!(node.header.try_upgrade_lock(node.header.stable_version()));
+            let (promoted, right_ptr) = node.split(&slab);
+            // SAFETY: the split's fresh sibling, exclusively ours.
+            let right = unsafe { &*right_ptr };
+            let mid = FANOUT / 2;
+            prop_assert_eq!(promoted, model[mid].0);
+            let mut right_model = model.split_off(mid + 1);
+            let (_, right_child0) = model.pop().unwrap();
+            check_inner(node, fake(0), &model, &probes)?;
+            check_inner(right, right_child0, &right_model, &probes)?;
+
+            // One more separator, into the half it belongs to.
+            let mut whole = model.clone();
+            whole.push((promoted, right_child0));
+            whole.extend(right_model.iter().copied());
+            let sep = between(&whole, next % (whole.len() + 1));
+            let (half, half_model) = if sep < promoted {
+                (node, &mut model)
+            } else {
+                (right, &mut right_model)
+            };
+            let rank = half_model.iter().filter(|&&(s, _)| s < sep).count();
+            prop_assert_eq!(half.route(sep), rank);
+            half.insert_separator(rank, sep, fake(FANOUT + 1));
+            half_model.insert(rank, (sep, fake(FANOUT + 1)));
+            check_inner(node, fake(0), &model, &probes)?;
+            check_inner(right, right_child0, &right_model, &probes)?;
+            node.header.unlock_with_increment();
+            right.header.unlock_with_increment();
         }
     }
 }

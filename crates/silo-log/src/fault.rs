@@ -25,6 +25,15 @@ pub fn xorshift(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
+/// splitmix64's output function: spreads every bit of `seed` over the whole
+/// word, so seeds that differ in one low bit start unrelated streams.
+fn splitmix64(seed: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[derive(Debug)]
 struct State<S, K> {
     /// Operations counted so far, per site seen.
@@ -183,22 +192,28 @@ impl FaultPlan {
     /// | `enospc` | `ENOSPC` on rotate and append |
     /// | `stall` | sync stalls |
     /// | `crash` | one checkpointer crash point |
+    ///
+    /// The seed is mixed through splitmix64, and every choice is taken from
+    /// the high 32 bits of a draw: the low bits of xorshift64*'s first draws
+    /// from nearby seeds are not independent (taken `% 4` from a lightly
+    /// mixed seed, they never named two of the four crash sites).
     pub fn profile(profile: &str, seed: u64) -> FaultPlan {
-        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15 | 1;
+        let mut state = splitmix64(seed) | 1;
         let mut plan = FaultPlan::new();
-        let pick = |state: &mut u64, range: u64| 1 + (xorshift(state) % range);
+        let draw = |state: &mut u64| xorshift(state) >> 32;
+        let pick = |state: &mut u64, range: u64| 1 + draw(state) % range;
         match profile {
             "transient" => {
                 // A burst: several consecutive appends/syncs fail transiently,
                 // exercising the backoff loop more than once per round.
                 let start = pick(&mut state, 12);
-                for i in 0..1 + (xorshift(&mut state) % 3) {
+                for i in 0..1 + draw(&mut state) % 3 {
                     plan = plan.fail_at(FaultSite::Append, start + i, FaultKind::Transient);
                 }
                 plan = plan.fail_at(FaultSite::Sync, pick(&mut state, 12), FaultKind::Transient);
             }
             "permanent" => {
-                let site = if xorshift(&mut state) % 2 == 0 {
+                let site = if draw(&mut state) % 2 == 0 {
                     FaultSite::Append
                 } else {
                     FaultSite::Sync
@@ -217,7 +232,7 @@ impl FaultPlan {
                     FaultSite::Append,
                     pick(&mut state, 16),
                     FaultKind::BitFlip {
-                        bit: xorshift(&mut state),
+                        bit: draw(&mut state),
                     },
                 );
             }
@@ -232,19 +247,19 @@ impl FaultPlan {
                         FaultSite::Sync,
                         pick(&mut state, 8),
                         FaultKind::SyncStall {
-                            millis: 5 + xorshift(&mut state) % 40,
+                            millis: 5 + draw(&mut state) % 40,
                         },
                     )
                     .fail_at(
                         FaultSite::Sync,
                         8 + pick(&mut state, 8),
                         FaultKind::SyncStall {
-                            millis: 5 + xorshift(&mut state) % 40,
+                            millis: 5 + draw(&mut state) % 40,
                         },
                     );
             }
             "crash" => {
-                let site = match xorshift(&mut state) % 4 {
+                let site = match draw(&mut state) % 4 {
                     0 => FaultSite::CkptSlice,
                     1 => FaultSite::CkptBeforeManifest,
                     2 => FaultSite::CkptAfterManifest,
@@ -325,6 +340,39 @@ mod tests {
                 "profile {profile} must be deterministic"
             );
             assert!(!a.exhausted(), "profile {profile} schedules something");
+        }
+    }
+
+    #[test]
+    fn sixteen_seeds_reach_every_crash_and_permanent_site() {
+        let sites = |profile: &str| {
+            let mut seen = Vec::new();
+            for seed in 0..16 {
+                let plan = FaultPlan::profile(profile, seed);
+                let state = plan.state.lock();
+                for &(site, _, _) in &state.pending {
+                    if !seen.contains(&site) {
+                        seen.push(site);
+                    }
+                }
+            }
+            seen
+        };
+        let crash = sites("crash");
+        for site in [
+            FaultSite::CkptSlice,
+            FaultSite::CkptBeforeManifest,
+            FaultSite::CkptAfterManifest,
+            FaultSite::CkptBeforeTruncate,
+        ] {
+            assert!(crash.contains(&site), "no crash seed picks {site:?}");
+        }
+        let permanent = sites("permanent");
+        for site in [FaultSite::Append, FaultSite::Sync] {
+            assert!(
+                permanent.contains(&site),
+                "no permanent seed picks {site:?}"
+            );
         }
     }
 }

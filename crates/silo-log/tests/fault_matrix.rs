@@ -27,10 +27,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use silo_core::{Database, SiloConfig};
-use silo_log::fault::is_injected_crash;
+use silo_log::fault::InjectedCrash;
 use silo_log::{
-    recover_directory, CheckpointConfig, Checkpointer, FaultPlan, LogConfig, RecoveryError,
-    RecoveryOptions, SiloLogger,
+    recover_directory, CheckpointConfig, Checkpointer, FaultPlan, FaultSite, LogConfig,
+    RecoveryError, RecoveryOptions, SiloLogger,
 };
 
 const PROFILES: &[&str] = &[
@@ -108,8 +108,9 @@ fn commit_wave(db: &Arc<Database>, table: u32, wave: u32) -> Vec<(String, String
 
 /// One fault-matrix case: run the workload under `profile`'s seeded schedule,
 /// crash, recover, check the contract. Panics (failing the test) on any
-/// violation; returns the case directory for cleanup on success.
-fn run_case(profile: &str, seed: u64) -> PathBuf {
+/// violation; returns the case directory for cleanup on success, and the
+/// checkpoint crash site that fired, if any.
+fn run_case(profile: &str, seed: u64) -> (PathBuf, Option<FaultSite>) {
     let dir = scratch_root().join(format!(
         "silo-fault-{profile}-{seed}-{}",
         std::process::id()
@@ -148,6 +149,7 @@ fn run_case(profile: &str, seed: u64) -> PathBuf {
         // interleave three times so per-run crash points (scheduled up to
         // the 3rd occurrence) fire too.
         let mut committed = Vec::new();
+        let mut crashed_at = None;
         let mut last_ckpt_target = 0u64;
         for wave in 0..WAVES {
             committed.extend(commit_wave(&db, table, wave));
@@ -172,10 +174,10 @@ fn run_case(profile: &str, seed: u64) -> PathBuf {
                 // lands, leaving the protocol's on-disk state torn at
                 // whichever point the schedule chose.
                 if let Err(e) = ckpt.run_now() {
-                    assert!(
-                        is_injected_crash(&e),
-                        "checkpoint failed with a non-injected error: {e}"
-                    );
+                    match e.get_ref().and_then(|inner| inner.downcast_ref()) {
+                        Some(&InjectedCrash(site)) => crashed_at = Some(site),
+                        None => panic!("checkpoint failed with a non-injected error: {e}"),
+                    }
                 }
             }
         }
@@ -205,9 +207,9 @@ fn run_case(profile: &str, seed: u64) -> PathBuf {
         // below it was acknowledged as crash-proof.
         let acked_epoch = logger.durable_epoch();
         db.stop_epoch_advancer();
-        (committed, acked_epoch)
+        (committed, acked_epoch, crashed_at)
     };
-    let (committed, acked_epoch) = committed;
+    let (committed, acked_epoch, crashed_at) = committed;
 
     // "Crash": recover from whatever is on disk into a fresh database.
     let db = open_db();
@@ -273,17 +275,34 @@ fn run_case(profile: &str, seed: u64) -> PathBuf {
         }
     }
     db.stop_epoch_advancer();
-    dir
+    (dir, crashed_at)
 }
 
 #[test]
 fn fault_matrix_over_seeded_schedules() {
     let seeds = seeds();
+    let mut crash_sites = Vec::new();
     for profile in PROFILES {
         for seed in 0..seeds {
-            let dir = run_case(profile, seed);
+            let (dir, crashed_at) = run_case(profile, seed);
+            crash_sites.extend(crashed_at);
             // Reached only on success: failures leave the dir for post-mortem.
             let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    // A schedule biased away from a crash site would leave that step of
+    // the checkpoint protocol untested without failing anything: with
+    // enough seeds, every site must have crashed at least once.
+    if seeds >= 8 {
+        for site in [
+            FaultSite::CkptSlice,
+            FaultSite::CkptBeforeManifest,
+            FaultSite::CkptAfterManifest,
+            FaultSite::CkptBeforeTruncate,
+        ] {
+            let hits = crash_sites.iter().filter(|&&s| s == site).count();
+            eprintln!("crash site {site:?}: {hits} of {seeds} seeds");
+            assert!(hits > 0, "no crash seed of {seeds} crashed at {site:?}");
         }
     }
 }
