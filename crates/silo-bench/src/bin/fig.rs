@@ -340,14 +340,17 @@ impl Row {
 }
 
 /// A column: its header and how to read it off a row (the second argument
-/// is the rows printed before it in the same figure).
+/// is the rows printed before it in the same figure). NaN is a value the row
+/// does not have, printed `-`.
 type Column = (&'static str, fn(&Row, &[Row]) -> f64);
 
 const MIB: f64 = 1024.0 * 1024.0;
 const THROUGHPUT: Column = ("txn/s", |r, _| r.throughput());
 const PER_CORE: Column = ("txn/s/core", |r, _| r.result.per_core_throughput());
 const ABORTS: Column = ("aborts/s", |r, _| r.result.abort_rate());
-const ALLOCS_PER_TXN: Column = ("allocs/txn", |r, _| r.result.stats.allocs_per_txn());
+const ALLOCS_PER_TXN: Column = ("allocs/txn", |r, _| {
+    allocs_per_txn(&r.result).unwrap_or(f64::NAN)
+});
 const MEAN_MS: Column = ("mean(ms)", |r, _| r.result.latency.mean_us / 1e3);
 const P50_MS: Column = ("p50(ms)", |r, _| r.result.latency.p50_us as f64 / 1e3);
 const P99_MS: Column = ("p99(ms)", |r, _| r.result.latency.p99_us as f64 / 1e3);
@@ -738,7 +741,9 @@ fn run_series(fig: &Figure, series: &Series, p: &Params, log_dir: &Path, rows: &
         for (_, value) in fig.columns {
             let v = value(&row, rows);
             // Counts and rates as integers; ratios and milliseconds with decimals.
-            let cell = if v == 0.0 || v.abs() >= 100.0 {
+            let cell = if v.is_nan() {
+                "-".to_string()
+            } else if v == 0.0 || v.abs() >= 100.0 {
                 format!("{v:.0}")
             } else {
                 format!("{v:.4}")

@@ -136,6 +136,14 @@ pub fn open_memsilo() -> Arc<Database> {
     Database::open(memsilo_config())
 }
 
+/// Engine allocations per committed transaction, or `None` when the engine
+/// counted no commits: the Key-Value, Partitioned-Store and raw-tree loads run
+/// outside its transactions and fill no `WorkerStats`, so a `0` there would
+/// read as a measurement.
+pub fn allocs_per_txn(result: &RunResult) -> Option<f64> {
+    (result.stats.commits > 0).then(|| result.stats.allocs_per_txn())
+}
+
 /// Prints a standard result row, including the engine's allocator discipline
 /// (global-allocator hits per committed transaction — 0 once pools and
 /// arenas are warm) and the abort ratio.
@@ -189,10 +197,11 @@ fn json_escape(s: &str) -> String {
 /// `BENCH_JSON {...}` line and retained for [`write_bench_json`]. A row
 /// carries what a reader of the uploaded artifact compares across runs:
 /// throughput, aborts, allocator discipline and, for a persistent run, the
-/// durable-latency summary.
+/// durable-latency summary. A row whose load the engine counts no commits
+/// for has no `allocs_per_txn` (see [`allocs_per_txn`]).
 pub fn emit_bench_json(bench: &str, series: &str, threads: usize, result: &RunResult) {
     let mut row = format!(
-        "{{\"bench\":\"{}\",\"series\":\"{}\",\"threads\":{},\"seconds\":{:.3},\"committed\":{},\"aborted\":{},\"throughput_txns_per_s\":{:.1},\"allocs_per_txn\":{:.4},\"aborts_per_txn\":{:.5}",
+        "{{\"bench\":\"{}\",\"series\":\"{}\",\"threads\":{},\"seconds\":{:.3},\"committed\":{},\"aborted\":{},\"throughput_txns_per_s\":{:.1}",
         json_escape(bench),
         json_escape(series),
         threads,
@@ -200,9 +209,14 @@ pub fn emit_bench_json(bench: &str, series: &str, threads: usize, result: &RunRe
         result.committed,
         result.aborted,
         result.throughput(),
-        result.stats.allocs_per_txn(),
-        result.stats.aborts_per_txn(),
     );
+    if let Some(allocs) = allocs_per_txn(result) {
+        row.push_str(&format!(",\"allocs_per_txn\":{allocs:.4}"));
+    }
+    row.push_str(&format!(
+        ",\"aborts_per_txn\":{:.5}",
+        result.stats.aborts_per_txn()
+    ));
     if result.latency.samples > 0 {
         row.push_str(&format!(
             ",\"latency_samples\":{},\"latency_mean_us\":{:.1},\"latency_p50_us\":{},\"latency_p99_us\":{}",

@@ -85,4 +85,23 @@ pub use worker::Worker;
 #[cfg(test)]
 mod set_tests;
 #[cfg(test)]
-mod tests;
+mod testkit;
+/// Engine tests, one file per seam of the protocol. The files are spliced
+/// into this one module, so a test's path stays `tests::<name>` whichever
+/// file holds it; they share the imports below.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testkit::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    include!("txn_tests.rs");
+    include!("validation_tests.rs");
+    include!("snapshot_tests.rs");
+    include!("gc_tests.rs");
+    include!("history_tests.rs");
+    include!("audit_tests.rs");
+    include!("concurrent_tests.rs");
+    include!("context_reuse_tests.rs");
+}

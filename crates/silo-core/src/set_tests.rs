@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use super::*;
 use crate::set::DEGENERATE_HASH;
-use crate::tests::expected_scan;
+use crate::testkit::expected_scan;
 
 type Model = BTreeMap<Vec<u8>, Option<Vec<u8>>>;
 

@@ -1790,4 +1790,25 @@ impl std::fmt::Debug for Tree {
 }
 
 #[cfg(test)]
-mod tests;
+mod testkit;
+/// Index tests, one file per seam: point operations, trie layers, leaf
+/// fill, concurrency, interior splits, bulk load, and model-based property
+/// tests. The files are spliced into this one module, so a test's path stays
+/// `tests::<name>` whichever file holds it; they share the imports below.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testkit::*;
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicBool, Ordering as AO};
+    use std::sync::Arc;
+
+    include!("point_tests.rs");
+    include!("layer_tests.rs");
+    include!("fill_tests.rs");
+    include!("concurrent_tests.rs");
+    include!("audit_tests.rs");
+    include!("interior_tests.rs");
+    include!("bulk_tests.rs");
+    include!("model_tests.rs");
+}

@@ -3,7 +3,7 @@
 
 use super::*;
 use crate::record::Block;
-use crate::tests::{decode_all, log_stream, scratch_dir, ScratchDir};
+use crate::testkit::{decode_all, log_stream, scratch_dir, ScratchDir};
 use silo_core::{EpochConfig, SiloConfig, TableId, Worker};
 use std::time::Instant;
 

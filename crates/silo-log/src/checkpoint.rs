@@ -829,7 +829,7 @@ fn load_slices<'t>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::tests::{as_writes, scratch_dir};
+    use crate::testkit::{as_writes, scratch_dir};
 
     /// A slice holding `records`, written by the checkpointer's own encoder.
     pub(crate) fn slice_bytes(records: &[(TableId, &[u8], Tid, &[u8])]) -> Vec<u8> {

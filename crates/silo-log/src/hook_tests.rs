@@ -6,7 +6,7 @@
 
 use super::*;
 use crate::record::{Block, LoggedTxn, LoggedWrite};
-use crate::tests::{decode_all, log_stream, scratch_dir};
+use crate::testkit::{decode_all, log_stream, scratch_dir};
 use silo_core::{EpochConfig, SiloConfig, TableId};
 
 fn write(table: TableId, key: &[u8], value: Option<&[u8]>) -> LoggedWrite {

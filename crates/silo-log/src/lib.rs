@@ -1255,4 +1255,20 @@ mod hook_tests;
 #[cfg(test)]
 mod listener_tests;
 #[cfg(test)]
-mod tests;
+mod testkit;
+/// Logger tests, one file per seam: commit to durable, checkpoints, sink
+/// faults, and the checkpoint-equivalence property. The files are spliced
+/// into this one module, so a test's path stays `tests::<name>` whichever
+/// file holds it; they share the imports below.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testkit::*;
+    use silo_core::SiloConfig;
+    use std::sync::Arc;
+
+    include!("durable_tests.rs");
+    include!("checkpoint_tests.rs");
+    include!("fault_tests.rs");
+    include!("equivalence_tests.rs");
+}

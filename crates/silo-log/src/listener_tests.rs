@@ -3,7 +3,7 @@
 //! `Arc` is gone. Epochs move only when a test says so.
 
 use super::*;
-use crate::tests::scratch_dir;
+use crate::testkit::scratch_dir;
 use silo_core::{SiloConfig, TableId};
 use std::time::Instant;
 

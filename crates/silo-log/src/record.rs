@@ -597,7 +597,7 @@ fn inside_envelope(e: DecodeError) -> DecodeError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::{as_writes, decode_all, sealed};
+    use crate::testkit::{as_writes, decode_all, sealed};
 
     /// A bare transaction block writing `k = v` to table 0.
     fn txn(tid: Tid) -> Vec<u8> {
@@ -911,7 +911,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::tests::as_writes;
+    use crate::testkit::as_writes;
     use proptest::collection::vec;
     use proptest::prelude::*;
 
@@ -939,7 +939,7 @@ mod proptests {
                 .collect();
             let mut inner = Vec::new();
             encode_txn(&mut inner, tid, as_writes(&borrowed), false);
-            let stream = crate::tests::sealed(&if compress {
+            let stream = crate::testkit::sealed(&if compress {
                 let mut outer = Vec::new();
                 encode_compressed(&mut outer, &inner);
                 outer

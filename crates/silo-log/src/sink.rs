@@ -517,7 +517,7 @@ fn scan_file_max_epoch(path: &Path) -> u64 {
 mod tests {
     use super::*;
     use crate::record::{encode_epoch_marker, encode_txn};
-    use crate::tests::{as_writes, scratch_dir, sealed};
+    use crate::testkit::{as_writes, scratch_dir, sealed};
     use silo_core::TableId;
     use silo_tid::Tid;
 

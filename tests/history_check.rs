@@ -3,6 +3,8 @@
 //! serializability checker verifies them — including while the durability
 //! subsystem is degraded by injected sync stalls.
 
+mod common;
+
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -13,6 +15,8 @@ use silo::{
     Database, DurabilityHealth, EpochConfig, FaultKind, FaultPlan, FaultSite, LogConfig,
     SiloConfig, SiloLogger,
 };
+
+use common::test_threads;
 
 /// A fresh log directory for one test, removed when dropped.
 struct LogDir(PathBuf);
@@ -27,15 +31,6 @@ fn log_dir(name: &str) -> LogDir {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
     LogDir(std::env::temp_dir().join(format!("silo-{name}-{}-{n}", std::process::id())))
-}
-
-/// Worker-thread count for concurrency tests: `SILO_TEST_THREADS` if set
-/// (the oversubscribed-stress runs use 4 on a 1-core box), else `default`.
-fn test_threads(default: usize) -> usize {
-    std::env::var("SILO_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 #[test]

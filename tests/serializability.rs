@@ -1,26 +1,21 @@
 //! Cross-crate integration tests: serializability under concurrency, through
 //! the public facade crate.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use silo::{Database, EpochConfig, SiloConfig};
 
+use common::test_threads;
+
 fn fast_config() -> SiloConfig {
     SiloConfig::default().with_epoch(EpochConfig {
         epoch_interval: Duration::from_millis(2),
         snapshot_interval_epochs: 5,
     })
-}
-
-/// Worker-thread count for concurrency tests: `SILO_TEST_THREADS` if set
-/// (the oversubscribed-stress runs use 4 on a 1-core box), else `default`.
-fn test_threads(default: usize) -> usize {
-    std::env::var("SILO_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 #[test]

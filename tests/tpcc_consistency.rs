@@ -2,6 +2,8 @@
 //! the full mix, checked through the facade crate with the same
 //! `tpcc::check` invariants the crash-recovery CI gate runs.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -10,14 +12,7 @@ use silo_wl::driver::RunOptions;
 use silo_wl::tpcc::check::check_consistency;
 use silo_wl::tpcc::{load, TpccConfig, TpccWorkload};
 
-/// Worker-thread count for concurrency tests: `SILO_TEST_THREADS` if set
-/// (the oversubscribed-stress runs use 4 on a 1-core box), else `default`.
-fn test_threads(default: usize) -> usize {
-    std::env::var("SILO_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use common::test_threads;
 
 #[test]
 fn tpcc_consistency_conditions_after_concurrent_mix() {
