@@ -144,6 +144,16 @@ pub fn allocs_per_txn(result: &RunResult) -> Option<f64> {
     (result.stats.commits > 0).then(|| result.stats.allocs_per_txn())
 }
 
+/// Aborted attempts per committed transaction, from the driver's counts:
+/// the Partitioned-Store load fills no `WorkerStats`, and on the engine's
+/// loads the two agree.
+pub fn aborts_per_txn(result: &RunResult) -> f64 {
+    if result.committed == 0 {
+        return 0.0;
+    }
+    result.aborted as f64 / result.committed as f64
+}
+
 /// Prints a standard result row, including the engine's allocator discipline
 /// (global-allocator hits per committed transaction — 0 once pools and
 /// arenas are warm) and the abort ratio.
@@ -154,7 +164,7 @@ pub fn print_row(series: &str, x: impl std::fmt::Display, result: &RunResult) {
         result.per_core_throughput(),
         result.abort_rate(),
         result.stats.allocs_per_txn(),
-        result.stats.aborts_per_txn(),
+        aborts_per_txn(result),
     );
 }
 
@@ -215,7 +225,7 @@ pub fn emit_bench_json(bench: &str, series: &str, threads: usize, result: &RunRe
     }
     row.push_str(&format!(
         ",\"aborts_per_txn\":{:.5}",
-        result.stats.aborts_per_txn()
+        aborts_per_txn(result)
     ));
     if result.latency.samples > 0 {
         row.push_str(&format!(
@@ -277,6 +287,26 @@ mod tests {
         for bad in ["", "1,,2", "1,x", "0", "2;4"] {
             assert!(parse_threads(bad).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn aborts_per_txn_counts_loads_that_fill_no_worker_stats() {
+        let result = RunResult {
+            committed: 200,
+            aborted: 711,
+            duration: std::time::Duration::from_secs(1),
+            stats: silo_core::WorkerStats::default(),
+            latency: Default::default(),
+            threads: 1,
+            logger_stats: None,
+            checkpoint_stats: None,
+            index_stats: None,
+        };
+        assert_eq!(aborts_per_txn(&result), 3.555);
+        emit_bench_json("aborts-test", "partitioned", 1, &result);
+        let rows = BENCH_JSON_ROWS.lock().unwrap();
+        let row = rows.iter().find(|row| row.contains("aborts-test")).unwrap();
+        assert!(row.contains("\"aborts_per_txn\":3.55500"), "{row}");
     }
 
     #[test]

@@ -53,17 +53,25 @@
 //!
 //! # Protocol
 //!
+//! A name survives a power loss only once its parent directory is fsynced,
+//! so each step makes its names durable before the next relies on them.
+//!
 //! 1. Pick the current global snapshot epoch `ce` and walk every table on
 //!    `writers` threads via [`silo_core::SnapshotTxn::scan_versions`] — a
 //!    consistent cut that runs concurrently with commits and never blocks
 //!    them, read through the same validated version read as every other
 //!    snapshot read. A table goes whole, in key order, into one slice, and
-//!    recovery builds it bottom-up from that run.
-//! 2. fsync the slices, wait until the durable epoch reaches `ce`, then write
-//!    `MANIFEST` (via a temp file + rename). Waiting first guarantees that
-//!    any crash after the manifest exists recovers a durable horizon `≥ ce`.
+//!    recovery builds it bottom-up from that run. Creating `checkpoints/`
+//!    fsyncs the root, creating `ckpt-<ce>` fsyncs `checkpoints/`, and
+//!    creating each slice fsyncs `ckpt-<ce>`.
+//! 2. fsync the slices, wait until the durable epoch reaches `ce`, then
+//!    publish `MANIFEST`: write a temp file, sync it, rename it into place
+//!    and fsync `ckpt-<ce>`; a failed fsync fails the attempt. Waiting first
+//!    guarantees that any crash after the manifest exists recovers a durable
+//!    horizon `≥ ce`.
 //! 3. Ask the logger to truncate: segments whose records all have epochs
 //!    `≤ ce` are redundant — the checkpoint covers them — and are deleted.
+//!    Every name and byte of the checkpoint is durable by now.
 //! 4. Delete every older checkpoint.
 
 use std::io::{BufWriter, Read, Write};
@@ -76,6 +84,7 @@ use std::time::{Duration, Instant};
 use silo_core::{CommitWrite, Database, Table, TableId, TableLoad, Tid, Worker};
 
 use crate::fault::{FaultKind, FaultSite, InjectedCrash};
+use crate::fs::{Fs, RealFs};
 use crate::record::{self, BlockRef, DecodeError, StreamDecoder};
 use crate::recovery::{run_error, Run, Tail};
 use crate::{lock, RecoveryError, SiloLogger};
@@ -307,18 +316,12 @@ fn parse_checkpoint_dir(name: &str) -> Option<u64> {
 }
 
 /// Every checkpoint directory under `root` with its epoch, complete or not.
-fn checkpoint_dirs(root: &Path) -> Vec<(u64, PathBuf)> {
-    let Ok(entries) = std::fs::read_dir(checkpoints_root(root)) else {
-        return Vec::new();
-    };
-    entries
-        .flatten()
-        .filter_map(|entry| {
-            Some((
-                parse_checkpoint_dir(entry.file_name().to_str()?)?,
-                entry.path(),
-            ))
-        })
+fn checkpoint_dirs(fs: &dyn Fs, root: &Path) -> Vec<(u64, PathBuf)> {
+    let dir = checkpoints_root(root);
+    let names = fs.list(&dir).unwrap_or_default();
+    names
+        .into_iter()
+        .filter_map(|name| Some((parse_checkpoint_dir(&name)?, dir.join(name))))
         .collect()
 }
 
@@ -428,14 +431,12 @@ fn walk(shared: &CheckpointerShared, last_epoch: u64) -> std::io::Result<Option<
         return Ok(None);
     }
     let started = Instant::now();
-    let root = &shared.config.root;
-    let dir = checkpoint_dir(root, ce);
+    let fs = &*shared.logger.fs;
+    let dir = checkpoint_dir(&shared.config.root, ce);
     // A leftover directory for this epoch can only be an earlier incomplete
     // attempt (complete ones bump `last_epoch`).
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir)?;
-    }
-    std::fs::create_dir_all(&dir)?;
+    fs.remove_dir(&dir)?;
+    fs.create_dir(&dir)?;
 
     // Walk every table in parallel slices: a shared work queue of table ids,
     // one slice file per writer thread.
@@ -458,8 +459,7 @@ fn walk(shared: &CheckpointerShared, last_epoch: u64) -> std::io::Result<Option<
             let pacer = pacer.as_ref();
             let path = slice_path(&dir, w);
             handles.push(scope.spawn(move || -> std::io::Result<(u64, u64)> {
-                let file = std::fs::File::create(&path)?;
-                let mut slice = SliceWriter::new(BufWriter::new(file));
+                let mut slice = SliceWriter::new(BufWriter::new(fs.create(&path)?));
                 loop {
                     let i = next_table.fetch_add(1, Ordering::Relaxed);
                     let Some(&table) = tables.get(i) else { break };
@@ -503,7 +503,7 @@ fn walk(shared: &CheckpointerShared, last_epoch: u64) -> std::io::Result<Option<
                 // slice directory behind exactly as a real crash would, so
                 // recovery is exercised against the mess.
                 if !crate::fault::is_injected_crash(&e) {
-                    let _ = std::fs::remove_dir_all(&dir);
+                    let _ = fs.remove_dir(&dir);
                 }
                 return Err(e);
             }
@@ -531,7 +531,7 @@ fn publish(
         slices,
         started,
     } = walk;
-    let root = &shared.config.root;
+    let fs = &*shared.logger.fs;
     // The checkpoint claims every transaction with epoch ≤ ce; only publish
     // it once the log guarantees that claim survives a crash.
     if !shared
@@ -539,15 +539,14 @@ fn publish(
         .wait_for_durable(ce, DURABLE_TIMEOUT)
         .is_durable()
     {
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = fs.remove_dir(&dir);
         lock(&shared.stats).failed += 1;
         return Ok(None);
     }
 
     crash_point(shared, FaultSite::CkptBeforeManifest)?;
 
-    // Manifest written via temp file + rename: its presence is the atomic
-    // "checkpoint complete" bit.
+    // The manifest's durable rename is the atomic "checkpoint complete" bit.
     let mut manifest = format!("{MANIFEST_HEADER}\n");
     manifest.push_str(&format!("epoch {ce}\n"));
     manifest.push_str(&format!("slices {}\n", slices.len()));
@@ -555,18 +554,8 @@ fn publish(
         manifest.push_str(&format!("slice {i} {bytes} {records}\n"));
     }
     manifest.push_str("end\n");
-    let tmp = dir.join("MANIFEST.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(manifest.as_bytes())?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp, dir.join(MANIFEST))?;
+    fs.publish(&dir.join(MANIFEST), manifest.as_bytes())?;
     crash_point(shared, FaultSite::CkptAfterManifest)?;
-    if let Ok(d) = std::fs::File::open(&dir) {
-        let _ = d.sync_all();
-    }
-
     crash_point(shared, FaultSite::CkptBeforeTruncate)?;
 
     // The checkpoint is durable: logs covering epochs ≤ ce are redundant.
@@ -575,9 +564,9 @@ fn publish(
     // Older checkpoints (and any stale incomplete attempt) are superseded. No
     // older one is kept as a fallback: the log behind it is truncated, so
     // recovering from it would silently lose every transaction up to `ce`.
-    for (epoch, dir) in checkpoint_dirs(root) {
+    for (epoch, dir) in checkpoint_dirs(fs, &shared.config.root) {
         if epoch < ce {
-            let _ = std::fs::remove_dir_all(dir);
+            let _ = fs.remove_dir(&dir);
         }
     }
 
@@ -608,7 +597,7 @@ pub(crate) struct CheckpointInfo {
 }
 
 fn read_manifest(dir: &Path) -> Option<CheckpointInfo> {
-    let text = std::fs::read_to_string(dir.join(MANIFEST)).ok()?;
+    let text = std::io::read_to_string(RealFs.read(&dir.join(MANIFEST)).ok()?).ok()?;
     let mut lines = text.lines();
     if lines.next()? != MANIFEST_HEADER {
         return None;
@@ -618,7 +607,7 @@ fn read_manifest(dir: &Path) -> Option<CheckpointInfo> {
         return None;
     }
     let count: usize = lines.next()?.strip_prefix("slices ")?.parse().ok()?;
-    let mut slices = Vec::with_capacity(count);
+    let mut slices: Vec<(PathBuf, u64, u64)> = Vec::with_capacity(count);
     for line in lines {
         if line == "end" {
             if slices.len() != count {
@@ -627,8 +616,7 @@ fn read_manifest(dir: &Path) -> Option<CheckpointInfo> {
             // Validate the slice files against the manifest: a slice that is
             // missing or short means the checkpoint must not be trusted.
             for (path, bytes, _) in &slices {
-                let len = std::fs::metadata(path).ok()?.len();
-                if len != *bytes {
+                if RealFs.len(path).ok()? != *bytes {
                     return None;
                 }
             }
@@ -649,9 +637,9 @@ fn read_manifest(dir: &Path) -> Option<CheckpointInfo> {
 /// it. The manifest's rename is what makes a checkpoint complete, so after it
 /// only damage can make the manifest unreadable: an `InvalidData` error.
 pub(crate) fn newest_checkpoint(root: &Path) -> Option<(u64, std::io::Result<CheckpointInfo>)> {
-    let (epoch, dir) = checkpoint_dirs(root)
+    let (epoch, dir) = checkpoint_dirs(&RealFs, root)
         .into_iter()
-        .filter(|(_, dir)| dir.join(MANIFEST).exists())
+        .filter(|(_, dir)| RealFs.len(&dir.join(MANIFEST)).is_ok())
         .max_by_key(|(epoch, _)| *epoch)?;
     let info = read_manifest(&dir).ok_or_else(|| {
         std::io::Error::new(
@@ -802,10 +790,9 @@ fn load_slices<'t>(
     while let Some((path, slice_bytes, slice_records)) =
         slices.get(next_slice.fetch_add(1, Ordering::Relaxed))
     {
-        let file = std::fs::File::open(path)?;
         let mut open: Option<Run<'t>> = None;
         read_slice(
-            file,
+            RealFs.read(path)?,
             *slice_bytes,
             *slice_records,
             |tid, table, key, value| {

@@ -126,10 +126,10 @@ pub enum FaultSite {
     /// The checkpointer, after the slices are durable but before the
     /// `MANIFEST` temp file is renamed into place.
     CkptBeforeManifest,
-    /// The checkpointer, right after the `MANIFEST` rename (checkpoint is
-    /// complete on disk, nothing else has happened).
+    /// The checkpointer, right after the `MANIFEST` is published (checkpoint
+    /// is complete and durable on disk, nothing else has happened).
     CkptAfterManifest,
-    /// The checkpointer, after the manifest directory sync but before the log
+    /// The checkpointer, after the manifest is published but before the log
     /// is truncated against the new checkpoint.
     CkptBeforeTruncate,
 }

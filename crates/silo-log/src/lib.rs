@@ -54,6 +54,7 @@
 pub mod checkpoint;
 pub mod compress;
 pub mod fault;
+mod fs;
 pub mod record;
 mod recovery;
 mod sink;
@@ -63,6 +64,7 @@ pub use fault::{FaultKind, FaultPlan, FaultSite};
 pub use recovery::{recover_directory, RecoveryError, RecoveryOptions, RecoveryReport};
 pub use sink::{SinkError, SinkErrorKind};
 
+use fs::{Fs, RealFs};
 use sink::FileSink;
 
 use std::path::PathBuf;
@@ -134,7 +136,7 @@ pub struct LogConfig {
     pub pool_buffers: usize,
     /// Rotate a logger's file into a fresh segment once it exceeds this many
     /// bytes. Smaller segments let checkpoints truncate the log at a finer
-    /// grain; each rotation costs one fsync.
+    /// grain; each rotation costs one fsync of the log directory.
     pub segment_bytes: u64,
     /// Durable-epoch lag (global epoch − durable epoch) beyond which
     /// [`SiloLogger::durability_health`] reports
@@ -570,6 +572,9 @@ pub struct SiloLogger {
     handles: Mutex<Vec<JoinHandle<()>>>,
     /// The database's epoch manager, for the durable-lag watermark.
     epochs: Arc<silo_core::EpochManager>,
+    /// The file system the sinks write; a checkpointer spawned with this
+    /// logger writes there too.
+    pub(crate) fs: Arc<dyn Fs>,
 }
 
 impl std::fmt::Debug for SiloLogger {
@@ -589,11 +594,20 @@ impl SiloLogger {
         config: LogConfig,
         epochs: Arc<silo_core::EpochManager>,
     ) -> Result<Arc<SiloLogger>, SinkError> {
+        SiloLogger::new_on(config, epochs, Arc::new(RealFs))
+    }
+
+    /// [`SiloLogger::new`] over the file system `fs`.
+    pub(crate) fn new_on(
+        config: LogConfig,
+        epochs: Arc<silo_core::EpochManager>,
+        fs: Arc<dyn Fs>,
+    ) -> Result<Arc<SiloLogger>, SinkError> {
         let num_loggers = config.num_loggers.max(1);
 
         // Open the per-logger sinks before spawning threads.
         let sinks = (0..num_loggers)
-            .map(|i| FileSink::open(&config, i))
+            .map(|i| FileSink::open(&config, i, &fs))
             .collect::<Result<Vec<_>, _>>()?;
 
         let inbox_depth = config.pool_buffers + 16;
@@ -648,6 +662,7 @@ impl SiloLogger {
             shared,
             handles: Mutex::new(handles),
             epochs,
+            fs,
         }))
     }
 
@@ -1257,18 +1272,24 @@ mod listener_tests;
 #[cfg(test)]
 mod testkit;
 /// Logger tests, one file per seam: commit to durable, checkpoints, sink
-/// faults, and the checkpoint-equivalence property. The files are spliced
-/// into this one module, so a test's path stays `tests::<name>` whichever
-/// file holds it; they share the imports below.
+/// faults, the checkpoint-equivalence property, and power-loss states. The
+/// files are spliced into this one module, so a test's path stays
+/// `tests::<name>` whichever file holds it; they share the imports below.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::xorshift;
+    use crate::fs::{FsFile, Open};
     use crate::testkit::*;
     use silo_core::SiloConfig;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::io;
+    use std::path::Path;
     use std::sync::Arc;
 
     include!("durable_tests.rs");
     include!("checkpoint_tests.rs");
     include!("fault_tests.rs");
     include!("equivalence_tests.rs");
+    include!("fs_tests.rs");
 }

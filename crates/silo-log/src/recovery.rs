@@ -45,8 +45,9 @@ use std::time::Instant;
 use parking_lot::Mutex;
 use silo_core::{BulkLoadError, Database, Table, TableId, TableLoad, Tid};
 
+use crate::fs::{Fs, RealFs};
 use crate::record::{BlockRef, DecodeError, StreamDecoder};
-use crate::sink::parse_segment_name;
+use crate::sink::segments;
 
 /// Errors produced during recovery.
 #[derive(Debug)]
@@ -142,30 +143,17 @@ pub(crate) fn in_parallel<T: Send, E: Send>(
 /// The log segments under `dir`, grouped into one logical stream per logger
 /// (sorted by logger index), each in sequence order.
 fn log_streams(dir: &Path) -> Result<Vec<Vec<PathBuf>>, std::io::Error> {
-    let mut by_logger: BTreeMap<usize, Vec<(u64, PathBuf)>> = BTreeMap::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        if let Some((logger, seq)) = name.to_str().and_then(parse_segment_name) {
-            by_logger
-                .entry(logger)
-                .or_default()
-                .push((seq, entry.path()));
-        }
+    let mut by_logger: BTreeMap<usize, Vec<PathBuf>> = BTreeMap::new();
+    for (logger, _, path) in segments(&RealFs, dir)? {
+        by_logger.entry(logger).or_default().push(path);
     }
-    Ok(by_logger
-        .into_values()
-        .map(|mut files| {
-            files.sort();
-            files.into_iter().map(|(_, path)| path).collect()
-        })
-        .collect())
+    Ok(by_logger.into_values().collect())
 }
 
 /// A reader chaining a logger's segment files into one logical stream.
 struct ChainedFiles<'a> {
     paths: std::slice::Iter<'a, PathBuf>,
-    current: Option<BufReader<std::fs::File>>,
+    current: Option<BufReader<Box<dyn std::io::Read>>>,
 }
 
 impl<'a> ChainedFiles<'a> {
@@ -188,7 +176,7 @@ impl std::io::Read for ChainedFiles<'_> {
             }
             match self.paths.next() {
                 Some(path) => {
-                    self.current = Some(BufReader::new(std::fs::File::open(path)?));
+                    self.current = Some(BufReader::new(RealFs.read(path)?));
                 }
                 None => return Ok(0),
             }

@@ -26,12 +26,12 @@
 //! append, sync and rotate, the way the checkpointer consults its plan at its
 //! crash sites: one `Option` check per call when no plan is set.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::fault::{FaultKind, FaultPlan, FaultSite};
+use crate::fs::{Fs, FsFile, Open};
 use crate::record::{BlockRef, StreamDecoder};
 use crate::LogConfig;
 
@@ -188,8 +188,9 @@ struct ClosedSegment {
 /// One logger's segmented log files under the log directory, optionally
 /// fsyncing on [`FileSink::sync`].
 pub(crate) struct FileSink {
-    file: File,
+    file: Box<dyn FsFile>,
     path: PathBuf,
+    fs: Arc<dyn Fs>,
     fsync: bool,
     /// Stable length of the current file: bytes of fully appended rounds.
     /// A failed append rolls the file back to this offset so a retry cannot
@@ -223,6 +224,20 @@ pub(crate) fn parse_segment_name(name: &str) -> Option<(usize, u64)> {
     Some((idx.parse().ok()?, seq.parse().ok()?))
 }
 
+/// The log segments under `dir` as `(logger, seq, path)`, in that order.
+pub(crate) fn segments(fs: &dyn Fs, dir: &Path) -> std::io::Result<Vec<(usize, u64, PathBuf)>> {
+    let mut segments: Vec<_> = fs
+        .list(dir)?
+        .into_iter()
+        .filter_map(|name| {
+            let (logger, seq) = parse_segment_name(&name)?;
+            Some((logger, seq, dir.join(name)))
+        })
+        .collect();
+    segments.sort();
+    Ok(segments)
+}
+
 impl FileSink {
     /// Opens the sink of logger `logger_index` under `config.dir`, starting a
     /// fresh segment.
@@ -236,51 +251,43 @@ impl FileSink {
     /// eventually reclaims them too; until then they keep capping the
     /// recovery horizon at their final durable marker (see
     /// [`crate::recover_directory`]).
-    pub fn open(config: &LogConfig, logger_index: usize) -> Result<Self, SinkError> {
+    pub fn open(
+        config: &LogConfig,
+        logger_index: usize,
+        fs: &Arc<dyn Fs>,
+    ) -> Result<Self, SinkError> {
         let dir = &config.dir;
-        std::fs::create_dir_all(dir).map_err(|e| {
-            SinkError::setup(
-                "open",
-                format!("cannot create log directory {}: {e}", dir.display()),
-            )
-        })?;
+        let setup = |what: &str, path: &Path, e: std::io::Error| {
+            SinkError::setup("open", format!("cannot {what} {}: {e}", path.display()))
+        };
+        fs.create_dir(dir)
+            .map_err(|e| setup("create log directory", dir, e))?;
         let num_loggers = config.num_loggers.max(1);
         let owns = |idx: usize| {
             idx == logger_index || (idx >= num_loggers && idx % num_loggers == logger_index)
         };
         let mut next_seq = 0u64;
         let mut closed = Vec::new();
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                if let Some((idx, seq)) = parse_segment_name(name) {
-                    if owns(idx) {
-                        if idx == logger_index {
-                            next_seq = next_seq.max(seq + 1);
-                        }
-                        closed.push(ClosedSegment {
-                            path: entry.path(),
-                            max_epoch: None,
-                        });
-                    }
+        let found = segments(&**fs, dir).map_err(|e| setup("list log directory", dir, e))?;
+        for (idx, seq, path) in found {
+            if owns(idx) {
+                if idx == logger_index {
+                    next_seq = next_seq.max(seq + 1);
                 }
+                closed.push(ClosedSegment {
+                    path,
+                    max_epoch: None,
+                });
             }
         }
         let path = dir.join(segment_name(logger_index, next_seq));
-        let file = OpenOptions::new()
-            .create_new(true)
-            .write(true)
-            .open(&path)
-            .map_err(|e| {
-                SinkError::setup(
-                    "open",
-                    format!("cannot create log segment {}: {e}", path.display()),
-                )
-            })?;
+        let file = fs
+            .create(&path)
+            .map_err(|e| setup("create log segment", &path, e))?;
         Ok(FileSink {
             file,
             path,
+            fs: Arc::clone(fs),
             fsync: config.fsync,
             file_len: 0,
             synced_len: 0,
@@ -357,11 +364,7 @@ impl FileSink {
     /// append, so a retry cannot duplicate a partial write. If the rollback
     /// itself fails the error is escalated to permanent.
     fn rollback_append(&mut self, err: SinkError) -> SinkError {
-        let restore = self
-            .file
-            .set_len(self.file_len)
-            .and_then(|()| self.file.seek(SeekFrom::Start(self.file_len)).map(|_| ()));
-        match restore {
+        match self.file.truncate(self.file_len) {
             Ok(()) => err,
             Err(_) => err.permanent(),
         }
@@ -370,7 +373,6 @@ impl FileSink {
     /// Makes previously appended data stable (`fdatasync` when fsync is on).
     pub fn sync(&mut self) -> Result<(), SinkError> {
         self.inject(FaultSite::Sync, "sync")?;
-        self.file.flush().map_err(|e| SinkError::io("sync", &e))?;
         if self.fsync {
             self.file
                 .sync_data()
@@ -401,24 +403,23 @@ impl FileSink {
             // Nothing in the current segment; rotation would only litter.
             return Ok(false);
         }
-        // Make the outgoing segment fully stable before the cutover.
-        self.file.flush().map_err(|e| SinkError::io("rotate", &e))?;
-        let _ = self.file.sync_data();
-        // Open the successor before swapping anything, so a failure here
-        // leaves the current segment fully writable for a later retry.
+        // The outgoing segment needs no sync here: each round synced its
+        // bytes (with fsync off, nothing is synced at all). Create the
+        // successor before swapping anything, so a failure here leaves the
+        // current segment fully writable for a later retry. A failed create
+        // burns its number, since the file may exist.
         let path = self
             .dir
             .join(segment_name(self.logger_index, self.next_seq));
-        let file = OpenOptions::new()
-            .create_new(true)
-            .write(true)
-            .open(&path)
+        self.next_seq += 1;
+        let file = self
+            .fs
+            .create(&path)
             .map_err(|e| SinkError::io("rotate", &e))?;
         self.closed.push(ClosedSegment {
             path: std::mem::replace(&mut self.path, path),
             max_epoch: Some(self.current_max_epoch),
         });
-        self.next_seq += 1;
         self.current_max_epoch = 0;
         self.file = file;
         self.file_len = 0;
@@ -437,16 +438,14 @@ impl FileSink {
     /// retry reopens the file and rewrites everything past the last
     /// *successfully synced* offset.
     pub fn reopen(&mut self) -> Result<(), SinkError> {
-        let mut file = OpenOptions::new()
-            .write(true)
-            .open(&self.path)
+        let mut file = self
+            .fs
+            .open(&self.path, Open::Existing)
             .map_err(|e| SinkError::io("reopen", &e))?;
         // Discard everything past the last successful sync: those bytes may
         // have been dropped by the failed fsync (their dirty pages marked
         // clean without reaching the device), so they must be rewritten.
-        file.set_len(self.synced_len)
-            .map_err(|e| SinkError::io("reopen", &e))?;
-        file.seek(SeekFrom::Start(self.synced_len))
+        file.truncate(self.synced_len)
             .map_err(|e| SinkError::io("reopen", &e))?;
         self.file_len = self.synced_len;
         self.file = file;
@@ -458,17 +457,18 @@ impl FileSink {
     /// deletions are counted in the outcome and retried next round.
     pub fn truncate_obsolete(&mut self, ckpt_epoch: u64) -> TruncateOutcome {
         let mut outcome = TruncateOutcome::default();
+        let fs = &*self.fs;
         self.closed.retain_mut(|closed| {
             let max_epoch = *closed
                 .max_epoch
-                .get_or_insert_with(|| scan_file_max_epoch(&closed.path));
+                .get_or_insert_with(|| scan_file_max_epoch(fs, &closed.path));
             if max_epoch > ckpt_epoch {
                 return true;
             }
             // Measure before deleting: after a successful remove_file the
             // metadata is gone and the reclaimed bytes would read as 0.
-            let len = std::fs::metadata(&closed.path).map(|m| m.len());
-            match std::fs::remove_file(&closed.path) {
+            let len = fs.len(&closed.path);
+            match fs.remove(&closed.path) {
                 Ok(()) => {
                     outcome.segments_deleted += 1;
                     outcome.bytes_deleted += len.unwrap_or(0);
@@ -492,11 +492,11 @@ impl FileSink {
 /// The largest epoch (transaction or durable-marker) found in a log file, by
 /// streaming scan. Unreadable or corrupt files report `u64::MAX` so they are
 /// never deleted.
-fn scan_file_max_epoch(path: &Path) -> u64 {
-    let Ok(file) = File::open(path) else {
+fn scan_file_max_epoch(fs: &dyn Fs, path: &Path) -> u64 {
+    let Ok(file) = fs.read(path) else {
         return u64::MAX;
     };
-    let mut decoder = StreamDecoder::new(std::io::BufReader::new(file));
+    let mut decoder = StreamDecoder::new(BufReader::new(file));
     let mut max = 0u64;
     loop {
         let more = decoder.next_envelope_with(true, |block| {
@@ -516,8 +516,13 @@ fn scan_file_max_epoch(path: &Path) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fs::RealFs;
     use crate::record::{encode_epoch_marker, encode_txn};
     use crate::testkit::{as_writes, scratch_dir, sealed};
+
+    fn real_fs() -> Arc<dyn Fs> {
+        Arc::new(RealFs)
+    }
     use silo_core::TableId;
     use silo_tid::Tid;
 
@@ -532,7 +537,7 @@ mod tests {
         let config = LogConfig::to_directory(dir, loggers)
             .with_fsync(fsync)
             .with_segment_bytes(segment_bytes);
-        FileSink::open(&config, logger).unwrap()
+        FileSink::open(&config, logger, &real_fs()).unwrap()
     }
 
     #[test]
@@ -578,7 +583,7 @@ mod tests {
         let blocker = dir.join("not-a-directory");
         std::fs::write(&blocker, b"").unwrap();
         let config = LogConfig::to_directory(blocker.join("logs"), 1);
-        let err = match FileSink::open(&config, 0) {
+        let err = match FileSink::open(&config, 0, &real_fs()) {
             Ok(_) => panic!("opening a sink under a regular file must fail"),
             Err(e) => e,
         };

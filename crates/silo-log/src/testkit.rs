@@ -80,19 +80,11 @@ pub(crate) fn write_segments(dir: &std::path::Path, streams: &[Vec<u8>]) {
 /// The log of logger `logger` under `dir`: its segment files, read in
 /// sequence order.
 pub(crate) fn log_stream(dir: &std::path::Path, logger: usize) -> Vec<u8> {
-    let mut segments: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|entry| entry.unwrap().path())
-        .filter_map(|path| {
-            let name = path.file_name()?.to_str()?;
-            let (idx, seq) = sink::parse_segment_name(name)?;
-            (idx == logger).then_some((seq, path))
-        })
-        .collect();
-    segments.sort();
+    let segments = sink::segments(&crate::fs::RealFs, dir).unwrap();
     segments
         .iter()
-        .flat_map(|(_, path)| std::fs::read(path).unwrap())
+        .filter(|(idx, ..)| *idx == logger)
+        .flat_map(|(.., path)| std::fs::read(path).unwrap())
         .collect()
 }
 

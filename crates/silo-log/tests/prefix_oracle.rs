@@ -22,14 +22,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use silo_core::{Database, SiloConfig, TableId, Tid};
-use silo_log::fault::{is_injected_crash, xorshift};
+use silo_log::fault::is_injected_crash;
 use silo_log::{
     recover_directory, CheckpointConfig, Checkpointer, FaultKind, FaultPlan, FaultSite, LogConfig,
     RecoveryOptions, SiloLogger,
 };
+use workload::{fold, open_db, session, Committed};
+
+mod workload {
+    use silo_log::fault::xorshift;
+    include!("common/prefix_workload.rs");
+}
 
 const SESSIONS: u64 = 2;
+/// The keys the sessions write: `k00` to `k63`.
 const KEYS: u64 = 64;
 /// Checkpoint attempts after which a case gives up on its crash point.
 const MAX_CHECKPOINTS: usize = 12;
@@ -41,89 +47,11 @@ const CRASH_SITES: [FaultSite; 4] = [
     FaultSite::CkptBeforeTruncate,
 ];
 
-/// One committed transaction: its TID and its writes (`None` deletes).
-type Committed = (Tid, Vec<(Vec<u8>, Option<Vec<u8>>)>);
-
 fn seeds() -> u64 {
     std::env::var("SILO_FAULT_SEEDS")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(2)
-}
-
-fn open_db() -> Arc<Database> {
-    Database::open(
-        SiloConfig::for_testing()
-            .with_spawn_epoch_advancer(true)
-            .with_epoch(silo_core::EpochConfig {
-                epoch_interval: Duration::from_millis(2),
-                snapshot_interval_epochs: 5,
-            }),
-    )
-}
-
-/// One session: commits random 2–4-key transactions until `stop`, retrying
-/// each on abort, and returns every one that committed.
-fn session(db: Arc<Database>, table: TableId, seed: u64, stop: Arc<AtomicBool>) -> Vec<Committed> {
-    let mut rng = seed | 1;
-    let mut w = db.register_worker();
-    let mut committed = Vec::new();
-    let mut n = 0u64;
-    while !stop.load(Ordering::Relaxed) {
-        n += 1;
-        let mut writes: Vec<(Vec<u8>, Option<Vec<u8>>)> = Vec::new();
-        for _ in 0..2 + xorshift(&mut rng) % 3 {
-            let key = format!("k{:02}", xorshift(&mut rng) % KEYS).into_bytes();
-            if writes.iter().any(|(k, _)| *k == key) {
-                continue;
-            }
-            // A quarter of the writes delete; a later write re-inserts.
-            let value = (xorshift(&mut rng) % 4 != 0)
-                .then(|| format!("s{seed:x}-t{n}-{}", writes.len()).into_bytes());
-            writes.push((key, value));
-        }
-        loop {
-            let mut txn = w.begin();
-            // A delete of a key the transaction sees absent writes nothing:
-            // it only reads, so its TID need not order it after the key's
-            // last writer, and it is kept out of the fold.
-            let mut staged = Vec::with_capacity(writes.len());
-            let ok = writes.iter().try_for_each(|(key, value)| {
-                let wrote = match value {
-                    Some(value) => txn.write(table, key, value).map(|()| true)?,
-                    None => txn.delete(table, key)?,
-                };
-                if wrote {
-                    staged.push((key.clone(), value.clone()));
-                }
-                Ok::<_, silo_core::Abort>(())
-            });
-            if ok.is_err() {
-                continue;
-            }
-            if let Ok(tid) = txn.commit() {
-                committed.push((tid, staged));
-                break;
-            }
-        }
-    }
-    committed
-}
-
-/// The table the committed transactions with epoch ≤ `horizon` leave,
-/// applied in TID order.
-fn fold(committed: &mut [Committed], horizon: u64) -> BTreeMap<Vec<u8>, Vec<u8>> {
-    committed.sort_by_key(|(tid, _)| *tid);
-    let mut table = BTreeMap::new();
-    for (_, writes) in committed.iter().filter(|(tid, _)| tid.epoch() <= horizon) {
-        for (key, value) in writes {
-            match value {
-                Some(value) => table.insert(key.clone(), value.clone()),
-                None => table.remove(key),
-            };
-        }
-    }
-    table
 }
 
 /// One case: run the sessions and checkpoints until the crash fires, shut
@@ -161,7 +89,7 @@ fn run_case(seed: u64) -> PathBuf {
     let sessions: Vec<_> = (0..SESSIONS)
         .map(|s| {
             let (db, stop) = (Arc::clone(&db), Arc::clone(&stop));
-            std::thread::spawn(move || session(db, table, seed * SESSIONS + s + 1, stop))
+            std::thread::spawn(move || session(db, table, KEYS, seed * SESSIONS + s + 1, stop))
         })
         .collect();
 

@@ -27,6 +27,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use silo_check::{check_serializability, dump_sessions, CheckReport, SessionHistory, Violation};
 use silo_core::{Database, DurabilityHealth, EpochConfig, HistoryRecorder, SiloConfig, TableId};
 
@@ -204,18 +206,18 @@ pub fn run_fuzz_on(
         let degraded = Arc::clone(&degraded);
         handles.push(std::thread::spawn(move || {
             let mut worker = db.register_worker();
-            let mut rng = FuzzRng::new(cfg.seed, thread_index as u64);
+            let mut rng = SmallRng::seed_from_u64(cfg.seed ^ ((thread_index as u64) << 32));
             barrier.wait();
             let mut committed = 0u64;
             let mut aborted = 0u64;
             for txn_index in 0..cfg.txns_per_session {
-                let ops = 1 + (rng.next() as usize) % cfg.max_txn_ops;
+                let ops = rng.gen_range(1..=cfg.max_txn_ops);
                 let mut txn = worker.begin();
                 let mut poisoned = false;
                 for _ in 0..ops {
                     let key = pick_key(&mut rng, &cfg).to_be_bytes();
-                    let value = rng.next().to_be_bytes();
-                    let result = match rng.next() % 100 {
+                    let value = rng.gen::<u64>().to_be_bytes();
+                    let result = match rng.gen_range(0..100) {
                         // Plain read.
                         0..=34 => txn.read(table, &key).map(|_| ()),
                         // Blind write.
@@ -246,7 +248,7 @@ pub fn run_fuzz_on(
                 {
                     degraded.store(true, Ordering::Relaxed);
                 }
-                if poisoned || rng.chance(cfg.abort_probability) {
+                if poisoned || rng.gen_bool(cfg.abort_probability) {
                     txn.abort();
                     aborted += 1;
                 } else {
@@ -296,47 +298,14 @@ fn decode_counter(value: Option<&[u8]>) -> u64 {
     }
 }
 
-fn pick_key(rng: &mut FuzzRng, cfg: &FuzzConfig) -> u64 {
+fn pick_key(rng: &mut SmallRng, cfg: &FuzzConfig) -> u64 {
     let hot = cfg.hot_keys.clamp(1, cfg.keys);
-    if rng.chance(cfg.hot_bias) {
-        rng.next() % hot
+    let range = if rng.gen_bool(cfg.hot_bias) {
+        hot
     } else {
-        rng.next() % cfg.keys
-    }
-}
-
-/// A tiny deterministic generator (splitmix64 seeding, xorshift64* stream)
-/// so fuzz streams do not depend on the `rand` crate's version.
-struct FuzzRng(u64);
-
-impl FuzzRng {
-    fn new(seed: u64, stream: u64) -> Self {
-        // splitmix64 of (seed, stream) — decorrelates nearby seeds and
-        // guarantees a non-zero xorshift state.
-        let mut z = seed
-            .wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        FuzzRng(z | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn chance(&mut self, probability: f64) -> bool {
-        if probability <= 0.0 {
-            return false;
-        }
-        ((self.next() >> 11) as f64 / (1u64 << 53) as f64) < probability
-    }
+        cfg.keys
+    };
+    rng.gen_range(0..range)
 }
 
 #[cfg(test)]
@@ -390,17 +359,5 @@ mod tests {
         assert!(text.contains("seed=99"));
         assert!(text.contains("SILO_FUZZ_SEED=99"));
         assert!(text.contains("SILO_FUZZ_THREADS=4"));
-    }
-
-    #[test]
-    fn rng_streams_are_deterministic_and_distinct() {
-        let mut a1 = FuzzRng::new(5, 0);
-        let mut a2 = FuzzRng::new(5, 0);
-        let mut b = FuzzRng::new(5, 1);
-        let s1: Vec<u64> = (0..8).map(|_| a1.next()).collect();
-        let s2: Vec<u64> = (0..8).map(|_| a2.next()).collect();
-        let s3: Vec<u64> = (0..8).map(|_| b.next()).collect();
-        assert_eq!(s1, s2);
-        assert_ne!(s1, s3);
     }
 }
